@@ -15,7 +15,7 @@ use lobist_gatesim::coverage::{
     enumerate_faults, random_pattern_coverage, random_pattern_coverage_with,
 };
 use lobist_gatesim::diffsim::DiffSim;
-use lobist_gatesim::lanes::{LaneWord, W256, W512};
+use lobist_gatesim::lanes::{LaneWord, W256};
 use lobist_gatesim::modules::unit_for;
 use lobist_gatesim::net::{Fault, GateNetwork};
 
@@ -52,14 +52,6 @@ fn bench_fault_sim(c: &mut Criterion) {
         });
         group.bench_function(BenchmarkId::new("coverage_256_lanes", id(256)), |b| {
             b.iter(|| coverage_at::<W256>(&net, &faults, 256))
-        });
-        // A 512-pattern budget for the widest lane, with its own
-        // 64-lane reference so the comparison holds the budget fixed.
-        group.bench_function(BenchmarkId::new("coverage_512_lanes", id(64)), |b| {
-            b.iter(|| coverage_at::<u64>(&net, &faults, 512))
-        });
-        group.bench_function(BenchmarkId::new("coverage_512_lanes", id(512)), |b| {
-            b.iter(|| coverage_at::<W512>(&net, &faults, 512))
         });
     }
     // Pattern-budget scaling on the hardest unit: each batch retires
@@ -126,9 +118,6 @@ fn bench_bist_session(c: &mut Criterion) {
     });
     group.bench_function("session_lanes_*8_l256", |b| {
         b.iter(|| session_at::<W256>(&net, &faults, 255))
-    });
-    group.bench_function("session_lanes_*8_l512", |b| {
-        b.iter(|| session_at::<W512>(&net, &faults, 255))
     });
     group.bench_function("session_*8_parallel4", |b| {
         let opts = FaultSimOptions {

@@ -123,7 +123,8 @@ COMMANDS:
 OPTIONS:
   --modules <SET>   functional units, e.g. \"1+,2*,1-\" or \"1+,3ALU\"
   --flow <F>        testable (default) | traditional
-  --width <N>       data-path bit width (default 8)
+  --width <N>       data-path bit width (default 8; 2..=32 for
+                    `faultsim` and `batch --faultsim`)
   --port-inputs     primary inputs live on ports (not registers)
   --netlist         print the structural netlist
   --trace           print the allocator's decision trace (testable flow)
@@ -150,7 +151,8 @@ OPTIONS:
                     design and fail if the policy denies a finding
   --faultsim        after `batch`, fault-simulate the BIST sessions of
                     every synthesized design and append coverage lines
-  --lanes <W>       fault-simulation lane width: 64 | 256 | 512 | auto
+                    (a session shared by several designs runs once)
+  --lanes <W>       fault-simulation lane width: 64 | 256 | auto
                     (default auto — 256 for sessions of ≥192 patterns,
                     64 for coverage; byte-identical at every width)
   --sizes <L>       comma-separated size sweep for `corpus`
@@ -187,7 +189,8 @@ OPTIONS:
                     per event) and append a terminal done record
   --metrics         print engine metrics as JSON after `explore`/`batch`/
                     `faultsim`/`anneal`/`lint` (fault-sim counters: cone
-                    evaluations, events propagated, faults collapsed;
+                    evaluations, events propagated, faults collapsed,
+                    session-memo hits and misses;
                     anneal counters: moves, stalls, oracle hit rate;
                     lint counters: runs, findings, per-pass timings)
 
@@ -397,7 +400,8 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
                     .ok_or_else(|| CliError::Usage("--lanes needs a value".into()))?;
                 o.lanes = lobist_engine::LaneSelect::parse(v).ok_or_else(|| {
                     CliError::Usage(format!(
-                        "bad lane width `{v}` (expected 64, 256, 512 or auto)"
+                        "bad lane width `{v}` (expected {})",
+                        lobist_engine::LaneSelect::EXPECTED
                     ))
                 })?;
             }
@@ -646,50 +650,23 @@ fn lint_timing_json(stats: &lobist_engine::LintRunStats) -> String {
     )
 }
 
-/// Runs the BIST sessions of every module of a synthesized design on
-/// the parallel fault simulator, recording each run into `metrics`.
-/// Returns `(module label, session report)` rows in module order.
-fn fault_sim_design(
-    dfg: &lobist_dfg::Dfg,
-    d: &Design,
-    width: u32,
-    sim_opts: lobist_engine::FaultSimOptions,
-    metrics: &lobist_engine::Metrics,
-) -> Vec<(String, lobist_gatesim::bist_mode::SessionReport)> {
-    use lobist_dfg::modules::ModuleClass;
-    let patterns = lobist_gatesim::lfsr::max_useful_patterns(width);
-    let mut rows = Vec::new();
-    for m in d.data_path.module_ids() {
-        let seeds = (0xACE1 + m.index() as u64, 0x1BAD + m.index() as u64);
-        let (report, stats) = match d.data_path.module_class(m) {
-            ModuleClass::Op(kind) => {
-                let net = lobist_gatesim::modules::unit_for(kind, width);
-                lobist_engine::bist_session_parallel(&net, &[], width, patterns, seeds, sim_opts)
-            }
-            ModuleClass::Alu => {
-                let mut kinds: Vec<lobist_dfg::OpKind> = d
-                    .data_path
-                    .module_ops(m)
-                    .iter()
-                    .map(|&op| dfg.op(op).kind)
-                    .collect();
-                kinds.sort();
-                kinds.dedup();
-                let net = lobist_gatesim::modules::alu(&kinds, width);
-                let mut controls = vec![false; kinds.len()];
-                controls[0] = true;
-                lobist_engine::bist_session_parallel(
-                    &net, &controls, width, patterns, seeds, sim_opts,
-                )
-            }
-        };
-        metrics.record_fault_sim(&stats);
-        rows.push((
-            format!("M{} ({})", m.index() + 1, d.data_path.module_class(m)),
-            report,
-        ));
-    }
-    rows
+/// The fault-simulation knobs shared by `faultsim` and
+/// `batch --faultsim`: the validated session width and the simulator
+/// options. Called before any synthesis, so a bad `--width` fails fast.
+fn fault_sim_setup(
+    o: &Options,
+) -> Result<(lobist_engine::SessionWidth, lobist_engine::FaultSimOptions), CliError> {
+    let width = lobist_engine::SessionWidth::new(o.width).map_err(CliError::Usage)?;
+    // Faults are collapsed into structural equivalence classes and the
+    // classes partitioned across the worker pool; the report is
+    // byte-identical to a serial, uncollapsed, 64-lane run for any
+    // --jobs or --lanes value.
+    let opts = lobist_engine::FaultSimOptions {
+        workers: worker_count(o),
+        collapse: true,
+        lanes: o.lanes,
+    };
+    Ok((width, opts))
 }
 
 /// Appends one design's lint verdict to `out` (the `--lint` gate format).
@@ -839,28 +816,19 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let _ = writeln!(out, "{}", lobist_dfg::parse::to_text(&dfg, &schedule));
         }
         "faultsim" => {
+            let (width, sim_opts) = fault_sim_setup(&o)?;
             let (dfg, schedule, modules) = load_design(&o)?;
             let opts = flow_options(&o, false);
             let d = synthesize(&dfg, &schedule, &modules, &opts).map_err(CliError::Flow)?;
-            let width = o.width.clamp(2, 32);
-            let patterns = lobist_gatesim::lfsr::max_useful_patterns(width);
-            // The sessions run on the engine's cone-limited differential
-            // simulator: faults are collapsed into structural
-            // equivalence classes and the classes partitioned across the
-            // worker pool; the report is byte-identical to a serial,
-            // uncollapsed, 64-lane run for any --jobs or --lanes value.
-            let sim_opts = lobist_engine::FaultSimOptions {
-                workers: worker_count(&o),
-                collapse: true,
-                lanes: o.lanes,
-            };
-            let metrics = lobist_engine::Metrics::new();
+            let engine = lobist_engine::Engine::new(worker_count(&o));
             let _ = writeln!(
                 out,
                 "{:<10} {:>7} {:>9} {:>11} {:>8}",
                 "module", "faults", "ideal", "signature", "aliased"
             );
-            for (label, report) in fault_sim_design(&dfg, &d, width, sim_opts, &metrics) {
+            for (label, report) in
+                lobist_engine::fault_sim_modules(&dfg, &d, width, sim_opts, &engine)
+            {
                 let _ = writeln!(
                     out,
                     "{:<10} {:>7} {:>8.1}% {:>10.1}% {:>8}",
@@ -871,9 +839,14 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     report.aliased()
                 );
             }
-            let _ = writeln!(out, "({patterns} patterns per session, width {width})");
+            let _ = writeln!(
+                out,
+                "({} patterns per session, width {})",
+                width.patterns(),
+                width.get()
+            );
             if o.metrics {
-                let _ = writeln!(out, "{}", metrics.snapshot().to_json());
+                let _ = writeln!(out, "{}", engine.metrics().to_json());
             }
         }
         "explore" => {
@@ -957,6 +930,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 .ok_or_else(|| CliError::Usage("missing --modules".into()))?
                 .parse()
                 .map_err(CliError::Modules)?;
+            let fault_sim = o.faultsim.then(|| fault_sim_setup(&o)).transpose()?;
             let flow = flow_options(&o, o.flow == "traditional");
             let mut jobs = Vec::new();
             let mut parsed = Vec::new();
@@ -1037,16 +1011,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     failed
                 );
             }
-            if o.faultsim {
+            if let Some((width, sim_opts)) = fault_sim {
                 // Fault-simulate each synthesized design's BIST
-                // sessions, recording the counters on the engine's
-                // metrics so `--metrics` reports them.
-                let width = o.width.clamp(2, 32);
-                let sim_opts = lobist_engine::FaultSimOptions {
-                    workers: worker_count(&o),
-                    collapse: true,
-                    lanes: o.lanes,
-                };
+                // sessions on the engine, which answers sessions the
+                // designs share from its memo and records the counters
+                // so `--metrics` reports them.
                 for (outcome, (dfg, schedule)) in outcomes.iter().zip(&parsed) {
                     if outcome.result.is_err() {
                         continue;
@@ -1062,7 +1031,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                         }
                     };
                     for (label, report) in
-                        fault_sim_design(dfg, &d, width, sim_opts, engine.metrics_handle())
+                        lobist_engine::fault_sim_modules(dfg, &d, width, sim_opts, &engine)
                     {
                         let _ = writeln!(
                             out,
@@ -2053,6 +2022,8 @@ mod tests {
             "\"events_propagated\":",
             "\"collapsed_away\":",
             "\"wall_micros\":",
+            // One design's two modules are two distinct sessions.
+            "\"session_memo\":{\"hits\":0,\"misses\":2}",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
@@ -2397,7 +2368,7 @@ mod tests {
     fn faultsim_output_is_identical_across_lane_widths() {
         let path = write_temp("lobist_cli_faultsim_lanes.dfg", DESIGN);
         let base = argv(&["faultsim", &path, "--modules", "1+,1*", "--width", "5"]);
-        let runs: Vec<String> = ["64", "256", "512", "auto"]
+        let runs: Vec<String> = ["64", "256", "auto"]
             .iter()
             .map(|lanes| run(&[base.clone(), argv(&["--lanes", lanes])].concat()).unwrap())
             .collect();
@@ -2410,7 +2381,7 @@ mod tests {
     #[test]
     fn lanes_flag_is_validated() {
         let path = write_temp("lobist_cli_lanes_bad.dfg", DESIGN);
-        for bad in ["128", "0", "wide", "1024"] {
+        for bad in ["128", "0", "wide", "512", "1024"] {
             let err = run(&argv(&[
                 "faultsim",
                 &path,
@@ -2421,8 +2392,93 @@ mod tests {
             ]))
             .unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{bad}");
-            assert!(err.to_string().contains("bad lane width"), "{bad}: {err}");
+            let msg = err.to_string();
+            assert!(msg.contains("bad lane width"), "{bad}: {msg}");
+            assert!(msg.contains("64 | 256 | auto"), "{bad}: {msg}");
         }
+    }
+
+    #[test]
+    fn fault_sim_width_is_validated_before_synthesis() {
+        // An unschedulable design: synthesis would fail, so a width
+        // error proves the check ran first.
+        let path = write_temp("lobist_cli_fs_width.dfg", "input a\ny = a / a @ 1\noutput y\n");
+        for args in [
+            argv(&["faultsim", &path, "--modules", "1+", "--width", "40"]),
+            argv(&[
+                "batch",
+                &path,
+                "--modules",
+                "1+",
+                "--faultsim",
+                "--width",
+                "33",
+            ]),
+        ] {
+            let err = run(&args).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
+            let msg = err.to_string();
+            assert!(msg.contains("out of range (expected 2..=32)"), "{msg}");
+        }
+        // Synthesis alone still accepts wide data paths.
+        let ok = write_temp("lobist_cli_fs_width_ok.dfg", DESIGN);
+        run(&argv(&[
+            "batch",
+            &ok,
+            "--modules",
+            "1+,1*",
+            "--width",
+            "40",
+        ]))
+        .unwrap();
+    }
+
+    #[test]
+    fn batch_faultsim_shares_sessions_across_designs_byte_identically() {
+        let dir = std::env::temp_dir().join("lobist_cli_session_memo");
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_arg = dir.to_string_lossy().into_owned();
+        let listing = run(&argv(&[
+            "corpus", "--sizes", "8", "--seed", "1", "--out", &dir_arg,
+        ]))
+        .unwrap();
+        let paths: Vec<&str> = listing.lines().take(3).collect();
+        let batch = |paths: &[&str]| {
+            let mut args = argv(&["batch"]);
+            args.extend(paths.iter().map(|p| p.to_string()));
+            args.extend(argv(&[
+                "--modules",
+                "1+,1*,1-",
+                "--faultsim",
+                "--width",
+                "6",
+                "--jobs",
+                "2",
+                "--metrics",
+            ]));
+            run(&args).unwrap()
+        };
+        let faultsim_lines = |out: &str| -> Vec<String> {
+            out.lines()
+                .filter(|l| l.starts_with("faultsim "))
+                .map(str::to_owned)
+                .collect()
+        };
+        let together = batch(&paths);
+        let separate: Vec<String> = paths
+            .iter()
+            .flat_map(|p| faultsim_lines(&batch(&[p])))
+            .collect();
+        assert!(separate.len() >= 3, "{separate:?}");
+        assert_eq!(faultsim_lines(&together), separate);
+        let json = together.lines().last().expect("metrics line");
+        let hits: u64 = json
+            .split_once("\"session_memo\":{\"hits\":")
+            .and_then(|(_, rest)| rest.split(',').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no session_memo hits in {json}"));
+        assert!(hits > 0, "{json}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2436,14 +2492,14 @@ mod tests {
             "--width",
             "5",
             "--lanes",
-            "512",
+            "256",
             "--metrics",
         ]))
         .unwrap();
         let json = out.lines().last().expect("metrics line");
         assert!(json.contains("\"lanes\":{\"64\":{\"runs\":0,"), "{json}");
-        // Both modules ran at the requested 512-lane width.
-        assert!(json.contains("\"512\":{\"runs\":2,"), "{json}");
+        // Both modules ran at the requested 256-lane width.
+        assert!(json.contains("\"256\":{\"runs\":2,"), "{json}");
     }
 
     #[test]

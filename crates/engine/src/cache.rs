@@ -18,6 +18,7 @@
 //! the two as L1/L2.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use lobist_store::{ResultStore, StoreStats, StoredResult};
@@ -51,12 +52,56 @@ pub fn origin_fingerprint(design_text: &str) -> u64 {
     h
 }
 
-#[derive(Debug, Default)]
+/// A map bounded to `capacity` entries (at least 1) that evicts the
+/// oldest-inserted entry first. Insertion order is never reordered on
+/// hits, matching the flowcache stage caches. Callers hold it behind a
+/// lock.
+#[derive(Debug)]
+pub(crate) struct FifoMap<K, V> {
+    map: HashMap<K, V>,
+    order: VecDeque<K>,
+    capacity: usize,
+}
+
+impl<K: Hash + Eq + Clone, V> FifoMap<K, V> {
+    pub(crate) fn new(capacity: usize) -> Self {
+        Self {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            capacity: capacity.max(1),
+        }
+    }
+
+    pub(crate) fn get(&self, key: &K) -> Option<&V> {
+        self.map.get(key)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Stores `value` under `key` and returns how many entries were
+    /// evicted to make room. Overwriting a key evicts nothing.
+    pub(crate) fn insert(&mut self, key: K, value: V) -> u64 {
+        let mut evicted = 0;
+        if !self.map.contains_key(&key) {
+            while self.map.len() >= self.capacity {
+                let Some(oldest) = self.order.pop_front() else {
+                    break;
+                };
+                self.map.remove(&oldest);
+                evicted += 1;
+            }
+            self.order.push_back(key.clone());
+        }
+        self.map.insert(key, value);
+        evicted
+    }
+}
+
+#[derive(Debug)]
 struct CacheInner {
-    map: HashMap<u128, StoredResult>,
-    /// Insertion order for FIFO eviction (never reordered on hits,
-    /// matching the flowcache stage caches).
-    order: VecDeque<u128>,
+    map: FifoMap<u128, StoredResult>,
     stats: StoreStats,
 }
 
@@ -64,7 +109,6 @@ struct CacheInner {
 #[derive(Debug)]
 pub struct ResultCache {
     inner: Mutex<CacheInner>,
-    capacity: usize,
 }
 
 impl Default for ResultCache {
@@ -84,14 +128,16 @@ impl ResultCache {
     /// full, the oldest-inserted entry is evicted first.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            inner: Mutex::default(),
-            capacity: capacity.max(1),
+            inner: Mutex::new(CacheInner {
+                map: FifoMap::new(capacity),
+                stats: StoreStats::default(),
+            }),
         }
     }
 
     /// The configured bound.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        lock_ok(&self.inner).map.capacity
     }
 
     /// Returns the cached result for `key`, if any.
@@ -113,17 +159,7 @@ impl ResultCache {
     pub fn insert(&self, key: u128, result: StoredResult) {
         let mut inner = lock_ok(&self.inner);
         inner.stats.insertions += 1;
-        if !inner.map.contains_key(&key) {
-            while inner.map.len() >= self.capacity {
-                let Some(oldest) = inner.order.pop_front() else {
-                    break;
-                };
-                inner.map.remove(&oldest);
-                inner.stats.evictions += 1;
-            }
-            inner.order.push_back(key);
-        }
-        inner.map.insert(key, result);
+        inner.stats.evictions += inner.map.insert(key, result);
         inner.stats.entries = inner.map.len() as u64;
     }
 

@@ -17,6 +17,7 @@ use lobist_store::{ResultStore, StoredResult};
 use crate::cache::{
     canonical_job_key, failure_key, lock_ok, origin_fingerprint, JobResult, ResultCache,
 };
+use crate::faultsim::SessionMemo;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::pool;
 
@@ -61,10 +62,12 @@ pub struct JobOutcome {
 
 /// A parallel batch-synthesis engine.
 ///
-/// One engine owns one worker budget, one result cache and one metrics
-/// ledger; batches run through [`Engine::run`] share all three, so a
-/// repeated sweep is answered from cache and a long campaign accumulates
-/// one coherent profile.
+/// One engine owns one worker budget, one result cache, one BIST
+/// session memo and one metrics ledger; batches run through
+/// [`Engine::run`] and fault simulations run through
+/// [`crate::fault_sim_modules`] share them, so a repeated sweep is
+/// answered from cache and a long campaign accumulates one coherent
+/// profile.
 ///
 /// # Determinism
 ///
@@ -76,6 +79,9 @@ pub struct JobOutcome {
 pub struct Engine {
     workers: usize,
     cache: ResultCache,
+    /// BIST session reports shared by every [`crate::fault_sim_modules`]
+    /// call on this engine.
+    pub(crate) sessions: SessionMemo,
     store: Option<Arc<dyn ResultStore>>,
     metrics: Metrics,
     progress: Option<ProgressSink>,
@@ -129,6 +135,7 @@ impl Engine {
         Self {
             workers,
             cache: ResultCache::new(),
+            sessions: SessionMemo::default(),
             store: None,
             metrics: Metrics::new(),
             progress: None,

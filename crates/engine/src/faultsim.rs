@@ -28,19 +28,32 @@
 //! representatives are simulated and the report is expanded back, which
 //! is again exact because equivalent faults have identical faulty
 //! response streams.
+//!
+//! [`fault_sim_modules`] is the one per-module session driver the CLI
+//! and the daemon share. A session's report is a pure function of its
+//! `SessionKey` — the unit, its controls, width, pattern budget and
+//! seeds — and never of the rest of the design, so the driver answers
+//! repeated sessions from the engine's `SessionMemo`.
 
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use lobist_alloc::flow::Design;
+use lobist_dfg::modules::ModuleClass;
+use lobist_dfg::{Dfg, OpKind};
 use lobist_gatesim::bist_mode::{DetectFlags, SessionContext, SessionReport};
 use lobist_gatesim::collapse::collapse_faults;
 use lobist_gatesim::coverage::{
     enumerate_faults, random_pattern_coverage_with, CoverageReport,
 };
 use lobist_gatesim::diffsim::{DiffSim, SimCounters};
-use lobist_gatesim::lanes::{auto_width, LaneWord, W256, W512};
+use lobist_gatesim::lanes::{auto_width, LaneWord, W256};
+use lobist_gatesim::lfsr::max_useful_patterns;
 use lobist_gatesim::net::{Fault, GateNetwork};
 
-use crate::pool;
+use crate::cache::{lock_ok, FifoMap};
+use crate::metrics::Metrics;
+use crate::{pool, Engine};
 
 /// Simulation lane width: how many patterns one simulator word packs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,18 +69,18 @@ pub enum LaneSelect {
     W64,
     /// 256 lanes per `[u64; 4]` word.
     W256,
-    /// 512 lanes per `[u64; 8]` word.
-    W512,
 }
 
 impl LaneSelect {
-    /// Parses a `--lanes` value: `64`, `256`, `512` or `auto`.
+    /// The accepted `--lanes` values, for error messages.
+    pub const EXPECTED: &'static str = "64 | 256 | auto";
+
+    /// Parses a `--lanes` value: `64`, `256` or `auto`.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "auto" => Some(Self::Auto),
             "64" => Some(Self::W64),
             "256" => Some(Self::W256),
-            "512" => Some(Self::W512),
             _ => None,
         }
     }
@@ -78,19 +91,13 @@ impl LaneSelect {
             Self::Auto => None,
             Self::W64 => Some(64),
             Self::W256 => Some(256),
-            Self::W512 => Some(512),
         }
     }
 
     /// The concrete lane count for a *session* pattern budget
     /// (resolves `Auto` via [`lobist_gatesim::lanes::auto_width`]).
     pub fn width(self, patterns: u64) -> u32 {
-        match self {
-            Self::Auto => auto_width(patterns),
-            Self::W64 => 64,
-            Self::W256 => 256,
-            Self::W512 => 512,
-        }
+        self.fixed().unwrap_or_else(|| auto_width(patterns))
     }
 
     /// The concrete lane count for a random-coverage run. `Auto`
@@ -140,7 +147,7 @@ pub struct FaultSimStats {
     pub collapsed_away: usize,
     /// Worker threads used.
     pub workers: usize,
-    /// Concrete lane width the run simulated at (64, 256 or 512).
+    /// Concrete lane width the run simulated at (64 or 256).
     pub lanes: u32,
     /// Wall time of the whole run (prepare + simulate + merge).
     pub wall: Duration,
@@ -204,7 +211,6 @@ pub fn random_coverage_parallel(
     opts: FaultSimOptions,
 ) -> (CoverageReport, FaultSimStats) {
     match opts.lanes.coverage_width() {
-        512 => coverage_parallel_at::<W512>(net, patterns, seed, opts),
         256 => coverage_parallel_at::<W256>(net, patterns, seed, opts),
         _ => coverage_parallel_at::<u64>(net, patterns, seed, opts),
     }
@@ -289,7 +295,6 @@ pub fn bist_session_parallel(
     opts: FaultSimOptions,
 ) -> (SessionReport, FaultSimStats) {
     match opts.lanes.width(patterns) {
-        512 => session_parallel_at::<W512>(net, controls, width, patterns, seeds, opts),
         256 => session_parallel_at::<W256>(net, controls, width, patterns, seeds, opts),
         _ => session_parallel_at::<u64>(net, controls, width, patterns, seeds, opts),
     }
@@ -351,6 +356,206 @@ fn session_parallel_at<W: LaneWord>(
     (report, stats)
 }
 
+/// The data-path width of a BIST session, validated to the LFSR/MISR
+/// range `2..=32`. Callers build one before synthesis, so an
+/// out-of-range request fails before any work runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SessionWidth(u32);
+
+impl SessionWidth {
+    /// Validates `width`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the accepted range when `width` is
+    /// outside `2..=32`.
+    pub fn new(width: u32) -> Result<Self, String> {
+        if (2..=32).contains(&width) {
+            Ok(Self(width))
+        } else {
+            Err(format!(
+                "fault-simulation width {width} is out of range (expected 2..=32)"
+            ))
+        }
+    }
+
+    /// The width in bits.
+    pub fn get(self) -> u32 {
+        self.0
+    }
+
+    /// Patterns per session: the full period of a maximal-length LFSR
+    /// of this width.
+    pub fn patterns(self) -> u64 {
+        max_useful_patterns(self.0)
+    }
+}
+
+/// The functional unit a BIST session exercises.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum SessionUnit {
+    /// A dedicated single-function unit.
+    Op(OpKind),
+    /// An ALU over these kinds (sorted, deduplicated).
+    Alu(Vec<OpKind>),
+}
+
+impl SessionUnit {
+    /// The unit for module class `class`, whose bound operations have
+    /// kinds `kinds` (only read for an ALU).
+    pub(crate) fn new(class: ModuleClass, kinds: impl IntoIterator<Item = OpKind>) -> Self {
+        match class {
+            ModuleClass::Op(kind) => Self::Op(kind),
+            ModuleClass::Alu => {
+                let mut kinds: Vec<OpKind> = kinds.into_iter().collect();
+                kinds.sort();
+                kinds.dedup();
+                Self::Alu(kinds)
+            }
+        }
+    }
+
+    fn network(&self, width: u32) -> GateNetwork {
+        match self {
+            Self::Op(kind) => lobist_gatesim::modules::unit_for(*kind, width),
+            Self::Alu(kinds) => lobist_gatesim::modules::alu(kinds, width),
+        }
+    }
+
+    /// The session's control inputs: none for a dedicated unit; an ALU
+    /// selects its first function.
+    fn controls(&self) -> Vec<bool> {
+        match self {
+            Self::Op(_) => Vec::new(),
+            Self::Alu(kinds) => {
+                let mut controls = vec![false; kinds.len()];
+                controls[0] = true;
+                controls
+            }
+        }
+    }
+}
+
+/// Everything a session's report depends on. Lane width, worker count
+/// and collapsing are absent on purpose: the report is byte-identical
+/// across all three.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct SessionKey {
+    /// The unit under test.
+    unit: SessionUnit,
+    /// Control-input values held for the session.
+    controls: Vec<bool>,
+    /// Data-path width in bits.
+    width: u32,
+    /// Pattern budget.
+    patterns: u64,
+    /// `(TPG, MISR)` seeds.
+    seeds: (u64, u64),
+}
+
+impl SessionKey {
+    /// The session of the module with 0-based index `index`: its seeds
+    /// are derived from the index, so the same unit at the same index
+    /// gets the same report in every design.
+    pub(crate) fn for_module(unit: SessionUnit, width: SessionWidth, index: usize) -> Self {
+        Self {
+            controls: unit.controls(),
+            unit,
+            width: width.get(),
+            patterns: width.patterns(),
+            seeds: (0xACE1 + index as u64, 0x1BAD + index as u64),
+        }
+    }
+}
+
+/// Bound on the session memo. A session report is five integers, so a
+/// full memo is a few tens of kilobytes.
+const SESSION_MEMO_CAPACITY: usize = 1024;
+
+/// A thread-safe, bounded map from [`SessionKey`] to its report, with
+/// the same FIFO eviction as [`crate::ResultCache`].
+///
+/// The lock is never held while simulating: two concurrent misses on
+/// one key may both compute, and both produce the same report.
+#[derive(Debug)]
+pub(crate) struct SessionMemo {
+    inner: Mutex<FifoMap<SessionKey, SessionReport>>,
+}
+
+impl Default for SessionMemo {
+    fn default() -> Self {
+        Self::with_capacity(SESSION_MEMO_CAPACITY)
+    }
+}
+
+impl SessionMemo {
+    /// An empty memo bounded to `capacity` entries (at least 1).
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        Self {
+            inner: Mutex::new(FifoMap::new(capacity)),
+        }
+    }
+
+    /// Number of reports held.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        lock_ok(&self.inner).len()
+    }
+
+    /// The report of session `key`: memoized, or simulated on the
+    /// parallel fault simulator and then memoized. A hit records only
+    /// the memo hit in `metrics`; a miss also records the simulator's
+    /// work counters.
+    pub(crate) fn session(
+        &self,
+        key: &SessionKey,
+        opts: FaultSimOptions,
+        metrics: &Metrics,
+    ) -> SessionReport {
+        let hit = lock_ok(&self.inner).get(key).cloned();
+        metrics.record_session_memo(hit.is_some());
+        if let Some(report) = hit {
+            return report;
+        }
+        let net = key.unit.network(key.width);
+        let (report, stats) = bist_session_parallel(
+            &net,
+            &key.controls,
+            key.width,
+            key.patterns,
+            key.seeds,
+            opts,
+        );
+        metrics.record_fault_sim(&stats);
+        lock_ok(&self.inner).insert(key.clone(), report.clone());
+        report
+    }
+}
+
+/// Runs the BIST session of every module of a synthesized design,
+/// answering repeated sessions from `engine`'s memo and recording the
+/// work on its metrics. Returns `(module label, session report)` rows
+/// in module order; the rows are identical for any worker count, lane
+/// width and memo state.
+pub fn fault_sim_modules(
+    dfg: &Dfg,
+    design: &Design,
+    width: SessionWidth,
+    opts: FaultSimOptions,
+    engine: &Engine,
+) -> Vec<(String, SessionReport)> {
+    let dp = &design.data_path;
+    dp.module_ids()
+        .map(|m| {
+            let class = dp.module_class(m);
+            let kinds = dp.module_ops(m).iter().map(|&op| dfg.op(op).kind);
+            let key = SessionKey::for_module(SessionUnit::new(class, kinds), width, m.index());
+            let report = engine.sessions.session(&key, opts, engine.metrics_handle());
+            (format!("M{} ({class})", m.index() + 1), report)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,12 +602,7 @@ mod tests {
         // that leaves a partial batch at every width.
         let net = array_multiplier(4);
         let serial = random_pattern_coverage(&net, 300, 0xBEEF);
-        for lanes in [
-            LaneSelect::W64,
-            LaneSelect::W256,
-            LaneSelect::W512,
-            LaneSelect::Auto,
-        ] {
+        for lanes in [LaneSelect::W64, LaneSelect::W256, LaneSelect::Auto] {
             for workers in [1, 3] {
                 let (report, stats) = random_coverage_parallel(
                     &net,
@@ -427,7 +627,7 @@ mod tests {
         let serial = run_session(&net, 8, 255, (0xACE1, 0x1BAD), &faults);
         for workers in [1, 2, 5] {
             for collapse in [false, true] {
-                for lanes in [LaneSelect::W64, LaneSelect::W512] {
+                for lanes in [LaneSelect::W64, LaneSelect::W256] {
                     let (report, stats) = bist_session_parallel(
                         &net,
                         &[],
@@ -454,7 +654,7 @@ mod tests {
     fn wider_lanes_load_fewer_batches() {
         // `o = x | (x & y)` has an undetectable fault (the AND output
         // stuck at 0 is masked by the OR), so the coverage loop runs
-        // the full 512-pattern budget: 8 batches at 64 lanes, 1 at 512.
+        // the full 512-pattern budget: 8 batches at 64 lanes, 2 at 256.
         let mut b = lobist_gatesim::net::NetworkBuilder::new();
         let x = b.input();
         let y = b.input();
@@ -475,7 +675,7 @@ mod tests {
             .1
         };
         let narrow = run(LaneSelect::W64);
-        let wide = run(LaneSelect::W512);
+        let wide = run(LaneSelect::W256);
         assert!(wide.counters.batches_loaded < narrow.counters.batches_loaded);
         assert!(narrow.counters.faults_simulated > 0);
     }
@@ -485,15 +685,136 @@ mod tests {
         assert_eq!(LaneSelect::parse("auto"), Some(LaneSelect::Auto));
         assert_eq!(LaneSelect::parse("64"), Some(LaneSelect::W64));
         assert_eq!(LaneSelect::parse("256"), Some(LaneSelect::W256));
-        assert_eq!(LaneSelect::parse("512"), Some(LaneSelect::W512));
+        assert_eq!(LaneSelect::parse("512"), None);
         assert_eq!(LaneSelect::parse("128"), None);
         assert_eq!(LaneSelect::parse(""), None);
         assert_eq!(LaneSelect::Auto.width(100), 64);
         assert_eq!(LaneSelect::Auto.width(256), 256);
-        assert_eq!(LaneSelect::Auto.width(4096), 256, "512 is explicit-only");
+        assert_eq!(LaneSelect::Auto.width(4096), 256);
         assert_eq!(LaneSelect::W64.width(4096), 64);
         assert_eq!(LaneSelect::Auto.coverage_width(), 64);
-        assert_eq!(LaneSelect::W512.coverage_width(), 512);
+        assert_eq!(LaneSelect::W256.coverage_width(), 256);
+    }
+
+    #[test]
+    fn session_width_accepts_only_the_lfsr_range() {
+        for bad in [0, 1, 33, 40, 64] {
+            let err = SessionWidth::new(bad).expect_err("out of range");
+            assert!(
+                err.contains(&bad.to_string()) && err.contains("2..=32"),
+                "{err}"
+            );
+        }
+        let w = SessionWidth::new(5).expect("in range");
+        assert_eq!((w.get(), w.patterns()), (5, 31));
+        assert!(SessionWidth::new(2).is_ok() && SessionWidth::new(32).is_ok());
+    }
+
+    fn fresh(key: &SessionKey, opts: FaultSimOptions) -> SessionReport {
+        let net = key.unit.network(key.width);
+        bist_session_parallel(
+            &net,
+            &key.controls,
+            key.width,
+            key.patterns,
+            key.seeds,
+            opts,
+        )
+        .0
+    }
+
+    fn opts(lanes: LaneSelect, workers: usize) -> FaultSimOptions {
+        FaultSimOptions {
+            workers,
+            collapse: true,
+            lanes,
+        }
+    }
+
+    fn memo_counts(metrics: &Metrics) -> (u64, u64) {
+        let fs = metrics.snapshot().fault_sim;
+        (fs.session_memo_hits, fs.session_memo_misses)
+    }
+
+    #[test]
+    fn memoized_sessions_equal_fresh_ones_across_lanes_and_workers() {
+        use OpKind::{Add, Sub};
+        let width = SessionWidth::new(6).expect("in range");
+        let alu = SessionUnit::new(ModuleClass::Alu, [Sub, Add, Sub]);
+        assert_eq!(
+            alu,
+            SessionUnit::Alu(vec![Add, Sub]),
+            "sorted, deduplicated"
+        );
+        let memo = SessionMemo::default();
+        let metrics = Metrics::new();
+        for unit in [SessionUnit::new(ModuleClass::Op(Add), []), alu] {
+            let key = SessionKey::for_module(unit, width, 1);
+            for lanes in [LaneSelect::W64, LaneSelect::W256] {
+                for workers in [1, 2] {
+                    let o = opts(lanes, workers);
+                    assert_eq!(memo.session(&key, o, &metrics), fresh(&key, o), "{key:?}");
+                }
+            }
+        }
+        assert_eq!(memo_counts(&metrics), (6, 2), "one miss per unit");
+        assert_eq!(memo.len(), 2);
+    }
+
+    #[test]
+    fn alus_with_different_kinds_never_share_an_entry() {
+        use OpKind::{Add, Mul, Sub};
+        let width = SessionWidth::new(4).expect("in range");
+        let a = SessionKey::for_module(SessionUnit::new(ModuleClass::Alu, [Add, Sub]), width, 0);
+        let b = SessionKey::for_module(SessionUnit::new(ModuleClass::Alu, [Add, Mul]), width, 0);
+        assert_eq!((&a.controls, a.seeds), (&b.controls, b.seeds));
+        assert_ne!(a, b);
+        let memo = SessionMemo::default();
+        let metrics = Metrics::new();
+        let o = opts(LaneSelect::Auto, 1);
+        assert_eq!(memo.session(&a, o, &metrics), fresh(&a, o));
+        assert_eq!(memo.session(&b, o, &metrics), fresh(&b, o));
+        assert_eq!(memo_counts(&metrics), (0, 2));
+        assert_eq!(memo.len(), 2);
+    }
+
+    #[test]
+    fn a_capacity_one_memo_evicts_and_still_answers_exactly() {
+        let width = SessionWidth::new(5).expect("in range");
+        let a = SessionKey::for_module(SessionUnit::Op(OpKind::Add), width, 0);
+        let b = SessionKey::for_module(SessionUnit::Op(OpKind::Sub), width, 0);
+        let memo = SessionMemo::with_capacity(1);
+        let metrics = Metrics::new();
+        let o = opts(LaneSelect::Auto, 2);
+        let first = memo.session(&a, o, &metrics);
+        assert_eq!(memo.session(&b, o, &metrics), fresh(&b, o));
+        assert_eq!(memo.len(), 1, "b evicted a");
+        assert_eq!(memo.session(&a, o, &metrics), first);
+        assert_eq!(memo.session(&a, o, &metrics), first);
+        assert_eq!(memo_counts(&metrics), (1, 3));
+    }
+
+    #[test]
+    fn a_panic_while_holding_the_memo_lock_does_not_poison_lookups() {
+        let width = SessionWidth::new(4).expect("in range");
+        let key = SessionKey::for_module(SessionUnit::Op(OpKind::Add), width, 2);
+        let memo = std::sync::Arc::new(SessionMemo::default());
+        let metrics = Metrics::new();
+        let o = opts(LaneSelect::Auto, 1);
+        let before = memo.session(&key, o, &metrics);
+        let held = std::sync::Arc::clone(&memo);
+        let panicked = std::thread::spawn(move || {
+            let _guard = held.inner.lock().expect("first locker");
+            panic!("panics while holding the memo lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(memo.inner.is_poisoned());
+        assert_eq!(memo.session(&key, o, &metrics), before);
+        let other = SessionKey::for_module(SessionUnit::Op(OpKind::Sub), width, 2);
+        assert_eq!(memo.session(&other, o, &metrics), fresh(&other, o));
+        assert_eq!(memo_counts(&metrics), (1, 2));
+        assert_eq!(memo.len(), 2);
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //!   byte-identical result;
 //! * [`faultsim`] — the fault-coverage and BIST-session workloads of
 //!   `lobist_gatesim`, partitioned across the same pool with a
-//!   deterministic merge (and optional structural fault collapsing);
+//!   deterministic merge (and optional structural fault collapsing),
+//!   plus [`fault_sim_modules`], the per-module BIST session driver
+//!   that answers repeated sessions from the engine's session memo;
 //! * [`anneal`] — parallel drivers for the simulated-annealing register
 //!   search of `lobist_alloc::anneal`: pool-backed speculative batch
 //!   evaluation (byte-identical to the serial chain) and a multi-chain
@@ -53,7 +55,8 @@ pub use cache::{
 pub use engine::{Engine, Job, JobOutcome, ProgressSink};
 pub use explore::{explore_parallel, render_report};
 pub use faultsim::{
-    bist_session_parallel, random_coverage_parallel, FaultSimOptions, FaultSimStats, LaneSelect,
+    bist_session_parallel, fault_sim_modules, random_coverage_parallel, FaultSimOptions,
+    FaultSimStats, LaneSelect, SessionWidth,
 };
 pub use lint::{lint_parallel, LintRunStats};
 pub use lobist_store::{ResultStore, StoreStats};

@@ -72,9 +72,12 @@ pub struct Metrics {
     fs_events_propagated: AtomicU64,
     fs_collapsed_away: AtomicU64,
     fs_wall_nanos: AtomicU64,
-    // Per-lane-width fault-sim tallies; index 0/1/2 ↔ 64/256/512 lanes.
-    fs_runs_by_lanes: [AtomicU64; 3],
-    fs_batches_by_lanes: [AtomicU64; 3],
+    // Per-lane-width fault-sim tallies; index 0/1 ↔ 64/256 lanes.
+    fs_runs_by_lanes: [AtomicU64; 2],
+    fs_batches_by_lanes: [AtomicU64; 2],
+    // Session-memo lookups (crate::faultsim::SessionMemo).
+    fs_memo_hits: AtomicU64,
+    fs_memo_misses: AtomicU64,
     // Annealing-search work (crate::anneal runs).
     an_runs: AtomicU64,
     an_chains: AtomicU64,
@@ -187,6 +190,16 @@ impl Metrics {
         let idx = lane_index(stats.lanes);
         self.fs_runs_by_lanes[idx].fetch_add(1, Ordering::Relaxed);
         self.fs_batches_by_lanes[idx].fetch_add(stats.counters.batches_loaded, Ordering::Relaxed);
+    }
+
+    /// One session-memo lookup: a hit skipped the simulation (and
+    /// records no simulator counters), a miss ran it.
+    pub(crate) fn record_session_memo(&self, hit: bool) {
+        if hit {
+            self.fs_memo_hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.fs_memo_misses.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Accumulates the work accounting of one annealing run
@@ -329,6 +342,8 @@ impl Metrics {
                     .fs_batches_by_lanes
                     .each_ref()
                     .map(|c| c.load(Ordering::Relaxed)),
+                session_memo_hits: self.fs_memo_hits.load(Ordering::Relaxed),
+                session_memo_misses: self.fs_memo_misses.load(Ordering::Relaxed),
             },
             anneal: AnnealSnapshot {
                 runs: self.an_runs.load(Ordering::Relaxed),
@@ -376,14 +391,10 @@ impl Metrics {
 
 /// The lane widths the per-width fault-sim tallies distinguish,
 /// indexing [`FaultSimSnapshot::runs_by_lanes`].
-pub const LANE_WIDTHS: [u32; 3] = [64, 256, 512];
+pub const LANE_WIDTHS: [u32; 2] = [64, 256];
 
 fn lane_index(lanes: u32) -> usize {
-    match lanes {
-        512 => 2,
-        256 => 1,
-        _ => 0,
-    }
+    usize::from(lanes == 256)
 }
 
 fn accumulate_stage(acc: &mut StageStats, s: &StageStats) {
@@ -445,9 +456,13 @@ pub struct FaultSimSnapshot {
     /// Wall time of all fault-simulation runs.
     pub wall: Duration,
     /// Runs per lane width, indexed by [`LANE_WIDTHS`].
-    pub runs_by_lanes: [u64; 3],
+    pub runs_by_lanes: [u64; 2],
     /// Batches loaded per lane width, indexed by [`LANE_WIDTHS`].
-    pub batches_by_lanes: [u64; 3],
+    pub batches_by_lanes: [u64; 2],
+    /// Sessions answered from the session memo.
+    pub session_memo_hits: u64,
+    /// Sessions simulated after a memo miss.
+    pub session_memo_misses: u64,
 }
 
 /// Accumulated lint work, as carried in a [`MetricsSnapshot`].
@@ -775,7 +790,8 @@ impl MetricsSnapshot {
                 "\"fault_sim\":{{\"batches_loaded\":{fs_batches},",
                 "\"faults_simulated\":{fs_faults},\"cone_evals\":{fs_cone},",
                 "\"events_propagated\":{fs_events},\"collapsed_away\":{fs_coll},",
-                "\"lanes\":{{{fs_lanes}}},\"wall_micros\":{fs_wall}}},",
+                "\"lanes\":{{{fs_lanes}}},\"session_memo\":{{\"hits\":{fs_memo_hits},",
+                "\"misses\":{fs_memo_misses}}},\"wall_micros\":{fs_wall}}},",
                 "\"anneal\":{{\"runs\":{an_runs},\"chains\":{an_chains},",
                 "\"moves_evaluated\":{an_eval},\"moves_accepted\":{an_acc},",
                 "\"stalls\":{an_stall},\"speculative_waste\":{an_waste},",
@@ -819,6 +835,8 @@ impl MetricsSnapshot {
                 ))
                 .collect::<Vec<_>>()
                 .join(","),
+            fs_memo_hits = self.fault_sim.session_memo_hits,
+            fs_memo_misses = self.fault_sim.session_memo_misses,
             fs_wall = self.fault_sim.wall.as_micros(),
             an_runs = self.anneal.runs,
             an_chains = self.anneal.chains,
@@ -926,8 +944,8 @@ mod tests {
         let snap = m.snapshot();
         assert_eq!(snap.fault_sim.faults_simulated, 100);
         assert_eq!(snap.fault_sim.collapsed_away, 20);
-        assert_eq!(snap.fault_sim.runs_by_lanes, [0, 1, 0]);
-        assert_eq!(snap.fault_sim.batches_by_lanes, [0, 4, 0]);
+        assert_eq!(snap.fault_sim.runs_by_lanes, [0, 1]);
+        assert_eq!(snap.fault_sim.batches_by_lanes, [0, 4]);
         let json = snap.to_json();
         assert!(
             json.contains("\"fault_sim\":{\"batches_loaded\":4"),
@@ -938,8 +956,8 @@ mod tests {
         assert!(
             json.contains(concat!(
                 "\"lanes\":{\"64\":{\"runs\":0,\"batches_loaded\":0},",
-                "\"256\":{\"runs\":1,\"batches_loaded\":4},",
-                "\"512\":{\"runs\":0,\"batches_loaded\":0}}"
+                "\"256\":{\"runs\":1,\"batches_loaded\":4}},",
+                "\"session_memo\":{\"hits\":0,\"misses\":0}"
             )),
             "{json}"
         );

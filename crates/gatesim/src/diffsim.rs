@@ -15,7 +15,7 @@
 //! The simulator is generic over the lane width
 //! ([`crate::lanes::LaneWord`]): the default `u64` packs 64 patterns
 //! per batch and is the executable reference; [`crate::lanes::W256`]
-//! and [`crate::lanes::W512`] pack 256/512 patterns per batch, turning
+//! packs 256 patterns per batch, turning
 //! the branchless [`GateOp`] evaluation into straight-line array code
 //! the compiler auto-vectorizes. Results are byte-identical across
 //! widths (property-tested) — width is purely a throughput knob.
@@ -366,7 +366,7 @@ impl<'n, W: LaneWord> DiffSim<'n, W> {
     /// word — and in particular its [`LaneWord::first_lane`] — depends
     /// only on the patterns, not on walk order or lane width. This is
     /// what makes per-pattern first-detection stamps byte-identical
-    /// across `u64`/`W256`/`W512` (an early exit at the first detecting
+    /// across `u64` and `W256` (an early exit at the first detecting
     /// *gate* would stamp whichever cone branch the walk reached first,
     /// which differs between a 64-pattern and a 256-pattern batch).
     ///

@@ -1,18 +1,18 @@
 //! Configurable lane widths for parallel-pattern fault simulation.
 //!
 //! The differential simulator packs one pattern per bit lane. A plain
-//! `u64` gives 64 lanes; [`W256`] and [`W512`] widen a net's value to a
-//! fixed-size array of `u64` words (256 and 512 lanes), quartering or
-//! eighthing the number of golden passes and cone walks per pattern
-//! budget. All bitwise operations are `#[inline]` loops over the array,
-//! written so the compiler auto-vectorizes the branchless
-//! `GateOp::eval` chain into SIMD registers on targets that have them —
-//! no unstable features, no intrinsics, and the crate stays std-only
+//! `u64` gives 64 lanes; [`W256`] widens a net's value to a fixed-size
+//! array of four `u64` words (256 lanes), quartering the number of
+//! golden passes and cone walks per pattern budget. All bitwise
+//! operations are `#[inline]` loops over the array, written so the
+//! compiler auto-vectorizes the branchless `GateOp::eval` chain into
+//! SIMD registers on targets that have them — no unstable features,
+//! no intrinsics, and the crate stays std-only
 //! (`std::simd` is nightly-only as of this writing; see DESIGN.md §4g).
 //!
 //! `u64` implements [`LaneWord`] too and remains the executable
-//! reference: every wider width is property-tested byte-identical to
-//! the 64-lane path, so width selection is purely a performance knob.
+//! reference: the wide word is property-tested byte-identical to the
+//! 64-lane path, so width selection is purely a performance knob.
 
 use std::fmt::Debug;
 use std::ops::{BitAnd, BitOr, BitXor, Not};
@@ -119,117 +119,103 @@ impl LaneWord for u64 {
     }
 }
 
-/// Declares a wide lane word as a fixed `[u64; N]` newtype with
-/// auto-vectorizable bitwise ops.
-macro_rules! wide_lane_word {
-    ($(#[$doc:meta])* $name:ident, $words:expr) => {
-        $(#[$doc])*
-        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-        #[repr(transparent)]
-        pub struct $name(pub [u64; $words]);
+/// A 256-lane simulation word (`[u64; 4]`) with auto-vectorizable
+/// bitwise ops.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[repr(transparent)]
+pub struct W256(pub [u64; 4]);
 
-        impl BitAnd for $name {
-            type Output = Self;
-            #[inline]
-            fn bitand(self, rhs: Self) -> Self {
-                let mut out = self.0;
-                for (d, s) in out.iter_mut().zip(&rhs.0) {
-                    *d &= s;
-                }
-                Self(out)
-            }
+impl W256 {
+    #[inline]
+    fn zip(self, rhs: Self, f: impl Fn(u64, u64) -> u64) -> Self {
+        let mut out = self.0;
+        for (d, s) in out.iter_mut().zip(&rhs.0) {
+            *d = f(*d, *s);
         }
+        Self(out)
+    }
+}
 
-        impl BitOr for $name {
-            type Output = Self;
-            #[inline]
-            fn bitor(self, rhs: Self) -> Self {
-                let mut out = self.0;
-                for (d, s) in out.iter_mut().zip(&rhs.0) {
-                    *d |= s;
-                }
-                Self(out)
-            }
+impl BitAnd for W256 {
+    type Output = Self;
+    #[inline]
+    fn bitand(self, rhs: Self) -> Self {
+        self.zip(rhs, |a, b| a & b)
+    }
+}
+
+impl BitOr for W256 {
+    type Output = Self;
+    #[inline]
+    fn bitor(self, rhs: Self) -> Self {
+        self.zip(rhs, |a, b| a | b)
+    }
+}
+
+impl BitXor for W256 {
+    type Output = Self;
+    #[inline]
+    fn bitxor(self, rhs: Self) -> Self {
+        self.zip(rhs, |a, b| a ^ b)
+    }
+}
+
+impl Not for W256 {
+    type Output = Self;
+    #[inline]
+    fn not(self) -> Self {
+        Self(self.0.map(|w| !w))
+    }
+}
+
+impl LaneWord for W256 {
+    const LANES: u64 = 256;
+    const WORDS: usize = 4;
+    const ZERO: Self = Self([0; 4]);
+    const ONES: Self = Self([u64::MAX; 4]);
+
+    #[inline]
+    fn splat(word: u64) -> Self {
+        Self([word; 4])
+    }
+
+    #[inline]
+    fn lane_mask(k: u64) -> Self {
+        assert!(
+            k <= Self::LANES,
+            "lane count {k} exceeds width {}",
+            Self::LANES
+        );
+        let mut out = [0u64; 4];
+        for (i, w) in out.iter_mut().enumerate() {
+            let lo = 64 * i as u64;
+            *w = <u64 as LaneWord>::lane_mask(k.clamp(lo, lo + 64) - lo);
         }
+        Self(out)
+    }
 
-        impl BitXor for $name {
-            type Output = Self;
-            #[inline]
-            fn bitxor(self, rhs: Self) -> Self {
-                let mut out = self.0;
-                for (d, s) in out.iter_mut().zip(&rhs.0) {
-                    *d ^= s;
-                }
-                Self(out)
-            }
-        }
+    #[inline]
+    fn from_words(mut next: impl FnMut() -> u64) -> Self {
+        Self(std::array::from_fn(|_| next()))
+    }
 
-        impl Not for $name {
-            type Output = Self;
-            #[inline]
-            fn not(self) -> Self {
-                let mut out = self.0;
-                for d in out.iter_mut() {
-                    *d = !*d;
-                }
-                Self(out)
-            }
-        }
+    #[inline]
+    fn word(self, i: usize) -> u64 {
+        self.0[i]
+    }
 
-        impl LaneWord for $name {
-            const LANES: u64 = 64 * $words as u64;
-            const WORDS: usize = $words;
-            const ZERO: Self = Self([0; $words]);
-            const ONES: Self = Self([u64::MAX; $words]);
+    #[inline]
+    fn is_zero(self) -> bool {
+        self.0 == [0; 4]
+    }
 
-            #[inline]
-            fn splat(word: u64) -> Self {
-                Self([word; $words])
-            }
-
-            #[inline]
-            fn lane_mask(k: u64) -> Self {
-                assert!(
-                    k <= Self::LANES,
-                    "lane count {k} exceeds width {}",
-                    Self::LANES
-                );
-                let mut out = [0u64; $words];
-                for (i, w) in out.iter_mut().enumerate() {
-                    let lo = 64 * i as u64;
-                    *w = <u64 as LaneWord>::lane_mask(k.clamp(lo, lo + 64) - lo);
-                }
-                Self(out)
-            }
-
-            #[inline]
-            fn from_words(mut next: impl FnMut() -> u64) -> Self {
-                let mut out = [0u64; $words];
-                for w in out.iter_mut() {
-                    *w = next();
-                }
-                Self(out)
-            }
-
-            #[inline]
-            fn word(self, i: usize) -> u64 {
-                self.0[i]
-            }
-
-            #[inline]
-            fn is_zero(self) -> bool {
-                self.0 == [0; $words]
-            }
-
-            #[inline]
-            fn first_lane(self) -> Option<u64> {
-                self.0
-                    .iter()
-                    .position(|&w| w != 0)
-                    .map(|i| 64 * i as u64 + u64::from(self.0[i].trailing_zeros()))
-            }
-        }
-    };
+    #[inline]
+    fn first_lane(self) -> Option<u64> {
+        self.0
+            .iter()
+            .position(|&w| w != 0)
+            .map(|i| 64 * i as u64 + u64::from(self.0[i].trailing_zeros()))
+    }
 }
 
 /// The widest *profitable* lane width (64 or 256) for a **full-walk**
@@ -238,15 +224,15 @@ macro_rules! wide_lane_word {
 /// patterns up, one 256-lane batch replaces three or four narrow
 /// batches and wins even after paying for the wider words (measured
 /// ~1.3× on `session_*8`); below that the padding lanes' extra walk
-/// cost eats the saving. 512 lanes are never auto-selected: the
-/// `[u64; 8]` scratch doubles the per-net footprint past the cache
-/// sweet spot and measures *slower* than 256 on every session workload
-/// tried — `--lanes 512` stays as an explicit knob.
+/// cost eats the saving. No wider word is offered: a 512-lane
+/// `[u64; 8]` word measured *slower* than 256 on every session workload
+/// tried, its scratch doubling the per-net footprint past the cache
+/// sweet spot.
 ///
 /// This policy is only used for session-style runs. The random-coverage
 /// loop resolves `auto` to 64 lanes instead: its walks early-exit and
 /// drop detected faults, which makes cone visits width-invariant
-/// (measured: identical `cone_evals` at 64/256/512), so a wider word
+/// (measured: identical `cone_evals` at every width), so a wider word
 /// strictly adds bytes per visit there (see
 /// [`crate::coverage::random_pattern_coverage_of`]).
 pub fn auto_width(patterns: u64) -> u32 {
@@ -256,17 +242,6 @@ pub fn auto_width(patterns: u64) -> u32 {
         64
     }
 }
-
-wide_lane_word!(
-    /// A 256-lane simulation word (`[u64; 4]`).
-    W256,
-    4
-);
-wide_lane_word!(
-    /// A 512-lane simulation word (`[u64; 8]`).
-    W512,
-    8
-);
 
 #[cfg(test)]
 mod tests {
@@ -319,7 +294,6 @@ mod tests {
     fn all_widths_satisfy_the_lane_algebra() {
         check_width::<u64>();
         check_width::<W256>();
-        check_width::<W512>();
     }
 
     #[test]
@@ -328,7 +302,7 @@ mod tests {
         assert_eq!(auto_width(191), 64);
         assert_eq!(auto_width(192), 256);
         assert_eq!(auto_width(255), 256);
-        assert_eq!(auto_width(100_000), 256, "512 is explicit-only");
+        assert_eq!(auto_width(100_000), 256);
     }
 
     #[test]
@@ -336,9 +310,9 @@ mod tests {
         let mut w = [0u64; 4];
         w[2] = 1 << 9;
         assert_eq!(W256(w).first_lane(), Some(128 + 9));
-        let mut w = [0u64; 8];
-        w[7] = 1 << 63;
-        assert_eq!(W512(w).first_lane(), Some(511));
+        let mut w = [0u64; 4];
+        w[3] = 1 << 63;
+        assert_eq!(W256(w).first_lane(), Some(255));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! * [`fanout`] — per-net consumer/output CSR index and fault-cone
 //!   queries.
 //! * [`lanes`] — configurable lane widths ([`lanes::LaneWord`]): 64
-//!   lanes per `u64`, or 256/512 lanes per fixed `[u64; N]` word that
-//!   the compiler auto-vectorizes.
+//!   lanes per `u64`, or 256 lanes per fixed `[u64; 4]` word that the
+//!   compiler auto-vectorizes.
 //! * [`diffsim`] — cone-limited event-driven differential fault
 //!   simulation (the fast path behind every coverage measurement).
 //! * [`collapse`] — structural fault collapsing into equivalence

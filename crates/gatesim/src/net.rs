@@ -230,8 +230,8 @@ impl GateNetwork {
     /// buffer (resized to `num_nets`), avoiding the per-call allocation
     /// of [`eval_lanes`](Self::eval_lanes). This is the golden pass the
     /// differential fault simulator diffs against; it is generic over the
-    /// lane width (`u64` = 64 patterns per call, [`crate::lanes::W512`]
-    /// = 512).
+    /// lane width (`u64` = 64 patterns per call, [`crate::lanes::W256`]
+    /// = 256).
     ///
     /// # Panics
     ///

@@ -17,7 +17,7 @@ use lobist_dfg::lifetime::LifetimeOptions;
 use lobist_dfg::modules::ModuleSet;
 use lobist_dfg::parse::{parse_dfg, parse_unscheduled_dfg};
 use lobist_dfg::{Dfg, Schedule};
-use lobist_engine::Job;
+use lobist_engine::{FaultSimOptions, Job, SessionWidth};
 use lobist_lint::{LintUnit, PassRegistry};
 
 use crate::json::escape;
@@ -316,62 +316,36 @@ fn anneal(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
 }
 
 fn faultsim(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
-    use lobist_dfg::modules::ModuleClass;
+    let width = SessionWidth::new(request.width)?;
     let design = require(&request.design, "design")?;
     let modules = parse_modules(request)?;
     let (dfg, schedule) = load_design(design, &modules)?;
     let flow = flow_options(request);
     let d = synthesize(&dfg, &schedule, &modules, &flow).map_err(|e| format!("synthesis: {e}"))?;
-    let width = request.width.clamp(2, 32);
-    let patterns = lobist_gatesim::lfsr::max_useful_patterns(width);
-    let sim_opts = lobist_engine::FaultSimOptions {
+    let sim_opts = FaultSimOptions {
         workers: effective_jobs(request, shared),
         collapse: true,
         lanes: request.lanes,
     };
-    let mut rows = Vec::new();
-    for m in d.data_path.module_ids() {
-        let seeds = (0xACE1 + m.index() as u64, 0x1BAD + m.index() as u64);
-        let (report, stats) = match d.data_path.module_class(m) {
-            ModuleClass::Op(kind) => {
-                let net = lobist_gatesim::modules::unit_for(kind, width);
-                lobist_engine::bist_session_parallel(&net, &[], width, patterns, seeds, sim_opts)
-            }
-            ModuleClass::Alu => {
-                let mut kinds: Vec<lobist_dfg::OpKind> = d
-                    .data_path
-                    .module_ops(m)
-                    .iter()
-                    .map(|&op| dfg.op(op).kind)
-                    .collect();
-                kinds.sort();
-                kinds.dedup();
-                let net = lobist_gatesim::modules::alu(&kinds, width);
-                let mut controls = vec![false; kinds.len()];
-                controls[0] = true;
-                lobist_engine::bist_session_parallel(
-                    &net, &controls, width, patterns, seeds, sim_opts,
+    let rows: Vec<String> =
+        lobist_engine::fault_sim_modules(&dfg, &d, width, sim_opts, &shared.engine)
+            .into_iter()
+            .map(|(label, report)| {
+                format!(
+                    "{{\"module\":\"{label}\",\"faults\":{},\"coverage\":{:.4},\"aliased\":{}}}",
+                    report.total_faults,
+                    report.coverage(),
+                    report.aliased(),
                 )
-            }
-        };
-        shared.engine.metrics_handle().record_fault_sim(&stats);
-        rows.push(format!(
-            concat!(
-                "{{\"module\":\"M{idx} ({class})\",\"faults\":{faults},",
-                "\"coverage\":{cov:.4},\"aliased\":{alias}}}"
-            ),
-            idx = m.index() + 1,
-            class = d.data_path.module_class(m),
-            faults = report.total_faults,
-            cov = report.coverage(),
-            alias = report.aliased(),
-        ));
-    }
+            })
+            .collect();
     Ok(JobBody {
         ok: true,
         cache: "none",
         payload: format!(
-            "\"faultsim\":{{\"width\":{width},\"patterns\":{patterns},\"modules\":[{}]}}",
+            "\"faultsim\":{{\"width\":{},\"patterns\":{},\"modules\":[{}]}}",
+            width.get(),
+            width.patterns(),
             rows.join(",")
         ),
     })

@@ -368,45 +368,60 @@ fn malformed_and_oversized_requests_are_rejected() {
     thread.join().expect("run thread").expect("clean shutdown");
 }
 
+/// Submits one `faultsim` request and returns its payload (everything
+/// after the varying `"id":N`).
+fn faultsim_payload(endpoint: &Endpoint, design: &str, extra: &str) -> String {
+    let req = format!(
+        r#"{{"cmd":"faultsim","design":"{}","modules":"1+,1*","width":5{extra}}}"#,
+        lobist_server::json::escape(design)
+    );
+    let events = client::submit(endpoint, &req).expect("faultsim submit");
+    assert!(
+        event(&events, "done").contains("\"cache\":\"none\""),
+        "{events:?}"
+    );
+    let line = event(&events, "result");
+    line.split_once(",\"faultsim\":")
+        .unwrap_or_else(|| panic!("no faultsim payload in {line}"))
+        .1
+        .to_owned()
+}
+
 #[test]
 fn faultsim_results_are_byte_identical_across_lane_widths() {
-    let (endpoint, thread) = start(ServerConfig::default());
-
-    // Fault simulation is uncached (`cache:"none"`), so the second
-    // request genuinely recomputes at the wider lane width; its result
-    // payload must still match the 64-lane run byte for byte.
-    let submit = |lanes: &str| {
-        let req = format!(
-            r#"{{"cmd":"faultsim","design":"{}","modules":"1+,1*","width":5,"lanes":{lanes}}}"#,
-            lobist_server::json::escape(DESIGN)
-        );
-        let events = client::submit(&endpoint, &req).expect("faultsim submit");
-        assert!(
-            event(&events, "done").contains("\"cache\":\"none\""),
-            "{events:?}"
-        );
-        let line = event(&events, "result");
-        line.split_once(",\"faultsim\":")
-            .unwrap_or_else(|| panic!("no faultsim payload in {line}"))
-            .1
-            .to_owned()
+    // One fresh daemon per width, so the session memo cannot answer a
+    // later width from an earlier one: every run genuinely simulates at
+    // its own lane width, and the payloads must still match byte for
+    // byte.
+    let fresh_run = |lanes: &str| {
+        let (endpoint, thread) = start(ServerConfig::default());
+        let payload = faultsim_payload(&endpoint, DESIGN, &format!(r#","lanes":{lanes}"#));
+        shutdown(&endpoint);
+        thread.join().expect("run thread").expect("clean shutdown");
+        payload
     };
-    let narrow = submit("64");
-    let wide = submit("256");
+    let narrow = fresh_run("64");
     assert_eq!(
-        narrow, wide,
+        narrow,
+        fresh_run("256"),
         "lane width is a throughput knob; it must not change the result"
     );
-    assert_eq!(narrow, submit("\"auto\""));
+    assert_eq!(narrow, fresh_run("\"auto\""));
 
+    let (endpoint, thread) = start(ServerConfig::default());
+    faultsim_payload(&endpoint, DESIGN, r#","lanes":64"#);
     // Malformed lane widths are rejected over the wire, like `jobs`.
-    for bad in [r#""wide""#, "128", "1024", "true"] {
+    for bad in [r#""wide""#, "128", "512", "1024", "true"] {
         let req = format!(
             r#"{{"cmd":"faultsim","design":"{}","modules":"1+,1*","lanes":{bad}}}"#,
             lobist_server::json::escape(DESIGN)
         );
         let events = client::submit(&endpoint, &req).expect("submit");
-        assert!(event(&events, "error").contains("`lanes`"), "{events:?}");
+        let error = event(&events, "error");
+        assert!(
+            error.contains("`lanes` must be 64 | 256 | auto"),
+            "{events:?}"
+        );
     }
 
     // The metrics JSON tallies the runs under their concrete widths.
@@ -453,6 +468,53 @@ fn anneal_and_faultsim_run_on_the_daemon() {
     let line = event(&metrics, "metrics");
     assert!(line.contains("\"anneal\":{\"runs\":1"), "{line}");
     assert!(!line.contains("\"faults_simulated\":0,"), "{line}");
+    shutdown(&endpoint);
+    thread.join().expect("run thread").expect("clean shutdown");
+}
+
+#[test]
+fn faultsim_sessions_are_shared_across_requests_byte_identically() {
+    // DESIGN with its adders fed differently: another design, but the
+    // same module kinds at the same indices, so the same BIST sessions.
+    let other: &str = "input a b c d\n\
+                       s1 = a + c @ 1\n\
+                       s2 = b + d @ 2\n\
+                       y = s2 * s1 @ 3\n\
+                       output y\n";
+    let (endpoint, thread) = start(ServerConfig::default());
+    let reference = faultsim_payload(&endpoint, other, "");
+    shutdown(&endpoint);
+    thread.join().expect("run thread").expect("clean shutdown");
+
+    let (endpoint, thread) = start(ServerConfig::default());
+    faultsim_payload(&endpoint, DESIGN, "");
+    assert_eq!(
+        faultsim_payload(&endpoint, other, ""),
+        reference,
+        "a memo-answered payload must match a fresh daemon's"
+    );
+    let metrics = client::submit(&endpoint, r#"{"cmd":"metrics"}"#).expect("metrics");
+    let line = event(&metrics, "metrics");
+    assert!(
+        line.contains("\"session_memo\":{\"hits\":2,\"misses\":2}"),
+        "{line}"
+    );
+    shutdown(&endpoint);
+    thread.join().expect("run thread").expect("clean shutdown");
+}
+
+#[test]
+fn faultsim_rejects_an_out_of_range_width_before_synthesis() {
+    let (endpoint, thread) = start(ServerConfig::default());
+    let req = format!(
+        r#"{{"cmd":"faultsim","design":"{}","modules":"1+","width":40}}"#,
+        lobist_server::json::escape(DESIGN)
+    );
+    // `1+` cannot synthesize DESIGN's multiplication: the width error
+    // proves the check ran first.
+    let events = client::submit(&endpoint, &req).expect("submit");
+    let error = event(&events, "error");
+    assert!(error.contains("out of range (expected 2..=32)"), "{error}");
     shutdown(&endpoint);
     thread.join().expect("run thread").expect("clean shutdown");
 }
