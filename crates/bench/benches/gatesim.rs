@@ -11,11 +11,13 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lobist_dfg::OpKind;
 use lobist_engine::{bist_session_parallel, random_coverage_parallel, FaultSimOptions, LaneSelect};
 use lobist_gatesim::bist_mode::{run_session, SessionContext};
+use lobist_gatesim::collapse::collapse_faults;
 use lobist_gatesim::coverage::{
     enumerate_faults, random_pattern_coverage, random_pattern_coverage_with,
 };
 use lobist_gatesim::diffsim::DiffSim;
 use lobist_gatesim::lanes::{LaneWord, W256};
+use lobist_gatesim::lfsr::max_useful_patterns;
 use lobist_gatesim::modules::unit_for;
 use lobist_gatesim::net::{Fault, GateNetwork};
 
@@ -101,23 +103,39 @@ fn bench_bist_session(c: &mut Criterion) {
     // Session emulation pinned to each lane width: every fault walks
     // its whole cone every batch (the MISR signature needs every
     // pattern, so there is no early exit), which makes batch count the
-    // cost driver — the workload where wide lanes genuinely win
-    // (~1.3×, bounded by the scalar MISR absorption after the walks).
-    let net = unit_for(OpKind::Mul, 8);
-    let faults = enumerate_faults(&net);
-    fn session_at<W: LaneWord>(net: &GateNetwork, faults: &[Fault], patterns: u64) -> usize {
-        let ctx = SessionContext::<W>::prepare(net, &[], 8, patterns, (1, 2));
+    // cost driver — the workload where wide lanes genuinely win.
+    fn session_at<W: LaneWord>(
+        net: &GateNetwork,
+        faults: &[Fault],
+        width: u32,
+        patterns: u64,
+        seeds: (u64, u64),
+    ) -> usize {
+        let ctx = SessionContext::<W>::prepare(net, &[], width, patterns, seeds);
         let mut sim = DiffSim::<W>::new(net);
         ctx.detect_flags(&mut sim, faults)
             .iter()
             .filter(|f| f.1)
             .count()
     }
+    // The `faultsim` end-to-end workload's own sessions: width 12, one
+    // full TPG period, 256 lanes, collapsed representatives, module 0's
+    // seeds — serial, so the rows time the session itself.
+    for kind in [OpKind::Add, OpKind::Mul] {
+        let net = unit_for(kind, 12);
+        let reps = collapse_faults(&net).representatives().to_vec();
+        let patterns = max_useful_patterns(12);
+        group.bench_function(format!("session_{kind}12"), |b| {
+            b.iter(|| session_at::<W256>(&net, &reps, 12, patterns, (0xACE1, 0x1BAD)))
+        });
+    }
+    let net = unit_for(OpKind::Mul, 8);
+    let faults = enumerate_faults(&net);
     group.bench_function("session_lanes_*8_l64", |b| {
-        b.iter(|| session_at::<u64>(&net, &faults, 255))
+        b.iter(|| session_at::<u64>(&net, &faults, 8, 255, (1, 2)))
     });
     group.bench_function("session_lanes_*8_l256", |b| {
-        b.iter(|| session_at::<W256>(&net, &faults, 255))
+        b.iter(|| session_at::<W256>(&net, &faults, 8, 255, (1, 2)))
     });
     group.bench_function("session_*8_parallel4", |b| {
         let opts = FaultSimOptions {

@@ -21,6 +21,7 @@ use lobist_datapath::area::AreaModel;
 use lobist_dfg::lifetime::LifetimeOptions;
 use lobist_dfg::modules::ModuleSet;
 use lobist_dfg::parse::parse_dfg;
+use lobist_gatesim::bist_mode::SessionReport;
 use lobist_lint::{Code, LintPolicy, LintUnit, PassRegistry, Report};
 
 /// Errors surfaced to the CLI user.
@@ -669,6 +670,16 @@ fn fault_sim_setup(
     Ok((width, opts))
 }
 
+/// One `batch --faultsim` line: a module's BIST session in a design.
+fn faultsim_row(design: &str, module: &str, report: &SessionReport) -> String {
+    format!(
+        "faultsim {design}: {module} {} faults, {:.1}% coverage, {} aliased",
+        report.total_faults,
+        report.coverage() * 100.0,
+        report.aliased()
+    )
+}
+
 /// Appends one design's lint verdict to `out` (the `--lint` gate format).
 fn append_lint_verdict(out: &mut String, label: &str, report: &Report) {
     use std::fmt::Write as _;
@@ -819,7 +830,12 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let (width, sim_opts) = fault_sim_setup(&o)?;
             let (dfg, schedule, modules) = load_design(&o)?;
             let opts = flow_options(&o, false);
-            let d = synthesize(&dfg, &schedule, &modules, &opts).map_err(CliError::Flow)?;
+            // The sessions need only the module binding, but no engine
+            // answer vouches for this design, so it is synthesized in
+            // full and a design the flow rejects fails here.
+            let binding = synthesize(&dfg, &schedule, &modules, &opts)
+                .map_err(CliError::Flow)?
+                .module_assignment;
             let engine = lobist_engine::Engine::new(worker_count(&o));
             let _ = writeln!(
                 out,
@@ -827,7 +843,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 "module", "faults", "ideal", "signature", "aliased"
             );
             for (label, report) in
-                lobist_engine::fault_sim_modules(&dfg, &d, width, sim_opts, &engine)
+                lobist_engine::fault_sim_modules(&dfg, &binding, width, sim_opts, &engine)
             {
                 let _ = writeln!(
                     out,
@@ -1012,35 +1028,31 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 );
             }
             if let Some((width, sim_opts)) = fault_sim {
-                // Fault-simulate each synthesized design's BIST
-                // sessions on the engine, which answers sessions the
-                // designs share from its memo and records the counters
-                // so `--metrics` reports them.
+                // Fault-simulate each answered design's BIST sessions on
+                // the engine, which answers sessions the designs share
+                // from its memo and records the counters so `--metrics`
+                // reports them. A session reads only the module binding,
+                // so only the flow's first stage runs here, and designs
+                // the engine answered through its feasibility-recovery
+                // ladder (which direct synthesis rejects) are simulated
+                // too.
                 for (outcome, (dfg, schedule)) in outcomes.iter().zip(&parsed) {
                     if outcome.result.is_err() {
                         continue;
                     }
-                    // Direct synthesis can reject a design the engine
-                    // answered through its feasibility-recovery ladder;
-                    // report it and keep going.
-                    let d = match synthesize(dfg, schedule, &modules, &flow) {
-                        Ok(d) => d,
+                    let binding = match lobist_alloc::module_assign::assign_modules(
+                        dfg, schedule, &modules,
+                    ) {
+                        Ok(binding) => binding,
                         Err(e) => {
                             let _ = writeln!(out, "faultsim {}: failed: {e}", outcome.label);
                             continue;
                         }
                     };
-                    for (label, report) in
-                        lobist_engine::fault_sim_modules(dfg, &d, width, sim_opts, &engine)
+                    for (module, report) in
+                        lobist_engine::fault_sim_modules(dfg, &binding, width, sim_opts, &engine)
                     {
-                        let _ = writeln!(
-                            out,
-                            "faultsim {}: {label} {} faults, {:.1}% coverage, {} aliased",
-                            outcome.label,
-                            report.total_faults,
-                            report.coverage() * 100.0,
-                            report.aliased()
-                        );
+                        let _ = writeln!(out, "{}", faultsim_row(&outcome.label, &module, &report));
                     }
                 }
             }
@@ -2694,9 +2706,10 @@ mod tests {
     #[test]
     fn batch_reports_designs_direct_synthesis_rejects_and_continues() {
         // Under 2+,2*,2- the engine answers this FIR only through its
-        // feasibility-recovery ladder; the direct re-synthesis behind
-        // --faultsim and --lint rejects it. Both report it per design
-        // and go on with the rest of the batch.
+        // feasibility-recovery ladder, and direct synthesis rejects it.
+        // --lint re-synthesizes, so it reports the rejection per design
+        // and goes on with the rest of the batch. --faultsim needs only
+        // the design's module binding, so it simulates every module.
         let dir = std::env::temp_dir().join("lobist_cli_recovered_fir");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -2705,18 +2718,86 @@ mod tests {
         std::fs::write(&fir, lobist_dfg::parse::to_text_unscheduled(&dfg)).unwrap();
         let fir = fir.to_string_lossy().into_owned();
         let ok = write_temp("lobist_cli_recovered_ok.dfg", DESIGN);
-        for (flag, prefix) in [("--faultsim", "faultsim"), ("--lint", "lint")] {
-            let out = run(&argv(&["batch", &fir, &ok, "--modules", "2+,2*,2-", flag])).unwrap();
+        let batch =
+            |flag| run(&argv(&["batch", &fir, &ok, "--modules", "2+,2*,2-", flag])).unwrap();
+
+        let out = batch("--lint");
+        assert!(
+            out.contains(&format!("lint {fir}: failed: ")),
+            "no per-design failure line in {out}"
+        );
+        assert!(
+            out.contains(&format!("lint {ok}: clean")),
+            "batch stopped early: {out}"
+        );
+
+        let out = batch("--faultsim");
+        assert!(!out.contains("failed:"), "{out}");
+        for module in ["M1 (+)", "M2 (+)", "M3 (*)", "M4 (*)"] {
             assert!(
-                out.contains(&format!("{prefix} {fir}: failed: ")),
-                "{flag}: no per-design failure line in {out}"
+                out.contains(&format!("faultsim {fir}: {module} ")),
+                "no {module} row in {out}"
             );
-            let continued = match prefix {
-                "faultsim" => format!("faultsim {ok}: "),
-                _ => format!("lint {ok}: clean"),
-            };
-            assert!(out.contains(&continued), "{flag}: batch stopped early: {out}");
         }
+        assert!(out.contains(&format!("faultsim {ok}: M1 ")), "{out}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn batch_faultsim_rows_equal_sessions_of_the_synthesized_binding() {
+        // `batch --faultsim` derives each design's module binding
+        // without synthesizing it again; for every design direct
+        // synthesis accepts, its rows must equal the sessions of the
+        // synthesized design's own binding.
+        let dir = std::env::temp_dir().join("lobist_cli_binding_rows");
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_arg = dir.to_string_lossy().into_owned();
+        let listing = run(&argv(&[
+            "corpus", "--sizes", "8,16", "--seed", "1", "--out", &dir_arg,
+        ]))
+        .unwrap();
+        let paths: Vec<&str> = listing.lines().collect();
+        let mut args = argv(&["batch"]);
+        args.extend(paths.iter().map(|p| p.to_string()));
+        args.extend(argv(&[
+            "--modules",
+            "1+,1*,1-",
+            "--faultsim",
+            "--width",
+            "12",
+            "--jobs",
+            "2",
+        ]));
+        let rows: Vec<String> = run(&args)
+            .unwrap()
+            .lines()
+            .filter(|l| l.starts_with("faultsim "))
+            .map(str::to_owned)
+            .collect();
+
+        let o = parse_args(&args).unwrap();
+        let modules: ModuleSet = "1+,1*,1-".parse().unwrap();
+        let flow = flow_options(&o, false);
+        let (width, sim_opts) = fault_sim_setup(&o).unwrap();
+        let engine = lobist_engine::Engine::new(1);
+        let mut want = Vec::new();
+        for path in &paths {
+            let text = std::fs::read_to_string(path).unwrap();
+            let dfg = lobist_dfg::parse::parse_unscheduled_dfg(&text).unwrap();
+            let schedule = lobist_dfg::scheduling::list_schedule(&dfg, &modules).unwrap();
+            let d = synthesize(&dfg, &schedule, &modules, &flow).unwrap();
+            for (module, report) in lobist_engine::fault_sim_modules(
+                &dfg,
+                &d.module_assignment,
+                width,
+                sim_opts,
+                &engine,
+            ) {
+                want.push(faultsim_row(path, &module, &report));
+            }
+        }
+        assert_eq!(paths.len(), 8);
+        assert_eq!(rows, want);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -38,7 +38,7 @@
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use lobist_alloc::flow::Design;
+use lobist_datapath::ModuleAssignment;
 use lobist_dfg::modules::ModuleClass;
 use lobist_dfg::{Dfg, OpKind};
 use lobist_gatesim::bist_mode::{DetectFlags, SessionContext, SessionReport};
@@ -532,23 +532,27 @@ impl SessionMemo {
     }
 }
 
-/// Runs the BIST session of every module of a synthesized design,
+/// Runs the BIST session of every module in a design's module binding,
 /// answering repeated sessions from `engine`'s memo and recording the
-/// work on its metrics. Returns `(module label, session report)` rows
-/// in module order; the rows are identical for any worker count, lane
-/// width and memo state.
+/// work on its metrics. A session reads only each module's class and
+/// operation kinds, so the binding suffices: a synthesized design's
+/// [`lobist_alloc::flow::Design::module_assignment`], or
+/// [`lobist_alloc::module_assign::assign_modules`] on the design's
+/// schedule. Returns `(module label, session report)` rows in module
+/// order; the rows are identical for any worker count, lane width and
+/// memo state.
 pub fn fault_sim_modules(
     dfg: &Dfg,
-    design: &Design,
+    modules: &ModuleAssignment,
     width: SessionWidth,
     opts: FaultSimOptions,
     engine: &Engine,
 ) -> Vec<(String, SessionReport)> {
-    let dp = &design.data_path;
-    dp.module_ids()
+    modules
+        .module_ids()
         .map(|m| {
-            let class = dp.module_class(m);
-            let kinds = dp.module_ops(m).iter().map(|&op| dfg.op(op).kind);
+            let class = modules.class(m);
+            let kinds = modules.ops_of(m).iter().map(|&op| dfg.op(op).kind);
             let key = SessionKey::for_module(SessionUnit::new(class, kinds), width, m.index());
             let report = engine.sessions.session(&key, opts, engine.metrics_handle());
             (format!("M{} ({class})", m.index() + 1), report)

@@ -8,13 +8,17 @@
 //! exchange for area.
 //!
 //! Sessions are simulated differentially: the pattern schedule, golden
-//! response stream and signature are prepared once per module
+//! signature and per-batch MISR maps are prepared once per module
 //! ([`SessionContext::prepare`]), and each fault only propagates
-//! difference words through its cone ([`crate::diffsim::DiffSim`]). For
-//! the common batch where a fault produces *no* output difference, its
-//! MISR state is advanced by a precomputed linear fast-forward (the MISR
-//! step is linear over GF(2), so 64 absorptions collapse into one
-//! basis-XOR) instead of 64 word absorptions.
+//! difference words through its cone ([`crate::diffsim::DiffSim`]). A
+//! MISR step is affine over GF(2), so a fault's state after a batch is
+//! the batch's clean (golden-stream) map applied to its state, XOR an
+//! error term that depends only on the fault's output difference words.
+//! Bit `j` of that term is the parity of the difference lanes under a
+//! precomputed lane mask per output position ([`SessionContext::detect_flags`]),
+//! so a batch costs one basis-XOR plus, when the fault reaches an
+//! output, at most `misr_width²` masked word XORs — never one MISR step
+//! per pattern.
 
 use crate::collapse::CollapsedFaults;
 use crate::diffsim::DiffSim;
@@ -63,43 +67,146 @@ fn pack_outputs<W: LaneWord>(lanes: &[W], lane: u32) -> u64 {
     })
 }
 
+/// Parity of the number of set lanes in `w`.
+fn parity<W: LaneWord>(w: W) -> u64 {
+    u64::from((0..W::WORDS).fold(0u64, |p, i| p ^ w.word(i)).count_ones() & 1)
+}
+
+/// One `W::LANES`-pattern batch of a session.
+#[derive(Debug, Clone)]
+struct Batch<W> {
+    /// Input lane words: the controls, then operand a bits, then operand
+    /// b bits, one lane per pattern.
+    lanes: Vec<W>,
+    /// Patterns applied; the lanes past them are zero padding.
+    used: usize,
+    /// MISR state after absorbing the batch's golden words from state 0:
+    /// the affine constant of the batch's clean transfer map.
+    ff_const: u64,
+    /// Index of the batch's [`BatchMap`] in [`SessionContext`]'s `maps`.
+    map: usize,
+}
+
+/// The fault-independent MISR maps of every batch of one length.
+///
+/// Absorbing is affine over GF(2): `state' = L(state) ^ word`, with
+/// `L(s) = s << 1 | parity(s & taps)` linear (one zero-word step).
+/// Over a batch of `used` words `w_l` that is
+/// `s -> L^used(s) ^ ⊕_l L^(used-1-l)(w_l)`. A faulty word is the golden
+/// word XOR a difference word `d_l`, so the faulty state is the clean
+/// map's result XOR the error `⊕_l L^(used-1-l)(d_l)`, which is linear
+/// in the difference bits and independent of the state.
+#[derive(Debug, Clone)]
+struct BatchMap<W> {
+    /// The batch length these maps serve.
+    used: usize,
+    /// `basis[j] = L^used(e_j)`: the linear part of the clean map.
+    basis: Vec<u64>,
+    /// `fold[pos * misr_width + j]`: lane `l` is set iff bit `j` of
+    /// `L^(used-1-l)(e_pos)` is set — the lanes whose difference at
+    /// output position `pos` flips MISR bit `j` by the batch's end.
+    /// Lanes at or past `used` are clear, so padding never reaches the
+    /// MISR.
+    fold: Vec<W>,
+}
+
+impl<W: LaneWord> BatchMap<W> {
+    fn new(misr_width: u32, used: usize) -> Self {
+        let mw = misr_width as usize;
+        // `v, L(v), L²(v), …`: zero-word steps of a MISR loaded with `v`.
+        let powers = |v: u64| {
+            let mut m = Misr::with_signature(misr_width, v);
+            std::iter::once(v).chain(std::iter::repeat_with(move || {
+                m.absorb(0);
+                m.signature()
+            }))
+        };
+        let basis = (0..mw)
+            .map(|j| powers(1 << j).nth(used).expect("powers never end"))
+            .collect();
+        let mut words = vec![0u64; mw * mw * W::WORDS];
+        for pos in 0..mw {
+            // Lane `used - 1 - k` is absorbed `k` steps before the
+            // batch ends.
+            for (k, image) in powers(1 << pos).take(used).enumerate() {
+                let lane = used - 1 - k;
+                let mut bits = image;
+                while bits != 0 {
+                    let j = bits.trailing_zeros() as usize;
+                    words[(pos * mw + j) * W::WORDS + lane / 64] |= 1 << (lane % 64);
+                    bits &= bits - 1;
+                }
+            }
+        }
+        let mut words = words.into_iter();
+        let fold = (0..mw * mw)
+            .map(|_| W::from_words(|| words.next().expect("one word per lane group")))
+            .collect();
+        Self { used, basis, fold }
+    }
+
+    /// The clean map: `L^used(state) ^ constant`.
+    fn advance(&self, constant: u64, state: u64) -> u64 {
+        let mut s = constant;
+        let mut bits = state;
+        while bits != 0 {
+            s ^= self.basis[bits.trailing_zeros() as usize];
+            bits &= bits - 1;
+        }
+        s
+    }
+
+    /// The error term of difference words `diffs` (indexed by output
+    /// position, non-zero only at the `touched` positions, each listed
+    /// once): bit `j` is the parity of `⊕_pos diffs[pos] & fold[pos][j]`.
+    /// Positions at or past the MISR width are masked off by every
+    /// absorb, so they contribute nothing.
+    fn error(&self, diffs: &[W], touched: &[u32]) -> u64 {
+        let mw = self.basis.len();
+        let mut acc = [W::ZERO; 32];
+        for &pos in touched {
+            let pos = pos as usize;
+            if pos < mw {
+                let d = diffs[pos];
+                for (a, &f) in acc.iter_mut().zip(&self.fold[pos * mw..(pos + 1) * mw]) {
+                    *a = *a ^ (d & f);
+                }
+            }
+        }
+        acc[..mw]
+            .iter()
+            .enumerate()
+            .fold(0, |e, (j, &a)| e | parity(a) << j)
+    }
+}
+
 /// The fault-independent part of a BIST session: the packed pattern
-/// batches, the golden response stream and signature, and the per-batch
-/// MISR fast-forward tables. Prepared once per module and shared
-/// (read-only) by every fault partition of a parallel run.
+/// batches, the golden signature, and the MISR maps of each batch.
+/// Prepared once per module and shared (read-only) by every fault
+/// partition of a parallel run.
 ///
 /// Generic over the lane width `W` (default `u64`): the wide word packs
 /// 256 patterns per batch, so the per-fault session loop runs 4× fewer
-/// cone walks. The pattern sequence, golden words, signature and
-/// fast-forward tables are identical at every width; wider batches are
-/// merely less often "clean" (the fast-forward shortcut applies only
-/// when *all* of a batch's lanes are undisturbed), so the flags stay
-/// byte-identical while the work shifts between the two arms.
+/// cone walks. The pattern sequence and golden signature are identical
+/// at every width, and each batch's maps are exact for its own length,
+/// so the per-fault states — hence the flags — are byte-identical at
+/// every width.
 #[derive(Debug, Clone)]
 pub struct SessionContext<'n, W: LaneWord = u64> {
     net: &'n GateNetwork,
-    /// `(input lane words, patterns used)` per `W::LANES`-pattern batch.
-    batches: Vec<(Vec<W>, usize)>,
-    /// Golden packed output word per pattern, across all batches.
-    golden_words: Vec<u64>,
-    /// Start of each batch's span in `golden_words`.
-    batch_word_offsets: Vec<usize>,
+    batches: Vec<Batch<W>>,
+    /// One entry per distinct batch length: the full batches share one,
+    /// a short trailing batch gets its own.
+    maps: Vec<BatchMap<W>>,
     golden_signature: u64,
-    misr_width: u32,
-    /// Per batch: MISR state after absorbing the batch's golden words
-    /// from state 0 (the affine constant of the batch transfer map).
-    ff_const: Vec<u64>,
-    /// Per batch: image of each state basis vector under the batch's
-    /// word-free MISR steps (the linear part of the transfer map).
-    ff_basis: Vec<Vec<u64>>,
     patterns: u64,
 }
 
 impl<'n, W: LaneWord> SessionContext<'n, W> {
     /// Prepares a session over `net` with leading control inputs held at
     /// `controls`: generates the LFSR operand streams, packs them into
-    /// `W::LANES`-lane batches, records the golden response stream and
-    /// signature, and builds the MISR fast-forward tables.
+    /// `W::LANES`-lane batches, computes the golden signature, and
+    /// builds each batch's MISR maps.
     ///
     /// Pattern counts beyond [`crate::lfsr::max_useful_patterns`] replay
     /// the TPG sequence; an even replay count makes the replayed errors
@@ -151,77 +258,53 @@ impl<'n, W: LaneWord> SessionContext<'n, W> {
                 w
             })
         };
-        let batches: Vec<(Vec<W>, usize)> = sequence
-            .chunks(W::LANES as usize)
-            .map(|chunk| {
-                let mut lanes = control_lanes.clone();
-                // Operand a bits, then operand b bits, one lane per
-                // pattern.
-                for bit in 0..width {
-                    lanes.push(pack_bit(chunk, bit, false));
-                }
-                for bit in 0..width {
-                    lanes.push(pack_bit(chunk, bit, true));
-                }
-                (lanes, chunk.len())
-            })
-            .collect();
 
-        // Golden pass: output word per pattern plus signature.
-        let mut golden_words: Vec<u64> = Vec::with_capacity(sequence.len());
-        let mut batch_word_offsets = Vec::with_capacity(batches.len());
+        // Golden pass: each batch's output words feed both the session
+        // signature and the batch's affine constant (absorbed from 0,
+        // since L^used(0) = 0).
         let mut golden_misr = Misr::new(misr_width);
+        let mut batches = Vec::new();
+        let mut maps: Vec<BatchMap<W>> = Vec::new();
         let mut values: Vec<W> = Vec::new();
         let mut out: Vec<W> = Vec::new();
-        for (lanes, used) in &batches {
-            batch_word_offsets.push(golden_words.len());
-            net.eval_all_nets_into(lanes, &mut values);
+        for chunk in sequence.chunks(W::LANES as usize) {
+            let mut lanes = control_lanes.clone();
+            for bit in 0..width {
+                lanes.push(pack_bit(chunk, bit, false));
+            }
+            for bit in 0..width {
+                lanes.push(pack_bit(chunk, bit, true));
+            }
+            net.eval_all_nets_into(&lanes, &mut values);
             out.clear();
             out.extend(net.outputs().iter().map(|o| values[o.index()]));
-            for lane in 0..*used {
+            let used = chunk.len();
+            let mut batch_misr = Misr::new(misr_width);
+            for lane in 0..used {
                 let word = pack_outputs(&out, lane as u32);
-                golden_words.push(word);
                 golden_misr.absorb(word);
+                batch_misr.absorb(word);
             }
-        }
-        let golden_signature = golden_misr.signature();
-
-        // MISR fast-forward tables. Absorbing is affine over GF(2):
-        // state' = L(state) ^ w, with L(s) = (s << 1 | parity(s & taps))
-        // linear. Over one batch of u golden words the map is
-        // s -> L^u(s) ^ c with c fixed, so per basis vector e_j we
-        // record L^u(e_j) (absorb u zero words from e_j) and per batch
-        // the constant c (absorb the golden words from 0, since
-        // L^u(0) = 0).
-        let mut ff_const = Vec::with_capacity(batches.len());
-        let mut ff_basis = Vec::with_capacity(batches.len());
-        for (bi, (_, used)) in batches.iter().enumerate() {
-            let base = batch_word_offsets[bi];
-            let mut m = Misr::new(misr_width);
-            for lane in 0..*used {
-                m.absorb(golden_words[base + lane]);
-            }
-            ff_const.push(m.signature());
-            let mut basis = Vec::with_capacity(misr_width as usize);
-            for j in 0..misr_width {
-                let mut m = Misr::with_signature(misr_width, 1u64 << j);
-                for _ in 0..*used {
-                    m.absorb(0);
+            let map = match maps.iter().position(|m| m.used == used) {
+                Some(i) => i,
+                None => {
+                    maps.push(BatchMap::new(misr_width, used));
+                    maps.len() - 1
                 }
-                basis.push(m.signature());
-            }
-            ff_basis.push(basis);
+            };
+            batches.push(Batch {
+                lanes,
+                used,
+                ff_const: batch_misr.signature(),
+                map,
+            });
         }
 
         Self {
             net,
             batches,
-            golden_words,
-            batch_word_offsets,
-            golden_signature,
-            misr_width,
-            ff_const,
-            ff_basis,
+            maps,
+            golden_signature: golden_misr.signature(),
             patterns,
         }
     }
@@ -247,6 +330,12 @@ impl<'n, W: LaneWord> SessionContext<'n, W> {
     /// partitioning `faults` and concatenating per-partition results is
     /// byte-identical to one call over the full list.
     ///
+    /// Per batch, a fault's MISR state takes the batch's clean affine
+    /// step, XOR the error term of its output differences: one masked
+    /// parity per MISR bit over the difference words, with no per-pattern
+    /// MISR step. A fault that reaches no output in the batch has no
+    /// error term.
+    ///
     /// `sim` must simulate [`network`](Self::network); its scratch
     /// buffers are reused across all faults and batches.
     ///
@@ -265,45 +354,27 @@ impl<'n, W: LaneWord> SessionContext<'n, W> {
         if faults.is_empty() {
             return Vec::new();
         }
-        for (bi, (lanes, used)) in self.batches.iter().enumerate() {
-            sim.load_batch(lanes);
-            let used_mask = W::lane_mask(*used as u64);
-            let base = self.batch_word_offsets[bi];
+        for batch in &self.batches {
+            sim.load_batch(&batch.lanes);
+            let used_mask = W::lane_mask(batch.used as u64);
+            let map = &self.maps[batch.map];
             for (fi, &fault) in faults.iter().enumerate() {
-                let any = sim.fault_output_diffs(fault);
+                let mut error = 0;
                 // Lanes beyond `used` are padding (all-zero operands),
                 // not applied patterns: differences there neither detect
                 // nor reach the MISR.
-                if any && sim.out_diffs().iter().any(|&d| !(d & used_mask).is_zero()) {
-                    ideal[fi] = true;
-                    // Fold only the outputs the fault actually reached:
-                    // the faulty word is the golden word with the
-                    // touched positions' difference bits flipped in.
+                if sim.fault_output_diffs(fault) {
                     let diffs = sim.out_diffs();
                     let touched = sim.touched_output_positions();
-                    let mut m = Misr::with_signature(self.misr_width, states[fi]);
-                    for lane in 0..*used {
-                        let (group, bit) = (lane / 64, lane as u32 % 64);
-                        let mut d = 0u64;
-                        for &pos in touched {
-                            d |= ((diffs[pos as usize].word(group) >> bit) & 1) << pos;
-                        }
-                        m.absorb(self.golden_words[base + lane] ^ d);
+                    if touched
+                        .iter()
+                        .any(|&pos| !(diffs[pos as usize] & used_mask).is_zero())
+                    {
+                        ideal[fi] = true;
+                        error = map.error(diffs, touched);
                     }
-                    states[fi] = m.signature();
-                } else {
-                    // No in-session output difference: the faulty words
-                    // equal the golden words, so apply the batch's
-                    // affine transfer map directly.
-                    let mut s = self.ff_const[bi];
-                    let mut bits = states[fi];
-                    while bits != 0 {
-                        let j = bits.trailing_zeros() as usize;
-                        s ^= self.ff_basis[bi][j];
-                        bits &= bits - 1;
-                    }
-                    states[fi] = s;
                 }
+                states[fi] = map.advance(batch.ff_const, states[fi]) ^ error;
             }
         }
         faults
@@ -394,10 +465,13 @@ mod tests {
     use crate::collapse::collapse_faults;
     use crate::coverage::enumerate_faults;
     use crate::modules::{alu, array_multiplier, ripple_adder, subtractor};
+    use crate::net::NetworkBuilder;
 
-    /// The pre-diffsim textbook session: full faulty re-evaluation and
-    /// per-lane MISR absorption for every fault. Oracle for
-    /// byte-identity tests.
+    /// The pre-diffsim textbook session: golden and faulty responses by
+    /// full re-evaluation ([`GateNetwork::eval_lanes_with`]) of the
+    /// session's 64-pattern batches, and one MISR absorption per
+    /// pattern. Oracle for byte-identity tests: returns the per-fault
+    /// `(ideal, signature)` flags and the golden signature.
     fn run_session_reference(
         net: &GateNetwork,
         controls: &[bool],
@@ -405,39 +479,30 @@ mod tests {
         patterns: u64,
         seeds: (u64, u64),
         faults: &[Fault],
-    ) -> SessionReport {
-        let ctx = SessionContext::prepare(net, controls, width, patterns, seeds);
-        let mut detected_ideal = 0;
-        let mut detected_signature = 0;
-        for &fault in faults {
-            let mut misr = Misr::new(ctx.misr_width);
-            let mut ideal = false;
-            let mut cursor = 0usize;
-            for (lanes, used) in &ctx.batches {
-                let out = net.eval_lanes_with(lanes, Some(fault));
-                for lane in 0..*used {
+    ) -> (Vec<DetectFlags>, u64) {
+        let ctx = SessionContext::<u64>::prepare(net, controls, width, patterns, seeds);
+        let session = |fault: Option<Fault>| {
+            let mut misr = Misr::new(width.clamp(2, 32));
+            let mut words = Vec::new();
+            for batch in &ctx.batches {
+                let out = net.eval_lanes_with(&batch.lanes, fault);
+                for lane in 0..batch.used {
                     let word = pack_outputs(&out, lane as u32);
-                    if word != ctx.golden_words[cursor] {
-                        ideal = true;
-                    }
                     misr.absorb(word);
-                    cursor += 1;
+                    words.push(word);
                 }
             }
-            if ideal {
-                detected_ideal += 1;
-            }
-            if misr.signature() != ctx.golden_signature {
-                detected_signature += 1;
-            }
-        }
-        SessionReport {
-            total_faults: faults.len(),
-            detected_ideal,
-            detected_signature,
-            patterns,
-            golden_signature: ctx.golden_signature,
-        }
+            (words, misr.signature())
+        };
+        let (golden_words, golden_signature) = session(None);
+        let flags = faults
+            .iter()
+            .map(|&fault| {
+                let (words, signature) = session(Some(fault));
+                (words != golden_words, signature != golden_signature)
+            })
+            .collect();
+        (flags, golden_signature)
     }
 
     #[test]
@@ -490,39 +555,75 @@ mod tests {
         );
     }
 
+    /// Two 3-bit operands, eight outputs: the bitwise XOR, then five
+    /// AND/OR outputs at positions 3..8, past a 3-bit MISR.
+    fn more_outputs_than_misr() -> GateNetwork {
+        let mut b = NetworkBuilder::new();
+        let x = b.input_word(3);
+        let y = b.input_word(3);
+        let mut outputs: Vec<_> = (0..3).map(|i| b.xor(x[i], y[i])).collect();
+        outputs.extend((0..3).map(|i| b.and(x[i], y[i])));
+        outputs.push(b.or(x[0], y[2]));
+        outputs.push(b.or(x[2], y[0]));
+        b.finish(outputs)
+    }
+
     #[test]
     fn differential_session_is_byte_identical_to_reference() {
-        for (name, net, width) in [
-            ("adder4", ripple_adder(4), 4u32),
-            ("sub4", subtractor(4), 4),
-            ("mul4", array_multiplier(4), 4),
+        use crate::lanes::W256;
+        use lobist_dfg::OpKind;
+        fn fast<W: LaneWord>(
+            net: &GateNetwork,
+            controls: &[bool],
+            width: u32,
+            patterns: u64,
+            faults: &[Fault],
+        ) -> (Vec<DetectFlags>, u64) {
+            let ctx =
+                SessionContext::<W>::prepare(net, controls, width, patterns, (0xACE1, 0x1BAD));
+            let mut sim = DiffSim::<W>::new(net);
+            (ctx.detect_flags(&mut sim, faults), ctx.golden_signature())
+        }
+        let alu4 = alu(&[OpKind::Add, OpKind::And, OpKind::Xor, OpKind::Sub], 4);
+        for (name, net, controls, width) in [
+            ("adder4", ripple_adder(4), vec![], 4u32),
+            ("sub4", subtractor(4), vec![], 4),
+            ("mul4", array_multiplier(4), vec![], 4),
+            ("alu4", alu4, vec![true, false, false, false], 4),
+            ("wide3", more_outputs_than_misr(), vec![], 3),
         ] {
             let faults = enumerate_faults(&net);
-            // 100 exercises a clipped final batch, 128 exact batches.
-            for patterns in [100u64, 128] {
-                let fast = run_session(&net, width, patterns, (0xACE1, 0x1BAD), &faults);
-                let slow = run_session_reference(
+            // 100 and 300 clip the final batch at both lane widths, 128
+            // is exact at 64 lanes, 515 leaves a 3-pattern tail.
+            for patterns in [100u64, 128, 300, 515] {
+                let want = run_session_reference(
                     &net,
-                    &[],
+                    &controls,
                     width,
                     patterns,
                     (0xACE1, 0x1BAD),
                     &faults,
                 );
-                assert_eq!(fast, slow, "{name} at {patterns} patterns");
+                let at = |lanes| format!("{name} at {patterns} patterns, {lanes} lanes");
+                assert_eq!(
+                    fast::<u64>(&net, &controls, width, patterns, &faults),
+                    want,
+                    "{}",
+                    at(64)
+                );
+                assert_eq!(
+                    fast::<W256>(&net, &controls, width, patterns, &faults),
+                    want,
+                    "{}",
+                    at(256)
+                );
+                if name == "wide3" {
+                    // Faults seen only at positions 3..8 are detected
+                    // ideally but never reach the 3-bit MISR.
+                    assert!(want.0.contains(&(true, false)), "{}", at(64));
+                }
             }
         }
-    }
-
-    #[test]
-    fn alu_session_matches_reference_with_controls() {
-        use lobist_dfg::OpKind;
-        let net = alu(&[OpKind::Add, OpKind::And, OpKind::Xor, OpKind::Sub], 4);
-        let controls = [true, false, false, false];
-        let faults = enumerate_faults(&net);
-        let fast = run_session_with_controls(&net, &controls, 4, 96, (5, 9), &faults);
-        let slow = run_session_reference(&net, &controls, 4, 96, (5, 9), &faults);
-        assert_eq!(fast, slow);
     }
 
     #[test]
@@ -558,40 +659,6 @@ mod tests {
         parts.extend(ctx.detect_flags(&mut sim, &faults[mid..]));
         assert_eq!(parts, whole);
     }
-
-    #[test]
-    fn wide_sessions_match_the_u64_reference() {
-        use crate::lanes::W256;
-        // The whole session — golden signature, per-fault ideal and
-        // signature flags — must be byte-identical when the batches pack
-        // 256 patterns instead of 64, for budgets aligned and
-        // misaligned with every width.
-        for (name, net, width) in [
-            ("adder4", ripple_adder(4), 4u32),
-            ("mul4", array_multiplier(4), 4),
-        ] {
-            let faults = enumerate_faults(&net);
-            for patterns in [100u64, 128, 300, 515] {
-                let seeds = (0xACE1, 0x1BAD);
-                let ctx64 = SessionContext::<u64>::prepare(&net, &[], width, patterns, seeds);
-                let ctx256 = SessionContext::<W256>::prepare(&net, &[], width, patterns, seeds);
-                assert_eq!(ctx64.golden_signature(), ctx256.golden_signature(), "{name}");
-                let mut sim64 = DiffSim::new(&net);
-                let mut sim256 = DiffSim::new(&net);
-                let flags = ctx64.detect_flags(&mut sim64, &faults);
-                assert_eq!(
-                    ctx256.detect_flags(&mut sim256, &faults),
-                    flags,
-                    "{name} at {patterns} patterns (W256)"
-                );
-                assert_eq!(
-                    ctx256.report_from_flags(&flags),
-                    ctx64.report_from_flags(&flags),
-                    "{name}"
-                );
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -612,7 +679,12 @@ mod period_tests {
         let period = max_useful_patterns(8);
         let one = run_session(&net, 8, period, (0xACE1, 0x1BAD), &faults);
         let four = run_session(&net, 8, 4 * period + 4, (0xACE1, 0x1BAD), &faults);
-        assert!(one.aliased() <= four.aliased(), "{} vs {}", one.aliased(), four.aliased());
+        assert!(
+            one.aliased() <= four.aliased(),
+            "{} vs {}",
+            one.aliased(),
+            four.aliased()
+        );
         // And within one period, an 8-bit MISR aliases at most a few
         // faults out of a hundred.
         assert!(one.aliased() <= 3, "one-period aliasing {}", one.aliased());

@@ -544,8 +544,9 @@ impl<'n, W: LaneWord> DiffSim<'n, W> {
 
     /// Output positions with a non-zero word in
     /// [`out_diffs`](Self::out_diffs) after the last
-    /// [`fault_output_diffs`](Self::fault_output_diffs) call — lets
-    /// callers fold only the outputs the fault actually reached.
+    /// [`fault_output_diffs`](Self::fault_output_diffs) call, each listed
+    /// once (every net changes at most once per walk) — lets callers fold
+    /// only the outputs the fault actually reached.
     pub fn touched_output_positions(&self) -> &[u32] {
         &self.touched_outputs
     }

@@ -321,14 +321,19 @@ fn faultsim(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> 
     let modules = parse_modules(request)?;
     let (dfg, schedule) = load_design(design, &modules)?;
     let flow = flow_options(request);
-    let d = synthesize(&dfg, &schedule, &modules, &flow).map_err(|e| format!("synthesis: {e}"))?;
+    // The sessions need only the module binding, but no engine answer
+    // vouches for this design, so it is synthesized in full and a
+    // design the flow rejects fails here.
+    let binding = synthesize(&dfg, &schedule, &modules, &flow)
+        .map_err(|e| format!("synthesis: {e}"))?
+        .module_assignment;
     let sim_opts = FaultSimOptions {
         workers: effective_jobs(request, shared),
         collapse: true,
         lanes: request.lanes,
     };
     let rows: Vec<String> =
-        lobist_engine::fault_sim_modules(&dfg, &d, width, sim_opts, &shared.engine)
+        lobist_engine::fault_sim_modules(&dfg, &binding, width, sim_opts, &shared.engine)
             .into_iter()
             .map(|(label, report)| {
                 format!(
