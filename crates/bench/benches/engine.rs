@@ -34,7 +34,7 @@ fn bench_sweep_workers(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("workers", w), &w, |b, &w| {
             // A fresh engine per iteration: this measures evaluation
             // throughput, not the cache.
-            b.iter(|| explore_parallel(&dfg, &config, &Engine::new(w)))
+            b.iter(|| explore_parallel(&dfg, &config, &Engine::new(w), w))
         });
     }
     group.finish();
@@ -44,9 +44,9 @@ fn bench_cache_hit_path(c: &mut Criterion) {
     let (dfg, config) = sweep_config();
     let mut group = c.benchmark_group("engine_cache");
     let warm = Engine::new(2);
-    let _ = explore_parallel(&dfg, &config, &warm);
+    let _ = explore_parallel(&dfg, &config, &warm, 2);
     group.bench_function("warm_sweep", |b| {
-        b.iter(|| explore_parallel(&dfg, &config, &warm))
+        b.iter(|| explore_parallel(&dfg, &config, &warm, 2))
     });
     group.finish();
 }

@@ -17,10 +17,10 @@
 use std::fmt;
 
 use lobist_alloc::flow::{synthesize, Design, FlowError, FlowOptions};
-use lobist_datapath::area::AreaModel;
-use lobist_dfg::lifetime::LifetimeOptions;
 use lobist_dfg::modules::ModuleSet;
-use lobist_dfg::parse::parse_dfg;
+use lobist_dfg::{Dfg, Schedule};
+use lobist_engine::spec::{Kind, Value, FIELDS};
+use lobist_engine::{load_design, FlowKind, JobSpec, LoadError};
 use lobist_gatesim::bist_mode::SessionReport;
 use lobist_lint::{Code, LintPolicy, LintUnit, PassRegistry, Report};
 
@@ -77,12 +77,13 @@ USAGE:
   lobist faultsim <design.dfg> --modules <SET> [--jobs <N>] [--lanes <W>]
                   [--metrics] [OPTIONS]
   lobist explore <design.dfg> --candidates <SET;SET;...> [--jobs <N>] [--metrics]
+                 [OPTIONS]
   lobist batch [<design.dfg>... | -] --modules <SET> [--faultsim] [--jobs <N>]
                [--lanes <W>] [--metrics]
   lobist corpus [--sizes <N,N,...>] [--seed <S>] [--permute <S>]
                 [--twin-kernels <S>] [--out <DIR>]
   lobist anneal <design.dfg> --modules <SET> [--iterations <N>] [--seed <S>]
-                [--batch <K>] [--chains <C>] [--jobs <N>] [--metrics]
+                [--batch <K>] [--chains <C>] [--jobs <N>] [--metrics] [OPTIONS]
   lobist lint <design.dfg> --modules <SET> [--deny <CODE|all>] [--allow <CODE>]
               [--json] [--jobs <N>] [--metrics] [OPTIONS]
   lobist analyze <design.dfg> --modules <SET> [--json] [--full] [--jobs <N>]
@@ -139,10 +140,11 @@ OPTIONS:
   --iterations <N>  evaluated moves for `anneal` (default 400)
   --seed <S>        RNG seed for `anneal` (decimal or 0x hex)
   --batch <K>       candidate moves speculated per `anneal` step
-                    (default 1; a pure performance knob — the committed
+                    (default 16; a pure performance knob — the committed
                     trajectory is identical for every K)
   --chains <C>      independent `anneal` chains, merged best-of
-                    (default 1; chain 0 reproduces the serial run)
+                    (default 1, at most 256; chain 0 reproduces the
+                    serial run)
   --deny <C|all>    deny a lint code (repeatable) on top of the default
                     policy (errors denied, warnings allowed); `all`
                     denies every finding including warnings
@@ -200,27 +202,21 @@ DESIGN FILE FORMAT (one statement per line):
   s = a + b @ 1      # result = lhs OP rhs @ control-step
   y = s * c @ 2      # operators: + - * / & | ^ <
   output y
+Annotate every operation with `@ step` or none: a design with no
+annotation is list-scheduled under --modules (`explore` and `schedule`
+schedule it themselves).
 ";
 
+#[derive(Default)]
 struct Options {
-    modules: Option<String>,
-    flow: String,
-    width: u32,
-    port_inputs: bool,
+    spec: JobSpec,
     netlist: bool,
     trace: bool,
     verilog: bool,
     json: bool,
     full: bool,
-    repair: bool,
     latency: Option<u32>,
-    candidates: Option<String>,
-    jobs: Option<usize>,
     metrics: bool,
-    iterations: Option<u32>,
-    seed: Option<u64>,
-    batch: Option<u32>,
-    chains: Option<usize>,
     deny: Vec<String>,
     allow: Vec<String>,
     lint: bool,
@@ -233,7 +229,6 @@ struct Options {
     cmd: Option<String>,
     progress: bool,
     faultsim: bool,
-    lanes: lobist_engine::LaneSelect,
     sizes: Option<String>,
     out_dir: Option<String>,
     permute: Option<u64>,
@@ -241,145 +236,51 @@ struct Options {
     positional: Vec<String>,
 }
 
+/// A seed token: decimal or `0x` hex.
+fn parse_seed(v: &str) -> Option<u64> {
+    v.strip_prefix("0x")
+        .map_or_else(|| v.parse().ok(), |hex| u64::from_str_radix(hex, 16).ok())
+}
+
 fn parse_args(args: &[String]) -> Result<Options, CliError> {
-    let mut o = Options {
-        modules: None,
-        flow: "testable".to_owned(),
-        width: 8,
-        port_inputs: false,
-        netlist: false,
-        trace: false,
-        verilog: false,
-        json: false,
-        full: false,
-        repair: false,
-        latency: None,
-        candidates: None,
-        jobs: None,
-        metrics: false,
-        iterations: None,
-        seed: None,
-        batch: None,
-        chains: None,
-        deny: Vec::new(),
-        allow: Vec::new(),
-        lint: false,
-        tcp: None,
-        unix_sock: None,
-        store: None,
-        store_max_bytes: None,
-        max_request_jobs: None,
-        max_active: None,
-        cmd: None,
-        progress: false,
-        faultsim: false,
-        lanes: lobist_engine::LaneSelect::Auto,
-        sizes: None,
-        out_dir: None,
-        permute: None,
-        twin_kernels: None,
-        positional: Vec::new(),
-    };
+    let mut o = Options::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        // A job field's flag is `--` plus its key with `-` for `_`.
+        let field = FIELDS
+            .iter()
+            .find(|f| *arg == format!("--{}", f.key.replace('_', "-")));
+        if let Some(field) = field {
+            let token = match field.kind {
+                Kind::Switch => "",
+                _ => it
+                    .next()
+                    .ok_or_else(|| CliError::Usage(format!("{arg} needs a value")))?,
+            };
+            let value = match field.kind {
+                Kind::Switch => Some(Value::Bool(true)),
+                Kind::Int if field.key == "seed" => parse_seed(token).map(Value::Int),
+                Kind::Int => token.parse().ok().map(Value::Int),
+                Kind::Text => Some(Value::Text(token)),
+            };
+            value
+                .ok_or(field)
+                .and_then(|value| o.spec.set(field, value))
+                .map_err(|f| {
+                    CliError::Usage(format!(
+                        "{arg} {token}: {} (expected {})",
+                        f.what, f.expects
+                    ))
+                })?;
+            continue;
+        }
         match arg.as_str() {
-            "--modules" => {
-                o.modules = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::Usage("--modules needs a value".into()))?
-                        .clone(),
-                )
-            }
-            "--flow" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--flow needs a value".into()))?;
-                if v != "testable" && v != "traditional" {
-                    return Err(CliError::Usage(format!("unknown flow `{v}`")));
-                }
-                o.flow = v.clone();
-            }
-            "--width" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--width needs a value".into()))?;
-                o.width = v
-                    .parse()
-                    .ok()
-                    .filter(|w| (2..=64).contains(w))
-                    .ok_or_else(|| CliError::Usage(format!("bad width `{v}` (expected 2..=64)")))?;
-            }
-            "--port-inputs" => o.port_inputs = true,
             "--netlist" => o.netlist = true,
             "--trace" => o.trace = true,
             "--verilog" => o.verilog = true,
             "--json" => o.json = true,
             "--full" => o.full = true,
-            "--repair" => o.repair = true,
-            "--candidates" => {
-                o.candidates = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::Usage("--candidates needs a value".into()))?
-                        .clone(),
-                )
-            }
-            "--jobs" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--jobs needs a value".into()))?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad job count `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::Usage(
-                        "--jobs 0 makes no sense: the engine needs at least one worker".into(),
-                    ));
-                }
-                o.jobs = Some(n);
-            }
             "--metrics" => o.metrics = true,
-            "--iterations" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--iterations needs a value".into()))?;
-                o.iterations = Some(
-                    v.parse()
-                        .map_err(|_| CliError::Usage(format!("bad iteration count `{v}`")))?,
-                );
-            }
-            "--seed" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--seed needs a value".into()))?;
-                let parsed = v
-                    .strip_prefix("0x")
-                    .map_or_else(|| v.parse(), |hex| u64::from_str_radix(hex, 16));
-                o.seed = Some(parsed.map_err(|_| CliError::Usage(format!("bad seed `{v}`")))?);
-            }
-            "--batch" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--batch needs a value".into()))?;
-                let k: u32 = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad batch size `{v}`")))?;
-                if k == 0 {
-                    return Err(CliError::Usage("--batch must be at least 1".into()));
-                }
-                o.batch = Some(k);
-            }
-            "--chains" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--chains needs a value".into()))?;
-                let c: usize = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad chain count `{v}`")))?;
-                if c == 0 {
-                    return Err(CliError::Usage("--chains must be at least 1".into()));
-                }
-                o.chains = Some(c);
-            }
             "--deny" => {
                 let v = it
                     .next()
@@ -395,36 +296,22 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--lint" => o.lint = true,
             "--progress" => o.progress = true,
             "--faultsim" => o.faultsim = true,
-            "--lanes" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--lanes needs a value".into()))?;
-                o.lanes = lobist_engine::LaneSelect::parse(v).ok_or_else(|| {
-                    CliError::Usage(format!(
-                        "bad lane width `{v}` (expected {})",
-                        lobist_engine::LaneSelect::EXPECTED
-                    ))
-                })?;
-            }
             "--permute" => {
                 let v = it
                     .next()
                     .ok_or_else(|| CliError::Usage("--permute needs a seed".into()))?;
-                let parsed = v
-                    .strip_prefix("0x")
-                    .map_or_else(|| v.parse(), |hex| u64::from_str_radix(hex, 16));
-                o.permute =
-                    Some(parsed.map_err(|_| CliError::Usage(format!("bad permute seed `{v}`")))?);
+                o.permute = Some(
+                    parse_seed(v)
+                        .ok_or_else(|| CliError::Usage(format!("bad permute seed `{v}`")))?,
+                );
             }
             "--twin-kernels" => {
                 let v = it
                     .next()
                     .ok_or_else(|| CliError::Usage("--twin-kernels needs a seed".into()))?;
-                let parsed = v
-                    .strip_prefix("0x")
-                    .map_or_else(|| v.parse(), |hex| u64::from_str_radix(hex, 16));
                 o.twin_kernels = Some(
-                    parsed.map_err(|_| CliError::Usage(format!("bad twin-kernels seed `{v}`")))?,
+                    parse_seed(v)
+                        .ok_or_else(|| CliError::Usage(format!("bad twin-kernels seed `{v}`")))?,
                 );
             }
             "--sizes" => {
@@ -522,44 +409,49 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
 /// The engine worker budget: `--jobs` if given, otherwise every
 /// available core.
 fn worker_count(o: &Options) -> usize {
-    o.jobs.unwrap_or_else(|| {
+    o.spec.jobs.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
     })
 }
 
-fn flow_options(o: &Options, traditional: bool) -> FlowOptions {
-    let mut f = if traditional {
-        FlowOptions::traditional()
-    } else {
-        FlowOptions::testable()
-    };
-    f.area = AreaModel::with_width(o.width);
-    f.lifetime_options = if o.port_inputs {
-        LifetimeOptions::port_inputs()
-    } else {
-        LifetimeOptions::registered_inputs()
-    };
-    f.repair_untestable = o.repair;
-    f
+/// The positional design file.
+fn design_path(o: &Options) -> Result<&str, CliError> {
+    o.positional
+        .get(1)
+        .map(String::as_str)
+        .ok_or_else(|| CliError::Usage("missing design file".into()))
 }
 
-fn load_design(
-    o: &Options,
-) -> Result<(lobist_dfg::Dfg, lobist_dfg::Schedule, ModuleSet), CliError> {
-    let path = o
-        .positional
-        .get(1)
-        .ok_or_else(|| CliError::Usage("missing design file".into()))?;
-    let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(path.clone(), e))?;
-    let (dfg, schedule) = parse_dfg(&text).map_err(CliError::Parse)?;
-    let modules: ModuleSet = o
+fn read_file(path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|e| CliError::Io(path.to_owned(), e))
+}
+
+/// The `--modules` set.
+fn module_set(o: &Options) -> Result<ModuleSet, CliError> {
+    o.spec
         .modules
         .as_deref()
         .ok_or_else(|| CliError::Usage("missing --modules".into()))?
         .parse()
-        .map_err(CliError::Modules)?;
+        .map_err(CliError::Modules)
+}
+
+/// Reads the design file at `path` and loads it under `modules` (see
+/// [`lobist_engine::load_design`] for the rule).
+fn load_file(path: &str, modules: &ModuleSet) -> Result<(Dfg, Schedule), CliError> {
+    load_design(&read_file(path)?, modules).map_err(|e| match e {
+        LoadError::Parse(e) => CliError::Parse(e),
+        LoadError::Schedule(e) => CliError::Usage(format!("{path}: cannot schedule: {e}")),
+    })
+}
+
+/// The design file and `--modules` set of a single-design command.
+fn load_command_design(o: &Options) -> Result<(Dfg, Schedule, ModuleSet), CliError> {
+    let path = design_path(o)?;
+    let modules = module_set(o)?;
+    let (dfg, schedule) = load_file(path, &modules)?;
     Ok((dfg, schedule, modules))
 }
 
@@ -651,25 +543,6 @@ fn lint_timing_json(stats: &lobist_engine::LintRunStats) -> String {
     )
 }
 
-/// The fault-simulation knobs shared by `faultsim` and
-/// `batch --faultsim`: the validated session width and the simulator
-/// options. Called before any synthesis, so a bad `--width` fails fast.
-fn fault_sim_setup(
-    o: &Options,
-) -> Result<(lobist_engine::SessionWidth, lobist_engine::FaultSimOptions), CliError> {
-    let width = lobist_engine::SessionWidth::new(o.width).map_err(CliError::Usage)?;
-    // Faults are collapsed into structural equivalence classes and the
-    // classes partitioned across the worker pool; the report is
-    // byte-identical to a serial, uncollapsed, 64-lane run for any
-    // --jobs or --lanes value.
-    let opts = lobist_engine::FaultSimOptions {
-        workers: worker_count(o),
-        collapse: true,
-        lanes: o.lanes,
-    };
-    Ok((width, opts))
-}
-
 /// One `batch --faultsim` line: a module's BIST session in a design.
 fn faultsim_row(design: &str, module: &str, report: &SessionReport) -> String {
     format!(
@@ -710,17 +583,18 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     match command {
         "help" | "--help" | "-h" => out.push_str(USAGE),
         "synth" => {
-            let (dfg, schedule, modules) = load_design(&o)?;
-            let opts = flow_options(&o, o.flow == "traditional");
+            let (dfg, schedule, modules) = load_command_design(&o)?;
+            let opts = o.spec.flow_options();
             let d = synthesize(&dfg, &schedule, &modules, &opts).map_err(CliError::Flow)?;
+            let flow = o.spec.flow.name();
             if o.json {
-                let _ = writeln!(out, "{}", design_json(&o.flow, &d));
+                let _ = writeln!(out, "{}", design_json(flow, &d));
                 return Ok(out);
             }
             let _ = writeln!(
                 out,
                 "{} flow: {} registers, {} muxes, {} functional gates",
-                o.flow,
+                flow,
                 d.data_path.num_registers(),
                 d.data_path.num_muxes(),
                 d.stats.functional_gates.get()
@@ -752,18 +626,22 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                         &dfg,
                         &schedule,
                         "lobist_design",
-                        o.width,
+                        o.spec.width,
                     )
                 );
             }
         }
         "compare" => {
-            let (dfg, schedule, modules) = load_design(&o)?;
+            let (dfg, schedule, modules) = load_command_design(&o)?;
             let mut rows = Vec::new();
-            for (label, traditional) in [("testable", false), ("traditional", true)] {
-                let opts = flow_options(&o, traditional);
+            for flow in [FlowKind::Testable, FlowKind::Traditional] {
+                let opts = JobSpec {
+                    flow,
+                    ..o.spec.clone()
+                }
+                .flow_options();
                 let d = synthesize(&dfg, &schedule, &modules, &opts).map_err(CliError::Flow)?;
-                rows.push((label, d));
+                rows.push((flow.name(), d));
             }
             if o.json {
                 let items: Vec<String> = rows.iter().map(|(l, d)| design_json(l, d)).collect();
@@ -796,11 +674,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             }
         }
         "schedule" => {
-            let path = o
-                .positional
-                .get(1)
-                .ok_or_else(|| CliError::Usage("missing design file".into()))?;
-            let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(path.clone(), e))?;
+            let text = read_file(design_path(&o)?)?;
             let dfg = lobist_dfg::parse::parse_unscheduled_dfg(&text).map_err(CliError::Parse)?;
             let critical = lobist_dfg::scheduling::asap(&dfg).max_step();
             let latency = o.latency.unwrap_or(critical);
@@ -827,9 +701,12 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let _ = writeln!(out, "{}", lobist_dfg::parse::to_text(&dfg, &schedule));
         }
         "faultsim" => {
-            let (width, sim_opts) = fault_sim_setup(&o)?;
-            let (dfg, schedule, modules) = load_design(&o)?;
-            let opts = flow_options(&o, false);
+            let (width, sim_opts) = o
+                .spec
+                .fault_sim(worker_count(&o))
+                .map_err(CliError::Usage)?;
+            let (dfg, schedule, modules) = load_command_design(&o)?;
+            let opts = o.spec.flow_options();
             // The sessions need only the module binding, but no engine
             // answer vouches for this design, so it is synthesized in
             // full and a design the flow rejects fails here.
@@ -866,13 +743,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             }
         }
         "explore" => {
-            let path = o
-                .positional
-                .get(1)
-                .ok_or_else(|| CliError::Usage("missing design file".into()))?;
-            let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(path.clone(), e))?;
+            let text = read_file(design_path(&o)?)?;
             let dfg = lobist_dfg::parse::parse_unscheduled_dfg(&text).map_err(CliError::Parse)?;
             let candidates: Vec<ModuleSet> = o
+                .spec
                 .candidates
                 .as_deref()
                 .ok_or_else(|| CliError::Usage("missing --candidates".into()))?
@@ -880,9 +754,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 .map(|s| s.trim().parse().map_err(CliError::Modules))
                 .collect::<Result<_, _>>()?;
             let mut config = lobist_alloc::explore::ExploreConfig::new(candidates);
-            config.flow = flow_options(&o, false);
+            config.flow = o.spec.flow_options();
             let engine = lobist_engine::Engine::new(worker_count(&o));
-            let result = lobist_engine::explore_parallel(&dfg, &config, &engine);
+            let (result, _) =
+                lobist_engine::explore_parallel(&dfg, &config, &engine, engine.workers());
             out.push_str(&lobist_engine::render_report(&result));
             if o.lint {
                 let policy = lint_policy(&o)?;
@@ -940,34 +815,17 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     ));
                 }
             }
-            let modules: ModuleSet = o
-                .modules
-                .as_deref()
-                .ok_or_else(|| CliError::Usage("missing --modules".into()))?
-                .parse()
-                .map_err(CliError::Modules)?;
-            let fault_sim = o.faultsim.then(|| fault_sim_setup(&o)).transpose()?;
-            let flow = flow_options(&o, o.flow == "traditional");
+            let modules = module_set(&o)?;
+            let fault_sim = o
+                .faultsim
+                .then(|| o.spec.fault_sim(worker_count(&o)))
+                .transpose()
+                .map_err(CliError::Usage)?;
+            let flow = o.spec.flow_options();
             let mut jobs = Vec::new();
             let mut parsed = Vec::new();
             for path in &design_paths {
-                let text =
-                    std::fs::read_to_string(path).map_err(|e| CliError::Io(path.clone(), e))?;
-                // Scheduled files keep their `@ step` annotations;
-                // unscheduled ones get a resource-constrained list
-                // schedule under the shared module set.
-                let (dfg, schedule) = match parse_dfg(&text) {
-                    Ok(parsed) => parsed,
-                    Err(_) => {
-                        let dfg = lobist_dfg::parse::parse_unscheduled_dfg(&text)
-                            .map_err(CliError::Parse)?;
-                        let schedule = lobist_dfg::scheduling::list_schedule(&dfg, &modules)
-                            .map_err(|e| {
-                                CliError::Usage(format!("{path}: cannot schedule: {e}"))
-                            })?;
-                        (dfg, schedule)
-                    }
-                };
+                let (dfg, schedule) = load_file(path, &modules)?;
                 let dfg = std::sync::Arc::new(dfg);
                 jobs.push(lobist_engine::Job {
                     dfg: dfg.clone(),
@@ -1098,7 +956,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                         })
                     })
                     .collect::<Result<_, _>>()?;
-            let seed = o.seed.unwrap_or(1);
+            let seed = o.spec.seed.unwrap_or(1);
             let dir = std::path::PathBuf::from(o.out_dir.as_deref().unwrap_or("lobist-corpus"));
             std::fs::create_dir_all(&dir)
                 .map_err(|e| CliError::Io(dir.display().to_string(), e))?;
@@ -1134,6 +992,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     // (with matching --modules) answers it from cache.
                     if let Some(kseed) = o.twin_kernels {
                         let modules: ModuleSet = o
+                            .spec
                             .modules
                             .as_deref()
                             .unwrap_or("1+,1*,1-")
@@ -1162,52 +1021,19 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             }
         }
         "anneal" => {
-            let (dfg, schedule, modules) = load_design(&o)?;
-            let flow = flow_options(&o, false);
-            let ma = lobist_alloc::module_assign::assign_modules(&dfg, &schedule, &modules)
-                .map_err(|e| CliError::Flow(e.into()))?;
-            let config = lobist_alloc::anneal::AnnealConfig {
-                iterations: o.iterations.unwrap_or(400),
-                seed: o.seed.unwrap_or(0xA11EA1),
-                batch: o.batch.unwrap_or(16),
-                ..Default::default()
-            };
+            let (dfg, schedule, modules) = load_command_design(&o)?;
             let workers = worker_count(&o);
-            let chains = o.chains.unwrap_or(1);
-            // One chain anneals with pool-backed speculative batches;
-            // several run serial chains across the pool with a
-            // deterministic best-of merge. Either way the report is
-            // byte-identical for any --jobs value.
-            let (result, stats) = if chains > 1 {
-                lobist_engine::anneal_multichain(
-                    &dfg,
-                    &schedule,
-                    flow.lifetime_options,
-                    &ma,
-                    &flow,
-                    &config,
-                    chains,
-                    workers,
-                )
-            } else {
-                lobist_engine::anneal_parallel(
-                    &dfg,
-                    &schedule,
-                    flow.lifetime_options,
-                    &ma,
-                    &flow,
-                    &config,
-                    workers,
-                )
-            }
-            .map_err(CliError::Flow)?;
-            let heuristic = synthesize(&dfg, &schedule, &modules, &flow)
+            let (config, result, stats) = o
+                .spec
+                .anneal(&dfg, &schedule, &modules, workers)
+                .map_err(CliError::Flow)?;
+            let heuristic = synthesize(&dfg, &schedule, &modules, &o.spec.flow_options())
                 .map(|d| d.bist.overhead.get())
                 .ok();
             let _ = writeln!(
                 out,
                 "annealed search: {} iterations, seed 0x{:X}, batch {}, {} chain(s), {} worker(s)",
-                config.iterations, config.seed, config.batch, chains, workers
+                config.iterations, config.seed, config.batch, stats.chains, workers
             );
             let _ = writeln!(
                 out,
@@ -1222,7 +1048,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             if let Some(h) = heuristic {
                 let _ = writeln!(out, "constructive heuristic:       {h} gates");
             }
-            if chains > 1 {
+            if stats.chains > 1 {
                 let per: Vec<String> = stats.chain_overheads.iter().map(u64::to_string).collect();
                 let _ = writeln!(
                     out,
@@ -1257,30 +1083,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
         "lint" => {
             let policy = lint_policy(&o)?;
-            let path = o
-                .positional
-                .get(1)
-                .ok_or_else(|| CliError::Usage("missing design file".into()))?;
-            let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(path.clone(), e))?;
-            let modules: ModuleSet = o
-                .modules
-                .as_deref()
-                .ok_or_else(|| CliError::Usage("missing --modules".into()))?
-                .parse()
-                .map_err(CliError::Modules)?;
-            // Same fallback as `batch`: unscheduled files get a
-            // resource-constrained list schedule under the module set.
-            let (dfg, schedule) = match parse_dfg(&text) {
-                Ok(parsed) => parsed,
-                Err(_) => {
-                    let dfg =
-                        lobist_dfg::parse::parse_unscheduled_dfg(&text).map_err(CliError::Parse)?;
-                    let schedule = lobist_dfg::scheduling::list_schedule(&dfg, &modules)
-                        .map_err(|e| CliError::Usage(format!("{path}: cannot schedule: {e}")))?;
-                    (dfg, schedule)
-                }
-            };
-            let flow = flow_options(&o, o.flow == "traditional");
+            let (dfg, schedule, modules) = load_command_design(&o)?;
+            let flow = o.spec.flow_options();
             let d = synthesize(&dfg, &schedule, &modules, &flow).map_err(CliError::Flow)?;
             let metrics = o.metrics.then(lobist_engine::Metrics::new);
             let (report, stats) = lint_design(
@@ -1332,30 +1136,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             }
         }
         "analyze" => {
-            let path = o
-                .positional
-                .get(1)
-                .ok_or_else(|| CliError::Usage("missing design file".into()))?;
-            let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(path.clone(), e))?;
-            let modules: ModuleSet = o
-                .modules
-                .as_deref()
-                .ok_or_else(|| CliError::Usage("missing --modules".into()))?
-                .parse()
-                .map_err(CliError::Modules)?;
-            // Same fallback as `lint`: unscheduled files get a
-            // resource-constrained list schedule under the module set.
-            let (dfg, schedule) = match parse_dfg(&text) {
-                Ok(parsed) => parsed,
-                Err(_) => {
-                    let dfg =
-                        lobist_dfg::parse::parse_unscheduled_dfg(&text).map_err(CliError::Parse)?;
-                    let schedule = lobist_dfg::scheduling::list_schedule(&dfg, &modules)
-                        .map_err(|e| CliError::Usage(format!("{path}: cannot schedule: {e}")))?;
-                    (dfg, schedule)
-                }
-            };
-            let flow = flow_options(&o, o.flow == "traditional");
+            let (dfg, schedule, modules) = load_command_design(&o)?;
+            let flow = o.spec.flow_options();
             let d = synthesize(&dfg, &schedule, &modules, &flow).map_err(CliError::Flow)?;
             let unit = LintUnit::of_design(&dfg, &schedule, &d, flow.lifetime_options, &flow.area);
             let metrics = o.metrics.then(lobist_engine::Metrics::new);
@@ -1427,55 +1209,12 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     o.tcp.clone().unwrap_or_else(|| "127.0.0.1:7420".to_owned()),
                 )
             };
-            let cmd = o.cmd.as_deref().unwrap_or("synth");
-            let mut fields = vec![format!("\"cmd\":\"{cmd}\"")];
-            if let Some(path) = o.positional.get(1) {
-                let text =
-                    std::fs::read_to_string(path).map_err(|e| CliError::Io(path.clone(), e))?;
-                fields.push(format!(
-                    "\"design\":\"{}\"",
-                    lobist_server::json::escape(&text)
-                ));
-            }
-            if let Some(m) = &o.modules {
-                fields.push(format!(
-                    "\"modules\":\"{}\"",
-                    lobist_server::json::escape(m)
-                ));
-            }
-            if let Some(c) = &o.candidates {
-                fields.push(format!(
-                    "\"candidates\":\"{}\"",
-                    lobist_server::json::escape(c)
-                ));
-            }
-            fields.push(format!("\"flow\":\"{}\"", o.flow));
-            fields.push(format!("\"width\":{}", o.width));
-            if o.repair {
-                fields.push("\"repair\":true".to_owned());
-            }
-            if o.port_inputs {
-                fields.push("\"port_inputs\":true".to_owned());
-            }
-            if let Some(j) = o.jobs {
-                fields.push(format!("\"jobs\":{j}"));
-            }
-            if let Some(n) = o.iterations {
-                fields.push(format!("\"iterations\":{n}"));
-            }
-            if let Some(seed) = o.seed {
-                fields.push(format!("\"seed\":{seed}"));
-            }
-            if let Some(k) = o.batch {
-                fields.push(format!("\"batch\":{k}"));
-            }
-            if let Some(c) = o.chains {
-                fields.push(format!("\"chains\":{c}"));
-            }
-            if let Some(w) = o.lanes.fixed() {
-                fields.push(format!("\"lanes\":{w}"));
-            }
-            let request = format!("{{{}}}", fields.join(","));
+            let design = o.positional.get(1).map(|p| read_file(p)).transpose()?;
+            let request = lobist_server::proto::render_request(
+                o.cmd.as_deref().unwrap_or("synth"),
+                design.as_deref(),
+                &o.spec,
+            );
             let events = lobist_server::submit(&endpoint, &request)
                 .map_err(|e| CliError::Io(endpoint.to_string(), e))?;
             for line in events {
@@ -1489,28 +1228,29 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 "design", "modules", "reg", "trad BIST%", "test BIST%", "reduction"
             );
             for bench in lobist_dfg::benchmarks::paper_suite() {
-                let mk = |traditional: bool| {
-                    let mut f = if traditional {
-                        FlowOptions::traditional()
-                    } else {
-                        FlowOptions::testable()
-                    };
-                    f.area = AreaModel::with_width(o.width);
-                    f.lifetime_options = bench.lifetime_options;
-                    f
+                // The paper's flows at `--width`, under each benchmark's
+                // own lifetime conventions.
+                let mk = |flow| FlowOptions {
+                    lifetime_options: bench.lifetime_options,
+                    ..JobSpec {
+                        flow,
+                        width: o.spec.width,
+                        ..JobSpec::default()
+                    }
+                    .flow_options()
                 };
                 let t = synthesize(
                     &bench.dfg,
                     &bench.schedule,
                     &bench.module_allocation,
-                    &mk(false),
+                    &mk(FlowKind::Testable),
                 )
                 .map_err(CliError::Flow)?;
                 let tr = synthesize(
                     &bench.dfg,
                     &bench.schedule,
                     &bench.module_allocation,
-                    &mk(true),
+                    &mk(FlowKind::Traditional),
                 )
                 .map_err(CliError::Flow)?;
                 let red = 100.0 * (tr.bist.overhead.get() as f64 - t.bist.overhead.get() as f64)
@@ -1788,6 +1528,7 @@ mod tests {
         for bad in [
             vec!["anneal", &path, "--modules", "1+,1*", "--batch", "0"],
             vec!["anneal", &path, "--modules", "1+,1*", "--chains", "0"],
+            vec!["anneal", &path, "--modules", "1+,1*", "--chains", "257"],
             vec!["anneal", &path, "--modules", "1+,1*", "--seed", "zzz"],
             vec![
                 "anneal",
@@ -2777,8 +2518,8 @@ mod tests {
 
         let o = parse_args(&args).unwrap();
         let modules: ModuleSet = "1+,1*,1-".parse().unwrap();
-        let flow = flow_options(&o, false);
-        let (width, sim_opts) = fault_sim_setup(&o).unwrap();
+        let flow = o.spec.flow_options();
+        let (width, sim_opts) = o.spec.fault_sim(worker_count(&o)).unwrap();
         let engine = lobist_engine::Engine::new(1);
         let mut want = Vec::new();
         for path in &paths {
@@ -2822,5 +2563,137 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, CliError::Io(_, _)));
         assert!(err.to_string().contains("lobist-nowhere"), "{err}");
+    }
+
+    #[test]
+    fn cli_and_daemon_parse_the_same_job_specs() {
+        use lobist_server::proto::{parse_request, render_request};
+        // Every valid spec reads the same from argv and from the request
+        // line `submit` sends for it.
+        for args in [
+            "",
+            "--modules 1+,2* --flow traditional --width 64 --repair",
+            "--candidates 1+;2+ --port-inputs --jobs 3 --lanes 256",
+            "--lanes 64 --width 2 --iterations 0 --seed 0",
+            "--iterations 4294967295 --seed 0xFFFFFFFFFFFFFFFF",
+            "--batch 4294967295 --chains 256 --lanes auto",
+            "--batch 1 --chains 1 --flow testable",
+        ] {
+            let args: Vec<&str> = args.split_whitespace().collect();
+            let cli = parse_args(&argv(&args)).unwrap().spec;
+            let line = render_request("anneal", None, &cli);
+            let daemon = parse_request(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(cli, daemon.spec, "{args:?} sent as {line}");
+        }
+        // Every bad value is rejected by both: (flag, CLI token, JSON value).
+        for (flag, token, json) in [
+            ("--flow", "magic", r#""magic""#),
+            ("--width", "1", "1"),
+            ("--width", "65", "65"),
+            ("--jobs", "0", "0"),
+            ("--lanes", "128", "128"),
+            ("--lanes", "512", r#""512""#),
+            ("--iterations", "4294967296", "4294967296"),
+            ("--seed", "-1", "-1"),
+            ("--batch", "0", "0"),
+            ("--batch", "4294967296", "4294967296"),
+            ("--chains", "0", "0"),
+            ("--chains", "257", "257"),
+            ("--chains", "1000000000000000", "1000000000000000"),
+        ] {
+            let err = parse_args(&argv(&[flag, token])).err();
+            assert!(matches!(err, Some(CliError::Usage(_))), "{flag} {token}");
+            let key = flag[2..].replace('-', "_");
+            let line = format!(r#"{{"cmd":"anneal","{key}":{json}}}"#);
+            assert!(parse_request(&line).is_err(), "{line}");
+        }
+    }
+
+    #[test]
+    fn annotated_schedules_are_checked_never_replaced() {
+        // `s` is scheduled after its consumer `y`.
+        let broken = write_temp(
+            "lobist_cli_broken_schedule.dfg",
+            "input a b\ns = a + b @ 2\ny = s + a @ 1\noutput y\n",
+        );
+        let partial = write_temp(
+            "lobist_cli_partial_schedule.dfg",
+            "input a b\ns = a + b @ 1\ny = s + a\noutput y\n",
+        );
+        for cmd in ["synth", "batch", "lint", "analyze", "faultsim", "anneal"] {
+            let err = run(&argv(&[cmd, &broken, "--modules", "1+"])).unwrap_err();
+            assert!(matches!(err, CliError::Parse(_)), "{cmd}: {err}");
+            assert!(
+                err.to_string().contains("same or an earlier step"),
+                "{cmd}: {err}"
+            );
+            let err = run(&argv(&[cmd, &partial, "--modules", "1+"])).unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                msg.contains("line 3: operation `y` has no `@ step`"),
+                "{cmd}: {msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn synth_list_schedules_an_unscheduled_design() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../designs/diffeq.dfg");
+        let text = std::fs::read_to_string(path).unwrap();
+        let modules: ModuleSet = "1+,2*,1-".parse().unwrap();
+        let dfg = lobist_dfg::parse::parse_unscheduled_dfg(&text).unwrap();
+        let schedule = lobist_dfg::scheduling::list_schedule(&dfg, &modules).unwrap();
+        let listed = write_temp(
+            "lobist_cli_diffeq_listed.dfg",
+            &lobist_dfg::parse::to_text(&dfg, &schedule),
+        );
+        let synth = |p: &str| run(&argv(&["synth", p, "--modules", "1+,2*,1-"])).unwrap();
+        assert_eq!(synth(path), synth(&listed));
+    }
+
+    #[test]
+    fn explore_and_anneal_honor_the_flow_flag() {
+        // Paulin's differential equation, where the two flows' BIST
+        // overheads differ.
+        let paulin = "input x u dx y\n\
+                      t1 = 3 * x @ 1\n\
+                      t2 = u * dx @ 1\n\
+                      xl = x + dx @ 1\n\
+                      t3 = t1 * t2 @ 2\n\
+                      t4 = 3 * y @ 2\n\
+                      yl = y + t2 @ 2\n\
+                      t5 = t4 * dx @ 3\n\
+                      t6 = u - t3 @ 3\n\
+                      ul = t6 - t5 @ 4\n\
+                      output xl yl ul\n";
+        let path = write_temp("lobist_cli_flow_flag.dfg", paulin);
+        let base = ["--modules", "1+,2*,1-", "--flow"];
+        let gates = |out: &str, after: &str| -> String {
+            let rest = out.split(after).nth(1).unwrap_or_else(|| panic!("{out}"));
+            rest.trim_start().chars().take_while(char::is_ascii_digit).collect()
+        };
+        let mut heuristics = Vec::new();
+        for flow in ["testable", "traditional"] {
+            let synth = run(&argv(&[&["synth", &path, "--json"], &base[..], &[flow]].concat()));
+            let anneal = run(&argv(
+                &[&["anneal", &path, "--iterations", "5"], &base[..], &[flow]].concat(),
+            ));
+            let heuristic = gates(&anneal.unwrap(), "constructive heuristic:");
+            assert_eq!(heuristic, gates(&synth.unwrap(), "\"overhead_gates\":"), "{flow}");
+            heuristics.push(heuristic);
+        }
+        assert_ne!(heuristics[0], heuristics[1]);
+        let explore = |flow| {
+            run(&argv(&[
+                "explore",
+                &path,
+                "--candidates",
+                "1+,2*,1-;2+,2*,2-",
+                "--flow",
+                flow,
+            ]))
+            .unwrap()
+        };
+        assert_ne!(explore("testable"), explore("traditional"));
     }
 }

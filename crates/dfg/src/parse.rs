@@ -97,8 +97,8 @@ impl From<ScheduleError> for ParseDfgError {
 pub fn parse_dfg(text: &str) -> Result<(Dfg, Schedule), ParseDfgError> {
     let mut builder = DfgBuilder::new();
     let mut vars: HashMap<String, VarId> = HashMap::new();
-    let mut steps: Vec<Option<u32>> = Vec::new();
-    let mut outputs: Vec<String> = Vec::new();
+    let mut steps: Vec<(usize, Option<u32>)> = Vec::new();
+    let mut outputs: Vec<(usize, &str)> = Vec::new();
 
     for (lineno, raw) in text.lines().enumerate() {
         let line = lineno + 1;
@@ -114,7 +114,7 @@ pub fn parse_dfg(text: &str) -> Result<(Dfg, Schedule), ParseDfgError> {
             continue;
         }
         if let Some(rest) = stmt.strip_prefix("output") {
-            outputs.extend(rest.split_whitespace().map(str::to_owned));
+            outputs.extend(rest.split_whitespace().map(|name| (line, name)));
             continue;
         }
         // result = lhs OP rhs [@ step]
@@ -170,25 +170,27 @@ pub fn parse_dfg(text: &str) -> Result<(Dfg, Schedule), ParseDfgError> {
         let rhs = operand(b)?;
         let out = builder.op(kind, result, lhs, rhs);
         vars.insert(result.to_owned(), out);
-        steps.push(step);
+        steps.push((line, step));
     }
 
-    for name in &outputs {
-        let v = vars.get(name).ok_or_else(|| ParseDfgError::UnknownOperand {
-            line: 0,
-            name: name.clone(),
-        })?;
+    for (line, name) in outputs {
+        let v = vars
+            .get(name)
+            .ok_or_else(|| ParseDfgError::UnknownOperand {
+                line,
+                name: name.to_owned(),
+            })?;
         builder.mark_output(*v);
     }
     let dfg = builder.build()?;
     let steps: Vec<u32> = steps
         .iter()
         .enumerate()
-        .map(|(i, s)| {
+        .map(|(i, &(line, s))| {
             s.ok_or_else(|| ParseDfgError::Syntax {
-                line: 0,
+                line,
                 message: format!(
-                    "operation `{}` has no `@ step` (use parse_unscheduled_dfg for                      unscheduled designs)",
+                    "operation `{}` has no `@ step` (a scheduled design annotates every operation)",
                     dfg.var(dfg.op(crate::OpId(i as u32)).out).name
                 ),
             })
@@ -395,6 +397,20 @@ mod tests {
     fn scheduled_parse_requires_steps() {
         let err = parse_dfg("input a b\ns = a + b\noutput s\n").unwrap_err();
         assert!(err.to_string().contains("no `@ step`"), "{err}");
+        assert!(
+            matches!(err, ParseDfgError::Syntax { line: 2, .. }),
+            "{err}"
+        );
+        // A partly scheduled design names the unannotated operation's line.
+        let err = parse_dfg("input a b\ns = a + b @ 1\n\nt = s * a\noutput t\n").unwrap_err();
+        assert!(err.to_string().starts_with("line 4: "), "{err}");
+        assert!(!err.to_string().contains("  "), "{err}");
+        // An undefined output names its `output` line.
+        let err = parse_dfg("input a b\ns = a + b @ 1\noutput s z\n").unwrap_err();
+        assert!(
+            matches!(err, ParseDfgError::UnknownOperand { line: 3, .. }),
+            "{err}"
+        );
     }
 
     #[test]

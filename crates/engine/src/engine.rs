@@ -60,6 +60,23 @@ pub struct JobOutcome {
     pub timings: StageTimings,
 }
 
+/// Which cache tier answered `outcomes`: `"iso"` when every job was a
+/// hit and at least one was isomorphic (a renamed, reordered or
+/// schedule-shifted twin's result, remapped), `"memory"` or `"store"`
+/// when every job came from that tier (`"store"` for a mix of the two),
+/// `"fresh"` when any job was evaluated or there were none.
+pub fn provenance(outcomes: &[JobOutcome]) -> &'static str {
+    if outcomes.is_empty() || !outcomes.iter().all(|o| o.cache_hit || o.store_hit) {
+        "fresh"
+    } else if outcomes.iter().any(|o| o.iso_hit) {
+        "iso"
+    } else if outcomes.iter().all(|o| o.cache_hit) {
+        "memory"
+    } else {
+        "store"
+    }
+}
+
 /// A parallel batch-synthesis engine.
 ///
 /// One engine owns one worker budget, one result cache, one BIST

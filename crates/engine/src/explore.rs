@@ -12,12 +12,18 @@ use std::sync::Arc;
 use lobist_alloc::explore::{assemble, enumerate_candidates, ExploreConfig, ExploreResult};
 use lobist_dfg::Dfg;
 
-use crate::engine::{Engine, Job};
+use crate::engine::{provenance, Engine, Job};
 
-/// Explores the design space of `dfg` under `config` on `engine`'s
-/// worker pool. Produces exactly what `lobist_alloc::explore::explore`
-/// produces, in the same order.
-pub fn explore_parallel(dfg: &Dfg, config: &ExploreConfig, engine: &Engine) -> ExploreResult {
+/// Explores the design space of `dfg` under `config` on `engine` with
+/// `workers` threads. Produces exactly what
+/// `lobist_alloc::explore::explore` produces, in the same order, plus
+/// the [`provenance`] of the candidates' answers.
+pub fn explore_parallel(
+    dfg: &Dfg,
+    config: &ExploreConfig,
+    engine: &Engine,
+    workers: usize,
+) -> (ExploreResult, &'static str) {
     let (candidates, mut failures) = enumerate_candidates(dfg, config);
     let shared = Arc::new(dfg.clone());
     let jobs: Vec<Job> = candidates
@@ -29,14 +35,16 @@ pub fn explore_parallel(dfg: &Dfg, config: &ExploreConfig, engine: &Engine) -> E
             flow: config.flow.clone(),
         })
         .collect();
+    let outcomes = engine.run_with_workers(jobs, workers);
+    let served = provenance(&outcomes);
     let mut points = Vec::new();
-    for outcome in engine.run(jobs) {
+    for outcome in outcomes {
         match outcome.result {
             Ok(p) => points.push(p),
             Err(f) => failures.push(f),
         }
     }
-    assemble(points, failures)
+    (assemble(points, failures), served)
 }
 
 /// Renders an exploration result as the sweep table the CLI prints:
@@ -86,7 +94,7 @@ mod tests {
         config.flow = config.flow.with_lifetimes(bench.lifetime_options);
         let serial = explore(&bench.dfg, &config);
         let engine = Engine::new(4);
-        let parallel = explore_parallel(&bench.dfg, &config, &engine);
+        let (parallel, _) = explore_parallel(&bench.dfg, &config, &engine, 4);
         assert_eq!(render_report(&serial), render_report(&parallel));
         assert_eq!(serial.pareto, parallel.pareto);
     }

@@ -30,7 +30,10 @@
 //!   best-of sweep;
 //! * [`lint`] — the static-verifier passes of `lobist_lint`, one pool
 //!   task per pass, merged into a report that is byte-identical for any
-//!   worker count, with per-pass timing histograms in the metrics.
+//!   worker count, with per-pass timing histograms in the metrics;
+//! * [`spec`] — the one job specification the CLI and the daemon both
+//!   parse into: field defaults and checks, the flow options, the design
+//!   loader, the fault-simulation knobs and the annealing run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,6 +46,7 @@ pub mod faultsim;
 pub mod lint;
 pub mod metrics;
 pub mod pool;
+pub mod spec;
 
 mod explore;
 
@@ -52,7 +56,7 @@ pub use cache::{
     canonical_job_key, failure_key, origin_fingerprint, JobResult, ResultCache,
     DEFAULT_CACHE_CAPACITY,
 };
-pub use engine::{Engine, Job, JobOutcome, ProgressSink};
+pub use engine::{provenance, Engine, Job, JobOutcome, ProgressSink};
 pub use explore::{explore_parallel, render_report};
 pub use faultsim::{
     bist_session_parallel, fault_sim_modules, random_coverage_parallel, FaultSimOptions,
@@ -65,3 +69,4 @@ pub use metrics::{
     MetricsSnapshot, ServerSnapshot, TestabilitySnapshot, NUM_BUCKETS, STAGE_NAMES,
 };
 pub use pool::{run_jobs, PoolStats};
+pub use spec::{load_design, FlowKind, JobSpec, LoadError};

@@ -52,7 +52,7 @@ fn parallel_sweep_is_byte_identical_to_serial() {
         );
         for workers in [1, 4, 7] {
             let engine = Engine::new(workers);
-            let parallel = explore_parallel(&dfg, &config, &engine);
+            let (parallel, _) = explore_parallel(&dfg, &config, &engine, workers);
             assert_eq!(
                 render_report(&serial),
                 render_report(&parallel),
@@ -75,13 +75,15 @@ fn repeated_sweep_hits_the_cache_with_identical_results() {
     for (name, dfg, sets) in sweeps() {
         let config = ExploreConfig::new(sets);
         let engine = Engine::new(4);
-        let first = explore_parallel(&dfg, &config, &engine);
+        let (first, cold) = explore_parallel(&dfg, &config, &engine, 4);
+        assert_eq!(cold, "fresh", "{name}");
         assert_eq!(
             engine.metrics().cache_hits,
             0,
             "{name}: cold run hit the cache"
         );
-        let second = explore_parallel(&dfg, &config, &engine);
+        let (second, warm) = explore_parallel(&dfg, &config, &engine, 4);
+        assert_eq!(warm, "memory", "{name}");
         let metrics = engine.metrics();
         assert!(
             metrics.cache_hits > 0,

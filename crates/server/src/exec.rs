@@ -9,15 +9,12 @@
 
 use std::sync::Arc;
 
-use lobist_alloc::anneal::AnnealConfig;
-use lobist_alloc::explore::{assemble, enumerate_candidates, Candidate, DesignPoint, ExploreConfig};
-use lobist_alloc::flow::{synthesize, FlowOptions};
-use lobist_datapath::area::AreaModel;
-use lobist_dfg::lifetime::LifetimeOptions;
+use lobist_alloc::explore::{Candidate, DesignPoint, ExploreConfig};
+use lobist_alloc::flow::{synthesize, Design, FlowOptions};
 use lobist_dfg::modules::ModuleSet;
-use lobist_dfg::parse::{parse_dfg, parse_unscheduled_dfg};
+use lobist_dfg::parse::parse_unscheduled_dfg;
 use lobist_dfg::{Dfg, Schedule};
-use lobist_engine::{FaultSimOptions, Job, SessionWidth};
+use lobist_engine::{load_design, provenance, Job, LoadError};
 use lobist_lint::{LintUnit, PassRegistry};
 
 use crate::json::escape;
@@ -57,26 +54,11 @@ pub(crate) fn execute(request: &Request, shared: &Arc<Shared>) -> Result<JobBody
 /// policy, defaulting to the engine's own worker count.
 fn effective_jobs(request: &Request, shared: &Shared) -> usize {
     request
+        .spec
         .jobs
         .unwrap_or(shared.config.workers)
         .min(shared.config.max_request_jobs)
         .max(1)
-}
-
-fn flow_options(request: &Request) -> FlowOptions {
-    let mut f = if request.flow == "traditional" {
-        FlowOptions::traditional()
-    } else {
-        FlowOptions::testable()
-    };
-    f.area = AreaModel::with_width(request.width);
-    f.lifetime_options = if request.port_inputs {
-        LifetimeOptions::port_inputs()
-    } else {
-        LifetimeOptions::registered_inputs()
-    };
-    f.repair_untestable = request.repair;
-    f
 }
 
 fn require<'a>(field: &'a Option<String>, name: &str) -> Result<&'a str, String> {
@@ -85,25 +67,26 @@ fn require<'a>(field: &'a Option<String>, name: &str) -> Result<&'a str, String>
         .ok_or_else(|| format!("missing field `{name}`"))
 }
 
-/// Parses the inline design, scheduled or not — unscheduled designs get
-/// a resource-constrained list schedule under the module set (the same
-/// fallback the CLI's `batch` and `lint` commands use).
-fn load_design(text: &str, modules: &ModuleSet) -> Result<(Dfg, Schedule), String> {
-    match parse_dfg(text) {
-        Ok(parsed) => Ok(parsed),
-        Err(_) => {
-            let dfg = parse_unscheduled_dfg(text).map_err(|e| format!("design: {e}"))?;
-            let schedule = lobist_dfg::scheduling::list_schedule(&dfg, modules)
-                .map_err(|e| format!("cannot schedule design: {e}"))?;
-            Ok((dfg, schedule))
-        }
-    }
+/// The request's design, loaded under its module set by the loader
+/// every job command shares.
+fn load(request: &Request) -> Result<(Dfg, Schedule, ModuleSet), String> {
+    let design = require(&request.design, "design")?;
+    let modules: ModuleSet = require(&request.spec.modules, "modules")?
+        .parse()
+        .map_err(|e| format!("modules: {e}"))?;
+    let (dfg, schedule) = load_design(design, &modules).map_err(|e| match e {
+        LoadError::Parse(e) => format!("design: {e}"),
+        LoadError::Schedule(e) => format!("cannot schedule design: {e}"),
+    })?;
+    Ok((dfg, schedule, modules))
 }
 
-fn parse_modules(request: &Request) -> Result<ModuleSet, String> {
-    require(&request.modules, "modules")?
-        .parse()
-        .map_err(|e| format!("modules: {e}"))
+/// The request's design, loaded and synthesized in full.
+fn load_and_synthesize(request: &Request) -> Result<(Dfg, Schedule, Design, FlowOptions), String> {
+    let (dfg, schedule, modules) = load(request)?;
+    let flow = request.spec.flow_options();
+    let d = synthesize(&dfg, &schedule, &modules, &flow).map_err(|e| format!("synthesis: {e}"))?;
+    Ok((dfg, schedule, d, flow))
 }
 
 /// Renders one design point as the deterministic `result` payload.
@@ -136,33 +119,17 @@ fn point_json(p: &DesignPoint) -> String {
 }
 
 fn synth(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
-    let design = require(&request.design, "design")?;
-    let modules = parse_modules(request)?;
-    let (dfg, schedule) = load_design(design, &modules)?;
-    let flow = flow_options(request);
+    let (dfg, schedule, modules) = load(request)?;
     let job = Job {
         dfg: Arc::new(dfg),
-        candidate: Candidate {
-            modules: modules.clone(),
-            schedule,
-        },
-        flow,
         label: modules.to_string(),
+        candidate: Candidate { modules, schedule },
+        flow: request.spec.flow_options(),
     };
     let jobs = effective_jobs(request, shared);
     let mut outcomes = shared.engine.run_with_workers(vec![job], jobs);
+    let cache = provenance(&outcomes);
     let outcome = outcomes.pop().expect("one job, one outcome");
-    let cache = if outcome.iso_hit {
-        // An isomorphic twin answered from the canonical cache: the
-        // caller's exact design was never synthesized, only remapped.
-        "iso"
-    } else if outcome.cache_hit {
-        "memory"
-    } else if outcome.store_hit {
-        "store"
-    } else {
-        "fresh"
-    };
     match &outcome.result {
         Ok(p) => Ok(JobBody {
             ok: true,
@@ -183,44 +150,21 @@ fn synth(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
 
 fn explore(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
     let design = require(&request.design, "design")?;
-    let text = require(&request.candidates, "candidates")?;
+    let text = require(&request.spec.candidates, "candidates")?;
     let dfg = parse_unscheduled_dfg(design).map_err(|e| format!("design: {e}"))?;
     let candidates: Vec<ModuleSet> = text
         .split(';')
         .map(|s| s.trim().parse().map_err(|e| format!("candidates: {e}")))
         .collect::<Result<_, _>>()?;
     let mut config = ExploreConfig::new(candidates);
-    config.flow = flow_options(request);
-    // The same fan-out as `lobist_engine::explore_parallel`, but with
-    // the per-request worker budget instead of the engine default.
-    let (candidates, mut failures) = enumerate_candidates(&dfg, &config);
-    let shared_dfg = Arc::new(dfg);
-    let jobs: Vec<Job> = candidates
-        .into_iter()
-        .map(|candidate| Job {
-            dfg: Arc::clone(&shared_dfg),
-            label: candidate.modules.to_string(),
-            candidate,
-            flow: config.flow.clone(),
-        })
-        .collect();
-    let outcomes = shared
-        .engine
-        .run_with_workers(jobs, effective_jobs(request, shared));
-    let served_from = cache_provenance(&outcomes);
-    let mut points = Vec::new();
-    for outcome in outcomes {
-        match outcome.result {
-            Ok(p) => points.push(p),
-            Err(f) => failures.push(f),
-        }
-    }
-    let result = assemble(points, failures);
+    config.flow = request.spec.flow_options();
+    let workers = effective_jobs(request, shared);
+    let (result, served) = lobist_engine::explore_parallel(&dfg, &config, &shared.engine, workers);
     let report = lobist_engine::render_report(&result);
     let pareto: Vec<String> = result.pareto.iter().map(usize::to_string).collect();
     Ok(JobBody {
         ok: result.failures.is_empty(),
-        cache: served_from,
+        cache: served,
         payload: format!(
             "\"points\":{},\"pareto\":[{}],\"failures\":{},\"report\":\"{}\"",
             result.points.len(),
@@ -231,66 +175,13 @@ fn explore(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
     })
 }
 
-/// Summarizes a batch's cache provenance: `"iso"` when every job was a
-/// hit and at least one was isomorphic, `"memory"`/`"store"` only when
-/// every job came from that tier, `"fresh"` otherwise.
-fn cache_provenance(outcomes: &[lobist_engine::JobOutcome]) -> &'static str {
-    if outcomes.is_empty() {
-        return "fresh";
-    }
-    let all_hits = outcomes.iter().all(|o| o.cache_hit || o.store_hit);
-    if all_hits && outcomes.iter().any(|o| o.iso_hit) {
-        "iso"
-    } else if outcomes.iter().all(|o| o.cache_hit) {
-        "memory"
-    } else if all_hits {
-        "store"
-    } else {
-        "fresh"
-    }
-}
-
 fn anneal(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
-    let design = require(&request.design, "design")?;
-    let modules = parse_modules(request)?;
-    let (dfg, schedule) = load_design(design, &modules)?;
-    let flow = flow_options(request);
-    let ma = lobist_alloc::module_assign::assign_modules(&dfg, &schedule, &modules)
-        .map_err(|e| format!("module assignment: {e}"))?;
-    let config = AnnealConfig {
-        iterations: request.iterations.unwrap_or(400),
-        seed: request.seed.unwrap_or(0xA11EA1),
-        batch: request.batch.unwrap_or(16),
-        ..Default::default()
-    };
+    let (dfg, schedule, modules) = load(request)?;
     let workers = effective_jobs(request, shared);
-    let chains = request.chains.unwrap_or(1);
-    if chains == 0 {
-        return Err("field `chains` must be at least 1".into());
-    }
-    let (result, stats) = if chains > 1 {
-        lobist_engine::anneal_multichain(
-            &dfg,
-            &schedule,
-            flow.lifetime_options,
-            &ma,
-            &flow,
-            &config,
-            chains,
-            workers,
-        )
-    } else {
-        lobist_engine::anneal_parallel(
-            &dfg,
-            &schedule,
-            flow.lifetime_options,
-            &ma,
-            &flow,
-            &config,
-            workers,
-        )
-    }
-    .map_err(|e| format!("anneal: {e}"))?;
+    let (config, result, stats) = request
+        .spec
+        .anneal(&dfg, &schedule, &modules, workers)
+        .map_err(|e| format!("anneal: {e}"))?;
     shared.engine.metrics_handle().record_anneal(&result, &stats);
     Ok(JobBody {
         ok: true,
@@ -304,7 +195,7 @@ fn anneal(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
             ),
             iters = config.iterations,
             seed = config.seed,
-            chains = chains,
+            chains = stats.chains,
             init = result.initial_overhead,
             best = result.overhead,
             eval = result.evaluated,
@@ -316,24 +207,14 @@ fn anneal(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
 }
 
 fn faultsim(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
-    let width = SessionWidth::new(request.width)?;
-    let design = require(&request.design, "design")?;
-    let modules = parse_modules(request)?;
-    let (dfg, schedule) = load_design(design, &modules)?;
-    let flow = flow_options(request);
+    let (width, sim_opts) = request.spec.fault_sim(effective_jobs(request, shared))?;
     // The sessions need only the module binding, but no engine answer
     // vouches for this design, so it is synthesized in full and a
     // design the flow rejects fails here.
-    let binding = synthesize(&dfg, &schedule, &modules, &flow)
-        .map_err(|e| format!("synthesis: {e}"))?
-        .module_assignment;
-    let sim_opts = FaultSimOptions {
-        workers: effective_jobs(request, shared),
-        collapse: true,
-        lanes: request.lanes,
-    };
+    let (dfg, _, d, _) = load_and_synthesize(request)?;
+    let binding = &d.module_assignment;
     let rows: Vec<String> =
-        lobist_engine::fault_sim_modules(&dfg, &binding, width, sim_opts, &shared.engine)
+        lobist_engine::fault_sim_modules(&dfg, binding, width, sim_opts, &shared.engine)
             .into_iter()
             .map(|(label, report)| {
                 format!(
@@ -357,11 +238,7 @@ fn faultsim(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> 
 }
 
 fn lint(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
-    let design = require(&request.design, "design")?;
-    let modules = parse_modules(request)?;
-    let (dfg, schedule) = load_design(design, &modules)?;
-    let flow = flow_options(request);
-    let d = synthesize(&dfg, &schedule, &modules, &flow).map_err(|e| format!("synthesis: {e}"))?;
+    let (dfg, schedule, d, flow) = load_and_synthesize(request)?;
     let unit = LintUnit::of_design(&dfg, &schedule, &d, flow.lifetime_options, &flow.area);
     let registry = PassRegistry::default_registry();
     let (report, _) = lobist_engine::lint_parallel(
@@ -384,11 +261,7 @@ fn lint(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
 }
 
 fn analyze(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
-    let design = require(&request.design, "design")?;
-    let modules = parse_modules(request)?;
-    let (dfg, schedule) = load_design(design, &modules)?;
-    let flow = flow_options(request);
-    let d = synthesize(&dfg, &schedule, &modules, &flow).map_err(|e| format!("synthesis: {e}"))?;
+    let (dfg, schedule, d, flow) = load_and_synthesize(request)?;
     let unit = LintUnit::of_design(&dfg, &schedule, &d, flow.lifetime_options, &flow.area);
     let (report, _) = lobist_engine::analyze_parallel(
         &unit,

@@ -94,14 +94,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// The number as `u32`, if this is a non-negative integer token.
-    pub fn as_u32(&self) -> Option<u32> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
 }
 
 fn err(at: usize, message: &str) -> JsonError {

@@ -21,9 +21,10 @@
 //! (timing and cache provenance, which legitimately vary between
 //! runs). Failures end with a terminal `error` event instead.
 
-use lobist_engine::LaneSelect;
+use lobist_engine::spec::{Value, FIELDS};
+use lobist_engine::JobSpec;
 
-use crate::json::Json;
+use crate::json::{escape, Json};
 
 /// The commands a request line can carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,32 +88,8 @@ pub struct Request {
     pub cmd: Command,
     /// Inline design text (the `.dfg` file contents).
     pub design: Option<String>,
-    /// Module set, e.g. `"1+,1*"`.
-    pub modules: Option<String>,
-    /// Semicolon-separated module sets for `explore`.
-    pub candidates: Option<String>,
-    /// `"testable"` (default) or `"traditional"`.
-    pub flow: String,
-    /// Data-path bit width (default 8).
-    pub width: u32,
-    /// Insert test points for otherwise-untestable modules.
-    pub repair: bool,
-    /// Primary inputs live on ports instead of registers.
-    pub port_inputs: bool,
-    /// Per-request worker budget (clamped by server policy).
-    pub jobs: Option<usize>,
-    /// Annealing iterations.
-    pub iterations: Option<u32>,
-    /// Annealing seed.
-    pub seed: Option<u64>,
-    /// Annealing speculative batch size.
-    pub batch: Option<u32>,
-    /// Annealing chain count.
-    pub chains: Option<usize>,
-    /// Fault-simulation lane width (64, 256 or `"auto"`).
-    /// Results are byte-identical at every width; this is a
-    /// performance knob only, so it never enters the job key.
-    pub lanes: LaneSelect,
+    /// The job fields; a request's `jobs` is clamped by server policy.
+    pub spec: JobSpec,
 }
 
 /// Parses one request line.
@@ -120,7 +97,7 @@ pub struct Request {
 /// # Errors
 ///
 /// Returns a human-readable message for malformed JSON, a missing or
-/// unknown command, or ill-typed fields.
+/// unknown command, or a job field of the wrong type or out of range.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let v = Json::parse(line).map_err(|e| e.to_string())?;
     if !matches!(v, Json::Obj(_)) {
@@ -131,62 +108,38 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         .and_then(Json::as_str)
         .ok_or("missing string field `cmd`")?;
     let cmd = Command::parse(cmd_name).ok_or_else(|| format!("unknown command `{cmd_name}`"))?;
-    let str_field = |key: &str| -> Result<Option<String>, String> {
-        match v.get(key) {
-            None | Some(Json::Null) => Ok(None),
-            Some(Json::Str(s)) => Ok(Some(s.clone())),
-            Some(_) => Err(format!("field `{key}` must be a string")),
-        }
+    let design = match v.get("design") {
+        None | Some(Json::Null) => None,
+        Some(Json::Str(s)) => Some(s.clone()),
+        Some(_) => return Err("field `design` must be a string".into()),
     };
-    let flow = str_field("flow")?.unwrap_or_else(|| "testable".to_owned());
-    if flow != "testable" && flow != "traditional" {
-        return Err(format!("unknown flow `{flow}`"));
+    let mut spec = JobSpec::default();
+    for field in &FIELDS {
+        let value = match v.get(field.key) {
+            None | Some(Json::Null) => continue,
+            Some(Json::Bool(b)) => Some(Value::Bool(*b)),
+            Some(Json::Str(s)) => Some(Value::Text(s)),
+            Some(n) => n.as_u64().map(Value::Int),
+        };
+        value
+            .ok_or(field)
+            .and_then(|value| spec.set(field, value))
+            .map_err(|f| format!("{}: field `{}` must be {}", f.what, f.key, f.expects))?;
     }
-    let width = match v.get("width") {
-        None | Some(Json::Null) => 8,
-        Some(n) => n
-            .as_u32()
-            .filter(|w| (2..=64).contains(w))
-            .ok_or("field `width` must be an integer in 2..=64")?,
-    };
-    let num = |key: &str| -> Result<Option<u64>, String> {
-        match v.get(key) {
-            None | Some(Json::Null) => Ok(None),
-            Some(n) => n
-                .as_u64()
-                .map(Some)
-                .ok_or_else(|| format!("field `{key}` must be a non-negative integer")),
-        }
-    };
-    let jobs = num("jobs")?.map(|n| n as usize);
-    if jobs == Some(0) {
-        return Err("field `jobs` must be at least 1".into());
-    }
-    let lanes_err = || format!("field `lanes` must be {}", LaneSelect::EXPECTED);
-    let lanes = match v.get("lanes") {
-        None | Some(Json::Null) => LaneSelect::Auto,
-        Some(Json::Str(s)) => LaneSelect::parse(s).ok_or_else(lanes_err)?,
-        Some(n) => n
-            .as_u64()
-            .and_then(|w| LaneSelect::parse(&w.to_string()))
-            .ok_or_else(lanes_err)?,
-    };
-    Ok(Request {
-        cmd,
-        design: str_field("design")?,
-        modules: str_field("modules")?,
-        candidates: str_field("candidates")?,
-        flow,
-        width,
-        repair: v.get("repair").and_then(Json::as_bool).unwrap_or(false),
-        port_inputs: v.get("port_inputs").and_then(Json::as_bool).unwrap_or(false),
-        jobs,
-        iterations: num("iterations")?.map(|n| n as u32),
-        seed: num("seed")?,
-        batch: num("batch")?.map(|n| n as u32),
-        chains: num("chains")?.map(|n| n as usize),
-        lanes,
-    })
+    Ok(Request { cmd, design, spec })
+}
+
+/// Renders the request line `lobist submit` sends, the inverse of
+/// [`parse_request`]: the daemon reads back exactly `spec`.
+pub fn render_request(cmd: &str, design: Option<&str>, spec: &JobSpec) -> String {
+    let mut fields = vec![format!("\"cmd\":\"{}\"", escape(cmd))];
+    fields.extend(design.map(|text| format!("\"design\":\"{}\"", escape(text))));
+    fields.extend(spec.values().map(|(key, value)| match value {
+        Value::Bool(b) => format!("\"{key}\":{b}"),
+        Value::Int(n) => format!("\"{key}\":{n}"),
+        Value::Text(s) => format!("\"{key}\":\"{}\"", escape(s)),
+    }));
+    format!("{{{}}}", fields.join(","))
 }
 
 /// `true` if a response line is a terminal event — the last line the
@@ -200,6 +153,7 @@ pub fn is_terminal_event(line: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lobist_engine::LaneSelect;
 
     #[test]
     fn parses_a_full_synth_request() {
@@ -210,11 +164,11 @@ mod tests {
         assert_eq!(r.cmd, Command::Synth);
         assert!(r.cmd.is_job());
         assert_eq!(r.design.as_deref(), Some("input a\n"));
-        assert_eq!(r.modules.as_deref(), Some("1+"));
-        assert_eq!(r.flow, "traditional");
-        assert_eq!(r.width, 16);
-        assert_eq!(r.jobs, Some(2));
-        assert!(r.repair);
+        assert_eq!(r.spec.modules.as_deref(), Some("1+"));
+        assert_eq!(r.spec.flow.name(), "traditional");
+        assert_eq!(r.spec.width, 16);
+        assert_eq!(r.spec.jobs, Some(2));
+        assert!(r.spec.repair);
     }
 
     #[test]
@@ -222,9 +176,9 @@ mod tests {
         let r = parse_request(r#"{"cmd":"ping"}"#).expect("valid");
         assert_eq!(r.cmd, Command::Ping);
         assert!(!r.cmd.is_job());
-        assert_eq!(r.flow, "testable");
-        assert_eq!(r.width, 8);
-        assert_eq!(r.jobs, None);
+        assert_eq!(r.spec.flow.name(), "testable");
+        assert_eq!(r.spec.width, 8);
+        assert_eq!(r.spec.jobs, None);
     }
 
     #[test]
@@ -244,6 +198,16 @@ mod tests {
             (r#"{"cmd":"faultsim","lanes":512}"#, "64 | 256 | auto"),
             (r#"{"cmd":"faultsim","lanes":"512"}"#, "64 | 256 | auto"),
             (r#"{"cmd":"faultsim","lanes":true}"#, "`lanes`"),
+            (
+                r#"{"cmd":"anneal","iterations":4294967297}"#,
+                "`iterations`",
+            ),
+            (r#"{"cmd":"anneal","batch":4294967297}"#, "`batch`"),
+            (r#"{"cmd":"anneal","batch":0}"#, "`batch`"),
+            (r#"{"cmd":"anneal","chains":0}"#, "`chains`"),
+            (r#"{"cmd":"anneal","chains":1000000000000000}"#, "`chains`"),
+            (r#"{"cmd":"synth","repair":"yes"}"#, "`repair`"),
+            (r#"{"cmd":"synth","port_inputs":1}"#, "`port_inputs`"),
         ] {
             let err = parse_request(line).expect_err(line);
             assert!(err.contains(needle), "{line}: {err}");
@@ -268,7 +232,7 @@ mod tests {
             (r#"{"cmd":"faultsim","lanes":64}"#, LaneSelect::W64),
             (r#"{"cmd":"faultsim","lanes":"256"}"#, LaneSelect::W256),
         ] {
-            assert_eq!(parse_request(line).expect(line).lanes, want, "{line}");
+            assert_eq!(parse_request(line).expect(line).spec.lanes, want, "{line}");
         }
     }
 

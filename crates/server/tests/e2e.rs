@@ -518,3 +518,36 @@ fn faultsim_rejects_an_out_of_range_width_before_synthesis() {
     shutdown(&endpoint);
     thread.join().expect("run thread").expect("clean shutdown");
 }
+
+#[test]
+fn hostile_job_fields_and_broken_schedules_get_errors_and_the_daemon_serves_on() {
+    let (endpoint, thread) = start(ServerConfig::default());
+    let request = |fields: &str, design: &str| {
+        let line = format!(
+            r#"{{"design":"{}","modules":"1+,1*",{fields}}}"#,
+            lobist_server::json::escape(design)
+        );
+        client::submit(&endpoint, &line).expect("submit")
+    };
+    // A chain count past the ceiling would allocate one task per chain.
+    let huge = request(r#""cmd":"anneal","chains":1000000000000000"#, DESIGN);
+    assert!(event(&huge, "error").contains("`chains`"), "{huge:?}");
+    // An annotated schedule is checked, never replaced by a list
+    // schedule: `s` runs after its consumer `y`, and `t` has no step.
+    let broken = "input a b\ns = a + b @ 2\ny = s + a @ 1\noutput y\n";
+    let events = request(r#""cmd":"synth""#, broken);
+    let error = event(&events, "error");
+    assert!(error.contains("same or an earlier step"), "{events:?}");
+    let partial = "input a b\ns = a + b @ 1\nt = s + a\noutput t\n";
+    let events = request(r#""cmd":"synth""#, partial);
+    let error = event(&events, "error");
+    assert!(
+        error.contains("line 3: operation `t` has no `@ step`"),
+        "{events:?}"
+    );
+
+    let pong = client::submit(&endpoint, r#"{"cmd":"ping"}"#).expect("ping");
+    assert!(event(&pong, "pong").contains("\"event\":\"pong\""));
+    shutdown(&endpoint);
+    thread.join().expect("run thread").expect("clean shutdown");
+}
