@@ -4,6 +4,9 @@
 //! reference pipeline (interconnect binding + data-path assembly + BIST
 //! solve + netlist statistics). The headline numbers land in
 //! BENCH_flow.json.
+//!
+//! A second group times full synthesis of the two heaviest designs of
+//! the seed-1 corpus sweep (BENCH_synthesis.json).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -113,5 +116,35 @@ fn bench_move_eval(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_move_eval);
+/// `flow::synthesize` on the canonical form of the sweep's heavy tails
+/// under `1+,1*,1-`: matmul of dimension 6 (PVES and the Lemma-2 veto
+/// over hundreds of variables) and diffeq at size 56 (long embedding
+/// lists for the branch-and-bound).
+fn bench_synthesis_tails(c: &mut Criterion) {
+    use lobist_alloc::flow::synthesize;
+    use lobist_dfg::canon::canonize;
+    use lobist_dfg::corpus::{generate, CorpusKind};
+    use lobist_dfg::modules::ModuleSet;
+    use lobist_dfg::scheduling::list_schedule;
+
+    let modules: ModuleSet = "1+,1*,1-".parse().expect("a module set");
+    let flow = FlowOptions::testable();
+    let mut group = c.benchmark_group("synthesis_tails");
+    for (name, kind, size) in [
+        ("matmul_d6", CorpusKind::Matmul, 36),
+        ("diffeq_n56", CorpusKind::Diffeq, 56),
+    ] {
+        let dfg = generate(kind, size, 1);
+        let schedule = list_schedule(&dfg, &modules).expect("corpus designs schedule");
+        let canon = canonize(&dfg, &schedule);
+        group.bench_with_input(BenchmarkId::new("synthesize", name), &name, |b, _| {
+            b.iter(|| {
+                synthesize(&canon.dfg, &canon.schedule, &modules, &flow).expect("synthesizes")
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_move_eval, bench_synthesis_tails);
 criterion_main!(benches);

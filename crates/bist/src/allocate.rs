@@ -13,6 +13,7 @@
 //! incremental embedding per module) with local re-optimization is used
 //! instead.
 
+use std::cell::Cell;
 use std::fmt;
 
 use lobist_datapath::area::{AreaModel, BistStyle, GateCount};
@@ -302,23 +303,145 @@ pub fn solve_exhaustive(dp: &DataPath, model: &AreaModel) -> Result<BistSolution
     }
 }
 
+/// The exact search: depth-first over modules ordered by fewest
+/// embeddings first, children cheapest-first.
+///
+/// Each child is costed once. The children are entered in `(cost, index)`
+/// order while their cost is below the incumbent: one pass over the
+/// cached costs per distinct cost, lowest first, enters the children of
+/// that cost in index order and finds the next cost up. A child costs the
+/// node's cost plus the upgrades of at most three registers, each one of
+/// the few style-to-style increments, so the children take few distinct
+/// costs however long the list, and the passes stay few. The costs take
+/// 8 bytes a child and nothing is sorted: lists of tens of thousands of
+/// embeddings (large `matmul` designs) set the process's peak memory.
+///
+/// This returns exactly the choice of `branch_and_bound_reference` (the
+/// original search, kept in tests), which sorts every child by cost
+/// (stably) and enters each one:
+///
+/// * the reference returns at once from a child whose cost is not below
+///   the incumbent, so skipping that child changes nothing;
+/// * `(cost, index)` order is the reference's stable cheapest-first
+///   order, and the incumbent only falls while the costs only rise along
+///   that order, so once a cost is not below the incumbent no later child
+///   is either.
+///
+/// Styles only move up the lattice, so a child's cost is a lower bound
+/// on every leaf below it: the cut removes only subtrees that could never
+/// replace the incumbent, the same argument as
+/// [`select_embeddings`]' `warm_upper`.
 fn branch_and_bound(
     num_registers: usize,
     model: &AreaModel,
     embs: &[Vec<Embedding>],
     warm_upper: Option<GateCount>,
 ) -> Vec<Embedding> {
-    // Order modules by ascending embedding count: tight choices first.
+    let order = modules_tightest_first(embs);
+    let mut search = Search {
+        embs,
+        model,
+        roles: RoleTable::new(num_registers),
+        current: vec![None; embs.len()],
+        best_cost: initial_bound(warm_upper),
+        best: None,
+        nodes: 0,
+    };
+    search.descend(&order);
+    add_search_nodes(search.nodes);
+    search
+        .best
+        .expect("every module has at least one embedding and the warm bound is achievable")
+}
+
+/// Modules by ascending embedding count: tight choices first.
+fn modules_tightest_first(embs: &[Vec<Embedding>]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..embs.len()).collect();
     order.sort_by_key(|&m| embs[m].len());
+    order
+}
 
-    // Warm start: `U + 1` admits exactly the leaves costing at most the
-    // known-achievable `U`, so the search still lands on the same first
-    // minimum-cost leaf a cold run finds, just with far fewer expansions.
-    let mut best_cost = warm_upper
-        .map_or(GateCount(u64::MAX), |u| GateCount(u.get().saturating_add(1)));
+/// The incumbent bound a search starts from. A warm start's `U + 1`
+/// admits exactly the leaves costing at most the known-achievable `U`,
+/// so the search still lands on the same first minimum-cost leaf a cold
+/// run finds, just with far fewer expansions.
+fn initial_bound(warm_upper: Option<GateCount>) -> GateCount {
+    warm_upper.map_or(GateCount(u64::MAX), |u| {
+        GateCount(u.get().saturating_add(1))
+    })
+}
+
+/// The state of one [`branch_and_bound`] run.
+struct Search<'a> {
+    embs: &'a [Vec<Embedding>],
+    model: &'a AreaModel,
+    roles: RoleTable,
+    current: Vec<Option<Embedding>>,
+    best_cost: GateCount,
+    best: Option<Vec<Embedding>>,
+    /// Nodes entered (the work counter).
+    nodes: u64,
+}
+
+impl Search<'_> {
+    /// Enters the node that chooses the embeddings of the modules in
+    /// `rest`; the modules before them are already applied to `roles`.
+    fn descend(&mut self, rest: &[usize]) {
+        self.nodes += 1;
+        let cost = self.roles.cost();
+        if cost >= self.best_cost {
+            return; // roles only upgrade; cost can only grow
+        }
+        let Some((&m, rest)) = rest.split_first() else {
+            self.best_cost = cost;
+            self.best = Some(
+                self.current
+                    .iter()
+                    .map(|e| e.expect("complete choice"))
+                    .collect(),
+            );
+            return;
+        };
+        let embs = self.embs;
+        let costs: Vec<GateCount> = embs[m]
+            .iter()
+            .map(|e| self.roles.cost_with(e, self.model))
+            .collect();
+        // One pass per cost level, lowest first: enter the children at
+        // this level in index order and find the next level up.
+        let mut level = costs.iter().min().copied();
+        while let Some(l) = level.filter(|&l| l < self.best_cost) {
+            level = None;
+            for (e, &c) in embs[m].iter().zip(&costs) {
+                if c == l && c < self.best_cost {
+                    let undo = self.roles.apply(e, self.model);
+                    self.current[m] = Some(*e);
+                    self.descend(rest);
+                    self.current[m] = None;
+                    self.roles.undo(undo, self.model);
+                } else if c > l && level.is_none_or(|next| c < next) {
+                    level = Some(c);
+                }
+            }
+        }
+    }
+}
+
+/// The original exact search, kept as the executable reference for
+/// [`branch_and_bound`]: it sorts every child by cost, re-costing an
+/// embedding on each comparison, and enters every child.
+#[cfg(test)]
+fn branch_and_bound_reference(
+    num_registers: usize,
+    model: &AreaModel,
+    embs: &[Vec<Embedding>],
+    warm_upper: Option<GateCount>,
+) -> Vec<Embedding> {
+    let order = modules_tightest_first(embs);
+    let mut best_cost = initial_bound(warm_upper);
     let mut best: Option<Vec<Embedding>> = None;
     let mut current: Vec<Option<Embedding>> = vec![None; embs.len()];
+    let mut nodes = 0u64;
 
     #[allow(clippy::too_many_arguments)]
     fn rec(
@@ -330,7 +453,9 @@ fn branch_and_bound(
         current: &mut Vec<Option<Embedding>>,
         best_cost: &mut GateCount,
         best: &mut Option<Vec<Embedding>>,
+        nodes: &mut u64,
     ) {
+        *nodes += 1;
         if roles.cost() >= *best_cost {
             return; // roles only upgrade; cost can only grow
         }
@@ -349,7 +474,7 @@ fn branch_and_bound(
         for e in ranked {
             let undo = roles.apply(e, model);
             current[m] = Some(*e);
-            rec(depth + 1, order, embs, model, roles, current, best_cost, best);
+            rec(depth + 1, order, embs, model, roles, current, best_cost, best, nodes);
             current[m] = None;
             roles.undo(undo, model);
         }
@@ -365,8 +490,25 @@ fn branch_and_bound(
         &mut current,
         &mut best_cost,
         &mut best,
+        &mut nodes,
     );
+    add_search_nodes(nodes);
     best.expect("every module has at least one embedding and the warm bound is achievable")
+}
+
+thread_local! {
+    static SEARCH_NODES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn add_search_nodes(n: u64) {
+    SEARCH_NODES.with(|c| c.set(c.get() + n));
+}
+
+/// How many branch-and-bound nodes the exact search has entered on the
+/// calling thread so far: a deterministic work counter. Callers take the
+/// difference of two readings around the work they measure.
+pub fn search_nodes() -> u64 {
+    SEARCH_NODES.with(Cell::get)
 }
 
 fn greedy(num_registers: usize, model: &AreaModel, embs: &[Vec<Embedding>]) -> Vec<Embedding> {
@@ -565,5 +707,177 @@ mod tests {
                 assert!(sol.style(c).can_do_both_concurrently());
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod differential {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    use super::*;
+    use crate::embedding::PatternSource;
+    use lobist_datapath::{InterconnectAssignment, ModuleAssignment, RegisterAssignment};
+    use lobist_dfg::corpus::{self, KINDS};
+    use lobist_dfg::lifetime::{LifetimeOptions, Lifetimes};
+    use lobist_dfg::modules::ModuleSet;
+    use lobist_dfg::scheduling::list_schedule;
+    use lobist_dfg::VarId;
+    use lobist_graph::coloring::left_edge;
+
+    /// Asserts the pruned search returns the reference's choice cold,
+    /// under a tight warm bound and under a loose one.
+    fn assert_same(num_registers: usize, model: &AreaModel, embs: &[Vec<Embedding>]) {
+        let cold = branch_and_bound(num_registers, model, embs, None);
+        assert_eq!(
+            cold,
+            branch_and_bound_reference(num_registers, model, embs, None)
+        );
+        let u = choice_cost(num_registers, model, &cold);
+        for warm in [u, GateCount(u.get() + 7)] {
+            assert_eq!(
+                branch_and_bound(num_registers, model, embs, Some(warm)),
+                branch_and_bound_reference(num_registers, model, embs, Some(warm)),
+            );
+            assert_eq!(
+                branch_and_bound(num_registers, model, embs, Some(warm)),
+                cold
+            );
+        }
+    }
+
+    /// Random lists over few registers, so costs tie often; some
+    /// sources are free primary inputs and some SAs double as TPGs.
+    fn random_lists(rng: &mut StdRng) -> (usize, Vec<Vec<Embedding>>) {
+        let num_registers = rng.gen_range(2usize..7);
+        let reg = |rng: &mut StdRng| RegisterId(rng.gen_range(0..num_registers as u32));
+        let modules = rng.gen_range(1usize..6);
+        let lists = (0..modules)
+            .map(|_| {
+                let len = rng.gen_range(1usize..12);
+                let mut list: Vec<Embedding> = (0..len)
+                    .map(|_| {
+                        let source = |rng: &mut StdRng| {
+                            if rng.gen_bool(0.2) {
+                                PatternSource::Input(VarId(rng.gen_range(0u32..3)))
+                            } else {
+                                PatternSource::Register(reg(rng))
+                            }
+                        };
+                        let left = source(rng);
+                        let right = source(rng);
+                        Embedding {
+                            left,
+                            right,
+                            sa: reg(rng),
+                        }
+                    })
+                    .filter(|e| e.left != e.right)
+                    .collect();
+                if list.is_empty() {
+                    list.push(Embedding::with_registers(
+                        RegisterId(0),
+                        RegisterId(1),
+                        RegisterId(0),
+                    ));
+                }
+                list
+            })
+            .collect();
+        (num_registers, lists)
+    }
+
+    #[test]
+    fn matches_the_reference_on_random_lists_with_ties() {
+        let mut rng = StdRng::seed_from_u64(16);
+        for width in [1, 8] {
+            let model = AreaModel::with_width(width);
+            for _ in 0..300 {
+                let (n, embs) = random_lists(&mut rng);
+                assert_same(n, &model, &embs);
+            }
+        }
+    }
+
+    /// One embedding list per module of a corpus design, bound first-fit
+    /// per step, registers by left edge, interconnect straight.
+    fn corpus_lists(
+        kind: corpus::CorpusKind,
+        size: u32,
+        modules: &ModuleSet,
+    ) -> Option<(usize, Vec<Vec<Embedding>>)> {
+        let dfg = corpus::generate(kind, size, 1);
+        let schedule = list_schedule(&dfg, modules).ok()?;
+        let mut used = std::collections::HashMap::new();
+        let module_of: Vec<usize> = dfg
+            .op_ids()
+            .map(|op| {
+                let kind = dfg.op(op).kind;
+                let nth = used.entry((schedule.step(op), kind)).or_insert(0);
+                *nth += 1;
+                modules
+                    .supporting(kind)
+                    .nth(*nth - 1)
+                    .expect("the schedule fits the modules")
+            })
+            .collect();
+        // Keep only the modules some operation landed on.
+        let mut used: Vec<usize> = module_of.clone();
+        used.sort_unstable();
+        used.dedup();
+        let kept = ModuleSet::new(used.iter().map(|&m| modules.class(m)).collect());
+        let module_of = module_of
+            .iter()
+            .map(|m| used.binary_search(m).expect("used"))
+            .collect();
+        let ma = ModuleAssignment::new(&dfg, &kept, module_of).ok()?;
+        let lt_opts = LifetimeOptions::registered_inputs();
+        let lt = Lifetimes::compute(&dfg, &schedule, lt_opts);
+        let spans: Vec<_> = lt
+            .reg_vars()
+            .iter()
+            .map(|&v| lt.interval(v).expect("a register"))
+            .collect();
+        let colors = left_edge(&spans);
+        let mut classes = vec![Vec::new(); colors.iter().max().map_or(0, |c| c + 1)];
+        for (&v, &c) in lt.reg_vars().iter().zip(&colors) {
+            classes[c].push(v);
+        }
+        let ra = RegisterAssignment::new(&dfg, classes).ok()?;
+        let ic = InterconnectAssignment::straight(&dfg);
+        let dp = DataPath::build(&dfg, &schedule, lt_opts, &ma, &ra, &ic).ok()?;
+        let embs = embeddings_per_module(&dp, &IPathAnalysis::of(&dp)).ok()?;
+        Some((dp.num_registers(), embs))
+    }
+
+    #[test]
+    fn matches_the_reference_on_corpus_lists() {
+        let model = AreaModel::default();
+        let mut compared = 0;
+        for modules in ["1+,1*,1-", "2+,2*,2-"] {
+            let modules: ModuleSet = modules.parse().expect("a module set");
+            for kind in KINDS {
+                for size in [8, 16, 24] {
+                    if let Some((n, embs)) = corpus_lists(kind, size, &modules) {
+                        assert_same(n, &model, &embs);
+                        compared += 1;
+                    }
+                }
+            }
+        }
+        assert!(compared >= 12, "only {compared} designs compared");
+    }
+
+    #[test]
+    fn cut_off_enters_fewer_nodes_than_the_reference() {
+        let model = AreaModel::default();
+        let modules: ModuleSet = "1+,1*,1-".parse().expect("a module set");
+        let (n, embs) = corpus_lists(corpus::CorpusKind::Diffeq, 16, &modules).expect("diffeq");
+        let at = search_nodes();
+        branch_and_bound(n, &model, &embs, None);
+        let pruned = search_nodes() - at;
+        branch_and_bound_reference(n, &model, &embs, None);
+        let reference = search_nodes() - at - pruned;
+        assert!(pruned >= 1 && pruned < reference, "{pruned} vs {reference}");
     }
 }

@@ -1,5 +1,6 @@
 //! BIST embeddings of operator modules.
 
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -169,7 +170,20 @@ fn cross_product(
             }
         }
     }
+    ENUMERATED.with(|c| c.set(c.get() + out.len() as u64));
     out
+}
+
+thread_local! {
+    static ENUMERATED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many embeddings [`enumerate`] and [`enumerate_from_connectivity`]
+/// have produced on the calling thread so far: a deterministic work
+/// counter. Callers take the difference of two readings around the work
+/// they measure.
+pub fn embeddings_enumerated() -> u64 {
+    ENUMERATED.with(Cell::get)
 }
 
 #[cfg(test)]

@@ -195,7 +195,10 @@ OPTIONS:
                     evaluations, events propagated, faults collapsed,
                     session-memo hits and misses;
                     anneal counters: moves, stalls, oracle hit rate;
-                    lint counters: runs, findings, per-pass timings)
+                    lint counters: runs, findings, per-pass timings;
+                    synthesis counters: PVES tests, Lemma-2 veto
+                    evaluations, label-search nodes, embeddings,
+                    branch-and-bound nodes)
 
 DESIGN FILE FORMAT (one statement per line):
   input a b c
@@ -444,6 +447,7 @@ fn load_file(path: &str, modules: &ModuleSet) -> Result<(Dfg, Schedule), CliErro
     load_design(&read_file(path)?, modules).map_err(|e| match e {
         LoadError::Parse(e) => CliError::Parse(e),
         LoadError::Schedule(e) => CliError::Usage(format!("{path}: cannot schedule: {e}")),
+        LoadError::Empty => CliError::Usage(format!("{path}: design has no operations")),
     })
 }
 

@@ -118,3 +118,37 @@ fn binary_help_documents_jobs_flag() {
     assert!(text.contains("--jobs"), "{text}");
     assert!(text.contains("batch"), "{text}");
 }
+
+#[test]
+fn binary_rejects_an_empty_design_without_panicking() {
+    let path = std::env::temp_dir().join("lobist_bin_empty.dfg");
+    std::fs::write(&path, "# a comment and nothing else\n").expect("write");
+    let out = Command::new(env!("CARGO_BIN_EXE_lobist"))
+        .args(["synth", path.to_str().expect("utf8"), "--modules", "1+"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("design has no operations"), "{err}");
+}
+
+#[test]
+fn binary_synthesizes_a_huge_step_and_rejects_the_last_one() {
+    let dir = std::env::temp_dir();
+    let synth = |name: &str, step: u64| {
+        let path = dir.join(name);
+        std::fs::write(&path, format!("input a b\ny = a + b @ {step}\noutput y\n")).expect("write");
+        Command::new(env!("CARGO_BIN_EXE_lobist"))
+            .args(["synth", path.to_str().expect("utf8"), "--modules", "1+"])
+            .output()
+            .expect("binary runs")
+    };
+    let out = synth("lobist_bin_step_4e9.dfg", 4_000_000_000);
+    assert!(out.status.success(), "{out:?}");
+    let out = synth("lobist_bin_step_max.dfg", u64::from(u32::MAX));
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("largest supported"),
+        "{out:?}"
+    );
+}

@@ -14,9 +14,11 @@
 //!   `R_y` covering the rest of `O_Mk` that also meets every instance's
 //!   operands (then either of `R_x`, `R_y` must be a CBILBO).
 //!
-//! The testable allocator consults [`creates_new_forced_cbilbo`] before
-//! every merge; the test suite validates the lemma against brute-force
-//! embedding enumeration.
+//! The testable allocator consults an incrementally updated
+//! `Lemma2Tracker` before every merge; [`creates_new_forced_cbilbo`]
+//! rebuilds everything per call and is the reference the tracker is
+//! tested against. The test suite validates the lemma against
+//! brute-force embedding enumeration.
 
 use lobist_datapath::{ModuleAssignment, ModuleId};
 use lobist_dfg::{Dfg, VarId};
@@ -197,9 +199,12 @@ pub fn lemma1_output_register_bound(
 /// `true` if assigning `v` to register `register` would create a forced
 /// CBILBO that the current partial assignment does not already have.
 ///
-/// This is the check the testable allocator runs before each merge
-/// (Section III-B: "the register assignment algorithm is modified to
-/// include the check and to avoid assignments leading to CBILBOs").
+/// This is the paper's check before each merge (Section III-B: "the
+/// register assignment algorithm is modified to include the check and to
+/// avoid assignments leading to CBILBOs"), rebuilt from scratch on every
+/// call. The testable allocator reads the incremental `Lemma2Tracker`
+/// instead; this function is the reference that the `veto_differential`
+/// tests compare the tracker with.
 pub fn creates_new_forced_cbilbo(
     dfg: &Dfg,
     ma: &ModuleAssignment,
@@ -229,6 +234,169 @@ pub fn creates_new_forced_cbilbo(
         }
     }
     false
+}
+
+/// Lemma 2's counts over a register assignment that grows one variable
+/// at a time — the testable allocator's veto state.
+///
+/// Per module `M` and class `R` it keeps `|R ∩ O_M|` and the number of
+/// instances of `M` with an operand in `R`, and per module the classes
+/// holding an output of it. Because classes are disjoint, the outputs
+/// they hold add up to at most `|O_M|`, so a module has a forced CBILBO
+/// only when its outputs sit in one class (case i) or in exactly two
+/// (case ii — then both are reported). A trial merge of `v` into `R`
+/// changes only `R`'s counts, and only for the modules `v` is an operand
+/// or result of, so [`creates_new_forced`](Self::creates_new_forced)
+/// rescores just those modules in O(1) each. It returns the verdict of
+/// [`creates_new_forced_cbilbo`], which rebuilds everything per call and
+/// stays as the executable reference.
+#[derive(Debug)]
+pub(crate) struct Lemma2Tracker {
+    /// `|O_M|` per module.
+    outputs: Vec<u32>,
+    /// Instances (operations) per module.
+    instances: Vec<u32>,
+    /// Per module, per class: `(|R ∩ O_M|, instances meeting R)`.
+    counts: Vec<Vec<(u32, u32)>>,
+    /// Per module: the classes holding an output of it, in first-hold
+    /// order.
+    holders: Vec<Vec<u32>>,
+    class_of: Vec<Option<u32>>,
+    /// Per variable: `(module, the instance's other variable operand)`
+    /// for each instance it is an operand of (`None` when it is the
+    /// instance's only variable operand).
+    uses: Vec<Vec<(u32, Option<VarId>)>>,
+    /// Per variable: the module it is a result of.
+    output_of: Vec<Option<u32>>,
+    /// Per variable: the modules it is an operand or result of.
+    modules: Vec<Vec<u32>>,
+}
+
+impl Lemma2Tracker {
+    /// The counts of the empty assignment.
+    pub(crate) fn new(dfg: &Dfg, ma: &ModuleAssignment) -> Self {
+        let n = dfg.num_vars();
+        let mut uses = vec![Vec::new(); n];
+        let mut output_of = vec![None; n];
+        let mut modules: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for m in ma.module_ids() {
+            let mi = m.index() as u32;
+            for &op in ma.ops_of(m) {
+                let info = dfg.op(op);
+                output_of[info.out.index()] = Some(mi);
+                modules[info.out.index()].push(mi);
+                match (info.lhs.var(), info.rhs.var()) {
+                    (Some(a), Some(b)) if a != b => {
+                        uses[a.index()].push((mi, Some(b)));
+                        uses[b.index()].push((mi, Some(a)));
+                        modules[a.index()].push(mi);
+                        modules[b.index()].push(mi);
+                    }
+                    (Some(a), _) | (None, Some(a)) => {
+                        uses[a.index()].push((mi, None));
+                        modules[a.index()].push(mi);
+                    }
+                    (None, None) => {}
+                }
+            }
+        }
+        for list in &mut modules {
+            list.sort_unstable();
+            list.dedup();
+        }
+        let mut outputs = vec![0u32; ma.num_modules()];
+        for m in output_of.iter().flatten() {
+            outputs[*m as usize] += 1;
+        }
+        Self {
+            outputs,
+            instances: ma.module_ids().map(|m| ma.ops_of(m).len() as u32).collect(),
+            counts: vec![Vec::new(); ma.num_modules()],
+            holders: vec![Vec::new(); ma.num_modules()],
+            class_of: vec![None; n],
+            uses,
+            output_of,
+            modules,
+        }
+    }
+
+    /// How `v` joining class `r` changes module `m`'s counts for `r`.
+    fn delta(&self, m: u32, r: usize, v: VarId) -> (u32, u32) {
+        let output = u32::from(self.output_of[v.index()] == Some(m));
+        let met = self.uses[v.index()]
+            .iter()
+            .filter(|&&(mm, other)| {
+                mm == m && other.is_none_or(|o| self.class_of[o.index()] != Some(r as u32))
+            })
+            .count() as u32;
+        (output, met)
+    }
+
+    /// Module `m`'s forced registers, with class `r`'s counts raised by
+    /// `(di, dm)`.
+    fn forced(&self, m: u32, r: usize, (di, dm): (u32, u32)) -> usize {
+        let m = m as usize;
+        let counts = |c: usize| {
+            let (i, t) = self.counts[m].get(c).copied().unwrap_or((0, 0));
+            if c == r {
+                (i + di, t + dm)
+            } else {
+                (i, t)
+            }
+        };
+        let joins = (di > 0 && !self.holders[m].contains(&(r as u32))).then_some(r);
+        let mut held = [0usize; 3];
+        let mut len = 0;
+        for c in self.holders[m]
+            .iter()
+            .map(|&c| c as usize)
+            .chain(joins)
+            .take(3)
+        {
+            held[len] = c;
+            len += 1;
+        }
+        let meets_all = |c: usize| counts(c).1 == self.instances[m];
+        match held[..len] {
+            // Case (i): one class holds every output.
+            [x] => usize::from(counts(x).0 == self.outputs[m] && meets_all(x)),
+            // Case (ii): two classes split the outputs; both are forced.
+            [x, y]
+                if counts(x).0 + counts(y).0 == self.outputs[m] && meets_all(x) && meets_all(y) =>
+            {
+                2
+            }
+            // No holder, or three or more: nothing is forced.
+            _ => 0,
+        }
+    }
+
+    /// `true` if `v` joining class `r` would create a forced CBILBO the
+    /// current assignment does not have.
+    pub(crate) fn creates_new_forced(&self, r: usize, v: VarId) -> bool {
+        self.modules[v.index()].iter().any(|&m| {
+            let d = self.delta(m, r, v);
+            d != (0, 0) && self.forced(m, r, d) > self.forced(m, r, (0, 0))
+        })
+    }
+
+    /// Records `v` joining class `r` (`r` may be the next new class).
+    pub(crate) fn assign(&mut self, r: usize, v: VarId) {
+        for i in 0..self.modules[v.index()].len() {
+            let m = self.modules[v.index()][i];
+            let (di, dm) = self.delta(m, r, v);
+            let counts = &mut self.counts[m as usize];
+            if counts.len() <= r {
+                counts.resize(r + 1, (0, 0));
+            }
+            if di > 0 && counts[r].0 == 0 {
+                self.holders[m as usize].push(r as u32);
+            }
+            counts[r].0 += di;
+            counts[r].1 += dm;
+        }
+        self.class_of[v.index()] = Some(r as u32);
+    }
 }
 
 /// The original set-algebra formulation of Lemma 2, kept as an

@@ -9,11 +9,13 @@
 //! sharing degrees land in `IR^{LR}`: an LR register can serve as TPG for
 //! either port, improving the BIST optimizer's options.
 //!
-//! Sources per module are few (≤ ~10), so we solve each module's
-//! partition exactly by enumerating labelings, scoring
-//! `(|LR| asc, Σ_{r∈LR} SD(r) desc)` when BIST-aware and `(|LR| asc)`
-//! otherwise; a greedy fallback covers pathological fan-ins.
+//! Sources per module are few, so up to ten sources we solve each
+//! module's partition exactly, with a pruned depth-first search over
+//! labelings scoring `(|LR| asc, Σ_{r∈LR} SD(r) desc)` when
+//! BIST-aware and `(|LR| asc)` otherwise; double clique partitioning
+//! covers larger fan-ins.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use lobist_datapath::{
@@ -74,6 +76,25 @@ struct InstanceConstraint {
     rhs: usize,
     fixed: bool,
 }
+
+impl InstanceConstraint {
+    /// `true` if `labels` (read at `lhs` and `rhs` only) let the two
+    /// operands reach opposite ports, with a fixed lhs on the left.
+    fn satisfied(&self, labels: &[PortLabel]) -> bool {
+        let (a, b) = (labels[self.lhs], labels[self.rhs]);
+        if self.lhs == self.rhs {
+            a == PortLabel::Both
+        } else if self.fixed {
+            a != PortLabel::Right && b != PortLabel::Left
+        } else {
+            a != b || a == PortLabel::Both
+        }
+    }
+}
+
+/// Modules with at most this many distinct sources get the exact label
+/// search; larger ones get double clique partitioning.
+const EXACT_SOURCE_LIMIT: usize = 10;
 
 /// One module's port-partition problem with its sources interned in
 /// first-use (op) order: the per-instance constraints and sharing
@@ -156,42 +177,14 @@ impl ModuleProblem {
         self.constraints.iter().map(|c| (c.lhs, c.rhs, c.fixed))
     }
 
-    /// Solves the port partition for this module: exhaustive for small
-    /// source counts, double clique partitioning beyond. Pure in the
-    /// problem shape — no register identities are consulted — so the
-    /// result may be memoized by shape.
+    /// Solves the port partition for this module: exact for up to ten
+    /// sources, double clique partitioning beyond. Pure in the problem
+    /// shape — no register identities are consulted — so the result may
+    /// be memoized by shape.
     pub fn solve_labels(&self, bist_aware: bool) -> Vec<PortLabel> {
         let n = self.sources.len();
-        let feasible = |labels: &[PortLabel]| -> bool {
-            self.constraints.iter().all(|c| {
-                if c.lhs == c.rhs {
-                    return labels[c.lhs] == PortLabel::Both;
-                }
-                let (a, b) = (labels[c.lhs], labels[c.rhs]);
-                if c.fixed {
-                    a != PortLabel::Right && b != PortLabel::Left
-                } else {
-                    // Some orientation must put them on opposite ports.
-                    !(a == b && a != PortLabel::Both)
-                        || matches!((a, b), (PortLabel::Both, _) | (_, PortLabel::Both))
-                }
-            })
-        };
-
-        // Score: fewer LR sources first; then (BIST-aware) more SD in LR.
-        let score = |labels: &[PortLabel]| -> (usize, i64) {
-            let lr = labels.iter().filter(|&&l| l == PortLabel::Both).count();
-            let sd_in_lr: i64 = labels
-                .iter()
-                .enumerate()
-                .filter(|(_, &l)| l == PortLabel::Both)
-                .map(|(i, _)| self.sd[i] as i64)
-                .sum();
-            (lr, if bist_aware { -sd_in_lr } else { 0 })
-        };
-
-        if n <= 10 {
-            exhaustive_labels(n, &feasible, &score)
+        if n <= EXACT_SOURCE_LIMIT {
+            search_labels(&self.constraints, &self.sd, bist_aware)
         } else {
             // The paper's formulation for bigger instances: double clique
             // partitioning of the source compatibility graph.
@@ -288,40 +281,113 @@ fn solve_module(
     problem.into_partition(m, labels)
 }
 
-fn exhaustive_labels(
-    n: usize,
-    feasible: &dyn Fn(&[PortLabel]) -> bool,
-    score: &dyn Fn(&[PortLabel]) -> (usize, i64),
+/// The exact label search: a depth-first walk over labelings, sources
+/// in index order, each tried Left, Right, Both, keeping the first
+/// labeling of minimum score `(|LR|, −Σ_{LR} SD)` (the second term is 0
+/// when not `bist_aware`).
+///
+/// A constraint is checked when its later endpoint gets a label, and a
+/// prefix is pruned when its bound `(|LR| so far, −(SD in LR so far +
+/// SD of every unlabeled source))` is already at least the incumbent's
+/// score. This returns exactly what scoring every feasible leaf does (the
+/// `exhaustive_labels` reference): leaves are reached in the same
+/// order, the incumbent is replaced only by a strictly better score, and
+/// a pruned prefix holds no feasible leaf scoring strictly below the
+/// incumbent of that moment — a failed constraint makes every leaf below
+/// it infeasible, and no leaf below scores under the bound — so the
+/// search ends on the same first minimum.
+fn search_labels(
+    constraints: &[InstanceConstraint],
+    sd: &[usize],
+    bist_aware: bool,
 ) -> Vec<PortLabel> {
-    const OPTIONS: [PortLabel; 3] = [PortLabel::Left, PortLabel::Right, PortLabel::Both];
-    let mut best: Option<((usize, i64), Vec<PortLabel>)> = None;
-    let mut labels = vec![PortLabel::Left; n];
-    fn rec(
-        i: usize,
-        n: usize,
-        labels: &mut Vec<PortLabel>,
-        feasible: &dyn Fn(&[PortLabel]) -> bool,
-        score: &dyn Fn(&[PortLabel]) -> (usize, i64),
-        best: &mut Option<((usize, i64), Vec<PortLabel>)>,
-        options: &[PortLabel; 3],
-    ) {
-        if i == n {
-            if feasible(labels) {
-                let s = score(labels);
-                if best.as_ref().is_none_or(|(b, _)| s < *b) {
-                    *best = Some((s, labels.clone()));
-                }
-            }
+    let n = sd.len();
+    let mut closing: Vec<Vec<&InstanceConstraint>> = vec![Vec::new(); n];
+    for c in constraints {
+        closing[c.lhs.max(c.rhs)].push(c);
+    }
+    // The SD a source adds to the score's second term when labeled Both.
+    let weight: Vec<i64> = sd
+        .iter()
+        .map(|&s| if bist_aware { s as i64 } else { 0 })
+        .collect();
+    let mut weight_rest = vec![0i64; n + 1];
+    for i in (0..n).rev() {
+        weight_rest[i] = weight_rest[i + 1] + weight[i];
+    }
+    let mut search = LabelSearch {
+        closing,
+        weight,
+        weight_rest,
+        labels: vec![PortLabel::Left; n],
+        lr: 0,
+        weight_lr: 0,
+        best: None,
+        nodes: 0,
+    };
+    search.visit(0);
+    LABEL_NODES.with(|c| c.set(c.get() + search.nodes));
+    search
+        .best
+        .map(|(_, l)| l)
+        .unwrap_or_else(|| vec![PortLabel::Both; n]) // all-Both is always feasible
+}
+
+/// The state of one [`search_labels`] run.
+struct LabelSearch<'a> {
+    /// Constraints by their later endpoint.
+    closing: Vec<Vec<&'a InstanceConstraint>>,
+    /// Per source: its SD, or 0 when not BIST-aware.
+    weight: Vec<i64>,
+    /// `weight_rest[i]`: the weight of sources `i..`.
+    weight_rest: Vec<i64>,
+    labels: Vec<PortLabel>,
+    /// Sources labeled Both so far, and their weight.
+    lr: usize,
+    weight_lr: i64,
+    best: Option<((usize, i64), Vec<PortLabel>)>,
+    /// Nodes entered (the work counter).
+    nodes: u64,
+}
+
+impl LabelSearch<'_> {
+    /// Enters the node whose sources `..i` are labeled.
+    fn visit(&mut self, i: usize) {
+        self.nodes += 1;
+        let bound = (self.lr, -(self.weight_lr + self.weight_rest[i]));
+        if self.best.as_ref().is_some_and(|(b, _)| bound >= *b) {
             return;
         }
-        for &l in options {
-            labels[i] = l;
-            rec(i + 1, n, labels, feasible, score, best, options);
+        if i == self.labels.len() {
+            // At a leaf the bound is the score itself.
+            self.best = Some((bound, self.labels.clone()));
+            return;
+        }
+        for l in [PortLabel::Left, PortLabel::Right, PortLabel::Both] {
+            self.labels[i] = l;
+            if !self.closing[i].iter().all(|c| c.satisfied(&self.labels)) {
+                continue;
+            }
+            let both = l == PortLabel::Both;
+            let weight = if both { self.weight[i] } else { 0 };
+            self.lr += usize::from(both);
+            self.weight_lr += weight;
+            self.visit(i + 1);
+            self.lr -= usize::from(both);
+            self.weight_lr -= weight;
         }
     }
-    rec(0, n, &mut labels, feasible, score, &mut best, &OPTIONS);
-    best.map(|(_, l)| l)
-        .unwrap_or_else(|| vec![PortLabel::Both; n]) // all-Both is always feasible
+}
+
+thread_local! {
+    static LABEL_NODES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many nodes the exact label search has entered on the calling
+/// thread so far: a deterministic work counter. Callers take the
+/// difference of two readings around the work they measure.
+pub(crate) fn label_nodes() -> u64 {
+    LABEL_NODES.with(Cell::get)
 }
 
 /// The paper's Section IV formulation: build the source *compatibility*
@@ -424,6 +490,70 @@ fn double_clique_labels(
         }
     }
     best
+}
+
+/// The original search, kept as the executable reference: all `3ⁿ`
+/// labelings, the full feasibility check at every leaf.
+#[cfg(test)]
+fn exhaustive_labels(problem: &ModuleProblem, bist_aware: bool) -> Vec<PortLabel> {
+    let n = problem.sources.len();
+    let feasible = |labels: &[PortLabel]| -> bool {
+        problem.constraints.iter().all(|c| {
+            if c.lhs == c.rhs {
+                return labels[c.lhs] == PortLabel::Both;
+            }
+            let (a, b) = (labels[c.lhs], labels[c.rhs]);
+            if c.fixed {
+                a != PortLabel::Right && b != PortLabel::Left
+            } else {
+                // Some orientation must put them on opposite ports.
+                !(a == b && a != PortLabel::Both)
+                    || matches!((a, b), (PortLabel::Both, _) | (_, PortLabel::Both))
+            }
+        })
+    };
+
+    // Score: fewer LR sources first; then (BIST-aware) more SD in LR.
+    let score = |labels: &[PortLabel]| -> (usize, i64) {
+        let lr = labels.iter().filter(|&&l| l == PortLabel::Both).count();
+        let sd_in_lr: i64 = labels
+            .iter()
+            .enumerate()
+            .filter(|(_, &l)| l == PortLabel::Both)
+            .map(|(i, _)| problem.sd[i] as i64)
+            .sum();
+        (lr, if bist_aware { -sd_in_lr } else { 0 })
+    };
+
+    const OPTIONS: [PortLabel; 3] = [PortLabel::Left, PortLabel::Right, PortLabel::Both];
+    let mut best: Option<((usize, i64), Vec<PortLabel>)> = None;
+    let mut labels = vec![PortLabel::Left; n];
+    fn rec(
+        i: usize,
+        n: usize,
+        labels: &mut Vec<PortLabel>,
+        feasible: &dyn Fn(&[PortLabel]) -> bool,
+        score: &dyn Fn(&[PortLabel]) -> (usize, i64),
+        best: &mut Option<((usize, i64), Vec<PortLabel>)>,
+        options: &[PortLabel; 3],
+    ) {
+        if i == n {
+            if feasible(labels) {
+                let s = score(labels);
+                if best.as_ref().is_none_or(|(b, _)| s < *b) {
+                    *best = Some((s, labels.clone()));
+                }
+            }
+            return;
+        }
+        for &l in options {
+            labels[i] = l;
+            rec(i + 1, n, labels, feasible, score, best, options);
+        }
+    }
+    rec(0, n, &mut labels, &feasible, &score, &mut best, &OPTIONS);
+    best.map(|(_, l)| l)
+        .unwrap_or_else(|| vec![PortLabel::Both; n]) // all-Both is always feasible
 }
 
 #[cfg(test)]
@@ -652,5 +782,109 @@ mod double_clique_tests {
             }
         }
         assert!(compared >= 30, "only {compared} modules compared");
+    }
+}
+
+#[cfg(test)]
+mod label_search_differential {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    use super::*;
+    use lobist_datapath::RegisterId;
+
+    /// A random problem over `n` sources: commutative and fixed
+    /// constraints, self-pairs, and SDs drawn from a small range so they
+    /// tie.
+    fn random_problem(rng: &mut StdRng, n: usize) -> ModuleProblem {
+        let instances = if n == 0 {
+            0
+        } else {
+            rng.gen_range(1usize..2 * n + 2)
+        };
+        let constraints = (0..instances)
+            .map(|i| {
+                let lhs = rng.gen_range(0..n);
+                let rhs = if rng.gen_bool(0.1) {
+                    lhs
+                } else {
+                    rng.gen_range(0..n)
+                };
+                InstanceConstraint {
+                    op: OpId(i as u32),
+                    lhs,
+                    rhs,
+                    fixed: rng.gen_bool(0.3),
+                }
+            })
+            .collect();
+        ModuleProblem {
+            sources: (0..n)
+                .map(|r| SourceRef::Register(RegisterId(r as u32)))
+                .collect(),
+            constraints,
+            sd: (0..n).map(|_| rng.gen_range(0usize..4)).collect(),
+        }
+    }
+
+    #[test]
+    fn pruned_search_matches_the_exhaustive_reference() {
+        let mut rng = StdRng::seed_from_u64(16);
+        for n in 0..=EXACT_SOURCE_LIMIT {
+            let cases = if n <= 7 { 60 } else { 6 };
+            for _ in 0..cases {
+                let problem = random_problem(&mut rng, n);
+                for bist_aware in [false, true] {
+                    assert_eq!(
+                        problem.solve_labels(bist_aware),
+                        exhaustive_labels(&problem, bist_aware),
+                        "n {n}, bist_aware {bist_aware}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_search_matches_on_the_paper_suite() {
+        use crate::module_assign::assign_modules;
+        use crate::testable_regalloc::{allocate_registers, TestableAllocOptions};
+        for bench in lobist_dfg::benchmarks::paper_suite() {
+            let ma = assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
+            let ra = allocate_registers(
+                &bench.dfg,
+                &bench.schedule,
+                bench.lifetime_options,
+                &ma,
+                &TestableAllocOptions::default(),
+            )
+            .unwrap()
+            .registers;
+            let ctx = SharingContext::new(&bench.dfg, &ma);
+            for m in ma.module_ids() {
+                let problem = ModuleProblem::collect(&bench.dfg, &ma, &ra, &ctx, m);
+                for bist_aware in [false, true] {
+                    assert_eq!(
+                        problem.solve_labels(bist_aware),
+                        exhaustive_labels(&problem, bist_aware),
+                        "{} {m}",
+                        bench.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pruning_enters_far_fewer_nodes_than_three_to_the_n() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let problem = random_problem(&mut rng, EXACT_SOURCE_LIMIT);
+        let before = label_nodes();
+        problem.solve_labels(true);
+        let nodes = label_nodes() - before;
+        assert!(
+            (1..3u64.pow(EXACT_SOURCE_LIMIT as u32)).contains(&nodes),
+            "{nodes}"
+        );
     }
 }

@@ -15,8 +15,9 @@
 //! * [`baseline_regalloc`] — traditional allocation (left-edge / greedy
 //!   PVES) used as the paper's comparison point.
 //! * [`cbilbo`] — Lemma 1 and Lemma 2 as executable predicates.
-//! * [`interconnect`] — minimum-mux operand binding via weighted double
-//!   clique partitioning, directed so high-sharing registers reach both
+//! * [`interconnect`] — minimum-mux operand binding: an exact label
+//!   search for modules with up to ten sources, weighted double clique
+//!   partitioning beyond, directed so high-sharing registers reach both
 //!   ports (Section IV).
 //! * [`flow`] — the end-to-end synthesis flow producing a
 //!   [`flow::Design`] with its data path and minimal-area BIST solution.
@@ -26,6 +27,7 @@
 //!   cost cache.
 //! * [`trace`] — step-by-step decision traces (regenerates the paper's
 //!   Fig. 4 worked example).
+//! * [`work`] — deterministic work counters of the synthesis searches.
 //!
 //! # Examples
 //!
@@ -57,3 +59,4 @@ pub mod module_assign;
 pub mod testable_regalloc;
 pub mod trace;
 pub mod variable_sets;
+pub mod work;

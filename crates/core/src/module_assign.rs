@@ -65,19 +65,25 @@ pub fn assign_modules(
     modules: &ModuleSet,
 ) -> Result<ModuleAssignment, ModuleAssignError> {
     let mut module_of = vec![usize::MAX; dfg.num_ops()];
-    for step in 1..=schedule.max_step() {
+    let mut load = vec![0usize; modules.len()];
+    // Visit only the occupied steps, ascending, each in op id order (the
+    // stable sort keeps id order within a step): an empty step binds
+    // nothing, so the run time follows the op count, not the largest
+    // step number.
+    let mut by_step: Vec<OpId> = dfg.op_ids().collect();
+    by_step.sort_by_key(|&op| schedule.step(op));
+    for ops in by_step.chunk_by(|&a, &b| schedule.step(a) == schedule.step(b)) {
         let mut free = vec![true; modules.len()];
         // Two passes: first give dedicated units to the ops they match,
         // then fill remaining ops with ALUs. Within a pass, id order;
         // among equally capable free modules, the least-loaded one wins
         // (plain round-robin balancing, standard for area-driven binding).
         for dedicated_pass in [true, false] {
-            for op in schedule.ops_in_step(step) {
+            for &op in ops {
                 if module_of[op.index()] != usize::MAX {
                     continue;
                 }
                 let kind = dfg.op(op).kind;
-                let load = |m: usize| module_of.iter().filter(|&&x| x == m).count();
                 let choice = modules
                     .supporting(kind)
                     .filter(|&m| free[m])
@@ -85,19 +91,19 @@ pub fn assign_modules(
                         ModuleClass::Op(_) => dedicated_pass,
                         ModuleClass::Alu => !dedicated_pass,
                     })
-                    .min_by_key(|&m| (load(m), m));
+                    .min_by_key(|&m| (load[m], m));
                 if let Some(m) = choice {
                     free[m] = false;
                     module_of[op.index()] = m;
+                    load[m] += 1;
                 }
             }
         }
-        if let Some(op) = schedule
-            .ops_in_step(step)
-            .into_iter()
-            .find(|op| module_of[op.index()] == usize::MAX)
-        {
-            return Err(ModuleAssignError::Overcommitted { step, op });
+        if let Some(&op) = ops.iter().find(|op| module_of[op.index()] == usize::MAX) {
+            return Err(ModuleAssignError::Overcommitted {
+                step: schedule.step(op),
+                op,
+            });
         }
     }
     // Drop modules no operation landed on: they would not be instantiated
@@ -176,5 +182,14 @@ mod tests {
         let small: ModuleSet = "1/,1*,2+,1&".parse().unwrap(); // one mult too few
         let err = assign_modules(&b.dfg, &b.schedule, &small).unwrap_err();
         assert!(matches!(err, ModuleAssignError::Overcommitted { step: 1, .. }));
+    }
+
+    #[test]
+    fn large_step_numbers_cost_nothing() {
+        // One op at a huge step: only occupied steps are visited.
+        let text = "input a b\ny = a + b @ 4000000000\noutput y\n";
+        let (dfg, schedule) = lobist_dfg::parse::parse_dfg(text).unwrap();
+        let ma = assign_modules(&dfg, &schedule, &"1+".parse().unwrap()).unwrap();
+        assert_eq!(ma.num_modules(), 1);
     }
 }

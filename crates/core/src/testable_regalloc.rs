@@ -18,14 +18,18 @@
 //! 4. **avoids merges that force CBILBOs** — each candidate is vetted
 //!    against Lemma 2 ([`crate::cbilbo`]); forcing merges are skipped
 //!    unless every candidate forces (then the assignment is allowed, as
-//!    the paper does, rather than spending an extra register).
+//!    the paper does, rather than spending an extra register). The veto
+//!    reads per-module counts that are updated on each merge, so a
+//!    trial rescores only the modules the variable belongs to.
+
+use std::cell::Cell;
 
 use lobist_datapath::{ModuleAssignment, RegisterAssignment};
 use lobist_dfg::lifetime::{LifetimeOptions, Lifetimes};
 use lobist_dfg::{Dfg, Schedule, VarId};
 use lobist_graph::pves::{pves_by_key, NotChordalError};
 
-use crate::cbilbo;
+use crate::cbilbo::Lemma2Tracker;
 use crate::trace::{AllocTrace, CandidateInfo, ChoiceReason, TraceStep};
 use crate::variable_sets::{RegisterMask, SharingContext};
 
@@ -115,14 +119,22 @@ pub fn allocate_registers(
     // 2–4. Color in reverse PVES order.
     let mut classes: Vec<Vec<VarId>> = Vec::new();
     let mut masks: Vec<RegisterMask> = Vec::new();
-    let mut class_dense: Vec<Vec<usize>> = Vec::new(); // dense vertex ids per class
+    let mut class_of: Vec<Option<usize>> = vec![None; reg_vars.len()]; // per dense vertex
+    let mut conflicts: Vec<bool> = Vec::new(); // per class, for the current vertex
+    let mut lemma2 = Lemma2Tracker::new(dfg, modules);
     let mut trace = AllocTrace::default();
 
     for (position, &dense) in coloring_order.iter().enumerate() {
         let vid = reg_vars[dense];
-        let compatible: Vec<usize> = (0..classes.len())
-            .filter(|&r| class_dense[r].iter().all(|&u| !graph.has_edge(u, dense)))
-            .collect();
+        // A class is compatible unless it holds a neighbour of `dense`.
+        conflicts.clear();
+        conflicts.resize(classes.len(), false);
+        for &u in graph.neighbors(dense) {
+            if let Some(r) = class_of[u] {
+                conflicts[r] = true;
+            }
+        }
+        let compatible: Vec<usize> = (0..classes.len()).filter(|&r| !conflicts[r]).collect();
 
         let candidates: Vec<CandidateInfo> = compatible
             .iter()
@@ -136,19 +148,15 @@ pub fn allocate_registers(
         let (chosen, reason) = if compatible.is_empty() {
             classes.push(Vec::new());
             masks.push(ctx.empty_register());
-            class_dense.push(Vec::new());
             (classes.len() - 1, ChoiceReason::NewRegister)
         } else {
-            choose_register(
-                dfg, modules, &ctx, &classes, &masks, vid, &candidates, options,
-            )
+            choose_register(&ctx, &masks, &lemma2, vid, &candidates, options)
         };
 
         classes[chosen].push(vid);
-        let mut m = masks[chosen];
-        ctx.add_to_register(&mut m, vid);
-        masks[chosen] = m;
-        class_dense[chosen].push(dense);
+        ctx.add_to_register(&mut masks[chosen], vid);
+        class_of[dense] = Some(chosen);
+        lemma2.assign(chosen, vid);
 
         trace.steps.push(TraceStep {
             position,
@@ -167,6 +175,18 @@ pub fn allocate_registers(
     Ok(TestableAllocation { registers, trace })
 }
 
+thread_local! {
+    static VETO_EVALUATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many Lemma-2 veto evaluations (one per `(variable, candidate)`
+/// vetted) the allocator has run on the calling thread so far: a
+/// deterministic work counter. Callers take the difference of two
+/// readings around the work they measure.
+pub(crate) fn veto_evaluations() -> u64 {
+    VETO_EVALUATIONS.with(Cell::get)
+}
+
 /// Interconnect affinity of merging `v` into a register: the number of
 /// module memberships they share (common source or destination modules
 /// mean fewer new mux legs — Fig. 6 cases 3–5).
@@ -174,13 +194,10 @@ fn affinity(ctx: &SharingContext, mask: RegisterMask, v: VarId) -> usize {
     ctx.sd_var(v) + ctx.sd_register(mask) - ctx.sd_register_with(mask, v)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn choose_register(
-    dfg: &Dfg,
-    modules: &ModuleAssignment,
     ctx: &SharingContext,
-    classes: &[Vec<VarId>],
     masks: &[RegisterMask],
+    lemma2: &Lemma2Tracker,
     vid: VarId,
     candidates: &[CandidateInfo],
     options: &TestableAllocOptions,
@@ -210,8 +227,7 @@ fn choose_register(
                 continue;
             }
             for c in candidates {
-                let holds_output = classes[c.register].iter().any(|&u| ctx.is_output_of(u, j));
-                if holds_output && c.sd_before > base.sd_after {
+                if masks[c.register].holds_output_of(j) && c.sd_before > base.sd_after {
                     overrides.push((c, ChoiceReason::Case1Override));
                 }
             }
@@ -223,16 +239,12 @@ fn choose_register(
             if !ctx.is_input_of(vid, j) {
                 continue;
             }
-            let holders = classes
-                .iter()
-                .filter(|cl| cl.iter().any(|&u| ctx.is_input_of(u, j)))
-                .count();
+            let holders = masks.iter().filter(|m| m.holds_input_of(j)).count();
             if holders < 2 {
                 continue;
             }
             for c in candidates {
-                let holds_input = classes[c.register].iter().any(|&u| ctx.is_input_of(u, j));
-                if holds_input && c.sd_before > base.sd_after {
+                if masks[c.register].holds_input_of(j) && c.sd_before > base.sd_after {
                     overrides.push((c, ChoiceReason::Case2Override));
                 }
             }
@@ -266,7 +278,8 @@ fn choose_register(
 
     if options.lemma2_check {
         for (i, (r, reason)) in preference.iter().enumerate() {
-            if !cbilbo::creates_new_forced_cbilbo(dfg, modules, classes, *r, vid) {
+            VETO_EVALUATIONS.with(|c| c.set(c.get() + 1));
+            if !lemma2.creates_new_forced(*r, vid) {
                 let reason = if i == 0 {
                     reason.clone()
                 } else {
@@ -400,5 +413,94 @@ mod tests {
                 && ctx.sd_register(m) >= 2
         });
         assert!(shared_head, "expected a register heading I-paths to both modules");
+    }
+}
+
+#[cfg(test)]
+mod veto_differential {
+    use super::*;
+    use crate::cbilbo::creates_new_forced_cbilbo;
+    use crate::module_assign::assign_modules;
+    use lobist_dfg::corpus::{self, KINDS};
+    use lobist_dfg::modules::ModuleSet;
+    use lobist_dfg::random::{random_scheduled_dfg, RandomDfgConfig};
+    use lobist_dfg::scheduling::list_schedule;
+
+    /// Replays one allocation and asserts, before every merge, that the
+    /// tracker's veto matches the rebuild-everything reference for every
+    /// candidate register of the variable. Returns the pairs compared.
+    fn replay(dfg: &Dfg, schedule: &Schedule, modules: &ModuleSet) -> usize {
+        let Ok(ma) = assign_modules(dfg, schedule, modules) else {
+            return 0;
+        };
+        let lt = LifetimeOptions::registered_inputs();
+        let Ok(alloc) =
+            allocate_registers(dfg, schedule, lt, &ma, &TestableAllocOptions::default())
+        else {
+            return 0;
+        };
+        let mut classes: Vec<Vec<VarId>> = Vec::new();
+        let mut tracker = Lemma2Tracker::new(dfg, &ma);
+        let mut compared = 0;
+        for step in &alloc.trace.steps {
+            let v = step.variable;
+            for c in &step.candidates {
+                assert_eq!(
+                    tracker.creates_new_forced(c.register, v),
+                    creates_new_forced_cbilbo(dfg, &ma, &classes, c.register, v),
+                    "variable {v}, register {}",
+                    c.register
+                );
+                compared += 1;
+            }
+            if step.chosen == classes.len() {
+                classes.push(Vec::new());
+            }
+            classes[step.chosen].push(v);
+            tracker.assign(step.chosen, v);
+        }
+        compared
+    }
+
+    #[test]
+    fn tracker_matches_the_reference_on_the_paper_suite() {
+        let mut compared = 0;
+        for bench in lobist_dfg::benchmarks::paper_suite() {
+            compared += replay(&bench.dfg, &bench.schedule, &bench.module_allocation);
+        }
+        assert!(compared > 20, "only {compared} pairs compared");
+    }
+
+    #[test]
+    fn tracker_matches_the_reference_on_the_seed_1_corpus() {
+        let mut compared = 0;
+        for modules in ["1+,1*,1-", "2+,2*,2-"] {
+            let modules: ModuleSet = modules.parse().expect("a module set");
+            for kind in KINDS {
+                for size in (8..=32).step_by(8) {
+                    let dfg = corpus::generate(kind, size, 1);
+                    let schedule = list_schedule(&dfg, &modules).expect("corpus kinds are covered");
+                    compared += replay(&dfg, &schedule, &modules);
+                }
+            }
+        }
+        assert!(compared > 1000, "only {compared} pairs compared");
+    }
+
+    #[test]
+    fn tracker_matches_the_reference_on_random_designs() {
+        let cfg = RandomDfgConfig {
+            num_ops: 14,
+            num_inputs: 4,
+            max_ops_per_step: 3,
+            ..RandomDfgConfig::default()
+        };
+        let modules: ModuleSet = "2+,2-,2*,2&".parse().expect("a module set");
+        let mut compared = 0;
+        for seed in 0..60u64 {
+            let (dfg, schedule) = random_scheduled_dfg(seed, &cfg);
+            compared += replay(&dfg, &schedule, &modules);
+        }
+        assert!(compared > 200, "only {compared} pairs compared");
     }
 }

@@ -46,6 +46,18 @@ impl RegisterMask {
     pub fn touches(&self, j: usize) -> bool {
         (self.x | self.y) >> j & 1 == 1
     }
+
+    /// `true` if some variable of the register is an input variable of
+    /// module `j`.
+    pub fn holds_input_of(&self, j: usize) -> bool {
+        self.x >> j & 1 == 1
+    }
+
+    /// `true` if some variable of the register is an output variable of
+    /// module `j`.
+    pub fn holds_output_of(&self, j: usize) -> bool {
+        self.y >> j & 1 == 1
+    }
 }
 
 impl SharingContext {
@@ -206,6 +218,30 @@ mod tests {
         // g then prefers {d} over {c, f}.
         let rcf = ctx.register_mask([v("c"), v("f")]);
         assert!(ctx.delta_sd(rd, v("g")) > ctx.delta_sd(rcf, v("g")));
+    }
+
+    #[test]
+    fn mask_holds_exactly_its_variables_memberships() {
+        // The allocator's Case 1/2 tests read the mask in place of a scan
+        // of the register's variables.
+        let (dfg, ctx) = ex1_ctx();
+        let vars: Vec<VarId> = dfg.var_ids().collect();
+        for &u in &vars {
+            for &w in &vars {
+                let m = ctx.register_mask([u, w]);
+                for j in 0..ctx.num_modules() {
+                    let held = [u, w];
+                    assert_eq!(
+                        m.holds_input_of(j),
+                        held.iter().any(|&v| ctx.is_input_of(v, j))
+                    );
+                    assert_eq!(
+                        m.holds_output_of(j),
+                        held.iter().any(|&v| ctx.is_output_of(v, j))
+                    );
+                }
+            }
+        }
     }
 
     #[test]

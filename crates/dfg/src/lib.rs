@@ -57,5 +57,5 @@ pub mod scheduling;
 mod types;
 
 pub use dfg::{Dfg, DfgBuilder, DfgError};
-pub use schedule::{Schedule, ScheduleError};
+pub use schedule::{Schedule, ScheduleError, MAX_STEP};
 pub use types::{OpId, OpKind, Operand, VarId};

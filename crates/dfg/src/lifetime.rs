@@ -78,6 +78,8 @@ impl Lifetimes {
             dfg.num_ops(),
             "schedule does not match the DFG"
         );
+        // Outputs live until `smax + 1`, which cannot overflow:
+        // `Schedule::new` caps steps at `MAX_STEP`.
         let smax = schedule.max_step();
         let mut intervals: Vec<Option<Interval>> = Vec::with_capacity(dfg.num_vars());
         for v in dfg.var_ids() {

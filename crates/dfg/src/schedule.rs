@@ -12,6 +12,10 @@ pub struct Schedule {
     steps: Vec<u32>,
 }
 
+/// The largest control step a schedule may use: primary outputs stay live
+/// until one step past the last, and that step must still be a `u32`.
+pub const MAX_STEP: u32 = u32::MAX - 1;
+
 /// Errors detected when validating a schedule against a DFG.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScheduleError {
@@ -24,6 +28,11 @@ pub enum ScheduleError {
     },
     /// Control steps must be ≥ 1.
     ZeroStep {
+        /// The offending operation.
+        op: OpId,
+    },
+    /// Control steps must be at most [`MAX_STEP`].
+    StepTooLarge {
         /// The offending operation.
         op: OpId,
     },
@@ -44,6 +53,10 @@ impl fmt::Display for ScheduleError {
                 write!(f, "schedule covers {got} operations but the DFG has {expected}")
             }
             ScheduleError::ZeroStep { op } => write!(f, "operation {op} scheduled at step 0"),
+            ScheduleError::StepTooLarge { op } => write!(
+                f,
+                "operation {op} scheduled after step {MAX_STEP}, the largest supported"
+            ),
             ScheduleError::DependencyViolation { producer, consumer } => write!(
                 f,
                 "operation {consumer} consumes the result of {producer} in the same or an earlier step"
@@ -60,7 +73,8 @@ impl Schedule {
     /// # Errors
     ///
     /// Returns [`ScheduleError`] if the vector has the wrong length, any
-    /// step is 0, or a consumer is scheduled at or before its producer.
+    /// step is 0 or above [`MAX_STEP`], or a consumer is scheduled at or
+    /// before its producer.
     pub fn new(dfg: &Dfg, steps: Vec<u32>) -> Result<Self, ScheduleError> {
         if steps.len() != dfg.num_ops() {
             return Err(ScheduleError::WrongLength {
@@ -69,8 +83,10 @@ impl Schedule {
             });
         }
         for op in dfg.op_ids() {
-            if steps[op.index()] == 0 {
-                return Err(ScheduleError::ZeroStep { op });
+            match steps[op.index()] {
+                0 => return Err(ScheduleError::ZeroStep { op }),
+                step if step > MAX_STEP => return Err(ScheduleError::StepTooLarge { op }),
+                _ => {}
             }
         }
         for op in dfg.op_ids() {
@@ -175,6 +191,15 @@ mod tests {
             Schedule::new(&g, vec![0, 1]),
             Err(ScheduleError::ZeroStep { op: OpId(0) })
         ));
+    }
+
+    #[test]
+    fn step_above_max_rejected() {
+        let g = chain();
+        assert!(Schedule::new(&g, vec![MAX_STEP - 1, MAX_STEP]).is_ok());
+        let err = Schedule::new(&g, vec![1, u32::MAX]).unwrap_err();
+        assert_eq!(err, ScheduleError::StepTooLarge { op: OpId(1) });
+        assert!(err.to_string().contains("largest supported"), "{err}");
     }
 
     #[test]

@@ -8,6 +8,7 @@ use std::time::Instant;
 
 use lobist_alloc::explore::{evaluate_canonical_timed, remap_point, Candidate};
 use lobist_alloc::flow::{FlowOptions, StageTimings};
+use lobist_alloc::work::SearchWork;
 use lobist_dfg::canon::canonize;
 use lobist_dfg::parse::to_text;
 use lobist_dfg::Dfg;
@@ -420,7 +421,9 @@ impl Engine {
         // the metrics. Store in canonical coordinates, return in the
         // requester's: every isomorphic or shifted requester — this one
         // included — gets the identical remapped bytes.
-        let (canonical, timings) = evaluate_canonical_timed(&canon, modules, &job.flow);
+        let ((canonical, timings), work) =
+            SearchWork::measure(|| evaluate_canonical_timed(&canon, modules, &job.flow));
+        self.metrics.record_search(work);
         let store_key = if canonical.is_ok() { key } else { exact_key() };
         let stored = StoredResult {
             origin,

@@ -17,6 +17,7 @@ use std::time::Duration;
 use lobist_alloc::anneal::AnnealResult;
 use lobist_alloc::flow::StageTimings;
 use lobist_alloc::flowcache::{FlowCacheStats, StageStats};
+use lobist_alloc::work::SearchWork;
 use lobist_store::StoreStats;
 
 use crate::anneal::AnnealStats;
@@ -90,6 +91,8 @@ pub struct Metrics {
     an_wall_nanos: AtomicU64,
     // Incremental flow-cache work beneath the oracle (lobist_alloc::flowcache).
     fc: Mutex<FlowCacheStats>,
+    // Search work of the jobs' syntheses (lobist_alloc::work).
+    synthesis: Mutex<SearchWork>,
     // Canonization work (the structural result cache in crate::engine).
     canon_exact_hits: AtomicU64,
     canon_iso_hits: AtomicU64,
@@ -161,6 +164,11 @@ impl Metrics {
         for (i, (_, d)) in timings.stages().iter().enumerate() {
             h[i][bucket(d.as_micros())] += 1;
         }
+    }
+
+    /// Accumulates the search work of one job's synthesis.
+    pub(crate) fn record_search(&self, work: SearchWork) {
+        *self.synthesis.lock().expect("synthesis lock") += work;
     }
 
     pub(crate) fn record_pool(&self, stats: &PoolStats) {
@@ -357,6 +365,7 @@ impl Metrics {
                 wall: Duration::from_nanos(self.an_wall_nanos.load(Ordering::Relaxed)),
             },
             flow_cache: self.fc.lock().expect("flow-cache lock").clone(),
+            synthesis: *self.synthesis.lock().expect("synthesis lock"),
             canon: CanonSnapshot {
                 exact_hits: self.canon_exact_hits.load(Ordering::Relaxed),
                 iso_hits: self.canon_iso_hits.load(Ordering::Relaxed),
@@ -643,6 +652,9 @@ pub struct MetricsSnapshot {
     /// misses / evictions plus delta-vs-full evaluation timing
     /// histograms), summed over every recorded annealing run.
     pub flow_cache: FlowCacheStats,
+    /// Accumulated search work of the jobs' syntheses (deterministic:
+    /// equal for any worker count).
+    pub synthesis: SearchWork,
     /// Accumulated lint work.
     pub lint: LintSnapshot,
     /// Accumulated static testability analysis work.
@@ -810,6 +822,9 @@ impl MetricsSnapshot {
                 "\"canon\":{{\"exact_hits\":{cn_exact},\"iso_hits\":{cn_iso},",
                 "\"iso_share\":{cn_share:.4},\"remaps\":{cn_remaps},",
                 "\"bailouts\":{cn_bail},\"canon_micros_log2\":[{cn_hist}]}},",
+                "\"synthesis\":{{\"pves_tests\":{sy_pves},\"lemma2_evaluations\":{sy_l2},",
+                "\"label_nodes\":{sy_labels},\"embeddings\":{sy_emb},",
+                "\"bnb_nodes\":{sy_bnb}}},",
                 "\"stage_micros_log2_histograms\":{{{hist}}}{tail}}}"
             ),
             sub = self.jobs_submitted,
@@ -873,6 +888,11 @@ impl MetricsSnapshot {
             cn_remaps = self.canon.remaps,
             cn_bail = self.canon.bailouts,
             cn_hist = trim_row(&self.canon.canon_micros_log2),
+            sy_pves = self.synthesis.pves_tests,
+            sy_l2 = self.synthesis.lemma2_evaluations,
+            sy_labels = self.synthesis.label_nodes,
+            sy_emb = self.synthesis.embeddings,
+            sy_bnb = self.synthesis.bnb_nodes,
             hist = hist,
             cache_extra = cache_extra,
             tail = tail,

@@ -300,6 +300,9 @@ pub enum LoadError {
     Parse(ParseDfgError),
     /// An unannotated design has no list schedule under the module set.
     Schedule(ListScheduleError),
+    /// The design has no operations, so there is no data path to
+    /// synthesize (and no functional area to relate BIST area to).
+    Empty,
 }
 
 /// Loads a design text the way every job command does. Text with any
@@ -310,18 +313,24 @@ pub enum LoadError {
 ///
 /// # Errors
 ///
-/// Returns [`LoadError::Parse`] for text that does not parse and
+/// Returns [`LoadError::Parse`] for text that does not parse,
+/// [`LoadError::Empty`] for a design without operations and
 /// [`LoadError::Schedule`] when an unannotated design uses an operator
 /// no module in `modules` executes.
 pub fn load_design(text: &str, modules: &ModuleSet) -> Result<(Dfg, Schedule), LoadError> {
     let annotated = text
         .lines()
         .any(|line| line.split('#').next().unwrap_or("").contains('@'));
-    if annotated {
-        return parse_dfg(text).map_err(LoadError::Parse);
+    let (dfg, schedule) = if annotated {
+        parse_dfg(text).map_err(LoadError::Parse)?
+    } else {
+        let dfg = parse_unscheduled_dfg(text).map_err(LoadError::Parse)?;
+        let schedule = list_schedule(&dfg, modules).map_err(LoadError::Schedule)?;
+        (dfg, schedule)
+    };
+    if dfg.num_ops() == 0 {
+        return Err(LoadError::Empty);
     }
-    let dfg = parse_unscheduled_dfg(text).map_err(LoadError::Parse)?;
-    let schedule = list_schedule(&dfg, modules).map_err(LoadError::Schedule)?;
     Ok((dfg, schedule))
 }
 
@@ -403,5 +412,25 @@ mod tests {
         assert_eq!(schedule.max_step(), 2);
         let err = load_design(plain, &"1+".parse().expect("valid")).expect_err("no multiplier");
         assert!(matches!(err, LoadError::Schedule(_)), "{err:?}");
+    }
+
+    #[test]
+    fn a_design_without_operations_is_rejected() {
+        for text in ["# nothing here\n", "", "input a\noutput a\n"] {
+            let err = load_design(text, &modules()).expect_err("no operations");
+            assert!(matches!(err, LoadError::Empty), "{text:?}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn the_largest_step_loads_and_one_more_is_rejected() {
+        let at = |step: u64| format!("input a b\ny = a + b @ {step}\noutput y\n");
+        let (_, schedule) = load_design(&at(4_000_000_000), &modules()).expect("a large step");
+        assert_eq!(schedule.max_step(), 4_000_000_000);
+        let err = load_design(&at(u64::from(u32::MAX)), &modules()).expect_err("past MAX_STEP");
+        assert!(
+            matches!(err, LoadError::Parse(ParseDfgError::Schedule(_))),
+            "{err:?}"
+        );
     }
 }

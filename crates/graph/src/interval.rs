@@ -64,7 +64,8 @@ impl Interval {
 }
 
 /// Builds the conflict graph of a set of lifetimes: vertex per interval,
-/// edge where two intervals overlap.
+/// edge where two intervals overlap. The edges come from the
+/// [`overlapping_pairs`] sweep, which visits only overlapping pairs.
 ///
 /// # Examples
 ///
@@ -77,15 +78,7 @@ impl Interval {
 /// assert!(!g.has_edge(0, 2));
 /// ```
 pub fn conflict_graph(intervals: &[Interval]) -> UGraph {
-    let mut g = UGraph::new(intervals.len());
-    for (i, a) in intervals.iter().enumerate() {
-        for (j, b) in intervals.iter().enumerate().skip(i + 1) {
-            if a.overlaps(b) {
-                g.add_edge(i, j);
-            }
-        }
-    }
-    g
+    UGraph::from_edges(intervals.len(), &overlapping_pairs(intervals))
 }
 
 /// The maximum number of simultaneously live intervals — the size of the
@@ -140,27 +133,30 @@ pub fn max_overlap(intervals: &[Interval]) -> usize {
 /// assert_eq!(max_clique_sizes(&spans), vec![3, 3, 3, 1]);
 /// ```
 pub fn max_clique_sizes(intervals: &[Interval]) -> Vec<usize> {
-    // Density of live intervals at each step, then per interval take the
-    // max density over its span. Interval graphs have the Helly property,
-    // so every maximal clique corresponds to a time point.
-    let mut mcs = vec![1usize; intervals.len()];
-    let points: Vec<u32> = intervals
+    // Interval graphs have the Helly property, so every maximal clique
+    // is the set of intervals live at some interval's start. Count the
+    // live intervals at each distinct start (starts so far minus ends so
+    // far, empty intervals left out: they contain no point), then take
+    // each interval's maximum over the starts it contains.
+    let non_empty = || intervals.iter().filter(|iv| !iv.is_empty());
+    let mut starts: Vec<u32> = non_empty().map(|iv| iv.start).collect();
+    let mut ends: Vec<u32> = non_empty().map(|iv| iv.end).collect();
+    starts.sort_unstable();
+    ends.sort_unstable();
+    let mut points = starts.clone();
+    points.dedup();
+    let live: Vec<usize> = points
         .iter()
-        .filter(|iv| !iv.is_empty())
-        .map(|iv| iv.start)
+        .map(|&t| starts.partition_point(|&s| s <= t) - ends.partition_point(|&e| e <= t))
         .collect();
-    for &t in &points {
-        let live: Vec<usize> = intervals
-            .iter()
-            .enumerate()
-            .filter(|(_, iv)| iv.contains(t))
-            .map(|(i, _)| i)
-            .collect();
-        for &i in &live {
-            mcs[i] = mcs[i].max(live.len());
-        }
-    }
-    mcs
+    intervals
+        .iter()
+        .map(|iv| {
+            let lo = points.partition_point(|&t| t < iv.start);
+            let hi = points.partition_point(|&t| t < iv.end);
+            live[lo..hi].iter().copied().max().unwrap_or(1).max(1)
+        })
+        .collect()
 }
 
 /// All pairs of overlapping intervals, as `(i, j)` index pairs with
@@ -334,16 +330,43 @@ mod tests {
             Interval::new(7, 9),
             Interval::new(3, 3), // empty: conflicts with nothing
         ];
+        assert_eq!(overlapping_pairs(&spans), all_pairs(&spans));
         let g = conflict_graph(&spans);
-        let mut expected = Vec::new();
-        for i in 0..spans.len() {
-            for j in i + 1..spans.len() {
-                if g.has_edge(i, j) {
-                    expected.push((i, j));
+        assert_eq!(g.edges().collect::<Vec<_>>(), all_pairs(&spans));
+    }
+
+    /// The definition: every pair that overlaps, by the quadratic scan.
+    fn all_pairs(spans: &[Interval]) -> Vec<(usize, usize)> {
+        let mut pairs = Vec::new();
+        for (i, a) in spans.iter().enumerate() {
+            for (j, b) in spans.iter().enumerate().skip(i + 1) {
+                if a.overlaps(b) {
+                    pairs.push((i, j));
                 }
             }
         }
-        assert_eq!(overlapping_pairs(&spans), expected);
+        pairs
+    }
+
+    #[test]
+    fn conflict_graph_matches_the_definition_on_random_families() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(9);
+        for n in 0..60 {
+            let spans: Vec<Interval> = (0..n)
+                .map(|_| {
+                    let s = rng.gen_range(0u32..12);
+                    Interval::new(s, s + rng.gen_range(0u32..5))
+                })
+                .collect();
+            let pairs = all_pairs(&spans);
+            let mut expected = UGraph::new(n);
+            for &(i, j) in &pairs {
+                expected.add_edge(i, j);
+            }
+            assert_eq!(conflict_graph(&spans), expected, "{spans:?}");
+        }
     }
 
     #[test]

@@ -77,6 +77,7 @@ fn load(request: &Request) -> Result<(Dfg, Schedule, ModuleSet), String> {
     let (dfg, schedule) = load_design(design, &modules).map_err(|e| match e {
         LoadError::Parse(e) => format!("design: {e}"),
         LoadError::Schedule(e) => format!("cannot schedule design: {e}"),
+        LoadError::Empty => "design has no operations".to_owned(),
     })?;
     Ok((dfg, schedule, modules))
 }

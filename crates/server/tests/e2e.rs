@@ -551,3 +551,37 @@ fn hostile_job_fields_and_broken_schedules_get_errors_and_the_daemon_serves_on()
     shutdown(&endpoint);
     thread.join().expect("run thread").expect("clean shutdown");
 }
+
+#[test]
+fn empty_designs_and_out_of_range_steps_get_errors_and_the_daemon_serves_on() {
+    let (endpoint, thread) = start(ServerConfig::default());
+    let request = |cmd: &str, design: &str| {
+        let line = format!(
+            r#"{{"cmd":"{cmd}","design":"{}","modules":"1+,1*"}}"#,
+            lobist_server::json::escape(design)
+        );
+        client::submit(&endpoint, &line).expect("submit")
+    };
+    for cmd in ["synth", "lint"] {
+        let events = request(cmd, "# a comment and nothing else\n");
+        assert!(
+            event(&events, "error").contains("no operations"),
+            "{cmd}: {events:?}"
+        );
+    }
+    let events = request("synth", "input a b\ny = a + b @ 4294967295\noutput y\n");
+    assert!(
+        event(&events, "error").contains("largest supported"),
+        "{events:?}"
+    );
+    let events = request("synth", "input a b\ny = a + b @ 4000000000\noutput y\n");
+    assert!(
+        event(&events, "result").contains("\"latency\":4000000000"),
+        "{events:?}"
+    );
+
+    let pong = client::submit(&endpoint, r#"{"cmd":"ping"}"#).expect("ping");
+    assert!(event(&pong, "pong").contains("\"event\":\"pong\""));
+    shutdown(&endpoint);
+    thread.join().expect("run thread").expect("clean shutdown");
+}
