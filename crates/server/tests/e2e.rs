@@ -585,3 +585,46 @@ fn empty_designs_and_out_of_range_steps_get_errors_and_the_daemon_serves_on() {
     shutdown(&endpoint);
     thread.join().expect("run thread").expect("clean shutdown");
 }
+
+#[path = "../../../tests/support/metrics_golden.rs"]
+mod golden;
+
+/// The daemon's `metrics` reply after a fixed, sequential request
+/// sequence, against its golden (timing values masked). Regenerate with
+/// `UPDATE_GOLDENS=1 cargo test -p lobist-server --test e2e daemon_metrics_golden`.
+#[test]
+fn daemon_metrics_golden() {
+    let dir = temp_dir("metrics-golden");
+    let (endpoint, thread) = start(ServerConfig {
+        store: Some(dir.join("results.log")),
+        ..ServerConfig::default()
+    });
+    let twin: &str = "input p q r t\n\
+                      t2 = r + t @ 2\n\
+                      t1 = p + q @ 1\n\
+                      z = t1 * t2 @ 3\n\
+                      output z\n";
+    let request = |cmd: &str, design: &str, extra: &str| {
+        let line = format!(
+            r#"{{"cmd":"{cmd}","design":"{}","modules":"1+,1*","jobs":1{extra}}}"#,
+            lobist_server::json::escape(design)
+        );
+        client::submit(&endpoint, &line).expect("submit")
+    };
+    client::submit(&endpoint, r#"{"cmd":"ping"}"#).expect("ping");
+    request("synth", DESIGN, "");
+    request("synth", DESIGN, "");
+    request("synth", twin, "");
+    request("lint", DESIGN, "");
+    request("analyze", DESIGN, "");
+    request("faultsim", DESIGN, r#","width":5"#);
+    request("anneal", DESIGN, r#","iterations":30,"seed":48879"#);
+    client::submit(&endpoint, r#"{"cmd":"levitate"}"#).expect("submit");
+    let metrics = client::submit(&endpoint, r#"{"cmd":"metrics"}"#).expect("metrics");
+    golden::check(
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/goldens/metrics/daemon.json"),
+        event(&metrics, "metrics"),
+    );
+    shutdown(&endpoint);
+    thread.join().expect("run thread").expect("clean shutdown");
+}
