@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use lobist_datapath::{DataPath, ModuleAssignment, RegisterAssignment};
+use lobist_datapath::{ModuleAssignment, RegisterAssignment};
 use lobist_dfg::lifetime::{LifetimeOptions, Lifetimes};
 use lobist_dfg::{Dfg, Schedule, VarId};
 use rand::rngs::StdRng;
@@ -39,9 +39,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::baseline_regalloc::{self, BaselineAlgorithm};
 use crate::flow::{FlowError, FlowOptions};
-use crate::flowcache::{fnv_sep, fnv_word, FlowCache, FlowCacheConfig, FlowCacheStats, FNV_OFFSET};
-use crate::interconnect::assign_interconnect;
-use crate::variable_sets::SharingContext;
+use crate::flowcache::{fnv_sep, fnv_word, FlowCache, FlowCacheStats, FNV_OFFSET};
 
 /// A register coloring: one variable list per register.
 pub type Coloring = Vec<Vec<VarId>>;
@@ -66,10 +64,6 @@ pub struct AnnealConfig {
     /// stall (self-moves, conflicts and register-emptying picks retry
     /// instead of wasting the iteration).
     pub max_retries: u32,
-    /// Stage-cache capacities for the oracle's incremental evaluation
-    /// layer. Purely a performance knob: the committed trajectory is
-    /// identical for every value.
-    pub flow_cache: FlowCacheConfig,
 }
 
 impl Default for AnnealConfig {
@@ -81,7 +75,6 @@ impl Default for AnnealConfig {
             seed: 0xA11EA1,
             batch: 1,
             max_retries: 64,
-            flow_cache: FlowCacheConfig::default(),
         }
     }
 }
@@ -178,12 +171,6 @@ fn canonical_key(classes: &[Vec<VarId>]) -> u128 {
 /// (interconnect shapes, per-module embeddings, warm-started selection)
 /// so a one-variable move only recomputes what it touched.
 pub struct CostOracle<'a> {
-    dfg: &'a Dfg,
-    schedule: &'a Schedule,
-    lt_opts: LifetimeOptions,
-    ma: &'a ModuleAssignment,
-    ctx: SharingContext,
-    flow: &'a FlowOptions,
     flow_cache: FlowCache<'a>,
     cache: Mutex<HashMap<u128, Result<u64, FlowError>>>,
     hits: AtomicU64,
@@ -199,27 +186,8 @@ impl<'a> CostOracle<'a> {
         ma: &'a ModuleAssignment,
         flow: &'a FlowOptions,
     ) -> Self {
-        Self::with_flow_cache_config(dfg, schedule, lt_opts, ma, flow, FlowCacheConfig::default())
-    }
-
-    /// Builds an oracle with explicit stage-cache capacities for the
-    /// incremental layer.
-    pub fn with_flow_cache_config(
-        dfg: &'a Dfg,
-        schedule: &'a Schedule,
-        lt_opts: LifetimeOptions,
-        ma: &'a ModuleAssignment,
-        flow: &'a FlowOptions,
-        cache_config: FlowCacheConfig,
-    ) -> Self {
         Self {
-            dfg,
-            schedule,
-            lt_opts,
-            ma,
-            ctx: SharingContext::new(dfg, ma),
-            flow,
-            flow_cache: FlowCache::with_config(dfg, schedule, lt_opts, ma, flow, cache_config),
+            flow_cache: FlowCache::new(dfg, schedule, lt_opts, ma, flow),
             cache: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -252,17 +220,7 @@ impl<'a> CostOracle<'a> {
     ///
     /// Returns the failing stage's [`FlowError`].
     pub fn cost_uncached(&self, classes: &[Vec<VarId>]) -> Result<u64, FlowError> {
-        let ra = RegisterAssignment::new(self.dfg, classes.to_vec())?;
-        let (ic, _) = assign_interconnect(
-            self.dfg,
-            self.ma,
-            &ra,
-            &self.ctx,
-            self.flow.bist_aware_interconnect,
-        );
-        let dp = DataPath::build(self.dfg, self.schedule, self.lt_opts, self.ma, &ra, &ic)?;
-        let sol = lobist_bist::solve(&dp, &self.flow.area, &self.flow.solver)?;
-        Ok(sol.overhead.get())
+        self.flow_cache.evaluate_uncached(classes).map(|e| e.overhead)
     }
 
     /// Cache hits so far.
@@ -380,8 +338,7 @@ pub fn anneal_registers_with<E: BatchEvaluator>(
         BaselineAlgorithm::LeftEdge,
     )?;
     let mut classes: Coloring = initial.classes().to_vec();
-    let oracle =
-        CostOracle::with_flow_cache_config(dfg, schedule, lt_opts, ma, flow, config.flow_cache);
+    let oracle = CostOracle::new(dfg, schedule, lt_opts, ma, flow);
     let mut cost = oracle.cost(&classes)?;
     let initial_overhead = cost;
     let mut best = (classes.clone(), cost);
@@ -649,51 +606,6 @@ mod tests {
         let serial = run(1);
         for batch in [2, 4, 16, 64] {
             assert_eq!(serial.fingerprint(), run(batch).fingerprint(), "batch {batch}");
-        }
-    }
-
-    #[test]
-    fn flow_cache_capacity_does_not_change_the_trajectory() {
-        // The acceptance contract: byte-identical annealing trajectories
-        // for any stage-cache capacity (crossed with batch size; worker
-        // count is covered by the engine's pool tests).
-        let bench = benchmarks::paulin();
-        let flow = FlowOptions::testable().with_lifetimes(bench.lifetime_options);
-        let ma =
-            assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
-        let run = |flow_cache: FlowCacheConfig, batch: u32| {
-            anneal_registers(
-                &bench.dfg,
-                &bench.schedule,
-                bench.lifetime_options,
-                &ma,
-                &flow,
-                &AnnealConfig { iterations: 120, batch, flow_cache, ..Default::default() },
-            )
-            .unwrap()
-        };
-        let reference = run(FlowCacheConfig::default(), 1);
-        let configs = [
-            FlowCacheConfig {
-                interconnect_capacity: 1,
-                embedding_capacity: 1,
-                selection_capacity: 1,
-            },
-            FlowCacheConfig {
-                interconnect_capacity: 2,
-                embedding_capacity: 7,
-                selection_capacity: 3,
-            },
-            FlowCacheConfig::default(),
-        ];
-        for config in configs {
-            for batch in [1, 16] {
-                assert_eq!(
-                    reference.fingerprint(),
-                    run(config, batch).fingerprint(),
-                    "{config:?} batch {batch}"
-                );
-            }
         }
     }
 

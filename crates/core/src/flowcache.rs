@@ -74,40 +74,29 @@ pub(crate) fn fnv_sep(h: u128) -> u128 {
     (h ^ u128::from(SEP)).wrapping_mul(FNV_PRIME)
 }
 
-/// Histogram buckets for the delta/full timing profiles: bucket `i`
-/// counts evaluations taking `[2^i, 2^(i+1))` microseconds, the last
-/// bucket absorbing everything slower (matches the engine's stage
-/// histograms).
+/// Buckets of a log2-microsecond timing histogram: bucket `i` counts
+/// samples taking `[2^i, 2^(i+1))` microseconds, the last bucket
+/// absorbing everything slower (~8.4 s and beyond). The flow cache's
+/// delta/full profiles and every histogram of the engine's metrics
+/// share this shape.
 pub const NUM_BUCKETS: usize = 24;
 
-fn bucket(micros: u128) -> usize {
+/// The histogram bucket of a sample of `micros` microseconds.
+pub fn bucket_micros(micros: u128) -> usize {
     let floor_log2 = (127 - micros.max(1).leading_zeros()) as usize;
     floor_log2.min(NUM_BUCKETS - 1)
 }
 
-/// Capacity knobs for the per-stage caches. Purely a performance /
-/// memory trade-off: results never depend on capacity (each cached
-/// value is a pure function of its key), which the trajectory property
-/// tests pin down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowCacheConfig {
-    /// Entries in the interconnect label cache (problem shapes).
-    pub interconnect_capacity: usize,
-    /// Entries in the per-module embedding-list cache.
-    pub embedding_capacity: usize,
-    /// Entries in the embedding-selection memo.
-    pub selection_capacity: usize,
-}
-
-impl Default for FlowCacheConfig {
-    fn default() -> Self {
-        Self {
-            interconnect_capacity: 4096,
-            embedding_capacity: 4096,
-            selection_capacity: 1024,
-        }
-    }
-}
+// Entries kept by each stage cache. Purely a performance / memory
+// trade-off: results never depend on capacity (each cached value is a
+// pure function of its key), which the capacity-1 eviction walks in
+// the tests pin down.
+/// Entries in the interconnect label cache (problem shapes).
+const INTERCONNECT_CAPACITY: usize = 4096;
+/// Entries in the per-module embedding-list cache.
+const EMBEDDING_CAPACITY: usize = 4096;
+/// Entries in the embedding-selection memo.
+const SELECTION_CAPACITY: usize = 1024;
 
 /// Hit/miss/eviction counters of one stage cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -118,18 +107,6 @@ pub struct StageStats {
     pub misses: u64,
     /// Entries dropped to stay within capacity.
     pub evictions: u64,
-}
-
-impl StageStats {
-    /// Hits as a fraction of lookups (0.0 when none).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// A point-in-time copy of a [`FlowCache`]'s counters.
@@ -241,7 +218,7 @@ pub struct FlowCache<'a> {
 }
 
 impl<'a> FlowCache<'a> {
-    /// Builds the cache with default capacities.
+    /// Builds the cache over one design's fixed module assignment.
     pub fn new(
         dfg: &'a Dfg,
         schedule: &'a Schedule,
@@ -249,17 +226,20 @@ impl<'a> FlowCache<'a> {
         ma: &'a ModuleAssignment,
         flow: &'a FlowOptions,
     ) -> Self {
-        Self::with_config(dfg, schedule, lt_opts, ma, flow, FlowCacheConfig::default())
+        let capacities = [INTERCONNECT_CAPACITY, EMBEDDING_CAPACITY, SELECTION_CAPACITY];
+        Self::with_capacities(dfg, schedule, lt_opts, ma, flow, capacities)
     }
 
-    /// Builds the cache with explicit stage capacities.
-    pub fn with_config(
+    /// Builds the cache with the interconnect, embedding and selection
+    /// stages bounded to `capacities` entries (the tests' eviction
+    /// walks shrink them).
+    pub(crate) fn with_capacities(
         dfg: &'a Dfg,
         schedule: &'a Schedule,
         lt_opts: LifetimeOptions,
         ma: &'a ModuleAssignment,
         flow: &'a FlowOptions,
-        config: FlowCacheConfig,
+        [interconnect, embeddings, selection]: [usize; 3],
     ) -> Self {
         let module_area = ma
             .module_ids()
@@ -285,9 +265,9 @@ impl<'a> FlowCache<'a> {
             module_error: precheck_modules(dfg, schedule, ma),
             module_area,
             register_area_each: flow.area.register().get(),
-            interconnect: Mutex::new(StageCache::new(config.interconnect_capacity)),
-            embeddings: Mutex::new(StageCache::new(config.embedding_capacity)),
-            selection: Mutex::new(StageCache::new(config.selection_capacity)),
+            interconnect: Mutex::new(StageCache::new(interconnect)),
+            embeddings: Mutex::new(StageCache::new(embeddings)),
+            selection: Mutex::new(StageCache::new(selection)),
             warm: Mutex::new(None),
             warm_starts: AtomicU64::new(0),
             timings: Mutex::new([[0; NUM_BUCKETS]; 2]),
@@ -338,7 +318,7 @@ impl<'a> FlowCache<'a> {
 
     fn record(&self, which: usize, elapsed: Duration) {
         let mut timings = self.timings.lock().expect("timing lock");
-        timings[which][bucket(elapsed.as_micros())] += 1;
+        timings[which][bucket_micros(elapsed.as_micros())] += 1;
     }
 
     fn evaluate_reference(&self, classes: &[Vec<VarId>]) -> Result<FlowEval, FlowError> {
@@ -789,16 +769,19 @@ mod tests {
         }
     }
 
-    fn check_walk(bench: &Benchmark, config: FlowCacheConfig, steps: usize, seed: u64) {
+    const DEFAULT_CAPACITIES: [usize; 3] =
+        [INTERCONNECT_CAPACITY, EMBEDDING_CAPACITY, SELECTION_CAPACITY];
+
+    fn check_walk(bench: &Benchmark, capacities: [usize; 3], steps: usize, seed: u64) {
         let flow = crate::flow::FlowOptions::testable().with_lifetimes(bench.lifetime_options);
         let ma = assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
-        let cache = FlowCache::with_config(
+        let cache = FlowCache::with_capacities(
             &bench.dfg,
             &bench.schedule,
             bench.lifetime_options,
             &ma,
             &flow,
-            config,
+            capacities,
         );
         let mut walk = Walk::new(bench, &ma, seed);
         let mut visited: Vec<Vec<Vec<VarId>>> = vec![walk.classes.clone()];
@@ -823,7 +806,7 @@ mod tests {
         assert!(stats.interconnect.hits + stats.interconnect.misses > 0);
         // A 1-entry cache legitimately thrashes (two modules alternate
         // shapes), so only roomy configurations must show reuse.
-        if config.interconnect_capacity > 1 {
+        if capacities[0] > 1 {
             assert!(stats.interconnect.hits > 0, "{stats:?}");
             assert!(stats.embeddings.hits > 0, "{stats:?}");
         }
@@ -881,39 +864,30 @@ mod tests {
 
     #[test]
     fn incremental_matches_reference_on_ex1_walk() {
-        check_walk(&benchmarks::ex1(), FlowCacheConfig::default(), 150, 0xF10C);
+        check_walk(&benchmarks::ex1(), DEFAULT_CAPACITIES, 150, 0xF10C);
     }
 
     #[test]
     fn incremental_matches_reference_on_paulin_walk() {
-        check_walk(
-            &benchmarks::paulin(),
-            FlowCacheConfig::default(),
-            120,
-            0xCAFE,
-        );
+        check_walk(&benchmarks::paulin(), DEFAULT_CAPACITIES, 120, 0xCAFE);
     }
 
     #[test]
     fn eviction_revisits_stay_correct_under_tiny_capacities() {
         // Capacity 1 per stage forces an eviction on nearly every new
         // shape, so revisits keep recomputing — results must not change.
-        let config = FlowCacheConfig {
-            interconnect_capacity: 1,
-            embedding_capacity: 1,
-            selection_capacity: 1,
-        };
+        let capacities = [1, 1, 1];
         let bench = benchmarks::ex1();
-        check_walk(&bench, config, 100, 0xE71C);
+        check_walk(&bench, capacities, 100, 0xE71C);
         let flow = crate::flow::FlowOptions::testable().with_lifetimes(bench.lifetime_options);
         let ma = assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
-        let cache = FlowCache::with_config(
+        let cache = FlowCache::with_capacities(
             &bench.dfg,
             &bench.schedule,
             bench.lifetime_options,
             &ma,
             &flow,
-            config,
+            capacities,
         );
         let mut walk = Walk::new(&bench, &ma, 0xE71C);
         for _ in 0..60 {
@@ -936,16 +910,13 @@ mod tests {
         let bench = benchmarks::paulin();
         let flow = crate::flow::FlowOptions::testable().with_lifetimes(bench.lifetime_options);
         let ma = assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
-        let cache = FlowCache::with_config(
+        let cache = FlowCache::with_capacities(
             &bench.dfg,
             &bench.schedule,
             bench.lifetime_options,
             &ma,
             &flow,
-            FlowCacheConfig {
-                selection_capacity: 1,
-                ..FlowCacheConfig::default()
-            },
+            [INTERCONNECT_CAPACITY, EMBEDDING_CAPACITY, 1],
         );
         let mut walk = Walk::new(&bench, &ma, 0x3A3A);
         for _ in 0..80 {
@@ -1019,10 +990,11 @@ mod tests {
 
     #[test]
     fn timing_buckets_are_log2_micros() {
-        assert_eq!(bucket(0), 0);
-        assert_eq!(bucket(1), 0);
-        assert_eq!(bucket(2), 1);
-        assert_eq!(bucket(1024), 10);
-        assert_eq!(bucket(u128::MAX), NUM_BUCKETS - 1);
+        assert_eq!(bucket_micros(0), 0);
+        assert_eq!(bucket_micros(1), 0);
+        assert_eq!(bucket_micros(2), 1);
+        assert_eq!(bucket_micros(3), 1);
+        assert_eq!(bucket_micros(1024), 10);
+        assert_eq!(bucket_micros(u128::MAX), NUM_BUCKETS - 1);
     }
 }

@@ -66,12 +66,10 @@ pub fn assign_modules(
 ) -> Result<ModuleAssignment, ModuleAssignError> {
     let mut module_of = vec![usize::MAX; dfg.num_ops()];
     let mut load = vec![0usize; modules.len()];
-    // Visit only the occupied steps, ascending, each in op id order (the
-    // stable sort keeps id order within a step): an empty step binds
-    // nothing, so the run time follows the op count, not the largest
-    // step number.
-    let mut by_step: Vec<OpId> = dfg.op_ids().collect();
-    by_step.sort_by_key(|&op| schedule.step(op));
+    // Visit only the occupied steps, ascending, each in op id order: an
+    // empty step binds nothing, so the run time follows the op count,
+    // not the largest step number.
+    let by_step = schedule.ops_by_step();
     for ops in by_step.chunk_by(|&a, &b| schedule.step(a) == schedule.step(b)) {
         let mut free = vec![true; modules.len()];
         // Two passes: first give dedicated units to the ops they match,

@@ -19,6 +19,7 @@
 //!   same semantics as [`lobist_dfg::interp::apply`];
 //! * `done` is asserted once every control step has executed.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use lobist_dfg::{Dfg, OpKind, Operand, Schedule};
@@ -106,8 +107,11 @@ pub fn to_verilog(
             .collect();
         let _ = writeln!(out, "  reg [{}:0] R{}; // holds {}", w - 1, r.0 + 1, vars.join(", "));
     }
-    let _ = writeln!(out, "  reg [15:0] step;");
-    let _ = writeln!(out, "  assign done = step > 16'd{smax};");
+    // The step counter counts up to smax + 1, where `done` rises, so it
+    // takes the bit width of smax + 1, and at least 16 bits.
+    let cw = (u64::BITS - (u64::from(smax) + 1).leading_zeros()).max(16);
+    let _ = writeln!(out, "  reg [{}:0] step;", cw - 1);
+    let _ = writeln!(out, "  assign done = step > {cw}'d{smax};");
     let _ = writeln!(out);
 
     // ---- functional units --------------------------------------------------
@@ -134,7 +138,7 @@ pub fn to_verilog(
             // each operand reached (commutative kinds may be swapped;
             // non-commutative kinds are always Left = lhs).
             let expr = fu_expr(info.kind, &format!("M{mi}_l"), &format!("M{mi}_r"), w);
-            let _ = writeln!(out, "      16'd{step}: begin M{mi}_l = {l}; M{mi}_r = {r}; M{mi}_y = {expr}; end");
+            let _ = writeln!(out, "      {cw}'d{step}: begin M{mi}_l = {l}; M{mi}_r = {r}; M{mi}_y = {expr}; end");
         }
         let _ = writeln!(out, "      default: ;");
         let _ = writeln!(out, "    endcase");
@@ -159,33 +163,37 @@ pub fn to_verilog(
     }
     let _ = writeln!(out, "  always @(posedge clk) begin");
     let _ = writeln!(out, "    if (rst) begin");
-    let _ = writeln!(out, "      step <= 16'd1;");
+    let _ = writeln!(out, "      step <= {cw}'d1;");
     for (arrive, name, reg) in arrivals.iter().filter(|(a, _, _)| *a == 0) {
         let _ = arrive;
         let _ = writeln!(out, "      R{reg} <= in_{name};");
     }
-    let _ = writeln!(out, "    end else if (step <= 16'd{smax}) begin");
-    let _ = writeln!(out, "      step <= step + 16'd1;");
+    let _ = writeln!(out, "    end else if (step <= {cw}'d{smax}) begin");
+    let _ = writeln!(out, "      step <= step + {cw}'d1;");
     let _ = writeln!(out, "      case (step)");
-    for step in 1..=smax {
-        let mut actions: Vec<String> = Vec::new();
-        for op in schedule.ops_in_step(step) {
-            let info = dfg.op(op);
-            let m = dp
-                .module_ids()
-                .find(|&m| dp.module_ops(m).contains(&op))
-                .expect("every op runs on a module");
-            let r = dp.register_of(info.out).expect("results are registered");
-            actions.push(format!("R{} <= M{}_y;", r.0 + 1, m.0 + 1));
-        }
-        for (arrive, name, reg) in &arrivals {
-            if *arrive == step {
-                actions.push(format!("R{reg} <= in_{name};"));
-            }
-        }
-        if !actions.is_empty() {
-            let _ = writeln!(out, "        16'd{step}: begin {} end", actions.join(" "));
-        }
+    // One arm per occupied step: its results in op id order, then the
+    // inputs arriving for the next step.
+    let mut actions: BTreeMap<u32, Vec<String>> = BTreeMap::new();
+    for op in dfg.op_ids() {
+        let info = dfg.op(op);
+        let m = dp
+            .module_ids()
+            .find(|&m| dp.module_ops(m).contains(&op))
+            .expect("every op runs on a module");
+        let r = dp.register_of(info.out).expect("results are registered");
+        actions
+            .entry(schedule.step(op))
+            .or_default()
+            .push(format!("R{} <= M{}_y;", r.0 + 1, m.0 + 1));
+    }
+    for (arrive, name, reg) in arrivals.iter().filter(|(a, _, _)| *a > 0) {
+        actions
+            .entry(*arrive)
+            .or_default()
+            .push(format!("R{reg} <= in_{name};"));
+    }
+    for (step, actions) in &actions {
+        let _ = writeln!(out, "        {cw}'d{step}: begin {} end", actions.join(" "));
     }
     let _ = writeln!(out, "        default: ;");
     let _ = writeln!(out, "      endcase");
@@ -546,5 +554,59 @@ mod tb_tests {
             8,
             &[(HashMap::new(), HashMap::new())],
         );
+    }
+}
+
+#[cfg(test)]
+mod step_counter_tests {
+    use super::*;
+    use crate::assignment::{InterconnectAssignment, ModuleAssignment, RegisterAssignment};
+    use lobist_dfg::lifetime::LifetimeOptions;
+    use lobist_dfg::parse::parse_dfg;
+
+    /// The controller of `y = a + b` scheduled at `step`.
+    fn one_add_at(step: u32) -> String {
+        let (dfg, schedule) =
+            parse_dfg(&format!("input a b\ny = a + b @ {step}\noutput y\n")).expect("parses");
+        let op = dfg.op_ids().next().expect("one op");
+        let name = dfg.op(op).name.clone();
+        let modules = "1+".parse().expect("a module set");
+        let ma = ModuleAssignment::from_op_names(&dfg, &modules, &[(name.as_str(), 0)])
+            .expect("binds");
+        let regs = RegisterAssignment::from_names(&dfg, &[vec!["a"], vec!["b"], vec!["y"]])
+            .expect("registers");
+        let ic = InterconnectAssignment::straight(&dfg);
+        let dp = DataPath::build(&dfg, &schedule, LifetimeOptions::default(), &ma, &regs, &ic)
+            .expect("builds");
+        to_verilog(&dp, &dfg, &schedule, "one", 8)
+    }
+
+    #[test]
+    fn the_counter_is_16_bits_while_max_step_plus_one_fits() {
+        let v = one_add_at(65534);
+        assert!(v.contains("reg [15:0] step;"), "{v}");
+        assert!(v.contains("assign done = step > 16'd65534;"), "{v}");
+    }
+
+    #[test]
+    fn the_counter_widens_past_16_bits() {
+        for step in [65535, 70000] {
+            let v = one_add_at(step);
+            assert!(v.contains("reg [16:0] step;"), "{v}");
+            assert!(v.contains(&format!("assign done = step > 17'd{step};")), "{v}");
+            assert!(v.contains(&format!("17'd{step}: begin R")), "{v}");
+            assert!(!v.contains("16'd"), "{v}");
+        }
+        let v = one_add_at(4_000_000_000);
+        assert!(v.contains("reg [31:0] step;"), "{v}");
+    }
+
+    #[test]
+    fn a_huge_step_number_emits_at_once() {
+        let start = std::time::Instant::now();
+        let v = one_add_at(4_000_000_000);
+        assert!(start.elapsed() < std::time::Duration::from_secs(1));
+        // One arm in each case block: the adder's, then the register load.
+        assert_eq!(v.matches("32'd4000000000: begin").count(), 2, "{v}");
     }
 }

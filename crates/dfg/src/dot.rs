@@ -30,16 +30,13 @@ pub fn to_dot(dfg: &Dfg, schedule: &Schedule) -> String {
         let _ = writeln!(out, "  \"{name}\" [shape=plaintext];");
     }
     // Operations as circles labelled with their symbol, ranked by step.
-    for step in 1..=schedule.max_step() {
-        let ops = schedule.ops_in_step(step);
-        if ops.is_empty() {
-            continue;
-        }
+    let by_step = schedule.ops_by_step();
+    for ops in by_step.chunk_by(|&a, &b| schedule.step(a) == schedule.step(b)) {
         let _ = write!(out, "  {{ rank=same;");
-        for &op in &ops {
+        for &op in ops {
             let _ = write!(out, " \"{}\";", dfg.op(op).name);
         }
-        let _ = writeln!(out, " }} // step {step}");
+        let _ = writeln!(out, " }} // step {}", schedule.step(ops[0]));
     }
     for op in dfg.op_ids() {
         let info = dfg.op(op);
@@ -98,6 +95,16 @@ pub fn to_dot(dfg: &Dfg, schedule: &Schedule) -> String {
 mod tests {
     use super::*;
     use crate::benchmarks;
+
+    #[test]
+    fn ranks_cover_occupied_steps_only() {
+        let text = "input a b\ns = a + b @ 1\ny = s * a @ 4000000000\noutput y\n";
+        let (dfg, schedule) = crate::parse::parse_dfg(text).expect("parses");
+        let dot = to_dot(&dfg, &schedule);
+        assert_eq!(dot.matches("rank=same").count(), 2, "{dot}");
+        assert!(dot.contains(" } // step 1\n"), "{dot}");
+        assert!(dot.contains(" } // step 4000000000\n"), "{dot}");
+    }
 
     #[test]
     fn dot_contains_all_ops_and_inputs() {

@@ -249,9 +249,10 @@ pub fn force_directed_schedule_traced(
 /// kind it needs.
 pub fn peak_usage(dfg: &Dfg, schedule: &Schedule) -> HashMap<OpKind, usize> {
     let mut peak: HashMap<OpKind, usize> = HashMap::new();
-    for step in 1..=schedule.max_step() {
+    let ops = schedule.ops_by_step();
+    for step in ops.chunk_by(|&a, &b| schedule.step(a) == schedule.step(b)) {
         let mut counts: HashMap<OpKind, usize> = HashMap::new();
-        for op in schedule.ops_in_step(step) {
+        for &op in step {
             *counts.entry(dfg.op(op).kind).or_insert(0) += 1;
         }
         for (k, c) in counts {
@@ -344,5 +345,14 @@ mod tests {
                 "{kind}: needs {count}, set has {available}"
             );
         }
+    }
+
+    #[test]
+    fn peak_usage_visits_occupied_steps_only() {
+        let text = "input a b\ns = a + b @ 1\nt = a + b @ 1\ny = s * t @ 4000000000\noutput y\n";
+        let (dfg, schedule) = crate::parse::parse_dfg(text).expect("parses");
+        let peak = peak_usage(&dfg, &schedule);
+        assert_eq!(peak[&OpKind::Add], 2);
+        assert_eq!(peak[&OpKind::Mul], 1);
     }
 }

@@ -134,6 +134,15 @@ impl Schedule {
             .collect()
     }
 
+    /// Every operation, by control step and in id order within a step:
+    /// `chunk_by` on the step walks the occupied steps only, so the cost
+    /// follows the op count, not the largest step number.
+    pub fn ops_by_step(&self) -> Vec<OpId> {
+        let mut ops: Vec<OpId> = (0..self.steps.len() as u32).map(OpId).collect();
+        ops.sort_by_key(|&op| self.step(op));
+        ops
+    }
+
     /// The underlying step vector.
     pub fn as_slice(&self) -> &[u32] {
         &self.steps

@@ -16,6 +16,7 @@ use std::time::{Duration, Instant};
 use lobist_lint::analysis::reach_report;
 use lobist_lint::{analyze_cone, design_cones, FixpointScratch, LintUnit, TestabilityReport};
 
+use crate::metric;
 use crate::metrics::Metrics;
 use crate::pool::run_jobs;
 
@@ -76,7 +77,16 @@ pub fn analyze_parallel(
         workers: pool.workers,
     };
     if let Some(m) = metrics {
-        m.record_analysis(&report, &stats);
+        m.add(metric!("testability.runs"), 1);
+        m.add(metric!("testability.cones"), report.cones.len() as u64);
+        m.add(metric!("testability.faults"), report.total_faults() as u64);
+        m.add(metric!("testability.hard"), report.total_hard() as u64);
+        m.add(metric!("testability.redundant"), report.total_redundant() as u64);
+        m.add(metric!("testability.unreachable"), report.total_unreachable() as u64);
+        m.add_time(metric!("testability.wall_micros"), stats.wall);
+        for (_, took) in &stats.cones {
+            m.record(metric!("testability.cone_micros_log2"), *took);
+        }
         m.record_pool(&pool);
     }
     (report, stats)
@@ -153,10 +163,10 @@ mod tests {
         let metrics = Metrics::new();
         let (report, _) = analyze_parallel(&unit, 2, Some(&metrics));
         let snap = metrics.snapshot();
-        assert_eq!(snap.testability.runs, 1);
-        assert_eq!(snap.testability.cones, report.cones.len() as u64);
-        assert_eq!(snap.testability.faults, report.total_faults() as u64);
-        let total_coned: u64 = snap.testability.cone_micros_log2.iter().sum();
+        assert_eq!(snap.get(metric!("testability.runs")), 1);
+        assert_eq!(snap.get(metric!("testability.cones")), report.cones.len() as u64);
+        assert_eq!(snap.get(metric!("testability.faults")), report.total_faults() as u64);
+        let total_coned: u64 = snap.histogram(metric!("testability.cone_micros_log2")).iter().sum();
         assert_eq!(total_coned, report.cones.len() as u64);
         let json = snap.to_json();
         assert!(json.contains("\"testability\":{\"runs\":1"), "{json}");

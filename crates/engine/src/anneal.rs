@@ -173,6 +173,7 @@ pub fn anneal_multichain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metric;
     use lobist_alloc::flow::FlowOptions;
     use lobist_alloc::module_assign::assign_modules;
     use lobist_dfg::benchmarks;
@@ -213,19 +214,21 @@ mod tests {
         let metrics = crate::Metrics::new();
         metrics.record_anneal(&result, &stats);
         let snap = metrics.snapshot();
-        assert_eq!(snap.anneal.runs, 1);
-        assert_eq!(snap.anneal.chains, 3);
-        assert_eq!(snap.anneal.moves_evaluated, u64::from(result.evaluated));
+        assert_eq!(snap.get(metric!("anneal.runs")), 1);
+        assert_eq!(snap.get(metric!("anneal.chains")), 3);
+        assert_eq!(
+            snap.get(metric!("anneal.moves_evaluated")),
+            u64::from(result.evaluated)
+        );
         let json = snap.to_json();
         assert!(json.contains("\"anneal\":{\"runs\":1,\"chains\":3"), "{json}");
 
         // The incremental layer's stage counters ride along: the winning
         // chain evaluated moves, so each stage saw lookups, and repeated
         // problem shapes / module connectivities must have hit.
-        let fc = &snap.flow_cache;
-        assert!(fc.interconnect.misses > 0, "{json}");
-        assert!(fc.interconnect.hits > 0, "{json}");
-        assert!(fc.embeddings.hits > 0, "{json}");
+        assert!(snap.get(metric!("flow_cache.interconnect.misses")) > 0, "{json}");
+        assert!(snap.get(metric!("flow_cache.interconnect.hits")) > 0, "{json}");
+        assert!(snap.get(metric!("flow_cache.embeddings.hits")) > 0, "{json}");
         assert!(json.contains("\"flow_cache\":{\"interconnect\":{\"hits\":"), "{json}");
         assert!(json.contains("\"delta_micros_log2\":["), "{json}");
     }

@@ -19,8 +19,18 @@ use crate::cache::{
     canonical_job_key, failure_key, lock_ok, origin_fingerprint, JobResult, ResultCache,
 };
 use crate::faultsim::SessionMemo;
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metric;
+use crate::metrics::{Key, Metrics, MetricsSnapshot};
 use crate::pool;
+
+/// The per-stage wall-time histograms, in [`StageTimings::stages`] order.
+const STAGE_HISTOGRAMS: [Key; 5] = [
+    metric!("stage_micros_log2_histograms.module_assign"),
+    metric!("stage_micros_log2_histograms.register_alloc"),
+    metric!("stage_micros_log2_histograms.interconnect"),
+    metric!("stage_micros_log2_histograms.data_path"),
+    metric!("stage_micros_log2_histograms.bist"),
+];
 
 /// A progress sink: called with one JSON line per event.
 pub type ProgressSink = Arc<dyn Fn(&str) + Send + Sync>;
@@ -207,9 +217,25 @@ impl Engine {
     /// with the live cache and store gauges attached.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
-        snap.result_cache = Some(self.cache.stats());
-        snap.cache_capacity = self.cache.capacity() as u64;
-        snap.store = self.store.as_ref().map(|s| s.stats());
+        let cache = self.cache.stats();
+        snap.set_live(metric!("cache.evictions"), cache.evictions);
+        snap.set_live(metric!("cache.entries"), cache.entries);
+        snap.set_live(metric!("cache.capacity"), self.cache.capacity() as u64);
+        if let Some(store) = &self.store {
+            let s = store.stats();
+            snap.set_live(metric!("store.hits"), s.hits);
+            snap.set_live(metric!("store.misses"), s.misses);
+            snap.set_live(metric!("store.insertions"), s.insertions);
+            snap.set_live(metric!("store.evictions"), s.evictions);
+            snap.set_live(metric!("store.entries"), s.entries);
+            snap.set_live(metric!("store.payload_bytes"), s.payload_bytes);
+            snap.set_live(metric!("store.bytes_read"), s.bytes_read);
+            snap.set_live(metric!("store.bytes_written"), s.bytes_written);
+            snap.set_live(metric!("store.compactions"), s.compactions);
+            snap.set_live(metric!("store.recovered_drops"), s.recovered_drops);
+            snap.set_live(metric!("store.write_errors"), s.write_errors);
+            snap.set_live(metric!("store.version_skips"), s.version_skips);
+        }
         snap
     }
 
@@ -246,7 +272,7 @@ impl Engine {
     pub fn run_with_workers(&self, jobs: Vec<Job>, workers: usize) -> Vec<JobOutcome> {
         let workers = workers.max(1);
         let n = jobs.len();
-        self.metrics.add_submitted(n as u64);
+        self.metrics.add(metric!("jobs.submitted"), n as u64);
         self.emit(&format!(
             "{{\"event\":\"batch\",\"jobs\":{n},\"workers\":{workers}}}"
         ));
@@ -265,7 +291,8 @@ impl Engine {
             .map(|(i, (result, label))| match result {
                 Ok(outcome) => outcome,
                 Err(panic_msg) => {
-                    self.metrics.job_panicked();
+                    self.metrics.add(metric!("jobs.completed"), 1);
+                    self.metrics.add(metric!("jobs.panicked"), 1);
                     self.emit(&format!(
                         "{{\"event\":\"job\",\"index\":{i},\"label\":{:?},\"panicked\":true}}",
                         label
@@ -284,8 +311,8 @@ impl Engine {
         let snap = self.metrics.snapshot();
         self.emit(&format!(
             "{{\"event\":\"batch_done\",\"jobs\":{n},\"cache_hits\":{},\"utilization\":{:.4}}}",
-            snap.cache_hits,
-            snap.worker_utilization()
+            snap.get(metric!("cache.hits")),
+            snap.ratio(metric!("pool.utilization"))
         ));
         outcomes
     }
@@ -296,7 +323,12 @@ impl Engine {
         // the cache, and a miss synthesizes the canonical form anyway.
         let t0 = Instant::now();
         let canon = canonize(&job.dfg, &job.candidate.schedule);
-        self.metrics.record_canonization(t0.elapsed(), canon.bailed);
+        self.metrics.record(metric!("canon.canon_micros_log2"), t0.elapsed());
+        if canon.bailed {
+            // The search hit its leaf budget: the key stays sound, but
+            // this design's isomorphic twins may miss.
+            self.metrics.add(metric!("canon.bailouts"), 1);
+        }
         let origin = origin_fingerprint(&to_text(&job.dfg, &job.candidate.schedule));
         let modules = &job.candidate.modules;
         let (key, shift) = canonical_job_key(&canon.encoding, modules, &job.flow);
@@ -320,8 +352,13 @@ impl Engine {
         };
         let unpack = |stored: StoredResult| -> (JobResult, bool) {
             let iso = stored.origin != origin;
-            self.metrics.canon_hit(iso);
-            self.metrics.canon_remap();
+            let hit = if iso {
+                metric!("canon.iso_hits")
+            } else {
+                metric!("canon.exact_hits")
+            };
+            self.metrics.add(hit, 1);
+            self.metrics.add(metric!("canon.remaps"), 1);
             (remap_point(stored.result, &canon, &job.candidate), iso)
         };
         // Single-flight loop: check both cache tiers, then either become
@@ -330,7 +367,8 @@ impl Engine {
         let _guard = loop {
             if let Some((_, stored)) = probe(&self.cache) {
                 let (result, iso_hit) = unpack(stored);
-                self.metrics.job_done(true);
+                self.metrics.add(metric!("jobs.completed"), 1);
+                self.metrics.add(metric!("cache.hits"), 1);
                 self.emit(&format!(
                     concat!(
                         "{{\"event\":\"job\",\"index\":{index},\"label\":{label:?},",
@@ -356,7 +394,10 @@ impl Engine {
                     // rerun within this process skips the disk read.
                     self.cache.insert(hit_key, stored.clone());
                     let (result, iso_hit) = unpack(stored);
-                    self.metrics.job_done_from_store();
+                    // A store hit is still a miss for the in-memory tier.
+                    self.metrics.add(metric!("jobs.completed"), 1);
+                    self.metrics.add(metric!("cache.store_hits"), 1);
+                    self.metrics.add(metric!("cache.misses"), 1);
                     self.emit(&format!(
                         concat!(
                             "{{\"event\":\"job\",\"index\":{index},\"label\":{label:?},",
@@ -408,7 +449,7 @@ impl Engine {
                     // woke), the re-check misses and we claim leadership
                     // ourselves — never a wrong result, at worst a second
                     // evaluation of a pure function.
-                    self.metrics.coalesced();
+                    self.metrics.add(metric!("cache.coalesced"), 1);
                     let mut done = lock_ok(&slot.done);
                     while !*done {
                         done = slot.cv.wait(done).unwrap_or_else(PoisonError::into_inner);
@@ -423,20 +464,27 @@ impl Engine {
         // included — gets the identical remapped bytes.
         let ((canonical, timings), work) =
             SearchWork::measure(|| evaluate_canonical_timed(&canon, modules, &job.flow));
-        self.metrics.record_search(work);
+        self.metrics.add(metric!("synthesis.pves_tests"), work.pves_tests);
+        self.metrics.add(metric!("synthesis.lemma2_evaluations"), work.lemma2_evaluations);
+        self.metrics.add(metric!("synthesis.label_nodes"), work.label_nodes);
+        self.metrics.add(metric!("synthesis.embeddings"), work.embeddings);
+        self.metrics.add(metric!("synthesis.bnb_nodes"), work.bnb_nodes);
         let store_key = if canonical.is_ok() { key } else { exact_key() };
         let stored = StoredResult {
             origin,
             result: canonical,
         };
-        self.metrics.canon_remap();
+        self.metrics.add(metric!("canon.remaps"), 1);
         let result = remap_point(stored.result.clone(), &canon, &job.candidate);
         self.cache.insert(store_key, stored.clone());
         if let Some(store) = &self.store {
             store.put(store_key, &stored);
         }
-        self.metrics.job_done(false);
-        self.metrics.record_stages(&timings);
+        self.metrics.add(metric!("jobs.completed"), 1);
+        self.metrics.add(metric!("cache.misses"), 1);
+        for (key, (_, took)) in STAGE_HISTOGRAMS.into_iter().zip(timings.stages()) {
+            self.metrics.record(key, took);
+        }
         self.emit(&format!(
             "{{\"event\":\"job\",\"index\":{index},\"label\":{:?},\"cache_hit\":false,\"ok\":{},\"micros\":{}}}",
             job.label,
@@ -486,8 +534,8 @@ mod tests {
         assert_eq!(point.functional_gates, cached.functional_gates);
         assert_eq!(point.bist_gates, cached.bist_gates);
         let snap = engine.metrics();
-        assert_eq!(snap.cache_hits, 1);
-        assert_eq!(snap.cache_misses, 1);
+        assert_eq!(snap.get(metric!("cache.hits")), 1);
+        assert_eq!(snap.get(metric!("cache.misses")), 1);
     }
 
     #[test]
@@ -524,8 +572,11 @@ mod tests {
         assert_eq!(point.functional_gates, from_disk.functional_gates);
         assert_eq!(point.bist_gates, from_disk.bist_gates);
         let snap = second.metrics();
-        assert_eq!(snap.store_hits, 1);
-        assert!(snap.store.is_some(), "metrics carry the store section");
+        assert_eq!(snap.get(metric!("cache.store_hits")), 1);
+        assert!(
+            snap.to_json().contains("\"store\":{"),
+            "metrics carry the store section"
+        );
         // The hit was promoted: a rerun on the same engine is a memory
         // hit, not another disk read.
         let third = second.run(vec![ex1_job(FlowOptions::testable())]);
@@ -557,8 +608,8 @@ mod tests {
             assert_eq!(point.bist_gates, baseline.bist_gates);
         }
         let snap = engine.metrics();
-        assert_eq!(snap.cache_misses, 1, "single evaluation for the batch");
-        assert_eq!(snap.cache_hits, 3);
+        assert_eq!(snap.get(metric!("cache.misses")), 1, "single evaluation for the batch");
+        assert_eq!(snap.get(metric!("cache.hits")), 3);
         let json = snap.to_json();
         assert!(json.contains("\"coalesced\":"), "{json}");
     }

@@ -53,7 +53,7 @@ use lobist_gatesim::net::{Fault, GateNetwork};
 
 use crate::cache::{lock_ok, FifoMap};
 use crate::metrics::Metrics;
-use crate::{pool, Engine};
+use crate::{metric, pool, Engine};
 
 /// Simulation lane width: how many patterns one simulator word packs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -513,7 +513,14 @@ impl SessionMemo {
         metrics: &Metrics,
     ) -> SessionReport {
         let hit = lock_ok(&self.inner).get(key).cloned();
-        metrics.record_session_memo(hit.is_some());
+        metrics.add(
+            if hit.is_some() {
+                metric!("fault_sim.session_memo.hits")
+            } else {
+                metric!("fault_sim.session_memo.misses")
+            },
+            1,
+        );
         if let Some(report) = hit {
             return report;
         }
@@ -736,8 +743,11 @@ mod tests {
     }
 
     fn memo_counts(metrics: &Metrics) -> (u64, u64) {
-        let fs = metrics.snapshot().fault_sim;
-        (fs.session_memo_hits, fs.session_memo_misses)
+        let snap = metrics.snapshot();
+        (
+            snap.get(metric!("fault_sim.session_memo.hits")),
+            snap.get(metric!("fault_sim.session_memo.misses")),
+        )
     }
 
     #[test]

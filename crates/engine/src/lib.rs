@@ -12,9 +12,11 @@
 //! * [`cache`] — a content-addressed result cache keyed on a stable
 //!   128-bit FNV-1a hash of the job's shift-normalized canonical
 //!   encoding;
-//! * [`metrics`] — job counters, cache hit rate, per-stage wall-time
-//!   histograms and worker utilization, renderable as one JSON object,
-//!   plus optional JSON-lines progress events;
+//! * [`metrics`] — one registry of named counters and log2-µs
+//!   histograms (job counters, cache tiers, per-stage wall times,
+//!   worker utilization, fault-sim, annealing, lint and daemon work),
+//!   rendered as one JSON object, plus optional JSON-lines progress
+//!   events;
 //! * [`Engine`] — the queue that ties the three together;
 //! * [`explore_parallel`] / [`render_report`] — the design-space sweep
 //!   of `lobist_alloc::explore`, parallelized with a guaranteed
@@ -64,9 +66,6 @@ pub use faultsim::{
 };
 pub use lint::{lint_parallel, LintRunStats};
 pub use lobist_store::{ResultStore, StoreStats};
-pub use metrics::{
-    bucket_micros, AnnealSnapshot, CanonSnapshot, FaultSimSnapshot, LintSnapshot, Metrics,
-    MetricsSnapshot, ServerSnapshot, TestabilitySnapshot, NUM_BUCKETS, STAGE_NAMES,
-};
+pub use metrics::{bucket_micros, Metrics, MetricsSnapshot, NUM_BUCKETS};
 pub use pool::{run_jobs, PoolStats};
 pub use spec::{load_design, FlowKind, JobSpec, LoadError};

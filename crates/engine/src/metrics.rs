@@ -1,123 +1,295 @@
-//! Engine instrumentation: job counters, cache hit rates, per-stage
-//! wall-time histograms and worker utilization.
+//! Engine instrumentation: one registry of named counters and log2-µs
+//! histograms, rendered as one JSON object.
 //!
-//! Counters accumulate across every batch an [`Engine`] runs, so a
-//! repeated sweep shows its cache hits in the same snapshot as the
-//! first sweep's misses. Snapshots render to a single JSON object
-//! (hand-rolled — the schema is small and the crate stays
-//! dependency-free, like the CLI's JSON output).
+//! `TABLE` lists every key of the rendered JSON, in order, by its
+//! dotted path: `"cache.hits"` renders as `{"cache":{"hits":…}}`, so a
+//! section is nothing but a name prefix. Each entry has a kind:
+//! counters and histograms accumulate in the registry, a ratio is
+//! declared once from its counters, and live entries are read from
+//! their owners (the result cache, the durable store) when
+//! [`Engine::metrics`] takes a snapshot. Counters accumulate across
+//! every batch an engine runs, so a repeated sweep shows its cache hits
+//! in the same snapshot as the first sweep's misses.
 //!
-//! [`Engine`]: crate::Engine
+//! Adding a counter takes one `TABLE` line and one
+//! `metrics.add(metric!("section.name"), n)` call: [`metric!`] resolves
+//! the name at compile time (a misspelled name fails the build), and
+//! recording is one relaxed atomic add — no lock, no allocation, no
+//! name lookup.
+//!
+//! [`Engine::metrics`]: crate::Engine::metrics
+//! [`metric!`]: crate::metric
 
-use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use lobist_alloc::anneal::AnnealResult;
-use lobist_alloc::flow::StageTimings;
-use lobist_alloc::flowcache::{FlowCacheStats, StageStats};
-use lobist_alloc::work::SearchWork;
-use lobist_store::StoreStats;
+pub use lobist_alloc::flowcache::{bucket_micros, NUM_BUCKETS};
 
 use crate::anneal::AnnealStats;
 use crate::faultsim::FaultSimStats;
-use crate::lint::LintRunStats;
 use crate::pool::PoolStats;
 
-/// Histogram buckets per stage: bucket `i` counts jobs whose stage took
-/// `[2^i, 2^(i+1))` microseconds; the last bucket absorbs everything
-/// slower (~8.4 s and beyond).
-pub const NUM_BUCKETS: usize = 24;
+/// How a [`TABLE`] entry gets its value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// A `u64` accumulated with [`Metrics::add`] (or held with
+    /// [`Metrics::set`] / [`Metrics::max`]). A name ending in `_micros`
+    /// accumulates nanoseconds ([`Metrics::add_time`]) and renders whole
+    /// microseconds.
+    Count,
+    /// A log2-µs histogram ([`Metrics::record`]): bucket `i` counts
+    /// samples of `[2^i, 2^(i+1))` µs, rendered up to the last nonzero
+    /// bucket.
+    Hist,
+    /// A [`Kind::Hist`] left out while empty (the per-pass lint
+    /// histograms list only the passes that ran).
+    SparseHist,
+    /// `numerator / Σ denominator`, rendered with four decimals: 0 when
+    /// the denominator is 0, at most 1. The operands are entries of the
+    /// ratio's own section, named by their last segment; the ratio
+    /// renders when its numerator does.
+    Ratio(&'static str, &'static [&'static str]),
+    /// A value read from its owner when the snapshot is taken
+    /// ([`MetricsSnapshot::set_live`]); left out when it has no owner.
+    Live,
+}
 
-/// The flow stages a histogram is kept for, in pipeline order (matching
-/// [`StageTimings::stages`]).
-pub const STAGE_NAMES: [&str; 5] = [
-    "module_assign",
-    "register_alloc",
-    "interconnect",
-    "data_path",
-    "bist",
+use Kind::{Count, Hist, Live, Ratio, SparseHist};
+
+/// Every key of the metrics JSON, in rendering order. Entries sharing a
+/// prefix must be contiguous.
+const TABLE: &[(&str, Kind)] = &[
+    ("jobs.submitted", Count),
+    ("jobs.completed", Count),
+    ("jobs.panicked", Count),
+    ("cache.hits", Count),
+    ("cache.misses", Count),
+    ("cache.hit_rate", Ratio("hits", &["hits", "misses"])),
+    ("cache.store_hits", Count),
+    ("cache.coalesced", Count),
+    ("cache.evictions", Live),
+    ("cache.entries", Live),
+    ("cache.capacity", Live),
+    ("pool.busy_micros", Count),
+    ("pool.capacity_micros", Count),
+    ("pool.utilization", Ratio("busy_micros", &["capacity_micros"])),
+    ("fault_sim.batches_loaded", Count),
+    ("fault_sim.faults_simulated", Count),
+    ("fault_sim.cone_evals", Count),
+    ("fault_sim.events_propagated", Count),
+    ("fault_sim.collapsed_away", Count),
+    ("fault_sim.lanes.64.runs", Count),
+    ("fault_sim.lanes.64.batches_loaded", Count),
+    ("fault_sim.lanes.256.runs", Count),
+    ("fault_sim.lanes.256.batches_loaded", Count),
+    ("fault_sim.session_memo.hits", Count),
+    ("fault_sim.session_memo.misses", Count),
+    ("fault_sim.wall_micros", Count),
+    ("anneal.runs", Count),
+    ("anneal.chains", Count),
+    ("anneal.moves_evaluated", Count),
+    ("anneal.moves_accepted", Count),
+    ("anneal.stalls", Count),
+    ("anneal.speculative_waste", Count),
+    ("anneal.oracle_hits", Count),
+    ("anneal.oracle_misses", Count),
+    ("anneal.oracle_hit_rate", Ratio("oracle_hits", &["oracle_hits", "oracle_misses"])),
+    ("anneal.wall_micros", Count),
+    ("flow_cache.interconnect.hits", Count),
+    ("flow_cache.interconnect.misses", Count),
+    ("flow_cache.interconnect.evictions", Count),
+    ("flow_cache.interconnect.hit_rate", Ratio("hits", &["hits", "misses"])),
+    ("flow_cache.embeddings.hits", Count),
+    ("flow_cache.embeddings.misses", Count),
+    ("flow_cache.embeddings.evictions", Count),
+    ("flow_cache.embeddings.hit_rate", Ratio("hits", &["hits", "misses"])),
+    ("flow_cache.selection.hits", Count),
+    ("flow_cache.selection.misses", Count),
+    ("flow_cache.selection.evictions", Count),
+    ("flow_cache.selection.hit_rate", Ratio("hits", &["hits", "misses"])),
+    ("flow_cache.warm_starts", Count),
+    ("flow_cache.delta_micros_log2", Hist),
+    ("flow_cache.full_micros_log2", Hist),
+    ("lint.runs", Count),
+    ("lint.errors", Count),
+    ("lint.warnings", Count),
+    ("lint.wall_micros", Count),
+    // One per shipped pass, in name order.
+    ("lint.pass_micros_log2_histograms.binding", SparseHist),
+    ("lint.pass_micros_log2_histograms.bist-legality", SparseHist),
+    ("lint.pass_micros_log2_histograms.coloring", SparseHist),
+    ("lint.pass_micros_log2_histograms.gates", SparseHist),
+    ("lint.pass_micros_log2_histograms.lemma2-audit", SparseHist),
+    ("lint.pass_micros_log2_histograms.structure", SparseHist),
+    ("lint.pass_micros_log2_histograms.testability-const", SparseHist),
+    ("lint.pass_micros_log2_histograms.testability-cop", SparseHist),
+    ("lint.pass_micros_log2_histograms.testability-reach", SparseHist),
+    ("testability.runs", Count),
+    ("testability.cones", Count),
+    ("testability.faults", Count),
+    ("testability.hard", Count),
+    ("testability.redundant", Count),
+    ("testability.unreachable", Count),
+    ("testability.wall_micros", Count),
+    ("testability.cone_micros_log2", Hist),
+    ("canon.exact_hits", Count),
+    ("canon.iso_hits", Count),
+    ("canon.iso_share", Ratio("iso_hits", &["exact_hits", "iso_hits"])),
+    ("canon.remaps", Count),
+    ("canon.bailouts", Count),
+    ("canon.canon_micros_log2", Hist),
+    ("synthesis.pves_tests", Count),
+    ("synthesis.lemma2_evaluations", Count),
+    ("synthesis.label_nodes", Count),
+    ("synthesis.embeddings", Count),
+    ("synthesis.bnb_nodes", Count),
+    ("stage_micros_log2_histograms.module_assign", Hist),
+    ("stage_micros_log2_histograms.register_alloc", Hist),
+    ("stage_micros_log2_histograms.interconnect", Hist),
+    ("stage_micros_log2_histograms.data_path", Hist),
+    ("stage_micros_log2_histograms.bist", Hist),
+    ("store.hits", Live),
+    ("store.misses", Live),
+    ("store.hit_rate", Ratio("hits", &["hits", "misses"])),
+    ("store.insertions", Live),
+    ("store.evictions", Live),
+    ("store.entries", Live),
+    ("store.payload_bytes", Live),
+    ("store.bytes_read", Live),
+    ("store.bytes_written", Live),
+    ("store.compactions", Live),
+    ("store.recovered_drops", Live),
+    ("store.write_errors", Live),
+    ("store.version_skips", Live),
+    // The daemon's request accounting, shown by the daemon's snapshots
+    // only (MetricsSnapshot::show_server).
+    ("server.requests", Count),
+    ("server.completed", Count),
+    ("server.failed", Count),
+    ("server.rejected", Count),
+    ("server.active", Count),
+    ("server.queue_depth", Count),
+    ("server.peak_queue_depth", Count),
+    ("server.wall_micros", Count),
+    ("server.request_micros_log2", Hist),
 ];
 
-/// The histogram bucket for a duration of `micros` microseconds
-/// (log2 bucketing, saturating at [`NUM_BUCKETS`]` - 1`). Public so the
-/// server can bucket request wall times into the same shape.
-pub fn bucket_micros(micros: u128) -> usize {
-    let floor_log2 = (127 - micros.max(1).leading_zeros()) as usize;
-    floor_log2.min(NUM_BUCKETS - 1)
+const ENTRIES: usize = TABLE.len();
+
+const SERVER: &str = "server.";
+
+/// An entry of the metrics table, named at compile time with
+/// [`metric!`].
+///
+/// [`metric!`]: crate::metric
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Key(usize);
+
+impl Key {
+    /// The entry named `name`. Panics if there is none, which inside
+    /// [`metric!`] is a compile error.
+    ///
+    /// [`metric!`]: crate::metric
+    pub const fn of(name: &str) -> Key {
+        let mut i = 0;
+        while i < ENTRIES {
+            let entry = TABLE[i].0.as_bytes();
+            if entry.len() == name.len() && same(name.as_bytes(), entry, 0, entry.len()) {
+                return Key(i);
+            }
+            i += 1;
+        }
+        panic!("no metrics entry by that name");
+    }
+
+    /// The entry `name` in this entry's section.
+    const fn sibling(self, name: &str) -> Key {
+        let own = TABLE[self.0].0.as_bytes();
+        let mut section = own.len();
+        while own[section - 1] != b'.' {
+            section -= 1;
+        }
+        let mut i = 0;
+        while i < ENTRIES {
+            let other = TABLE[i].0.as_bytes();
+            if other.len() == section + name.len()
+                && same(own, other, 0, section)
+                && same(name.as_bytes(), other, section, name.len())
+            {
+                return Key(i);
+            }
+            i += 1;
+        }
+        panic!("no metrics entry by that name in the ratio's section");
+    }
+
+    fn kind(self) -> Kind {
+        TABLE[self.0].1
+    }
 }
 
-fn bucket(micros: u128) -> usize {
-    bucket_micros(micros)
+/// Whether `b[at..at + len]` equals `a[..len]` (`b` long enough).
+const fn same(a: &[u8], b: &[u8], at: usize, len: usize) -> bool {
+    let mut i = 0;
+    while i < len {
+        if a[i] != b[at + i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
 }
 
-/// Live counters owned by an engine.
-#[derive(Debug, Default)]
+/// The [`Key`] of a metrics table entry, resolved at compile time.
+#[macro_export]
+macro_rules! metric {
+    ($name:literal) => {
+        const { $crate::metrics::Key::of($name) }
+    };
+}
+
+/// Each entry's first cell: a histogram takes [`NUM_BUCKETS`] cells,
+/// every other entry one.
+const OFFSETS: [usize; ENTRIES + 1] = {
+    let mut offsets = [0; ENTRIES + 1];
+    let mut i = 0;
+    while i < ENTRIES {
+        let width = match TABLE[i].1 {
+            Hist | SparseHist => NUM_BUCKETS,
+            _ => 1,
+        };
+        offsets[i + 1] = offsets[i] + width;
+        // Ratio operands must name entries (checked at compile time).
+        if let Ratio(num, den) = TABLE[i].1 {
+            Key(i).sibling(num);
+            let mut d = 0;
+            while d < den.len() {
+                Key(i).sibling(den[d]);
+                d += 1;
+            }
+        }
+        i += 1;
+    }
+    offsets
+};
+
+const CELLS: usize = OFFSETS[ENTRIES];
+
+/// The live registry owned by an engine (or by a CLI command that runs
+/// lint, analysis or annealing without one).
+#[derive(Debug)]
 pub struct Metrics {
-    jobs_submitted: AtomicU64,
-    jobs_completed: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    store_hits: AtomicU64,
-    coalesced: AtomicU64,
-    panics: AtomicU64,
-    busy_nanos: AtomicU64,
-    // Pool capacity = wall × workers, the denominator of utilization.
-    capacity_nanos: AtomicU64,
-    histograms: Mutex<[[u64; NUM_BUCKETS]; STAGE_NAMES.len()]>,
-    // Fault-simulation work (crate::faultsim runs).
-    fs_batches_loaded: AtomicU64,
-    fs_faults_simulated: AtomicU64,
-    fs_cone_evals: AtomicU64,
-    fs_events_propagated: AtomicU64,
-    fs_collapsed_away: AtomicU64,
-    fs_wall_nanos: AtomicU64,
-    // Per-lane-width fault-sim tallies; index 0/1 ↔ 64/256 lanes.
-    fs_runs_by_lanes: [AtomicU64; 2],
-    fs_batches_by_lanes: [AtomicU64; 2],
-    // Session-memo lookups (crate::faultsim::SessionMemo).
-    fs_memo_hits: AtomicU64,
-    fs_memo_misses: AtomicU64,
-    // Annealing-search work (crate::anneal runs).
-    an_runs: AtomicU64,
-    an_chains: AtomicU64,
-    an_evaluated: AtomicU64,
-    an_accepted: AtomicU64,
-    an_stalled: AtomicU64,
-    an_wasted: AtomicU64,
-    an_oracle_hits: AtomicU64,
-    an_oracle_misses: AtomicU64,
-    an_wall_nanos: AtomicU64,
-    // Incremental flow-cache work beneath the oracle (lobist_alloc::flowcache).
-    fc: Mutex<FlowCacheStats>,
-    // Search work of the jobs' syntheses (lobist_alloc::work).
-    synthesis: Mutex<SearchWork>,
-    // Canonization work (the structural result cache in crate::engine).
-    canon_exact_hits: AtomicU64,
-    canon_iso_hits: AtomicU64,
-    canon_remaps: AtomicU64,
-    canon_bailouts: AtomicU64,
-    canon_hist: Mutex<[u64; NUM_BUCKETS]>,
-    // Lint runs (crate::lint drives).
-    lint_runs: AtomicU64,
-    lint_errors: AtomicU64,
-    lint_warnings: AtomicU64,
-    lint_wall_nanos: AtomicU64,
-    // Per-pass log2-µs histograms, keyed by pass name (BTreeMap so the
-    // JSON section is deterministically ordered).
-    lint_hist: Mutex<BTreeMap<&'static str, [u64; NUM_BUCKETS]>>,
-    // Static testability analysis (crate::analyze drives).
-    ta_runs: AtomicU64,
-    ta_cones: AtomicU64,
-    ta_faults: AtomicU64,
-    ta_hard: AtomicU64,
-    ta_redundant: AtomicU64,
-    ta_unreachable: AtomicU64,
-    ta_wall_nanos: AtomicU64,
-    // Per-cone analysis wall time, one aggregated log2-µs histogram
-    // (cone labels are per-design strings, so no static keying).
-    ta_hist: Mutex<[u64; NUM_BUCKETS]>,
+    cells: [AtomicU64; CELLS],
+}
+
+impl Default for Metrics {
+    fn default() -> Self {
+        Self {
+            cells: [const { AtomicU64::new(0) }; CELLS],
+        }
+    }
 }
 
 impl Metrics {
@@ -126,777 +298,230 @@ impl Metrics {
         Self::default()
     }
 
-    pub(crate) fn add_submitted(&self, n: u64) {
-        self.jobs_submitted.fetch_add(n, Ordering::Relaxed);
+    fn cell(&self, key: Key) -> &AtomicU64 {
+        &self.cells[OFFSETS[key.0]]
     }
 
-    pub(crate) fn job_done(&self, cache_hit: bool) {
-        self.jobs_completed.fetch_add(1, Ordering::Relaxed);
-        if cache_hit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.cache_misses.fetch_add(1, Ordering::Relaxed);
+    /// Adds `n` to a counter.
+    pub fn add(&self, key: Key, n: u64) {
+        debug_assert_eq!(key.kind(), Count, "{}", TABLE[key.0].0);
+        self.cell(key).fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Adds a duration to a `_micros` counter.
+    pub fn add_time(&self, key: Key, took: Duration) {
+        debug_assert!(TABLE[key.0].0.ends_with("_micros"), "{}", TABLE[key.0].0);
+        self.add(key, took.as_nanos() as u64);
+    }
+
+    /// Sets a counter that holds a current level.
+    pub fn set(&self, key: Key, value: u64) {
+        debug_assert_eq!(key.kind(), Count, "{}", TABLE[key.0].0);
+        self.cell(key).store(value, Ordering::Relaxed);
+    }
+
+    /// Raises a counter that holds a high-water mark to `value`.
+    pub fn max(&self, key: Key, value: u64) {
+        debug_assert_eq!(key.kind(), Count, "{}", TABLE[key.0].0);
+        self.cell(key).fetch_max(value, Ordering::Relaxed);
+    }
+
+    /// Counts one sample of `took` in a histogram.
+    pub fn record(&self, key: Key, took: Duration) {
+        self.add_buckets_at(key, bucket_micros(took.as_micros()), 1);
+    }
+
+    /// Adds a whole histogram's bucket counts into a histogram.
+    pub fn add_buckets(&self, key: Key, buckets: &[u64; NUM_BUCKETS]) {
+        for (bucket, &n) in buckets.iter().enumerate() {
+            if n > 0 {
+                self.add_buckets_at(key, bucket, n);
+            }
         }
     }
 
-    /// A job answered by the durable store tier (missed the in-memory
-    /// cache, found on disk, promoted).
-    pub(crate) fn job_done_from_store(&self) {
-        self.jobs_completed.fetch_add(1, Ordering::Relaxed);
-        self.store_hits.fetch_add(1, Ordering::Relaxed);
-        // A store hit is still a miss for the in-memory tier.
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
+    fn add_buckets_at(&self, key: Key, bucket: usize, n: u64) {
+        debug_assert!(matches!(key.kind(), Hist | SparseHist), "{}", TABLE[key.0].0);
+        self.cells[OFFSETS[key.0] + bucket].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// A job found an identical job already in flight and waited for its
-    /// result instead of evaluating (single-flight deduplication).
-    pub(crate) fn coalesced(&self) {
-        self.coalesced.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn job_panicked(&self) {
-        self.jobs_completed.fetch_add(1, Ordering::Relaxed);
-        self.panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_stages(&self, timings: &StageTimings) {
-        let mut h = self.histograms.lock().expect("histogram lock");
-        for (i, (_, d)) in timings.stages().iter().enumerate() {
-            h[i][bucket(d.as_micros())] += 1;
-        }
-    }
-
-    /// Accumulates the search work of one job's synthesis.
-    pub(crate) fn record_search(&self, work: SearchWork) {
-        *self.synthesis.lock().expect("synthesis lock") += work;
-    }
-
+    /// Accumulates one pool drain: busy time against capacity
+    /// (wall × workers), the two terms of `pool.utilization`.
     pub(crate) fn record_pool(&self, stats: &PoolStats) {
-        let busy: u64 = stats.busy.iter().map(|d| d.as_nanos() as u64).sum();
-        self.busy_nanos.fetch_add(busy, Ordering::Relaxed);
-        self.capacity_nanos.fetch_add(
-            stats.wall.as_nanos() as u64 * stats.workers as u64,
-            Ordering::Relaxed,
+        self.add_time(metric!("pool.busy_micros"), stats.busy.iter().sum());
+        self.add_time(
+            metric!("pool.capacity_micros"),
+            stats.wall * stats.workers as u32,
         );
     }
 
     /// Accumulates the work accounting of one fault-simulation run
     /// ([`crate::faultsim`]).
     pub fn record_fault_sim(&self, stats: &FaultSimStats) {
-        self.fs_batches_loaded
-            .fetch_add(stats.counters.batches_loaded, Ordering::Relaxed);
-        self.fs_faults_simulated
-            .fetch_add(stats.counters.faults_simulated, Ordering::Relaxed);
-        self.fs_cone_evals
-            .fetch_add(stats.counters.cone_evals, Ordering::Relaxed);
-        self.fs_events_propagated
-            .fetch_add(stats.counters.events_propagated, Ordering::Relaxed);
-        self.fs_collapsed_away
-            .fetch_add(stats.collapsed_away as u64, Ordering::Relaxed);
-        self.fs_wall_nanos
-            .fetch_add(stats.wall.as_nanos() as u64, Ordering::Relaxed);
-        let idx = lane_index(stats.lanes);
-        self.fs_runs_by_lanes[idx].fetch_add(1, Ordering::Relaxed);
-        self.fs_batches_by_lanes[idx].fetch_add(stats.counters.batches_loaded, Ordering::Relaxed);
-    }
-
-    /// One session-memo lookup: a hit skipped the simulation (and
-    /// records no simulator counters), a miss ran it.
-    pub(crate) fn record_session_memo(&self, hit: bool) {
-        if hit {
-            self.fs_memo_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.fs_memo_misses.fetch_add(1, Ordering::Relaxed);
-        }
+        let c = &stats.counters;
+        self.add(metric!("fault_sim.batches_loaded"), c.batches_loaded);
+        self.add(metric!("fault_sim.faults_simulated"), c.faults_simulated);
+        self.add(metric!("fault_sim.cone_evals"), c.cone_evals);
+        self.add(metric!("fault_sim.events_propagated"), c.events_propagated);
+        self.add(metric!("fault_sim.collapsed_away"), stats.collapsed_away as u64);
+        self.add_time(metric!("fault_sim.wall_micros"), stats.wall);
+        let (runs, batches) = match stats.lanes {
+            256 => (
+                metric!("fault_sim.lanes.256.runs"),
+                metric!("fault_sim.lanes.256.batches_loaded"),
+            ),
+            _ => (
+                metric!("fault_sim.lanes.64.runs"),
+                metric!("fault_sim.lanes.64.batches_loaded"),
+            ),
+        };
+        self.add(runs, 1);
+        self.add(batches, c.batches_loaded);
     }
 
     /// Accumulates the work accounting of one annealing run
-    /// ([`crate::anneal`]).
+    /// ([`crate::anneal`]) and of the flow cache beneath its oracle.
     pub fn record_anneal(&self, result: &AnnealResult, stats: &AnnealStats) {
-        self.an_runs.fetch_add(1, Ordering::Relaxed);
-        self.an_chains
-            .fetch_add(stats.chains as u64, Ordering::Relaxed);
-        self.an_evaluated
-            .fetch_add(u64::from(result.evaluated), Ordering::Relaxed);
-        self.an_accepted
-            .fetch_add(u64::from(result.accepted), Ordering::Relaxed);
-        self.an_stalled
-            .fetch_add(u64::from(result.stalled), Ordering::Relaxed);
-        self.an_wasted
-            .fetch_add(u64::from(result.wasted), Ordering::Relaxed);
-        self.an_oracle_hits
-            .fetch_add(result.oracle_hits, Ordering::Relaxed);
-        self.an_oracle_misses
-            .fetch_add(result.oracle_misses, Ordering::Relaxed);
-        self.an_wall_nanos
-            .fetch_add(stats.wall.as_nanos() as u64, Ordering::Relaxed);
-        let mut fc = self.fc.lock().expect("flow-cache lock");
-        accumulate_stage(&mut fc.interconnect, &result.flow_cache.interconnect);
-        accumulate_stage(&mut fc.embeddings, &result.flow_cache.embeddings);
-        accumulate_stage(&mut fc.selection, &result.flow_cache.selection);
-        fc.warm_starts += result.flow_cache.warm_starts;
-        for (acc, &n) in fc
-            .delta_micros
-            .iter_mut()
-            .zip(&result.flow_cache.delta_micros)
-        {
-            *acc += n;
-        }
-        for (acc, &n) in fc
-            .full_micros
-            .iter_mut()
-            .zip(&result.flow_cache.full_micros)
-        {
-            *acc += n;
-        }
+        self.add(metric!("anneal.runs"), 1);
+        self.add(metric!("anneal.chains"), stats.chains as u64);
+        self.add(metric!("anneal.moves_evaluated"), result.evaluated.into());
+        self.add(metric!("anneal.moves_accepted"), result.accepted.into());
+        self.add(metric!("anneal.stalls"), result.stalled.into());
+        self.add(metric!("anneal.speculative_waste"), result.wasted.into());
+        self.add(metric!("anneal.oracle_hits"), result.oracle_hits);
+        self.add(metric!("anneal.oracle_misses"), result.oracle_misses);
+        self.add_time(metric!("anneal.wall_micros"), stats.wall);
+        let fc = &result.flow_cache;
+        self.add(metric!("flow_cache.interconnect.hits"), fc.interconnect.hits);
+        self.add(metric!("flow_cache.interconnect.misses"), fc.interconnect.misses);
+        self.add(metric!("flow_cache.interconnect.evictions"), fc.interconnect.evictions);
+        self.add(metric!("flow_cache.embeddings.hits"), fc.embeddings.hits);
+        self.add(metric!("flow_cache.embeddings.misses"), fc.embeddings.misses);
+        self.add(metric!("flow_cache.embeddings.evictions"), fc.embeddings.evictions);
+        self.add(metric!("flow_cache.selection.hits"), fc.selection.hits);
+        self.add(metric!("flow_cache.selection.misses"), fc.selection.misses);
+        self.add(metric!("flow_cache.selection.evictions"), fc.selection.evictions);
+        self.add(metric!("flow_cache.warm_starts"), fc.warm_starts);
+        self.add_buckets(metric!("flow_cache.delta_micros_log2"), &fc.delta_micros);
+        self.add_buckets(metric!("flow_cache.full_micros_log2"), &fc.full_micros);
     }
 
-    /// One canonization performed: its wall time lands in the log2-µs
-    /// histogram, and a search that hit its leaf budget (falling back to
-    /// a deterministic but not label-invariant order) counts a bailout.
-    pub(crate) fn record_canonization(&self, took: Duration, bailed: bool) {
-        let mut h = self.canon_hist.lock().expect("canon histogram lock");
-        h[bucket(took.as_micros())] += 1;
-        drop(h);
-        if bailed {
-            self.canon_bailouts.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// A structural-cache hit, classified by origin fingerprint: `iso`
-    /// when the stored result came from a differently-labelled
-    /// isomorphic submission, exact otherwise.
-    pub(crate) fn canon_hit(&self, iso: bool) {
-        if iso {
-            self.canon_iso_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.canon_exact_hits.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// A stored canonical-coordinate result was translated back into a
-    /// requester's own names.
-    pub(crate) fn canon_remap(&self) {
-        self.canon_remaps.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Accumulates the outcome and per-pass timings of one lint run
-    /// ([`crate::lint::lint_parallel`]).
-    pub fn record_lint(&self, report: &lobist_lint::Report, stats: &LintRunStats) {
-        self.lint_runs.fetch_add(1, Ordering::Relaxed);
-        self.lint_errors
-            .fetch_add(report.error_count() as u64, Ordering::Relaxed);
-        self.lint_warnings
-            .fetch_add(report.warning_count() as u64, Ordering::Relaxed);
-        self.lint_wall_nanos
-            .fetch_add(stats.wall.as_nanos() as u64, Ordering::Relaxed);
-        let mut hist = self.lint_hist.lock().expect("lint histogram lock");
-        for &(name, took) in &stats.passes {
-            hist.entry(name).or_insert([0; NUM_BUCKETS])[bucket(took.as_micros())] += 1;
-        }
-    }
-
-    /// Accumulates the outcome and per-cone timings of one static
-    /// testability analysis run ([`crate::analyze::analyze_parallel`]).
-    pub fn record_analysis(
-        &self,
-        report: &lobist_lint::TestabilityReport,
-        stats: &crate::analyze::AnalyzeRunStats,
-    ) {
-        self.ta_runs.fetch_add(1, Ordering::Relaxed);
-        self.ta_cones
-            .fetch_add(report.cones.len() as u64, Ordering::Relaxed);
-        self.ta_faults
-            .fetch_add(report.total_faults() as u64, Ordering::Relaxed);
-        self.ta_hard
-            .fetch_add(report.total_hard() as u64, Ordering::Relaxed);
-        self.ta_redundant
-            .fetch_add(report.total_redundant() as u64, Ordering::Relaxed);
-        self.ta_unreachable
-            .fetch_add(report.total_unreachable() as u64, Ordering::Relaxed);
-        self.ta_wall_nanos
-            .fetch_add(stats.wall.as_nanos() as u64, Ordering::Relaxed);
-        let mut hist = self.ta_hist.lock().expect("testability histogram lock");
-        for (_, took) in &stats.cones {
-            hist[bucket(took.as_micros())] += 1;
-        }
-    }
-
-    /// A consistent-enough point-in-time copy of every counter.
+    /// A point-in-time copy of every entry the registry holds. Live
+    /// entries and the daemon's `server` section are left out until
+    /// their owner supplies or shows them.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
-            jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            store_hits: self.store_hits.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            panics: self.panics.load(Ordering::Relaxed),
-            busy: Duration::from_nanos(self.busy_nanos.load(Ordering::Relaxed)),
-            capacity: Duration::from_nanos(self.capacity_nanos.load(Ordering::Relaxed)),
-            histograms: *self.histograms.lock().expect("histogram lock"),
-            fault_sim: FaultSimSnapshot {
-                batches_loaded: self.fs_batches_loaded.load(Ordering::Relaxed),
-                faults_simulated: self.fs_faults_simulated.load(Ordering::Relaxed),
-                cone_evals: self.fs_cone_evals.load(Ordering::Relaxed),
-                events_propagated: self.fs_events_propagated.load(Ordering::Relaxed),
-                collapsed_away: self.fs_collapsed_away.load(Ordering::Relaxed),
-                wall: Duration::from_nanos(self.fs_wall_nanos.load(Ordering::Relaxed)),
-                runs_by_lanes: self
-                    .fs_runs_by_lanes
-                    .each_ref()
-                    .map(|c| c.load(Ordering::Relaxed)),
-                batches_by_lanes: self
-                    .fs_batches_by_lanes
-                    .each_ref()
-                    .map(|c| c.load(Ordering::Relaxed)),
-                session_memo_hits: self.fs_memo_hits.load(Ordering::Relaxed),
-                session_memo_misses: self.fs_memo_misses.load(Ordering::Relaxed),
-            },
-            anneal: AnnealSnapshot {
-                runs: self.an_runs.load(Ordering::Relaxed),
-                chains: self.an_chains.load(Ordering::Relaxed),
-                moves_evaluated: self.an_evaluated.load(Ordering::Relaxed),
-                moves_accepted: self.an_accepted.load(Ordering::Relaxed),
-                stalls: self.an_stalled.load(Ordering::Relaxed),
-                speculative_waste: self.an_wasted.load(Ordering::Relaxed),
-                oracle_hits: self.an_oracle_hits.load(Ordering::Relaxed),
-                oracle_misses: self.an_oracle_misses.load(Ordering::Relaxed),
-                wall: Duration::from_nanos(self.an_wall_nanos.load(Ordering::Relaxed)),
-            },
-            flow_cache: self.fc.lock().expect("flow-cache lock").clone(),
-            synthesis: *self.synthesis.lock().expect("synthesis lock"),
-            canon: CanonSnapshot {
-                exact_hits: self.canon_exact_hits.load(Ordering::Relaxed),
-                iso_hits: self.canon_iso_hits.load(Ordering::Relaxed),
-                remaps: self.canon_remaps.load(Ordering::Relaxed),
-                bailouts: self.canon_bailouts.load(Ordering::Relaxed),
-                canon_micros_log2: *self.canon_hist.lock().expect("canon histogram lock"),
-            },
-            lint: LintSnapshot {
-                runs: self.lint_runs.load(Ordering::Relaxed),
-                errors: self.lint_errors.load(Ordering::Relaxed),
-                warnings: self.lint_warnings.load(Ordering::Relaxed),
-                wall: Duration::from_nanos(self.lint_wall_nanos.load(Ordering::Relaxed)),
-                pass_histograms: self.lint_hist.lock().expect("lint histogram lock").clone(),
-            },
-            testability: TestabilitySnapshot {
-                runs: self.ta_runs.load(Ordering::Relaxed),
-                cones: self.ta_cones.load(Ordering::Relaxed),
-                faults: self.ta_faults.load(Ordering::Relaxed),
-                hard: self.ta_hard.load(Ordering::Relaxed),
-                redundant: self.ta_redundant.load(Ordering::Relaxed),
-                unreachable: self.ta_unreachable.load(Ordering::Relaxed),
-                wall: Duration::from_nanos(self.ta_wall_nanos.load(Ordering::Relaxed)),
-                cone_micros_log2: *self.ta_hist.lock().expect("testability histogram lock"),
-            },
-            result_cache: None,
-            cache_capacity: 0,
-            store: None,
-            server: None,
-        }
-    }
-}
-
-/// The lane widths the per-width fault-sim tallies distinguish,
-/// indexing [`FaultSimSnapshot::runs_by_lanes`].
-pub const LANE_WIDTHS: [u32; 2] = [64, 256];
-
-fn lane_index(lanes: u32) -> usize {
-    usize::from(lanes == 256)
-}
-
-fn accumulate_stage(acc: &mut StageStats, s: &StageStats) {
-    acc.hits += s.hits;
-    acc.misses += s.misses;
-    acc.evictions += s.evictions;
-}
-
-/// Accumulated annealing-search work, as carried in a
-/// [`MetricsSnapshot`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AnnealSnapshot {
-    /// Annealing runs recorded.
-    pub runs: u64,
-    /// Chains across all runs.
-    pub chains: u64,
-    /// Committed-trajectory moves evaluated.
-    pub moves_evaluated: u64,
-    /// Moves accepted.
-    pub moves_accepted: u64,
-    /// Steps that found no feasible move within the retry budget.
-    pub stalls: u64,
-    /// Speculative evaluations discarded by an earlier acceptance.
-    pub speculative_waste: u64,
-    /// Cost-oracle cache hits.
-    pub oracle_hits: u64,
-    /// Cost-oracle cache misses (full interconnect + BIST solves).
-    pub oracle_misses: u64,
-    /// Wall time of all annealing runs.
-    pub wall: Duration,
-}
-
-impl AnnealSnapshot {
-    /// Oracle hits as a fraction of lookups (0.0 when none).
-    pub fn oracle_hit_rate(&self) -> f64 {
-        let total = self.oracle_hits + self.oracle_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.oracle_hits as f64 / total as f64
-        }
-    }
-}
-
-/// Accumulated fault-simulation work, as carried in a
-/// [`MetricsSnapshot`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultSimSnapshot {
-    /// Golden 64-pattern batch evaluations.
-    pub batches_loaded: u64,
-    /// Faults propagated through their cones.
-    pub faults_simulated: u64,
-    /// Gate re-evaluations inside fault cones.
-    pub cone_evals: u64,
-    /// Net-change events that survived a gate.
-    pub events_propagated: u64,
-    /// Faults eliminated by structural collapsing.
-    pub collapsed_away: u64,
-    /// Wall time of all fault-simulation runs.
-    pub wall: Duration,
-    /// Runs per lane width, indexed by [`LANE_WIDTHS`].
-    pub runs_by_lanes: [u64; 2],
-    /// Batches loaded per lane width, indexed by [`LANE_WIDTHS`].
-    pub batches_by_lanes: [u64; 2],
-    /// Sessions answered from the session memo.
-    pub session_memo_hits: u64,
-    /// Sessions simulated after a memo miss.
-    pub session_memo_misses: u64,
-}
-
-/// Accumulated lint work, as carried in a [`MetricsSnapshot`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LintSnapshot {
-    /// Lint runs recorded.
-    pub runs: u64,
-    /// Error-severity findings across all runs.
-    pub errors: u64,
-    /// Warning-severity findings across all runs.
-    pub warnings: u64,
-    /// Wall time of all lint runs.
-    pub wall: Duration,
-    /// Per-pass log2-microsecond histograms (same bucketing as the
-    /// flow-stage histograms), keyed by pass name.
-    pub pass_histograms: BTreeMap<&'static str, [u64; NUM_BUCKETS]>,
-}
-
-/// Accumulated static-testability-analysis work, as carried in a
-/// [`MetricsSnapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TestabilitySnapshot {
-    /// Analysis runs recorded.
-    pub runs: u64,
-    /// Module cones analyzed.
-    pub cones: u64,
-    /// Faults scored.
-    pub faults: u64,
-    /// `T301` (random-pattern-resistant) flags.
-    pub hard: u64,
-    /// `T303` (redundant) flags.
-    pub redundant: u64,
-    /// `T302` (unreachable-in-test-mode) flags.
-    pub unreachable: u64,
-    /// Wall time of all analysis runs.
-    pub wall: Duration,
-    /// Log2-microsecond histogram of per-cone analysis wall time (same
-    /// bucketing as the flow-stage histograms).
-    pub cone_micros_log2: [u64; NUM_BUCKETS],
-}
-
-impl Default for TestabilitySnapshot {
-    fn default() -> Self {
-        Self {
-            runs: 0,
-            cones: 0,
-            faults: 0,
-            hard: 0,
-            redundant: 0,
-            unreachable: 0,
-            wall: Duration::ZERO,
-            cone_micros_log2: [0; NUM_BUCKETS],
-        }
-    }
-}
-
-/// Accumulated canonization work of the structural result cache, as
-/// carried in a [`MetricsSnapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CanonSnapshot {
-    /// Cache/store hits whose origin fingerprint matched the request —
-    /// the same rendered design resubmitted.
-    pub exact_hits: u64,
-    /// Cache/store hits answered across an isomorphism class — a
-    /// renamed or reordered twin of an already-synthesized design.
-    pub iso_hits: u64,
-    /// Stored canonical-coordinate results translated back into a
-    /// requester's own names.
-    pub remaps: u64,
-    /// Canonizations whose refinement search hit its leaf budget (the
-    /// key stays sound; hits may be missed for that design).
-    pub bailouts: u64,
-    /// Log2-microsecond histogram of canonization wall time (same
-    /// bucketing as the flow-stage histograms).
-    pub canon_micros_log2: [u64; NUM_BUCKETS],
-}
-
-impl Default for CanonSnapshot {
-    fn default() -> Self {
-        Self {
-            exact_hits: 0,
-            iso_hits: 0,
-            remaps: 0,
-            bailouts: 0,
-            canon_micros_log2: [0; NUM_BUCKETS],
-        }
-    }
-}
-
-impl CanonSnapshot {
-    /// Isomorphic hits as a fraction of all structural-cache hits
-    /// (0.0 when none) — how much of the hit rate only canonization
-    /// could have delivered.
-    pub fn iso_share(&self) -> f64 {
-        let total = self.exact_hits + self.iso_hits;
-        if total == 0 {
-            0.0
-        } else {
-            self.iso_hits as f64 / total as f64
-        }
-    }
-}
-
-/// Accumulated daemon-side request accounting, as carried in a
-/// [`MetricsSnapshot`]. The server fills this in before rendering; a
-/// plain engine leaves it `None` and the JSON omits the section.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServerSnapshot {
-    /// Requests accepted onto the queue.
-    pub requests: u64,
-    /// Requests that ran to completion (even if the job itself failed
-    /// to synthesize — that is still a well-formed response).
-    pub completed: u64,
-    /// Requests that died with a protocol or I/O error.
-    pub failed: u64,
-    /// Requests refused by policy (malformed, over limits, shutdown).
-    pub rejected: u64,
-    /// Requests currently running.
-    pub active: u64,
-    /// Requests currently waiting for an admission slot.
-    pub queue_depth: u64,
-    /// High-water mark of the wait queue.
-    pub peak_queue_depth: u64,
-    /// Wall time spent inside request handling, summed.
-    pub wall: Duration,
-    /// Log2-microsecond histogram of per-request wall time (same
-    /// bucketing as the flow-stage histograms).
-    pub request_micros_log2: [u64; NUM_BUCKETS],
-}
-
-impl Default for ServerSnapshot {
-    fn default() -> Self {
-        Self {
-            requests: 0,
-            completed: 0,
-            failed: 0,
-            rejected: 0,
-            active: 0,
-            queue_depth: 0,
-            peak_queue_depth: 0,
-            wall: Duration::ZERO,
-            request_micros_log2: [0; NUM_BUCKETS],
+            cells: std::array::from_fn(|c| self.cells[c].load(Ordering::Relaxed)),
+            shown: std::array::from_fn(|i| {
+                TABLE[i].1 != Live && !TABLE[i].0.starts_with(SERVER)
+            }),
         }
     }
 }
 
 /// A point-in-time copy of an engine's metrics.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Jobs handed to the engine so far.
-    pub jobs_submitted: u64,
-    /// Jobs finished (evaluated, served from cache, or panicked).
-    pub jobs_completed: u64,
-    /// Jobs answered from the result cache.
-    pub cache_hits: u64,
-    /// Jobs that had to run the flow (or were served by the durable
-    /// store after missing the in-memory cache).
-    pub cache_misses: u64,
-    /// Jobs answered from the durable store tier.
-    pub store_hits: u64,
-    /// Jobs that waited for an identical in-flight job instead of
-    /// evaluating (single-flight deduplication).
-    pub coalesced: u64,
-    /// Jobs that panicked (isolated; reported as failures).
-    pub panics: u64,
-    /// Total time workers spent running jobs.
-    pub busy: Duration,
-    /// Total pool capacity (wall time × workers, summed over batches).
-    pub capacity: Duration,
-    /// Per-stage log2-microsecond histograms, indexed like
-    /// [`STAGE_NAMES`].
-    pub histograms: [[u64; NUM_BUCKETS]; STAGE_NAMES.len()],
-    /// Accumulated fault-simulation work.
-    pub fault_sim: FaultSimSnapshot,
-    /// Accumulated annealing-search work.
-    pub anneal: AnnealSnapshot,
-    /// Accumulated incremental flow-cache work (stage-level hits /
-    /// misses / evictions plus delta-vs-full evaluation timing
-    /// histograms), summed over every recorded annealing run.
-    pub flow_cache: FlowCacheStats,
-    /// Accumulated search work of the jobs' syntheses (deterministic:
-    /// equal for any worker count).
-    pub synthesis: SearchWork,
-    /// Accumulated lint work.
-    pub lint: LintSnapshot,
-    /// Accumulated static testability analysis work.
-    pub testability: TestabilitySnapshot,
-    /// Accumulated canonization work of the structural result cache.
-    pub canon: CanonSnapshot,
-    /// Live counters of the in-memory result cache (its own
-    /// hit/miss/eviction view; attached by [`Engine::metrics`]).
-    ///
-    /// [`Engine::metrics`]: crate::Engine::metrics
-    pub result_cache: Option<StoreStats>,
-    /// Configured bound of the in-memory result cache (0 when not
-    /// attached).
-    pub cache_capacity: u64,
-    /// Live counters of the durable store, when one is attached.
-    pub store: Option<StoreStats>,
-    /// Daemon request accounting, when rendered by `lobist serve`.
-    pub server: Option<ServerSnapshot>,
+    cells: [u64; CELLS],
+    shown: [bool; ENTRIES],
 }
 
 impl MetricsSnapshot {
-    /// Cache hits as a fraction of completed non-panicking jobs
-    /// (0.0 when nothing completed).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let served = self.cache_hits + self.cache_misses;
-        if served == 0 {
+    /// A counter's or live entry's value (a `_micros` counter in
+    /// nanoseconds).
+    pub fn get(&self, key: Key) -> u64 {
+        self.cells[OFFSETS[key.0]]
+    }
+
+    /// A histogram's bucket counts.
+    pub fn histogram(&self, key: Key) -> &[u64] {
+        &self.cells[OFFSETS[key.0]..OFFSETS[key.0 + 1]]
+    }
+
+    /// A ratio's value.
+    pub fn ratio(&self, key: Key) -> f64 {
+        let Ratio(num, den) = key.kind() else {
+            panic!("{} is not a ratio", TABLE[key.0].0);
+        };
+        let den: u64 = den.iter().map(|&d| self.get(key.sibling(d))).sum();
+        if den == 0 {
             0.0
         } else {
-            self.cache_hits as f64 / served as f64
+            (self.get(key.sibling(num)) as f64 / den as f64).min(1.0)
         }
     }
 
-    /// Fraction of pool capacity spent running jobs.
-    pub fn worker_utilization(&self) -> f64 {
-        let capacity = self.capacity.as_secs_f64();
-        if capacity <= 0.0 {
-            0.0
-        } else {
-            (self.busy.as_secs_f64() / capacity).min(1.0)
+    /// Supplies a live entry's value, read from its owner.
+    pub fn set_live(&mut self, key: Key, value: u64) {
+        debug_assert_eq!(key.kind(), Live, "{}", TABLE[key.0].0);
+        self.cells[OFFSETS[key.0]] = value;
+        self.shown[key.0] = true;
+    }
+
+    /// Shows the daemon's `server` section.
+    pub fn show_server(&mut self) {
+        for (i, (name, _)) in TABLE.iter().enumerate() {
+            self.shown[i] |= name.starts_with(SERVER);
         }
     }
 
-    /// Renders the snapshot as one JSON object.
+    fn is_shown(&self, i: usize) -> bool {
+        match TABLE[i].1 {
+            Ratio(num, _) => self.shown[Key(i).sibling(num).0],
+            _ => self.shown[i],
+        }
+    }
+
+    /// Renders every shown entry as one JSON object, nesting the dotted
+    /// names: the sections follow the table's order.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        // Trim trailing empty buckets so the lines stay readable.
-        fn trim_row(row: &[u64]) -> String {
-            let last = row.iter().rposition(|&c| c > 0).map_or(0, |p| p + 1);
-            let cells: Vec<String> = row[..last].iter().map(u64::to_string).collect();
-            cells.join(",")
-        }
-        fn stage_json(s: &StageStats) -> String {
-            format!(
-                "{{\"hits\":{},\"misses\":{},\"evictions\":{},\"hit_rate\":{:.4}}}",
-                s.hits,
-                s.misses,
-                s.evictions,
-                s.hit_rate()
-            )
-        }
-        let mut hist = String::new();
-        for (i, name) in STAGE_NAMES.iter().enumerate() {
-            if i > 0 {
-                hist.push(',');
+        let mut out = String::from("{");
+        // The objects currently open, and whether the innermost one
+        // still has no member.
+        let mut open: Vec<&str> = Vec::new();
+        let mut first = true;
+        for (i, &(name, kind)) in TABLE.iter().enumerate() {
+            if !self.is_shown(i) {
+                continue;
             }
-            let _ = write!(hist, "\"{name}\":[{}]", trim_row(&self.histograms[i]));
-        }
-        let mut lint_hist = String::new();
-        for (i, (name, row)) in self.lint.pass_histograms.iter().enumerate() {
-            if i > 0 {
-                lint_hist.push(',');
+            let (path, leaf) = name.rsplit_once('.').expect("every entry is in a section");
+            let path: Vec<&str> = path.split('.').collect();
+            let common = open.iter().zip(&path).take_while(|(a, b)| a == b).count();
+            if open.len() > common {
+                out.extend(std::iter::repeat_n('}', open.len() - common));
+                open.truncate(common);
+                first = false;
             }
-            let _ = write!(lint_hist, "\"{name}\":[{}]", trim_row(row));
+            for &section in &path[common..] {
+                if !first {
+                    out.push(',');
+                }
+                let _ = write!(out, "\"{section}\":{{");
+                open.push(section);
+                first = true;
+            }
+            let value = match kind {
+                Count if leaf.ends_with("_micros") => (self.get(Key(i)) / 1000).to_string(),
+                Count | Live => self.get(Key(i)).to_string(),
+                Ratio(..) => format!("{:.4}", self.ratio(Key(i))),
+                Hist | SparseHist => {
+                    let row = self.histogram(Key(i));
+                    let used = row.iter().rposition(|&c| c > 0).map_or(0, |p| p + 1);
+                    if used == 0 && kind == SparseHist {
+                        continue;
+                    }
+                    let cells: Vec<String> = row[..used].iter().map(u64::to_string).collect();
+                    format!("[{}]", cells.join(","))
+                }
+            };
+            if !first {
+                out.push(',');
+            }
+            let _ = write!(out, "\"{leaf}\":{value}");
+            first = false;
         }
-        fn store_json(s: &StoreStats) -> String {
-            format!(
-                concat!(
-                    "{{\"hits\":{},\"misses\":{},\"hit_rate\":{:.4},",
-                    "\"insertions\":{},\"evictions\":{},\"entries\":{},",
-                    "\"payload_bytes\":{},\"bytes_read\":{},\"bytes_written\":{},",
-                    "\"compactions\":{},\"recovered_drops\":{},\"write_errors\":{},",
-                    "\"version_skips\":{}}}"
-                ),
-                s.hits,
-                s.misses,
-                s.hit_rate(),
-                s.insertions,
-                s.evictions,
-                s.entries,
-                s.payload_bytes,
-                s.bytes_read,
-                s.bytes_written,
-                s.compactions,
-                s.recovered_drops,
-                s.write_errors,
-                s.version_skips,
-            )
-        }
-        // Optional gauges inside the "cache" section: present once the
-        // engine attaches the live cache view.
-        let mut cache_extra = format!(
-            ",\"store_hits\":{},\"coalesced\":{}",
-            self.store_hits, self.coalesced
-        );
-        if let Some(rc) = &self.result_cache {
-            let _ = write!(
-                cache_extra,
-                ",\"evictions\":{},\"entries\":{},\"capacity\":{}",
-                rc.evictions, rc.entries, self.cache_capacity
-            );
-        }
-        // Optional trailing sections for the durable store and the
-        // daemon.
-        let mut tail = String::new();
-        if let Some(store) = &self.store {
-            let _ = write!(tail, ",\"store\":{}", store_json(store));
-        }
-        if let Some(sv) = &self.server {
-            let _ = write!(
-                tail,
-                concat!(
-                    ",\"server\":{{\"requests\":{},\"completed\":{},",
-                    "\"failed\":{},\"rejected\":{},\"active\":{},",
-                    "\"queue_depth\":{},\"peak_queue_depth\":{},",
-                    "\"wall_micros\":{},\"request_micros_log2\":[{}]}}"
-                ),
-                sv.requests,
-                sv.completed,
-                sv.failed,
-                sv.rejected,
-                sv.active,
-                sv.queue_depth,
-                sv.peak_queue_depth,
-                sv.wall.as_micros(),
-                trim_row(&sv.request_micros_log2),
-            );
-        }
-        format!(
-            concat!(
-                "{{\"jobs\":{{\"submitted\":{sub},\"completed\":{done},\"panicked\":{pan}}},",
-                "\"cache\":{{\"hits\":{hits},\"misses\":{misses},\"hit_rate\":{rate:.4}",
-                "{cache_extra}}},",
-                "\"pool\":{{\"busy_micros\":{busy},\"capacity_micros\":{cap},",
-                "\"utilization\":{util:.4}}},",
-                "\"fault_sim\":{{\"batches_loaded\":{fs_batches},",
-                "\"faults_simulated\":{fs_faults},\"cone_evals\":{fs_cone},",
-                "\"events_propagated\":{fs_events},\"collapsed_away\":{fs_coll},",
-                "\"lanes\":{{{fs_lanes}}},\"session_memo\":{{\"hits\":{fs_memo_hits},",
-                "\"misses\":{fs_memo_misses}}},\"wall_micros\":{fs_wall}}},",
-                "\"anneal\":{{\"runs\":{an_runs},\"chains\":{an_chains},",
-                "\"moves_evaluated\":{an_eval},\"moves_accepted\":{an_acc},",
-                "\"stalls\":{an_stall},\"speculative_waste\":{an_waste},",
-                "\"oracle_hits\":{an_hits},\"oracle_misses\":{an_misses},",
-                "\"oracle_hit_rate\":{an_rate:.4},\"wall_micros\":{an_wall}}},",
-                "\"flow_cache\":{{\"interconnect\":{fc_ic},\"embeddings\":{fc_emb},",
-                "\"selection\":{fc_sel},\"warm_starts\":{fc_warm},",
-                "\"delta_micros_log2\":[{fc_delta}],\"full_micros_log2\":[{fc_full}]}},",
-                "\"lint\":{{\"runs\":{li_runs},\"errors\":{li_err},",
-                "\"warnings\":{li_warn},\"wall_micros\":{li_wall},",
-                "\"pass_micros_log2_histograms\":{{{li_hist}}}}},",
-                "\"testability\":{{\"runs\":{ta_runs},\"cones\":{ta_cones},",
-                "\"faults\":{ta_faults},\"hard\":{ta_hard},",
-                "\"redundant\":{ta_red},\"unreachable\":{ta_unreach},",
-                "\"wall_micros\":{ta_wall},\"cone_micros_log2\":[{ta_hist}]}},",
-                "\"canon\":{{\"exact_hits\":{cn_exact},\"iso_hits\":{cn_iso},",
-                "\"iso_share\":{cn_share:.4},\"remaps\":{cn_remaps},",
-                "\"bailouts\":{cn_bail},\"canon_micros_log2\":[{cn_hist}]}},",
-                "\"synthesis\":{{\"pves_tests\":{sy_pves},\"lemma2_evaluations\":{sy_l2},",
-                "\"label_nodes\":{sy_labels},\"embeddings\":{sy_emb},",
-                "\"bnb_nodes\":{sy_bnb}}},",
-                "\"stage_micros_log2_histograms\":{{{hist}}}{tail}}}"
-            ),
-            sub = self.jobs_submitted,
-            done = self.jobs_completed,
-            pan = self.panics,
-            hits = self.cache_hits,
-            misses = self.cache_misses,
-            rate = self.cache_hit_rate(),
-            busy = self.busy.as_micros(),
-            cap = self.capacity.as_micros(),
-            util = self.worker_utilization(),
-            fs_batches = self.fault_sim.batches_loaded,
-            fs_faults = self.fault_sim.faults_simulated,
-            fs_cone = self.fault_sim.cone_evals,
-            fs_events = self.fault_sim.events_propagated,
-            fs_coll = self.fault_sim.collapsed_away,
-            fs_lanes = LANE_WIDTHS
-                .iter()
-                .enumerate()
-                .map(|(i, w)| format!(
-                    "\"{w}\":{{\"runs\":{},\"batches_loaded\":{}}}",
-                    self.fault_sim.runs_by_lanes[i], self.fault_sim.batches_by_lanes[i]
-                ))
-                .collect::<Vec<_>>()
-                .join(","),
-            fs_memo_hits = self.fault_sim.session_memo_hits,
-            fs_memo_misses = self.fault_sim.session_memo_misses,
-            fs_wall = self.fault_sim.wall.as_micros(),
-            an_runs = self.anneal.runs,
-            an_chains = self.anneal.chains,
-            an_eval = self.anneal.moves_evaluated,
-            an_acc = self.anneal.moves_accepted,
-            an_stall = self.anneal.stalls,
-            an_waste = self.anneal.speculative_waste,
-            an_hits = self.anneal.oracle_hits,
-            an_misses = self.anneal.oracle_misses,
-            an_rate = self.anneal.oracle_hit_rate(),
-            an_wall = self.anneal.wall.as_micros(),
-            fc_ic = stage_json(&self.flow_cache.interconnect),
-            fc_emb = stage_json(&self.flow_cache.embeddings),
-            fc_sel = stage_json(&self.flow_cache.selection),
-            fc_warm = self.flow_cache.warm_starts,
-            fc_delta = trim_row(&self.flow_cache.delta_micros),
-            fc_full = trim_row(&self.flow_cache.full_micros),
-            li_runs = self.lint.runs,
-            li_err = self.lint.errors,
-            li_warn = self.lint.warnings,
-            li_wall = self.lint.wall.as_micros(),
-            li_hist = lint_hist,
-            ta_runs = self.testability.runs,
-            ta_cones = self.testability.cones,
-            ta_faults = self.testability.faults,
-            ta_hard = self.testability.hard,
-            ta_red = self.testability.redundant,
-            ta_unreach = self.testability.unreachable,
-            ta_wall = self.testability.wall.as_micros(),
-            ta_hist = trim_row(&self.testability.cone_micros_log2),
-            cn_exact = self.canon.exact_hits,
-            cn_iso = self.canon.iso_hits,
-            cn_share = self.canon.iso_share(),
-            cn_remaps = self.canon.remaps,
-            cn_bail = self.canon.bailouts,
-            cn_hist = trim_row(&self.canon.canon_micros_log2),
-            sy_pves = self.synthesis.pves_tests,
-            sy_l2 = self.synthesis.lemma2_evaluations,
-            sy_labels = self.synthesis.label_nodes,
-            sy_emb = self.synthesis.embeddings,
-            sy_bnb = self.synthesis.bnb_nodes,
-            hist = hist,
-            cache_extra = cache_extra,
-            tail = tail,
-        )
+        out.extend(std::iter::repeat_n('}', open.len() + 1));
+        out
     }
 }
 
@@ -905,35 +530,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn buckets_are_log2_micros() {
-        assert_eq!(bucket(0), 0);
-        assert_eq!(bucket(1), 0);
-        assert_eq!(bucket(2), 1);
-        assert_eq!(bucket(3), 1);
-        assert_eq!(bucket(1024), 10);
-        assert_eq!(bucket(u128::MAX), NUM_BUCKETS - 1);
-    }
-
-    #[test]
     fn counters_accumulate_and_render() {
         let m = Metrics::new();
-        m.add_submitted(3);
-        m.job_done(false);
-        m.job_done(true);
-        m.job_panicked();
-        m.record_stages(&StageTimings {
-            module_assign: Duration::from_micros(3),
-            register_alloc: Duration::from_micros(900),
-            ..Default::default()
-        });
+        m.add(metric!("jobs.submitted"), 3);
+        m.add(metric!("jobs.completed"), 3);
+        m.add(metric!("cache.misses"), 1);
+        m.add(metric!("cache.hits"), 1);
+        m.add(metric!("jobs.panicked"), 1);
+        m.record(
+            metric!("stage_micros_log2_histograms.module_assign"),
+            Duration::from_micros(3),
+        );
+        m.record(
+            metric!("stage_micros_log2_histograms.register_alloc"),
+            Duration::from_micros(900),
+        );
         let snap = m.snapshot();
-        assert_eq!(snap.jobs_submitted, 3);
-        assert_eq!(snap.jobs_completed, 3);
-        assert_eq!(snap.cache_hits, 1);
-        assert_eq!(snap.panics, 1);
-        assert!((snap.cache_hit_rate() - 0.5).abs() < 1e-9);
-        assert_eq!(snap.histograms[0][1], 1); // 3 µs → bucket 1
-        assert_eq!(snap.histograms[1][9], 1); // 900 µs → bucket 9
+        assert_eq!(snap.get(metric!("jobs.submitted")), 3);
+        assert_eq!(snap.get(metric!("jobs.completed")), 3);
+        assert_eq!(snap.get(metric!("cache.hits")), 1);
+        assert_eq!(snap.get(metric!("jobs.panicked")), 1);
+        assert!((snap.ratio(metric!("cache.hit_rate")) - 0.5).abs() < 1e-9);
+        // 3 µs → bucket 1, 900 µs → bucket 9.
+        assert_eq!(snap.histogram(metric!("stage_micros_log2_histograms.module_assign"))[1], 1);
+        assert_eq!(snap.histogram(metric!("stage_micros_log2_histograms.register_alloc"))[9], 1);
         let json = snap.to_json();
         assert!(json.contains("\"submitted\":3"), "{json}");
         assert!(json.contains("\"hit_rate\":0.5000"), "{json}");
@@ -962,10 +582,12 @@ mod tests {
             wall: Duration::from_micros(1500),
         });
         let snap = m.snapshot();
-        assert_eq!(snap.fault_sim.faults_simulated, 100);
-        assert_eq!(snap.fault_sim.collapsed_away, 20);
-        assert_eq!(snap.fault_sim.runs_by_lanes, [0, 1]);
-        assert_eq!(snap.fault_sim.batches_by_lanes, [0, 4]);
+        assert_eq!(snap.get(metric!("fault_sim.faults_simulated")), 100);
+        assert_eq!(snap.get(metric!("fault_sim.collapsed_away")), 20);
+        assert_eq!(snap.get(metric!("fault_sim.lanes.64.runs")), 0);
+        assert_eq!(snap.get(metric!("fault_sim.lanes.256.runs")), 1);
+        assert_eq!(snap.get(metric!("fault_sim.lanes.64.batches_loaded")), 0);
+        assert_eq!(snap.get(metric!("fault_sim.lanes.256.batches_loaded")), 4);
         let json = snap.to_json();
         assert!(
             json.contains("\"fault_sim\":{\"batches_loaded\":4"),
@@ -992,6 +614,6 @@ mod tests {
             busy: vec![Duration::from_millis(10), Duration::from_millis(5)],
         });
         let snap = m.snapshot();
-        assert!((snap.worker_utilization() - 0.75).abs() < 1e-6);
+        assert!((snap.ratio(metric!("pool.utilization")) - 0.75).abs() < 1e-6);
     }
 }

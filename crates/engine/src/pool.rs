@@ -24,19 +24,6 @@ pub struct PoolStats {
     pub busy: Vec<Duration>,
 }
 
-impl PoolStats {
-    /// Fraction of the pool's total capacity (`wall × workers`) spent
-    /// running jobs; 1.0 means every worker was busy the whole time.
-    pub fn utilization(&self) -> f64 {
-        let capacity = self.wall.as_secs_f64() * self.workers as f64;
-        if capacity <= 0.0 {
-            return 0.0;
-        }
-        let busy: f64 = self.busy.iter().map(Duration::as_secs_f64).sum();
-        (busy / capacity).min(1.0)
-    }
-}
-
 /// Renders a caught panic payload as text (the common `&str` / `String`
 /// payloads verbatim, anything else a placeholder).
 pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -126,7 +113,7 @@ mod tests {
         let values: Vec<usize> = results.into_iter().map(|r| r.expect("no panic")).collect();
         assert_eq!(values, (0..32).map(|i| i * i).collect::<Vec<_>>());
         assert_eq!(stats.workers, 4);
-        assert!(stats.utilization() > 0.0);
+        assert!(stats.busy.iter().sum::<Duration>() > Duration::ZERO);
     }
 
     #[test]

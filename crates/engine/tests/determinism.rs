@@ -9,7 +9,7 @@ use lobist_alloc::explore::{explore, ExploreConfig};
 use lobist_dfg::modules::ModuleSet;
 use lobist_dfg::parse::parse_unscheduled_dfg;
 use lobist_dfg::Dfg;
-use lobist_engine::{explore_parallel, render_report, run_jobs, Engine};
+use lobist_engine::{explore_parallel, metric, render_report, run_jobs, Engine};
 
 fn load_design(name: &str) -> Dfg {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -78,19 +78,23 @@ fn repeated_sweep_hits_the_cache_with_identical_results() {
         let (first, cold) = explore_parallel(&dfg, &config, &engine, 4);
         assert_eq!(cold, "fresh", "{name}");
         assert_eq!(
-            engine.metrics().cache_hits,
+            engine.metrics().get(metric!("cache.hits")),
             0,
             "{name}: cold run hit the cache"
         );
         let (second, warm) = explore_parallel(&dfg, &config, &engine, 4);
         assert_eq!(warm, "memory", "{name}");
         let metrics = engine.metrics();
+        let (hits, misses) = (
+            metrics.get(metric!("cache.hits")),
+            metrics.get(metric!("cache.misses")),
+        );
         assert!(
-            metrics.cache_hits > 0,
+            hits > 0,
             "{name}: repeat run produced no cache hits"
         );
         assert_eq!(
-            metrics.cache_hits, metrics.cache_misses,
+            hits, misses,
             "{name}: repeat run should be answered entirely from cache"
         );
         assert_eq!(
@@ -219,7 +223,7 @@ mod canonical_cache {
     use lobist_alloc::flow::FlowOptions;
     use lobist_dfg::benchmarks::{self, Benchmark};
     use lobist_dfg::canon::permute;
-    use lobist_engine::{Engine, Job, JobResult};
+    use lobist_engine::{metric, Engine, Job, JobResult};
     use lobist_store::{codec, StoredResult};
 
     fn job(bench: &Benchmark, label: &str) -> Job {
@@ -289,8 +293,8 @@ mod canonical_cache {
                 );
             }
             let snap = engine.metrics();
-            assert_eq!(snap.canon.iso_hits, 3, "{}", bench.name);
-            assert_eq!(snap.canon.remaps, 4, "{}", bench.name);
+            assert_eq!(snap.get(metric!("canon.iso_hits")), 3, "{}", bench.name);
+            assert_eq!(snap.get(metric!("canon.remaps")), 4, "{}", bench.name);
         }
     }
 
@@ -302,8 +306,8 @@ mod canonical_cache {
         let again = engine.run(vec![job(&bench, "base")]);
         assert!(again[0].cache_hit && !again[0].iso_hit);
         let snap = engine.metrics();
-        assert_eq!(snap.canon.exact_hits, 1);
-        assert_eq!(snap.canon.iso_hits, 0);
+        assert_eq!(snap.get(metric!("canon.exact_hits")), 1);
+        assert_eq!(snap.get(metric!("canon.iso_hits")), 0);
     }
 
     #[test]
@@ -325,7 +329,12 @@ mod canonical_cache {
                     j.label
                 );
             }
-            assert_eq!(engine.metrics().cache_misses, 1, "{}", bench.name);
+            assert_eq!(
+                engine.metrics().get(metric!("cache.misses")),
+                1,
+                "{}",
+                bench.name
+            );
         }
     }
 }
@@ -347,7 +356,7 @@ mod shift_identity {
     use lobist_dfg::parse::parse_unscheduled_dfg;
     use lobist_dfg::scheduling::list_schedule;
     use lobist_dfg::Schedule;
-    use lobist_engine::{Engine, Job, JobResult};
+    use lobist_engine::{metric, Engine, Job, JobResult};
     use lobist_store::{codec, StoredResult};
 
     /// The store codec's byte rendering — the strictest equality the
@@ -462,7 +471,7 @@ mod shift_identity {
                 );
             }
             assert!(
-                engine.metrics().cache_hits > 0,
+                engine.metrics().get(metric!("cache.hits")) > 0,
                 "workers={workers}: shifted twins never hit the cache"
             );
         }

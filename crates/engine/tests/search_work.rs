@@ -10,7 +10,7 @@ use lobist_dfg::benchmarks::{self, Benchmark};
 use lobist_dfg::corpus::{generate, KINDS};
 use lobist_dfg::modules::ModuleSet;
 use lobist_dfg::scheduling::list_schedule;
-use lobist_engine::{Engine, Job};
+use lobist_engine::{metric, Engine, Job};
 
 fn job(bench: &Benchmark) -> Job {
     Job {
@@ -28,7 +28,14 @@ fn job(bench: &Benchmark) -> Job {
 fn work_of(jobs: Vec<Job>, workers: usize) -> SearchWork {
     let engine = Engine::new(workers);
     engine.run(jobs);
-    engine.metrics().synthesis
+    let snap = engine.metrics();
+    SearchWork {
+        pves_tests: snap.get(metric!("synthesis.pves_tests")),
+        lemma2_evaluations: snap.get(metric!("synthesis.lemma2_evaluations")),
+        label_nodes: snap.get(metric!("synthesis.label_nodes")),
+        embeddings: snap.get(metric!("synthesis.embeddings")),
+        bnb_nodes: snap.get(metric!("synthesis.bnb_nodes")),
+    }
 }
 
 fn work(pves: u64, lemma2: u64, labels: u64, embeddings: u64, bnb: u64) -> SearchWork {

@@ -37,4 +37,4 @@ pub mod proto;
 mod server;
 
 pub use client::{submit, submit_with, Endpoint};
-pub use server::{Server, ServerConfig, ServerHandle, ServerStats};
+pub use server::{Server, ServerConfig, ServerHandle};

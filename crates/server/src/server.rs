@@ -20,8 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use lobist_engine::metrics::bucket_micros;
-use lobist_engine::{Engine, ServerSnapshot, NUM_BUCKETS};
+use lobist_engine::{metric, Engine};
 use lobist_store::{DiskStore, DiskStoreConfig, ResultStore};
 
 use crate::exec;
@@ -86,50 +85,10 @@ struct GateState {
     waiting: usize,
 }
 
-/// Live request counters, rendered into the metrics JSON as the
-/// `"server"` section.
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    requests: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    rejected: AtomicU64,
-    active: AtomicU64,
-    queue_depth: AtomicU64,
-    peak_queue_depth: AtomicU64,
-    wall_nanos: AtomicU64,
-    hist: Mutex<[u64; NUM_BUCKETS]>,
-}
-
-impl ServerStats {
-    fn record_wall(&self, wall: Duration) {
-        self.wall_nanos
-            .fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
-        let mut hist = self.hist.lock().expect("histogram lock");
-        hist[bucket_micros(wall.as_micros())] += 1;
-    }
-
-    /// Point-in-time copy in the engine's snapshot shape.
-    pub fn snapshot(&self) -> ServerSnapshot {
-        ServerSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            active: self.active.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            peak_queue_depth: self.peak_queue_depth.load(Ordering::Relaxed),
-            wall: Duration::from_nanos(self.wall_nanos.load(Ordering::Relaxed)),
-            request_micros_log2: *self.hist.lock().expect("histogram lock"),
-        }
-    }
-}
-
 /// State shared by every handler thread.
 pub(crate) struct Shared {
     pub(crate) engine: Engine,
     pub(crate) config: ServerConfig,
-    pub(crate) stats: ServerStats,
     shutdown: AtomicBool,
     next_id: AtomicU64,
     gate: Gate,
@@ -160,6 +119,7 @@ impl Shared {
     /// Blocks until an execution slot frees up. Returns the queue depth
     /// observed at enqueue time, or `Err` with a rejection reason.
     fn admit(&self) -> Result<u64, String> {
+        let metrics = self.engine.metrics_handle();
         let mut st = self.gate.state.lock().expect("gate lock");
         if self.shutting_down() {
             return Err("server is shutting down".into());
@@ -169,41 +129,34 @@ impl Shared {
         }
         let depth = st.waiting as u64;
         st.waiting += 1;
-        self.stats
-            .queue_depth
-            .store(st.waiting as u64, Ordering::Relaxed);
-        self.stats
-            .peak_queue_depth
-            .fetch_max(st.waiting as u64, Ordering::Relaxed);
+        metrics.set(metric!("server.queue_depth"), st.waiting as u64);
+        metrics.max(metric!("server.peak_queue_depth"), st.waiting as u64);
         while st.active >= self.config.max_active && !self.shutting_down() {
             st = self.gate.cv.wait(st).expect("gate lock");
         }
         st.waiting -= 1;
-        self.stats
-            .queue_depth
-            .store(st.waiting as u64, Ordering::Relaxed);
+        metrics.set(metric!("server.queue_depth"), st.waiting as u64);
         if self.shutting_down() {
             self.gate.cv.notify_all();
             return Err("server is shutting down".into());
         }
         st.active += 1;
-        self.stats.active.store(st.active as u64, Ordering::Relaxed);
+        metrics.set(metric!("server.active"), st.active as u64);
         Ok(depth)
     }
 
     fn release(&self) {
         let mut st = self.gate.state.lock().expect("gate lock");
         st.active -= 1;
-        self.stats.active.store(st.active as u64, Ordering::Relaxed);
+        self.engine.metrics_handle().set(metric!("server.active"), st.active as u64);
         drop(st);
         self.gate.cv.notify_all();
     }
 
-    /// The full metrics JSON: engine + cache + store, with the server
-    /// section attached.
+    /// The full metrics JSON: engine + cache + store + server.
     pub(crate) fn metrics_json(&self) -> String {
         let mut snap = self.engine.metrics();
-        snap.server = Some(self.stats.snapshot());
+        snap.show_server();
         snap.to_json()
     }
 }
@@ -281,7 +234,6 @@ impl Server {
             shared: Arc::new(Shared {
                 engine,
                 config,
-                stats: ServerStats::default(),
                 shutdown: AtomicBool::new(false),
                 next_id: AtomicU64::new(1),
                 gate: Gate::default(),
@@ -506,10 +458,11 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
 /// should close (after a shutdown request).
 fn serve_request(line: &str, out: &mut Conn, shared: &Arc<Shared>) -> std::io::Result<bool> {
     let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
+    let metrics = shared.engine.metrics_handle();
     let request = match parse_request(line) {
         Ok(r) => r,
         Err(message) => {
-            shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            metrics.add(metric!("server.rejected"), 1);
             emit(
                 out,
                 &format!(
@@ -520,11 +473,11 @@ fn serve_request(line: &str, out: &mut Conn, shared: &Arc<Shared>) -> std::io::R
             return Ok(true);
         }
     };
-    shared.stats.requests.fetch_add(1, Ordering::Relaxed);
+    metrics.add(metric!("server.requests"), 1);
     match request.cmd {
         Command::Ping => {
             emit(out, &format!("{{\"event\":\"pong\",\"id\":{id}}}"))?;
-            shared.stats.completed.fetch_add(1, Ordering::Relaxed);
+            metrics.add(metric!("server.completed"), 1);
             Ok(true)
         }
         Command::Metrics => {
@@ -534,13 +487,13 @@ fn serve_request(line: &str, out: &mut Conn, shared: &Arc<Shared>) -> std::io::R
                 out,
                 &format!("{{\"event\":\"metrics\",\"id\":{id},\"data\":{data}}}"),
             )?;
-            shared.stats.completed.fetch_add(1, Ordering::Relaxed);
+            metrics.add(metric!("server.completed"), 1);
             Ok(true)
         }
         Command::Shutdown => {
             shared.request_shutdown();
             emit(out, &format!("{{\"event\":\"shutdown\",\"id\":{id}}}"))?;
-            shared.stats.completed.fetch_add(1, Ordering::Relaxed);
+            metrics.add(metric!("server.completed"), 1);
             Ok(false)
         }
         _ => {
@@ -556,9 +509,10 @@ fn serve_job(
     out: &mut Conn,
     shared: &Arc<Shared>,
 ) -> std::io::Result<()> {
+    let metrics = shared.engine.metrics_handle();
     if let Some(design) = &request.design {
         if design.len() > shared.config.max_design_bytes {
-            shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            metrics.add(metric!("server.rejected"), 1);
             return emit(
                 out,
                 &format!(
@@ -573,7 +527,7 @@ fn serve_job(
     let depth = match shared.admit() {
         Ok(depth) => depth,
         Err(reason) => {
-            shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            metrics.add(metric!("server.rejected"), 1);
             return emit(
                 out,
                 &format!("{{\"event\":\"error\",\"id\":{id},\"message\":{reason:?}}}"),
@@ -588,7 +542,8 @@ fn serve_job(
     let outcome = exec::execute(request, shared);
     let wall = start.elapsed();
     shared.release();
-    shared.stats.record_wall(wall);
+    metrics.add_time(metric!("server.wall_micros"), wall);
+    metrics.record(metric!("server.request_micros_log2"), wall);
     match outcome {
         Ok(body) => {
             // The `result` event is rendered purely from the job's
@@ -608,14 +563,14 @@ fn serve_job(
                     wall.as_micros()
                 ),
             )?;
-            shared.stats.completed.fetch_add(1, Ordering::Relaxed);
+            metrics.add(metric!("server.completed"), 1);
         }
         Err(message) => {
             emit(
                 out,
                 &format!("{{\"event\":\"error\",\"id\":{id},\"message\":{message:?}}}"),
             )?;
-            shared.stats.failed.fetch_add(1, Ordering::Relaxed);
+            metrics.add(metric!("server.failed"), 1);
         }
     }
     Ok(())

@@ -158,6 +158,16 @@ impl<'a> Reader<'a> {
         let n = self.u32()? as usize;
         self.take(n)
     }
+    /// A `u32` item count, checked against the bytes left before anything
+    /// is allocated for it: each item takes at least `min_bytes`, so a
+    /// count the payload cannot hold is a truncation.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, CodecError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_bytes) > self.buf.len() - self.pos {
+            return Err(CodecError::Truncated);
+        }
+        Ok(n)
+    }
     fn string(&mut self) -> Result<String, CodecError> {
         std::str::from_utf8(self.bytes()?)
             .map(str::to_owned)
@@ -268,12 +278,13 @@ pub fn decode(payload: &[u8]) -> Result<StoredResult, CodecError> {
             let functional_gates = GateCount(r.u64()?);
             let bist_gates = GateCount(r.u64()?);
             let registers = r.u64()? as usize;
-            let n = r.u32()? as usize;
+            let n = r.count(1)?;
             let mut styles = Vec::with_capacity(n);
             for _ in 0..n {
                 styles.push(style_from_u8(r.u8()?)?);
             }
-            let n = r.u32()? as usize;
+            // Two tagged pattern sources and a register: 14 bytes.
+            let n = r.count(14)?;
             let mut embeddings = Vec::with_capacity(n);
             for _ in 0..n {
                 let left = r.source()?;
@@ -281,14 +292,14 @@ pub fn decode(payload: &[u8]) -> Result<StoredResult, CodecError> {
                 let sa = RegisterId(r.u32()?);
                 embeddings.push(Embedding { left, right, sa });
             }
-            let n = r.u32()? as usize;
+            let n = r.count(4)?;
             let mut sessions = Vec::with_capacity(n);
             for _ in 0..n {
                 sessions.push(r.u32()?);
             }
             let overhead = GateCount(r.u64()?);
             let overhead_percent = f64::from_bits(r.u64()?);
-            let n = r.u32()? as usize;
+            let n = r.count(4)?;
             let mut steps = Vec::with_capacity(n);
             for _ in 0..n {
                 steps.push(r.u32()?);
@@ -447,6 +458,68 @@ mod tests {
         assert!(!is_fragment(&encode(&stored(Err(("m".into(), "e".into()))))));
         assert!(!is_fragment(&encode(&stored(Ok(sample_point())))));
         assert!(!is_fragment(&frag[..TAG_OFFSET]));
+    }
+
+    #[test]
+    fn a_count_the_payload_cannot_hold_is_truncation_not_an_allocation() {
+        // Version, origin, the ok tag, a valid module set, the scalar
+        // fields, no styles, then u32::MAX embeddings: 52 bytes that once
+        // asked for an 85 GB vector and aborted the process.
+        let mut p = vec![FORMAT_VERSION];
+        p.extend_from_slice(&0u64.to_le_bytes());
+        p.push(TAG_OK);
+        p.extend_from_slice(&2u32.to_le_bytes());
+        p.extend_from_slice(b"1+");
+        p.extend_from_slice(&1u32.to_le_bytes());
+        for _ in 0..3 {
+            p.extend_from_slice(&1u64.to_le_bytes());
+        }
+        p.extend_from_slice(&0u32.to_le_bytes());
+        p.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(p.len(), 52);
+        assert_eq!(decode(&p).expect_err("cannot hold"), CodecError::Truncated);
+    }
+
+    #[test]
+    fn mutated_payloads_decode_or_fail_without_aborting() {
+        let ok = encode(&stored(Ok(sample_point())));
+        let err = encode(&stored(Err(("1+,1*".into(), "no BIST embedding".into()))));
+        // Offsets of the four item counts in `ok`: after the version,
+        // origin, tag, the module-set string "1+,2*" and the four scalar
+        // fields; then past 5 styles, 2 embeddings of 14 bytes, and 2
+        // sessions plus the overhead and its percentage.
+        let styles = 1 + 8 + 1 + (4 + 5) + 4 + 8 + 8 + 8;
+        let embeddings = styles + 4 + 5;
+        let sessions = embeddings + 4 + 2 * 14;
+        let steps = sessions + 4 + 2 * 4 + 8 + 8;
+        let counts = [styles, embeddings, sessions, steps];
+        assert_eq!(ok[steps..steps + 4], 4u32.to_le_bytes(), "four schedule steps");
+        let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for case in 0..12_000 {
+            let mut p = if case % 4 == 3 { err.clone() } else { ok.clone() };
+            match case % 3 {
+                0 => {
+                    for _ in 0..=next(3) {
+                        let at = next(p.len());
+                        p[at] ^= 1 << next(8);
+                    }
+                }
+                1 if p.len() == ok.len() => {
+                    let at = counts[next(counts.len())];
+                    let large = [u32::MAX, 1 << 31, 1 << 20, next(1 << 16) as u32 + 5];
+                    p[at..at + 4].copy_from_slice(&large[next(large.len())].to_le_bytes());
+                }
+                _ => p.truncate(next(p.len())),
+            }
+            // Either outcome is fine; an abort or a panic fails the test.
+            let _ = decode(&p);
+        }
     }
 
     #[test]

@@ -91,18 +91,6 @@ pub struct StoreStats {
     pub version_skips: u64,
 }
 
-impl StoreStats {
-    /// Hits as a fraction of lookups (0.0 when none).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// The shared interface of the engine's in-memory result cache and the
 /// on-disk store: a thread-safe map from 128-bit content key to
 /// completed [`StoredResult`].
