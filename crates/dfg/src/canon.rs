@@ -56,9 +56,7 @@
 //! the rebased encoding keys every result except the latency and the
 //! schedule themselves — and those are the requester's own.
 
-use std::collections::HashMap;
-
-use crate::dfg::{Dfg, DfgBuilder};
+use crate::dfg::{Dfg, DfgBuilder, OpInfo, VarInfo};
 use crate::schedule::Schedule;
 use crate::types::{OpId, OpKind, Operand, VarId};
 
@@ -111,6 +109,12 @@ const ROLE_RHS_INPUT: u64 = 3;
 const ROLE_CONSUMED_LHS: u64 = 4;
 const ROLE_CONSUMED_RHS: u64 = 5;
 
+/// A refinement edge or signature entry: the role in the high half, a
+/// node (edge) or its rank (signature) in the low half, so comparing
+/// entries compares `(role, rank)` pairs.
+const ROLE_SHIFT: u32 = 32;
+const LOW: u64 = (1 << ROLE_SHIFT) - 1;
+
 /// Node layout inside the refinement: ops first (node `i` = `OpId(i)`),
 /// then primary inputs in original id order.
 struct Ctx<'a> {
@@ -121,6 +125,10 @@ struct Ctx<'a> {
     /// `input_node[var index]` = node index for input vars, `usize::MAX`
     /// otherwise.
     input_node: Vec<usize>,
+    /// Every node's refinement edges, `(role << 32) | neighbor node`:
+    /// node `v`'s are `edges[edge_start[v]..edge_start[v + 1]]`.
+    edges: Vec<u64>,
+    edge_start: Vec<usize>,
 }
 
 impl<'a> Ctx<'a> {
@@ -130,12 +138,16 @@ impl<'a> Ctx<'a> {
         for (j, &v) in inputs.iter().enumerate() {
             input_node[v.index()] = dfg.num_ops() + j;
         }
-        Self {
+        let mut ctx = Self {
             dfg,
             schedule,
             inputs,
             input_node,
-        }
+            edges: Vec::with_capacity(4 * dfg.num_ops()),
+            edge_start: Vec::with_capacity(dfg.num_ops() + dfg.num_vars() + 1),
+        };
+        ctx.collect_edges();
+        ctx
     }
 
     fn num_nodes(&self) -> usize {
@@ -151,104 +163,165 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Initial invariant color of a node, as a flat `u64` tuple.
-    fn initial_color(&self, node: usize) -> Vec<u64> {
-        let n = self.dfg.num_ops();
-        if node < n {
-            let op = self.dfg.op(OpId(node as u32));
-            let mut c = vec![
-                0,
-                u64::from(self.schedule.step(OpId(node as u32))),
-                kind_index(op.kind),
-            ];
-            for operand in [op.lhs, op.rhs] {
-                match operand {
-                    Operand::Var(v) if self.dfg.var(v).producer.is_some() => c.push(0),
-                    Operand::Var(_) => c.push(1),
-                    Operand::Const(k) => {
-                        c.push(2);
-                        c.push(k as u64);
-                    }
-                }
-            }
-            c.push(u64::from(self.dfg.var(op.out).is_output));
-            c
-        } else {
-            let v = self.inputs[node - n];
-            vec![1, u64::from(self.dfg.var(v).is_output)]
-        }
-    }
-
-    /// Refinement edges of a node: `(role, neighbor node)` pairs.
-    fn edges(&self, node: usize) -> Vec<(u64, usize)> {
-        let n = self.dfg.num_ops();
-        let mut e = Vec::new();
-        let consumed_edges = |v: VarId, e: &mut Vec<(u64, usize)>| {
-            for &c in &self.dfg.var(v).consumers {
-                let op = self.dfg.op(c);
+    /// Builds the adjacency once: an op's operand edges (producer or
+    /// input, per port), then for every node the ports that consume its
+    /// variable.
+    fn collect_edges(&mut self) {
+        let dfg = self.dfg;
+        let mut edges = std::mem::take(&mut self.edges);
+        let consumed = |v: VarId, edges: &mut Vec<u64>| {
+            for &c in &dfg.var(v).consumers {
+                let op = dfg.op(c);
                 if op.lhs == Operand::Var(v) {
-                    e.push((ROLE_CONSUMED_LHS, c.index()));
+                    edges.push(ROLE_CONSUMED_LHS << ROLE_SHIFT | c.index() as u64);
                 }
                 if op.rhs == Operand::Var(v) {
-                    e.push((ROLE_CONSUMED_RHS, c.index()));
+                    edges.push(ROLE_CONSUMED_RHS << ROLE_SHIFT | c.index() as u64);
                 }
             }
         };
-        if node < n {
-            let op = self.dfg.op(OpId(node as u32));
+        for op in dfg.op_ids() {
+            self.edge_start.push(edges.len());
+            let info = dfg.op(op);
             for (operand, producer_role, input_role) in [
-                (op.lhs, ROLE_LHS_PRODUCER, ROLE_LHS_INPUT),
-                (op.rhs, ROLE_RHS_PRODUCER, ROLE_RHS_INPUT),
+                (info.lhs, ROLE_LHS_PRODUCER, ROLE_LHS_INPUT),
+                (info.rhs, ROLE_RHS_PRODUCER, ROLE_RHS_INPUT),
             ] {
                 if let Operand::Var(v) = operand {
-                    let role = if self.dfg.var(v).producer.is_some() {
+                    let role = if dfg.var(v).producer.is_some() {
                         producer_role
                     } else {
                         input_role
                     };
-                    e.push((role, self.var_node(v)));
+                    edges.push(role << ROLE_SHIFT | self.var_node(v) as u64);
                 }
             }
-            consumed_edges(op.out, &mut e);
-        } else {
-            consumed_edges(self.inputs[node - n], &mut e);
+            consumed(info.out, &mut edges);
         }
-        e
+        for &v in &self.inputs {
+            self.edge_start.push(edges.len());
+            consumed(v, &mut edges);
+        }
+        self.edge_start.push(edges.len());
+        self.edges = edges;
     }
 
-    /// One refinement pass: re-rank nodes by `(old rank, sorted neighbor
-    /// signature)`. Prepending the old rank makes this a strict
-    /// refinement — class order is preserved, classes only split.
-    fn refine(&self, ranks: &mut [usize]) {
+    /// Initial invariant colors as dense ranks. An op's color is
+    /// `(0, step, kind, lhs shape, rhs shape, is_output)` with a shape
+    /// `(0, 0)` for a produced variable, `(1, 0)` for an input and
+    /// `(2, value)` for a constant; an input's is `(1, is_output)`. The
+    /// fixed width orders exactly as the variable-length tuples the
+    /// reference sorts, where only a constant adds its value.
+    fn initial_ranks(&self) -> Vec<usize> {
+        let n = self.dfg.num_ops();
+        let colors: Vec<[u64; 8]> = (0..self.num_nodes())
+            .map(|node| {
+                if node < n {
+                    let op = self.dfg.op(OpId(node as u32));
+                    let shape = |operand: Operand| match operand {
+                        Operand::Var(v) if self.dfg.var(v).producer.is_some() => (0, 0),
+                        Operand::Var(_) => (1, 0),
+                        Operand::Const(k) => (2, k as u64),
+                    };
+                    let (lt, lv) = shape(op.lhs);
+                    let (rt, rv) = shape(op.rhs);
+                    [
+                        0,
+                        u64::from(self.schedule.step(OpId(node as u32))),
+                        kind_index(op.kind),
+                        lt,
+                        lv,
+                        rt,
+                        rv,
+                        u64::from(self.dfg.var(op.out).is_output),
+                    ]
+                } else {
+                    let v = self.inputs[node - n];
+                    [1, u64::from(self.dfg.var(v).is_output), 0, 0, 0, 0, 0, 0]
+                }
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..colors.len()).collect();
+        order.sort_unstable_by_key(|&node| colors[node]);
+        let mut ranks = vec![0usize; colors.len()];
+        for i in 1..order.len() {
+            let step = usize::from(colors[order[i]] != colors[order[i - 1]]);
+            ranks[order[i]] = ranks[order[i - 1]] + step;
+        }
+        ranks
+    }
+
+    /// Refines `ranks` until the partition stops splitting: every pass
+    /// re-ranks nodes by `(old rank, sorted (role, neighbor rank) pairs)`.
+    /// Leading with the old rank makes it a strict refinement — class
+    /// order is preserved, classes only split — so the nodes are
+    /// bucketed by old rank and only classes of two or more are sorted.
+    /// On return the ranks are dense.
+    fn refine(&self, ranks: &mut [usize], scratch: &mut Scratch) {
+        let nodes = self.num_nodes();
+        let Scratch {
+            sig,
+            order,
+            count,
+            next,
+        } = scratch;
         loop {
-            let before = distinct(ranks);
-            let mut sigs: Vec<(Vec<u64>, usize)> = (0..self.num_nodes())
-                .map(|node| {
-                    let mut sig = vec![ranks[node] as u64];
-                    let mut nb: Vec<(u64, u64)> = self
-                        .edges(node)
-                        .into_iter()
-                        .map(|(role, n)| (role, ranks[n] as u64))
-                        .collect();
-                    nb.sort_unstable();
-                    for (role, r) in nb {
-                        sig.push(role);
-                        sig.push(r);
-                    }
-                    (sig, node)
-                })
-                .collect();
-            rerank(&mut sigs, ranks);
-            if distinct(ranks) == before {
+            for node in 0..nodes {
+                let span = self.edge_start[node]..self.edge_start[node + 1];
+                for (s, &e) in sig[span.clone()].iter_mut().zip(&self.edges[span.clone()]) {
+                    *s = (e & !LOW) | ranks[(e & LOW) as usize] as u64;
+                }
+                sig[span].sort_unstable();
+            }
+            let tail = |node: usize| &sig[self.edge_start[node]..self.edge_start[node + 1]];
+            // Bucket by old rank (ranks may be sparse after branching).
+            count.clear();
+            count.resize(ranks.iter().max().map_or(0, |&r| r + 2), 0);
+            for &r in ranks.iter() {
+                count[r + 1] += 1;
+            }
+            let before = count.iter().filter(|&&c| c > 0).count();
+            for r in 1..count.len() {
+                count[r] += count[r - 1];
+            }
+            order.resize(nodes, 0);
+            for node in 0..nodes {
+                let slot = &mut count[ranks[node]];
+                order[*slot] = node;
+                *slot += 1;
+            }
+            let mut lo = 0;
+            while lo < nodes {
+                let mut hi = lo + 1;
+                while hi < nodes && ranks[order[hi]] == ranks[order[lo]] {
+                    hi += 1;
+                }
+                if hi - lo > 1 {
+                    order[lo..hi].sort_unstable_by(|&a, &b| tail(a).cmp(tail(b)));
+                }
+                lo = hi;
+            }
+            next.resize(nodes, 0);
+            let mut rank = 0;
+            for i in 0..nodes {
+                let (node, prev) = (order[i], order[i.saturating_sub(1)]);
+                if i > 0 && (ranks[node] != ranks[prev] || tail(node) != tail(prev)) {
+                    rank += 1;
+                }
+                next[node] = rank;
+            }
+            ranks.copy_from_slice(&next[..nodes]);
+            let after = if nodes == 0 { 0 } else { rank + 1 };
+            if after == before {
                 return;
             }
         }
     }
 
-    /// Serializes the canonical design under a discrete ranking. The
-    /// bytes fully determine the canonical graph and schedule, so equal
-    /// encodings imply isomorphic originals.
-    fn encode(&self, ranks: &[usize]) -> Vec<u8> {
+    /// Serializes the canonical design under a discrete ranking into
+    /// `out`. The bytes fully determine the canonical graph and
+    /// schedule, so equal encodings imply isomorphic originals.
+    fn encode(&self, ranks: &[usize], out: &mut Vec<u8>) {
         let n = self.dfg.num_ops();
         let m = self.inputs.len();
         // Discrete ranks: ops occupy 0..n (step-major), inputs n..n+m.
@@ -267,7 +340,8 @@ impl<'a> Ctx<'a> {
                 None => (ranks[self.input_node[v.index()]] - n) as u32,
             }
         };
-        let mut out = Vec::with_capacity(16 + 24 * n + 2 * m);
+        out.clear();
+        out.reserve(16 + 24 * n + 2 * m);
         out.extend_from_slice(&(m as u32).to_le_bytes());
         for &j in &input_at {
             out.push(u8::from(self.dfg.var(self.inputs[j]).is_output));
@@ -291,7 +365,6 @@ impl<'a> Ctx<'a> {
             }
             out.push(u8::from(self.dfg.var(op.out).is_output));
         }
-        out
     }
 }
 
@@ -302,27 +375,23 @@ fn kind_index(kind: OpKind) -> u64 {
         .expect("every kind is in ALL") as u64
 }
 
-fn distinct(ranks: &[usize]) -> usize {
-    let mut seen: Vec<usize> = ranks.to_vec();
-    seen.sort_unstable();
-    seen.dedup();
-    seen.len()
-}
-
-/// Sorts signatures and writes dense ranks back into `ranks`.
-fn rerank(sigs: &mut [(Vec<u64>, usize)], ranks: &mut [usize]) {
-    sigs.sort_unstable();
-    let mut rank = 0usize;
-    for i in 0..sigs.len() {
-        if i > 0 && sigs[i].0 != sigs[i - 1].0 {
-            rank += 1;
-        }
-        ranks[sigs[i].1] = rank;
-    }
+/// Buffers reused by every refinement pass of one canonization.
+#[derive(Default)]
+struct Scratch {
+    /// Signature entries, laid out like [`Ctx::edges`].
+    sig: Vec<u64>,
+    /// Nodes in signature order.
+    order: Vec<usize>,
+    /// Per-rank counts: bucket offsets, class sizes.
+    count: Vec<usize>,
+    /// The ranks being assigned.
+    next: Vec<usize>,
 }
 
 struct Search<'a> {
     ctx: &'a Ctx<'a>,
+    scratch: Scratch,
+    leaf: Vec<u8>,
     best: Option<(Vec<u8>, Vec<usize>)>,
     leaves: usize,
     bailed: bool,
@@ -334,23 +403,24 @@ impl Search<'_> {
             self.bailed = true;
             return;
         }
-        self.ctx.refine(&mut ranks);
-        // Smallest non-singleton class, lowest rank breaking ties.
-        let mut class_size: HashMap<usize, usize> = HashMap::new();
+        self.ctx.refine(&mut ranks, &mut self.scratch);
+        // Smallest non-singleton class, lowest rank breaking ties; the
+        // refined ranks are dense, so sizes are counts by rank.
+        let sizes = &mut self.scratch.count;
+        sizes.clear();
+        sizes.resize(ranks.len(), 0);
         for &r in &ranks {
-            *class_size.entry(r).or_insert(0) += 1;
+            sizes[r] += 1;
         }
-        let target = class_size
-            .iter()
-            .filter(|&(_, &size)| size > 1)
-            .map(|(&r, &size)| (size, r))
-            .min();
-        let Some((_, target_rank)) = target else {
+        let target = (0..sizes.len())
+            .filter(|&r| sizes[r] > 1)
+            .min_by_key(|&r| (sizes[r], r));
+        let Some(target_rank) = target else {
             // Discrete: one candidate labeling.
             self.leaves += 1;
-            let encoding = self.ctx.encode(&ranks);
-            if self.best.as_ref().is_none_or(|(best, _)| encoding < *best) {
-                self.best = Some((encoding, ranks));
+            self.ctx.encode(&ranks, &mut self.leaf);
+            if self.best.as_ref().is_none_or(|(best, _)| self.leaf < *best) {
+                self.best = Some((self.leaf.clone(), ranks));
             }
             return;
         };
@@ -379,13 +449,14 @@ impl Search<'_> {
 /// [bails out](CanonForm::bailed).
 pub fn canonize(dfg: &Dfg, schedule: &Schedule) -> CanonForm {
     let ctx = Ctx::new(dfg, schedule);
-    let mut sigs: Vec<(Vec<u64>, usize)> = (0..ctx.num_nodes())
-        .map(|node| (ctx.initial_color(node), node))
-        .collect();
-    let mut ranks = vec![0usize; ctx.num_nodes()];
-    rerank(&mut sigs, &mut ranks);
+    let ranks = ctx.initial_ranks();
     let mut search = Search {
         ctx: &ctx,
+        scratch: Scratch {
+            sig: vec![0; ctx.edges.len()],
+            ..Scratch::default()
+        },
+        leaf: Vec::new(),
         best: None,
         leaves: 0,
         bailed: false,
@@ -395,6 +466,10 @@ pub fn canonize(dfg: &Dfg, schedule: &Schedule) -> CanonForm {
     build_form(&ctx, encoding, &ranks, search.bailed)
 }
 
+/// The canonical relabeling of a validated graph: inputs `i0..`, op
+/// results `t0..` (ops `t0_op..`) in canonical order, assembled
+/// directly — exactly what [`DfgBuilder`] would build, without its
+/// checks, which a relabeling passes by construction.
 fn build_form(ctx: &Ctx<'_>, encoding: Vec<u8>, ranks: &[usize], bailed: bool) -> CanonForm {
     let dfg = ctx.dfg;
     let n = dfg.num_ops();
@@ -417,31 +492,47 @@ fn build_form(ctx: &Ctx<'_>, encoding: Vec<u8>, ranks: &[usize], bailed: bool) -
         var_inverse[canon as usize] = orig as u32;
     }
 
-    let mut b = DfgBuilder::new();
-    let mut canon_vars: Vec<VarId> = Vec::with_capacity(dfg.num_vars());
-    for j in 0..m {
-        canon_vars.push(b.input(&format!("i{j}")));
-    }
     let map_operand = |o: Operand| -> Operand {
         match o {
             Operand::Var(v) => Operand::Var(VarId(var_perm[v.index()])),
             c @ Operand::Const(_) => c,
         }
     };
+    let mut vars: Vec<VarInfo> = var_inverse
+        .iter()
+        .enumerate()
+        .map(|(canon, &orig)| VarInfo {
+            name: if canon < m {
+                numbered("i", canon, "")
+            } else {
+                numbered("t", canon - m, "")
+            },
+            producer: (canon >= m).then(|| OpId((canon - m) as u32)),
+            consumers: Vec::new(),
+            is_output: dfg.var(VarId(orig)).is_output,
+        })
+        .collect();
+    let mut ops = Vec::with_capacity(n);
     let mut steps = Vec::with_capacity(n);
     for (p, &old) in op_at.iter().enumerate() {
         let op = dfg.op(old);
-        let out = b.op(op.kind, &format!("t{p}"), map_operand(op.lhs), map_operand(op.rhs));
-        debug_assert_eq!(out.index(), m + p);
-        canon_vars.push(out);
+        let (lhs, rhs) = (map_operand(op.lhs), map_operand(op.rhs));
+        for v in [lhs, rhs].into_iter().filter_map(Operand::var) {
+            let consumers = &mut vars[v.index()].consumers;
+            if consumers.last() != Some(&OpId(p as u32)) {
+                consumers.push(OpId(p as u32));
+            }
+        }
+        ops.push(OpInfo {
+            name: numbered("t", p, "_op"),
+            kind: op.kind,
+            lhs,
+            rhs,
+            out: VarId((m + p) as u32),
+        });
         steps.push(ctx.schedule.step(old));
     }
-    for v in dfg.var_ids() {
-        if dfg.var(v).is_output {
-            b.mark_output(canon_vars[var_perm[v.index()] as usize]);
-        }
-    }
-    let canon_dfg = b.build().expect("canonical relabeling preserves validity");
+    let canon_dfg = Dfg::from_valid_parts(vars, ops);
     let canon_schedule = Schedule::new(&canon_dfg, steps)
         .expect("canonical op order is step-major, hence topological");
     CanonForm {
@@ -453,6 +544,26 @@ fn build_form(ctx: &Ctx<'_>, encoding: Vec<u8>, ranks: &[usize], bailed: bool) -
         var_inverse,
         bailed,
     }
+}
+
+/// `{prefix}{index}{suffix}` without the formatting machinery.
+fn numbered(prefix: &str, index: usize, suffix: &str) -> String {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = index;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let mut name = String::with_capacity(prefix.len() + digits.len() - at + suffix.len());
+    name.push_str(prefix);
+    name.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    name.push_str(suffix);
+    name
 }
 
 /// Calls `at` with the byte offset of every per-op schedule step inside
@@ -628,6 +739,251 @@ pub fn permute_scheduled(dfg: &Dfg, schedule: &Schedule, seed: u64) -> (Dfg, Sch
     }
     let schedule = Schedule::new(&twin, steps).expect("steps are per-op invariants");
     (twin, schedule, var_map)
+}
+
+/// The canonizer [`canonize`] replaced, kept as its executable
+/// reference: initial colors and per-pass signatures as one `Vec` per
+/// node, each pass sorting all of them, class sizes in a map, and the
+/// canonical graph rebuilt through [`DfgBuilder`].
+#[cfg(test)]
+pub(crate) mod reference {
+    use std::collections::HashMap;
+
+    use super::*;
+
+    fn initial_color(ctx: &Ctx<'_>, node: usize) -> Vec<u64> {
+        let n = ctx.dfg.num_ops();
+        if node < n {
+            let op = ctx.dfg.op(OpId(node as u32));
+            let mut c = vec![
+                0,
+                u64::from(ctx.schedule.step(OpId(node as u32))),
+                kind_index(op.kind),
+            ];
+            for operand in [op.lhs, op.rhs] {
+                match operand {
+                    Operand::Var(v) if ctx.dfg.var(v).producer.is_some() => c.push(0),
+                    Operand::Var(_) => c.push(1),
+                    Operand::Const(k) => {
+                        c.push(2);
+                        c.push(k as u64);
+                    }
+                }
+            }
+            c.push(u64::from(ctx.dfg.var(op.out).is_output));
+            c
+        } else {
+            let v = ctx.inputs[node - n];
+            vec![1, u64::from(ctx.dfg.var(v).is_output)]
+        }
+    }
+
+    fn edges(ctx: &Ctx<'_>, node: usize) -> Vec<(u64, usize)> {
+        let n = ctx.dfg.num_ops();
+        let mut e = Vec::new();
+        let consumed_edges = |v: VarId, e: &mut Vec<(u64, usize)>| {
+            for &c in &ctx.dfg.var(v).consumers {
+                let op = ctx.dfg.op(c);
+                if op.lhs == Operand::Var(v) {
+                    e.push((ROLE_CONSUMED_LHS, c.index()));
+                }
+                if op.rhs == Operand::Var(v) {
+                    e.push((ROLE_CONSUMED_RHS, c.index()));
+                }
+            }
+        };
+        if node < n {
+            let op = ctx.dfg.op(OpId(node as u32));
+            for (operand, producer_role, input_role) in [
+                (op.lhs, ROLE_LHS_PRODUCER, ROLE_LHS_INPUT),
+                (op.rhs, ROLE_RHS_PRODUCER, ROLE_RHS_INPUT),
+            ] {
+                if let Operand::Var(v) = operand {
+                    let role = if ctx.dfg.var(v).producer.is_some() {
+                        producer_role
+                    } else {
+                        input_role
+                    };
+                    e.push((role, ctx.var_node(v)));
+                }
+            }
+            consumed_edges(op.out, &mut e);
+        } else {
+            consumed_edges(ctx.inputs[node - n], &mut e);
+        }
+        e
+    }
+
+    fn refine(ctx: &Ctx<'_>, ranks: &mut [usize]) {
+        loop {
+            let before = distinct(ranks);
+            let mut sigs: Vec<(Vec<u64>, usize)> = (0..ctx.num_nodes())
+                .map(|node| {
+                    let mut sig = vec![ranks[node] as u64];
+                    let mut nb: Vec<(u64, u64)> = edges(ctx, node)
+                        .into_iter()
+                        .map(|(role, n)| (role, ranks[n] as u64))
+                        .collect();
+                    nb.sort_unstable();
+                    for (role, r) in nb {
+                        sig.push(role);
+                        sig.push(r);
+                    }
+                    (sig, node)
+                })
+                .collect();
+            rerank(&mut sigs, ranks);
+            if distinct(ranks) == before {
+                return;
+            }
+        }
+    }
+
+    fn distinct(ranks: &[usize]) -> usize {
+        let mut seen: Vec<usize> = ranks.to_vec();
+        seen.sort_unstable();
+        seen.dedup();
+        seen.len()
+    }
+
+    fn rerank(sigs: &mut [(Vec<u64>, usize)], ranks: &mut [usize]) {
+        sigs.sort_unstable();
+        let mut rank = 0usize;
+        for i in 0..sigs.len() {
+            if i > 0 && sigs[i].0 != sigs[i - 1].0 {
+                rank += 1;
+            }
+            ranks[sigs[i].1] = rank;
+        }
+    }
+
+    struct Search<'a> {
+        ctx: &'a Ctx<'a>,
+        best: Option<(Vec<u8>, Vec<usize>)>,
+        leaves: usize,
+        bailed: bool,
+    }
+
+    impl Search<'_> {
+        fn descend(&mut self, mut ranks: Vec<usize>) {
+            if self.leaves >= LEAF_BUDGET {
+                self.bailed = true;
+                return;
+            }
+            refine(self.ctx, &mut ranks);
+            let mut class_size: HashMap<usize, usize> = HashMap::new();
+            for &r in &ranks {
+                *class_size.entry(r).or_insert(0) += 1;
+            }
+            let target = class_size
+                .iter()
+                .filter(|&(_, &size)| size > 1)
+                .map(|(&r, &size)| (size, r))
+                .min();
+            let Some((_, target_rank)) = target else {
+                self.leaves += 1;
+                let mut encoding = Vec::new();
+                self.ctx.encode(&ranks, &mut encoding);
+                if self.best.as_ref().is_none_or(|(best, _)| encoding < *best) {
+                    self.best = Some((encoding, ranks));
+                }
+                return;
+            };
+            let members: Vec<usize> = (0..ranks.len())
+                .filter(|&node| ranks[node] == target_rank)
+                .collect();
+            for &chosen in &members {
+                let branched: Vec<usize> = (0..ranks.len())
+                    .map(|node| {
+                        2 * ranks[node]
+                            + usize::from(ranks[node] == target_rank && node != chosen)
+                    })
+                    .collect();
+                self.descend(branched);
+                if self.leaves >= LEAF_BUDGET {
+                    self.bailed = true;
+                    return;
+                }
+            }
+        }
+    }
+
+    pub(crate) fn canonize(dfg: &Dfg, schedule: &Schedule) -> CanonForm {
+        let ctx = Ctx::new(dfg, schedule);
+        let mut sigs: Vec<(Vec<u64>, usize)> = (0..ctx.num_nodes())
+            .map(|node| (initial_color(&ctx, node), node))
+            .collect();
+        let mut ranks = vec![0usize; ctx.num_nodes()];
+        rerank(&mut sigs, &mut ranks);
+        let mut search = Search {
+            ctx: &ctx,
+            best: None,
+            leaves: 0,
+            bailed: false,
+        };
+        search.descend(ranks);
+        let (encoding, ranks) = search.best.expect("at least one leaf is always reached");
+        build_form(&ctx, encoding, &ranks, search.bailed)
+    }
+
+    fn build_form(ctx: &Ctx<'_>, encoding: Vec<u8>, ranks: &[usize], bailed: bool) -> CanonForm {
+        let dfg = ctx.dfg;
+        let n = dfg.num_ops();
+        let m = ctx.inputs.len();
+        let mut op_perm = vec![0u32; n];
+        let mut op_at = vec![OpId(0); n];
+        for i in 0..n {
+            op_perm[i] = ranks[i] as u32;
+            op_at[ranks[i]] = OpId(i as u32);
+        }
+        let mut var_perm = vec![0u32; dfg.num_vars()];
+        for v in dfg.var_ids() {
+            var_perm[v.index()] = match dfg.var(v).producer {
+                Some(p) => (m + ranks[p.index()]) as u32,
+                None => (ranks[ctx.input_node[v.index()]] - n) as u32,
+            };
+        }
+        let mut var_inverse = vec![0u32; dfg.num_vars()];
+        for (orig, &canon) in var_perm.iter().enumerate() {
+            var_inverse[canon as usize] = orig as u32;
+        }
+
+        let mut b = DfgBuilder::new();
+        let mut canon_vars: Vec<VarId> = Vec::with_capacity(dfg.num_vars());
+        for j in 0..m {
+            canon_vars.push(b.input(&format!("i{j}")));
+        }
+        let map_operand = |o: Operand| -> Operand {
+            match o {
+                Operand::Var(v) => Operand::Var(VarId(var_perm[v.index()])),
+                c @ Operand::Const(_) => c,
+            }
+        };
+        let mut steps = Vec::with_capacity(n);
+        for (p, &old) in op_at.iter().enumerate() {
+            let op = dfg.op(old);
+            let out = b.op(op.kind, &format!("t{p}"), map_operand(op.lhs), map_operand(op.rhs));
+            canon_vars.push(out);
+            steps.push(ctx.schedule.step(old));
+        }
+        for v in dfg.var_ids() {
+            if dfg.var(v).is_output {
+                b.mark_output(canon_vars[var_perm[v.index()] as usize]);
+            }
+        }
+        let canon_dfg = b.build().expect("canonical relabeling preserves validity");
+        let canon_schedule = Schedule::new(&canon_dfg, steps)
+            .expect("canonical op order is step-major, hence topological");
+        CanonForm {
+            dfg: canon_dfg,
+            schedule: canon_schedule,
+            encoding,
+            op_perm,
+            var_perm,
+            var_inverse,
+            bailed,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -841,5 +1197,93 @@ mod tests {
             to_text(&c1.dfg, &c1.schedule),
             to_text(&c2.dfg, &c2.schedule)
         );
+    }
+
+    fn assert_same_form(a: &CanonForm, b: &CanonForm, what: &str) {
+        assert_eq!(a.encoding, b.encoding, "{what}: encoding");
+        assert_eq!(a.op_perm, b.op_perm, "{what}: op_perm");
+        assert_eq!(a.var_perm, b.var_perm, "{what}: var_perm");
+        assert_eq!(a.var_inverse, b.var_inverse, "{what}: var_inverse");
+        assert_eq!(a.bailed, b.bailed, "{what}: bailed");
+        assert_eq!(a.dfg, b.dfg, "{what}: canonical graph");
+        assert_eq!(a.schedule, b.schedule, "{what}: canonical schedule");
+    }
+
+    /// `count` independent ops of one kind in one step, plus `tail`
+    /// ops chaining their results: refinement alone cannot order the
+    /// independent ones, so the search individualizes (and past
+    /// `count = 5` or so, exhausts its leaf budget).
+    fn symmetric(count: usize, tail: usize) -> (Dfg, Schedule) {
+        let mut b = DfgBuilder::new();
+        let mut outs = Vec::new();
+        for i in 0..count {
+            let x = b.input(&format!("a{i}"));
+            let y = b.input(&format!("b{i}"));
+            outs.push(b.op(OpKind::Mul, &format!("m{i}"), x.into(), y.into()));
+        }
+        let mut steps = vec![1; count];
+        let mut acc = outs[0];
+        for (i, &o) in outs.iter().enumerate().skip(1).take(tail) {
+            acc = b.op(OpKind::Add, &format!("s{i}"), acc.into(), o.into());
+            steps.push(1 + i as u32);
+        }
+        for v in outs.iter().skip(1 + tail).chain([&acc]) {
+            b.mark_output(*v);
+        }
+        let dfg = b.build().unwrap();
+        let schedule = Schedule::new(&dfg, steps).unwrap();
+        (dfg, schedule)
+    }
+
+    #[test]
+    fn flat_refinement_matches_the_reference() {
+        use crate::corpus::{generate, KINDS};
+        use crate::random::{random_scheduled_dfg, RandomDfgConfig};
+        use crate::scheduling::{asap, list_schedule};
+        let mut designs: Vec<(String, Dfg, Schedule)> = all_benches()
+            .into_iter()
+            .enumerate()
+            .map(|(i, (d, s))| (format!("paper {i}"), d, s))
+            .collect();
+        let sets: Vec<crate::modules::ModuleSet> =
+            ["1+,1*,1-", "2+,2*,2-"].iter().map(|s| s.parse().unwrap()).collect();
+        for size in [1, 3, 8, 16, 24] {
+            for kind in KINDS {
+                let dfg = generate(kind, size, 1);
+                for seed in [0, 7] {
+                    let (twin, _, _) = permute_dfg(&dfg, seed);
+                    for modules in &sets {
+                        let schedule = list_schedule(&twin, modules).unwrap();
+                        designs.push((format!("{kind:?} {size} {seed} {modules}"), twin.clone(), schedule));
+                    }
+                    let schedule = asap(&twin);
+                    designs.push((format!("{kind:?} {size} {seed} asap"), twin.clone(), schedule));
+                }
+            }
+        }
+        for seed in 0..40u64 {
+            let cfg = RandomDfgConfig {
+                num_ops: 1 + (seed as usize * 5) % 40,
+                num_inputs: 1 + seed as usize % 5,
+                max_ops_per_step: 1 + seed as usize % 4,
+                kinds: &OpKind::ALL,
+            };
+            let (dfg, schedule) = random_scheduled_dfg(seed, &cfg);
+            designs.push((format!("random {seed}"), dfg, schedule));
+        }
+        for (count, tail) in [(2, 0), (3, 1), (4, 0), (5, 2), (6, 0), (9, 3), (12, 0)] {
+            let (dfg, schedule) = symmetric(count, tail);
+            designs.push((format!("symmetric {count} {tail}"), dfg, schedule));
+        }
+        let empty = DfgBuilder::new().build().unwrap();
+        let none = Schedule::new(&empty, vec![]).unwrap();
+        designs.push(("empty".into(), empty, none));
+        let mut bailed = 0;
+        for (what, dfg, schedule) in &designs {
+            let fast = canonize(dfg, schedule);
+            assert_same_form(&fast, &reference::canonize(dfg, schedule), what);
+            bailed += usize::from(fast.bailed);
+        }
+        assert!(bailed >= 2, "the symmetric designs exhaust the leaf budget");
     }
 }

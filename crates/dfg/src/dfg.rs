@@ -1,6 +1,6 @@
 //! The data flow graph and its builder.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fmt;
 
 use crate::types::{OpId, OpKind, Operand, VarId};
@@ -77,7 +77,10 @@ impl std::error::Error for DfgError {}
 ///
 /// Construct with [`DfgBuilder`]. Guaranteed acyclic, with every variable
 /// defined exactly once (by an operation or as a primary input) and either
-/// consumed or marked as a primary output.
+/// consumed or marked as a primary output. Operation ids are a
+/// topological order: an operand names a variable that existed when its
+/// operation was added, so every producer has a smaller id than its
+/// consumers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dfg {
     vars: Vec<VarInfo>,
@@ -149,33 +152,57 @@ impl Dfg {
             .map(|i| OpId(i as u32))
     }
 
-    /// A topological order of the operations (producers before consumers).
+    /// A topological order of the operations (producers before consumers):
+    /// Kahn's algorithm with a LIFO work list, walking each result's
+    /// consumer list.
     pub fn topo_order(&self) -> Vec<OpId> {
-        // Kahn's algorithm over op→op dependencies.
         let n = self.ops.len();
-        let mut indeg = vec![0usize; n];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, op) in self.ops.iter().enumerate() {
-            for v in op.input_vars() {
-                if let Some(p) = self.var(v).producer {
-                    succs[p.index()].push(i);
-                    indeg[i] += 1;
-                }
-            }
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        // One count per operand read of a produced variable, so an op
+        // reading one result on both sides waits for two decrements.
+        let mut indeg: Vec<u32> = self
+            .ops
+            .iter()
+            .map(|op| op.input_vars().filter(|&v| self.var(v).producer.is_some()).count() as u32)
+            .collect();
+        let mut queue: Vec<OpId> = self.op_ids().filter(|op| indeg[op.index()] == 0).collect();
         let mut order = Vec::with_capacity(n);
-        while let Some(i) = queue.pop() {
-            order.push(OpId(i as u32));
-            for &s in &succs[i] {
-                indeg[s] -= 1;
-                if indeg[s] == 0 {
-                    queue.push(s);
+        while let Some(op) = queue.pop() {
+            order.push(op);
+            let out = Operand::Var(self.op(op).out);
+            for &c in &self.var(self.op(op).out).consumers {
+                let reader = self.op(c);
+                let reads = u32::from(reader.lhs == out) + u32::from(reader.rhs == out);
+                indeg[c.index()] -= reads;
+                if indeg[c.index()] == 0 {
+                    queue.push(c);
                 }
             }
         }
         debug_assert_eq!(order.len(), n, "validated DFGs are acyclic");
         order
+    }
+
+    /// Assembles a graph from parts that are valid by construction
+    /// (a relabeling of a validated graph), skipping validation.
+    pub(crate) fn from_valid_parts(vars: Vec<VarInfo>, ops: Vec<OpInfo>) -> Self {
+        Self { vars, ops }
+    }
+
+    /// The first name claimed twice, in declaration order: an input
+    /// claims its name, an operation its own name and then its result's.
+    fn first_duplicate_name(&self) -> Option<&str> {
+        let mut seen: HashSet<&str> = HashSet::with_capacity(self.vars.len() + self.ops.len());
+        for var in &self.vars {
+            let op_name = var.producer.map(|p| self.op(p).name.as_str());
+            if let Some(dup) = op_name
+                .into_iter()
+                .chain([var.name.as_str()])
+                .find(|name| !seen.insert(name))
+            {
+                return Some(dup);
+            }
+        }
+        None
     }
 }
 
@@ -198,8 +225,6 @@ impl Dfg {
 pub struct DfgBuilder {
     vars: Vec<VarInfo>,
     ops: Vec<OpInfo>,
-    names: HashMap<String, ()>,
-    errors: Vec<DfgError>,
 }
 
 impl DfgBuilder {
@@ -208,15 +233,8 @@ impl DfgBuilder {
         Self::default()
     }
 
-    fn claim_name(&mut self, name: &str) {
-        if self.names.insert(name.to_owned(), ()).is_some() {
-            self.errors.push(DfgError::DuplicateName(name.to_owned()));
-        }
-    }
-
     /// Declares a primary input variable.
     pub fn input(&mut self, name: &str) -> VarId {
-        self.claim_name(name);
         let id = VarId(self.vars.len() as u32);
         self.vars.push(VarInfo {
             name: name.to_owned(),
@@ -231,8 +249,10 @@ impl DfgBuilder {
     /// The operation itself is named `<out_name>_op` implicitly; use
     /// [`op_named`](Self::op_named) for explicit operation names.
     pub fn op(&mut self, kind: OpKind, out_name: &str, lhs: Operand, rhs: Operand) -> VarId {
-        let op_name = format!("{out_name}_op");
-        self.op_named(kind, &op_name, out_name, lhs, rhs)
+        let mut op_name = String::with_capacity(out_name.len() + 3);
+        op_name.push_str(out_name);
+        op_name.push_str("_op");
+        self.push_op(kind, op_name, out_name, lhs, rhs)
     }
 
     /// Adds a binary operation with explicit operation and result names.
@@ -244,8 +264,17 @@ impl DfgBuilder {
         lhs: Operand,
         rhs: Operand,
     ) -> VarId {
-        self.claim_name(op_name);
-        self.claim_name(out_name);
+        self.push_op(kind, op_name.to_owned(), out_name, lhs, rhs)
+    }
+
+    fn push_op(
+        &mut self,
+        kind: OpKind,
+        op_name: String,
+        out_name: &str,
+        lhs: Operand,
+        rhs: Operand,
+    ) -> VarId {
         let out = VarId(self.vars.len() as u32);
         self.vars.push(VarInfo {
             name: out_name.to_owned(),
@@ -255,7 +284,7 @@ impl DfgBuilder {
         });
         let op_id = OpId(self.ops.len() as u32);
         self.ops.push(OpInfo {
-            name: op_name.to_owned(),
+            name: op_name,
             kind,
             lhs,
             rhs,
@@ -279,17 +308,18 @@ impl DfgBuilder {
     ///
     /// # Errors
     ///
-    /// Returns the first [`DfgError`] found: duplicate names, dependency
-    /// cycles (impossible through this builder but checked anyway), or
-    /// variables that are neither consumed nor outputs.
+    /// Returns the first [`DfgError`] found: the first name declared
+    /// twice, then variables that are neither consumed nor outputs, then
+    /// dependency cycles (only an operation reading its own result can
+    /// make one through this builder).
     pub fn build(self) -> Result<Dfg, DfgError> {
-        if let Some(e) = self.errors.into_iter().next() {
-            return Err(e);
-        }
         let dfg = Dfg {
             vars: self.vars,
             ops: self.ops,
         };
+        if let Some(dup) = dfg.first_duplicate_name() {
+            return Err(DfgError::DuplicateName(dup.to_owned()));
+        }
         // Dead-variable check: every non-output must be consumed.
         for v in dfg.var_ids() {
             let info = dfg.var(v);
@@ -297,8 +327,9 @@ impl DfgBuilder {
                 return Err(DfgError::DeadVariable(info.name.clone()));
             }
         }
-        // Cycle check (forward references are impossible via the builder,
-        // but topo_order's invariant deserves an explicit guard).
+        // Cycle check: an operand can only name an existing variable, so
+        // the one cycle this builder can make is an operation reading its
+        // own result — which also breaks the id order being topological.
         if dfg.topo_order().len() != dfg.num_ops() {
             return Err(DfgError::Cycle {
                 op: "<unknown>".to_owned(),

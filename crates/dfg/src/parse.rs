@@ -32,6 +32,7 @@
 //! # Ok::<(), lobist_dfg::parse::ParseDfgError>(())
 //! ```
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -95,26 +96,115 @@ impl From<ScheduleError> for ParseDfgError {
 /// Returns [`ParseDfgError`] for syntax errors, unknown operands, or a
 /// graph/schedule that fails validation.
 pub fn parse_dfg(text: &str) -> Result<(Dfg, Schedule), ParseDfgError> {
+    let Parsed { dfg, steps, .. } = parse_lines(text, false)?;
+    let steps: Vec<u32> = steps
+        .iter()
+        .enumerate()
+        .map(|(i, &(line, s))| {
+            s.ok_or_else(|| ParseDfgError::Syntax {
+                line,
+                message: format!(
+                    "operation `{}` has no `@ step` (a scheduled design annotates every operation)",
+                    dfg.var(dfg.op(crate::OpId(i as u32)).out).name
+                ),
+            })
+        })
+        .collect::<Result<_, _>>()?;
+    let schedule = Schedule::new(&dfg, steps)?;
+    Ok((dfg, schedule))
+}
+
+/// Parses the text format ignoring any `@ step` annotations and
+/// returning just the graph, for designs to be scheduled by
+/// [`crate::scheduling`] or [`crate::fds`].
+///
+/// The annotations are dropped line by line, the way this parser has
+/// always dropped them: a line whose first non-blank character is an
+/// ASCII letter, digit or `_` loses everything from its first `@` on
+/// (`input` and `output` lines included), and every other statement
+/// with an `=` but no `@` is read as if annotated with the next number
+/// of a running count. A line starting with any other character (a
+/// non-ASCII letter, say) keeps its `@ step`, and that step must still
+/// be consistent with the counted ones.
+///
+/// # Errors
+///
+/// As [`parse_dfg`]; schedule validation fails only through steps kept
+/// that way.
+pub fn parse_unscheduled_dfg(text: &str) -> Result<Dfg, ParseDfgError> {
+    let Parsed {
+        dfg,
+        steps,
+        kept_steps,
+    } = parse_lines(text, true)?;
+    if kept_steps {
+        let steps = steps.iter().map(|&(_, s)| s.expect("every op is counted or annotated"));
+        Schedule::new(&dfg, steps.collect())?;
+    }
+    Ok(dfg)
+}
+
+/// A parsed graph with each op's `(line, step)`, in op order.
+struct Parsed {
+    dfg: Dfg,
+    steps: Vec<(usize, Option<u32>)>,
+    /// An unscheduled text kept an explicit `@ step` somewhere.
+    kept_steps: bool,
+}
+
+/// The unscheduled parser's view of a raw line: cut at the first `@` if
+/// the line starts with an ASCII letter, digit or `_`.
+fn strip_step(raw: &str) -> &str {
+    match raw.split_once('@') {
+        Some((head, _))
+            if raw
+                .trim_start()
+                .starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_') =>
+        {
+            head
+        }
+        _ => raw,
+    }
+}
+
+/// The one pass behind both parsers. Names are borrowed from `text`;
+/// the only owned ones are the numbers an unscheduled `input`/`output`
+/// line with an `=` declares (see [`parse_unscheduled_dfg`]).
+fn parse_lines(text: &str, unscheduled: bool) -> Result<Parsed, ParseDfgError> {
     let mut builder = DfgBuilder::new();
-    let mut vars: HashMap<String, VarId> = HashMap::new();
+    let mut vars: HashMap<Cow<'_, str>, VarId> = HashMap::new();
     let mut steps: Vec<(usize, Option<u32>)> = Vec::new();
-    let mut outputs: Vec<(usize, &str)> = Vec::new();
+    let mut outputs: Vec<(usize, Cow<'_, str>)> = Vec::new();
+    let mut next_step = 1u32;
+    let mut kept_steps = false;
 
     for (lineno, raw) in text.lines().enumerate() {
         let line = lineno + 1;
+        let raw = if unscheduled { strip_step(raw) } else { raw };
         let stmt = raw.split('#').next().unwrap_or("").trim();
         if stmt.is_empty() {
             continue;
         }
+        // Unscheduled, a statement with an `=` and no `@` reads as
+        // `{stmt} @ {next_step}`: the step, and for `input`/`output`
+        // lines the two extra names `@` and the step number.
+        let counted = (unscheduled && stmt.contains('=') && !stmt.contains('@')).then(|| {
+            next_step += 1;
+            next_step - 1
+        });
+        let extra_names = counted
+            .into_iter()
+            .flat_map(|k| [Cow::Borrowed("@"), Cow::Owned(k.to_string())]);
         if let Some(rest) = stmt.strip_prefix("input") {
-            for name in rest.split_whitespace() {
-                let v = builder.input(name);
-                vars.insert(name.to_owned(), v);
+            for name in rest.split_whitespace().map(Cow::Borrowed).chain(extra_names) {
+                let v = builder.input(&name);
+                vars.insert(name, v);
             }
             continue;
         }
         if let Some(rest) = stmt.strip_prefix("output") {
-            outputs.extend(rest.split_whitespace().map(|name| (line, name)));
+            let names = rest.split_whitespace().map(Cow::Borrowed).chain(extra_names);
+            outputs.extend(names.map(|name| (line, name)));
             continue;
         }
         // result = lhs OP rhs [@ step]
@@ -129,18 +219,22 @@ pub fn parse_dfg(text: &str) -> Result<(Dfg, Schedule), ParseDfgError> {
                 message: format!("bad result name `{result}`"),
             });
         }
-        let (expr, step) = match rhs_txt.split_once('@') {
-            Some((expr, step_txt)) => {
+        let (expr, step) = match (counted, rhs_txt.split_once('@')) {
+            (Some(k), _) => (rhs_txt, Some(k)),
+            (None, Some((expr, step_txt))) => {
                 let step: u32 = step_txt.trim().parse().map_err(|_| ParseDfgError::Syntax {
                     line,
                     message: format!("bad step `{}`", step_txt.trim()),
                 })?;
+                kept_steps = true;
                 (expr, Some(step))
             }
-            None => (rhs_txt, None),
+            (None, None) => (rhs_txt, None),
         };
-        let tokens: Vec<&str> = expr.split_whitespace().collect();
-        let [a, op, b] = tokens.as_slice() else {
+        let mut tokens = expr.split_whitespace();
+        let (Some(a), Some(op), Some(b), None) =
+            (tokens.next(), tokens.next(), tokens.next(), tokens.next())
+        else {
             return Err(ParseDfgError::Syntax {
                 line,
                 message: format!("expected `a OP b`, got `{}`", expr.trim()),
@@ -169,76 +263,24 @@ pub fn parse_dfg(text: &str) -> Result<(Dfg, Schedule), ParseDfgError> {
         let lhs = operand(a)?;
         let rhs = operand(b)?;
         let out = builder.op(kind, result, lhs, rhs);
-        vars.insert(result.to_owned(), out);
+        vars.insert(Cow::Borrowed(result), out);
         steps.push((line, step));
     }
 
     for (line, name) in outputs {
         let v = vars
-            .get(name)
+            .get(&name)
             .ok_or_else(|| ParseDfgError::UnknownOperand {
                 line,
-                name: name.to_owned(),
+                name: name.into_owned(),
             })?;
         builder.mark_output(*v);
     }
-    let dfg = builder.build()?;
-    let steps: Vec<u32> = steps
-        .iter()
-        .enumerate()
-        .map(|(i, &(line, s))| {
-            s.ok_or_else(|| ParseDfgError::Syntax {
-                line,
-                message: format!(
-                    "operation `{}` has no `@ step` (a scheduled design annotates every operation)",
-                    dfg.var(dfg.op(crate::OpId(i as u32)).out).name
-                ),
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let schedule = Schedule::new(&dfg, steps)?;
-    Ok((dfg, schedule))
-}
-
-/// Parses the text format ignoring any `@ step` annotations and
-/// returning just the graph, for designs to be scheduled by
-/// [`crate::scheduling`] or [`crate::fds`].
-///
-/// # Errors
-///
-/// As [`parse_dfg`], minus schedule validation.
-pub fn parse_unscheduled_dfg(text: &str) -> Result<Dfg, ParseDfgError> {
-    // Strip the step annotations, then add trivial ASAP steps so the
-    // main parser's machinery can be reused... simpler: re-parse with a
-    // dedicated pass that tolerates missing steps.
-    let stripped: String = text
-        .lines()
-        .map(|l| match l.split_once('@') {
-            Some((head, _)) if l.trim_start().starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_') => head.to_owned(),
-            _ => l.to_owned(),
-        })
-        .collect::<Vec<_>>()
-        .join("\n");
-    parse_dfg_graph_only(&stripped)
-}
-
-fn parse_dfg_graph_only(text: &str) -> Result<Dfg, ParseDfgError> {
-    // Reuse parse_dfg by assigning sequential steps (one op per step is
-    // always dependency-valid for a builder-ordered program where
-    // operands are defined before use).
-    let mut rebuilt = String::new();
-    let mut next_step = 1u32;
-    for line in text.lines() {
-        let stmt = line.split('#').next().unwrap_or("").trim();
-        if stmt.contains('=') && !stmt.contains('@') {
-            rebuilt.push_str(&format!("{stmt} @ {next_step}\n"));
-            next_step += 1;
-        } else {
-            rebuilt.push_str(line);
-            rebuilt.push('\n');
-        }
-    }
-    parse_dfg(&rebuilt).map(|(dfg, _)| dfg)
+    Ok(Parsed {
+        dfg: builder.build()?,
+        steps,
+        kept_steps,
+    })
 }
 
 /// Renders a DFG into the text format *without* `@ step` annotations
@@ -246,80 +288,255 @@ fn parse_dfg_graph_only(text: &str) -> Result<Dfg, ParseDfgError> {
 /// programs define every operand before use, which is all the
 /// unscheduled parser requires.
 pub fn to_text_unscheduled(dfg: &Dfg) -> String {
-    use std::fmt::Write as _;
     let mut out = String::new();
-    let inputs: Vec<&str> = dfg
-        .primary_inputs()
-        .map(|v| dfg.var(v).name.as_str())
-        .collect();
-    if !inputs.is_empty() {
-        let _ = writeln!(out, "input {}", inputs.join(" "));
-    }
-    for op in dfg.op_ids() {
-        let info = dfg.op(op);
-        let fmt_operand = |o: Operand| -> String {
-            match o {
-                Operand::Var(v) => dfg.var(v).name.clone(),
-                Operand::Const(c) => c.to_string(),
-            }
-        };
-        let _ = writeln!(
-            out,
-            "{} = {} {} {}",
-            dfg.var(info.out).name,
-            fmt_operand(info.lhs),
-            info.kind,
-            fmt_operand(info.rhs),
-        );
-    }
-    let outputs: Vec<&str> = dfg
-        .primary_outputs()
-        .map(|v| dfg.var(v).name.as_str())
-        .collect();
-    if !outputs.is_empty() {
-        let _ = writeln!(out, "output {}", outputs.join(" "));
-    }
+    let _ = render(dfg, None, &mut out);
     out
 }
 
 /// Renders a scheduled DFG back into the text format (round-trips with
 /// [`parse_dfg`] up to whitespace).
 pub fn to_text(dfg: &Dfg, schedule: &Schedule) -> String {
-    use std::fmt::Write as _;
     let mut out = String::new();
-    let inputs: Vec<&str> = dfg
-        .primary_inputs()
-        .map(|v| dfg.var(v).name.as_str())
-        .collect();
-    if !inputs.is_empty() {
-        let _ = writeln!(out, "input {}", inputs.join(" "));
-    }
+    let _ = write_text(dfg, schedule, &mut out);
+    out
+}
+
+/// Writes the bytes of [`to_text`] to `out` piece by piece, so a caller
+/// can hash the text without building it.
+///
+/// # Errors
+///
+/// Passes on the first error `out` returns.
+pub fn write_text(dfg: &Dfg, schedule: &Schedule, out: &mut impl fmt::Write) -> fmt::Result {
+    render(dfg, Some(schedule), out)
+}
+
+fn render(dfg: &Dfg, schedule: Option<&Schedule>, out: &mut impl fmt::Write) -> fmt::Result {
+    write_names(out, "input", dfg.primary_inputs().map(|v| dfg.var(v).name.as_str()))?;
     for op in dfg.op_ids() {
         let info = dfg.op(op);
-        let fmt_operand = |o: Operand| -> String {
-            match o {
-                Operand::Var(v) => dfg.var(v).name.clone(),
-                Operand::Const(c) => c.to_string(),
+        out.write_str(&dfg.var(info.out).name)?;
+        out.write_str(" = ")?;
+        write_operand(out, dfg, info.lhs)?;
+        write!(out, " {} ", info.kind)?;
+        write_operand(out, dfg, info.rhs)?;
+        if let Some(schedule) = schedule {
+            write!(out, " @ {}", schedule.step(op))?;
+        }
+        out.write_char('\n')?;
+    }
+    write_names(out, "output", dfg.primary_outputs().map(|v| dfg.var(v).name.as_str()))
+}
+
+/// `{keyword} a b c\n`, or nothing for no names.
+fn write_names<'a>(
+    out: &mut impl fmt::Write,
+    keyword: &str,
+    names: impl Iterator<Item = &'a str>,
+) -> fmt::Result {
+    let mut any = false;
+    for name in names {
+        out.write_str(if any { " " } else { keyword })?;
+        if !any {
+            out.write_char(' ')?;
+        }
+        out.write_str(name)?;
+        any = true;
+    }
+    if any {
+        out.write_char('\n')?;
+    }
+    Ok(())
+}
+
+fn write_operand(out: &mut impl fmt::Write, dfg: &Dfg, operand: Operand) -> fmt::Result {
+    match operand {
+        Operand::Var(v) => out.write_str(&dfg.var(v).name),
+        Operand::Const(c) => write!(out, "{c}"),
+    }
+}
+
+/// The parsers this module replaced, kept as the executable reference
+/// the single pass is differentially tested against: a line-by-line
+/// scheduled parser that owns every name, and the unscheduled parser
+/// that strips the steps into a new text, numbers every assignment into
+/// a third one, and runs the scheduled parser on it.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    pub(crate) fn parse_dfg(text: &str) -> Result<(Dfg, Schedule), ParseDfgError> {
+        let mut builder = DfgBuilder::new();
+        let mut vars: HashMap<String, VarId> = HashMap::new();
+        let mut steps: Vec<(usize, Option<u32>)> = Vec::new();
+        let mut outputs: Vec<(usize, &str)> = Vec::new();
+
+        for (lineno, raw) in text.lines().enumerate() {
+            let line = lineno + 1;
+            let stmt = raw.split('#').next().unwrap_or("").trim();
+            if stmt.is_empty() {
+                continue;
             }
-        };
-        let _ = writeln!(
-            out,
-            "{} = {} {} {} @ {}",
-            dfg.var(info.out).name,
-            fmt_operand(info.lhs),
-            info.kind,
-            fmt_operand(info.rhs),
-            schedule.step(op)
-        );
+            if let Some(rest) = stmt.strip_prefix("input") {
+                for name in rest.split_whitespace() {
+                    let v = builder.input(name);
+                    vars.insert(name.to_owned(), v);
+                }
+                continue;
+            }
+            if let Some(rest) = stmt.strip_prefix("output") {
+                outputs.extend(rest.split_whitespace().map(|name| (line, name)));
+                continue;
+            }
+            let (lhs_txt, rhs_txt) = stmt.split_once('=').ok_or_else(|| ParseDfgError::Syntax {
+                line,
+                message: "expected `name = a OP b @ step`".to_owned(),
+            })?;
+            let result = lhs_txt.trim();
+            if result.is_empty() || !result.chars().all(|c| c.is_alphanumeric() || c == '_') {
+                return Err(ParseDfgError::Syntax {
+                    line,
+                    message: format!("bad result name `{result}`"),
+                });
+            }
+            let (expr, step) = match rhs_txt.split_once('@') {
+                Some((expr, step_txt)) => {
+                    let step: u32 = step_txt.trim().parse().map_err(|_| ParseDfgError::Syntax {
+                        line,
+                        message: format!("bad step `{}`", step_txt.trim()),
+                    })?;
+                    (expr, Some(step))
+                }
+                None => (rhs_txt, None),
+            };
+            let tokens: Vec<&str> = expr.split_whitespace().collect();
+            let [a, op, b] = tokens.as_slice() else {
+                return Err(ParseDfgError::Syntax {
+                    line,
+                    message: format!("expected `a OP b`, got `{}`", expr.trim()),
+                });
+            };
+            let kind = op
+                .chars()
+                .next()
+                .filter(|_| op.len() == 1)
+                .and_then(OpKind::from_symbol)
+                .ok_or_else(|| ParseDfgError::Syntax {
+                    line,
+                    message: format!("unknown operator `{op}`"),
+                })?;
+            let operand = |txt: &str| -> Result<Operand, ParseDfgError> {
+                if let Ok(c) = txt.parse::<i64>() {
+                    return Ok(Operand::Const(c));
+                }
+                vars.get(txt)
+                    .map(|&v| Operand::Var(v))
+                    .ok_or_else(|| ParseDfgError::UnknownOperand {
+                        line,
+                        name: txt.to_owned(),
+                    })
+            };
+            let lhs = operand(a)?;
+            let rhs = operand(b)?;
+            let out = builder.op(kind, result, lhs, rhs);
+            vars.insert(result.to_owned(), out);
+            steps.push((line, step));
+        }
+
+        for (line, name) in outputs {
+            let v = vars
+                .get(name)
+                .ok_or_else(|| ParseDfgError::UnknownOperand {
+                    line,
+                    name: name.to_owned(),
+                })?;
+            builder.mark_output(*v);
+        }
+        let dfg = builder.build()?;
+        let steps: Vec<u32> = steps
+            .iter()
+            .enumerate()
+            .map(|(i, &(line, s))| {
+                s.ok_or_else(|| ParseDfgError::Syntax {
+                    line,
+                    message: format!(
+                        "operation `{}` has no `@ step` (a scheduled design annotates every operation)",
+                        dfg.var(dfg.op(crate::OpId(i as u32)).out).name
+                    ),
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        let schedule = Schedule::new(&dfg, steps)?;
+        Ok((dfg, schedule))
     }
-    let outputs: Vec<&str> = dfg
-        .primary_outputs()
-        .map(|v| dfg.var(v).name.as_str())
-        .collect();
-    if !outputs.is_empty() {
-        let _ = writeln!(out, "output {}", outputs.join(" "));
+
+    pub(crate) fn parse_unscheduled_dfg(text: &str) -> Result<Dfg, ParseDfgError> {
+        let stripped: String = text
+            .lines()
+            .map(|l| match l.split_once('@') {
+                Some((head, _)) if l.trim_start().starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_') => head.to_owned(),
+                _ => l.to_owned(),
+            })
+            .collect::<Vec<_>>()
+            .join("\n");
+        let mut rebuilt = String::new();
+        let mut next_step = 1u32;
+        for line in stripped.lines() {
+            let stmt = line.split('#').next().unwrap_or("").trim();
+            if stmt.contains('=') && !stmt.contains('@') {
+                rebuilt.push_str(&format!("{stmt} @ {next_step}\n"));
+                next_step += 1;
+            } else {
+                rebuilt.push_str(line);
+                rebuilt.push('\n');
+            }
+        }
+        parse_dfg(&rebuilt).map(|(dfg, _)| dfg)
     }
-    out
+
+    /// The text renderer [`write_text`] replaced.
+    pub(crate) fn to_text(dfg: &Dfg, schedule: Option<&Schedule>) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        let inputs: Vec<&str> = dfg
+            .primary_inputs()
+            .map(|v| dfg.var(v).name.as_str())
+            .collect();
+        if !inputs.is_empty() {
+            let _ = writeln!(out, "input {}", inputs.join(" "));
+        }
+        for op in dfg.op_ids() {
+            let info = dfg.op(op);
+            let fmt_operand = |o: Operand| -> String {
+                match o {
+                    Operand::Var(v) => dfg.var(v).name.clone(),
+                    Operand::Const(c) => c.to_string(),
+                }
+            };
+            let _ = write!(
+                out,
+                "{} = {} {} {}",
+                dfg.var(info.out).name,
+                fmt_operand(info.lhs),
+                info.kind,
+                fmt_operand(info.rhs),
+            );
+            match schedule {
+                Some(s) => {
+                    let _ = writeln!(out, " @ {}", s.step(op));
+                }
+                None => out.push('\n'),
+            }
+        }
+        let outputs: Vec<&str> = dfg
+            .primary_outputs()
+            .map(|v| dfg.var(v).name.as_str())
+            .collect();
+        if !outputs.is_empty() {
+            let _ = writeln!(out, "output {}", outputs.join(" "));
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -438,6 +655,157 @@ mod tests {
                     bench.name
                 );
             }
+        }
+    }
+
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(rng: &mut u64, n: usize) -> usize {
+        (splitmix64(rng) % n as u64) as usize
+    }
+
+    /// Texts the mutator starts from: the paper suite (scheduled), small
+    /// corpus designs (unscheduled), and the unscheduled parser's odd
+    /// cases.
+    fn base_texts() -> Vec<String> {
+        use crate::corpus::{generate, KINDS};
+        let mut texts: Vec<String> = benchmarks::paper_suite()
+            .iter()
+            .map(|b| to_text(&b.dfg, &b.schedule))
+            .collect();
+        for kind in KINDS {
+            texts.push(to_text_unscheduled(&generate(kind, 8, 3)));
+        }
+        texts.extend(
+            [
+                "input a b @ 4\ns = a + b\noutput s @ 9\n",
+                "input a b\nλ = a + b @ 3\ny = λ * a\noutput y\n",
+                "input a b\ninputx = a + b\noutput x\n",
+                "input a b\ns = a + b\noutput s = 1\n",
+                "input a b\r\ns = a - b # @ 7\r\n\r\noutput s\r\n",
+                "input a b\n(s) = a + b @ 2\nt = s + a\noutput t\n",
+            ]
+            .map(str::to_owned),
+        );
+        texts
+    }
+
+    const FRAGMENTS: [&str; 24] = [
+        "@", "@ 0", "@ 3", " @ 4294967295", "#", "=", " ", "\n", "\r\n", "\r", "input ",
+        "output ", "λ", "é", "_", "+", "-", "*", "?", "9", "-3", "s_op", "@@", "+5",
+    ];
+
+    /// One to three seeded edits: a spliced fragment, a deleted
+    /// character, a moved or duplicated line, or a copied token.
+    fn mutate(base: &str, rng: &mut u64) -> String {
+        let mut text = base.to_owned();
+        for _ in 0..1 + below(rng, 3) {
+            let cuts: Vec<usize> = text.char_indices().map(|(i, _)| i).chain([text.len()]).collect();
+            let at = cuts[below(rng, cuts.len())];
+            match below(rng, 5) {
+                0 => text.insert_str(at, FRAGMENTS[below(rng, FRAGMENTS.len())]),
+                1 => {
+                    if let Some(&end) = cuts.iter().find(|&&c| c > at) {
+                        text.replace_range(at..end, "");
+                    }
+                }
+                2 => {
+                    let mut lines: Vec<&str> = text.lines().collect();
+                    if !lines.is_empty() {
+                        let (i, j) = (below(rng, lines.len()), below(rng, lines.len()));
+                        if below(rng, 2) == 0 {
+                            lines.swap(i, j);
+                        } else {
+                            lines.insert(j, lines[i]);
+                        }
+                    }
+                    text = lines.join("\n");
+                }
+                _ => {
+                    let tokens: Vec<&str> = base.split_whitespace().collect();
+                    let token = tokens[below(rng, tokens.len())].to_owned();
+                    text.insert_str(at, &token);
+                }
+            }
+        }
+        text
+    }
+
+    #[test]
+    fn single_pass_parsers_match_the_reference_on_mutated_texts() {
+        let bases = base_texts();
+        let mut rng = 0x05ee_d0f9_a75e;
+        let (mut ok, mut total) = ([0usize; 2], 0usize);
+        let mut check = |text: &str| {
+            let scheduled = parse_dfg(text);
+            assert_eq!(scheduled, reference::parse_dfg(text), "parse_dfg on {text:?}");
+            let unscheduled = parse_unscheduled_dfg(text);
+            assert_eq!(
+                unscheduled,
+                reference::parse_unscheduled_dfg(text),
+                "parse_unscheduled_dfg on {text:?}"
+            );
+            if let Err(e) = &scheduled {
+                let Err(r) = reference::parse_dfg(text) else { unreachable!() };
+                assert_eq!(e.to_string(), r.to_string());
+            }
+            ok[0] += usize::from(scheduled.is_ok());
+            ok[1] += usize::from(unscheduled.is_ok());
+            total += 1;
+        };
+        for base in &bases {
+            check(base);
+        }
+        for _ in 0..12_000 {
+            let base = &bases[below(&mut rng, bases.len())];
+            check(&mutate(base, &mut rng));
+        }
+        // Both outcomes are exercised in both modes.
+        assert!(ok.iter().all(|&k| k > 100 && k < total - 100), "{ok:?} of {total}");
+    }
+
+    #[test]
+    fn unscheduled_odd_cases_are_kept() {
+        // `@` is dropped on `input` and `output` lines too.
+        let dfg = parse_unscheduled_dfg("input a b @ 4\ns = a + b\noutput s @ 9\n").unwrap();
+        assert_eq!(dfg.num_vars(), 3);
+        // A statement starting with a non-ASCII letter keeps its step,
+        // which must agree with the counted ones: `y` counts as step 1.
+        let err = parse_unscheduled_dfg("input a b\nλ = a + b @ 3\ny = λ * a\noutput y\n")
+            .unwrap_err();
+        assert!(matches!(err, ParseDfgError::Schedule(_)), "{err}");
+        assert!(parse_unscheduled_dfg("input a b\ns = a + b\nλ = s * a @ 2\noutput λ\n").is_ok());
+        // An `input` line with an `=` declares every word on it, `@`
+        // and its step number too.
+        let err = parse_unscheduled_dfg("input a b\ninputx = a + b\noutput x\n").unwrap_err();
+        assert_eq!(err, ParseDfgError::Graph(DfgError::DuplicateName("a".into())));
+        let err = parse_unscheduled_dfg("inputx = y\ns = x * y\noutput s\n").unwrap_err();
+        assert_eq!(err, ParseDfgError::Graph(DfgError::DeadVariable("=".into())));
+        let err = parse_unscheduled_dfg("input a b\ns = a + b\noutput s = 1\n").unwrap_err();
+        assert_eq!(err.to_string(), "line 3: unknown operand `=`");
+    }
+
+    #[test]
+    fn write_text_matches_the_reference_renderer() {
+        use crate::corpus::{generate, KINDS};
+        let mut designs: Vec<(Dfg, Schedule)> = benchmarks::paper_suite()
+            .into_iter()
+            .map(|b| (b.dfg, b.schedule))
+            .collect();
+        for kind in KINDS {
+            let dfg = generate(kind, 16, 5);
+            let schedule = crate::scheduling::asap(&dfg);
+            designs.push((dfg, schedule));
+        }
+        for (dfg, schedule) in &designs {
+            assert_eq!(to_text(dfg, schedule), reference::to_text(dfg, Some(schedule)));
+            assert_eq!(to_text_unscheduled(dfg), reference::to_text(dfg, None));
         }
     }
 }

@@ -18,9 +18,12 @@
 //! the two as L1/L2.
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt;
 use std::hash::Hash;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use lobist_dfg::parse::write_text;
+use lobist_dfg::{Dfg, Schedule};
 use lobist_store::{ResultStore, StoreStats, StoredResult};
 
 pub use lobist_store::key::{canonical_job_key, failure_key, flow_bytes};
@@ -42,14 +45,42 @@ pub(crate) fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// that classifies a hit as exact (same rendered design text) or
 /// isomorphic (same structure, different names).
 pub fn origin_fingerprint(design_text: &str) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in design_text.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
+    let mut h = Fnv64::default();
+    h.eat(design_text.as_bytes());
+    h.0
+}
+
+/// The [`origin_fingerprint`] of `lobist_dfg::parse::to_text(dfg,
+/// schedule)`, with the text streamed into the hash instead of built.
+pub fn design_fingerprint(dfg: &Dfg, schedule: &Schedule) -> u64 {
+    let mut h = Fnv64::default();
+    write_text(dfg, schedule, &mut h).expect("hashing never fails");
+    h.0
+}
+
+/// A running 64-bit FNV-1a hash that text can be written into.
+struct Fnv64(u64);
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv64 {
+    fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl fmt::Write for Fnv64 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.eat(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// A map bounded to `capacity` entries (at least 1) that evicts the
@@ -284,5 +315,20 @@ mod tests {
         assert_eq!(store.len(), 1);
         assert!(matches!(store.get(9).map(|s| s.result), Some(Err((_, e))) if e == "via trait"));
         assert!(store.flush().is_ok());
+    }
+
+    #[test]
+    fn design_fingerprint_hashes_the_rendered_text() {
+        use lobist_dfg::benchmarks;
+        use lobist_dfg::parse::to_text;
+        for bench in benchmarks::paper_suite() {
+            assert_eq!(
+                design_fingerprint(&bench.dfg, &bench.schedule),
+                origin_fingerprint(&to_text(&bench.dfg, &bench.schedule)),
+                "{}",
+                bench.name
+            );
+        }
+        assert_eq!(origin_fingerprint(""), 0xcbf2_9ce4_8422_2325);
     }
 }

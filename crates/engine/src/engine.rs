@@ -10,13 +10,12 @@ use lobist_alloc::explore::{evaluate_canonical_timed, remap_point, Candidate};
 use lobist_alloc::flow::{FlowOptions, StageTimings};
 use lobist_alloc::work::SearchWork;
 use lobist_dfg::canon::canonize;
-use lobist_dfg::parse::to_text;
 use lobist_dfg::Dfg;
 
 use lobist_store::{ResultStore, StoredResult};
 
 use crate::cache::{
-    canonical_job_key, failure_key, lock_ok, origin_fingerprint, JobResult, ResultCache,
+    canonical_job_key, design_fingerprint, failure_key, lock_ok, JobResult, ResultCache,
 };
 use crate::faultsim::SessionMemo;
 use crate::metric;
@@ -329,7 +328,7 @@ impl Engine {
             // this design's isomorphic twins may miss.
             self.metrics.add(metric!("canon.bailouts"), 1);
         }
-        let origin = origin_fingerprint(&to_text(&job.dfg, &job.candidate.schedule));
+        let origin = design_fingerprint(&job.dfg, &job.candidate.schedule);
         let modules = &job.candidate.modules;
         let (key, shift) = canonical_job_key(&canon.encoding, modules, &job.flow);
         // A failure's text can name absolute steps, so a shifted design's
