@@ -16,15 +16,17 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+use lobist_engine::pool::panic_message;
 use lobist_engine::{metric, Engine};
 use lobist_store::{DiskStore, DiskStoreConfig, ResultStore};
 
 use crate::exec;
-use crate::proto::{parse_request, Command};
+use crate::proto::{parse_request, Command, Request};
 
 /// How long a handler blocks on a read before re-checking the shutdown
 /// flag. Keeps drain latency bounded without busy-waiting.
@@ -146,7 +148,7 @@ impl Shared {
     }
 
     fn release(&self) {
-        let mut st = self.gate.state.lock().expect("gate lock");
+        let mut st = self.gate.state.lock().unwrap_or_else(PoisonError::into_inner);
         st.active -= 1;
         self.engine.metrics_handle().set(metric!("server.active"), st.active as u64);
         drop(st);
@@ -158,6 +160,17 @@ impl Shared {
         let mut snap = self.engine.metrics();
         snap.show_server();
         snap.to_json()
+    }
+}
+
+/// An admitted request's execution slot. Dropping it frees the slot, so
+/// a job that fails in any way — an error, a panic, a client gone
+/// before `accepted` could be written — cannot keep it.
+struct Slot<'a>(&'a Shared);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.release();
     }
 }
 
@@ -497,17 +510,21 @@ fn serve_request(line: &str, out: &mut Conn, shared: &Arc<Shared>) -> std::io::R
             Ok(false)
         }
         _ => {
-            serve_job(&request, id, out, shared)?;
+            serve_job(&request, id, out, shared, exec::execute)?;
             Ok(true)
         }
     }
 }
 
+/// Admits and runs one job request through `execute`. A panic in it is
+/// caught and answered like any failure: an `error` event (`job
+/// panicked: …`), counted in `server.failed`.
 fn serve_job(
-    request: &crate::proto::Request,
+    request: &Request,
     id: u64,
     out: &mut Conn,
     shared: &Arc<Shared>,
+    execute: impl FnOnce(&Request, &Arc<Shared>) -> Result<exec::JobBody, String>,
 ) -> std::io::Result<()> {
     let metrics = shared.engine.metrics_handle();
     if let Some(design) = &request.design {
@@ -524,8 +541,8 @@ fn serve_job(
             );
         }
     }
-    let depth = match shared.admit() {
-        Ok(depth) => depth,
+    let (slot, depth) = match shared.admit() {
+        Ok(depth) => (Slot(shared), depth),
         Err(reason) => {
             metrics.add(metric!("server.rejected"), 1);
             return emit(
@@ -539,9 +556,10 @@ fn serve_job(
         &format!("{{\"event\":\"accepted\",\"id\":{id},\"queue_depth\":{depth}}}"),
     )?;
     let start = Instant::now();
-    let outcome = exec::execute(request, shared);
+    let outcome = catch_unwind(AssertUnwindSafe(|| execute(request, shared)))
+        .unwrap_or_else(|panic| Err(format!("job panicked: {}", panic_message(panic))));
     let wall = start.elapsed();
-    shared.release();
+    drop(slot);
     metrics.add_time(metric!("server.wall_micros"), wall);
     metrics.record(metric!("server.request_micros_log2"), wall);
     match outcome {
@@ -574,4 +592,62 @@ fn serve_job(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_job_frees_its_slot_and_ends_in_an_error_event() {
+        let server = Server::bind(ServerConfig {
+            tcp: None,
+            unix: None,
+            ..ServerConfig::default()
+        })
+        .expect("a server without listeners");
+        let shared = Arc::clone(&server.shared);
+        let (ours, theirs) = UnixStream::pair().expect("a socket pair");
+        let request = parse_request(
+            r#"{"cmd":"synth","design":"input a b\ny = a + b\noutput y\n","modules":"1+"}"#,
+        )
+        .expect("a synth request");
+        // More panics than execution slots: a leaked slot would block
+        // the later requests in `admit` forever.
+        let panics = shared.config.max_active + 1;
+        let (done, finished) = std::sync::mpsc::channel();
+        let client = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let mut out = Conn::Unix(ours);
+                for id in 0..panics as u64 {
+                    serve_job(&request, id, &mut out, &shared, |_, _| panic!("injected fault"))
+                        .expect("events written");
+                }
+                serve_job(&request, 99, &mut out, &shared, exec::execute).expect("events written");
+                done.send(()).expect("the test is waiting");
+            })
+        };
+        finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("no request waits on a leaked slot");
+        client.join().expect("the handler thread returns");
+        let events: Vec<String> = BufReader::new(theirs)
+            .lines()
+            .collect::<Result<_, _>>()
+            .expect("events read");
+        for id in 0..panics {
+            assert!(events[2 * id].starts_with(r#"{"event":"accepted""#), "{events:?}");
+            assert_eq!(
+                events[2 * id + 1],
+                format!(r#"{{"event":"error","id":{id},"message":"job panicked: injected fault"}}"#)
+            );
+        }
+        let tail: Vec<&str> = events[2 * panics..].iter().map(String::as_str).collect();
+        assert!(tail[1].starts_with(r#"{"event":"result","id":99,"#), "{tail:?}");
+        assert!(tail[2].starts_with(r#"{"event":"done","id":99,"ok":true"#), "{tail:?}");
+        assert_eq!(shared.gate.state.lock().expect("gate lock").active, 0);
+        let snap = shared.engine.metrics();
+        assert_eq!(snap.get(metric!("server.failed")), panics as u64);
+    }
 }
