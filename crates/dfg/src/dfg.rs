@@ -233,6 +233,15 @@ impl DfgBuilder {
         Self::default()
     }
 
+    /// An empty builder with room for `vars` variables and `ops`
+    /// operations.
+    pub(crate) fn with_capacity(vars: usize, ops: usize) -> Self {
+        Self {
+            vars: Vec::with_capacity(vars),
+            ops: Vec::with_capacity(ops),
+        }
+    }
+
     /// Declares a primary input variable.
     pub fn input(&mut self, name: &str) -> VarId {
         let id = VarId(self.vars.len() as u32);

@@ -171,9 +171,11 @@ fn strip_step(raw: &str) -> &str {
 /// the only owned ones are the numbers an unscheduled `input`/`output`
 /// line with an `=` declares (see [`parse_unscheduled_dfg`]).
 fn parse_lines(text: &str, unscheduled: bool) -> Result<Parsed, ParseDfgError> {
-    let mut builder = DfgBuilder::new();
-    let mut vars: HashMap<Cow<'_, str>, VarId> = HashMap::new();
-    let mut steps: Vec<(usize, Option<u32>)> = Vec::new();
+    // A statement per line, at most: sized once instead of regrown.
+    let lines = text.bytes().filter(|&b| b == b'\n').count() + 1;
+    let mut builder = DfgBuilder::with_capacity(lines, lines);
+    let mut vars: HashMap<Cow<'_, str>, VarId> = HashMap::with_capacity(lines);
+    let mut steps: Vec<(usize, Option<u32>)> = Vec::with_capacity(lines);
     let mut outputs: Vec<(usize, Cow<'_, str>)> = Vec::new();
     let mut next_step = 1u32;
     let mut kept_steps = false;
