@@ -12,7 +12,7 @@ use lobist_dfg::modules::ModuleSet;
 use lobist_dfg::parse::{parse_unscheduled_dfg, to_text_unscheduled};
 use lobist_dfg::scheduling::list_schedule;
 use lobist_dfg::{Dfg, Schedule};
-use lobist_engine::design_fingerprint;
+use lobist_engine::origin_fingerprint;
 
 /// The largest designs of each corpus family in the `sweep-cold`
 /// workload, as unscheduled text, parsed graph and list schedule under
@@ -72,7 +72,7 @@ fn bench_front_end(c: &mut Criterion) {
     group.finish();
     let mut group = c.benchmark_group("origin_fingerprint");
     for (name, _, dfg, schedule) in &corpus {
-        group.bench_function(name.as_str(), |b| b.iter(|| design_fingerprint(dfg, schedule)));
+        group.bench_function(name.as_str(), |b| b.iter(|| origin_fingerprint(dfg, schedule)));
     }
     group.finish();
 }

@@ -118,14 +118,14 @@ pub fn parse_dfg(text: &str) -> Result<(Dfg, Schedule), ParseDfgError> {
 /// returning just the graph, for designs to be scheduled by
 /// [`crate::scheduling`] or [`crate::fds`].
 ///
-/// The annotations are dropped line by line, the way this parser has
-/// always dropped them: a line whose first non-blank character is an
-/// ASCII letter, digit or `_` loses everything from its first `@` on
-/// (`input` and `output` lines included), and every other statement
-/// with an `=` but no `@` is read as if annotated with the next number
-/// of a running count. A line starting with any other character (a
-/// non-ASCII letter, say) keeps its `@ step`, and that step must still
-/// be consistent with the counted ones.
+/// The annotations are dropped line by line: a line whose first
+/// non-blank character is an ASCII letter, digit or `_` loses everything
+/// from its first `@` on (`input` and `output` lines included), and then
+/// every statement with an `=` but no `@` is read as if it ended in
+/// `@ k`, for a count `k` from 1 — which also makes an `input` or
+/// `output` line with an `=` declare `@` and `k` as names. A line
+/// starting with any other character (a non-ASCII letter, say) keeps its
+/// `@ step`, which must then be consistent with the counted ones.
 ///
 /// # Errors
 ///
@@ -148,7 +148,7 @@ pub fn parse_unscheduled_dfg(text: &str) -> Result<Dfg, ParseDfgError> {
 struct Parsed {
     dfg: Dfg,
     steps: Vec<(usize, Option<u32>)>,
-    /// An unscheduled text kept an explicit `@ step` somewhere.
+    /// Some op's step was written out rather than counted.
     kept_steps: bool,
 }
 

@@ -166,14 +166,14 @@ pub fn list_schedule(dfg: &Dfg, modules: &ModuleSet) -> Result<Schedule, ListSch
             }
         }
         assert!(
-            step <= (n as u32 + 1) * (latency + 1),
+            u64::from(step) <= (n as u64 + 1) * (u64::from(latency) + 1),
             "list scheduler failed to make progress"
         );
     }
     Ok(Schedule::new(dfg, steps).expect("list schedule respects dependencies by construction"))
 }
 
-/// One ready queue per operation kind.
+/// One ready queue per operation kind, indexed by `kind as usize`.
 const KINDS: usize = OpKind::ALL.len();
 
 /// Each op's ALAP-minus-ASAP slack at the critical-path latency, and
@@ -372,6 +372,13 @@ mod tests {
             list_schedule(&g, &modules).unwrap_err(),
             ListScheduleError::NoCapableModule { kind: OpKind::Mul }
         );
+    }
+
+    #[test]
+    fn ready_queues_index_kinds_in_all_order() {
+        for (i, kind) in OpKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i);
+        }
     }
 
     #[test]

@@ -41,18 +41,12 @@ pub(crate) fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// 64-bit FNV-1a, used for the [`StoredResult::origin`] fingerprint
-/// that classifies a hit as exact (same rendered design text) or
-/// isomorphic (same structure, different names).
-pub fn origin_fingerprint(design_text: &str) -> u64 {
-    let mut h = Fnv64::default();
-    h.eat(design_text.as_bytes());
-    h.0
-}
-
-/// The [`origin_fingerprint`] of `lobist_dfg::parse::to_text(dfg,
-/// schedule)`, with the text streamed into the hash instead of built.
-pub fn design_fingerprint(dfg: &Dfg, schedule: &Schedule) -> u64 {
+/// The [`StoredResult::origin`] fingerprint that classifies a hit as
+/// exact (same rendered design text) or isomorphic (same structure,
+/// different names): the 64-bit FNV-1a of
+/// `lobist_dfg::parse::to_text(dfg, schedule)`, with the text streamed
+/// into the hash instead of built.
+pub fn origin_fingerprint(dfg: &Dfg, schedule: &Schedule) -> u64 {
     let mut h = Fnv64::default();
     write_text(dfg, schedule, &mut h).expect("hashing never fails");
     h.0
@@ -318,17 +312,18 @@ mod tests {
     }
 
     #[test]
-    fn design_fingerprint_hashes_the_rendered_text() {
+    fn origin_fingerprint_hashes_the_rendered_text() {
         use lobist_dfg::benchmarks;
         use lobist_dfg::parse::to_text;
         for bench in benchmarks::paper_suite() {
-            assert_eq!(
-                design_fingerprint(&bench.dfg, &bench.schedule),
-                origin_fingerprint(&to_text(&bench.dfg, &bench.schedule)),
-                "{}",
-                bench.name
-            );
+            let mut text = Fnv64::default();
+            text.eat(to_text(&bench.dfg, &bench.schedule).as_bytes());
+            assert_eq!(origin_fingerprint(&bench.dfg, &bench.schedule), text.0, "{}", bench.name);
         }
-        assert_eq!(origin_fingerprint(""), 0xcbf2_9ce4_8422_2325);
+        // FNV-1a-64 test vectors.
+        let mut h = Fnv64::default();
+        assert_eq!(h.0, 0xcbf2_9ce4_8422_2325);
+        h.eat(b"a");
+        assert_eq!(h.0, 0xaf63_dc4c_8601_ec8c);
     }
 }

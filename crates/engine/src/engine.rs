@@ -15,7 +15,7 @@ use lobist_dfg::Dfg;
 use lobist_store::{ResultStore, StoredResult};
 
 use crate::cache::{
-    canonical_job_key, design_fingerprint, failure_key, lock_ok, JobResult, ResultCache,
+    canonical_job_key, failure_key, lock_ok, origin_fingerprint, JobResult, ResultCache,
 };
 use crate::faultsim::SessionMemo;
 use crate::metric;
@@ -328,7 +328,7 @@ impl Engine {
             // this design's isomorphic twins may miss.
             self.metrics.add(metric!("canon.bailouts"), 1);
         }
-        let origin = design_fingerprint(&job.dfg, &job.candidate.schedule);
+        let origin = origin_fingerprint(&job.dfg, &job.candidate.schedule);
         let modules = &job.candidate.modules;
         let (key, shift) = canonical_job_key(&canon.encoding, modules, &job.flow);
         // A failure's text can name absolute steps, so a shifted design's

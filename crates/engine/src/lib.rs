@@ -55,7 +55,7 @@ mod explore;
 pub use analyze::{analyze_parallel, AnalyzeRunStats};
 pub use anneal::{anneal_multichain, anneal_parallel, AnnealStats, PoolEvaluator};
 pub use cache::{
-    canonical_job_key, design_fingerprint, failure_key, origin_fingerprint, JobResult, ResultCache,
+    canonical_job_key, failure_key, origin_fingerprint, JobResult, ResultCache,
     DEFAULT_CACHE_CAPACITY,
 };
 pub use engine::{provenance, Engine, Job, JobOutcome, ProgressSink};
