@@ -143,10 +143,10 @@ impl<'a> Ctx<'a> {
             schedule,
             inputs,
             input_node,
-            edges: Vec::with_capacity(4 * dfg.num_ops()),
-            edge_start: Vec::with_capacity(dfg.num_ops() + dfg.num_vars() + 1),
+            edges: Vec::new(),
+            edge_start: Vec::new(),
         };
-        ctx.collect_edges();
+        (ctx.edges, ctx.edge_start) = ctx.adjacency();
         ctx
     }
 
@@ -163,12 +163,13 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Builds the adjacency once: an op's operand edges (producer or
-    /// input, per port), then for every node the ports that consume its
-    /// variable.
-    fn collect_edges(&mut self) {
+    /// The refinement adjacency, built once: an op's operand edges
+    /// (producer or input, per port), then for every node the ports that
+    /// consume its variable.
+    fn adjacency(&self) -> (Vec<u64>, Vec<usize>) {
         let dfg = self.dfg;
-        let mut edges = std::mem::take(&mut self.edges);
+        let mut edges = Vec::with_capacity(4 * dfg.num_ops());
+        let mut edge_start = Vec::with_capacity(self.num_nodes() + 1);
         let consumed = |v: VarId, edges: &mut Vec<u64>| {
             for &c in &dfg.var(v).consumers {
                 let op = dfg.op(c);
@@ -181,7 +182,7 @@ impl<'a> Ctx<'a> {
             }
         };
         for op in dfg.op_ids() {
-            self.edge_start.push(edges.len());
+            edge_start.push(edges.len());
             let info = dfg.op(op);
             for (operand, producer_role, input_role) in [
                 (info.lhs, ROLE_LHS_PRODUCER, ROLE_LHS_INPUT),
@@ -199,11 +200,11 @@ impl<'a> Ctx<'a> {
             consumed(info.out, &mut edges);
         }
         for &v in &self.inputs {
-            self.edge_start.push(edges.len());
+            edge_start.push(edges.len());
             consumed(v, &mut edges);
         }
-        self.edge_start.push(edges.len());
-        self.edges = edges;
+        edge_start.push(edges.len());
+        (edges, edge_start)
     }
 
     /// Initial invariant colors as dense ranks. An op's color is
@@ -503,9 +504,9 @@ fn build_form(ctx: &Ctx<'_>, encoding: Vec<u8>, ranks: &[usize], bailed: bool) -
         .enumerate()
         .map(|(canon, &orig)| VarInfo {
             name: if canon < m {
-                numbered("i", canon, "")
+                format!("i{canon}")
             } else {
-                numbered("t", canon - m, "")
+                format!("t{}", canon - m)
             },
             producer: (canon >= m).then(|| OpId((canon - m) as u32)),
             consumers: Vec::new(),
@@ -524,7 +525,7 @@ fn build_form(ctx: &Ctx<'_>, encoding: Vec<u8>, ranks: &[usize], bailed: bool) -
             }
         }
         ops.push(OpInfo {
-            name: numbered("t", p, "_op"),
+            name: format!("t{p}_op"),
             kind: op.kind,
             lhs,
             rhs,
@@ -544,26 +545,6 @@ fn build_form(ctx: &Ctx<'_>, encoding: Vec<u8>, ranks: &[usize], bailed: bool) -
         var_inverse,
         bailed,
     }
-}
-
-/// `{prefix}{index}{suffix}` without the formatting machinery.
-fn numbered(prefix: &str, index: usize, suffix: &str) -> String {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    let mut rest = index;
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (rest % 10) as u8;
-        rest /= 10;
-        if rest == 0 {
-            break;
-        }
-    }
-    let mut name = String::with_capacity(prefix.len() + digits.len() - at + suffix.len());
-    name.push_str(prefix);
-    name.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
-    name.push_str(suffix);
-    name
 }
 
 /// Calls `at` with the byte offset of every per-op schedule step inside
