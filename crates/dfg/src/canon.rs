@@ -722,8 +722,8 @@ pub fn permute_scheduled(dfg: &Dfg, schedule: &Schedule, seed: u64) -> (Dfg, Sch
     (twin, schedule, var_map)
 }
 
-/// The canonizer [`canonize`] replaced, kept as its executable
-/// reference: initial colors and per-pass signatures as one `Vec` per
+/// The executable reference [`canonize`] is differentially tested
+/// against: initial colors and per-pass signatures as one `Vec` per
 /// node, each pass sorting all of them, class sizes in a map, and the
 /// canonical graph rebuilt through [`DfgBuilder`].
 #[cfg(test)]

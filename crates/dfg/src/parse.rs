@@ -358,11 +358,11 @@ fn write_operand(out: &mut impl fmt::Write, dfg: &Dfg, operand: Operand) -> fmt:
     }
 }
 
-/// The parsers this module replaced, kept as the executable reference
-/// the single pass is differentially tested against: a line-by-line
-/// scheduled parser that owns every name, and the unscheduled parser
-/// that strips the steps into a new text, numbers every assignment into
-/// a third one, and runs the scheduled parser on it.
+/// The executable reference the single pass is differentially tested
+/// against: a line-by-line scheduled parser that owns every name, and
+/// an unscheduled parser that strips the steps into a new text, numbers
+/// every assignment into a third one, and runs the scheduled parser on
+/// it.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
@@ -496,7 +496,8 @@ pub(crate) mod reference {
         parse_dfg(&rebuilt).map(|(dfg, _)| dfg)
     }
 
-    /// The text renderer [`write_text`] replaced.
+    /// A renderer that builds each line from owned pieces, the
+    /// reference for [`write_text`].
     pub(crate) fn to_text(dfg: &Dfg, schedule: Option<&Schedule>) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();

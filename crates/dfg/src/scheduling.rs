@@ -206,8 +206,8 @@ fn mobility(dfg: &Dfg) -> (Vec<u32>, u32) {
     (slack, latency)
 }
 
-/// The scheduler [`list_schedule`] replaced, kept as its executable
-/// reference: every step rescans all operations for the ready ones and
+/// The executable reference [`list_schedule`] is differentially tested
+/// against: every step rescans all operations for the ready ones and
 /// sorts them by mobility.
 #[cfg(test)]
 pub(crate) mod reference {
