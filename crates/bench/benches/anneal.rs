@@ -1,32 +1,17 @@
 //! Criterion benchmarks for the annealing search engine: the
-//! memoized-oracle serial chain against the from-scratch ("before")
-//! evaluation discipline, pool-backed speculative batches at 1, 2 and N
-//! workers, and the heap-based clique partitioner against its naive
-//! reference.
+//! memoized-oracle serial chain on two paper designs and in the cold
+//! regime of fir(8), independent chains at 1, 2 and N workers, and the
+//! heap-based clique partitioner against its naive reference.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use lobist_alloc::anneal::{
-    anneal_registers, anneal_registers_with, AnnealConfig, BatchEvaluator, Coloring, CostOracle,
-};
-use lobist_alloc::flow::{FlowError, FlowOptions};
+use lobist_alloc::anneal::{anneal_registers, AnnealConfig};
+use lobist_alloc::flow::FlowOptions;
 use lobist_alloc::module_assign::assign_modules;
 use lobist_datapath::ModuleAssignment;
 use lobist_dfg::benchmarks::{self, Benchmark};
-use lobist_engine::anneal_parallel;
 use lobist_graph::clique_partition::{partition_weighted, partition_weighted_naive};
 use lobist_graph::UGraph;
-
-/// The seed implementation's evaluation discipline: every move re-runs
-/// interconnect binding and the BIST solver from scratch. Kept as the
-/// "before" yardstick for the throughput numbers in BENCH_anneal.json.
-struct UncachedEvaluator;
-
-impl BatchEvaluator for UncachedEvaluator {
-    fn evaluate(&self, oracle: &CostOracle<'_>, trials: &[Coloring]) -> Vec<Result<u64, FlowError>> {
-        trials.iter().map(|t| oracle.cost_uncached(t)).collect()
-    }
-}
 
 fn setup(bench: &Benchmark) -> (FlowOptions, ModuleAssignment) {
     let flow = FlowOptions::testable().with_lifetimes(bench.lifetime_options);
@@ -35,94 +20,42 @@ fn setup(bench: &Benchmark) -> (FlowOptions, ModuleAssignment) {
     (flow, ma)
 }
 
-fn config() -> AnnealConfig {
-    AnnealConfig { iterations: 400, ..Default::default() }
+fn bench_chain(c: &mut Criterion, group: &str, id: &str, bench: &Benchmark, cfg: &AnnealConfig) {
+    let (flow, ma) = setup(bench);
+    let mut group = c.benchmark_group(group);
+    group.bench_with_input(BenchmarkId::new(id, &bench.name), bench, |b, bench| {
+        b.iter(|| {
+            anneal_registers(
+                &bench.dfg,
+                &bench.schedule,
+                bench.lifetime_options,
+                &ma,
+                &flow,
+                cfg,
+            )
+            .expect("anneal")
+        })
+    });
+    group.finish();
 }
 
 fn bench_serial_oracle(c: &mut Criterion) {
-    let mut group = c.benchmark_group("anneal_serial");
+    let cfg = AnnealConfig { iterations: 400, ..Default::default() };
     for bench in [benchmarks::ex1(), benchmarks::paulin()] {
-        let (flow, ma) = setup(&bench);
-        let cfg = config();
-        group.bench_with_input(
-            BenchmarkId::new("uncached_before", &bench.name),
-            &bench,
-            |b, bench| {
-                b.iter(|| {
-                    anneal_registers_with(
-                        &bench.dfg,
-                        &bench.schedule,
-                        bench.lifetime_options,
-                        &ma,
-                        &flow,
-                        &cfg,
-                        &UncachedEvaluator,
-                    )
-                    .expect("anneal")
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("memoized_after", &bench.name),
-            &bench,
-            |b, bench| {
-                b.iter(|| {
-                    anneal_registers(
-                        &bench.dfg,
-                        &bench.schedule,
-                        bench.lifetime_options,
-                        &ma,
-                        &flow,
-                        &cfg,
-                    )
-                    .expect("anneal")
-                })
-            },
-        );
+        bench_chain(c, "anneal_serial", "memoized_after", &bench, &cfg);
     }
-    group.finish();
 }
 
-fn bench_parallel_batches(c: &mut Criterion) {
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4);
-    let mut group = c.benchmark_group("anneal_parallel");
-    // A design big enough that one BIST solve (~170 µs) dwarfs the pool
-    // dispatch, in the cold (converged) phase of the walk, where
-    // acceptances are rare and speculative run-lengths long — the regime
-    // batched evaluation is built for. (In the hot phase nearly every
-    // move is accepted, so the batch commits one move per step and
-    // parallelism cannot help: Amdahl applies to the trajectory itself.)
-    let bench = benchmarks::fir(8);
-    let (flow, ma) = setup(&bench);
+/// The cold (converged) phase of fir(8), where one BIST solve costs
+/// ~170 µs: the configuration the removed speculative batches were
+/// measured on, kept so the serial chain's number stays comparable.
+fn bench_cold_chain(c: &mut Criterion) {
     let cfg = AnnealConfig {
         iterations: 120,
         initial_temperature: 0.5,
-        batch: 16,
         ..Default::default()
     };
-    let mut workers = vec![1usize, 2];
-    if cores > 2 {
-        workers.push(cores);
-    }
-    for w in workers {
-        group.bench_with_input(BenchmarkId::new("workers", w), &w, |b, &w| {
-            b.iter(|| {
-                anneal_parallel(
-                    &bench.dfg,
-                    &bench.schedule,
-                    bench.lifetime_options,
-                    &ma,
-                    &flow,
-                    &cfg,
-                    w,
-                )
-                .expect("anneal")
-            })
-        });
-    }
-    group.finish();
+    bench_chain(c, "anneal_cold", "serial_chain", &benchmarks::fir(8), &cfg);
 }
 
 fn bench_multichain(c: &mut Criterion) {
@@ -188,7 +121,7 @@ fn bench_clique_partition(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_serial_oracle,
-    bench_parallel_batches,
+    bench_cold_chain,
     bench_multichain,
     bench_clique_partition
 );

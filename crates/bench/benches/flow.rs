@@ -78,7 +78,7 @@ fn bench_move_eval(c: &mut Criterion) {
     for bench in [benchmarks::ex1(), benchmarks::paulin(), benchmarks::diffeq_unrolled(2)] {
         let (flow, ma) = setup(&bench);
         let colorings = walk_colorings(&bench, 64, 0xF10C + bench.dfg.num_ops() as u64);
-        let cache = FlowCache::new(
+        let mut cache = FlowCache::new(
             &bench.dfg,
             &bench.schedule,
             bench.lifetime_options,

@@ -83,7 +83,7 @@ USAGE:
   lobist corpus [--sizes <N,N,...>] [--seed <S>] [--permute <S>]
                 [--twin-kernels <S>] [--out <DIR>]
   lobist anneal <design.dfg> --modules <SET> [--iterations <N>] [--seed <S>]
-                [--batch <K>] [--chains <C>] [--jobs <N>] [--metrics] [OPTIONS]
+                [--chains <C>] [--jobs <N>] [--metrics] [OPTIONS]
   lobist lint <design.dfg> --modules <SET> [--deny <CODE|all>] [--allow <CODE>]
               [--json] [--jobs <N>] [--metrics] [OPTIONS]
   lobist analyze <design.dfg> --modules <SET> [--json] [--full] [--jobs <N>]
@@ -139,9 +139,6 @@ OPTIONS:
   --candidates <L>  semicolon-separated module sets for `explore`
   --iterations <N>  evaluated moves for `anneal` (default 400)
   --seed <S>        RNG seed for `anneal` (decimal or 0x hex)
-  --batch <K>       candidate moves speculated per `anneal` step
-                    (default 16; a pure performance knob — the committed
-                    trajectory is identical for every K)
   --chains <C>      independent `anneal` chains, merged best-of
                     (default 1, at most 256; chain 0 reproduces the
                     serial run)
@@ -173,7 +170,9 @@ OPTIONS:
   --out <DIR>       output directory for `corpus` (default
                     lobist-corpus)
   --jobs <N>        worker threads for `explore`/`batch`/`faultsim`/
-                    `anneal`/`lint` (default: all cores; at least 1)
+                    `lint` (default: all cores; at least 1); `anneal`
+                    runs its chains in parallel, one thread per chain
+                    at most
   --tcp <ADDR>      daemon TCP address: listen address for `serve`
                     (default 127.0.0.1:7420 unless --unix is given),
                     connect address for `submit`
@@ -1026,18 +1025,17 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
         "anneal" => {
             let (dfg, schedule, modules) = load_command_design(&o)?;
-            let workers = worker_count(&o);
             let (config, result, stats) = o
                 .spec
-                .anneal(&dfg, &schedule, &modules, workers)
+                .anneal(&dfg, &schedule, &modules, worker_count(&o))
                 .map_err(CliError::Flow)?;
             let heuristic = synthesize(&dfg, &schedule, &modules, &o.spec.flow_options())
                 .map(|d| d.bist.overhead.get())
                 .ok();
             let _ = writeln!(
                 out,
-                "annealed search: {} iterations, seed 0x{:X}, batch {}, {} chain(s), {} worker(s)",
-                config.iterations, config.seed, config.batch, stats.chains, workers
+                "annealed search: {} iterations, seed 0x{:X}, {} chain(s), {} worker(s)",
+                config.iterations, config.seed, stats.chains, stats.workers
             );
             let _ = writeln!(
                 out,
@@ -1440,20 +1438,22 @@ mod tests {
         let path = write_temp("lobist_cli_anneal_jobs.dfg", DESIGN);
         let base = argv(&["anneal", &path, "--modules", "1+,1*", "--iterations", "30"]);
         let strip_rates = |s: String| {
-            // Drop the header (it echoes --jobs) and the oracle line:
-            // cache hit counts may differ when workers race to evaluate
-            // the same coloring. Everything else is the committed
-            // trajectory, which must not move.
+            // Drop the header (it echoes the worker count) and mask the
+            // oracle line's wall-clock rate. Everything else — the
+            // trajectory and the oracle's counters — must not move.
             s.lines()
                 .skip(1)
-                .filter(|l| !l.starts_with("oracle:"))
+                .map(|l| match l.rfind(", ") {
+                    Some(i) if l.starts_with("oracle:") && l.ends_with(" moves/s") => &l[..i],
+                    _ => l,
+                })
                 .collect::<Vec<_>>()
                 .join("\n")
         };
         let mut reference: Option<String> = None;
         for jobs in ["1", "2", "8"] {
             let mut args = base.clone();
-            args.extend(argv(&["--jobs", jobs, "--batch", "8"]));
+            args.extend(argv(&["--jobs", jobs]));
             let out = strip_rates(run(&args).unwrap());
             match &reference {
                 None => reference = Some(out),
@@ -1530,7 +1530,6 @@ mod tests {
     fn anneal_flag_validation() {
         let path = write_temp("lobist_cli_anneal_bad.dfg", DESIGN);
         for bad in [
-            vec!["anneal", &path, "--modules", "1+,1*", "--batch", "0"],
             vec!["anneal", &path, "--modules", "1+,1*", "--chains", "0"],
             vec!["anneal", &path, "--modules", "1+,1*", "--chains", "257"],
             vec!["anneal", &path, "--modules", "1+,1*", "--seed", "zzz"],
@@ -2580,8 +2579,8 @@ mod tests {
             "--candidates 1+;2+ --port-inputs --jobs 3 --lanes 256",
             "--lanes 64 --width 2 --iterations 0 --seed 0",
             "--iterations 4294967295 --seed 0xFFFFFFFFFFFFFFFF",
-            "--batch 4294967295 --chains 256 --lanes auto",
-            "--batch 1 --chains 1 --flow testable",
+            "--chains 256 --lanes auto",
+            "--chains 1 --flow testable",
         ] {
             let args: Vec<&str> = args.split_whitespace().collect();
             let cli = parse_args(&argv(&args)).unwrap().spec;
@@ -2599,8 +2598,6 @@ mod tests {
             ("--lanes", "512", r#""512""#),
             ("--iterations", "4294967296", "4294967296"),
             ("--seed", "-1", "-1"),
-            ("--batch", "0", "0"),
-            ("--batch", "4294967296", "4294967296"),
             ("--chains", "0", "0"),
             ("--chains", "257", "257"),
             ("--chains", "1000000000000000", "1000000000000000"),

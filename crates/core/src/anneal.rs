@@ -8,28 +8,24 @@
 //! path, as judged by the exact solver — and see how much headroom the
 //! heuristic leaves.
 //!
-//! The hot path is built for throughput:
+//! The walk is one serial Metropolis chain, and its hot path is built
+//! for throughput:
 //!
 //! * a [`CostOracle`] content-addresses canonical colorings (FNV-1a-128)
 //!   so revisited states — common under geometric cooling — skip the
 //!   interconnect binding and BIST solve entirely;
 //! * an incremental `var → register` index replaces the per-move linear
-//!   scan over the classes;
-//! * move evaluation is abstracted behind [`BatchEvaluator`]: the loop
-//!   speculates `batch` candidate moves per step (each generated under
-//!   the assumption that its predecessors are rejected), evaluates them
-//!   as one batch — possibly in parallel, see `lobist-engine` — and
-//!   commits via sequential-acceptance replay with RNG rewind, so the
-//!   accepted trajectory is byte-identical to the serial annealer for
-//!   any batch size and worker count.
+//!   scan over the classes.
+//!
+//! Each chain owns its oracle, so the counters are a pure function of
+//! the seed and the move budget. Parallelism lives one level up, across
+//! independent chains (`lobist-engine`'s `anneal_multichain`).
 //!
 //! Two independent RNG streams (move generation, acceptance) are derived
-//! from the one seed; this is what makes speculation sound, since accept
-//! draws are consumed only for uphill moves on the committed trajectory.
+//! from the one seed: accept draws are consumed only for uphill moves.
+//! Merging them would change every trajectory, so both stay.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use lobist_datapath::{ModuleAssignment, RegisterAssignment};
 use lobist_dfg::lifetime::{LifetimeOptions, Lifetimes};
@@ -57,9 +53,6 @@ pub struct AnnealConfig {
     pub cooling: f64,
     /// RNG seed (the annealer is deterministic given the seed).
     pub seed: u64,
-    /// Candidate moves speculated per step. Purely a performance knob:
-    /// the committed trajectory is identical for every value.
-    pub batch: u32,
     /// Move-proposal retries within one iteration before declaring a
     /// stall (self-moves, conflicts and register-emptying picks retry
     /// instead of wasting the iteration).
@@ -73,7 +66,6 @@ impl Default for AnnealConfig {
             initial_temperature: 40.0,
             cooling: 0.99,
             seed: 0xA11EA1,
-            batch: 1,
             max_retries: 64,
         }
     }
@@ -90,10 +82,10 @@ pub struct AnnealResult {
     pub initial_overhead: u64,
     /// Moves accepted.
     pub accepted: u32,
-    /// Moves evaluated on the committed trajectory.
+    /// Moves evaluated.
     pub evaluated: u32,
     /// Move proposals retried within steps (self-move, conflict, or
-    /// register-emptying picks) on the committed trajectory.
+    /// register-emptying picks).
     pub skipped: u32,
     /// Steps that exhausted [`AnnealConfig::max_retries`] without a
     /// feasible proposal.
@@ -101,25 +93,20 @@ pub struct AnnealResult {
     /// Evaluated moves whose data path failed to synthesize or solve
     /// (rejected without an acceptance draw).
     pub infeasible: u32,
-    /// Speculative evaluations discarded by an earlier acceptance in the
-    /// same batch. Depends on `batch`; not part of the trajectory.
-    pub wasted: u32,
-    /// Cost-oracle cache hits (includes speculative evaluations).
+    /// Cost-oracle cache hits.
     pub oracle_hits: u64,
     /// Cost-oracle cache misses (incremental flow evaluations).
     pub oracle_misses: u64,
     /// Stage-level counters of the oracle's incremental evaluation
-    /// layer. Depends on cache capacities and worker interleaving; not
-    /// part of the trajectory.
+    /// layer. Depends on cache capacities; not part of the trajectory.
     pub flow_cache: FlowCacheStats,
 }
 
 impl AnnealResult {
-    /// The committed-trajectory fingerprint: everything the serial /
-    /// batched / parallel identity contract covers. `wasted`, the
-    /// oracle counters and the flow-cache stats are excluded — they
-    /// legitimately vary with batch size, worker count and cache
-    /// capacities.
+    /// The trajectory fingerprint: the best coloring and every move
+    /// count. The oracle counters and the flow-cache stats are
+    /// excluded — they are work accounting, and the flow-cache stats
+    /// carry wall-clock timings.
     pub fn fingerprint(&self) -> (Vec<Vec<VarId>>, u64, u64, u32, u32, u32, u32, u32) {
         (
             self.registers.classes().to_vec(),
@@ -162,9 +149,8 @@ fn canonical_key(classes: &[Vec<VarId>]) -> u128 {
 
 /// Memoizing cost oracle: coloring → exact BIST overhead of the
 /// synthesized data path, content-addressed by [`canonical_key`].
-/// Shareable across threads (`&CostOracle` is `Send + Sync`), so a batch
-/// evaluator can fan speculative evaluations out over a pool while all
-/// workers feed one cache.
+/// Owned by one annealing chain, so lookups take `&mut self` and need
+/// no locks.
 ///
 /// Misses don't re-run the full pipeline: they go through an L2, the
 /// incremental [`FlowCache`], which memoizes the pipeline *stages*
@@ -172,9 +158,9 @@ fn canonical_key(classes: &[Vec<VarId>]) -> u128 {
 /// so a one-variable move only recomputes what it touched.
 pub struct CostOracle<'a> {
     flow_cache: FlowCache<'a>,
-    cache: Mutex<HashMap<u128, Result<u64, FlowError>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    cache: HashMap<u128, Result<u64, FlowError>>,
+    hits: u64,
+    misses: u64,
 }
 
 impl<'a> CostOracle<'a> {
@@ -188,9 +174,9 @@ impl<'a> CostOracle<'a> {
     ) -> Self {
         Self {
             flow_cache: FlowCache::new(dfg, schedule, lt_opts, ma, flow),
-            cache: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            cache: HashMap::new(),
+            hits: 0,
+            misses: 0,
         }
     }
 
@@ -200,15 +186,15 @@ impl<'a> CostOracle<'a> {
     ///
     /// Returns the pipeline stage's real [`FlowError`] when the coloring
     /// cannot be synthesized or solved (errors are cached too).
-    pub fn cost(&self, classes: &[Vec<VarId>]) -> Result<u64, FlowError> {
+    pub fn cost(&mut self, classes: &[Vec<VarId>]) -> Result<u64, FlowError> {
         let key = canonical_key(classes);
-        if let Some(r) = self.cache.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(r) = self.cache.get(&key) {
+            self.hits += 1;
             return r.clone();
         }
         let r = self.flow_cache.evaluate(classes).map(|eval| eval.overhead);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.cache.lock().unwrap().insert(key, r.clone());
+        self.misses += 1;
+        self.cache.insert(key, r.clone());
         r
     }
 
@@ -219,28 +205,28 @@ impl<'a> CostOracle<'a> {
     /// # Errors
     ///
     /// Returns the failing stage's [`FlowError`].
-    pub fn cost_uncached(&self, classes: &[Vec<VarId>]) -> Result<u64, FlowError> {
+    pub fn cost_uncached(&mut self, classes: &[Vec<VarId>]) -> Result<u64, FlowError> {
         self.flow_cache.evaluate_uncached(classes).map(|e| e.overhead)
     }
 
     /// Cache hits so far.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits
     }
 
     /// Cache misses (full solves) so far.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses
     }
 
     /// Distinct colorings cached.
     pub fn len(&self) -> usize {
-        self.cache.lock().unwrap().len()
+        self.cache.len()
     }
 
     /// `true` if nothing has been evaluated yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.cache.is_empty()
     }
 
     /// The incremental evaluation layer behind cache misses.
@@ -249,36 +235,8 @@ impl<'a> CostOracle<'a> {
     }
 }
 
-/// Strategy for evaluating a batch of speculative candidate colorings.
-/// Implementations must return one result per input, in order, and may
-/// evaluate in parallel: the annealer's replay discipline guarantees the
-/// committed trajectory does not depend on evaluation order.
-pub trait BatchEvaluator {
-    /// Costs of `trials`, in order (each via [`CostOracle::cost`]).
-    fn evaluate(&self, oracle: &CostOracle<'_>, trials: &[Coloring]) -> Vec<Result<u64, FlowError>>;
-}
-
-/// In-thread evaluation, one trial at a time.
-pub struct SerialEvaluator;
-
-impl BatchEvaluator for SerialEvaluator {
-    fn evaluate(&self, oracle: &CostOracle<'_>, trials: &[Coloring]) -> Vec<Result<u64, FlowError>> {
-        trials.iter().map(|t| oracle.cost(t)).collect()
-    }
-}
-
 /// Offset between the move-generation and acceptance RNG streams.
 const ACCEPT_STREAM_SALT: u64 = 0xACCE_97ED_5EED_0001;
-
-/// A speculated move: variable `v` from register `from` to register
-/// `to`, plus the move-stream state after proposing it (the rewind
-/// point when an earlier candidate in the batch is accepted).
-struct Candidate {
-    v: VarId,
-    to: usize,
-    skips: u32,
-    rng_after: StdRng,
-}
 
 /// Proposes one move, retrying (bounded) past self-moves, conflicts and
 /// register-emptying picks. Returns the move and the number of retries
@@ -309,26 +267,23 @@ fn propose(
 }
 
 /// Anneals over proper colorings with the solved BIST overhead as the
-/// objective, using `evaluator` for (possibly parallel) speculative
-/// batch evaluation. The move set re-assigns one variable to another
+/// objective. The move set re-assigns one variable to another
 /// compatible register (register count is held at the initial
 /// coloring's, so the comparison against the heuristic is
-/// area-for-area). The committed trajectory depends only on
-/// `config.seed`, `config.iterations` and `config.max_retries` — never
-/// on `config.batch` or the evaluator.
+/// area-for-area). The result — trajectory and counters alike —
+/// depends only on the design and `config`.
 ///
 /// # Errors
 ///
 /// Returns the real [`FlowError`] if the initial (left-edge) coloring
 /// cannot be synthesized and solved.
-pub fn anneal_registers_with<E: BatchEvaluator>(
+pub fn anneal_registers(
     dfg: &Dfg,
     schedule: &Schedule,
     lt_opts: LifetimeOptions,
     ma: &ModuleAssignment,
     flow: &FlowOptions,
     config: &AnnealConfig,
-    evaluator: &E,
 ) -> Result<AnnealResult, FlowError> {
     let lifetimes = Lifetimes::compute(dfg, schedule, lt_opts);
     let initial = baseline_regalloc::allocate_registers(
@@ -338,7 +293,7 @@ pub fn anneal_registers_with<E: BatchEvaluator>(
         BaselineAlgorithm::LeftEdge,
     )?;
     let mut classes: Coloring = initial.classes().to_vec();
-    let oracle = CostOracle::new(dfg, schedule, lt_opts, ma, flow);
+    let mut oracle = CostOracle::new(dfg, schedule, lt_opts, ma, flow);
     let mut cost = oracle.cost(&classes)?;
     let initial_overhead = cost;
     let mut best = (classes.clone(), cost);
@@ -356,88 +311,43 @@ pub fn anneal_registers_with<E: BatchEvaluator>(
     let mut move_rng = StdRng::seed_from_u64(config.seed);
     let mut accept_rng = StdRng::seed_from_u64(config.seed ^ ACCEPT_STREAM_SALT);
     let mut temperature = config.initial_temperature;
-    let batch = config.batch.max(1) as usize;
     let (mut accepted, mut evaluated, mut skipped) = (0u32, 0u32, 0u32);
-    let (mut stalled, mut infeasible, mut wasted) = (0u32, 0u32, 0u32);
+    let (mut stalled, mut infeasible) = (0u32, 0u32);
 
     let movable = !reg_vars.is_empty() && classes.len() >= 2;
-    let mut done = 0u32;
-    while movable && done < config.iterations {
-        let k = batch.min((config.iterations - done) as usize);
-        // Speculate: candidate i is generated as if candidates 0..i were
-        // all rejected (state unchanged), which is exactly the serial
-        // trajectory's view whenever replay reaches candidate i.
-        let mut cands: Vec<Candidate> = Vec::with_capacity(k);
-        let mut trials: Vec<Coloring> = Vec::with_capacity(k);
-        let mut stall_skips: Option<u32> = None;
-        for _ in 0..k {
-            let (m, skips) =
-                propose(&classes, &reg_of, &reg_vars, &lifetimes, &mut move_rng, config.max_retries);
-            match m {
-                Some((v, from, to)) => {
-                    let mut trial = classes.clone();
-                    trial[from].retain(|&u| u != v);
-                    trial[to].push(v);
-                    trials.push(trial);
-                    cands.push(Candidate { v, to, skips, rng_after: move_rng.clone() });
-                }
-                None => {
-                    stall_skips = Some(skips);
-                    break;
-                }
+    let steps = if movable { config.iterations } else { 0 };
+    for _ in 0..steps {
+        temperature *= config.cooling;
+        let (m, skips) =
+            propose(&classes, &reg_of, &reg_vars, &lifetimes, &mut move_rng, config.max_retries);
+        skipped += skips;
+        let Some((v, from, to)) = m else {
+            // A stall consumes the iteration, so the walk terminates.
+            stalled += 1;
+            continue;
+        };
+        evaluated += 1;
+        let mut trial = classes.clone();
+        trial[from].retain(|&u| u != v);
+        trial[to].push(v);
+        let trial_cost = match oracle.cost(&trial) {
+            Ok(c) => c,
+            Err(_) => {
+                infeasible += 1;
+                continue;
             }
-        }
-        let costs = evaluator.evaluate(&oracle, &trials);
-        debug_assert_eq!(costs.len(), cands.len());
-
-        // Replay: sequential acceptance in trajectory order. The first
-        // acceptance rewinds the move stream to that candidate's state
-        // and discards the rest of the batch.
-        let mut committed = false;
-        for (i, cand) in cands.iter().enumerate() {
-            done += 1;
-            temperature *= config.cooling;
-            evaluated += 1;
-            skipped += cand.skips;
-            let accept = match &costs[i] {
-                Err(_) => {
-                    infeasible += 1;
-                    false
-                }
-                Ok(trial_cost) => {
-                    let delta = *trial_cost as f64 - cost as f64;
-                    delta <= 0.0
-                        || (temperature > 1e-9
-                            && accept_rng.gen::<f64>() < (-delta / temperature).exp())
-                }
-            };
-            if accept {
-                classes = std::mem::take(&mut trials[i]);
-                reg_of[cand.v.index()] = cand.to;
-                cost = *costs[i].as_ref().expect("accepted moves are feasible");
-                accepted += 1;
-                if cost < best.1 {
-                    best = (classes.clone(), cost);
-                }
-                wasted += (cands.len() - i - 1) as u32;
-                move_rng = cand.rng_after.clone();
-                committed = true;
-                break;
+        };
+        let delta = trial_cost as f64 - cost as f64;
+        let accept = delta <= 0.0
+            || (temperature > 1e-9 && accept_rng.gen::<f64>() < (-delta / temperature).exp());
+        if accept {
+            classes = trial;
+            reg_of[v.index()] = to;
+            cost = trial_cost;
+            accepted += 1;
+            if cost < best.1 {
+                best = (classes.clone(), cost);
             }
-        }
-        if !committed {
-            if let Some(sk) = stall_skips {
-                // Every candidate before the stall was rejected, so the
-                // stall is on the committed trajectory: it consumes one
-                // iteration (guaranteeing termination) and the move
-                // stream keeps the retries' draws.
-                done += 1;
-                temperature *= config.cooling;
-                stalled += 1;
-                skipped += sk;
-            }
-            // All candidates rejected: move_rng is already at the state
-            // after the last proposal, which is the serial state too.
         }
     }
 
@@ -450,29 +360,10 @@ pub fn anneal_registers_with<E: BatchEvaluator>(
         skipped,
         stalled,
         infeasible,
-        wasted,
         oracle_hits: oracle.hits(),
         oracle_misses: oracle.misses(),
         flow_cache: oracle.flow_cache().stats(),
     })
-}
-
-/// [`anneal_registers_with`] under the in-thread [`SerialEvaluator`] —
-/// the reference trajectory all batched/parallel runs must reproduce.
-///
-/// # Errors
-///
-/// Returns the real [`FlowError`] if the initial (left-edge) coloring
-/// cannot be synthesized and solved.
-pub fn anneal_registers(
-    dfg: &Dfg,
-    schedule: &Schedule,
-    lt_opts: LifetimeOptions,
-    ma: &ModuleAssignment,
-    flow: &FlowOptions,
-    config: &AnnealConfig,
-) -> Result<AnnealResult, FlowError> {
-    anneal_registers_with(dfg, schedule, lt_opts, ma, flow, config, &SerialEvaluator)
 }
 
 #[cfg(test)]
@@ -563,7 +454,7 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.wasted, b.wasted);
+        assert_eq!((a.oracle_hits, a.oracle_misses), (b.oracle_hits, b.oracle_misses));
     }
 
     #[test]
@@ -587,29 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_does_not_change_the_trajectory() {
-        let bench = benchmarks::paulin();
-        let flow = FlowOptions::testable().with_lifetimes(bench.lifetime_options);
-        let ma =
-            assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
-        let run = |batch: u32| {
-            anneal_registers(
-                &bench.dfg,
-                &bench.schedule,
-                bench.lifetime_options,
-                &ma,
-                &flow,
-                &AnnealConfig { iterations: 120, batch, ..Default::default() },
-            )
-            .unwrap()
-        };
-        let serial = run(1);
-        for batch in [2, 4, 16, 64] {
-            assert_eq!(serial.fingerprint(), run(batch).fingerprint(), "batch {batch}");
-        }
-    }
-
-    #[test]
     fn oracle_cache_agrees_with_uncached_on_the_walk() {
         // Property (a): the memoized oracle must report exactly the
         // from-scratch cost on every coloring a random walk visits.
@@ -626,7 +494,7 @@ mod tests {
             BaselineAlgorithm::LeftEdge,
         )
         .unwrap();
-        let oracle = CostOracle::new(
+        let mut oracle = CostOracle::new(
             &bench.dfg,
             &bench.schedule,
             bench.lifetime_options,

@@ -33,12 +33,15 @@
 //! annealing walks and require equal costs, gate counts, chosen
 //! embeddings and errors. All stage caches are bounded (FIFO eviction);
 //! because every cached value is a pure function of its key, eviction
-//! and multi-worker race interleavings can never change a result — only
-//! the hit counters.
+//! can never change a result — only the hit counters.
+//!
+//! A [`FlowCache`] has one owner, the annealing chain behind its
+//! [`CostOracle`](crate::anneal::CostOracle), so evaluation takes
+//! `&mut self`: the stage caches, the warm-start incumbent and the
+//! counters are plain fields, and the counters depend only on the
+//! sequence of colorings evaluated.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use lobist_bist::embedding::PatternSource;
@@ -160,37 +163,29 @@ impl<V: Clone> StageCache<V> {
         }
     }
 
-    fn lookup(&mut self, key: u128) -> Option<V> {
-        match self.map.get(&key) {
-            Some(v) => {
-                self.stats.hits += 1;
-                Some(v.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+    /// The value cached under `key`, or `compute()`'s, cached on the
+    /// way out (evicting the oldest entry when full).
+    fn get_or_compute(&mut self, key: u128, compute: impl FnOnce() -> V) -> V {
+        if let Some(v) = self.map.get(&key) {
+            self.stats.hits += 1;
+            return v.clone();
         }
-    }
-
-    fn insert(&mut self, key: u128, value: V) {
-        if self.map.contains_key(&key) {
-            return; // another worker computed it first
-        }
+        self.stats.misses += 1;
+        let value = compute();
         if self.map.len() >= self.capacity {
             if let Some(old) = self.order.pop_front() {
                 self.map.remove(&old);
                 self.stats.evictions += 1;
             }
         }
-        self.map.insert(key, value);
+        self.map.insert(key, value.clone());
         self.order.push_back(key);
+        value
     }
 }
 
 /// The incremental evaluation layer over one design's fixed module
-/// assignment. Shareable across threads (`&FlowCache` is `Send + Sync`),
-/// so a parallel batch evaluator's workers feed one set of stage caches.
+/// assignment, owned by one annealing chain.
 pub struct FlowCache<'a> {
     dfg: &'a Dfg,
     schedule: &'a Schedule,
@@ -206,15 +201,15 @@ pub struct FlowCache<'a> {
     module_area: u64,
     /// Gate count of one plain register.
     register_area_each: u64,
-    interconnect: Mutex<StageCache<Vec<PortLabel>>>,
-    embeddings: Mutex<StageCache<Vec<Embedding>>>,
-    selection: Mutex<StageCache<(Vec<Embedding>, u64)>>,
+    interconnect: StageCache<Vec<PortLabel>>,
+    embeddings: StageCache<Vec<Embedding>>,
+    selection: StageCache<(Vec<Embedding>, u64)>,
     /// Last selected choice — the warm-start incumbent for the next
     /// selection miss.
-    warm: Mutex<Option<Vec<Embedding>>>,
-    warm_starts: AtomicU64,
+    warm: Option<Vec<Embedding>>,
+    warm_starts: u64,
     /// `[0]` = incremental (delta) evaluations, `[1]` = reference (full).
-    timings: Mutex<[[u64; NUM_BUCKETS]; 2]>,
+    timings: [[u64; NUM_BUCKETS]; 2],
 }
 
 impl<'a> FlowCache<'a> {
@@ -265,12 +260,12 @@ impl<'a> FlowCache<'a> {
             module_error: precheck_modules(dfg, schedule, ma),
             module_area,
             register_area_each: flow.area.register().get(),
-            interconnect: Mutex::new(StageCache::new(interconnect)),
-            embeddings: Mutex::new(StageCache::new(embeddings)),
-            selection: Mutex::new(StageCache::new(selection)),
-            warm: Mutex::new(None),
-            warm_starts: AtomicU64::new(0),
-            timings: Mutex::new([[0; NUM_BUCKETS]; 2]),
+            interconnect: StageCache::new(interconnect),
+            embeddings: StageCache::new(embeddings),
+            selection: StageCache::new(selection),
+            warm: None,
+            warm_starts: 0,
+            timings: [[0; NUM_BUCKETS]; 2],
         }
     }
 
@@ -282,7 +277,7 @@ impl<'a> FlowCache<'a> {
     ///
     /// Exactly the errors [`FlowCache::evaluate_uncached`] reports, in
     /// the same stage order.
-    pub fn evaluate(&self, classes: &[Vec<VarId>]) -> Result<FlowEval, FlowError> {
+    pub fn evaluate(&mut self, classes: &[Vec<VarId>]) -> Result<FlowEval, FlowError> {
         let start = Instant::now();
         let r = self.evaluate_inner(classes);
         self.record(0, start.elapsed());
@@ -296,7 +291,7 @@ impl<'a> FlowCache<'a> {
     /// # Errors
     ///
     /// Returns the failing stage's [`FlowError`].
-    pub fn evaluate_uncached(&self, classes: &[Vec<VarId>]) -> Result<FlowEval, FlowError> {
+    pub fn evaluate_uncached(&mut self, classes: &[Vec<VarId>]) -> Result<FlowEval, FlowError> {
         let start = Instant::now();
         let r = self.evaluate_reference(classes);
         self.record(1, start.elapsed());
@@ -305,20 +300,18 @@ impl<'a> FlowCache<'a> {
 
     /// Counters so far.
     pub fn stats(&self) -> FlowCacheStats {
-        let timings = self.timings.lock().expect("timing lock");
         FlowCacheStats {
-            interconnect: self.interconnect.lock().expect("stage lock").stats,
-            embeddings: self.embeddings.lock().expect("stage lock").stats,
-            selection: self.selection.lock().expect("stage lock").stats,
-            warm_starts: self.warm_starts.load(Ordering::Relaxed),
-            delta_micros: timings[0],
-            full_micros: timings[1],
+            interconnect: self.interconnect.stats,
+            embeddings: self.embeddings.stats,
+            selection: self.selection.stats,
+            warm_starts: self.warm_starts,
+            delta_micros: self.timings[0],
+            full_micros: self.timings[1],
         }
     }
 
-    fn record(&self, which: usize, elapsed: Duration) {
-        let mut timings = self.timings.lock().expect("timing lock");
-        timings[which][bucket_micros(elapsed.as_micros())] += 1;
+    fn record(&mut self, which: usize, elapsed: Duration) {
+        self.timings[which][bucket_micros(elapsed.as_micros())] += 1;
     }
 
     fn evaluate_reference(&self, classes: &[Vec<VarId>]) -> Result<FlowEval, FlowError> {
@@ -339,7 +332,7 @@ impl<'a> FlowCache<'a> {
         })
     }
 
-    fn evaluate_inner(&self, classes: &[Vec<VarId>]) -> Result<FlowEval, FlowError> {
+    fn evaluate_inner(&mut self, classes: &[Vec<VarId>]) -> Result<FlowEval, FlowError> {
         let ra = RegisterAssignment::new(self.dfg, classes.to_vec())?;
 
         // Validation, replicating DataPath::build's order exactly so the
@@ -371,19 +364,9 @@ impl<'a> FlowCache<'a> {
         let mut lhs_side = vec![PortSide::Left; self.dfg.num_ops()];
         for m in self.ma.module_ids() {
             let problem = ModuleProblem::collect(self.dfg, self.ma, &ra, &self.ctx, m);
-            let key = shape_key(&problem);
-            let cached = self.interconnect.lock().expect("stage lock").lookup(key);
-            let labels = match cached {
-                Some(labels) => labels,
-                None => {
-                    let labels = problem.solve_labels(self.flow.bist_aware_interconnect);
-                    self.interconnect
-                        .lock()
-                        .expect("stage lock")
-                        .insert(key, labels.clone());
-                    labels
-                }
-            };
+            let labels = self.interconnect.get_or_compute(shape_key(&problem), || {
+                problem.solve_labels(self.flow.bist_aware_interconnect)
+            });
             problem.orient(&labels, &mut lhs_side);
         }
 
@@ -461,19 +444,9 @@ impl<'a> FlowCache<'a> {
         for (mi, (sides, dests)) in port_sources.iter().zip(&output_dests).enumerate() {
             let shape = ConnectivityShape::new(sides, dests);
             let key = connectivity_key(&shape.sides, &shape.dests);
-            let cached = self.embeddings.lock().expect("stage lock").lookup(key);
-            let canonical = match cached {
-                Some(list) => list,
-                None => {
-                    let list =
-                        enumerate_from_connectivity(&shape.sides[0], &shape.sides[1], &shape.dests);
-                    self.embeddings
-                        .lock()
-                        .expect("stage lock")
-                        .insert(key, list.clone());
-                    list
-                }
-            };
+            let canonical = self.embeddings.get_or_compute(key, || {
+                enumerate_from_connectivity(&shape.sides[0], &shape.sides[1], &shape.dests)
+            });
             if canonical.is_empty() {
                 return Err(FlowError::Bist(BistError::NoEmbedding {
                     module: ModuleId(mi as u32),
@@ -484,38 +457,22 @@ impl<'a> FlowCache<'a> {
 
         // Stage 3: selection — memoized on the full candidate lists,
         // warm-started with the previous solution's cost otherwise.
-        let sel_key = selection_key(nr, &embs);
-        let cached = self.selection.lock().expect("stage lock").lookup(sel_key);
-        let (choice, overhead) = match cached {
-            Some((choice, overhead)) => {
-                *self.warm.lock().expect("warm lock") = Some(choice.clone());
-                (choice, overhead)
+        let (choice, overhead) = self.selection.get_or_compute(selection_key(nr, &embs), || {
+            // The bound must be achievable against the *current* lists:
+            // every module's previous pick must still be a candidate.
+            let warm_upper = self.warm.as_ref().and_then(|prev| {
+                (prev.len() == embs.len()
+                    && prev.iter().zip(&embs).all(|(e, list)| list.contains(e)))
+                .then(|| choice_cost(nr, model, prev))
+            });
+            if warm_upper.is_some() {
+                self.warm_starts += 1;
             }
-            None => {
-                let warm_upper = {
-                    let warm = self.warm.lock().expect("warm lock");
-                    warm.as_ref().and_then(|prev| {
-                        // The bound must be achievable against the *current*
-                        // lists: every module's previous pick must still be
-                        // a candidate.
-                        (prev.len() == embs.len()
-                            && prev.iter().zip(&embs).all(|(e, list)| list.contains(e)))
-                        .then(|| choice_cost(nr, model, prev))
-                    })
-                };
-                if warm_upper.is_some() {
-                    self.warm_starts.fetch_add(1, Ordering::Relaxed);
-                }
-                let choice = select_embeddings(nr, model, &self.flow.solver, &embs, warm_upper);
-                let overhead = choice_cost(nr, model, &choice).get();
-                self.selection
-                    .lock()
-                    .expect("stage lock")
-                    .insert(sel_key, (choice.clone(), overhead));
-                *self.warm.lock().expect("warm lock") = Some(choice.clone());
-                (choice, overhead)
-            }
-        };
+            let choice = select_embeddings(nr, model, &self.flow.solver, &embs, warm_upper);
+            let overhead = choice_cost(nr, model, &choice).get();
+            (choice, overhead)
+        });
+        self.warm = Some(choice.clone());
 
         Ok(FlowEval {
             overhead,
@@ -775,7 +732,7 @@ mod tests {
     fn check_walk(bench: &Benchmark, capacities: [usize; 3], steps: usize, seed: u64) {
         let flow = crate::flow::FlowOptions::testable().with_lifetimes(bench.lifetime_options);
         let ma = assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
-        let cache = FlowCache::with_capacities(
+        let mut cache = FlowCache::with_capacities(
             &bench.dfg,
             &bench.schedule,
             bench.lifetime_options,
@@ -881,7 +838,7 @@ mod tests {
         check_walk(&bench, capacities, 100, 0xE71C);
         let flow = crate::flow::FlowOptions::testable().with_lifetimes(bench.lifetime_options);
         let ma = assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
-        let cache = FlowCache::with_capacities(
+        let mut cache = FlowCache::with_capacities(
             &bench.dfg,
             &bench.schedule,
             bench.lifetime_options,
@@ -910,7 +867,7 @@ mod tests {
         let bench = benchmarks::paulin();
         let flow = crate::flow::FlowOptions::testable().with_lifetimes(bench.lifetime_options);
         let ma = assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
-        let cache = FlowCache::with_capacities(
+        let mut cache = FlowCache::with_capacities(
             &bench.dfg,
             &bench.schedule,
             bench.lifetime_options,
@@ -935,7 +892,7 @@ mod tests {
         let bench = benchmarks::ex1();
         let flow = crate::flow::FlowOptions::testable().with_lifetimes(bench.lifetime_options);
         let ma = assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
-        let cache = FlowCache::new(
+        let mut cache = FlowCache::new(
             &bench.dfg,
             &bench.schedule,
             bench.lifetime_options,
@@ -973,19 +930,20 @@ mod tests {
     #[test]
     fn stage_cache_fifo_eviction_is_bounded() {
         let mut c: StageCache<u32> = StageCache::new(2);
-        c.insert(1, 10);
-        c.insert(2, 20);
-        c.insert(3, 30); // evicts key 1
+        assert_eq!(c.get_or_compute(1, || 10), 10);
+        assert_eq!(c.get_or_compute(2, || 20), 20);
+        assert_eq!(c.get_or_compute(3, || 30), 30); // evicts key 1
         assert_eq!(c.map.len(), 2);
-        assert_eq!(c.lookup(1), None);
-        assert_eq!(c.lookup(2), Some(20));
-        assert_eq!(c.lookup(3), Some(30));
+        // A cached key is never recomputed.
+        assert_eq!(c.get_or_compute(2, || 99), 20);
+        assert_eq!(c.get_or_compute(3, || 99), 30);
         assert_eq!(c.stats.evictions, 1);
         assert_eq!(c.stats.hits, 2);
-        assert_eq!(c.stats.misses, 1);
-        // Re-inserting an existing key is a no-op (racing workers).
-        c.insert(2, 99);
-        assert_eq!(c.lookup(2), Some(20));
+        assert_eq!(c.stats.misses, 3);
+        // The evicted key computes afresh, evicting the next oldest.
+        assert_eq!(c.get_or_compute(1, || 11), 11);
+        assert_eq!(c.stats.evictions, 2);
+        assert!(!c.map.contains_key(&2));
     }
 
     #[test]

@@ -1,25 +1,17 @@
-//! Parallel drivers for the simulated-annealing register search.
+//! The multi-chain driver for the simulated-annealing register search.
 //!
-//! Two orthogonal axes of parallelism, both with a guaranteed
-//! deterministic outcome:
-//!
-//! * [`anneal_parallel`] — one annealing chain whose speculative
-//!   candidate batches ([`AnnealConfig::batch`]) are evaluated on the
-//!   engine thread pool via [`PoolEvaluator`]. The core's
-//!   sequential-acceptance replay makes the committed trajectory
-//!   byte-identical to the serial annealer for any worker count.
-//! * [`anneal_multichain`] — N independent chains (seeds derived
-//!   deterministically from the base seed; chain 0 keeps it verbatim, so
-//!   one chain reproduces the serial run) drained over the pool, merged
-//!   by a deterministic best-of rule: lowest overhead, ties to the
-//!   lowest chain index.
+//! [`anneal_multichain`] runs N independent chains (seeds derived
+//! deterministically from the base seed; chain 0 keeps it verbatim, so
+//! one chain is the serial run) over the engine thread pool and merges
+//! them by a deterministic best-of rule: lowest overhead, ties to the
+//! lowest chain index. Each chain is one serial
+//! `lobist_alloc::anneal::anneal_registers` walk that owns its cost
+//! oracle, so the result — counters included — is the same for any
+//! worker count, and no worker evaluates a move that is thrown away.
 
 use std::time::{Duration, Instant};
 
-use lobist_alloc::anneal::{
-    anneal_registers_with, AnnealConfig, AnnealResult, BatchEvaluator, Coloring, CostOracle,
-    SerialEvaluator,
-};
+use lobist_alloc::anneal::{anneal_registers, AnnealConfig, AnnealResult};
 use lobist_alloc::flow::{FlowError, FlowOptions};
 use lobist_datapath::ModuleAssignment;
 use lobist_dfg::lifetime::LifetimeOptions;
@@ -27,38 +19,16 @@ use lobist_dfg::{Dfg, Schedule};
 
 use crate::pool;
 
-/// Evaluates speculative candidate batches on the engine thread pool.
-/// All workers feed the one shared [`CostOracle`] cache; results come
-/// back in submission order, so replay sees exactly what the serial
-/// evaluator would.
-pub struct PoolEvaluator {
-    /// Worker threads for batch evaluation (≤ 1 degrades to in-thread).
-    pub workers: usize,
-}
-
-impl BatchEvaluator for PoolEvaluator {
-    fn evaluate(&self, oracle: &CostOracle<'_>, trials: &[Coloring]) -> Vec<Result<u64, FlowError>> {
-        if self.workers <= 1 || trials.len() <= 1 {
-            return trials.iter().map(|t| oracle.cost(t)).collect();
-        }
-        let tasks: Vec<_> = trials.iter().map(|t| move || oracle.cost(t)).collect();
-        let (results, _) = pool::run_jobs(self.workers, tasks);
-        results
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|m| panic!("anneal cost evaluation panicked: {m}")))
-            .collect()
-    }
-}
-
-/// What a parallel annealing run observed (alongside the
-/// [`AnnealResult`] itself).
+/// What an annealing run observed (alongside the [`AnnealResult`]
+/// itself).
 #[derive(Debug, Clone)]
 pub struct AnnealStats {
     /// Wall time of the whole run.
     pub wall: Duration,
-    /// Worker threads requested.
+    /// Worker threads the run used: the requested count, capped at one
+    /// per chain.
     pub workers: usize,
-    /// Chains run (1 for [`anneal_parallel`]).
+    /// Chains run.
     pub chains: usize,
     /// Every chain's best overhead, in chain order.
     pub chain_overheads: Vec<u64>,
@@ -67,8 +37,8 @@ pub struct AnnealStats {
 }
 
 impl AnnealStats {
-    /// Committed-trajectory move throughput (evaluated moves per
-    /// second of wall time), the headline number of the PR's bench.
+    /// Move throughput of the winning chain (evaluated moves per second
+    /// of the run's wall time).
     pub fn moves_per_sec(&self, result: &AnnealResult) -> f64 {
         let secs = self.wall.as_secs_f64();
         if secs <= 0.0 {
@@ -79,36 +49,6 @@ impl AnnealStats {
     }
 }
 
-/// One annealing chain with pool-backed speculative batch evaluation.
-/// Byte-identical to `lobist_alloc::anneal::anneal_registers` for every
-/// `workers` and `config.batch` value.
-///
-/// # Errors
-///
-/// Returns the real [`FlowError`] if the initial coloring cannot be
-/// synthesized and solved.
-pub fn anneal_parallel(
-    dfg: &Dfg,
-    schedule: &Schedule,
-    lt_opts: LifetimeOptions,
-    ma: &ModuleAssignment,
-    flow: &FlowOptions,
-    config: &AnnealConfig,
-    workers: usize,
-) -> Result<(AnnealResult, AnnealStats), FlowError> {
-    let start = Instant::now();
-    let evaluator = PoolEvaluator { workers };
-    let result = anneal_registers_with(dfg, schedule, lt_opts, ma, flow, config, &evaluator)?;
-    let stats = AnnealStats {
-        wall: start.elapsed(),
-        workers,
-        chains: 1,
-        chain_overheads: vec![result.overhead],
-        best_chain: 0,
-    };
-    Ok((result, stats))
-}
-
 /// Derives chain `i`'s seed. Chain 0 keeps the base seed verbatim so a
 /// one-chain run reproduces the serial annealer exactly.
 fn chain_seed(base: u64, chain: usize) -> u64 {
@@ -117,8 +57,8 @@ fn chain_seed(base: u64, chain: usize) -> u64 {
 
 /// Runs `chains` independent annealing chains across the pool and keeps
 /// the deterministic best: lowest overhead, ties to the lowest chain
-/// index. Each chain evaluates serially (the parallelism is across
-/// chains), so the merge is reproducible for any worker count.
+/// index. Each chain is serial (the parallelism is across chains), so
+/// the merge is reproducible for any worker count.
 ///
 /// # Errors
 ///
@@ -142,13 +82,14 @@ pub fn anneal_multichain(
 ) -> Result<(AnnealResult, AnnealStats), FlowError> {
     assert!(chains >= 1, "need at least one chain");
     let start = Instant::now();
+    let workers = workers.clamp(1, chains);
     let tasks: Vec<_> = (0..chains)
         .map(|i| {
             let cfg = AnnealConfig { seed: chain_seed(config.seed, i), ..*config };
-            move || anneal_registers_with(dfg, schedule, lt_opts, ma, flow, &cfg, &SerialEvaluator)
+            move || anneal_registers(dfg, schedule, lt_opts, ma, flow, &cfg)
         })
         .collect();
-    let (outcomes, _) = pool::run_jobs(workers.max(1), tasks);
+    let (outcomes, _) = pool::run_jobs(workers, tasks);
     let mut results = Vec::with_capacity(chains);
     for outcome in outcomes {
         results.push(outcome.unwrap_or_else(|m| panic!("anneal chain panicked: {m}"))?);
@@ -179,7 +120,7 @@ mod tests {
     use lobist_dfg::benchmarks;
 
     fn quick_config() -> AnnealConfig {
-        AnnealConfig { iterations: 60, batch: 8, ..Default::default() }
+        AnnealConfig { iterations: 60, ..Default::default() }
     }
 
     #[test]

@@ -26,10 +26,10 @@
 //!   deterministic merge (and optional structural fault collapsing),
 //!   plus [`fault_sim_modules`], the per-module BIST session driver
 //!   that answers repeated sessions from the engine's session memo;
-//! * [`anneal`] — parallel drivers for the simulated-annealing register
-//!   search of `lobist_alloc::anneal`: pool-backed speculative batch
-//!   evaluation (byte-identical to the serial chain) and a multi-chain
-//!   best-of sweep;
+//! * [`anneal`] — the multi-chain driver for the simulated-annealing
+//!   register search of `lobist_alloc::anneal`: independent serial
+//!   chains over the pool, merged best-of, identical for any worker
+//!   count;
 //! * [`lint`] — the static-verifier passes of `lobist_lint`, one pool
 //!   task per pass, merged into a report that is byte-identical for any
 //!   worker count, with per-pass timing histograms in the metrics;
@@ -53,7 +53,7 @@ pub mod spec;
 mod explore;
 
 pub use analyze::{analyze_parallel, AnalyzeRunStats};
-pub use anneal::{anneal_multichain, anneal_parallel, AnnealStats, PoolEvaluator};
+pub use anneal::{anneal_multichain, AnnealStats};
 pub use cache::{
     canonical_job_key, failure_key, origin_fingerprint, JobResult, ResultCache,
     DEFAULT_CACHE_CAPACITY,

@@ -92,7 +92,6 @@ const TABLE: &[(&str, Kind)] = &[
     ("anneal.moves_evaluated", Count),
     ("anneal.moves_accepted", Count),
     ("anneal.stalls", Count),
-    ("anneal.speculative_waste", Count),
     ("anneal.oracle_hits", Count),
     ("anneal.oracle_misses", Count),
     ("anneal.oracle_hit_rate", Ratio("oracle_hits", &["oracle_hits", "oracle_misses"])),
@@ -387,7 +386,6 @@ impl Metrics {
         self.add(metric!("anneal.moves_evaluated"), result.evaluated.into());
         self.add(metric!("anneal.moves_accepted"), result.accepted.into());
         self.add(metric!("anneal.stalls"), result.stalled.into());
-        self.add(metric!("anneal.speculative_waste"), result.wasted.into());
         self.add(metric!("anneal.oracle_hits"), result.oracle_hits);
         self.add(metric!("anneal.oracle_misses"), result.oracle_misses);
         self.add_time(metric!("anneal.wall_micros"), stats.wall);

@@ -2,7 +2,7 @@
 //!
 //! The CLI (`lobist synth d.dfg --modules 1+,1* --width 16`) and the
 //! daemon (`{"cmd":"synth","design":…,"modules":"1+,1*","width":16}`)
-//! accept the same twelve job fields. [`JobSpec`] is the one place that
+//! accept the same eleven job fields. [`JobSpec`] is the one place that
 //! defines them: each field's default, the values it accepts
 //! ([`JobSpec::set`], the checked way in for outside input), and the
 //! drivers both surfaces run on a checked spec — the flow options, the
@@ -21,7 +21,7 @@ use lobist_dfg::parse::{parse_dfg, parse_unscheduled_dfg, ParseDfgError};
 use lobist_dfg::scheduling::{list_schedule, ListScheduleError};
 use lobist_dfg::{Dfg, Schedule};
 
-use crate::anneal::{anneal_multichain, anneal_parallel, AnnealStats};
+use crate::anneal::{anneal_multichain, AnnealStats};
 use crate::faultsim::{FaultSimOptions, LaneSelect, SessionWidth};
 
 /// The most annealing chains one job may ask for. Every chain is a pool
@@ -84,7 +84,7 @@ const fn field(key: &'static str, kind: Kind, what: &'static str, expects: &'sta
 
 /// Every job field, in protocol order.
 #[rustfmt::skip]
-pub const FIELDS: [Field; 12] = [
+pub const FIELDS: [Field; 11] = [
     field("modules", Kind::Text, "bad module set", "a string"),
     field("candidates", Kind::Text, "bad candidate list", "a string"),
     field("flow", Kind::Text, "unknown flow", "testable | traditional"),
@@ -95,7 +95,6 @@ pub const FIELDS: [Field; 12] = [
     field("lanes", Kind::Text, "bad lane width", LaneSelect::EXPECTED),
     field("iterations", Kind::Int, "bad iteration count", "0..=4294967295"),
     field("seed", Kind::Int, "bad seed", "a non-negative integer"),
-    field("batch", Kind::Int, "bad batch size", "1..=4294967295"),
     field("chains", Kind::Int, "bad chain count", "1..=256"),
 ];
 
@@ -136,8 +135,6 @@ pub struct JobSpec {
     pub iterations: Option<u32>,
     /// Annealing seed (default `0xA11EA1`).
     pub seed: Option<u64>,
-    /// Annealing speculative batch size (default 16).
-    pub batch: Option<u32>,
     /// Annealing chains (default 1).
     pub chains: Option<usize>,
 }
@@ -155,7 +152,6 @@ impl Default for JobSpec {
             lanes: LaneSelect::Auto,
             iterations: None,
             seed: None,
-            batch: None,
             chains: None,
         }
     }
@@ -183,7 +179,6 @@ impl JobSpec {
             ("lanes", Int(n)) => self.lanes = LaneSelect::parse(&n.to_string()).ok_or(field)?,
             ("iterations", Int(n)) => self.iterations = Some(u32::try_from(n).map_err(|_| field)?),
             ("seed", Int(n)) => self.seed = Some(n),
-            ("batch", Int(n @ 1..)) => self.batch = Some(u32::try_from(n).map_err(|_| field)?),
             ("chains", Int(n)) if (1..=MAX_CHAINS as u64).contains(&n) => {
                 self.chains = Some(n as usize);
             }
@@ -210,7 +205,6 @@ impl JobSpec {
             ("lanes", Some(lanes)),
             ("iterations", self.iterations.map(|n| Value::Int(n.into()))),
             ("seed", self.seed.map(Value::Int)),
-            ("batch", self.batch.map(|n| Value::Int(n.into()))),
             ("chains", self.chains.map(|n| Value::Int(n as u64))),
         ]
         .into_iter()
@@ -257,11 +251,10 @@ impl JobSpec {
         ))
     }
 
-    /// Runs the annealing register search on a scheduled design: one
-    /// chain with pool-backed speculative batches, or several serial
-    /// chains across the pool with a deterministic best-of merge.
-    /// Either way the result is byte-identical for any `workers`.
-    /// Returns the configuration it ran with, the result and the run's
+    /// Runs the annealing register search on a scheduled design: the
+    /// spec's serial chains across at most `workers` threads, merged
+    /// best-of. The result is byte-identical for any `workers`. Returns
+    /// the configuration it ran with, the result and the run's
     /// statistics.
     ///
     /// # Errors
@@ -280,14 +273,12 @@ impl JobSpec {
         let config = AnnealConfig {
             iterations: self.iterations.unwrap_or(400),
             seed: self.seed.unwrap_or(0xA11EA1),
-            batch: self.batch.unwrap_or(16),
             ..Default::default()
         };
+        let chains = self.chains.unwrap_or(1);
         let lt = flow.lifetime_options;
-        let (result, stats) = match self.chains.unwrap_or(1) {
-            1 => anneal_parallel(dfg, schedule, lt, &ma, &flow, &config, workers)?,
-            chains => anneal_multichain(dfg, schedule, lt, &ma, &flow, &config, chains, workers)?,
-        };
+        let (result, stats) =
+            anneal_multichain(dfg, schedule, lt, &ma, &flow, &config, chains, workers)?;
         Ok((config, result, stats))
     }
 }
@@ -374,7 +365,6 @@ mod tests {
             ("jobs", Value::Int(0)),
             ("lanes", Value::Int(512)),
             ("iterations", Value::Int(u64::from(u32::MAX) + 2)),
-            ("batch", Value::Int(0)),
             ("chains", Value::Int(0)),
             ("chains", Value::Int(MAX_CHAINS as u64 + 1)),
             ("seed", Value::Text("0x1")),

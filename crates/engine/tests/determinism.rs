@@ -108,23 +108,39 @@ fn repeated_sweep_hits_the_cache_with_identical_results() {
 }
 
 mod anneal_identity {
-    use lobist_alloc::anneal::{anneal_registers, AnnealConfig};
+    use lobist_alloc::anneal::{anneal_registers, AnnealConfig, AnnealResult};
     use lobist_alloc::flow::FlowOptions;
+    use lobist_alloc::flowcache::StageStats;
     use lobist_alloc::module_assign::assign_modules;
     use lobist_dfg::benchmarks::{self, Benchmark};
-    use lobist_engine::{anneal_multichain, anneal_parallel};
+    use lobist_engine::anneal_multichain;
 
     fn suite() -> Vec<Benchmark> {
         vec![benchmarks::ex1(), benchmarks::paulin()]
     }
 
+    /// A run's work counters: oracle hits and misses, then the flow
+    /// cache's stage stats, warm starts and incremental evaluations
+    /// (its timing histograms carry wall-clock buckets, so only their
+    /// sample count is compared).
+    fn work(r: &AnnealResult) -> (u64, u64, [StageStats; 3], u64, u64) {
+        let fc = &r.flow_cache;
+        (
+            r.oracle_hits,
+            r.oracle_misses,
+            [fc.interconnect, fc.embeddings, fc.selection],
+            fc.warm_starts,
+            fc.delta_micros.iter().sum(),
+        )
+    }
+
     #[test]
-    fn pool_backed_batches_are_byte_identical_to_serial() {
+    fn one_chain_is_byte_identical_to_serial() {
         for bench in suite() {
             let flow = FlowOptions::testable().with_lifetimes(bench.lifetime_options);
             let ma = assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation)
                 .expect("module assignment");
-            let base = AnnealConfig {
+            let config = AnnealConfig {
                 iterations: 80,
                 ..Default::default()
             };
@@ -134,29 +150,34 @@ mod anneal_identity {
                 bench.lifetime_options,
                 &ma,
                 &flow,
-                &base,
+                &config,
             )
             .expect("serial anneal");
             for workers in [1, 2, 8] {
-                for batch in [1, 4, 16] {
-                    let config = AnnealConfig { batch, ..base };
-                    let (parallel, _) = anneal_parallel(
-                        &bench.dfg,
-                        &bench.schedule,
-                        bench.lifetime_options,
-                        &ma,
-                        &flow,
-                        &config,
-                        workers,
-                    )
-                    .expect("parallel anneal");
-                    assert_eq!(
-                        serial.fingerprint(),
-                        parallel.fingerprint(),
-                        "{}: trajectory differs at workers={workers} batch={batch}",
-                        bench.name
-                    );
-                }
+                let (chain, stats) = anneal_multichain(
+                    &bench.dfg,
+                    &bench.schedule,
+                    bench.lifetime_options,
+                    &ma,
+                    &flow,
+                    &config,
+                    1,
+                    workers,
+                )
+                .expect("one-chain anneal");
+                assert_eq!(
+                    serial.fingerprint(),
+                    chain.fingerprint(),
+                    "{}: trajectory differs at workers={workers}",
+                    bench.name
+                );
+                assert_eq!(
+                    work(&serial),
+                    work(&chain),
+                    "{}: counters differ at workers={workers}",
+                    bench.name
+                );
+                assert_eq!(stats.workers, 1, "{}: one chain uses one thread", bench.name);
             }
         }
     }
@@ -198,6 +219,12 @@ mod anneal_identity {
                     reference.0.fingerprint(),
                     run.fingerprint(),
                     "{}: best-of differs at {workers} workers",
+                    bench.name
+                );
+                assert_eq!(
+                    work(&reference.0),
+                    work(&run),
+                    "{}: counters differ at {workers} workers",
                     bench.name
                 );
                 assert_eq!(

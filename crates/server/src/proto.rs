@@ -202,8 +202,6 @@ mod tests {
                 r#"{"cmd":"anneal","iterations":4294967297}"#,
                 "`iterations`",
             ),
-            (r#"{"cmd":"anneal","batch":4294967297}"#, "`batch`"),
-            (r#"{"cmd":"anneal","batch":0}"#, "`batch`"),
             (r#"{"cmd":"anneal","chains":0}"#, "`chains`"),
             (r#"{"cmd":"anneal","chains":1000000000000000}"#, "`chains`"),
             (r#"{"cmd":"synth","repair":"yes"}"#, "`repair`"),

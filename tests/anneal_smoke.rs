@@ -1,13 +1,27 @@
 //! Quick-mode smoke test for the annealing search engine: a small
 //! iteration budget on one paper benchmark, exercising the memoized
-//! oracle, the speculative batch replay and the multi-chain driver
-//! end to end. Kept fast enough for the tier-1 `cargo test -q` gate.
+//! oracle and the multi-chain driver end to end. Kept fast enough for
+//! the tier-1 `cargo test -q` gate.
 
-use lobist::alloc::anneal::{anneal_registers, AnnealConfig};
+use lobist::alloc::anneal::{anneal_registers, AnnealConfig, AnnealResult};
 use lobist::alloc::flow::FlowOptions;
+use lobist::alloc::flowcache::StageStats;
 use lobist::alloc::module_assign::assign_modules;
 use lobist::dfg::benchmarks;
-use lobist::engine::{anneal_multichain, anneal_parallel};
+use lobist::engine::anneal_multichain;
+
+/// A run's work counters (the flow cache's timing histograms are
+/// wall-clock, so only their sample count is compared).
+fn work(r: &AnnealResult) -> (u64, u64, [StageStats; 3], u64, u64) {
+    let fc = &r.flow_cache;
+    (
+        r.oracle_hits,
+        r.oracle_misses,
+        [fc.interconnect, fc.embeddings, fc.selection],
+        fc.warm_starts,
+        fc.delta_micros.iter().sum(),
+    )
+}
 
 #[test]
 fn quick_anneal_smoke() {
@@ -15,7 +29,7 @@ fn quick_anneal_smoke() {
     let flow = FlowOptions::testable().with_lifetimes(bench.lifetime_options);
     let ma = assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation)
         .expect("module assignment");
-    let config = AnnealConfig { iterations: 40, batch: 8, ..Default::default() };
+    let config = AnnealConfig { iterations: 40, ..Default::default() };
 
     let serial = anneal_registers(
         &bench.dfg,
@@ -29,18 +43,22 @@ fn quick_anneal_smoke() {
     assert!(serial.overhead <= serial.initial_overhead);
     assert_eq!(serial.evaluated + serial.stalled, config.iterations);
 
-    let (parallel, stats) = anneal_parallel(
-        &bench.dfg,
-        &bench.schedule,
-        bench.lifetime_options,
-        &ma,
-        &flow,
-        &config,
-        2,
-    )
-    .expect("parallel anneal");
-    assert_eq!(serial.fingerprint(), parallel.fingerprint());
-    assert_eq!(stats.chains, 1);
+    for workers in [1, 2, 8] {
+        let (chain, stats) = anneal_multichain(
+            &bench.dfg,
+            &bench.schedule,
+            bench.lifetime_options,
+            &ma,
+            &flow,
+            &config,
+            1,
+            workers,
+        )
+        .expect("one-chain anneal");
+        assert_eq!(serial.fingerprint(), chain.fingerprint(), "workers={workers}");
+        assert_eq!(work(&serial), work(&chain), "workers={workers}");
+        assert_eq!(stats.chains, 1);
+    }
 
     let (multi, mstats) = anneal_multichain(
         &bench.dfg,

@@ -15,7 +15,7 @@ use lobist::alloc::flow::synthesize;
 use lobist::dfg::modules::ModuleSet;
 use lobist::dfg::{Dfg, Schedule};
 use lobist::engine::{
-    analyze_parallel, anneal_parallel, fault_sim_modules, lint_parallel, load_design, Engine,
+    analyze_parallel, anneal_multichain, fault_sim_modules, lint_parallel, load_design, Engine,
     Job, JobSpec,
 };
 use lobist::lint::{LintUnit, PassRegistry};
@@ -106,7 +106,7 @@ fn workload_metrics_golden() {
         ..Default::default()
     };
     let (result, stats) =
-        anneal_parallel(&dfg, &schedule, flow.lifetime_options, &ma, &flow, &config, 1)
+        anneal_multichain(&dfg, &schedule, flow.lifetime_options, &ma, &flow, &config, 1, 1)
             .expect("anneals");
     engine.metrics_handle().record_anneal(&result, &stats);
     golden::check(&golden_path("workloads"), &engine.metrics().to_json());
