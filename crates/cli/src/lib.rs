@@ -1188,7 +1188,9 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     .map_or_else(|| "null".to_owned(), |a| format!("\"{a}\""));
                 let unix = server
                     .unix_path()
-                    .map_or_else(|| "null".to_owned(), |p| format!("\"{}\"", p.display()));
+                    .map_or_else(|| "null".to_owned(), |p| {
+                        format!("\"{}\"", lobist_server::json::escape(&p.display().to_string()))
+                    });
                 let mut stdout = std::io::stdout().lock();
                 let _ = writeln!(
                     stdout,

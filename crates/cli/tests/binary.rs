@@ -2,6 +2,8 @@
 
 use std::process::Command;
 
+use lobist_server::json::Json;
+
 #[test]
 fn binary_runs_the_suite() {
     let out = Command::new(env!("CARGO_BIN_EXE_lobist"))
@@ -151,4 +153,32 @@ fn binary_synthesizes_a_huge_step_and_rejects_the_last_one() {
         String::from_utf8_lossy(&out.stderr).contains("largest supported"),
         "{out:?}"
     );
+}
+
+#[test]
+fn binary_progress_labels_are_json_for_any_file_name() {
+    // A zero-width space in the file name: Rust's `{:?}` writes it as
+    // `\u{200b}`, which no JSON parser accepts.
+    let dir = std::env::temp_dir().join("lobist_bin_progress");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("ex1\u{200b}.dfg");
+    std::fs::write(&path, "input a b\ny = a + b @ 1\noutput y\n").expect("write");
+    let p = path.to_str().expect("utf8");
+    // The repeat is a cache hit, so both job-event shapes are checked.
+    let out = Command::new(env!("CARGO_BIN_EXE_lobist"))
+        .args(["batch", p, p, "--modules", "1+", "--jobs", "1", "--progress"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8(out.stdout).expect("utf8 output");
+    let labels: Vec<String> = text
+        .lines()
+        .filter(|l| l.starts_with("{\"event\":\"job\""))
+        .map(|l| {
+            let event = Json::parse(l).unwrap_or_else(|e| panic!("{l}: {e}"));
+            event.get("label").and_then(Json::as_str).expect("a label").to_owned()
+        })
+        .collect();
+    assert_eq!(labels, [p, p], "{text}");
+    assert!(text.contains("\"cache_hit\":true"), "{text}");
 }

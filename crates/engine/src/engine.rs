@@ -11,6 +11,7 @@ use lobist_alloc::flow::{FlowOptions, StageTimings};
 use lobist_alloc::work::SearchWork;
 use lobist_dfg::canon::canonize;
 use lobist_dfg::Dfg;
+use lobist_lint::json_escape;
 
 use lobist_store::{ResultStore, StoredResult};
 
@@ -293,8 +294,8 @@ impl Engine {
                     self.metrics.add(metric!("jobs.completed"), 1);
                     self.metrics.add(metric!("jobs.panicked"), 1);
                     self.emit(&format!(
-                        "{{\"event\":\"job\",\"index\":{i},\"label\":{:?},\"panicked\":true}}",
-                        label
+                        "{{\"event\":\"job\",\"index\":{i},\"label\":\"{}\",\"panicked\":true}}",
+                        json_escape(&label)
                     ));
                     JobOutcome {
                         result: Err((label.clone(), format!("job panicked: {panic_msg}"))),
@@ -370,11 +371,11 @@ impl Engine {
                 self.metrics.add(metric!("cache.hits"), 1);
                 self.emit(&format!(
                     concat!(
-                        "{{\"event\":\"job\",\"index\":{index},\"label\":{label:?},",
+                        "{{\"event\":\"job\",\"index\":{index},\"label\":\"{label}\",",
                         "\"cache_hit\":true,\"iso\":{iso},\"ok\":{ok}}}"
                     ),
                     index = index,
-                    label = job.label,
+                    label = json_escape(&job.label),
                     iso = iso_hit,
                     ok = result.is_ok()
                 ));
@@ -399,11 +400,11 @@ impl Engine {
                     self.metrics.add(metric!("cache.misses"), 1);
                     self.emit(&format!(
                         concat!(
-                            "{{\"event\":\"job\",\"index\":{index},\"label\":{label:?},",
+                            "{{\"event\":\"job\",\"index\":{index},\"label\":\"{label}\",",
                             "\"cache_hit\":false,\"store_hit\":true,\"iso\":{iso},\"ok\":{ok}}}"
                         ),
                         index = index,
-                        label = job.label,
+                        label = json_escape(&job.label),
                         iso = iso_hit,
                         ok = result.is_ok()
                     ));
@@ -485,8 +486,8 @@ impl Engine {
             self.metrics.record(key, took);
         }
         self.emit(&format!(
-            "{{\"event\":\"job\",\"index\":{index},\"label\":{:?},\"cache_hit\":false,\"ok\":{},\"micros\":{}}}",
-            job.label,
+            "{{\"event\":\"job\",\"index\":{index},\"label\":\"{}\",\"cache_hit\":false,\"ok\":{},\"micros\":{}}}",
+            json_escape(&job.label),
             result.is_ok(),
             timings.total().as_micros()
         ));

@@ -399,7 +399,12 @@ impl Report {
     }
 }
 
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for embedding inside a JSON string literal: quote,
+/// backslash, `\n`, `\t` and `\r` get their short escapes, every other
+/// control character a `\uXXXX` escape, and everything else passes
+/// through. Lint reports, the engine's progress events and the daemon
+/// protocol all escape with it.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -407,6 +412,7 @@ fn json_escape(s: &str) -> String {
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }

@@ -66,7 +66,7 @@ pub use analysis::{
     FaultScore, FixpointScratch, ReachReport, TestabilityReport, RANDOM_PATTERN_BUDGET,
 };
 pub use context::LintUnit;
-pub use diag::{Code, Diagnostic, LintPolicy, Report, Severity, Span, ALL_CODES};
+pub use diag::{json_escape, Code, Diagnostic, LintPolicy, Report, Severity, Span, ALL_CODES};
 pub use registry::{LintScratch, Pass, PassRegistry};
 pub use structural::{lint_network, NetworkInterface};
 

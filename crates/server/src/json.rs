@@ -268,24 +268,10 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-/// Escapes `s` for embedding inside a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Escapes `s` for embedding inside a JSON string literal (the
+/// workspace's one escaper, shared with lint reports and the engine's
+/// progress events).
+pub use lobist_lint::json_escape as escape;
 
 #[cfg(test)]
 mod tests {
@@ -327,7 +313,7 @@ mod tests {
 
     #[test]
     fn escape_round_trips_through_parse() {
-        let original = "line1\nline2\t\"quoted\" \\slash\u{1}";
+        let original = "line1\nline2\t\"quoted\" \\slash\u{1}\r\u{1b}\u{200b}";
         let wrapped = format!("{{\"s\":\"{}\"}}", escape(original));
         let v = Json::parse(&wrapped).expect("escaped text parses");
         assert_eq!(v.get("s").and_then(Json::as_str), Some(original));

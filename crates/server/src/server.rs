@@ -26,6 +26,7 @@ use lobist_engine::{metric, Engine};
 use lobist_store::{DiskStore, DiskStoreConfig, ResultStore};
 
 use crate::exec;
+use crate::json::escape;
 use crate::proto::{parse_request, Command, Request};
 
 /// How long a handler blocks on a read before re-checking the shutdown
@@ -479,8 +480,8 @@ fn serve_request(line: &str, out: &mut Conn, shared: &Arc<Shared>) -> std::io::R
             emit(
                 out,
                 &format!(
-                    "{{\"event\":\"error\",\"id\":{id},\"message\":{:?}}}",
-                    message
+                    "{{\"event\":\"error\",\"id\":{id},\"message\":\"{}\"}}",
+                    escape(&message)
                 ),
             )?;
             return Ok(true);
@@ -547,7 +548,10 @@ fn serve_job(
             metrics.add(metric!("server.rejected"), 1);
             return emit(
                 out,
-                &format!("{{\"event\":\"error\",\"id\":{id},\"message\":{reason:?}}}"),
+                &format!(
+                    "{{\"event\":\"error\",\"id\":{id},\"message\":\"{}\"}}",
+                    escape(&reason)
+                ),
             );
         }
     };
@@ -586,7 +590,10 @@ fn serve_job(
         Err(message) => {
             emit(
                 out,
-                &format!("{{\"event\":\"error\",\"id\":{id},\"message\":{message:?}}}"),
+                &format!(
+                    "{{\"event\":\"error\",\"id\":{id},\"message\":\"{}\"}}",
+                    escape(&message)
+                ),
             )?;
             metrics.add(metric!("server.failed"), 1);
         }

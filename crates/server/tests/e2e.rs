@@ -5,6 +5,7 @@
 
 use std::path::PathBuf;
 
+use lobist_server::json::Json;
 use lobist_server::{client, Endpoint, Server, ServerConfig};
 
 const DESIGN: &str = "input a b c d\n\
@@ -624,6 +625,34 @@ fn daemon_metrics_golden() {
     golden::check(
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/goldens/metrics/daemon.json"),
         event(&metrics, "metrics"),
+    );
+    shutdown(&endpoint);
+    thread.join().expect("run thread").expect("clean shutdown");
+}
+
+/// The `message` of a daemon event line, which must parse as JSON.
+fn message(line: &str) -> String {
+    let event = Json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+    event.get("message").and_then(Json::as_str).expect("a message").to_owned()
+}
+
+#[test]
+fn error_events_are_json_for_any_message_text() {
+    let (endpoint, thread) = start(ServerConfig::default());
+    // An escape character in the command name: Rust's `{:?}` writes it
+    // as `\u{1b}`, which no JSON parser accepts.
+    let events = client::submit(&endpoint, r#"{"cmd":"\u001bx"}"#).expect("submit");
+    assert_eq!(message(event(&events, "error")), "unknown command `\u{1b}x`");
+    // A result name ending in a zero-width space (`\u{200b}` under `{:?}`).
+    let design = "input a b\nx\u{200b} = a + b @ 1\noutput x\u{200b}\n";
+    let line = format!(
+        r#"{{"cmd":"synth","design":"{}","modules":"1+"}}"#,
+        lobist_server::json::escape(design)
+    );
+    let events = client::submit(&endpoint, &line).expect("submit");
+    assert_eq!(
+        message(event(&events, "error")),
+        "design: line 2: bad result name `x\u{200b}`"
     );
     shutdown(&endpoint);
     thread.join().expect("run thread").expect("clean shutdown");
