@@ -40,7 +40,10 @@ fn bench_chain(c: &mut Criterion, group: &str, id: &str, bench: &Benchmark, cfg:
 }
 
 fn bench_serial_oracle(c: &mut Criterion) {
-    let cfg = AnnealConfig { iterations: 400, ..Default::default() };
+    let cfg = AnnealConfig {
+        iterations: 400,
+        ..Default::default()
+    };
     for bench in [benchmarks::ex1(), benchmarks::paulin()] {
         bench_chain(c, "anneal_serial", "memoized_after", &bench, &cfg);
     }

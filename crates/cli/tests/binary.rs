@@ -166,7 +166,16 @@ fn binary_progress_labels_are_json_for_any_file_name() {
     let p = path.to_str().expect("utf8");
     // The repeat is a cache hit, so both job-event shapes are checked.
     let out = Command::new(env!("CARGO_BIN_EXE_lobist"))
-        .args(["batch", p, p, "--modules", "1+", "--jobs", "1", "--progress"])
+        .args([
+            "batch",
+            p,
+            p,
+            "--modules",
+            "1+",
+            "--jobs",
+            "1",
+            "--progress",
+        ])
         .output()
         .expect("binary runs");
     assert!(out.status.success(), "{out:?}");
@@ -176,7 +185,11 @@ fn binary_progress_labels_are_json_for_any_file_name() {
         .filter(|l| l.starts_with("{\"event\":\"job\""))
         .map(|l| {
             let event = Json::parse(l).unwrap_or_else(|e| panic!("{l}: {e}"));
-            event.get("label").and_then(Json::as_str).expect("a label").to_owned()
+            event
+                .get("label")
+                .and_then(Json::as_str)
+                .expect("a label")
+                .to_owned()
         })
         .collect();
     assert_eq!(labels, [p, p], "{text}");

@@ -318,8 +318,14 @@ pub fn anneal_registers(
     let steps = if movable { config.iterations } else { 0 };
     for _ in 0..steps {
         temperature *= config.cooling;
-        let (m, skips) =
-            propose(&classes, &reg_of, &reg_vars, &lifetimes, &mut move_rng, config.max_retries);
+        let (m, skips) = propose(
+            &classes,
+            &reg_of,
+            &reg_vars,
+            &lifetimes,
+            &mut move_rng,
+            config.max_retries,
+        );
         skipped += skips;
         let Some((v, from, to)) = m else {
             // A stall consumes the iteration, so the walk terminates.
@@ -454,7 +460,10 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!((a.oracle_hits, a.oracle_misses), (b.oracle_hits, b.oracle_misses));
+        assert_eq!(
+            (a.oracle_hits, a.oracle_misses),
+            (b.oracle_hits, b.oracle_misses)
+        );
     }
 
     #[test]

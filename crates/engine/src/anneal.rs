@@ -58,7 +58,9 @@ fn chain_seed(base: u64, chain: usize) -> u64 {
 /// Runs `chains` independent annealing chains across the pool and keeps
 /// the deterministic best: lowest overhead, ties to the lowest chain
 /// index. Each chain is serial (the parallelism is across chains), so
-/// the merge is reproducible for any worker count.
+/// the merge is reproducible for any worker count. The run uses
+/// `min(workers, chains)` threads; with one, the chains run in order on
+/// the calling thread.
 ///
 /// # Errors
 ///
@@ -83,17 +85,22 @@ pub fn anneal_multichain(
     assert!(chains >= 1, "need at least one chain");
     let start = Instant::now();
     let workers = workers.clamp(1, chains);
-    let tasks: Vec<_> = (0..chains)
-        .map(|i| {
-            let cfg = AnnealConfig { seed: chain_seed(config.seed, i), ..*config };
-            move || anneal_registers(dfg, schedule, lt_opts, ma, flow, &cfg)
-        })
-        .collect();
-    let (outcomes, _) = pool::run_jobs(workers, tasks);
-    let mut results = Vec::with_capacity(chains);
-    for outcome in outcomes {
-        results.push(outcome.unwrap_or_else(|m| panic!("anneal chain panicked: {m}"))?);
-    }
+    let chain = |i: usize| {
+        let cfg = AnnealConfig { seed: chain_seed(config.seed, i), ..*config };
+        anneal_registers(dfg, schedule, lt_opts, ma, flow, &cfg)
+    };
+    let mut results: Vec<AnnealResult> = if workers == 1 {
+        // The caller's thread is warm: a fresh worker thread costs a
+        // short chain (a few hundred µs) more than its moves do.
+        (0..chains).map(chain).collect::<Result<_, _>>()?
+    } else {
+        let tasks: Vec<_> = (0..chains).map(|i| move || chain(i)).collect();
+        let (outcomes, _) = pool::run_jobs(workers, tasks);
+        outcomes
+            .into_iter()
+            .map(|o| o.unwrap_or_else(|m| panic!("anneal chain panicked: {m}")))
+            .collect::<Result<_, _>>()?
+    };
     let chain_overheads: Vec<u64> = results.iter().map(|r| r.overhead).collect();
     let best_chain = chain_overheads
         .iter()
@@ -120,7 +127,10 @@ mod tests {
     use lobist_dfg::benchmarks;
 
     fn quick_config() -> AnnealConfig {
-        AnnealConfig { iterations: 60, ..Default::default() }
+        AnnealConfig {
+            iterations: 60,
+            ..Default::default()
+        }
     }
 
     #[test]

@@ -177,7 +177,11 @@ mod anneal_identity {
                     "{}: counters differ at workers={workers}",
                     bench.name
                 );
-                assert_eq!(stats.workers, 1, "{}: one chain uses one thread", bench.name);
+                assert_eq!(
+                    stats.workers, 1,
+                    "{}: one chain uses one thread",
+                    bench.name
+                );
             }
         }
     }

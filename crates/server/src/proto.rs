@@ -14,6 +14,10 @@
 //! {"cmd":"ping"}   {"cmd":"metrics"}   {"cmd":"shutdown"}
 //! ```
 //!
+//! A request's job fields are exactly [`FIELDS`], checked by
+//! [`JobSpec::set`]; keys outside them are ignored, so a field an older
+//! client still sends (such as the retired anneal `batch`) is harmless.
+//!
 //! The response is a stream of JSONL events, flushed per line:
 //! `accepted` (queue position), then `result` (the payload — rendered
 //! only from the job's result, so a store-served replay is
@@ -210,6 +214,21 @@ mod tests {
             let err = parse_request(line).expect_err(line);
             assert!(err.contains(needle), "{line}: {err}");
         }
+    }
+
+    #[test]
+    fn unknown_keys_are_ignored() {
+        // The anneal `batch` field was retired; an old client may still
+        // send it, even a value it once rejected.
+        let r = parse_request(r#"{"cmd":"anneal","batch":0,"chains":2}"#).expect("valid");
+        assert_eq!(r.cmd, Command::Anneal);
+        assert_eq!(
+            r.spec,
+            JobSpec {
+                chains: Some(2),
+                ..JobSpec::default()
+            }
+        );
     }
 
     #[test]

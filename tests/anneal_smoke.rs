@@ -29,7 +29,10 @@ fn quick_anneal_smoke() {
     let flow = FlowOptions::testable().with_lifetimes(bench.lifetime_options);
     let ma = assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation)
         .expect("module assignment");
-    let config = AnnealConfig { iterations: 40, ..Default::default() };
+    let config = AnnealConfig {
+        iterations: 40,
+        ..Default::default()
+    };
 
     let serial = anneal_registers(
         &bench.dfg,
@@ -55,7 +58,11 @@ fn quick_anneal_smoke() {
             workers,
         )
         .expect("one-chain anneal");
-        assert_eq!(serial.fingerprint(), chain.fingerprint(), "workers={workers}");
+        assert_eq!(
+            serial.fingerprint(),
+            chain.fingerprint(),
+            "workers={workers}"
+        );
         assert_eq!(work(&serial), work(&chain), "workers={workers}");
         assert_eq!(stats.chains, 1);
     }
