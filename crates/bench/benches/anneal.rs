@@ -50,8 +50,8 @@ fn bench_serial_oracle(c: &mut Criterion) {
 }
 
 /// The cold (converged) phase of fir(8), where one BIST solve costs
-/// ~170 µs: the configuration the removed speculative batches were
-/// measured on, kept so the serial chain's number stays comparable.
+/// ~170 µs; the same configuration as the `anneal_parallel` rows kept
+/// in BENCH_anneal.json, so the numbers stay comparable.
 fn bench_cold_chain(c: &mut Criterion) {
     let cfg = AnnealConfig {
         iterations: 120,

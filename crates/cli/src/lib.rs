@@ -170,9 +170,8 @@ OPTIONS:
   --out <DIR>       output directory for `corpus` (default
                     lobist-corpus)
   --jobs <N>        worker threads for `explore`/`batch`/`faultsim`/
-                    `lint` (default: all cores; at least 1); `anneal`
-                    runs its chains in parallel, one thread per chain
-                    at most
+                    `lint`, and for `anneal`'s chains, at most one per
+                    chain (default: all cores; at least 1)
   --tcp <ADDR>      daemon TCP address: listen address for `serve`
                     (default 127.0.0.1:7420 unless --unix is given),
                     connect address for `submit`
