@@ -3,13 +3,13 @@
 //! `coverage_256` is the headline case for the cone-limited differential
 //! simulator (before/after numbers live in `BENCH_gatesim.json` at the
 //! repo root); `faults_dropped` shows how the cost of one batch falls as
-//! detected faults leave the undetected list; the parallel cases
-//! exercise the engine's partitioned driver.
+//! detected faults leave the undetected list; `session_*8_parallel4`
+//! exercises the engine's partitioned session driver.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use lobist_dfg::OpKind;
-use lobist_engine::{bist_session_parallel, random_coverage_parallel, FaultSimOptions, LaneSelect};
+use lobist_engine::{bist_session_parallel, FaultSimOptions, LaneSelect};
 use lobist_gatesim::bist_mode::{run_session, SessionContext};
 use lobist_gatesim::collapse::collapse_faults;
 use lobist_gatesim::coverage::{
@@ -66,27 +66,6 @@ fn bench_fault_sim(c: &mut Criterion) {
             &patterns,
             |b, &patterns| b.iter(|| random_pattern_coverage(&net, patterns, 7)),
         );
-    }
-    // The engine's partitioned + collapsed path (byte-identical output).
-    // The pool spawns scoped threads per run, so parallelism only pays
-    // once the serial cost clears the spawn overhead — mul16 documents
-    // the break-even region, mul32 the win.
-    for width in [16u32, 32] {
-        for workers in [1usize, 4] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("coverage_256_parallel_mul{width}"), workers),
-                &workers,
-                |b, &workers| {
-                    let net = unit_for(OpKind::Mul, width);
-                    let opts = FaultSimOptions {
-                        workers,
-                        collapse: true,
-                        lanes: LaneSelect::Auto,
-                    };
-                    b.iter(|| random_coverage_parallel(&net, 256, 7, opts))
-                },
-            );
-        }
     }
     group.finish();
 }

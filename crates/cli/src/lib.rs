@@ -85,9 +85,9 @@ USAGE:
   lobist anneal <design.dfg> --modules <SET> [--iterations <N>] [--seed <S>]
                 [--chains <C>] [--jobs <N>] [--metrics] [OPTIONS]
   lobist lint <design.dfg> --modules <SET> [--deny <CODE|all>] [--allow <CODE>]
-              [--json] [--jobs <N>] [--metrics] [OPTIONS]
-  lobist analyze <design.dfg> --modules <SET> [--json] [--full] [--jobs <N>]
-              [--metrics] [OPTIONS]
+              [--json] [--metrics] [OPTIONS]
+  lobist analyze <design.dfg> --modules <SET> [--json] [--full] [--metrics]
+              [OPTIONS]
   lobist serve [--tcp <ADDR>] [--unix <PATH>] [--store <FILE>] [--jobs <N>]
                [--max-request-jobs <N>] [--max-active <N>] [--metrics]
   lobist submit [<design.dfg>] [--cmd <C>] [--tcp <ADDR> | --unix <PATH>]
@@ -154,7 +154,7 @@ OPTIONS:
                     (a session shared by several designs runs once)
   --lanes <W>       fault-simulation lane width: 64 | 256 | auto
                     (default auto — 256 for sessions of ≥192 patterns,
-                    64 for coverage; byte-identical at every width)
+                    64 below; byte-identical at every width)
   --sizes <L>       comma-separated size sweep for `corpus`
                     (default 8,16)
   --permute <S>     `corpus`: also emit a seeded isomorphic twin of
@@ -169,9 +169,10 @@ OPTIONS:
                     answered from the shift-normalized result cache
   --out <DIR>       output directory for `corpus` (default
                     lobist-corpus)
-  --jobs <N>        worker threads for `explore`/`batch`/`faultsim`/
-                    `lint`, and for `anneal`'s chains, at most one per
-                    chain (default: all cores; at least 1)
+  --jobs <N>        worker threads for `explore`/`batch`/`faultsim`,
+                    and for `anneal`'s chains, at most one per chain
+                    (default: all cores; at least 1); `lint`, `analyze`
+                    and `--lint` run on one thread
   --tcp <ADDR>      daemon TCP address: listen address for `serve`
                     (default 127.0.0.1:7420 unless --unix is given),
                     connect address for `submit`
@@ -509,18 +510,17 @@ fn lint_policy(o: &Options) -> Result<LintPolicy, CliError> {
     Ok(policy)
 }
 
-/// Lints one synthesized design on the worker pool.
+/// Lints one synthesized design.
 fn lint_design(
     dfg: &lobist_dfg::Dfg,
     schedule: &lobist_dfg::Schedule,
     design: &Design,
     flow: &FlowOptions,
-    workers: usize,
     metrics: Option<&lobist_engine::Metrics>,
 ) -> (Report, lobist_engine::LintRunStats) {
     let unit = LintUnit::of_design(dfg, schedule, design, flow.lifetime_options, &flow.area);
     let registry = PassRegistry::default_registry();
-    lobist_engine::lint_parallel(&unit, &registry, workers, metrics)
+    lobist_engine::lint_timed(&unit, &registry, metrics)
 }
 
 /// The `"timing"` object spliced into `lint --json` output: run wall
@@ -539,9 +539,8 @@ fn lint_timing_json(stats: &lobist_engine::LintRunStats) -> String {
         let _ = write!(passes, "\"{}\": [{}]", name, cells.join(","));
     }
     format!(
-        "{{\"wall_micros\": {}, \"workers\": {}, \"pass_micros_log2_histograms\": {{{passes}}}}}",
+        "{{\"wall_micros\": {}, \"pass_micros_log2_histograms\": {{{passes}}}}}",
         stats.wall.as_micros(),
-        stats.workers,
     )
 }
 
@@ -767,8 +766,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 for p in &result.points {
                     let d = synthesize(&dfg, &p.schedule, &p.modules, &config.flow)
                         .map_err(CliError::Flow)?;
-                    let (report, _) =
-                        lint_design(&dfg, &p.schedule, &d, &config.flow, worker_count(&o), None);
+                    let (report, _) = lint_design(&dfg, &p.schedule, &d, &config.flow, None);
                     append_lint_verdict(
                         &mut out,
                         &format!("{} latency {}", p.modules, p.latency),
@@ -918,7 +916,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             }
             if o.lint {
                 let policy = lint_policy(&o)?;
-                let workers = worker_count(&o);
                 let mut denied = 0;
                 for (outcome, (dfg, schedule)) in outcomes.iter().zip(&parsed) {
                     if outcome.result.is_err() {
@@ -931,7 +928,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                             continue;
                         }
                     };
-                    let (report, _) = lint_design(dfg, schedule, &d, &flow, workers, None);
+                    let (report, _) = lint_design(dfg, schedule, &d, &flow, None);
                     append_lint_verdict(&mut out, &outcome.label, &report);
                     denied += policy.denied_count(&report);
                 }
@@ -1088,18 +1085,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let flow = o.spec.flow_options();
             let d = synthesize(&dfg, &schedule, &modules, &flow).map_err(CliError::Flow)?;
             let metrics = o.metrics.then(lobist_engine::Metrics::new);
-            let (report, stats) = lint_design(
-                &dfg,
-                &schedule,
-                &d,
-                &flow,
-                worker_count(&o),
-                metrics.as_ref(),
-            );
+            let (report, stats) = lint_design(&dfg, &schedule, &d, &flow, metrics.as_ref());
             if o.json {
                 // Splice the run timing in as the report's last key so
                 // `lint --json` output is self-contained; the report
-                // body itself stays byte-stable across worker counts.
+                // body itself is a pure function of the design.
                 let json = report.to_json();
                 let body = json
                     .strip_suffix("\n}")
@@ -1142,8 +1132,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let d = synthesize(&dfg, &schedule, &modules, &flow).map_err(CliError::Flow)?;
             let unit = LintUnit::of_design(&dfg, &schedule, &d, flow.lifetime_options, &flow.area);
             let metrics = o.metrics.then(lobist_engine::Metrics::new);
-            let (report, _) =
-                lobist_engine::analyze_parallel(&unit, worker_count(&o), metrics.as_ref());
+            let (report, _) = lobist_engine::analyze_timed(&unit, metrics.as_ref());
             if o.json {
                 let _ = writeln!(out, "{}", report.to_json(o.full));
             } else {
@@ -1859,6 +1848,7 @@ mod tests {
         let path = write_temp("lobist_cli_lint_timing.dfg", DESIGN);
         let out = run(&argv(&["lint", &path, "--modules", "1+,1*", "--json"])).unwrap();
         assert!(out.contains("\"timing\": {\"wall_micros\": "), "{out}");
+        assert!(!out.contains("\"workers\""), "{out}");
         assert!(out.contains("\"pass_micros_log2_histograms\""), "{out}");
         // Every default-registry pass reports a one-entry histogram.
         for pass in ["structure", "gates", "coloring", "binding", "bist-legality", "lemma2-audit"] {

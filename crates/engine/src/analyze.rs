@@ -1,15 +1,12 @@
-//! Parallel static-testability driver: one pool task per design cone.
+//! The timed static-testability driver: every module cone in module
+//! order on one [`FixpointScratch`], each cone timed for the
+//! `"testability"` metrics section.
 //!
-//! Each cone's COP / constant-propagation fixpoints are independent of
-//! every other cone's, so the fan-out unit is the cone. Every task owns
-//! a private [`FixpointScratch`] (reused across the forward and backward
-//! solves inside [`analyze_cone`]); the register-reachability analysis
-//! is a cheap walk over the allocation and runs inline on the caller.
-//!
-//! [`run_jobs`] returns results in submission order, and submission
-//! order is module order, so the assembled [`TestabilityReport`] — and
-//! therefore its JSON and text renderings — is byte-identical for any
-//! worker count.
+//! The report is exactly [`lobist_lint::analyze_design`]'s; the
+//! register-reachability analysis is a cheap walk over the allocation.
+//! The cones run on the calling thread: there is one per used module
+//! and the multiplier's dominates, so fanning them out over the pool
+//! measured no faster than one thread.
 
 use std::time::{Duration, Instant};
 
@@ -18,9 +15,8 @@ use lobist_lint::{analyze_cone, design_cones, FixpointScratch, LintUnit, Testabi
 
 use crate::metric;
 use crate::metrics::Metrics;
-use crate::pool::run_jobs;
 
-/// What one parallel analysis run observed.
+/// What one timed analysis run observed.
 #[derive(Debug, Clone)]
 pub struct AnalyzeRunStats {
     /// Wall time of each cone's analysis, in module order, keyed by the
@@ -28,53 +24,34 @@ pub struct AnalyzeRunStats {
     pub cones: Vec<(String, Duration)>,
     /// Wall time of the whole run.
     pub wall: Duration,
-    /// Worker threads used.
-    pub workers: usize,
 }
 
-/// Analyzes every used module cone of `unit` on `workers` threads and
+/// Analyzes every used module cone of `unit`, timing each, and
 /// assembles the canonical [`TestabilityReport`].
 ///
 /// When `metrics` is given, the run is recorded into its
 /// `"testability"` section (fault counters, per-cone timing histogram).
-///
-/// # Panics
-///
-/// Panics if `workers` is zero, or if a cone analysis itself panics (it
-/// is a pure function of the allocation; a panic is a bug).
-pub fn analyze_parallel(
+pub fn analyze_timed(
     unit: &LintUnit<'_>,
-    workers: usize,
     metrics: Option<&Metrics>,
 ) -> (TestabilityReport, AnalyzeRunStats) {
-    assert!(workers > 0, "analyze_parallel needs at least one worker");
     let start = Instant::now();
     let width = unit.area.width;
-    let tasks: Vec<_> = design_cones(unit)
-        .into_iter()
+    let mut scratch = FixpointScratch::new();
+    let mut timings = Vec::new();
+    let cones = design_cones(unit)
+        .iter()
         .map(|cone| {
-            move || {
-                let mut scratch = FixpointScratch::new();
-                let t0 = Instant::now();
-                let report = analyze_cone(&cone, width, &mut scratch);
-                (report, t0.elapsed())
-            }
+            let t0 = Instant::now();
+            let report = analyze_cone(cone, width, &mut scratch);
+            timings.push((cone.label(), t0.elapsed()));
+            report
         })
         .collect();
-    let (results, pool) = run_jobs(workers, tasks);
-
-    let mut cones = Vec::with_capacity(results.len());
-    let mut timings = Vec::with_capacity(results.len());
-    for result in results {
-        let (cone, took) = result.expect("cone analysis panicked");
-        timings.push((cone.cone.label(), took));
-        cones.push(cone);
-    }
     let report = TestabilityReport { width, cones, reach: reach_report(unit) };
     let stats = AnalyzeRunStats {
         cones: timings,
         wall: start.elapsed(),
-        workers: pool.workers,
     };
     if let Some(m) = metrics {
         m.add(metric!("testability.runs"), 1);
@@ -87,7 +64,6 @@ pub fn analyze_parallel(
         for (_, took) in &stats.cones {
             m.record(metric!("testability.cone_micros_log2"), *took);
         }
-        m.record_pool(&pool);
     }
     (report, stats)
 }
@@ -99,53 +75,30 @@ mod tests {
     use lobist_dfg::benchmarks;
 
     #[test]
-    fn report_is_byte_stable_across_worker_counts() {
-        let bench = benchmarks::ex1();
-        let opts = FlowOptions::testable();
-        let design = synthesize_benchmark(&bench, &opts).expect("synthesizes");
-        let unit = LintUnit::of_design(
-            &bench.dfg,
-            &bench.schedule,
-            &design,
-            bench.lifetime_options,
-            &opts.area,
-        );
-        let (serial, serial_stats) = analyze_parallel(&unit, 1, None);
-        assert!(!serial.cones.is_empty());
-        assert_eq!(serial_stats.cones.len(), serial.cones.len());
-        for workers in [2, 4, 7] {
-            let (parallel, stats) = analyze_parallel(&unit, workers, None);
-            assert_eq!(serial, parallel, "workers={workers}");
-            assert_eq!(
-                serial.to_json(false),
-                parallel.to_json(false),
-                "workers={workers}"
+    fn matches_the_library_entry_point() {
+        for bench in [benchmarks::ex1(), benchmarks::ex2()] {
+            let opts = FlowOptions::testable();
+            let design = synthesize_benchmark(&bench, &opts).expect("synthesizes");
+            let unit = LintUnit::of_design(
+                &bench.dfg,
+                &bench.schedule,
+                &design,
+                bench.lifetime_options,
+                &opts.area,
             );
-            assert_eq!(serial.to_json(true), parallel.to_json(true));
-            assert_eq!(serial.render_text(), parallel.render_text());
-            let labels: Vec<&str> = stats.cones.iter().map(|(l, _)| l.as_str()).collect();
-            let serial_labels: Vec<&str> =
-                serial_stats.cones.iter().map(|(l, _)| l.as_str()).collect();
-            assert_eq!(labels, serial_labels, "workers={workers}");
+            let (report, stats) = analyze_timed(&unit, None);
+            let reference = lobist_lint::analyze_design(&unit, &mut FixpointScratch::new());
+            assert!(!report.cones.is_empty());
+            assert_eq!(report, reference);
+            assert_eq!(report.to_json(false), reference.to_json(false));
+            assert_eq!(report.to_json(true), reference.to_json(true));
+            assert_eq!(report.render_text(), reference.render_text());
+            // One timing per cone, in module order.
+            let labels: Vec<String> = stats.cones.iter().map(|(l, _)| l.clone()).collect();
+            let module_order: Vec<String> =
+                report.cones.iter().map(|c| c.cone.label()).collect();
+            assert_eq!(labels, module_order);
         }
-    }
-
-    #[test]
-    fn matches_the_serial_library_entry_point() {
-        let bench = benchmarks::ex2();
-        let opts = FlowOptions::testable();
-        let design = synthesize_benchmark(&bench, &opts).expect("synthesizes");
-        let unit = LintUnit::of_design(
-            &bench.dfg,
-            &bench.schedule,
-            &design,
-            bench.lifetime_options,
-            &opts.area,
-        );
-        let (parallel, _) = analyze_parallel(&unit, 3, None);
-        let mut scratch = FixpointScratch::new();
-        let serial = lobist_lint::analyze_design(&unit, &mut scratch);
-        assert_eq!(parallel, serial);
     }
 
     #[test]
@@ -161,7 +114,7 @@ mod tests {
             &opts.area,
         );
         let metrics = Metrics::new();
-        let (report, _) = analyze_parallel(&unit, 2, Some(&metrics));
+        let (report, _) = analyze_timed(&unit, Some(&metrics));
         let snap = metrics.snapshot();
         assert_eq!(snap.get(metric!("testability.runs")), 1);
         assert_eq!(snap.get(metric!("testability.cones")), report.cones.len() as u64);

@@ -59,8 +59,8 @@ fn chain_seed(base: u64, chain: usize) -> u64 {
 /// the deterministic best: lowest overhead, ties to the lowest chain
 /// index. Each chain is serial (the parallelism is across chains), so
 /// the merge is reproducible for any worker count. The run uses
-/// `min(workers, chains)` threads; with one, the chains run in order on
-/// the calling thread.
+/// `min(workers, chains)` workers of [`pool::run_jobs`], which runs a
+/// one-worker drain in order on the calling thread.
 ///
 /// # Errors
 ///
@@ -89,19 +89,12 @@ pub fn anneal_multichain(
         let cfg = AnnealConfig { seed: chain_seed(config.seed, i), ..*config };
         anneal_registers(dfg, schedule, lt_opts, ma, flow, &cfg)
     };
-    let mut results: Vec<AnnealResult> = if workers == 1 {
-        // The caller's thread is warm: on a fresh worker thread, a
-        // 400-move chain on designs/polynomial.dfg ran at a third of the
-        // move rate.
-        (0..chains).map(chain).collect::<Result<_, _>>()?
-    } else {
-        let tasks: Vec<_> = (0..chains).map(|i| move || chain(i)).collect();
-        let (outcomes, _) = pool::run_jobs(workers, tasks);
-        outcomes
-            .into_iter()
-            .map(|o| o.unwrap_or_else(|m| panic!("anneal chain panicked: {m}")))
-            .collect::<Result<_, _>>()?
-    };
+    let tasks: Vec<_> = (0..chains).map(|i| move || chain(i)).collect();
+    let (outcomes, _) = pool::run_jobs(workers, tasks);
+    let mut results: Vec<AnnealResult> = outcomes
+        .into_iter()
+        .map(|o| o.unwrap_or_else(|m| panic!("anneal chain panicked: {m}")))
+        .collect::<Result<_, _>>()?;
     let chain_overheads: Vec<u64> = results.iter().map(|r| r.overhead).collect();
     let best_chain = chain_overheads
         .iter()

@@ -182,13 +182,6 @@ impl Engine {
         self
     }
 
-    /// Bounds the in-memory result cache to `capacity` entries
-    /// (builder style). Only meaningful before the first batch runs.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = ResultCache::with_capacity(capacity);
-        self
-    }
-
     /// The attached durable store, if any.
     pub fn store(&self) -> Option<&Arc<dyn ResultStore>> {
         self.store.as_ref()

@@ -1,22 +1,22 @@
-//! Parallel, deterministic fault-simulation driver.
+//! Parallel, deterministic BIST-session fault simulation.
 //!
 //! Fault simulation is embarrassingly parallel across faults — every
 //! fault's detection outcome is independent of the rest of the list —
-//! so the undetected-fault list is split into strided chunks, one per
-//! pool worker, and each worker runs the cone-limited differential
-//! simulator ([`lobist_gatesim::diffsim::DiffSim`]) over its chunk with
-//! its own scratch buffers. Merging stitches per-chunk results back by
-//! original fault index and sums counters, so the result is
-//! **byte-identical** to a serial run no matter the worker count:
+//! so the fault list is split into strided chunks, one per pool worker,
+//! and each worker runs the cone-limited differential simulator
+//! ([`lobist_gatesim::diffsim::DiffSim`]) over its chunk with its own
+//! scratch buffers. Merging stitches per-chunk results back by original
+//! fault index and sums counters, so the result is **byte-identical**
+//! to a serial run no matter the worker count:
 //!
-//! * per-fault outcomes (`first_detection`, session detect flags) are
-//!   independent, so placing each chunk result back at its fault's
-//!   original index reproduces the serial vector exactly;
-//! * every worker regenerates the same pattern stream (a pure function
-//!   of the seed), so a fault sees identical patterns in any chunk;
-//! * `patterns_applied` is the largest first-detection stamp when a
-//!   chunk detects everything (or the budget otherwise), and the serial
-//!   figure is exactly the maximum of that over chunks.
+//! * per-fault session detect flags are independent, so placing each
+//!   chunk result back at its fault's original index reproduces the
+//!   serial vector exactly;
+//! * every worker replays the same session (a pure function of the
+//!   seeds), so a fault sees identical patterns in any chunk.
+//!
+//! Random-pattern coverage outside a BIST session is the serial
+//! [`lobist_gatesim::coverage::random_pattern_coverage`].
 //!
 //! The driver is also generic over the simulation lane width
 //! ([`LaneSelect`]): the same pair-preserving partition is used at
@@ -43,9 +43,7 @@ use lobist_dfg::modules::ModuleClass;
 use lobist_dfg::{Dfg, OpKind};
 use lobist_gatesim::bist_mode::{DetectFlags, SessionContext, SessionReport};
 use lobist_gatesim::collapse::collapse_faults;
-use lobist_gatesim::coverage::{
-    enumerate_faults, random_pattern_coverage_with, CoverageReport,
-};
+use lobist_gatesim::coverage::enumerate_faults;
 use lobist_gatesim::diffsim::{DiffSim, SimCounters};
 use lobist_gatesim::lanes::{auto_width, LaneWord, W256};
 use lobist_gatesim::lfsr::max_useful_patterns;
@@ -58,11 +56,9 @@ use crate::{metric, pool, Engine};
 /// Simulation lane width: how many patterns one simulator word packs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum LaneSelect {
-    /// The widest *profitable* width for the workload: 256 lanes for
-    /// session runs of ≥192 patterns
-    /// ([`lobist_gatesim::lanes::auto_width`]), 64 lanes for coverage
-    /// runs (their early-exit walks visit the same cones at every
-    /// width, so narrow is never beaten there).
+    /// The widest *profitable* width for the session: 256 lanes for
+    /// runs of ≥192 patterns, 64 below
+    /// ([`lobist_gatesim::lanes::auto_width`]).
     #[default]
     Auto,
     /// 64 lanes per `u64` word — the executable reference path.
@@ -94,19 +90,10 @@ impl LaneSelect {
         }
     }
 
-    /// The concrete lane count for a *session* pattern budget
-    /// (resolves `Auto` via [`lobist_gatesim::lanes::auto_width`]).
+    /// The concrete lane count for a session pattern budget (resolves
+    /// `Auto` via [`lobist_gatesim::lanes::auto_width`]).
     pub fn width(self, patterns: u64) -> u32 {
         self.fixed().unwrap_or_else(|| auto_width(patterns))
-    }
-
-    /// The concrete lane count for a random-coverage run. `Auto`
-    /// resolves to 64: the coverage walk early-exits and drops detected
-    /// faults, so its cone visits are width-invariant and a wider word
-    /// strictly adds bytes per visit — wider widths are explicit knobs
-    /// here, profitable only in full-walk session mode.
-    pub fn coverage_width(self) -> u32 {
-        self.fixed().unwrap_or(64)
     }
 }
 
@@ -154,10 +141,7 @@ pub struct FaultSimStats {
 }
 
 /// Strided partition over *polarity pairs*: adjacent faults on the same
-/// net stay in one chunk (so each worker's coverage loop can answer
-/// both with a single paired cone walk,
-/// [`lobist_gatesim::diffsim::DiffSim::detects_both`]), and pairs are
-/// dealt round-robin. Fault lists are ordered by net depth, so
+/// net stay in one chunk, and pairs are dealt round-robin. Fault lists are ordered by net depth, so
 /// contiguous chunks would give the first worker all the large input
 /// cones; striding balances depth across workers. Each chunk carries
 /// its faults' original indices; results are scattered back by those,
@@ -194,86 +178,6 @@ fn scatter<T: Copy + Default>(parts: &[(Vec<T>, Vec<u32>)], len: usize) -> Vec<T
         }
     }
     out
-}
-
-/// Random-pattern coverage of the full single-stuck-at universe of
-/// `net`, measured in parallel with deterministic merge. Byte-identical
-/// to [`lobist_gatesim::coverage::random_pattern_coverage`] for every
-/// worker count, collapse setting and lane width.
-///
-/// # Panics
-///
-/// Panics if `opts.workers` is zero.
-pub fn random_coverage_parallel(
-    net: &GateNetwork,
-    patterns: u64,
-    seed: u64,
-    opts: FaultSimOptions,
-) -> (CoverageReport, FaultSimStats) {
-    match opts.lanes.coverage_width() {
-        256 => coverage_parallel_at::<W256>(net, patterns, seed, opts),
-        _ => coverage_parallel_at::<u64>(net, patterns, seed, opts),
-    }
-}
-
-fn coverage_parallel_at<W: LaneWord>(
-    net: &GateNetwork,
-    patterns: u64,
-    seed: u64,
-    opts: FaultSimOptions,
-) -> (CoverageReport, FaultSimStats) {
-    assert!(opts.workers >= 1, "need at least one worker");
-    let start = Instant::now();
-    let universe = enumerate_faults(net);
-    let collapsed = opts.collapse.then(|| collapse_faults(net));
-    let sim_list: &[Fault] = collapsed
-        .as_ref()
-        .map_or(&universe, |c| c.representatives());
-
-    let chunks = stride_partition(sim_list, opts.workers);
-    let tasks: Vec<_> = chunks
-        .iter()
-        .map(|(chunk, _)| {
-            move || {
-                let mut sim = DiffSim::<W>::new(net);
-                let report = random_pattern_coverage_with(&mut sim, chunk, patterns, seed);
-                (report, sim.counters())
-            }
-        })
-        .collect();
-    let (results, _) = pool::run_jobs(opts.workers, tasks);
-
-    let mut counters = SimCounters::default();
-    let mut parts = Vec::with_capacity(chunks.len());
-    let mut applied = 0u64;
-    for (r, (_, indices)) in results.into_iter().zip(&chunks) {
-        let (report, c) = r.expect("fault-sim worker panicked");
-        counters.merge(&c);
-        applied = applied.max(report.patterns_applied);
-        parts.push((report.first_detection, indices.clone()));
-    }
-    let first_detection = scatter(&parts, sim_list.len());
-    let detected = first_detection.iter().filter(|d| d.is_some()).count();
-    let rep_report = CoverageReport {
-        total_faults: sim_list.len(),
-        detected,
-        patterns_applied: applied,
-        first_detection,
-    };
-    let report = match &collapsed {
-        Some(c) => c.expand_coverage(&rep_report),
-        None => rep_report,
-    };
-    let stats = FaultSimStats {
-        counters,
-        total_faults: universe.len(),
-        simulated_faults: sim_list.len(),
-        collapsed_away: collapsed.as_ref().map_or(0, |c| c.collapsed_away()),
-        workers: opts.workers,
-        lanes: W::LANES as u32,
-        wall: start.elapsed(),
-    };
-    (report, stats)
 }
 
 /// Emulates a full BIST session (LFSR → module → MISR) over the whole
@@ -571,65 +475,7 @@ pub fn fault_sim_modules(
 mod tests {
     use super::*;
     use lobist_gatesim::bist_mode::run_session;
-    use lobist_gatesim::coverage::random_pattern_coverage;
     use lobist_gatesim::modules::{array_multiplier, ripple_adder};
-
-    #[test]
-    fn parallel_coverage_is_byte_identical_to_serial() {
-        let net = array_multiplier(4);
-        let serial = random_pattern_coverage(&net, 300, 0xBEEF);
-        for workers in [1, 2, 3, 7] {
-            for collapse in [false, true] {
-                let (report, stats) = random_coverage_parallel(
-                    &net,
-                    300,
-                    0xBEEF,
-                    FaultSimOptions {
-                        workers,
-                        collapse,
-                        lanes: LaneSelect::Auto,
-                    },
-                );
-                assert_eq!(report, serial, "workers={workers} collapse={collapse}");
-                assert_eq!(stats.total_faults, serial.total_faults);
-                assert_eq!(stats.lanes, 64, "auto stays narrow for coverage runs");
-                if collapse {
-                    assert!(stats.collapsed_away > 0);
-                    assert_eq!(
-                        stats.simulated_faults + stats.collapsed_away,
-                        stats.total_faults
-                    );
-                } else {
-                    assert_eq!(stats.simulated_faults, stats.total_faults);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn coverage_is_byte_identical_across_lanes_and_workers() {
-        // The acceptance matrix: every lane width × several worker
-        // counts produces the exact serial u64 report, for a budget
-        // that leaves a partial batch at every width.
-        let net = array_multiplier(4);
-        let serial = random_pattern_coverage(&net, 300, 0xBEEF);
-        for lanes in [LaneSelect::W64, LaneSelect::W256, LaneSelect::Auto] {
-            for workers in [1, 3] {
-                let (report, stats) = random_coverage_parallel(
-                    &net,
-                    300,
-                    0xBEEF,
-                    FaultSimOptions {
-                        workers,
-                        collapse: true,
-                        lanes,
-                    },
-                );
-                assert_eq!(report, serial, "lanes={lanes:?} workers={workers}");
-                assert_eq!(stats.lanes, lanes.coverage_width());
-            }
-        }
-    }
 
     #[test]
     fn parallel_session_is_byte_identical_to_serial() {
@@ -663,20 +509,16 @@ mod tests {
 
     #[test]
     fn wider_lanes_load_fewer_batches() {
-        // `o = x | (x & y)` has an undetectable fault (the AND output
-        // stuck at 0 is masked by the OR), so the coverage loop runs
-        // the full 512-pattern budget: 8 batches at 64 lanes, 2 at 256.
-        let mut b = lobist_gatesim::net::NetworkBuilder::new();
-        let x = b.input();
-        let y = b.input();
-        let t = b.and(x, y);
-        let o = b.or(x, t);
-        let net = b.finish(vec![o]);
+        // A 512-pattern session walks every batch: 8 at 64 lanes, 2 at
+        // 256.
+        let net = ripple_adder(4);
         let run = |lanes| {
-            random_coverage_parallel(
+            bist_session_parallel(
                 &net,
+                &[],
+                4,
                 512,
-                7,
+                (0xACE1, 0x1BAD),
                 FaultSimOptions {
                     workers: 1,
                     collapse: false,
@@ -687,6 +529,7 @@ mod tests {
         };
         let narrow = run(LaneSelect::W64);
         let wide = run(LaneSelect::W256);
+        assert_eq!((narrow.lanes, wide.lanes), (64, 256));
         assert!(wide.counters.batches_loaded < narrow.counters.batches_loaded);
         assert!(narrow.counters.faults_simulated > 0);
     }
@@ -703,8 +546,6 @@ mod tests {
         assert_eq!(LaneSelect::Auto.width(256), 256);
         assert_eq!(LaneSelect::Auto.width(4096), 256);
         assert_eq!(LaneSelect::W64.width(4096), 64);
-        assert_eq!(LaneSelect::Auto.coverage_width(), 64);
-        assert_eq!(LaneSelect::W256.coverage_width(), 256);
     }
 
     #[test]
@@ -834,43 +675,51 @@ mod tests {
     #[test]
     fn more_workers_than_faults_is_fine() {
         let net = ripple_adder(2);
-        let serial = random_pattern_coverage(&net, 64, 1);
-        let (report, _) = random_coverage_parallel(
+        let faults = enumerate_faults(&net);
+        let serial = run_session(&net, 2, 3, (0xACE1, 0x1BAD), &faults);
+        let (report, stats) = bist_session_parallel(
             &net,
-            64,
-            1,
+            &[],
+            2,
+            3,
+            (0xACE1, 0x1BAD),
             FaultSimOptions {
                 workers: 64,
                 collapse: false,
                 lanes: LaneSelect::Auto,
             },
         );
+        assert!(faults.len() < 64);
         assert_eq!(report, serial);
+        assert_eq!(stats.simulated_faults, faults.len());
     }
 
     #[test]
     fn collapsing_reduces_simulated_work() {
         let net = array_multiplier(4);
-        let (_, full) = random_coverage_parallel(
-            &net,
-            256,
-            9,
-            FaultSimOptions {
-                workers: 1,
-                collapse: false,
-                lanes: LaneSelect::Auto,
-            },
-        );
-        let (_, coll) = random_coverage_parallel(
-            &net,
-            256,
-            9,
-            FaultSimOptions {
-                workers: 1,
-                collapse: true,
-                lanes: LaneSelect::Auto,
-            },
-        );
+        let run = |collapse| {
+            bist_session_parallel(
+                &net,
+                &[],
+                4,
+                15,
+                (0xACE1, 0x1BAD),
+                FaultSimOptions {
+                    workers: 1,
+                    collapse,
+                    lanes: LaneSelect::Auto,
+                },
+            )
+        };
+        let (full_report, full) = run(false);
+        let (coll_report, coll) = run(true);
+        assert_eq!(coll_report, full_report);
         assert!(coll.counters.faults_simulated < full.counters.faults_simulated);
+        assert!(coll.collapsed_away > 0);
+        assert_eq!(
+            coll.simulated_faults + coll.collapsed_away,
+            coll.total_faults
+        );
+        assert_eq!(full.simulated_faults, full.total_faults);
     }
 }

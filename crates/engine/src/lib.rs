@@ -8,7 +8,8 @@
 //!
 //! * [`pool`] — a std-only thread pool (scoped threads, a shared atomic
 //!   job index, per-job panic isolation) that returns results in
-//!   submission order;
+//!   submission order, and runs a one-worker drain on the calling
+//!   thread instead of spawning one;
 //! * [`cache`] — a content-addressed result cache keyed on a stable
 //!   128-bit FNV-1a hash of the job's shift-normalized canonical
 //!   encoding;
@@ -21,7 +22,7 @@
 //! * [`explore_parallel`] / [`render_report`] — the design-space sweep
 //!   of `lobist_alloc::explore`, parallelized with a guaranteed
 //!   byte-identical result;
-//! * [`faultsim`] — the fault-coverage and BIST-session workloads of
+//! * [`faultsim`] — the BIST-session fault simulation of
 //!   `lobist_gatesim`, partitioned across the same pool with a
 //!   deterministic merge (and optional structural fault collapsing),
 //!   plus [`fault_sim_modules`], the per-module BIST session driver
@@ -30,9 +31,9 @@
 //!   register search of `lobist_alloc::anneal`: independent serial
 //!   chains over the pool, merged best-of, identical for any worker
 //!   count;
-//! * [`lint`] — the static-verifier passes of `lobist_lint`, one pool
-//!   task per pass, merged into a report that is byte-identical for any
-//!   worker count, with per-pass timing histograms in the metrics;
+//! * [`lint`] / [`analyze`] — the static-verifier passes and the
+//!   testability analysis of `lobist_lint`, run on the calling thread
+//!   with per-pass and per-cone timing histograms in the metrics;
 //! * [`spec`] — the one job specification the CLI and the daemon both
 //!   parse into: field defaults and checks, the flow options, the design
 //!   loader, the fault-simulation knobs and the annealing run.
@@ -52,7 +53,7 @@ pub mod spec;
 
 mod explore;
 
-pub use analyze::{analyze_parallel, AnalyzeRunStats};
+pub use analyze::{analyze_timed, AnalyzeRunStats};
 pub use anneal::{anneal_multichain, AnnealStats};
 pub use cache::{
     canonical_job_key, failure_key, origin_fingerprint, JobResult, ResultCache,
@@ -61,10 +62,10 @@ pub use cache::{
 pub use engine::{provenance, Engine, Job, JobOutcome, ProgressSink};
 pub use explore::{explore_parallel, render_report};
 pub use faultsim::{
-    bist_session_parallel, fault_sim_modules, random_coverage_parallel, FaultSimOptions,
-    FaultSimStats, LaneSelect, SessionWidth,
+    bist_session_parallel, fault_sim_modules, FaultSimOptions, FaultSimStats, LaneSelect,
+    SessionWidth,
 };
-pub use lint::{lint_parallel, LintRunStats};
+pub use lint::{lint_timed, LintRunStats};
 pub use lobist_store::{ResultStore, StoreStats};
 pub use metrics::{bucket_micros, Metrics, MetricsSnapshot, NUM_BUCKETS};
 pub use pool::{run_jobs, PoolStats};

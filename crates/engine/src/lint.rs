@@ -1,19 +1,14 @@
-//! Parallel lint driver: contiguous chunks of registry passes fanned
-//! out over the pool.
+//! The timed lint driver: the registry's passes in registry order on
+//! one [`LintScratch`], each pass timed for `lint --json` and the
+//! `"lint"` metrics section.
 //!
-//! Passes are independent read-only analyses over one [`LintUnit`], so
-//! they parallelize trivially — but the report must not depend on the
-//! worker count. The registry's pass list is split into contiguous
-//! chunks (one per worker at most); [`run_jobs`] returns per-chunk
-//! results in submission order, the driver flattens them back into
-//! registry order, and [`Report::new`] sorts into the canonical
-//! (code, span) order; the rendered text and JSON are therefore
-//! byte-identical for any `workers`.
-//!
-//! Chunking (rather than one task per pass) is what lets each task own
-//! a single [`LintScratch`] reused across every pass it runs — the same
-//! per-worker scratch-reuse discipline the diffsim engine applies, so
-//! gate regeneration and fixpoint worklists stop reallocating per pass.
+//! The report is exactly [`PassRegistry::lint`]'s: the passes are
+//! independent, and [`Report::new`] sorts the findings into the
+//! canonical (code, span) order. The passes run on the calling thread.
+//! One long pass, `gates`, takes most of a run, so a split of the pass
+//! list across two threads could save only the short passes' time,
+//! under half a millisecond on the seed-1 corpus, and measured slower
+//! than one thread.
 
 use std::time::{Duration, Instant};
 
@@ -21,72 +16,49 @@ use lobist_lint::{LintScratch, LintUnit, PassRegistry, Report};
 
 use crate::metric;
 use crate::metrics::{Key, Metrics};
-use crate::pool::run_jobs;
 
-/// What one parallel lint run observed.
+/// What one timed lint run observed.
 #[derive(Debug, Clone)]
 pub struct LintRunStats {
     /// Wall time of each pass, in registry order.
     pub passes: Vec<(&'static str, Duration)>,
     /// Wall time of the whole run.
     pub wall: Duration,
-    /// Worker threads used.
-    pub workers: usize,
 }
 
-/// Runs every pass of `registry` over `unit` on `workers` threads and
-/// merges the findings into one canonical [`Report`].
+/// Runs every pass of `registry` over `unit`, timing each, and merges
+/// the findings into one canonical [`Report`].
 ///
 /// When `metrics` is given, the run is recorded into its `"lint"`
 /// section (run counter, finding counters, per-pass timing histograms).
 ///
 /// # Panics
 ///
-/// Panics if `workers` is zero, or if a lint pass itself panics (a pass
-/// is a pure function of the unit; a panic is a bug, not a finding).
-pub fn lint_parallel(
+/// A pass is a pure function of the unit, so a panic inside one is a
+/// bug, not a finding: it propagates to the caller.
+pub fn lint_timed(
     unit: &LintUnit<'_>,
     registry: &PassRegistry,
-    workers: usize,
     metrics: Option<&Metrics>,
 ) -> (Report, LintRunStats) {
-    assert!(workers > 0, "lint_parallel needs at least one worker");
     let start = Instant::now();
-    let n_passes = registry.passes().len();
-    let chunk_size = n_passes.div_ceil(workers.max(1)).max(1);
-    let tasks: Vec<_> = registry
+    let mut scratch = LintScratch::new();
+    let mut diagnostics = Vec::new();
+    let passes = registry
         .passes()
-        .chunks(chunk_size)
-        .map(|chunk| {
-            let unit = *unit;
-            move || {
-                let mut scratch = LintScratch::new();
-                chunk
-                    .iter()
-                    .map(|pass| {
-                        let t0 = Instant::now();
-                        let diags = pass.run_with(&unit, &mut scratch);
-                        (pass.name(), diags, t0.elapsed())
-                    })
-                    .collect::<Vec<_>>()
-            }
+        .iter()
+        .map(|pass| {
+            let t0 = Instant::now();
+            let diags = pass.run_with(unit, &mut scratch);
+            let took = t0.elapsed();
+            diagnostics.extend(diags);
+            (pass.name(), took)
         })
         .collect();
-    let (results, pool) = run_jobs(workers, tasks);
-
-    let mut diagnostics = Vec::new();
-    let mut passes = Vec::with_capacity(n_passes);
-    for result in results {
-        for (name, diags, took) in result.expect("lint pass panicked") {
-            diagnostics.extend(diags);
-            passes.push((name, took));
-        }
-    }
     let report = Report::new(diagnostics);
     let stats = LintRunStats {
         passes,
         wall: start.elapsed(),
-        workers: pool.workers,
     };
     if let Some(m) = metrics {
         m.add(metric!("lint.runs"), 1);
@@ -98,7 +70,6 @@ pub fn lint_parallel(
                 m.record(key, took);
             }
         }
-        m.record_pool(&pool);
     }
     (report, stats)
 }
@@ -127,7 +98,7 @@ mod tests {
     use lobist_dfg::benchmarks;
 
     #[test]
-    fn report_is_byte_stable_across_worker_counts() {
+    fn report_equals_the_registry_entry_point() {
         let bench = benchmarks::ex1();
         let opts = FlowOptions::testable();
         let design = synthesize_benchmark(&bench, &opts).expect("synthesizes");
@@ -139,24 +110,17 @@ mod tests {
             &opts.area,
         );
         let registry = PassRegistry::default_registry();
-        let (serial, serial_stats) = lint_parallel(&unit, &registry, 1, None);
-        assert_eq!(serial_stats.passes.len(), registry.passes().len());
-        for workers in [2, 4, 7] {
-            let (parallel, stats) = lint_parallel(&unit, &registry, workers, None);
-            assert_eq!(serial.to_json(), parallel.to_json(), "workers={workers}");
-            assert_eq!(serial.render_text(), parallel.render_text());
-            // Chunking must not lose or reorder per-pass timings.
-            assert_eq!(stats.passes.len(), registry.passes().len());
-            let names: Vec<&str> = stats.passes.iter().map(|(n, _)| *n).collect();
-            let serial_names: Vec<&str> = serial_stats.passes.iter().map(|(n, _)| *n).collect();
-            assert_eq!(names, serial_names, "workers={workers}");
-        }
-        // And identical to the serial registry entry point.
-        assert_eq!(serial.to_json(), registry.lint(&unit).to_json());
+        let (report, stats) = lint_timed(&unit, &registry, None);
+        assert_eq!(report.to_json(), registry.lint(&unit).to_json());
+        assert_eq!(report.render_text(), registry.lint(&unit).render_text());
+        // One timing per pass, in registry order.
+        let names: Vec<&str> = stats.passes.iter().map(|(n, _)| *n).collect();
+        let registry_names: Vec<&str> = registry.passes().iter().map(|p| p.name()).collect();
+        assert_eq!(names, registry_names);
     }
 
     #[test]
-    fn full_registry_is_also_byte_stable() {
+    fn full_registry_also_equals_the_registry_entry_point() {
         let bench = benchmarks::ex1();
         let opts = FlowOptions::testable();
         let design = synthesize_benchmark(&bench, &opts).expect("synthesizes");
@@ -168,12 +132,9 @@ mod tests {
             &opts.area,
         );
         let registry = PassRegistry::full_registry();
-        let (serial, _) = lint_parallel(&unit, &registry, 1, None);
-        for workers in [2, 7] {
-            let (parallel, _) = lint_parallel(&unit, &registry, workers, None);
-            assert_eq!(serial.to_json(), parallel.to_json(), "workers={workers}");
-        }
-        assert_eq!(serial.to_json(), registry.lint(&unit).to_json());
+        let (report, stats) = lint_timed(&unit, &registry, None);
+        assert_eq!(report.to_json(), registry.lint(&unit).to_json());
+        assert_eq!(stats.passes.len(), registry.passes().len());
     }
 
     #[test]
@@ -190,7 +151,7 @@ mod tests {
         );
         let metrics = Metrics::new();
         let registry = PassRegistry::default_registry();
-        let (report, _) = lint_parallel(&unit, &registry, 2, Some(&metrics));
+        let (report, _) = lint_timed(&unit, &registry, Some(&metrics));
         assert!(report.is_clean(), "{}", report.render_text());
         let snap = metrics.snapshot();
         assert_eq!(snap.get(metric!("lint.runs")), 1);

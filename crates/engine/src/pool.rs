@@ -5,6 +5,13 @@
 //! results come back **in submission order**, no matter which worker ran
 //! which job or how long each took. Each job writes into its own
 //! pre-allocated slot; workers never contend on a shared output stream.
+//!
+//! [`run_jobs`] is also the one place that decides whether to fan out.
+//! A drain that would use one worker (one task, or a budget of one)
+//! runs its tasks in order on the calling thread: spawning and joining
+//! a scoped thread costs tens of microseconds, as much as a daemon
+//! request answered from the cache, and a freshly spawned thread ran a
+//! lone anneal chain at a third of the caller's move rate.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -15,10 +22,10 @@ use std::time::{Duration, Instant};
 /// What the pool observed while draining a batch.
 #[derive(Debug, Clone)]
 pub struct PoolStats {
-    /// Worker threads actually spawned (≤ requested; never more than
-    /// there are jobs).
+    /// Workers used: the requested count, capped at one per job (and
+    /// at least 1). With one, the jobs ran on the calling thread.
     pub workers: usize,
-    /// Wall time from first spawn to last join.
+    /// Wall time of the whole drain.
     pub wall: Duration,
     /// Per-worker busy time (sum of job durations each worker ran).
     pub busy: Vec<Duration>,
@@ -37,7 +44,9 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs `tasks` on `workers` threads, returning each task's result (or
-/// its panic message) **in submission order**.
+/// its panic message) **in submission order**. When `min(workers,
+/// tasks.len())` is at most 1, no thread is spawned: the tasks run in
+/// submission order on the calling thread.
 ///
 /// A panicking task poisons nothing and stops nobody: the panic is
 /// caught at the job boundary, reported as `Err(message)`, and the
@@ -54,12 +63,29 @@ where
     assert!(workers >= 1, "pool needs at least one worker");
     let n = tasks.len();
     let workers = workers.min(n.max(1));
+    let start = Instant::now();
+    if workers == 1 {
+        let mut busy = Duration::ZERO;
+        let results = tasks
+            .into_iter()
+            .map(|task| {
+                let (outcome, took) = run_caught(task);
+                busy += took;
+                outcome
+            })
+            .collect();
+        let stats = PoolStats {
+            workers,
+            wall: start.elapsed(),
+            busy: vec![busy],
+        };
+        return (results, stats);
+    }
     let slots: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<Result<T, String>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
     let busy: Vec<Mutex<Duration>> = (0..workers).map(|_| Mutex::new(Duration::ZERO)).collect();
     let next = AtomicUsize::new(0);
-    let start = Instant::now();
     thread::scope(|scope| {
         let slots = &slots;
         let results = &results;
@@ -75,9 +101,8 @@ where
                     .expect("slot lock")
                     .take()
                     .expect("each job claimed exactly once");
-                let t0 = Instant::now();
-                let outcome = catch_unwind(AssertUnwindSafe(task)).map_err(panic_message);
-                *busy_slot.lock().expect("busy lock") += t0.elapsed();
+                let (outcome, took) = run_caught(task);
+                *busy_slot.lock().expect("busy lock") += took;
                 *results[i].lock().expect("result lock") = Some(outcome);
             });
         }
@@ -92,6 +117,14 @@ where
         .map(|m| m.into_inner().expect("busy lock"))
         .collect();
     (results, PoolStats { workers, wall, busy })
+}
+
+/// Runs one task at the job boundary: its result or panic message, and
+/// how long it ran.
+fn run_caught<T>(task: impl FnOnce() -> T) -> (Result<T, String>, Duration) {
+    let t0 = Instant::now();
+    let outcome = catch_unwind(AssertUnwindSafe(task)).map_err(panic_message);
+    (outcome, t0.elapsed())
 }
 
 #[cfg(test)]
@@ -146,6 +179,38 @@ mod tests {
     fn empty_batch_is_fine() {
         let (results, stats) = run_jobs::<u32, fn() -> u32>(8, Vec::new());
         assert!(results.is_empty());
+        assert_eq!(stats.workers, 1);
+        assert_eq!(stats.busy.len(), 1);
+    }
+
+    #[test]
+    fn a_one_worker_drain_runs_in_order_on_the_calling_thread() {
+        let caller = thread::current().id();
+        let ran = Mutex::new(Vec::new());
+        let ran = &ran;
+        let tasks: Vec<_> = (0..5usize)
+            .map(|i| {
+                move || {
+                    ran.lock().expect("order lock").push(i);
+                    assert_ne!(i, 2, "task 2 exploded");
+                    (i, thread::current().id())
+                }
+            })
+            .collect();
+        let (results, stats) = run_jobs(1, tasks);
+        assert_eq!(*ran.lock().expect("order lock"), [0, 1, 2, 3, 4]);
+        for (i, result) in results.into_iter().enumerate() {
+            match i {
+                2 => assert!(result.expect_err("task 2 panics").contains("task 2 exploded")),
+                _ => assert_eq!(result, Ok((i, caller)), "task {i}"),
+            }
+        }
+        assert_eq!((stats.workers, stats.busy.len()), (1, 1));
+
+        // A budget larger than the batch is clamped to one worker too:
+        // the daemon's one-job `synth` batches take this path.
+        let (results, stats) = run_jobs(8, vec![|| thread::current().id()]);
+        assert_eq!(results, [Ok(caller)]);
         assert_eq!(stats.workers, 1);
     }
 

@@ -242,12 +242,8 @@ fn lint(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
     let (dfg, schedule, d, flow) = load_and_synthesize(request)?;
     let unit = LintUnit::of_design(&dfg, &schedule, &d, flow.lifetime_options, &flow.area);
     let registry = PassRegistry::default_registry();
-    let (report, _) = lobist_engine::lint_parallel(
-        &unit,
-        &registry,
-        effective_jobs(request, shared),
-        Some(shared.engine.metrics_handle()),
-    );
+    let (report, _) =
+        lobist_engine::lint_timed(&unit, &registry, Some(shared.engine.metrics_handle()));
     Ok(JobBody {
         ok: true,
         cache: "none",
@@ -264,11 +260,7 @@ fn lint(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
 fn analyze(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
     let (dfg, schedule, d, flow) = load_and_synthesize(request)?;
     let unit = LintUnit::of_design(&dfg, &schedule, &d, flow.lifetime_options, &flow.area);
-    let (report, _) = lobist_engine::analyze_parallel(
-        &unit,
-        effective_jobs(request, shared),
-        Some(shared.engine.metrics_handle()),
-    );
+    let (report, _) = lobist_engine::analyze_timed(&unit, Some(shared.engine.metrics_handle()));
     // The payload is a pure function of the report, so a store-served
     // replay is byte-identical to the original run.
     Ok(JobBody {

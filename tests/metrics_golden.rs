@@ -15,8 +15,8 @@ use lobist::alloc::flow::synthesize;
 use lobist::dfg::modules::ModuleSet;
 use lobist::dfg::{Dfg, Schedule};
 use lobist::engine::{
-    analyze_parallel, anneal_multichain, fault_sim_modules, lint_parallel, load_design, Engine,
-    Job, JobSpec,
+    analyze_timed, anneal_multichain, fault_sim_modules, lint_timed, load_design, Engine, Job,
+    JobSpec,
 };
 use lobist::lint::{LintUnit, PassRegistry};
 
@@ -93,8 +93,8 @@ fn workload_metrics_golden() {
         let d = synthesize(&dfg, &schedule, &modules, &flow).expect("synthesizes");
         let unit = LintUnit::of_design(&dfg, &schedule, &d, flow.lifetime_options, &flow.area);
         let registry = PassRegistry::default_registry();
-        lint_parallel(&unit, &registry, 1, Some(engine.metrics_handle()));
-        analyze_parallel(&unit, 1, Some(engine.metrics_handle()));
+        lint_timed(&unit, &registry, Some(engine.metrics_handle()));
+        analyze_timed(&unit, Some(engine.metrics_handle()));
         fault_sim_modules(&dfg, &d.module_assignment, width, opts, &engine);
     }
     // One annealing run recorded the way `lobist anneal --metrics` does.

@@ -3,7 +3,8 @@
 //! backward observability solve must be monotone under cone truncation
 //! (the soundness basis of the `T301` flag — analyzing a cone in
 //! isolation never under-reports how visible its faults are), and the
-//! parallel analysis driver must be byte-identical to the serial one.
+//! engine's timed analysis driver must be byte-identical to
+//! `analyze_design`.
 
 use proptest::prelude::*;
 
@@ -119,12 +120,12 @@ proptest! {
 }
 
 proptest! {
-    // Each case synthesizes a whole design and runs the pool driver
-    // four times, so fewer cases than the pure-math properties above.
+    // Each case synthesizes a whole design, so fewer cases than the
+    // pure-math properties above.
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn parallel_analysis_is_byte_identical_to_serial(
+    fn engine_analysis_is_byte_identical_to_analyze_design(
         (seed, num_ops, num_inputs) in (any::<u64>(), 4usize..20, 2usize..6),
     ) {
         let cfg = RandomDfgConfig {
@@ -142,12 +143,10 @@ proptest! {
         };
         let unit = LintUnit::of_design(&dfg, &schedule, &d, opts.lifetime_options, &opts.area);
         let mut scratch = FixpointScratch::new();
-        let serial = analyze_design(&unit, &mut scratch);
-        for workers in [1usize, 2, 4, 7] {
-            let (parallel, _) = lobist::engine::analyze_parallel(&unit, workers, None);
-            prop_assert_eq!(&parallel, &serial, "workers={}", workers);
-            prop_assert_eq!(parallel.to_json(true), serial.to_json(true), "workers={}", workers);
-            prop_assert_eq!(parallel.render_text(), serial.render_text(), "workers={}", workers);
-        }
+        let reference = analyze_design(&unit, &mut scratch);
+        let (report, _) = lobist::engine::analyze_timed(&unit, None);
+        prop_assert_eq!(&report, &reference);
+        prop_assert_eq!(report.to_json(true), reference.to_json(true));
+        prop_assert_eq!(report.render_text(), reference.render_text());
     }
 }
