@@ -5,8 +5,8 @@
 //! The report is exactly [`lobist_lint::analyze_design`]'s; the
 //! register-reachability analysis is a cheap walk over the allocation.
 //! The cones run on the calling thread: there is one per used module
-//! and the multiplier's dominates, so fanning them out over the pool
-//! measured no faster than one thread.
+//! and the multiplier's dominates, so a per-cone fan-out over the pool
+//! had little to overlap (DESIGN.md §4j).
 
 use std::time::{Duration, Instant};
 

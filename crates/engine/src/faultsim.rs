@@ -141,9 +141,10 @@ pub struct FaultSimStats {
 }
 
 /// Strided partition over *polarity pairs*: adjacent faults on the same
-/// net stay in one chunk, and pairs are dealt round-robin. Fault lists are ordered by net depth, so
-/// contiguous chunks would give the first worker all the large input
-/// cones; striding balances depth across workers. Each chunk carries
+/// net stay in one chunk, and pairs are dealt round-robin. Fault lists
+/// are ordered by net depth, so contiguous chunks would give the first
+/// worker all the large input cones; striding balances depth across
+/// workers. Each chunk carries
 /// its faults' original indices; results are scattered back by those,
 /// so the outcome is independent of the partition shape — and the
 /// partition itself is a pure function of the fault list, identical at

@@ -7,8 +7,8 @@
 //! canonical (code, span) order. The passes run on the calling thread.
 //! One long pass, `gates`, takes most of a run, so a split of the pass
 //! list across two threads could save only the short passes' time,
-//! under half a millisecond on the seed-1 corpus, and measured slower
-//! than one thread.
+//! under half a millisecond on the seed-1 corpus, and measured no
+//! faster than one thread (DESIGN.md §4e).
 
 use std::time::{Duration, Instant};
 

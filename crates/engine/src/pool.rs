@@ -9,9 +9,9 @@
 //! [`run_jobs`] is also the one place that decides whether to fan out.
 //! A drain that would use one worker (one task, or a budget of one)
 //! runs its tasks in order on the calling thread: spawning and joining
-//! a scoped thread costs tens of microseconds, as much as a daemon
-//! request answered from the cache, and a freshly spawned thread ran a
-//! lone anneal chain at a third of the caller's move rate.
+//! a scoped thread costs tens of microseconds, a large share of a
+//! daemon request answered from the cache, and a freshly spawned thread
+//! ran a lone anneal chain at a third of the caller's move rate.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

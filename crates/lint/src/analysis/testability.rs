@@ -17,7 +17,7 @@
 //! * everything else — expected to fall to pseudorandom patterns.
 //!
 //! The report is a pure function of the [`LintUnit`]: no simulation
-//! runs, and serial and parallel drivers produce byte-identical JSON.
+//! runs.
 
 use lobist_datapath::ModuleId;
 use lobist_dfg::modules::ModuleClass;

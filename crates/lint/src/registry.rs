@@ -4,8 +4,7 @@
 //! registry owns the shipped pass sets and runs them. Passes are
 //! independent by contract — no pass reads another's output — so a
 //! driver may run them in any order or in parallel and the sorted
-//! [`Report`] comes out identical (the engine's parallel driver relies
-//! on this).
+//! [`Report`] comes out identical.
 //!
 //! Two registries ship:
 //!
