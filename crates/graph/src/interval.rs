@@ -64,8 +64,10 @@ impl Interval {
 }
 
 /// Builds the conflict graph of a set of lifetimes: vertex per interval,
-/// edge where two intervals overlap. The edges come from the
-/// [`overlapping_pairs`] sweep, which visits only overlapping pairs.
+/// edge where two intervals overlap. The sweep that [`overlapping_pairs`]
+/// runs visits only overlapping pairs; here it sets each pair's two bits
+/// in the graph's adjacency rows, and the sorted neighbour lists are read
+/// off the rows. No pair list is built or sorted.
 ///
 /// # Examples
 ///
@@ -78,7 +80,14 @@ impl Interval {
 /// assert!(!g.has_edge(0, 2));
 /// ```
 pub fn conflict_graph(intervals: &[Interval]) -> UGraph {
-    UGraph::from_edges(intervals.len(), &overlapping_pairs(intervals))
+    let n = intervals.len();
+    let words = n.div_ceil(64);
+    let mut rows = vec![0u64; n * words];
+    for_each_overlap(intervals, |i, j| {
+        rows[i * words + j / 64] |= 1 << (j % 64);
+        rows[j * words + i / 64] |= 1 << (i % 64);
+    });
+    UGraph::from_rows(n, rows)
 }
 
 /// The maximum number of simultaneously live intervals — the size of the
@@ -176,24 +185,29 @@ pub fn max_clique_sizes(intervals: &[Interval]) -> Vec<usize> {
 /// assert_eq!(overlapping_pairs(&spans), vec![(0, 1), (1, 2)]);
 /// ```
 pub fn overlapping_pairs(intervals: &[Interval]) -> Vec<(usize, usize)> {
-    // Sweep arrivals in start order; an arriving interval overlaps exactly
-    // the active intervals whose end is past its start (half-open).
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    for_each_overlap(intervals, |i, j| pairs.push((i.min(j), i.max(j))));
+    pairs.sort_unstable();
+    pairs
+}
+
+/// Calls `f(i, j)` once for every overlapping pair, `i` the later
+/// arrival. Sweeps arrivals in start order; an arriving interval overlaps
+/// exactly the active intervals whose end is past its start (half-open).
+fn for_each_overlap(intervals: &[Interval], mut f: impl FnMut(usize, usize)) {
     let mut order: Vec<usize> = (0..intervals.len())
         .filter(|&i| !intervals[i].is_empty())
         .collect();
     order.sort_unstable_by_key(|&i| (intervals[i].start, intervals[i].end, i));
     let mut active: Vec<usize> = Vec::new();
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
     for &i in &order {
         let iv = &intervals[i];
         active.retain(|&j| intervals[j].end > iv.start);
         for &j in &active {
-            pairs.push((i.min(j), i.max(j)));
+            f(i, j);
         }
         active.push(i);
     }
-    pairs.sort_unstable();
-    pairs
 }
 
 /// The distinct maximal cliques of an interval conflict graph, each as a
@@ -353,19 +367,37 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(9);
-        for n in 0..60 {
+        // Short spans over few start points: many empty, touching and
+        // nested intervals. Sizes past 64 exercise multi-word bit rows.
+        for n in (0..60).chain([64, 65, 130]) {
             let spans: Vec<Interval> = (0..n)
                 .map(|_| {
                     let s = rng.gen_range(0u32..12);
                     Interval::new(s, s + rng.gen_range(0u32..5))
                 })
                 .collect();
-            let pairs = all_pairs(&spans);
+            let g = conflict_graph(&spans);
+            // The definition (all pairs, one `add_edge` each) and the
+            // kept pair sweep (`overlapping_pairs` into `from_edges`).
             let mut expected = UGraph::new(n);
-            for &(i, j) in &pairs {
+            for &(i, j) in &all_pairs(&spans) {
                 expected.add_edge(i, j);
             }
-            assert_eq!(conflict_graph(&spans), expected, "{spans:?}");
+            assert_eq!(g, expected, "{spans:?}");
+            assert_eq!(
+                g,
+                UGraph::from_edges(n, &overlapping_pairs(&spans)),
+                "{spans:?}"
+            );
+            for (u, a) in spans.iter().enumerate() {
+                for (v, b) in spans.iter().enumerate() {
+                    assert_eq!(
+                        g.has_edge(u, v),
+                        u != v && a.overlaps(b),
+                        "{u} {v} in {spans:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -83,7 +83,7 @@ where
     F: FnMut(usize) -> K,
 {
     let n = g.len();
-    let mut rows = BitRows::new(g);
+    let mut rows = LiveRows::new(g);
     // Per vertex not yet known simplicial: two live non-adjacent
     // neighbours. The simplicial live vertices wait in a min-heap.
     let mut proof: Vec<Option<(usize, usize)>> = vec![None; n];
@@ -120,34 +120,25 @@ where
     Ok(order)
 }
 
-/// The graph's adjacency as one bit row per vertex, plus the set of
-/// live vertices, so a simplicial test costs `O(degree × n / 64)` word
-/// operations.
-struct BitRows {
-    words: usize,
-    adjacency: Vec<u64>,
+/// The graph's adjacency bit rows plus the set of live vertices, so a
+/// simplicial test costs `O(degree × n / 64)` word operations.
+struct LiveRows<'g> {
+    g: &'g UGraph,
     live: Vec<u64>,
     /// The live neighbourhood of the vertex under test.
     scratch: Vec<u64>,
 }
 
-impl BitRows {
-    fn new(g: &UGraph) -> Self {
+impl<'g> LiveRows<'g> {
+    fn new(g: &'g UGraph) -> Self {
         let n = g.len();
         let words = n.div_ceil(64);
-        let mut adjacency = vec![0u64; n * words];
-        for u in 0..n {
-            for &w in g.neighbors(u) {
-                adjacency[u * words + w / 64] |= 1 << (w % 64);
-            }
-        }
         let mut live = vec![!0u64; words];
         if !n.is_multiple_of(64) {
             live[words - 1] = (1 << (n % 64)) - 1;
         }
         Self {
-            words,
-            adjacency,
+            g,
             live,
             scratch: vec![0; words],
         }
@@ -161,24 +152,25 @@ impl BitRows {
         self.live[v / 64] >> (v % 64) & 1 == 1
     }
 
-    fn row(&self, u: usize) -> &[u64] {
-        &self.adjacency[u * self.words..(u + 1) * self.words]
-    }
-
     /// Two live neighbours of `u` that are not adjacent, or `None` when
     /// `u`'s live neighbours form a clique (`u` is simplicial).
     fn non_adjacent_neighbours(&mut self, u: usize) -> Option<(usize, usize)> {
         let mut nb = std::mem::take(&mut self.scratch);
-        for (i, w) in nb.iter_mut().enumerate() {
-            *w = self.row(u)[i] & self.live[i];
+        for ((w, &r), &l) in nb.iter_mut().zip(self.g.row(u)).zip(&self.live) {
+            *w = r & l;
         }
+        // Only the words from the first to the last nonzero one of the
+        // neighbourhood can hold a missing bit.
+        let lo = nb.iter().position(|&w| w != 0).unwrap_or(nb.len());
+        let hi = nb.iter().rposition(|&w| w != 0).map_or(lo, |i| i + 1);
         let mut found = None;
-        'members: for (i, &word) in nb.iter().enumerate() {
+        'members: for (i, &word) in nb.iter().enumerate().take(hi).skip(lo) {
             let mut rest = word;
             while rest != 0 {
                 let a = i * 64 + rest.trailing_zeros() as usize;
                 rest &= rest - 1;
-                for (j, (&m, &r)) in nb.iter().zip(self.row(a)).enumerate() {
+                let span = nb[lo..hi].iter().zip(&self.g.row(a)[lo..hi]);
+                for (j, (&m, &r)) in (lo..).zip(span) {
                     // `a` is no neighbour of itself: leave its own bit out.
                     let own = if j == i { 1 << (a % 64) } else { 0 };
                     let missing = m & !r & !own;

@@ -5,9 +5,9 @@ use std::fmt;
 /// An undirected simple graph over vertices `0..n`.
 ///
 /// Designed for the modest graph sizes that arise in data-path allocation
-/// (tens to a few hundred variables). Adjacency is stored both as a dense
-/// bit matrix (O(1) edge queries) and as sorted neighbor lists (fast
-/// iteration), trading memory for simplicity and speed at this scale.
+/// (tens to a few hundred variables). Adjacency is stored both as one bit
+/// row per vertex (O(1) edge queries, word-wide set operations) and as
+/// sorted neighbor lists (fast iteration).
 ///
 /// # Examples
 ///
@@ -24,9 +24,12 @@ use std::fmt;
 #[derive(Clone, PartialEq, Eq)]
 pub struct UGraph {
     n: usize,
-    /// Row-major adjacency matrix, `n * n` bits.
-    adj: Vec<bool>,
-    /// Sorted adjacency lists, kept in sync with `adj`.
+    /// Words per bit row: `⌈n / 64⌉`.
+    words: usize,
+    /// Adjacency bit rows, `n * words` words: bit `v` of row `u` is set
+    /// iff `{u, v}` is an edge.
+    rows: Vec<u64>,
+    /// Sorted adjacency lists, kept in sync with `rows`.
     neighbors: Vec<Vec<usize>>,
     edges: usize,
 }
@@ -34,12 +37,48 @@ pub struct UGraph {
 impl UGraph {
     /// Creates an edgeless graph with `n` vertices.
     pub fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
         Self {
             n,
-            adj: vec![false; n * n],
+            words,
+            rows: vec![0; n * words],
             neighbors: vec![Vec::new(); n],
             edges: 0,
         }
+    }
+
+    /// Builds a graph from its bit rows (`n * ⌈n / 64⌉` words, symmetric,
+    /// no self-loops, padding bits clear). Each neighbour list is read off
+    /// its row in vertex order, so it comes out sorted.
+    pub(crate) fn from_rows(n: usize, rows: Vec<u64>) -> Self {
+        let words = n.div_ceil(64);
+        assert_eq!(rows.len(), n * words, "one row of {words} words per vertex");
+        let mut degrees = 0;
+        let neighbors: Vec<Vec<usize>> = rows
+            .chunks_exact(words.max(1))
+            .map(|row| {
+                let degree: u32 = row.iter().map(|w| w.count_ones()).sum();
+                let mut list = Vec::with_capacity(degree as usize);
+                for (i, &word) in row.iter().enumerate() {
+                    let mut rest = word;
+                    while rest != 0 {
+                        list.push(i * 64 + rest.trailing_zeros() as usize);
+                        rest &= rest - 1;
+                    }
+                }
+                degrees += list.len();
+                list
+            })
+            .collect();
+        let g = Self {
+            n,
+            words,
+            rows,
+            neighbors,
+            edges: degrees / 2,
+        };
+        debug_assert!((0..n).all(|u| g.neighbors(u).iter().all(|&v| v < n && g.has_edge(v, u))));
+        g
     }
 
     /// Builds a graph from an explicit edge list.
@@ -78,11 +117,11 @@ impl UGraph {
     pub fn add_edge(&mut self, u: usize, v: usize) {
         assert!(u != v, "self-loops are not allowed (vertex {u})");
         assert!(u < self.n && v < self.n, "edge ({u},{v}) out of range 0..{}", self.n);
-        if self.adj[u * self.n + v] {
+        if self.has_edge(u, v) {
             return;
         }
-        self.adj[u * self.n + v] = true;
-        self.adj[v * self.n + u] = true;
+        self.rows[u * self.words + v / 64] |= 1 << (v % 64);
+        self.rows[v * self.words + u / 64] |= 1 << (u % 64);
         let pos = self.neighbors[u].binary_search(&v).unwrap_err();
         self.neighbors[u].insert(pos, v);
         let pos = self.neighbors[v].binary_search(&u).unwrap_err();
@@ -92,7 +131,13 @@ impl UGraph {
 
     /// Returns `true` if `{u, v}` is an edge.
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        u != v && u < self.n && v < self.n && self.adj[u * self.n + v]
+        u != v && u < self.n && v < self.n && self.row(u)[v / 64] >> (v % 64) & 1 == 1
+    }
+
+    /// The adjacency bit row of `u`: `⌈n / 64⌉` words, bit `v` set iff
+    /// `{u, v}` is an edge.
+    pub(crate) fn row(&self, u: usize) -> &[u64] {
+        &self.rows[u * self.words..(u + 1) * self.words]
     }
 
     /// Sorted neighbors of `u`.
@@ -308,6 +353,46 @@ mod tests {
         assert!(c.contains(&0));
         assert!(g.is_clique(&c));
         assert_eq!(c, vec![0, 1, 2]);
+    }
+
+    /// Every bit of every row, by the definition: set iff `has_edge`
+    /// and iff the neighbour list holds the vertex; padding bits clear.
+    fn assert_rows_agree(g: &UGraph) {
+        for u in 0..g.len() {
+            let row = g.row(u);
+            assert_eq!(row.len(), g.len().div_ceil(64));
+            for v in 0..row.len() * 64 {
+                let bit = row[v / 64] >> (v % 64) & 1 == 1;
+                assert_eq!(bit, g.has_edge(u, v), "row {u}, bit {v}");
+                assert_eq!(
+                    bit,
+                    g.neighbors(u).binary_search(&v).is_ok(),
+                    "row {u}, bit {v}"
+                );
+            }
+        }
+        let degrees: usize = (0..g.len()).map(|u| g.degree(u)).sum();
+        assert_eq!(degrees, 2 * g.edge_count());
+    }
+
+    #[test]
+    fn bit_rows_agree_with_neighbors_and_has_edge() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(22);
+        // Sizes around word boundaries exercise the padding bits.
+        for n in (0..12).chain([63, 64, 65, 127, 128, 130]) {
+            let mut g = UGraph::new(n);
+            for _ in 0..3 * n {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if u != v {
+                    g.add_edge(u, v);
+                }
+            }
+            assert_rows_agree(&g);
+            assert_rows_agree(&g.complement());
+            assert_eq!(UGraph::from_rows(n, g.rows.clone()), g);
+        }
     }
 
     #[test]
