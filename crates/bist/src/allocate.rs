@@ -20,7 +20,7 @@ use lobist_datapath::area::{AreaModel, BistStyle, GateCount};
 use lobist_datapath::ipath::IPathAnalysis;
 use lobist_datapath::{DataPath, ModuleId, RegisterId};
 
-use crate::embedding::{enumerate, Embedding};
+use crate::embedding::{enumerate, Embedding, PatternSource};
 use crate::report::BistSolution;
 use crate::session;
 
@@ -153,6 +153,64 @@ impl RoleTable {
 
     fn cost(&self) -> GateCount {
         GateCount(self.extra)
+    }
+
+    /// [`cost_with`](Self::cost_with) by table lookup: the node's cost
+    /// plus the increments of the registers the embedding upgrades.
+    ///
+    /// The sum is exact because the upgrades never stack on one register:
+    ///
+    /// * the two sources differ (`cross_product` never pairs a source
+    ///   with itself), so each source register is upgraded to TPG once;
+    /// * without a CBILBO the SA differs from both sources, so it is
+    ///   upgraded to SA alone;
+    /// * with one, the SA is the CBILBO, and `Cbilbo.join(x) == Cbilbo`
+    ///   absorbs its TPG and SA upgrades; only the other source remains.
+    ///
+    /// A primary-input source upgrades nothing.
+    fn cost_by_table(&self, e: &Embedding, inc: &Increments) -> GateCount {
+        let tpg = |s: PatternSource| s.register().map_or(0, |r| inc.tpg[self.style_of(r)]);
+        let extra = match e.cbilbo_register() {
+            None => tpg(e.left) + tpg(e.right) + inc.sa[self.style_of(e.sa)],
+            Some(c) => {
+                let other = if e.left.register() == Some(c) {
+                    e.right
+                } else {
+                    e.left
+                };
+                inc.cbilbo[self.style_of(c)] + tpg(other)
+            }
+        };
+        GateCount(self.extra + extra)
+    }
+
+    fn style_of(&self, r: RegisterId) -> usize {
+        self.styles[r.index()] as usize
+    }
+}
+
+/// What joining TPG, SA or CBILBO into a register adds to the upgrade
+/// cost, indexed by the register's current style:
+/// `style_extra(s.join(X)) − style_extra(s)`. A register's increment
+/// depends on its style alone, so one table of five entries per role
+/// serves every node of a search.
+struct Increments {
+    tpg: [u64; 5],
+    sa: [u64; 5],
+    cbilbo: [u64; 5],
+}
+
+impl Increments {
+    fn new(model: &AreaModel) -> Self {
+        let row = |role: BistStyle| {
+            BistStyle::ALL
+                .map(|s| model.style_extra(s.join(role)).get() - model.style_extra(s).get())
+        };
+        Self {
+            tpg: row(BistStyle::Tpg),
+            sa: row(BistStyle::Sa),
+            cbilbo: row(BistStyle::Cbilbo),
+        }
     }
 }
 
@@ -306,7 +364,9 @@ pub fn solve_exhaustive(dp: &DataPath, model: &AreaModel) -> Result<BistSolution
 /// The exact search: depth-first over modules ordered by fewest
 /// embeddings first, children cheapest-first.
 ///
-/// Each child is costed once. The children are entered in `(cost, index)`
+/// Each child is costed once, by table lookup
+/// ([`RoleTable::cost_by_table`]): no embedding is applied and undone
+/// just to cost it. The children are entered in `(cost, index)`
 /// order while their cost is below the incumbent: one pass over the
 /// cached costs per distinct cost, lowest first, enters the children of
 /// that cost in index order and finds the next cost up. A child costs the
@@ -341,6 +401,7 @@ fn branch_and_bound(
     let mut search = Search {
         embs,
         model,
+        increments: Increments::new(model),
         roles: RoleTable::new(num_registers),
         current: vec![None; embs.len()],
         best_cost: initial_bound(warm_upper),
@@ -375,6 +436,7 @@ fn initial_bound(warm_upper: Option<GateCount>) -> GateCount {
 struct Search<'a> {
     embs: &'a [Vec<Embedding>],
     model: &'a AreaModel,
+    increments: Increments,
     roles: RoleTable,
     current: Vec<Option<Embedding>>,
     best_cost: GateCount,
@@ -405,8 +467,14 @@ impl Search<'_> {
         let embs = self.embs;
         let costs: Vec<GateCount> = embs[m]
             .iter()
-            .map(|e| self.roles.cost_with(e, self.model))
+            .map(|e| self.roles.cost_by_table(e, &self.increments))
             .collect();
+        // Every unit test that runs the search checks each child's table
+        // cost against the apply-and-undo reference.
+        #[cfg(test)]
+        for (e, &c) in embs[m].iter().zip(&costs) {
+            assert_eq!(c, self.roles.cost_with(e, self.model), "table cost of {e}");
+        }
         // One pass per cost level, lowest first: enter the children at
         // this level in index order and find the next level up.
         let mut level = costs.iter().min().copied();
@@ -788,6 +856,45 @@ mod differential {
     }
 
     #[test]
+    fn increment_tables_follow_the_style_order() {
+        for (i, s) in BistStyle::ALL.into_iter().enumerate() {
+            assert_eq!(s as usize, i);
+        }
+        let model = AreaModel::default();
+        let inc = Increments::new(&model);
+        // A CBILBO absorbs every further role.
+        let c = BistStyle::Cbilbo as usize;
+        assert_eq!((inc.tpg[c], inc.sa[c], inc.cbilbo[c]), (0, 0, 0));
+        assert_eq!(inc.cbilbo[0], model.style_extra(BistStyle::Cbilbo).get());
+    }
+
+    /// Every table cost equals `cost_with` at random role states, each
+    /// reached by applying random embeddings, so registers sit at every
+    /// style (the search itself asserts the same at each child it costs).
+    #[test]
+    fn table_cost_equals_cost_with_at_random_states() {
+        let mut rng = StdRng::seed_from_u64(22);
+        for width in [1, 8] {
+            let model = AreaModel::with_width(width);
+            let inc = Increments::new(&model);
+            for _ in 0..300 {
+                let (n, embs) = random_lists(&mut rng);
+                let mut roles = RoleTable::new(n);
+                for list in &embs {
+                    for e in list {
+                        assert_eq!(
+                            roles.cost_by_table(e, &inc),
+                            roles.cost_with(e, &model),
+                            "{e}"
+                        );
+                    }
+                    roles.apply(&list[rng.gen_range(0..list.len())], &model);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn matches_the_reference_on_random_lists_with_ties() {
         let mut rng = StdRng::seed_from_u64(16);
         for width in [1, 8] {
@@ -808,6 +915,21 @@ mod differential {
     ) -> Option<(usize, Vec<Vec<Embedding>>)> {
         let dfg = corpus::generate(kind, size, 1);
         let schedule = list_schedule(&dfg, modules).ok()?;
+        design_lists(
+            &dfg,
+            &schedule,
+            modules,
+            LifetimeOptions::registered_inputs(),
+        )
+    }
+
+    /// As [`corpus_lists`], for any scheduled design.
+    fn design_lists(
+        dfg: &lobist_dfg::Dfg,
+        schedule: &lobist_dfg::Schedule,
+        modules: &ModuleSet,
+        lt_opts: LifetimeOptions,
+    ) -> Option<(usize, Vec<Vec<Embedding>>)> {
         let mut used = std::collections::HashMap::new();
         let module_of: Vec<usize> = dfg
             .op_ids()
@@ -830,9 +952,8 @@ mod differential {
             .iter()
             .map(|m| used.binary_search(m).expect("used"))
             .collect();
-        let ma = ModuleAssignment::new(&dfg, &kept, module_of).ok()?;
-        let lt_opts = LifetimeOptions::registered_inputs();
-        let lt = Lifetimes::compute(&dfg, &schedule, lt_opts);
+        let ma = ModuleAssignment::new(dfg, &kept, module_of).ok()?;
+        let lt = Lifetimes::compute(dfg, schedule, lt_opts);
         let spans: Vec<_> = lt
             .reg_vars()
             .iter()
@@ -843,9 +964,9 @@ mod differential {
         for (&v, &c) in lt.reg_vars().iter().zip(&colors) {
             classes[c].push(v);
         }
-        let ra = RegisterAssignment::new(&dfg, classes).ok()?;
-        let ic = InterconnectAssignment::straight(&dfg);
-        let dp = DataPath::build(&dfg, &schedule, lt_opts, &ma, &ra, &ic).ok()?;
+        let ra = RegisterAssignment::new(dfg, classes).ok()?;
+        let ic = InterconnectAssignment::straight(dfg);
+        let dp = DataPath::build(dfg, schedule, lt_opts, &ma, &ra, &ic).ok()?;
         let embs = embeddings_per_module(&dp, &IPathAnalysis::of(&dp)).ok()?;
         Some((dp.num_registers(), embs))
     }
@@ -857,7 +978,7 @@ mod differential {
         for modules in ["1+,1*,1-", "2+,2*,2-"] {
             let modules: ModuleSet = modules.parse().expect("a module set");
             for kind in KINDS {
-                for size in [8, 16, 24] {
+                for size in [8, 16, 24, 32] {
                     if let Some((n, embs)) = corpus_lists(kind, size, &modules) {
                         assert_same(n, &model, &embs);
                         compared += 1;
@@ -866,6 +987,25 @@ mod differential {
             }
         }
         assert!(compared >= 12, "only {compared} designs compared");
+    }
+
+    #[test]
+    fn matches_the_reference_on_the_paper_suite() {
+        let model = AreaModel::default();
+        let mut compared = 0;
+        for bench in lobist_dfg::benchmarks::paper_suite() {
+            let lists = design_lists(
+                &bench.dfg,
+                &bench.schedule,
+                &bench.module_allocation,
+                bench.lifetime_options,
+            );
+            if let Some((n, embs)) = lists {
+                assert_same(n, &model, &embs);
+                compared += 1;
+            }
+        }
+        assert!(compared >= 3, "only {compared} designs compared");
     }
 
     #[test]

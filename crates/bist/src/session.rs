@@ -11,8 +11,9 @@
 //!
 //! Sharing a TPG between two tests is fine: pseudo-random patterns can be
 //! broadcast. Sessions are assigned by greedy coloring of the conflict
-//! graph, which is optimal for the small module counts of data paths and
-//! never worse than one session per module.
+//! graph in module order. That is never worse than one session per module
+//! but not always optimal: Tseng1 under the traditional flow (7 modules)
+//! gets 5 sessions, while the chromatic number of its conflict graph is 4.
 
 use lobist_datapath::area::BistStyle;
 use lobist_datapath::DataPath;
