@@ -262,47 +262,63 @@ pub(crate) struct Lemma2Tracker {
     /// order.
     holders: Vec<Vec<u32>>,
     class_of: Vec<Option<u32>>,
-    /// Per variable: `(module, the instance's other variable operand)`
-    /// for each instance it is an operand of (`None` when it is the
-    /// instance's only variable operand).
-    uses: Vec<Vec<(u32, Option<VarId>)>>,
+    /// Per variable `v`, `uses[use_start[v]..use_start[v + 1]]`:
+    /// `(module, the instance's other variable operand)` for each
+    /// instance it is an operand of (`None` when it is the instance's
+    /// only variable operand).
+    use_start: Vec<u32>,
+    uses: Vec<(u32, Option<VarId>)>,
     /// Per variable: the module it is a result of.
     output_of: Vec<Option<u32>>,
-    /// Per variable: the modules it is an operand or result of.
-    modules: Vec<Vec<u32>>,
+    /// Per variable: the modules it is an operand or result of, as a bit
+    /// set (the allocator's sharing context allows at most 64 modules).
+    modules: Vec<u64>,
 }
 
 impl Lemma2Tracker {
     /// The counts of the empty assignment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the assignment has more than 64 modules.
     pub(crate) fn new(dfg: &Dfg, ma: &ModuleAssignment) -> Self {
+        assert!(ma.num_modules() <= 64, "more than 64 modules not supported");
         let n = dfg.num_vars();
-        let mut uses = vec![Vec::new(); n];
+        // An instance's variable operands, each with the other one.
+        let operands = |op| {
+            let info = dfg.op(op);
+            match (info.lhs.var(), info.rhs.var()) {
+                (Some(a), Some(b)) if a != b => [Some((a, Some(b))), Some((b, Some(a)))],
+                (Some(a), _) | (None, Some(a)) => [Some((a, None)), None],
+                (None, None) => [None, None],
+            }
+        };
         let mut output_of = vec![None; n];
-        let mut modules: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut modules = vec![0u64; n];
+        let mut use_start = vec![0u32; n + 1];
         for m in ma.module_ids() {
-            let mi = m.index() as u32;
             for &op in ma.ops_of(m) {
-                let info = dfg.op(op);
-                output_of[info.out.index()] = Some(mi);
-                modules[info.out.index()].push(mi);
-                match (info.lhs.var(), info.rhs.var()) {
-                    (Some(a), Some(b)) if a != b => {
-                        uses[a.index()].push((mi, Some(b)));
-                        uses[b.index()].push((mi, Some(a)));
-                        modules[a.index()].push(mi);
-                        modules[b.index()].push(mi);
-                    }
-                    (Some(a), _) | (None, Some(a)) => {
-                        uses[a.index()].push((mi, None));
-                        modules[a.index()].push(mi);
-                    }
-                    (None, None) => {}
+                let out = dfg.op(op).out.index();
+                output_of[out] = Some(m.index() as u32);
+                modules[out] |= 1 << m.index();
+                for (a, _) in operands(op).into_iter().flatten() {
+                    modules[a.index()] |= 1 << m.index();
+                    use_start[a.index() + 1] += 1;
                 }
             }
         }
-        for list in &mut modules {
-            list.sort_unstable();
-            list.dedup();
+        for v in 0..n {
+            use_start[v + 1] += use_start[v];
+        }
+        let mut uses = vec![(0, None); use_start[n] as usize];
+        let mut next = use_start.clone();
+        for m in ma.module_ids() {
+            for &op in ma.ops_of(m) {
+                for (a, other) in operands(op).into_iter().flatten() {
+                    uses[next[a.index()] as usize] = (m.index() as u32, other);
+                    next[a.index()] += 1;
+                }
+            }
         }
         let mut outputs = vec![0u32; ma.num_modules()];
         for m in output_of.iter().flatten() {
@@ -314,16 +330,30 @@ impl Lemma2Tracker {
             counts: vec![Vec::new(); ma.num_modules()],
             holders: vec![Vec::new(); ma.num_modules()],
             class_of: vec![None; n],
+            use_start,
             uses,
             output_of,
             modules,
         }
     }
 
+    /// The modules `v` is an operand or result of, in increasing order.
+    fn modules_of(&self, v: VarId) -> impl Iterator<Item = u32> {
+        let mut rest = self.modules[v.index()];
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let m = rest.trailing_zeros();
+                rest &= rest - 1;
+                m
+            })
+        })
+    }
+
     /// How `v` joining class `r` changes module `m`'s counts for `r`.
     fn delta(&self, m: u32, r: usize, v: VarId) -> (u32, u32) {
         let output = u32::from(self.output_of[v.index()] == Some(m));
-        let met = self.uses[v.index()]
+        let uses = self.use_start[v.index()] as usize..self.use_start[v.index() + 1] as usize;
+        let met = self.uses[uses]
             .iter()
             .filter(|&&(mm, other)| {
                 mm == m && other.is_none_or(|o| self.class_of[o.index()] != Some(r as u32))
@@ -374,7 +404,7 @@ impl Lemma2Tracker {
     /// `true` if `v` joining class `r` would create a forced CBILBO the
     /// current assignment does not have.
     pub(crate) fn creates_new_forced(&self, r: usize, v: VarId) -> bool {
-        self.modules[v.index()].iter().any(|&m| {
+        self.modules_of(v).any(|m| {
             let d = self.delta(m, r, v);
             d != (0, 0) && self.forced(m, r, d) > self.forced(m, r, (0, 0))
         })
@@ -382,8 +412,7 @@ impl Lemma2Tracker {
 
     /// Records `v` joining class `r` (`r` may be the next new class).
     pub(crate) fn assign(&mut self, r: usize, v: VarId) {
-        for i in 0..self.modules[v.index()].len() {
-            let m = self.modules[v.index()][i];
+        for m in self.modules_of(v) {
             let (di, dm) = self.delta(m, r, v);
             let counts = &mut self.counts[m as usize];
             if counts.len() <= r {

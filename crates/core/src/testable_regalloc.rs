@@ -121,6 +121,7 @@ pub fn allocate_registers(
     let mut masks: Vec<RegisterMask> = Vec::new();
     let mut class_of: Vec<Option<usize>> = vec![None; reg_vars.len()]; // per dense vertex
     let mut conflicts: Vec<bool> = Vec::new(); // per class, for the current vertex
+    let mut scratch = ChoiceScratch::default();
     let mut lemma2 = Lemma2Tracker::new(dfg, modules);
     let mut trace = AllocTrace::default();
 
@@ -134,23 +135,29 @@ pub fn allocate_registers(
                 conflicts[r] = true;
             }
         }
-        let compatible: Vec<usize> = (0..classes.len()).filter(|&r| !conflicts[r]).collect();
-
-        let candidates: Vec<CandidateInfo> = compatible
-            .iter()
-            .map(|&r| CandidateInfo {
+        let candidates: Vec<CandidateInfo> = (0..classes.len())
+            .filter(|&r| !conflicts[r])
+            .map(|r| CandidateInfo {
                 register: r,
                 sd_before: ctx.sd_register(masks[r]),
                 sd_after: ctx.sd_register_with(masks[r], vid),
             })
             .collect();
 
-        let (chosen, reason) = if compatible.is_empty() {
+        let (chosen, reason) = if candidates.is_empty() {
             classes.push(Vec::new());
             masks.push(ctx.empty_register());
             (classes.len() - 1, ChoiceReason::NewRegister)
         } else {
-            choose_register(&ctx, &masks, &lemma2, vid, &candidates, options)
+            choose_register(
+                &ctx,
+                &masks,
+                &lemma2,
+                vid,
+                &candidates,
+                options,
+                &mut scratch,
+            )
         };
 
         classes[chosen].push(vid);
@@ -187,13 +194,60 @@ pub(crate) fn veto_evaluations() -> u64 {
     VETO_EVALUATIONS.with(Cell::get)
 }
 
-/// Interconnect affinity of merging `v` into a register: the number of
-/// module memberships they share (common source or destination modules
-/// mean fewer new mux legs — Fig. 6 cases 3–5).
-fn affinity(ctx: &SharingContext, mask: RegisterMask, v: VarId) -> usize {
-    ctx.sd_var(v) + ctx.sd_register(mask) - ctx.sd_register_with(mask, v)
+/// A candidate's rank under the base rule: `ΔSD`, then the register's
+/// sharing degree, then interconnect affinity (the number of module
+/// memberships `v` and the register share: common source or destination
+/// modules mean fewer new mux legs, Fig. 6 cases 3–5), then the lower
+/// register index. Larger is better; the index makes every key distinct.
+type BaseKey = (usize, usize, usize, usize);
+
+fn base_key(c: &CandidateInfo, sd_var: usize) -> BaseKey {
+    (
+        c.delta(),
+        c.sd_before,
+        affinity(c, sd_var),
+        usize::MAX - c.register,
+    )
 }
 
+/// `|memberships(v) ∩ memberships(R)| = SD(v) + SD(R) − SD(R, v)`.
+fn affinity(c: &CandidateInfo, sd_var: usize) -> usize {
+    sd_var + c.sd_before - c.sd_after
+}
+
+/// The per-step buffers of [`choose_register`], reused across the steps
+/// of one allocation. Each is indexed like the step's candidates.
+#[derive(Debug, Default)]
+struct ChoiceScratch {
+    /// Each candidate's base-rule key, computed once.
+    keys: Vec<BaseKey>,
+    /// Whether the candidate already has a place in the preference order.
+    taken: Vec<bool>,
+    /// The Case 1 / Case 2 overrides, best first, one per candidate.
+    overrides: Vec<(usize, ChoiceReason)>,
+}
+
+impl ChoiceScratch {
+    /// The best candidate by base key that is not yet taken.
+    fn best_untaken(&self) -> Option<usize> {
+        (0..self.keys.len())
+            .filter(|&i| !self.taken[i])
+            .max_by_key(|&i| self.keys[i])
+    }
+}
+
+/// Picks `vid`'s register among `candidates` (non-empty).
+///
+/// The preference order is the Case 1 / Case 2 overrides, best first,
+/// then every other candidate by descending base key, each labelled
+/// `MaxDeltaSd`. The candidates are vetted against Lemma 2 in that order
+/// and the first that forces no new CBILBO wins. Each key is computed
+/// once and nothing is sorted but the overrides: the rest of the order is
+/// found on demand, the next-best untaken candidate only when Lemma 2 has
+/// vetoed the one before, because a veto is rare (on the seed-1 sweep one
+/// candidate is vetted per step). This returns the choice, the reason and
+/// the veto count of `reference::choose_register`, which builds the whole
+/// order by sorting first.
 fn choose_register(
     ctx: &SharingContext,
     masks: &[RegisterMask],
@@ -201,24 +255,21 @@ fn choose_register(
     vid: VarId,
     candidates: &[CandidateInfo],
     options: &TestableAllocOptions,
+    scratch: &mut ChoiceScratch,
 ) -> (usize, ChoiceReason) {
-    // Base rule: max ΔSD; ties by register SD, then affinity, then index.
-    let base_key = |c: &CandidateInfo| {
-        (
-            c.delta(),
-            c.sd_before,
-            affinity(ctx, masks[c.register], vid),
-            usize::MAX - c.register,
-        )
-    };
-    let base = candidates
-        .iter()
-        .max_by_key(|c| base_key(c))
-        .expect("candidates non-empty");
-    let mut preference: Vec<(usize, ChoiceReason)> = Vec::new();
+    let sd_var = ctx.sd_var(vid);
+    scratch.keys.clear();
+    scratch
+        .keys
+        .extend(candidates.iter().map(|c| base_key(c, sd_var)));
+    scratch.taken.clear();
+    scratch.taken.resize(candidates.len(), false);
+    let base = scratch.best_untaken().expect("candidates non-empty");
+    let base_after = candidates[base].sd_after;
 
+    let overrides = &mut scratch.overrides;
+    overrides.clear();
     if options.case_overrides {
-        let mut overrides: Vec<(&CandidateInfo, ChoiceReason)> = Vec::new();
         // Case 1: vid is an output variable of module j; candidates that
         // already hold an output variable of j and whose current SD beats
         // the base register's post-merge SD.
@@ -226,9 +277,9 @@ fn choose_register(
             if !ctx.is_output_of(vid, j) {
                 continue;
             }
-            for c in candidates {
-                if masks[c.register].holds_output_of(j) && c.sd_before > base.sd_after {
-                    overrides.push((c, ChoiceReason::Case1Override));
+            for (i, c) in candidates.iter().enumerate() {
+                if masks[c.register].holds_output_of(j) && c.sd_before > base_after {
+                    overrides.push((i, ChoiceReason::Case1Override));
                 }
             }
         }
@@ -243,57 +294,183 @@ fn choose_register(
             if holders < 2 {
                 continue;
             }
-            for c in candidates {
-                if masks[c.register].holds_input_of(j) && c.sd_before > base.sd_after {
-                    overrides.push((c, ChoiceReason::Case2Override));
+            for (i, c) in candidates.iter().enumerate() {
+                if masks[c.register].holds_input_of(j) && c.sd_before > base_after {
+                    overrides.push((i, ChoiceReason::Case2Override));
                 }
             }
         }
         // Among overrides: highest resulting sharing degree, then
-        // affinity, then lowest index.
-        overrides.sort_by_key(|(c, _)| {
+        // affinity, then lowest index. The sort is stable, so a
+        // candidate listed twice keeps its first case.
+        overrides.sort_by_key(|&(i, _)| {
+            let c = &candidates[i];
             (
                 usize::MAX - c.sd_after,
-                usize::MAX - affinity(ctx, masks[c.register], vid),
+                usize::MAX - affinity(c, sd_var),
                 c.register,
             )
         });
-        overrides.dedup_by_key(|(c, _)| c.register);
-        for (c, case) in overrides {
-            preference.push((c.register, case));
+        overrides.dedup_by_key(|(i, _)| *i);
+        for &(i, _) in overrides.iter() {
+            scratch.taken[i] = true;
         }
     }
+    let (first, first_reason) = scratch
+        .overrides
+        .first()
+        .cloned()
+        .unwrap_or((base, ChoiceReason::MaxDeltaSd));
 
-    // Base choice and remaining candidates, best-first.
-    let mut rest: Vec<&CandidateInfo> = candidates.iter().collect();
-    rest.sort_by_key(|c| {
-        let (a, b, c2, d) = base_key(c);
-        (usize::MAX - a, usize::MAX - b, usize::MAX - c2, usize::MAX - d)
-    });
-    for c in rest {
-        if !preference.iter().any(|(r, _)| *r == c.register) {
-            preference.push((c.register, ChoiceReason::MaxDeltaSd));
+    if !options.lemma2_check {
+        return (candidates[first].register, first_reason);
+    }
+    let mut position = 0;
+    loop {
+        let (i, reason) = match scratch.overrides.get(position) {
+            Some(o) => o.clone(),
+            None => match scratch.best_untaken() {
+                Some(i) => {
+                    scratch.taken[i] = true;
+                    (i, ChoiceReason::MaxDeltaSd)
+                }
+                // Every candidate forces a CBILBO: allow the preferred one.
+                None => return (candidates[first].register, ChoiceReason::Lemma2Unavoidable),
+            },
+        };
+        VETO_EVALUATIONS.with(|c| c.set(c.get() + 1));
+        if !lemma2.creates_new_forced(candidates[i].register, vid) {
+            let reason = if position == 0 {
+                reason
+            } else {
+                ChoiceReason::Lemma2Avoidance
+            };
+            return (candidates[i].register, reason);
         }
+        position += 1;
+    }
+}
+
+/// The original register choice, kept as the executable reference for
+/// [`choose_register`]: it sorts every candidate into the full
+/// preference order before vetting the first.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// Interconnect affinity of merging `v` into a register: the number of
+    /// module memberships they share (common source or destination modules
+    /// mean fewer new mux legs — Fig. 6 cases 3–5).
+    fn affinity(ctx: &SharingContext, mask: RegisterMask, v: VarId) -> usize {
+        ctx.sd_var(v) + ctx.sd_register(mask) - ctx.sd_register_with(mask, v)
     }
 
-    if options.lemma2_check {
-        for (i, (r, reason)) in preference.iter().enumerate() {
-            VETO_EVALUATIONS.with(|c| c.set(c.get() + 1));
-            if !lemma2.creates_new_forced(*r, vid) {
-                let reason = if i == 0 {
-                    reason.clone()
-                } else {
-                    ChoiceReason::Lemma2Avoidance
-                };
-                return (*r, reason);
+    pub(super) fn choose_register(
+        ctx: &SharingContext,
+        masks: &[RegisterMask],
+        lemma2: &Lemma2Tracker,
+        vid: VarId,
+        candidates: &[CandidateInfo],
+        options: &TestableAllocOptions,
+    ) -> (usize, ChoiceReason) {
+        // Base rule: max ΔSD; ties by register SD, then affinity, then index.
+        let base_key = |c: &CandidateInfo| {
+            (
+                c.delta(),
+                c.sd_before,
+                affinity(ctx, masks[c.register], vid),
+                usize::MAX - c.register,
+            )
+        };
+        let base = candidates
+            .iter()
+            .max_by_key(|c| base_key(c))
+            .expect("candidates non-empty");
+        let mut preference: Vec<(usize, ChoiceReason)> = Vec::new();
+
+        if options.case_overrides {
+            let mut overrides: Vec<(&CandidateInfo, ChoiceReason)> = Vec::new();
+            // Case 1: vid is an output variable of module j; candidates that
+            // already hold an output variable of j and whose current SD beats
+            // the base register's post-merge SD.
+            for j in 0..ctx.num_modules() {
+                if !ctx.is_output_of(vid, j) {
+                    continue;
+                }
+                for c in candidates {
+                    if masks[c.register].holds_output_of(j) && c.sd_before > base.sd_after {
+                        overrides.push((c, ChoiceReason::Case1Override));
+                    }
+                }
+            }
+            // Case 2: vid is an input variable of module j and at least two
+            // registers already hold inputs of j (a binary module needs two
+            // TPGs, so vid's own contribution as a new head is redundant).
+            for j in 0..ctx.num_modules() {
+                if !ctx.is_input_of(vid, j) {
+                    continue;
+                }
+                let holders = masks.iter().filter(|m| m.holds_input_of(j)).count();
+                if holders < 2 {
+                    continue;
+                }
+                for c in candidates {
+                    if masks[c.register].holds_input_of(j) && c.sd_before > base.sd_after {
+                        overrides.push((c, ChoiceReason::Case2Override));
+                    }
+                }
+            }
+            // Among overrides: highest resulting sharing degree, then
+            // affinity, then lowest index.
+            overrides.sort_by_key(|(c, _)| {
+                (
+                    usize::MAX - c.sd_after,
+                    usize::MAX - affinity(ctx, masks[c.register], vid),
+                    c.register,
+                )
+            });
+            overrides.dedup_by_key(|(c, _)| c.register);
+            for (c, case) in overrides {
+                preference.push((c.register, case));
             }
         }
-        // Every candidate forces a CBILBO: allow the preferred one.
-        let (r, _) = preference[0];
-        (r, ChoiceReason::Lemma2Unavoidable)
-    } else {
-        let (r, reason) = preference.into_iter().next().expect("non-empty");
-        (r, reason)
+
+        // Base choice and remaining candidates, best-first.
+        let mut rest: Vec<&CandidateInfo> = candidates.iter().collect();
+        rest.sort_by_key(|c| {
+            let (a, b, c2, d) = base_key(c);
+            (
+                usize::MAX - a,
+                usize::MAX - b,
+                usize::MAX - c2,
+                usize::MAX - d,
+            )
+        });
+        for c in rest {
+            if !preference.iter().any(|(r, _)| *r == c.register) {
+                preference.push((c.register, ChoiceReason::MaxDeltaSd));
+            }
+        }
+
+        if options.lemma2_check {
+            for (i, (r, reason)) in preference.iter().enumerate() {
+                VETO_EVALUATIONS.with(|c| c.set(c.get() + 1));
+                if !lemma2.creates_new_forced(*r, vid) {
+                    let reason = if i == 0 {
+                        reason.clone()
+                    } else {
+                        ChoiceReason::Lemma2Avoidance
+                    };
+                    return (*r, reason);
+                }
+            }
+            // Every candidate forces a CBILBO: allow the preferred one.
+            let (r, _) = preference[0];
+            (r, ChoiceReason::Lemma2Unavoidable)
+        } else {
+            let (r, reason) = preference.into_iter().next().expect("non-empty");
+            (r, reason)
+        }
     }
 }
 
@@ -502,5 +679,151 @@ mod veto_differential {
             compared += replay(&dfg, &schedule, &modules);
         }
         assert!(compared > 200, "only {compared} pairs compared");
+    }
+}
+
+#[cfg(test)]
+mod choice_differential {
+    use super::*;
+    use crate::module_assign::assign_modules;
+    use lobist_dfg::corpus::{self, KINDS};
+    use lobist_dfg::modules::ModuleSet;
+    use lobist_dfg::random::{random_scheduled_dfg, RandomDfgConfig};
+    use lobist_dfg::scheduling::list_schedule;
+
+    /// Each toggle switched off in turn, after the default.
+    fn option_sets() -> [TestableAllocOptions; 4] {
+        let on = TestableAllocOptions::default();
+        [
+            on,
+            TestableAllocOptions {
+                sd_ordering: false,
+                ..on
+            },
+            TestableAllocOptions {
+                case_overrides: false,
+                ..on
+            },
+            TestableAllocOptions {
+                lemma2_check: false,
+                ..on
+            },
+        ]
+    }
+
+    /// Replays one allocation and asserts, at every step with candidates,
+    /// that the choice matches the reference's in register, reason and
+    /// number of Lemma-2 evaluations. Counts the steps compared by the
+    /// reason chosen, in `seen`.
+    fn replay(
+        dfg: &Dfg,
+        schedule: &Schedule,
+        modules: &ModuleSet,
+        lifetimes: LifetimeOptions,
+        seen: &mut [usize; 6],
+    ) {
+        let Ok(ma) = assign_modules(dfg, schedule, modules) else {
+            return;
+        };
+        let ctx = SharingContext::new(dfg, &ma);
+        for options in option_sets() {
+            let Ok(alloc) = allocate_registers(dfg, schedule, lifetimes, &ma, &options) else {
+                return;
+            };
+            let mut masks: Vec<RegisterMask> = Vec::new();
+            let mut tracker = Lemma2Tracker::new(dfg, &ma);
+            // One scratch for the whole replay, as in the allocator.
+            let mut scratch = ChoiceScratch::default();
+            for step in &alloc.trace.steps {
+                let v = step.variable;
+                if !step.candidates.is_empty() {
+                    let c = &step.candidates;
+                    let at = veto_evaluations();
+                    let fast =
+                        choose_register(&ctx, &masks, &tracker, v, c, &options, &mut scratch);
+                    let fast_vetoes = veto_evaluations() - at;
+                    let slow = reference::choose_register(&ctx, &masks, &tracker, v, c, &options);
+                    let slow_vetoes = veto_evaluations() - at - fast_vetoes;
+                    assert_eq!(fast, slow, "variable {v}, {options:?}");
+                    assert_eq!(fast_vetoes, slow_vetoes, "variable {v}, {options:?}");
+                    assert_eq!((step.chosen, &step.reason), (fast.0, &fast.1));
+                    let reason = [
+                        ChoiceReason::MaxDeltaSd,
+                        ChoiceReason::Case1Override,
+                        ChoiceReason::Case2Override,
+                        ChoiceReason::Lemma2Avoidance,
+                        ChoiceReason::Lemma2Unavoidable,
+                    ]
+                    .iter()
+                    .position(|r| *r == fast.1)
+                    .expect("a register was chosen among candidates");
+                    seen[reason] += 1;
+                    seen[5] += fast_vetoes.saturating_sub(1) as usize;
+                }
+                if step.chosen == masks.len() {
+                    masks.push(ctx.empty_register());
+                }
+                ctx.add_to_register(&mut masks[step.chosen], v);
+                tracker.assign(step.chosen, v);
+            }
+        }
+    }
+
+    /// Every reason occurs, and some step vets more than one candidate.
+    fn assert_covered(seen: &[usize; 6]) {
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "steps by reason and extra vetoes: {seen:?}"
+        );
+    }
+
+    #[test]
+    fn matches_the_reference_on_the_paper_suite() {
+        let mut seen = [0; 6];
+        for bench in lobist_dfg::benchmarks::paper_suite() {
+            replay(
+                &bench.dfg,
+                &bench.schedule,
+                &bench.module_allocation,
+                bench.lifetime_options,
+                &mut seen,
+            );
+        }
+        assert!(seen[..3].iter().all(|&n| n > 0), "{seen:?}");
+    }
+
+    #[test]
+    fn matches_the_reference_on_the_seed_1_corpus() {
+        let mut seen = [0; 6];
+        for modules in ["1+,1*,1-", "2+,2*,2-"] {
+            let modules: ModuleSet = modules.parse().expect("a module set");
+            for kind in KINDS {
+                for size in (8..=32).step_by(8) {
+                    let dfg = corpus::generate(kind, size, 1);
+                    let schedule = list_schedule(&dfg, &modules).expect("corpus kinds are covered");
+                    let lt = LifetimeOptions::registered_inputs();
+                    replay(&dfg, &schedule, &modules, lt, &mut seen);
+                }
+            }
+        }
+        assert_covered(&seen);
+    }
+
+    #[test]
+    fn matches_the_reference_on_random_designs() {
+        let cfg = RandomDfgConfig {
+            num_ops: 14,
+            num_inputs: 4,
+            max_ops_per_step: 3,
+            ..RandomDfgConfig::default()
+        };
+        let modules: ModuleSet = "2+,2-,2*,2&".parse().expect("a module set");
+        let mut seen = [0; 6];
+        for seed in 0..60u64 {
+            let (dfg, schedule) = random_scheduled_dfg(seed, &cfg);
+            let lt = LifetimeOptions::registered_inputs();
+            replay(&dfg, &schedule, &modules, lt, &mut seen);
+        }
+        assert_covered(&seen);
     }
 }

@@ -72,13 +72,16 @@ impl SharingContext {
         assert!(m <= 64, "more than 64 modules not supported");
         let mut x_mask = vec![0u64; dfg.num_vars()];
         let mut y_mask = vec![0u64; dfg.num_vars()];
+        // The module's input and output variable sets, one instance at a
+        // time: setting a bit twice is harmless, so no set is built.
         for mid in assignment.module_ids() {
             let bit = 1u64 << mid.index();
-            for v in assignment.input_variable_set(dfg, mid) {
-                x_mask[v.index()] |= bit;
-            }
-            for v in assignment.output_variable_set(dfg, mid) {
-                y_mask[v.index()] |= bit;
+            for &op in assignment.ops_of(mid) {
+                let info = dfg.op(op);
+                for v in info.input_vars() {
+                    x_mask[v.index()] |= bit;
+                }
+                y_mask[info.out.index()] |= bit;
             }
         }
         Self {
