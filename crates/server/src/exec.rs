@@ -17,7 +17,7 @@ use lobist_dfg::{Dfg, Schedule};
 use lobist_engine::{load_design, provenance, Job, LoadError};
 use lobist_lint::{LintUnit, PassRegistry};
 
-use crate::json::escape;
+use crate::json::{compact, escape};
 use crate::proto::{Command, Request};
 use crate::server::Shared;
 
@@ -262,10 +262,11 @@ fn analyze(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
     let unit = LintUnit::of_design(&dfg, &schedule, &d, flow.lifetime_options, &flow.area);
     let (report, _) = lobist_engine::analyze_timed(&unit, Some(shared.engine.metrics_handle()));
     // The payload is a pure function of the report, so a store-served
-    // replay is byte-identical to the original run.
+    // replay is byte-identical to the original run. The report renders
+    // pretty-printed for the CLI; the protocol carries one line.
     Ok(JobBody {
         ok: true,
         cache: "none",
-        payload: format!("\"analyze\":{}", report.to_json(false)),
+        payload: format!("\"analyze\":{}", compact(&report.to_json(false))),
     })
 }

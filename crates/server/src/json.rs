@@ -273,6 +273,33 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
 /// progress events).
 pub use lobist_lint::json_escape as escape;
 
+/// `text`, a JSON value, with the whitespace between its tokens removed:
+/// one line, fit for the protocol. String contents are kept as they are
+/// (an escaped newline is two characters, so none stays raw).
+pub fn compact(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut in_string = false;
+    let mut escaped = false;
+    for c in text.chars() {
+        if in_string {
+            out.push(c);
+            if escaped {
+                escaped = false;
+            } else if c == '\\' {
+                escaped = true;
+            } else if c == '"' {
+                in_string = false;
+            }
+        } else if c == '"' {
+            in_string = true;
+            out.push(c);
+        } else if !matches!(c, ' ' | '\t' | '\n' | '\r') {
+            out.push(c);
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,6 +336,14 @@ mod tests {
         for bad in ["", "{", "{\"a\":}", "[1,]", "{\"a\":1} extra", "\"open", "nul"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must be rejected");
         }
+    }
+
+    #[test]
+    fn compact_keeps_the_value_on_one_line() {
+        let pretty = "{\n  \"a b\": [1, 2.5e3,\n    {\"c\": \"x \\\" \\n y\"}],\n  \"d\": true\n}";
+        let line = compact(pretty);
+        assert_eq!(line, r#"{"a b":[1,2.5e3,{"c":"x \" \n y"}],"d":true}"#);
+        assert_eq!(Json::parse(&line), Json::parse(pretty));
     }
 
     #[test]

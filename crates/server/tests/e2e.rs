@@ -657,3 +657,70 @@ fn error_events_are_json_for_any_message_text() {
     shutdown(&endpoint);
     thread.join().expect("run thread").expect("clean shutdown");
 }
+
+/// The protocol is one JSON object per line: every line of every
+/// response parses, for each command, a ping and an error event. The
+/// `analyze` report, pretty-printed for the CLI, travels as one line.
+#[test]
+fn every_response_line_parses_as_json() {
+    let (endpoint, thread) = start(ServerConfig::default());
+    let design = lobist_server::json::escape(DESIGN);
+    let unscheduled = lobist_server::json::escape(
+        "input a b c d\ns1 = a + b\ns2 = c + d\ny = s1 * s2\noutput y\n",
+    );
+    let requests = [
+        ("synth", synth_request()),
+        (
+            "lint",
+            format!(r#"{{"cmd":"lint","design":"{design}","modules":"1+,1*"}}"#),
+        ),
+        (
+            "analyze",
+            format!(r#"{{"cmd":"analyze","design":"{design}","modules":"1+,1*"}}"#),
+        ),
+        (
+            "faultsim",
+            format!(r#"{{"cmd":"faultsim","design":"{design}","modules":"1+,1*","width":5}}"#),
+        ),
+        (
+            "anneal",
+            format!(r#"{{"cmd":"anneal","design":"{design}","modules":"1+,1*","iterations":30}}"#),
+        ),
+        (
+            "explore",
+            format!(r#"{{"cmd":"explore","design":"{unscheduled}","candidates":"1+,1*;2+,1*"}}"#),
+        ),
+        ("metrics", r#"{"cmd":"metrics"}"#.to_owned()),
+        ("ping", r#"{"cmd":"ping"}"#.to_owned()),
+        (
+            "error",
+            r#"{"cmd":"synth","design":"input a\n","modules":"1+"}"#.to_owned(),
+        ),
+    ];
+    for (name, request) in requests {
+        let events = client::submit(&endpoint, &request).expect("submit");
+        for line in &events {
+            let event = Json::parse(line).unwrap_or_else(|e| panic!("{name}: {e}: {line}"));
+            assert!(
+                event.get("event").and_then(Json::as_str).is_some(),
+                "{name}: {line}"
+            );
+        }
+        let terminal = match name {
+            "metrics" | "error" => name,
+            "ping" => "pong",
+            _ => "done",
+        };
+        event(&events, terminal);
+        if name == "analyze" {
+            let result = Json::parse(event(&events, "result")).expect("parsed above");
+            let report = result.get("analyze").expect("an analyze payload");
+            assert!(
+                report.get("summary").and_then(|s| s.get("cones")).is_some(),
+                "{events:?}"
+            );
+        }
+    }
+    shutdown(&endpoint);
+    thread.join().expect("run thread").expect("clean shutdown");
+}
