@@ -937,12 +937,9 @@ mod differential {
                 let kind = dfg.op(op).kind;
                 let nth = used.entry((schedule.step(op), kind)).or_insert(0);
                 *nth += 1;
-                modules
-                    .supporting(kind)
-                    .nth(*nth - 1)
-                    .expect("the schedule fits the modules")
+                modules.supporting(kind).nth(*nth - 1)
             })
-            .collect();
+            .collect::<Option<_>>()?;
         // Keep only the modules some operation landed on.
         let mut used: Vec<usize> = module_of.clone();
         used.sort_unstable();
@@ -1006,6 +1003,28 @@ mod differential {
             }
         }
         assert!(compared >= 3, "only {compared} designs compared");
+    }
+
+    #[test]
+    fn matches_the_reference_on_random_designs() {
+        use lobist_dfg::random::{random_scheduled_dfg, RandomDfgConfig};
+        let model = AreaModel::default();
+        let cfg = RandomDfgConfig {
+            num_ops: 14,
+            num_inputs: 4,
+            ..RandomDfgConfig::default()
+        };
+        let modules: ModuleSet = "3+,3-,3*,3&".parse().expect("a module set");
+        let mut compared = 0;
+        for seed in 0..60u64 {
+            let (dfg, schedule) = random_scheduled_dfg(seed, &cfg);
+            let lt = LifetimeOptions::registered_inputs();
+            if let Some((n, embs)) = design_lists(&dfg, &schedule, &modules, lt) {
+                assert_same(n, &model, &embs);
+                compared += 1;
+            }
+        }
+        assert!(compared >= 20, "only {compared} designs compared");
     }
 
     #[test]
