@@ -79,7 +79,7 @@ fn bench_bist_session(c: &mut Criterion) {
             b.iter(|| run_session(&net, 8, 255, (1, 2), &faults))
         });
     }
-    // Session emulation pinned to each lane width: every fault walks
+    // Session emulation pinned to each lane width: every stem walks
     // its whole cone every batch (the MISR signature needs every
     // pattern, so there is no early exit), which makes batch count the
     // cost driver — the workload where wide lanes genuinely win.

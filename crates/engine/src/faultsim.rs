@@ -2,26 +2,29 @@
 //!
 //! Fault simulation is embarrassingly parallel across faults — every
 //! fault's detection outcome is independent of the rest of the list —
-//! so the fault list is split into strided chunks, one per pool worker,
-//! and each worker runs the cone-limited differential simulator
-//! ([`lobist_gatesim::diffsim::DiffSim`]) over its chunk with its own
-//! scratch buffers. Merging stitches per-chunk results back by original
-//! fault index and sums counters, so the result is **byte-identical**
-//! to a serial run no matter the worker count:
+//! so the fault list is split into chunks of whole stem groups, one
+//! chunk per pool worker, and each worker runs the session's
+//! stem-shared walks ([`SessionContext::detect_flags`]) over its chunk
+//! with its own scratch buffers. Merging stitches per-chunk results
+//! back by original fault index and sums counters, so the result is
+//! **byte-identical** to a serial run no matter the worker count:
 //!
 //! * per-fault session detect flags are independent, so placing each
 //!   chunk result back at its fault's original index reproduces the
 //!   serial vector exactly;
 //! * every worker replays the same session (a pure function of the
-//!   seeds), so a fault sees identical patterns in any chunk.
+//!   seeds), so a fault sees identical patterns in any chunk;
+//! * a stem group is never split, so each stem is walked once per
+//!   batch at any worker count, and the `faults_simulated`,
+//!   `cone_evals` and `events_propagated` counters are the same too.
 //!
 //! Random-pattern coverage outside a BIST session is the serial
 //! [`lobist_gatesim::coverage::random_pattern_coverage`].
 //!
 //! The driver is also generic over the simulation lane width
-//! ([`LaneSelect`]): the same pair-preserving partition is used at
-//! every width and the per-fault results are width-invariant, so
-//! reports are byte-identical across lanes × workers (test-asserted).
+//! ([`LaneSelect`]): the same partition is used at every width and the
+//! per-fault results are width-invariant, so reports are
+//! byte-identical across lanes × workers (test-asserted).
 //!
 //! Optionally the universe is first collapsed into structural
 //! equivalence classes ([`lobist_gatesim::collapse`]); only class
@@ -47,7 +50,7 @@ use lobist_gatesim::coverage::enumerate_faults;
 use lobist_gatesim::diffsim::{DiffSim, SimCounters};
 use lobist_gatesim::lanes::{auto_width, LaneWord, W256};
 use lobist_gatesim::lfsr::max_useful_patterns;
-use lobist_gatesim::net::{Fault, GateNetwork};
+use lobist_gatesim::net::{Fault, GateNetwork, NetId};
 
 use crate::cache::{lock_ok, FifoMap};
 use crate::metrics::Metrics;
@@ -140,32 +143,31 @@ pub struct FaultSimStats {
     pub wall: Duration,
 }
 
-/// Strided partition over *polarity pairs*: adjacent faults on the same
-/// net stay in one chunk, and pairs are dealt round-robin. Fault lists
-/// are ordered by net depth, so contiguous chunks would give the first
-/// worker all the large input cones; striding balances depth across
-/// workers. Each chunk carries
-/// its faults' original indices; results are scattered back by those,
-/// so the outcome is independent of the partition shape — and the
-/// partition itself is a pure function of the fault list, identical at
-/// every lane width.
-fn stride_partition(faults: &[Fault], workers: usize) -> Vec<(Vec<Fault>, Vec<u32>)> {
-    let w = workers.max(1).min(faults.len().max(1));
+/// Partition over *stem groups*: the faults whose sites share a stem
+/// (`stem_of`, [`SessionContext::stem_of`]) stay in one chunk, so one
+/// walk per stem serves them all, and groups are dealt round-robin in
+/// stem order. Stems are ordered by net depth, so contiguous chunks
+/// would give the first worker all the large input cones; dealing
+/// balances depth across workers. Each chunk carries its faults'
+/// original indices; results are scattered back by those, so the
+/// outcome is independent of the partition shape — and the partition
+/// itself is a pure function of the fault list and the network,
+/// identical at every lane width.
+fn stem_partition(
+    faults: &[Fault],
+    stem_of: impl Fn(NetId) -> NetId,
+    workers: usize,
+) -> Vec<(Vec<Fault>, Vec<u32>)> {
+    let stem = |i: &u32| stem_of(faults[*i as usize].net);
+    let mut order: Vec<u32> = (0..faults.len() as u32).collect();
+    order.sort_by_key(stem);
+    let groups = order.chunk_by(|a, b| stem(a) == stem(b));
+    let w = workers.max(1).min(groups.clone().count().max(1));
     let mut parts = vec![(Vec::new(), Vec::new()); w];
-    let (mut group, mut i) = (0usize, 0usize);
-    while i < faults.len() {
-        let len = if i + 1 < faults.len() && faults[i + 1].net == faults[i].net {
-            2
-        } else {
-            1
-        };
-        let (chunk, indices) = &mut parts[group % w];
-        for (k, &f) in faults.iter().enumerate().take(i + len).skip(i) {
-            chunk.push(f);
-            indices.push(k as u32);
-        }
-        group += 1;
-        i += len;
+    for (k, group) in groups.enumerate() {
+        let (chunk, indices) = &mut parts[k % w];
+        chunk.extend(group.iter().map(|&i| faults[i as usize]));
+        indices.extend_from_slice(group);
     }
     parts
 }
@@ -223,7 +225,7 @@ fn session_parallel_at<W: LaneWord>(
     let ctx = SessionContext::<W>::prepare(net, controls, width, patterns, seeds);
 
     let ctx_ref = &ctx;
-    let chunks = stride_partition(sim_list, opts.workers);
+    let chunks = stem_partition(sim_list, |n| ctx.stem_of(n), opts.workers);
     let tasks: Vec<_> = chunks
         .iter()
         .map(|(chunk, _)| {
@@ -693,6 +695,81 @@ mod tests {
         assert!(faults.len() < 64);
         assert_eq!(report, serial);
         assert_eq!(stats.simulated_faults, faults.len());
+    }
+
+    #[test]
+    fn reports_and_work_counters_are_the_same_at_every_worker_count() {
+        use lobist_gatesim::modules::{alu, restoring_divider};
+        use OpKind::{Add, Mul, Sub};
+        // The divider's deep stems are what a split group would walk
+        // twice.
+        for (name, net, controls, width, patterns) in [
+            ("mul6", array_multiplier(6), vec![], 6u32, 63u64),
+            ("div5", restoring_divider(5), vec![], 5, 31),
+            ("alu5", alu(&[Add, Sub, Mul], 5), vec![false, false, true], 5, 300),
+        ] {
+            for collapse in [true, false] {
+                for lanes in [LaneSelect::W64, LaneSelect::W256] {
+                    let run = |workers| {
+                        let opts = FaultSimOptions {
+                            workers,
+                            collapse,
+                            lanes,
+                        };
+                        let (report, stats) = bist_session_parallel(
+                            &net,
+                            &controls,
+                            width,
+                            patterns,
+                            (0xACE1, 0x1BAD),
+                            opts,
+                        );
+                        let c = stats.counters;
+                        (report, [c.faults_simulated, c.cone_evals, c.events_propagated])
+                    };
+                    let want = run(1);
+                    assert!(want.1.iter().all(|&c| c > 0), "{name}: {:?}", want.1);
+                    for workers in [2, 3, 7] {
+                        assert_eq!(
+                            run(workers),
+                            want,
+                            "{name} collapse={collapse} lanes={lanes:?} workers={workers}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_partition_never_splits_a_stem_group() {
+        use std::collections::HashMap;
+        let net = array_multiplier(4);
+        let ctx = SessionContext::<u64>::prepare(&net, &[], 4, 15, (1, 2));
+        let universe = enumerate_faults(&net);
+        let collapsed = collapse_faults(&net);
+        for faults in [&universe[..], collapsed.representatives()] {
+            let mut stems: Vec<NetId> = faults.iter().map(|f| ctx.stem_of(f.net)).collect();
+            stems.sort();
+            stems.dedup();
+            assert!(stems.len() > 1 && stems.len() < faults.len());
+            for workers in [1, 2, 3, 7, 64] {
+                let parts = stem_partition(faults, |n| ctx.stem_of(n), workers);
+                assert_eq!(parts.len(), workers.min(stems.len()));
+                let mut owner = HashMap::new();
+                let mut seen = vec![false; faults.len()];
+                for (k, (chunk, indices)) in parts.iter().enumerate() {
+                    assert!(!chunk.is_empty());
+                    for (f, &i) in chunk.iter().zip(indices) {
+                        assert_eq!(*f, faults[i as usize]);
+                        assert!(!std::mem::replace(&mut seen[i as usize], true));
+                        let stem = ctx.stem_of(f.net);
+                        assert_eq!(*owner.entry(stem).or_insert(k), k, "stem {stem} split");
+                    }
+                }
+                assert!(seen.iter().all(|&s| s), "every fault dealt once");
+            }
+        }
     }
 
     #[test]

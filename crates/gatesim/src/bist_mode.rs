@@ -8,23 +8,29 @@
 //! exchange for area.
 //!
 //! Sessions are simulated differentially: the pattern schedule, golden
-//! signature and per-batch MISR maps are prepared once per module
-//! ([`SessionContext::prepare`]), and each fault only propagates
-//! difference words through its cone ([`crate::diffsim::DiffSim`]). A
-//! MISR step is affine over GF(2), so a fault's state after a batch is
-//! the batch's clean (golden-stream) map applied to its state, XOR an
-//! error term that depends only on the fault's output difference words.
-//! Bit `j` of that term is the parity of the difference lanes under a
-//! precomputed lane mask per output position ([`SessionContext::detect_flags`]),
-//! so a batch costs one basis-XOR plus, when the fault reaches an
-//! output, at most `misr_width²` masked word XORs — never one MISR step
-//! per pattern.
+//! signature, per-batch MISR maps and the network's stems are prepared
+//! once per module ([`SessionContext::prepare`]), and difference words
+//! propagate only through cones ([`crate::diffsim::DiffSim`]). A MISR
+//! step is affine over GF(2), so a fault's state after a batch is the
+//! batch's clean (golden-stream) map applied to its state, XOR an error
+//! term that depends only on the fault's output difference words. Bit
+//! `j` of that term is the parity of the difference lanes under a
+//! precomputed lane mask per output position, so a batch never costs
+//! one MISR step per pattern.
+//!
+//! One cone walk per batch serves every fault behind a *stem* (a net
+//! with two or more consumer gates, a primary output, or no consumer):
+//! each other net reaches the outputs only through its one consumer
+//! gate, so its faults' output differences are the stem walk's,
+//! masked to the lanes where the fault is excited and reaches the stem
+//! ([`SessionContext::detect_flags`]).
 
 use crate::collapse::CollapsedFaults;
 use crate::diffsim::DiffSim;
+use crate::fanout::Fanout;
 use crate::lanes::LaneWord;
 use crate::lfsr::{Lfsr, Misr};
-use crate::net::{Fault, GateNetwork};
+use crate::net::{eval_gate, Fault, GateNetwork, NetId};
 
 /// The outcome of one emulated BIST session over a module.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,14 +162,16 @@ impl<W: LaneWord> BatchMap<W> {
         s
     }
 
-    /// The error term of difference words `diffs` (indexed by output
-    /// position, non-zero only at the `touched` positions, each listed
-    /// once): bit `j` is the parity of `⊕_pos diffs[pos] & fold[pos][j]`.
-    /// Positions at or past the MISR width are masked off by every
-    /// absorb, so they contribute nothing.
-    fn error(&self, diffs: &[W], touched: &[u32]) -> u64 {
+    /// Folds difference words `diffs` (indexed by output position,
+    /// non-zero only at the `touched` positions, each listed once) into
+    /// `acc[j] = ⊕_pos diffs[pos] & fold[pos][j]`, one word per MISR
+    /// bit. The error term of the differences in lanes `m` has bit `j`
+    /// equal to `parity(acc[j] & m)` ([`error_bits`]). Positions at or
+    /// past the MISR width are masked off by every absorb, so they
+    /// contribute nothing.
+    fn fold_into(&self, diffs: &[W], touched: &[u32], acc: &mut [W]) {
         let mw = self.basis.len();
-        let mut acc = [W::ZERO; 32];
+        acc.fill(W::ZERO);
         for &pos in touched {
             let pos = pos as usize;
             if pos < mw {
@@ -173,11 +181,33 @@ impl<W: LaneWord> BatchMap<W> {
                 }
             }
         }
-        acc[..mw]
-            .iter()
-            .enumerate()
-            .fold(0, |e, (j, &a)| e | parity(a) << j)
     }
+}
+
+/// The MISR error term of the folded differences `acc` restricted to
+/// lanes `m`: bit `j` is `parity(acc[j] & m)`.
+fn error_bits<W: LaneWord>(acc: &[W], m: W) -> u64 {
+    acc.iter()
+        .enumerate()
+        .fold(0, |e, (j, &a)| e | parity(a & m) << j)
+}
+
+/// `stem_gate` entry of a stem: it has no single consumer to follow.
+const STEM: u32 = u32::MAX;
+
+/// A fault list grouped by stem, built once per
+/// [`SessionContext::detect_flags`] call.
+struct StemPlan {
+    /// Fault-list indices grouped by stem, stems ascending, list order
+    /// within a group.
+    order: Vec<usize>,
+    /// The fanout-free nets whose reach masks the groups need: the nets
+    /// on the chains from each fault site up to its stem, descending
+    /// within a group so that a net's consumer output comes first.
+    chain: Vec<usize>,
+    /// Per group: its stem and the ends of its runs in `order` and
+    /// `chain`.
+    groups: Vec<(usize, usize, usize)>,
 }
 
 /// The fault-independent part of a BIST session: the packed pattern
@@ -200,6 +230,11 @@ pub struct SessionContext<'n, W: LaneWord = u64> {
     maps: Vec<BatchMap<W>>,
     golden_signature: u64,
     patterns: u64,
+    /// Per net: the stem its chain of single consumers leads to (the
+    /// net itself when it is a stem).
+    stem: Vec<u32>,
+    /// Per net: its one consumer gate, or [`STEM`].
+    stem_gate: Vec<u32>,
 }
 
 impl<'n, W: LaneWord> SessionContext<'n, W> {
@@ -300,12 +335,72 @@ impl<'n, W: LaneWord> SessionContext<'n, W> {
             });
         }
 
+        // Stems, by descending net index: a gate's out net is numbered
+        // after its operands, so a net's consumer output is resolved
+        // first.
+        let fanout = Fanout::new(net);
+        let mut stem: Vec<u32> = (0..net.num_nets() as u32).collect();
+        let mut stem_gate = vec![STEM; net.num_nets()];
+        for n in (0..net.num_nets()).rev() {
+            let id = NetId(n as u32);
+            if let &[g] = fanout.consumers(id) {
+                if !fanout.is_output(id) {
+                    let out = net.gates()[g as usize].out.index();
+                    debug_assert!(out > n, "operand nets precede the out net");
+                    stem[n] = stem[out];
+                    stem_gate[n] = g;
+                }
+            }
+        }
+
         Self {
             net,
             batches,
             maps,
             golden_signature: golden_misr.signature(),
             patterns,
+            stem,
+            stem_gate,
+        }
+    }
+
+    /// The stem of `net`: the net itself when it drives two or more
+    /// consumer gates, drives a primary output or drives nothing;
+    /// otherwise the stem its chain of single consumers leads to. Every
+    /// path from `net` to an output passes through its stem.
+    pub fn stem_of(&self, net: NetId) -> NetId {
+        NetId(self.stem[net.index()])
+    }
+
+    /// Groups `faults` by stem and lists the fanout-free nets whose
+    /// reach masks the groups need.
+    fn plan(&self, faults: &[Fault]) -> StemPlan {
+        let stem_of = |fi: &usize| self.stem[faults[*fi].net.index()];
+        let mut order: Vec<usize> = (0..faults.len()).collect();
+        order.sort_by_key(stem_of);
+        let mut chain = Vec::new();
+        let mut groups = Vec::new();
+        let mut needed = vec![false; self.net.num_nets()];
+        let mut end = 0;
+        for run in order.chunk_by(|a, b| stem_of(a) == stem_of(b)) {
+            let stem = stem_of(&run[0]) as usize;
+            let start = chain.len();
+            for &fi in run {
+                let mut n = faults[fi].net.index();
+                while n != stem && !needed[n] {
+                    needed[n] = true;
+                    chain.push(n);
+                    n = self.net.gates()[self.stem_gate[n] as usize].out.index();
+                }
+            }
+            chain[start..].sort_unstable_by(|a, b| b.cmp(a));
+            end += run.len();
+            groups.push((stem, end, chain.len()));
+        }
+        StemPlan {
+            order,
+            chain,
+            groups,
         }
     }
 
@@ -324,20 +419,50 @@ impl<'n, W: LaneWord> SessionContext<'n, W> {
         self.golden_signature
     }
 
+    /// Fills `reach[n]` for the fanout-free nets `nets` (descending, each
+    /// net's consumer output already filled): the lanes in which
+    /// flipping `n` alone flips its consumer gate's output, within that
+    /// output's own reach mask. One gate evaluation per net.
+    fn reach_masks(&self, golden: &[W], nets: &[usize], reach: &mut [W]) {
+        for &n in nets {
+            let g = self.net.gates()[self.stem_gate[n] as usize];
+            let operand = |x: NetId| {
+                if x.index() == n {
+                    !golden[n]
+                } else {
+                    golden[x.index()]
+                }
+            };
+            let out = g.out.index();
+            reach[n] = (eval_gate(g.kind, operand(g.a), operand(g.b)) ^ golden[out]) & reach[out];
+        }
+    }
+
     /// Simulates every fault through the whole session and returns its
     /// `(ideal, signature)` detection flags, in fault-list order. The
     /// flags of each fault are independent of the rest of the list, so
     /// partitioning `faults` and concatenating per-partition results is
     /// byte-identical to one call over the full list.
     ///
-    /// Per batch, a fault's MISR state takes the batch's clean affine
-    /// step, XOR the error term of its output differences: one masked
-    /// parity per MISR bit over the difference words, with no per-pattern
-    /// MISR step. A fault that reaches no output in the batch has no
-    /// error term.
+    /// Per batch, each stem of the list is walked once
+    /// ([`DiffSim::flip_output_diffs`]), flipping the lanes in which
+    /// some fault of its group is excited and reaches it, and the
+    /// walk's output differences `D_pos` are folded once into one word
+    /// per MISR bit. A fault on net `n` is excited in the lanes where
+    /// the golden value differs from its stuck value; it reaches the
+    /// stem in the lanes of `n`'s reach mask: all used lanes for the
+    /// stem itself, else the lanes in which flipping `n` flips its
+    /// consumer's output, within that output's own reach mask. With
+    /// `M_f` = excitation & reach, the fault's output differences are
+    /// exactly `D_pos & M_f`: lanes are independent patterns, and every
+    /// path from `n` to an output passes through its consumer's output.
+    /// So the fault is ideally detected when some `D_pos & M_f` is
+    /// non-zero, and bit `j` of its MISR error term is the parity of
+    /// the folded word `j` in lanes `M_f` (the fold is linear). Its
+    /// state takes the batch's clean affine step, XOR that error term.
     ///
     /// `sim` must simulate [`network`](Self::network); its scratch
-    /// buffers are reused across all faults and batches.
+    /// buffers are reused across all walks and batches.
     ///
     /// # Panics
     ///
@@ -354,27 +479,55 @@ impl<'n, W: LaneWord> SessionContext<'n, W> {
         if faults.is_empty() {
             return Vec::new();
         }
+        let plan = self.plan(faults);
+        let mut reach = vec![W::ZERO; self.net.num_nets()];
+        let mut masks = Vec::new();
+        let mut acc = Vec::new();
         for batch in &self.batches {
             sim.load_batch(&batch.lanes);
-            let used_mask = W::lane_mask(batch.used as u64);
+            sim.count_faults(faults.len());
+            // Lanes beyond `used` are padding (all-zero operands), not
+            // applied patterns: the reach masks never include them.
+            let used = W::lane_mask(batch.used as u64);
             let map = &self.maps[batch.map];
-            for (fi, &fault) in faults.iter().enumerate() {
-                let mut error = 0;
-                // Lanes beyond `used` are padding (all-zero operands),
-                // not applied patterns: differences there neither detect
-                // nor reach the MISR.
-                if sim.fault_output_diffs(fault) {
-                    let diffs = sim.out_diffs();
-                    let touched = sim.touched_output_positions();
-                    if touched
-                        .iter()
-                        .any(|&pos| !(diffs[pos as usize] & used_mask).is_zero())
-                    {
+            acc.resize(map.basis.len(), W::ZERO);
+            for s in &mut states {
+                *s = map.advance(batch.ff_const, *s);
+            }
+            let (mut order_at, mut chain_at) = (0, 0);
+            for &(stem, order_end, chain_end) in &plan.groups {
+                let group = &plan.order[order_at..order_end];
+                let nets = &plan.chain[chain_at..chain_end];
+                (order_at, chain_at) = (order_end, chain_end);
+                let golden = sim.golden_values();
+                reach[stem] = used;
+                self.reach_masks(golden, nets, &mut reach);
+                masks.clear();
+                masks.extend(group.iter().map(|&fi| {
+                    let n = faults[fi].net.index();
+                    let excited = if faults[fi].stuck_at_one {
+                        !golden[n]
+                    } else {
+                        golden[n]
+                    };
+                    excited & reach[n]
+                }));
+                let lanes = masks.iter().fold(W::ZERO, |u, &m| u | m);
+                if lanes.is_zero() || !sim.flip_output_diffs(NetId(stem as u32), lanes) {
+                    continue;
+                }
+                let diffs = sim.out_diffs();
+                let touched = sim.touched_output_positions();
+                let seen = touched
+                    .iter()
+                    .fold(W::ZERO, |d, &pos| d | diffs[pos as usize]);
+                map.fold_into(diffs, touched, &mut acc);
+                for (&fi, &m) in group.iter().zip(&masks) {
+                    if !(seen & m).is_zero() {
                         ideal[fi] = true;
-                        error = map.error(diffs, touched);
+                        states[fi] ^= error_bits(&acc, m);
                     }
                 }
-                states[fi] = map.advance(batch.ff_const, states[fi]) ^ error;
             }
         }
         faults
@@ -503,6 +656,47 @@ mod tests {
             })
             .collect();
         (flags, golden_signature)
+    }
+
+    /// The per-fault session loop that [`SessionContext::detect_flags`]
+    /// replaced: one whole-cone walk per fault per batch
+    /// ([`DiffSim::fault_output_diffs`]) and one fold of its output
+    /// differences. Oracle for the stem-shared walk.
+    fn detect_flags_per_fault<W: LaneWord>(
+        ctx: &SessionContext<'_, W>,
+        sim: &mut DiffSim<'_, W>,
+        faults: &[Fault],
+    ) -> Vec<DetectFlags> {
+        let mut states = vec![0u64; faults.len()];
+        let mut ideal = vec![false; faults.len()];
+        let mut acc = Vec::new();
+        for batch in &ctx.batches {
+            sim.load_batch(&batch.lanes);
+            let used_mask = W::lane_mask(batch.used as u64);
+            let map = &ctx.maps[batch.map];
+            acc.resize(map.basis.len(), W::ZERO);
+            for (fi, &fault) in faults.iter().enumerate() {
+                let mut error = 0;
+                if sim.fault_output_diffs(fault) {
+                    let diffs = sim.out_diffs();
+                    let touched = sim.touched_output_positions();
+                    if touched
+                        .iter()
+                        .any(|&pos| !(diffs[pos as usize] & used_mask).is_zero())
+                    {
+                        ideal[fi] = true;
+                        map.fold_into(diffs, touched, &mut acc);
+                        error = error_bits(&acc, W::ONES);
+                    }
+                }
+                states[fi] = map.advance(batch.ff_const, states[fi]) ^ error;
+            }
+        }
+        ideal
+            .into_iter()
+            .zip(states)
+            .map(|(ideal, state)| (ideal, state != ctx.golden_signature))
+            .collect()
     }
 
     #[test]
@@ -658,6 +852,222 @@ mod tests {
         let mut parts = ctx.detect_flags(&mut sim, &faults[..mid]);
         parts.extend(ctx.detect_flags(&mut sim, &faults[mid..]));
         assert_eq!(parts, whole);
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E3779B97F4A7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        z ^ (z >> 31)
+    }
+
+    /// A random network over `inputs` inputs: every gate consumes
+    /// earlier nets, so it has reconvergent fanout, Not/Buf and
+    /// same-operand gates, dead gates, inputs wired to outputs, outputs
+    /// that also feed gates and duplicated outputs. Up to `3 * width +
+    /// 4` outputs, more than a `width`-bit MISR absorbs.
+    fn random_session_network(seed: u64, inputs: usize, width: u32) -> GateNetwork {
+        use crate::net::GateKind;
+        const KINDS: [GateKind; 7] = [
+            GateKind::And,
+            GateKind::Or,
+            GateKind::Xor,
+            GateKind::Nand,
+            GateKind::Nor,
+            GateKind::Not,
+            GateKind::Buf,
+        ];
+        let mut s = seed;
+        let mut b = NetworkBuilder::new();
+        let mut nets: Vec<_> = (0..inputs).map(|_| b.input()).collect();
+        for _ in 0..1 + splitmix(&mut s) % 48 {
+            let kind = KINDS[(splitmix(&mut s) % KINDS.len() as u64) as usize];
+            let a = nets[(splitmix(&mut s) % nets.len() as u64) as usize];
+            let x = nets[(splitmix(&mut s) % nets.len() as u64) as usize];
+            let out = match kind {
+                GateKind::Not | GateKind::Buf => b.gate(kind, a, a),
+                _ => b.gate(kind, a, x),
+            };
+            nets.push(out);
+        }
+        // Half the outputs among the last nets, so most gates are live.
+        let outputs = (0..1 + splitmix(&mut s) % u64::from(3 * width + 4))
+            .map(|_| {
+                let r = splitmix(&mut s);
+                let back = if r & 1 == 0 { (r >> 1) % 4 } else { r >> 1 };
+                nets[nets.len() - 1 - (back % nets.len() as u64) as usize]
+            })
+            .collect();
+        b.finish(outputs)
+    }
+
+    /// A random session: width 2–5, up to two held controls, a budget
+    /// of 1–700 patterns (most clip the last batch at both lane widths)
+    /// and random seeds.
+    struct RandomSession {
+        net: GateNetwork,
+        controls: Vec<bool>,
+        width: u32,
+        patterns: u64,
+        seeds: (u64, u64),
+    }
+
+    fn random_session(s: &mut u64) -> RandomSession {
+        let width = 2 + (splitmix(s) % 4) as u32;
+        let controls: Vec<bool> = (0..splitmix(s) % 3).map(|_| splitmix(s) & 1 == 1).collect();
+        let inputs = controls.len() + 2 * width as usize;
+        RandomSession {
+            net: random_session_network(splitmix(s), inputs, width),
+            controls,
+            width,
+            patterns: 1 + splitmix(s) % 700,
+            seeds: (1 + splitmix(s) % 4096, 1 + splitmix(s) % 4096),
+        }
+    }
+
+    /// The stem-shared walk and the per-fault loop at lane width `W`,
+    /// both checked against the re-evaluation reference's flags.
+    fn check_session<W: LaneWord>(r: &RandomSession, faults: &[Fault], want: &[DetectFlags]) {
+        let ctx = SessionContext::<W>::prepare(&r.net, &r.controls, r.width, r.patterns, r.seeds);
+        let mut sim = DiffSim::<W>::new(&r.net);
+        let what = format!("{} lanes, {} patterns, {:?}", W::LANES, r.patterns, r.net);
+        assert_eq!(ctx.detect_flags(&mut sim, faults), want, "stem walk at {what}");
+        assert_eq!(
+            detect_flags_per_fault(&ctx, &mut sim, faults),
+            want,
+            "per-fault loop at {what}"
+        );
+    }
+
+    #[test]
+    fn stem_walk_matches_both_references_on_random_networks() {
+        use crate::lanes::W256;
+        use std::collections::HashMap;
+        let mut s = 0x5E55_1014;
+        let (mut ffr_detected, mut past_misr, mut aliased) = (0, 0, 0);
+        for _ in 0..300 {
+            let r = random_session(&mut s);
+            let universe = enumerate_faults(&r.net);
+            let (want, _) = run_session_reference(
+                &r.net,
+                &r.controls,
+                r.width,
+                r.patterns,
+                r.seeds,
+                &universe,
+            );
+            let index: HashMap<Fault, usize> =
+                universe.iter().enumerate().map(|(i, &f)| (f, i)).collect();
+            let collapsed = collapse_faults(&r.net);
+            let reps = collapsed.representatives();
+            let want_reps: Vec<DetectFlags> = reps.iter().map(|f| want[index[f]]).collect();
+            for (faults, want) in [(&universe[..], &want[..]), (reps, &want_reps[..])] {
+                check_session::<u64>(&r, faults, want);
+                check_session::<W256>(&r, faults, want);
+            }
+            let ctx = SessionContext::<u64>::prepare(&r.net, &r.controls, r.width, 1, r.seeds);
+            for (f, &(ideal, signature)) in universe.iter().zip(&want) {
+                ffr_detected += usize::from(ideal && ctx.stem_of(f.net) != f.net);
+                past_misr += usize::from(ideal && !signature);
+                aliased += usize::from(signature && !ideal);
+            }
+        }
+        // The generator reaches the paths under test: faults detected
+        // through a fanout-free chain, and faults seen only at outputs
+        // past the MISR or lost to aliasing.
+        assert!(ffr_detected > 0 && past_misr > 0, "{ffr_detected} {past_misr}");
+        // A signature never differs without an output difference.
+        assert_eq!(aliased, 0);
+    }
+
+    /// Every net's value with net `flip` inverted in every lane, by full
+    /// re-evaluation.
+    fn eval_flipped(net: &GateNetwork, lanes: &[u64], flip: usize) -> Vec<u64> {
+        let mut v = vec![0u64; net.num_nets()];
+        for (i, n) in net.inputs().iter().enumerate() {
+            v[n.index()] = lanes[i];
+        }
+        if !net.gates().iter().any(|g| g.out.index() == flip) {
+            v[flip] = !v[flip];
+        }
+        for g in net.gates() {
+            let out = g.out.index();
+            v[out] = eval_gate(g.kind, v[g.a.index()], v[g.b.index()]);
+            if out == flip {
+                v[out] = !v[out];
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn reach_masks_match_full_reevaluation() {
+        let mut s = 0x4EAC_0001;
+        let mut chain_nets = 0;
+        for _ in 0..200 {
+            let r = random_session(&mut s);
+            let ctx =
+                SessionContext::<u64>::prepare(&r.net, &r.controls, r.width, r.patterns, r.seeds);
+            let universe = enumerate_faults(&r.net);
+            let plan = ctx.plan(&universe);
+            for batch in &ctx.batches {
+                let mut golden = Vec::new();
+                r.net.eval_all_nets_into(&batch.lanes, &mut golden);
+                let used = u64::lane_mask(batch.used as u64);
+                let mut reach = vec![0u64; r.net.num_nets()];
+                let mut chain_at = 0;
+                for &(stem, _, chain_end) in &plan.groups {
+                    let nets = &plan.chain[chain_at..chain_end];
+                    chain_at = chain_end;
+                    reach[stem] = used;
+                    ctx.reach_masks(&golden, nets, &mut reach);
+                    for &n in nets {
+                        assert_eq!(ctx.stem_of(NetId(n as u32)).index(), stem);
+                        let flipped = eval_flipped(&r.net, &batch.lanes, n);
+                        assert_eq!(
+                            reach[n],
+                            (flipped[stem] ^ golden[stem]) & used,
+                            "net {n} behind stem {stem} of {:?}",
+                            r.net
+                        );
+                        chain_nets += 1;
+                    }
+                }
+            }
+            // Every fault site is its group's stem or on its chain.
+            let mut chain_at = 0;
+            let mut order_at = 0;
+            for &(stem, order_end, chain_end) in &plan.groups {
+                for &fi in &plan.order[order_at..order_end] {
+                    let n = universe[fi].net.index();
+                    assert!(n == stem || plan.chain[chain_at..chain_end].contains(&n));
+                }
+                (order_at, chain_at) = (order_end, chain_end);
+            }
+        }
+        assert!(chain_nets > 1000, "{chain_nets}");
+    }
+
+    #[test]
+    fn stems_end_fanout_free_chains() {
+        let mut b = NetworkBuilder::new();
+        let x = b.input(); // two consumers: a stem
+        let y = b.input();
+        let z = b.input();
+        let w = b.input();
+        let a = b.and(x, y);
+        let n = b.not(a);
+        let c = b.or(x, z);
+        let o = b.xor(n, c); // a primary output: a stem
+        let q = b.and(w, w); // drives nothing: a stem; `w` feeds it once
+        let net = b.finish(vec![o]);
+        let ctx = SessionContext::<u64>::prepare(&net, &[], 2, 4, (1, 2));
+        let stems: Vec<NetId> = [x, y, z, w, a, n, c, o, q]
+            .iter()
+            .map(|&net| ctx.stem_of(net))
+            .collect();
+        assert_eq!(stems, [x, o, o, q, o, o, o, o, q]);
     }
 }
 

@@ -320,7 +320,7 @@ impl<'n, W: LaneWord> DiffSim<'n, W> {
     ///
     /// Panics if no batch is loaded.
     pub fn detects(&mut self, fault: Fault) -> bool {
-        self.propagate::<true>(fault).0
+        self.propagate_fault::<true>(fault).0
     }
 
     /// The first 64-lane *block* of the current batch in which `fault`
@@ -342,7 +342,7 @@ impl<'n, W: LaneWord> DiffSim<'n, W> {
     ///
     /// Panics if no batch is loaded.
     pub fn detect_block(&mut self, fault: Fault) -> Option<u32> {
-        first_block(self.propagate::<true>(fault).1)
+        first_block(self.propagate_fault::<true>(fault).1)
     }
 
     /// Per-polarity first detecting 64-lane blocks of one net with a
@@ -374,7 +374,7 @@ impl<'n, W: LaneWord> DiffSim<'n, W> {
     ///
     /// Panics if no batch is loaded.
     pub fn detect_lanes(&mut self, fault: Fault) -> W {
-        self.propagate::<false>(fault);
+        self.propagate_fault::<false>(fault);
         let mut acc = W::ZERO;
         for &pos in &self.touched_outputs {
             acc = acc | self.out_diff[pos as usize];
@@ -532,7 +532,44 @@ impl<'n, W: LaneWord> DiffSim<'n, W> {
     ///
     /// Panics if no batch is loaded.
     pub fn fault_output_diffs(&mut self, fault: Fault) -> bool {
-        self.propagate::<false>(fault).0
+        self.propagate_fault::<false>(fault).0
+    }
+
+    /// Flips `lanes` at `site` and propagates the difference through
+    /// the whole cone, recording [`out_diffs`](Self::out_diffs) as
+    /// [`fault_output_diffs`](Self::fault_output_diffs) does. Returns
+    /// `true` if any output lane differs.
+    ///
+    /// Flipping every lane a stuck-at fault is excited in simulates that
+    /// fault; flipping more lanes simulates several faults at once,
+    /// because lanes are independent. So this counts no fault: the
+    /// caller counts the faults the walk serves
+    /// ([`count_faults`](Self::count_faults)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no batch is loaded.
+    pub fn flip_output_diffs(&mut self, site: crate::net::NetId, lanes: W) -> bool {
+        assert!(self.batch_loaded, "load a batch first");
+        let start = self.golden[site.index()] ^ lanes;
+        self.propagate::<false>(site.index(), start).0
+    }
+
+    /// Adds `n` to the `faults_simulated` counter, for callers that
+    /// answer faults from [`flip_output_diffs`](Self::flip_output_diffs)
+    /// walks.
+    pub(crate) fn count_faults(&mut self, n: usize) {
+        self.counters.faults_simulated += n as u64;
+    }
+
+    /// Golden value of every net for the current batch, indexed by net.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no batch is loaded.
+    pub fn golden_values(&self) -> &[W] {
+        assert!(self.batch_loaded, "load a batch first");
+        &self.golden
     }
 
     /// Per-output difference words of the last
@@ -551,17 +588,25 @@ impl<'n, W: LaneWord> DiffSim<'n, W> {
         &self.touched_outputs
     }
 
-    /// The core event loop. `EARLY` accumulates masked output
-    /// differences and returns once a detection lands in lane block 0
-    /// (coverage mode — see [`detect_block`](Self::detect_block) for
-    /// why block 0, and why for `u64` this is the classic
-    /// first-detection exit); otherwise the full cone is propagated and
-    /// per-output difference words recorded (session mode). Returns
-    /// `(detected, accumulated detection word)`; the word is meaningful
-    /// only in `EARLY` mode and is first-block-accurate, not
-    /// lane-exact.
-    fn propagate<const EARLY: bool>(&mut self, fault: Fault) -> (bool, W) {
+    /// [`propagate`](Self::propagate) from `fault`'s site with the
+    /// stuck word, counting one simulated fault.
+    fn propagate_fault<const EARLY: bool>(&mut self, fault: Fault) -> (bool, W) {
         assert!(self.batch_loaded, "load a batch first");
+        self.counters.faults_simulated += 1;
+        self.propagate::<EARLY>(fault.net.index(), W::splat(fault.stuck_word()))
+    }
+
+    /// The core event loop: net `site` takes the word `start` and the
+    /// difference propagates through its cone. `EARLY` accumulates
+    /// masked output differences and returns once a detection lands in
+    /// lane block 0 (coverage mode — see
+    /// [`detect_block`](Self::detect_block) for why block 0, and why for
+    /// `u64` this is the classic first-detection exit); otherwise the
+    /// full cone is propagated and per-output difference words recorded
+    /// (session mode). Returns `(detected, accumulated detection
+    /// word)`; the word is meaningful only in `EARLY` mode and is
+    /// first-block-accurate, not lane-exact.
+    fn propagate<const EARLY: bool>(&mut self, site: usize, start: W) -> (bool, W) {
         // Split `self` into disjoint borrows: with every buffer behind
         // its own (`&`/`&mut`) binding the compiler knows they cannot
         // alias, so slice pointers and lengths stay in registers across
@@ -592,17 +637,14 @@ impl<'n, W: LaneWord> DiffSim<'n, W> {
                 out_diff[pos as usize] = W::ZERO;
             }
         }
-        counters.faults_simulated += 1;
-        let site = fault.net.index();
-        let fv = W::splat(fault.stuck_word());
-        if fv == golden[site] {
+        if start == golden[site] {
             return (false, W::ZERO); // not excited in any lane
         }
-        val[site] = fv;
+        val[site] = start;
         touched_nets.push(site as u32);
         let mut detected = false;
         let mut det = W::ZERO;
-        let site_diff = fv ^ golden[site];
+        let site_diff = start ^ golden[site];
         for &pos in &out_positions[out_offsets[site] as usize..out_offsets[site + 1] as usize] {
             if EARLY {
                 det = site_diff & lane_mask;
