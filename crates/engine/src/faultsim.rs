@@ -50,7 +50,7 @@ use lobist_gatesim::coverage::enumerate_faults;
 use lobist_gatesim::diffsim::{DiffSim, SimCounters};
 use lobist_gatesim::lanes::{auto_width, LaneWord, W256};
 use lobist_gatesim::lfsr::max_useful_patterns;
-use lobist_gatesim::net::{Fault, GateNetwork, NetId};
+use lobist_gatesim::net::{Fault, GateNetwork};
 
 use crate::cache::{lock_ok, FifoMap};
 use crate::metrics::Metrics;
@@ -144,30 +144,29 @@ pub struct FaultSimStats {
 }
 
 /// Partition over *stem groups*: the faults whose sites share a stem
-/// (`stem_of`, [`SessionContext::stem_of`]) stay in one chunk, so one
-/// walk per stem serves them all, and groups are dealt round-robin in
-/// stem order. Stems are ordered by net depth, so contiguous chunks
+/// ([`SessionContext::stem_order`]) stay in one chunk, so one walk per
+/// stem serves them all, and groups are dealt round-robin in stem
+/// order. Stems are ordered by net depth, so contiguous chunks
 /// would give the first worker all the large input cones; dealing
 /// balances depth across workers. Each chunk carries its faults'
 /// original indices; results are scattered back by those, so the
 /// outcome is independent of the partition shape — and the partition
 /// itself is a pure function of the fault list and the network,
 /// identical at every lane width.
-fn stem_partition(
+fn stem_partition<W: LaneWord>(
     faults: &[Fault],
-    stem_of: impl Fn(NetId) -> NetId,
+    ctx: &SessionContext<'_, W>,
     workers: usize,
 ) -> Vec<(Vec<Fault>, Vec<u32>)> {
-    let stem = |i: &u32| stem_of(faults[*i as usize].net);
-    let mut order: Vec<u32> = (0..faults.len() as u32).collect();
-    order.sort_by_key(stem);
+    let stem = |i: &usize| ctx.stem_of(faults[*i].net);
+    let order = ctx.stem_order(faults);
     let groups = order.chunk_by(|a, b| stem(a) == stem(b));
     let w = workers.max(1).min(groups.clone().count().max(1));
     let mut parts = vec![(Vec::new(), Vec::new()); w];
     for (k, group) in groups.enumerate() {
         let (chunk, indices) = &mut parts[k % w];
-        chunk.extend(group.iter().map(|&i| faults[i as usize]));
-        indices.extend_from_slice(group);
+        chunk.extend(group.iter().map(|&i| faults[i]));
+        indices.extend(group.iter().map(|&i| i as u32));
     }
     parts
 }
@@ -225,7 +224,7 @@ fn session_parallel_at<W: LaneWord>(
     let ctx = SessionContext::<W>::prepare(net, controls, width, patterns, seeds);
 
     let ctx_ref = &ctx;
-    let chunks = stem_partition(sim_list, |n| ctx.stem_of(n), opts.workers);
+    let chunks = stem_partition(sim_list, &ctx, opts.workers);
     let tasks: Vec<_> = chunks
         .iter()
         .map(|(chunk, _)| {
@@ -706,7 +705,13 @@ mod tests {
         for (name, net, controls, width, patterns) in [
             ("mul6", array_multiplier(6), vec![], 6u32, 63u64),
             ("div5", restoring_divider(5), vec![], 5, 31),
-            ("alu5", alu(&[Add, Sub, Mul], 5), vec![false, false, true], 5, 300),
+            (
+                "alu5",
+                alu(&[Add, Sub, Mul], 5),
+                vec![false, false, true],
+                5,
+                300,
+            ),
         ] {
             for collapse in [true, false] {
                 for lanes in [LaneSelect::W64, LaneSelect::W256] {
@@ -725,7 +730,10 @@ mod tests {
                             opts,
                         );
                         let c = stats.counters;
-                        (report, [c.faults_simulated, c.cone_evals, c.events_propagated])
+                        (
+                            report,
+                            [c.faults_simulated, c.cone_evals, c.events_propagated],
+                        )
                     };
                     let want = run(1);
                     assert!(want.1.iter().all(|&c| c > 0), "{name}: {:?}", want.1);
@@ -743,6 +751,7 @@ mod tests {
 
     #[test]
     fn the_partition_never_splits_a_stem_group() {
+        use lobist_gatesim::net::NetId;
         use std::collections::HashMap;
         let net = array_multiplier(4);
         let ctx = SessionContext::<u64>::prepare(&net, &[], 4, 15, (1, 2));
@@ -754,7 +763,7 @@ mod tests {
             stems.dedup();
             assert!(stems.len() > 1 && stems.len() < faults.len());
             for workers in [1, 2, 3, 7, 64] {
-                let parts = stem_partition(faults, |n| ctx.stem_of(n), workers);
+                let parts = stem_partition(faults, &ctx, workers);
                 assert_eq!(parts.len(), workers.min(stems.len()));
                 let mut owner = HashMap::new();
                 let mut seen = vec![false; faults.len()];

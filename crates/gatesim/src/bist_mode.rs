@@ -195,6 +195,14 @@ fn error_bits<W: LaneWord>(acc: &[W], m: W) -> u64 {
 /// `stem_gate` entry of a stem: it has no single consumer to follow.
 const STEM: u32 = u32::MAX;
 
+/// [`SessionContext::stem_order`] over a stem table; not generic, so
+/// every lane width shares one sort.
+fn group_by_stem(stem: &[u32], faults: &[Fault]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..faults.len()).collect();
+    order.sort_by_key(|&fi| stem[faults[fi].net.index()]);
+    order
+}
+
 /// A fault list grouped by stem, built once per
 /// [`SessionContext::detect_flags`] call.
 struct StemPlan {
@@ -372,12 +380,17 @@ impl<'n, W: LaneWord> SessionContext<'n, W> {
         NetId(self.stem[net.index()])
     }
 
+    /// Indices into `faults` grouped by stem: stems ascending, list
+    /// order within a group.
+    pub fn stem_order(&self, faults: &[Fault]) -> Vec<usize> {
+        group_by_stem(&self.stem, faults)
+    }
+
     /// Groups `faults` by stem and lists the fanout-free nets whose
     /// reach masks the groups need.
     fn plan(&self, faults: &[Fault]) -> StemPlan {
         let stem_of = |fi: &usize| self.stem[faults[*fi].net.index()];
-        let mut order: Vec<usize> = (0..faults.len()).collect();
-        order.sort_by_key(stem_of);
+        let order = group_by_stem(&self.stem, faults);
         let mut chain = Vec::new();
         let mut groups = Vec::new();
         let mut needed = vec![false; self.net.num_nets()];
@@ -932,7 +945,11 @@ mod tests {
         let ctx = SessionContext::<W>::prepare(&r.net, &r.controls, r.width, r.patterns, r.seeds);
         let mut sim = DiffSim::<W>::new(&r.net);
         let what = format!("{} lanes, {} patterns, {:?}", W::LANES, r.patterns, r.net);
-        assert_eq!(ctx.detect_flags(&mut sim, faults), want, "stem walk at {what}");
+        assert_eq!(
+            ctx.detect_flags(&mut sim, faults),
+            want,
+            "stem walk at {what}"
+        );
         assert_eq!(
             detect_flags_per_fault(&ctx, &mut sim, faults),
             want,
@@ -949,14 +966,8 @@ mod tests {
         for _ in 0..300 {
             let r = random_session(&mut s);
             let universe = enumerate_faults(&r.net);
-            let (want, _) = run_session_reference(
-                &r.net,
-                &r.controls,
-                r.width,
-                r.patterns,
-                r.seeds,
-                &universe,
-            );
+            let (want, _) =
+                run_session_reference(&r.net, &r.controls, r.width, r.patterns, r.seeds, &universe);
             let index: HashMap<Fault, usize> =
                 universe.iter().enumerate().map(|(i, &f)| (f, i)).collect();
             let collapsed = collapse_faults(&r.net);
@@ -976,7 +987,10 @@ mod tests {
         // The generator reaches the paths under test: faults detected
         // through a fanout-free chain, and faults seen only at outputs
         // past the MISR or lost to aliasing.
-        assert!(ffr_detected > 0 && past_misr > 0, "{ffr_detected} {past_misr}");
+        assert!(
+            ffr_detected > 0 && past_misr > 0,
+            "{ffr_detected} {past_misr}"
+        );
         // A signature never differs without an output difference.
         assert_eq!(aliased, 0);
     }

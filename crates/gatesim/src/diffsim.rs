@@ -549,7 +549,7 @@ impl<'n, W: LaneWord> DiffSim<'n, W> {
     /// # Panics
     ///
     /// Panics if no batch is loaded.
-    pub fn flip_output_diffs(&mut self, site: crate::net::NetId, lanes: W) -> bool {
+    pub(crate) fn flip_output_diffs(&mut self, site: crate::net::NetId, lanes: W) -> bool {
         assert!(self.batch_loaded, "load a batch first");
         let start = self.golden[site.index()] ^ lanes;
         self.propagate::<false>(site.index(), start).0
@@ -567,7 +567,7 @@ impl<'n, W: LaneWord> DiffSim<'n, W> {
     /// # Panics
     ///
     /// Panics if no batch is loaded.
-    pub fn golden_values(&self) -> &[W] {
+    pub(crate) fn golden_values(&self) -> &[W] {
         assert!(self.batch_loaded, "load a batch first");
         &self.golden
     }

@@ -219,15 +219,15 @@ impl LaneWord for W256 {
 }
 
 /// The widest *profitable* lane width (64 or 256) for a **full-walk**
-/// pattern budget — BIST session emulation, where every fault walks its
+/// pattern budget — BIST session emulation, where every stem walks its
 /// whole cone every batch so batch count is the cost driver. From 192
 /// patterns up, one 256-lane batch replaces three or four narrow
 /// batches and wins even after paying for the wider words (measured
-/// 2.86× on `session_lanes_*8`, `BENCH_gatesim.json`); below that the
-/// padding lanes' extra walk cost eats the saving. No wider word is
-/// offered: a 512-lane `[u64; 8]` word measured *slower* than 256 on
-/// every session workload tried, its scratch doubling the per-net
-/// footprint past the cache sweet spot.
+/// 1.92–2.47× within run on `session_lanes_*8`, `BENCH_gatesim.json`
+/// `stem_walks`); below that the padding lanes' extra walk cost eats
+/// the saving. No wider word is offered: a 512-lane `[u64; 8]` word
+/// measured *slower* than 256 on every session workload tried, its
+/// scratch doubling the per-net footprint past the cache sweet spot.
 ///
 /// This policy is only used for session-style runs. The random-coverage
 /// loop resolves `auto` to 64 lanes instead: its walks early-exit and
