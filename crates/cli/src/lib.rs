@@ -16,13 +16,12 @@
 
 use std::fmt;
 
-use lobist_alloc::flow::{synthesize, Design, FlowError, FlowOptions};
+use lobist_alloc::flow::{synthesize, FlowError, FlowOptions};
 use lobist_dfg::modules::ModuleSet;
-use lobist_dfg::{Dfg, Schedule};
 use lobist_engine::spec::{Kind, Value, FIELDS};
-use lobist_engine::{load_design, FlowKind, JobSpec, LoadError};
+use lobist_engine::{load_design, Engine, FlowKind, JobError, JobSpec, LoadError};
 use lobist_gatesim::bist_mode::SessionReport;
-use lobist_lint::{Code, LintPolicy, LintUnit, PassRegistry, Report};
+use lobist_lint::{Code, LintPolicy, Report};
 
 /// Errors surfaced to the CLI user.
 #[derive(Debug)]
@@ -418,44 +417,25 @@ fn worker_count(o: &Options) -> usize {
     })
 }
 
-/// The positional design file.
-fn design_path(o: &Options) -> Result<&str, CliError> {
-    o.positional
-        .get(1)
-        .map(String::as_str)
-        .ok_or_else(|| CliError::Usage("missing design file".into()))
-}
-
 fn read_file(path: &str) -> Result<String, CliError> {
     std::fs::read_to_string(path).map_err(|e| CliError::Io(path.to_owned(), e))
 }
 
-/// The `--modules` set.
-fn module_set(o: &Options) -> Result<ModuleSet, CliError> {
-    o.spec
-        .modules
-        .as_deref()
-        .ok_or_else(|| CliError::Usage("missing --modules".into()))?
-        .parse()
-        .map_err(CliError::Modules)
-}
-
-/// Reads the design file at `path` and loads it under `modules` (see
-/// [`lobist_engine::load_design`] for the rule).
-fn load_file(path: &str, modules: &ModuleSet) -> Result<(Dfg, Schedule), CliError> {
-    load_design(&read_file(path)?, modules).map_err(|e| match e {
-        LoadError::Parse(e) => CliError::Parse(e),
-        LoadError::Schedule(e) => CliError::Usage(format!("{path}: cannot schedule: {e}")),
-        LoadError::Empty => CliError::Usage(format!("{path}: design has no operations")),
-    })
-}
-
-/// The design file and `--modules` set of a single-design command.
-fn load_command_design(o: &Options) -> Result<(Dfg, Schedule, ModuleSet), CliError> {
-    let path = design_path(o)?;
-    let modules = module_set(o)?;
-    let (dfg, schedule) = load_file(path, &modules)?;
-    Ok((dfg, schedule, modules))
+/// A job error as the CLI words it; `path` names the design file.
+fn job_error(path: &str, e: JobError) -> CliError {
+    match e {
+        JobError::Missing(key) => CliError::Usage(format!("missing --{key}")),
+        JobError::Modules(e) | JobError::Candidates(e) => CliError::Modules(e),
+        JobError::Load(LoadError::Parse(e)) => CliError::Parse(e),
+        JobError::Load(LoadError::Schedule(e)) => {
+            CliError::Usage(format!("{path}: cannot schedule: {e}"))
+        }
+        JobError::Load(LoadError::Empty) => {
+            CliError::Usage(format!("{path}: design has no operations"))
+        }
+        JobError::Width(message) => CliError::Usage(message),
+        JobError::Flow(e) => CliError::Flow(e),
+    }
 }
 
 /// Renders one synthesized design as a JSON object (hand-rolled: the
@@ -508,19 +488,6 @@ fn lint_policy(o: &Options) -> Result<LintPolicy, CliError> {
         policy.allow.insert(code);
     }
     Ok(policy)
-}
-
-/// Lints one synthesized design.
-fn lint_design(
-    dfg: &lobist_dfg::Dfg,
-    schedule: &lobist_dfg::Schedule,
-    design: &Design,
-    flow: &FlowOptions,
-    metrics: Option<&lobist_engine::Metrics>,
-) -> (Report, lobist_engine::LintRunStats) {
-    let unit = LintUnit::of_design(dfg, schedule, design, flow.lifetime_options, &flow.area);
-    let registry = PassRegistry::default_registry();
-    lobist_engine::lint_timed(&unit, &registry, metrics)
 }
 
 /// The `"timing"` object spliced into `lint --json` output: run wall
@@ -580,13 +547,16 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     use std::fmt::Write as _;
     let o = parse_args(args)?;
     let command = o.positional.first().map(String::as_str).unwrap_or("help");
+    // A single-design command's design text, and its job errors.
+    let path = o.positional.get(1).map(String::as_str);
+    let text = || read_file(path.ok_or_else(|| CliError::Usage("missing design file".into()))?);
+    let job = |e| job_error(path.unwrap_or(""), e);
     let mut out = String::new();
     match command {
         "help" | "--help" | "-h" => out.push_str(USAGE),
         "synth" => {
-            let (dfg, schedule, modules) = load_command_design(&o)?;
-            let opts = o.spec.flow_options();
-            let d = synthesize(&dfg, &schedule, &modules, &opts).map_err(CliError::Flow)?;
+            let (dfg, schedule, modules) = o.spec.load(Some(&text()?)).map_err(job)?;
+            let d = o.spec.synthesize(&dfg, &schedule, &modules).map_err(CliError::Flow)?;
             let flow = o.spec.flow.name();
             if o.json {
                 let _ = writeln!(out, "{}", design_json(flow, &d));
@@ -633,15 +603,14 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             }
         }
         "compare" => {
-            let (dfg, schedule, modules) = load_command_design(&o)?;
+            let (dfg, schedule, modules) = o.spec.load(Some(&text()?)).map_err(job)?;
             let mut rows = Vec::new();
             for flow in [FlowKind::Testable, FlowKind::Traditional] {
-                let opts = JobSpec {
+                let spec = JobSpec {
                     flow,
                     ..o.spec.clone()
-                }
-                .flow_options();
-                let d = synthesize(&dfg, &schedule, &modules, &opts).map_err(CliError::Flow)?;
+                };
+                let d = spec.synthesize(&dfg, &schedule, &modules).map_err(CliError::Flow)?;
                 rows.push((flow.name(), d));
             }
             if o.json {
@@ -675,8 +644,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             }
         }
         "schedule" => {
-            let text = read_file(design_path(&o)?)?;
-            let dfg = lobist_dfg::parse::parse_unscheduled_dfg(&text).map_err(CliError::Parse)?;
+            let dfg = lobist_dfg::parse::parse_unscheduled_dfg(&text()?).map_err(CliError::Parse)?;
             let critical = lobist_dfg::scheduling::asap(&dfg).max_step();
             let latency = o.latency.unwrap_or(critical);
             let schedule = lobist_dfg::fds::force_directed_schedule(&dfg, latency)
@@ -702,27 +670,17 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let _ = writeln!(out, "{}", lobist_dfg::parse::to_text(&dfg, &schedule));
         }
         "faultsim" => {
-            let (width, sim_opts) = o
+            let engine = Engine::new(worker_count(&o));
+            let (width, reports) = o
                 .spec
-                .fault_sim(worker_count(&o))
-                .map_err(CliError::Usage)?;
-            let (dfg, schedule, modules) = load_command_design(&o)?;
-            let opts = o.spec.flow_options();
-            // The sessions need only the module binding, but no engine
-            // answer vouches for this design, so it is synthesized in
-            // full and a design the flow rejects fails here.
-            let binding = synthesize(&dfg, &schedule, &modules, &opts)
-                .map_err(CliError::Flow)?
-                .module_assignment;
-            let engine = lobist_engine::Engine::new(worker_count(&o));
+                .simulate(Some(&text()?), &engine, engine.workers())
+                .map_err(job)?;
             let _ = writeln!(
                 out,
                 "{:<10} {:>7} {:>9} {:>11} {:>8}",
                 "module", "faults", "ideal", "signature", "aliased"
             );
-            for (label, report) in
-                lobist_engine::fault_sim_modules(&dfg, &binding, width, sim_opts, &engine)
-            {
+            for (label, report) in reports {
                 let _ = writeln!(
                     out,
                     "{:<10} {:>7} {:>8.1}% {:>10.1}% {:>8}",
@@ -744,29 +702,21 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             }
         }
         "explore" => {
-            let text = read_file(design_path(&o)?)?;
-            let dfg = lobist_dfg::parse::parse_unscheduled_dfg(&text).map_err(CliError::Parse)?;
-            let candidates: Vec<ModuleSet> = o
+            let engine = Engine::new(worker_count(&o));
+            let (dfg, result, _) = o
                 .spec
-                .candidates
-                .as_deref()
-                .ok_or_else(|| CliError::Usage("missing --candidates".into()))?
-                .split(';')
-                .map(|s| s.trim().parse().map_err(CliError::Modules))
-                .collect::<Result<_, _>>()?;
-            let mut config = lobist_alloc::explore::ExploreConfig::new(candidates);
-            config.flow = o.spec.flow_options();
-            let engine = lobist_engine::Engine::new(worker_count(&o));
-            let (result, _) =
-                lobist_engine::explore_parallel(&dfg, &config, &engine, engine.workers());
+                .explore(Some(&text()?), &engine, engine.workers())
+                .map_err(job)?;
             out.push_str(&lobist_engine::render_report(&result));
             if o.lint {
                 let policy = lint_policy(&o)?;
                 let mut denied = 0;
                 for p in &result.points {
-                    let d = synthesize(&dfg, &p.schedule, &p.modules, &config.flow)
+                    let d = o
+                        .spec
+                        .synthesize(&dfg, &p.schedule, &p.modules)
                         .map_err(CliError::Flow)?;
-                    let (report, _) = lint_design(&dfg, &p.schedule, &d, &config.flow, None);
+                    let (report, _) = o.spec.lint(&dfg, &p.schedule, &d, None);
                     append_lint_verdict(
                         &mut out,
                         &format!("{} latency {}", p.modules, p.latency),
@@ -815,7 +765,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     ));
                 }
             }
-            let modules = module_set(&o)?;
+            let modules = o.spec.module_set().map_err(job)?;
             let fault_sim = o
                 .faultsim
                 .then(|| o.spec.fault_sim(worker_count(&o)))
@@ -825,7 +775,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let mut jobs = Vec::new();
             let mut parsed = Vec::new();
             for path in &design_paths {
-                let (dfg, schedule) = load_file(path, &modules)?;
+                let (dfg, schedule) = load_design(&read_file(path)?, &modules)
+                    .map_err(|e| job_error(path, JobError::Load(e)))?;
                 let dfg = std::sync::Arc::new(dfg);
                 jobs.push(lobist_engine::Job {
                     dfg: dfg.clone(),
@@ -838,7 +789,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 });
                 parsed.push((dfg, schedule));
             }
-            let mut engine = lobist_engine::Engine::new(worker_count(&o));
+            let mut engine = Engine::new(worker_count(&o));
             if o.progress {
                 // Stream each engine event as its own flushed JSONL
                 // line so a pipe consumer sees progress live, not at
@@ -921,14 +872,14 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     if outcome.result.is_err() {
                         continue;
                     }
-                    let d = match synthesize(dfg, schedule, &modules, &flow) {
+                    let d = match o.spec.synthesize(dfg, schedule, &modules) {
                         Ok(d) => d,
                         Err(e) => {
                             let _ = writeln!(out, "lint {}: failed: {e}", outcome.label);
                             continue;
                         }
                     };
-                    let (report, _) = lint_design(dfg, schedule, &d, &flow, None);
+                    let (report, _) = o.spec.lint(dfg, schedule, &d, None);
                     append_lint_verdict(&mut out, &outcome.label, &report);
                     denied += policy.denied_count(&report);
                 }
@@ -1020,12 +971,14 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             }
         }
         "anneal" => {
-            let (dfg, schedule, modules) = load_command_design(&o)?;
+            let (dfg, schedule, modules) = o.spec.load(Some(&text()?)).map_err(job)?;
             let (config, result, stats) = o
                 .spec
                 .anneal(&dfg, &schedule, &modules, worker_count(&o))
                 .map_err(CliError::Flow)?;
-            let heuristic = synthesize(&dfg, &schedule, &modules, &o.spec.flow_options())
+            let heuristic = o
+                .spec
+                .synthesize(&dfg, &schedule, &modules)
                 .map(|d| d.bist.overhead.get())
                 .ok();
             let _ = writeln!(
@@ -1081,11 +1034,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
         "lint" => {
             let policy = lint_policy(&o)?;
-            let (dfg, schedule, modules) = load_command_design(&o)?;
-            let flow = o.spec.flow_options();
-            let d = synthesize(&dfg, &schedule, &modules, &flow).map_err(CliError::Flow)?;
+            let (dfg, schedule, modules) = o.spec.load(Some(&text()?)).map_err(job)?;
+            let d = o.spec.synthesize(&dfg, &schedule, &modules).map_err(CliError::Flow)?;
             let metrics = o.metrics.then(lobist_engine::Metrics::new);
-            let (report, stats) = lint_design(&dfg, &schedule, &d, &flow, metrics.as_ref());
+            let (report, stats) = o.spec.lint(&dfg, &schedule, &d, metrics.as_ref());
             if o.json {
                 // Splice the run timing in as the report's last key so
                 // `lint --json` output is self-contained; the report
@@ -1127,12 +1079,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             }
         }
         "analyze" => {
-            let (dfg, schedule, modules) = load_command_design(&o)?;
-            let flow = o.spec.flow_options();
-            let d = synthesize(&dfg, &schedule, &modules, &flow).map_err(CliError::Flow)?;
-            let unit = LintUnit::of_design(&dfg, &schedule, &d, flow.lifetime_options, &flow.area);
+            let (dfg, schedule, modules) = o.spec.load(Some(&text()?)).map_err(job)?;
+            let d = o.spec.synthesize(&dfg, &schedule, &modules).map_err(CliError::Flow)?;
             let metrics = o.metrics.then(lobist_engine::Metrics::new);
-            let (report, _) = lobist_engine::analyze_timed(&unit, metrics.as_ref());
+            let (report, _) = o.spec.analyze(&dfg, &schedule, &d, metrics.as_ref());
             if o.json {
                 let _ = writeln!(out, "{}", report.to_json(o.full));
             } else {

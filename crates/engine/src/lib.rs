@@ -35,8 +35,9 @@
 //!   testability analysis of `lobist_lint`, run on the calling thread
 //!   with per-pass and per-cone timing histograms in the metrics;
 //! * [`spec`] — the one job specification the CLI and the daemon both
-//!   parse into: field defaults and checks, the flow options, the design
-//!   loader, the fault-simulation knobs and the annealing run.
+//!   parse into (field defaults and checks), and the one job runner
+//!   both call: the design loader, the synthesis, and each job
+//!   command's compute, failing with one [`JobError`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,4 +70,4 @@ pub use lint::{lint_timed, LintRunStats};
 pub use lobist_store::{ResultStore, StoreStats};
 pub use metrics::{bucket_micros, Metrics, MetricsSnapshot, NUM_BUCKETS};
 pub use pool::{run_jobs, PoolStats};
-pub use spec::{load_design, FlowKind, JobSpec, LoadError};
+pub use spec::{load_design, FlowKind, JobError, JobSpec, LoadError};

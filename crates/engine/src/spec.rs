@@ -1,28 +1,41 @@
-//! One job specification for every `lobist` surface.
+//! One job specification and one job runner for every `lobist`
+//! surface.
 //!
 //! The CLI (`lobist synth d.dfg --modules 1+,1* --width 16`) and the
 //! daemon (`{"cmd":"synth","design":…,"modules":"1+,1*","width":16}`)
 //! accept the same eleven job fields. [`JobSpec`] is the one place that
-//! defines them: each field's default, the values it accepts
-//! ([`JobSpec::set`], the checked way in for outside input), and the
-//! drivers both surfaces run on a checked spec — the flow options, the
-//! design loader, the fault-simulation knobs and the annealing run. A
-//! surface keeps only its syntax (argv tokens, JSON types), its error
-//! wording, and its deployment policy: how an unset `jobs` resolves to
-//! a worker count.
+//! defines them: each field's default and the values it accepts
+//! ([`JobSpec::set`], the checked way in for outside input). It also
+//! runs every job step both surfaces share, once: load the design
+//! ([`JobSpec::load`]), synthesize it ([`JobSpec::synthesize`]), and
+//! the six job commands' compute (`synth`, `explore`, `anneal`,
+//! `faultsim`, `lint`, `analyze`), failing with one [`JobError`]. A
+//! surface keeps only its syntax (argv tokens and files, JSON types),
+//! its error wording, its rendering, and its deployment policy: how an
+//! unset `jobs` resolves to a worker count.
+
+use std::sync::Arc;
 
 use lobist_alloc::anneal::{AnnealConfig, AnnealResult};
-use lobist_alloc::flow::{FlowError, FlowOptions};
+use lobist_alloc::explore::{Candidate, ExploreConfig, ExploreResult};
+use lobist_alloc::flow::{self, Design, FlowError, FlowOptions};
 use lobist_alloc::module_assign::assign_modules;
 use lobist_datapath::area::AreaModel;
 use lobist_dfg::lifetime::LifetimeOptions;
-use lobist_dfg::modules::ModuleSet;
+use lobist_dfg::modules::{ModuleSet, ParseModuleSetError};
 use lobist_dfg::parse::{parse_dfg, parse_unscheduled_dfg, ParseDfgError};
 use lobist_dfg::scheduling::{list_schedule, ListScheduleError};
 use lobist_dfg::{Dfg, Schedule};
+use lobist_gatesim::bist_mode::SessionReport;
+use lobist_lint::{LintUnit, PassRegistry, Report, TestabilityReport};
 
+use crate::analyze::{analyze_timed, AnalyzeRunStats};
 use crate::anneal::{anneal_multichain, AnnealStats};
-use crate::faultsim::{FaultSimOptions, LaneSelect, SessionWidth};
+use crate::engine::{provenance, Engine, Job, JobOutcome};
+use crate::explore::explore_parallel;
+use crate::faultsim::{fault_sim_modules, FaultSimOptions, LaneSelect, SessionWidth};
+use crate::lint::{lint_timed, LintRunStats};
+use crate::metrics::Metrics;
 
 /// The most annealing chains one job may ask for. Every chain is a pool
 /// task of its own, so an unbounded count is an unbounded allocation.
@@ -280,6 +293,138 @@ impl JobSpec {
         let (result, stats) =
             anneal_multichain(dfg, schedule, lt, &ma, &flow, &config, chains, workers)?;
         Ok((config, result, stats))
+    }
+
+    /// The `modules` field as a module set.
+    pub fn module_set(&self) -> Result<ModuleSet, JobError> {
+        let text = self.modules.as_deref().ok_or(JobError::Missing("modules"));
+        text?.parse().map_err(JobError::Modules)
+    }
+
+    /// Loads `design` under the spec's module set with [`load_design`].
+    pub fn load(&self, design: Option<&str>) -> Result<(Arc<Dfg>, Schedule, ModuleSet), JobError> {
+        let design = design.ok_or(JobError::Missing("design"))?;
+        let modules = self.module_set()?;
+        let (dfg, schedule) = load_design(design, &modules).map_err(JobError::Load)?;
+        Ok((Arc::new(dfg), schedule, modules))
+    }
+
+    /// Synthesizes a loaded design under the spec's flow, in the
+    /// requester's labels: the one direct synthesis of every surface.
+    pub fn synthesize(
+        &self,
+        dfg: &Dfg,
+        schedule: &Schedule,
+        modules: &ModuleSet,
+    ) -> Result<Design, FlowError> {
+        flow::synthesize(dfg, schedule, modules, &self.flow_options())
+    }
+
+    /// Loads `design` and answers it as one engine job on `workers`
+    /// threads: the outcome and its [`provenance`].
+    pub fn synth(
+        &self,
+        design: Option<&str>,
+        engine: &Engine,
+        workers: usize,
+    ) -> Result<(JobOutcome, &'static str), JobError> {
+        let (dfg, schedule, modules) = self.load(design)?;
+        let job = Job {
+            dfg,
+            label: modules.to_string(),
+            candidate: Candidate { modules, schedule },
+            flow: self.flow_options(),
+        };
+        let mut outcomes = engine.run_with_workers(vec![job], workers);
+        let served = provenance(&outcomes);
+        Ok((outcomes.pop().expect("one job, one outcome"), served))
+    }
+
+    /// Explores `design`, read unscheduled, over the `candidates` module
+    /// sets on `engine`: the graph, the sweep and its [`provenance`].
+    pub fn explore(
+        &self,
+        design: Option<&str>,
+        engine: &Engine,
+        workers: usize,
+    ) -> Result<(Dfg, ExploreResult, &'static str), JobError> {
+        let design = design.ok_or(JobError::Missing("design"))?;
+        let Some(list) = &self.candidates else {
+            return Err(JobError::Missing("candidates"));
+        };
+        let dfg = parse_unscheduled_dfg(design).map_err(|e| JobError::Load(LoadError::Parse(e)))?;
+        let candidates = list
+            .split(';')
+            .map(|s| s.trim().parse().map_err(JobError::Candidates))
+            .collect::<Result<_, _>>()?;
+        let mut config = ExploreConfig::new(candidates);
+        config.flow = self.flow_options();
+        let (result, served) = explore_parallel(&dfg, &config, engine, workers);
+        Ok((dfg, result, served))
+    }
+
+    /// Checks the width, then fault-simulates the BIST sessions of
+    /// `design`, synthesized in full, on `engine`.
+    pub fn simulate(
+        &self,
+        design: Option<&str>,
+        engine: &Engine,
+        workers: usize,
+    ) -> Result<(SessionWidth, Vec<(String, SessionReport)>), JobError> {
+        let (width, opts) = self.fault_sim(workers).map_err(JobError::Width)?;
+        let (dfg, schedule, modules) = self.load(design)?;
+        let d = self.synthesize(&dfg, &schedule, &modules)?;
+        let reports = fault_sim_modules(&dfg, &d.module_assignment, width, opts, engine);
+        Ok((width, reports))
+    }
+
+    /// Lints a synthesized design with the default pass registry.
+    pub fn lint(
+        &self,
+        dfg: &Dfg,
+        schedule: &Schedule,
+        design: &Design,
+        metrics: Option<&Metrics>,
+    ) -> (Report, LintRunStats) {
+        let flow = self.flow_options();
+        let unit = LintUnit::of_design(dfg, schedule, design, flow.lifetime_options, &flow.area);
+        lint_timed(&unit, &PassRegistry::default_registry(), metrics)
+    }
+
+    /// Runs the static testability analysis on a synthesized design.
+    pub fn analyze(
+        &self,
+        dfg: &Dfg,
+        schedule: &Schedule,
+        design: &Design,
+        metrics: Option<&Metrics>,
+    ) -> (TestabilityReport, AnalyzeRunStats) {
+        let flow = self.flow_options();
+        let unit = LintUnit::of_design(dfg, schedule, design, flow.lifetime_options, &flow.area);
+        analyze_timed(&unit, metrics)
+    }
+}
+
+/// Why a job failed before its answer; each surface words it.
+#[derive(Debug)]
+pub enum JobError {
+    /// A required field is unset: `design`, `modules` or `candidates`.
+    Missing(&'static str),
+    /// The module set does not parse.
+    Modules(ParseModuleSetError),
+    /// A candidate module set does not parse.
+    Candidates(ParseModuleSetError),
+    /// The design does not load.
+    Load(LoadError),
+    /// The fault-simulation width is outside `2..=32`.
+    Width(String),
+    /// Synthesis or annealing failed.
+    Flow(FlowError),
+}
+
+impl From<FlowError> for JobError {
+    fn from(e: FlowError) -> Self {
+        JobError::Flow(e)
     }
 }
 

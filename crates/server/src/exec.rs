@@ -1,5 +1,7 @@
-//! Request execution: turns a parsed [`Request`] into the `result`
-//! event payload, running on the server's shared engine.
+//! Request execution: runs a parsed [`Request`] through the job
+//! runner of [`lobist_engine::spec`] on the server's shared engine and
+//! renders the `result` event payload. This file keeps only the
+//! daemon's worker policy, its error wording and its payloads.
 //!
 //! The payload string must be a pure function of the job's result —
 //! never of timing, worker count, or cache provenance — so that a
@@ -9,13 +11,8 @@
 
 use std::sync::Arc;
 
-use lobist_alloc::explore::{Candidate, DesignPoint, ExploreConfig};
-use lobist_alloc::flow::{synthesize, Design, FlowOptions};
-use lobist_dfg::modules::ModuleSet;
-use lobist_dfg::parse::parse_unscheduled_dfg;
-use lobist_dfg::{Dfg, Schedule};
-use lobist_engine::{load_design, provenance, Job, LoadError};
-use lobist_lint::{LintUnit, PassRegistry};
+use lobist_alloc::explore::DesignPoint;
+use lobist_engine::{JobError, LoadError};
 
 use crate::json::{compact, escape};
 use crate::proto::{Command, Request};
@@ -39,14 +36,30 @@ pub(crate) struct JobBody {
 
 /// Executes one admitted request.
 pub(crate) fn execute(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
-    match request.cmd {
-        Command::Synth => synth(request, shared),
-        Command::Explore => explore(request, shared),
-        Command::Anneal => anneal(request, shared),
-        Command::FaultSim => faultsim(request, shared),
-        Command::Lint => lint(request, shared),
-        Command::Analyze => analyze(request, shared),
-        _ => Err("not a job command".into()),
+    let run = match request.cmd {
+        Command::Synth => synth,
+        Command::Explore => explore,
+        Command::Anneal => anneal,
+        Command::FaultSim => faultsim,
+        Command::Lint => lint,
+        Command::Analyze => analyze,
+        _ => return Err("not a job command".into()),
+    };
+    run(request, shared).map_err(|e| wording(request.cmd, e))
+}
+
+/// A job error as the protocol words it.
+fn wording(cmd: Command, e: JobError) -> String {
+    match e {
+        JobError::Missing(key) => format!("missing field `{key}`"),
+        JobError::Modules(e) => format!("modules: {e}"),
+        JobError::Candidates(e) => format!("candidates: {e}"),
+        JobError::Load(LoadError::Parse(e)) => format!("design: {e}"),
+        JobError::Load(LoadError::Schedule(e)) => format!("cannot schedule design: {e}"),
+        JobError::Load(LoadError::Empty) => "design has no operations".to_owned(),
+        JobError::Width(message) => message,
+        JobError::Flow(e) if cmd == Command::Anneal => format!("anneal: {e}"),
+        JobError::Flow(e) => format!("synthesis: {e}"),
     }
 }
 
@@ -59,35 +72,6 @@ fn effective_jobs(request: &Request, shared: &Shared) -> usize {
         .unwrap_or(shared.config.workers)
         .min(shared.config.max_request_jobs)
         .max(1)
-}
-
-fn require<'a>(field: &'a Option<String>, name: &str) -> Result<&'a str, String> {
-    field
-        .as_deref()
-        .ok_or_else(|| format!("missing field `{name}`"))
-}
-
-/// The request's design, loaded under its module set by the loader
-/// every job command shares.
-fn load(request: &Request) -> Result<(Dfg, Schedule, ModuleSet), String> {
-    let design = require(&request.design, "design")?;
-    let modules: ModuleSet = require(&request.spec.modules, "modules")?
-        .parse()
-        .map_err(|e| format!("modules: {e}"))?;
-    let (dfg, schedule) = load_design(design, &modules).map_err(|e| match e {
-        LoadError::Parse(e) => format!("design: {e}"),
-        LoadError::Schedule(e) => format!("cannot schedule design: {e}"),
-        LoadError::Empty => "design has no operations".to_owned(),
-    })?;
-    Ok((dfg, schedule, modules))
-}
-
-/// The request's design, loaded and synthesized in full.
-fn load_and_synthesize(request: &Request) -> Result<(Dfg, Schedule, Design, FlowOptions), String> {
-    let (dfg, schedule, modules) = load(request)?;
-    let flow = request.spec.flow_options();
-    let d = synthesize(&dfg, &schedule, &modules, &flow).map_err(|e| format!("synthesis: {e}"))?;
-    Ok((dfg, schedule, d, flow))
 }
 
 /// Renders one design point as the deterministic `result` payload.
@@ -119,25 +103,16 @@ fn point_json(p: &DesignPoint) -> String {
     )
 }
 
-fn synth(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
-    let (dfg, schedule, modules) = load(request)?;
-    let job = Job {
-        dfg: Arc::new(dfg),
-        label: modules.to_string(),
-        candidate: Candidate { modules, schedule },
-        flow: request.spec.flow_options(),
-    };
-    let jobs = effective_jobs(request, shared);
-    let mut outcomes = shared.engine.run_with_workers(vec![job], jobs);
-    let cache = provenance(&outcomes);
-    let outcome = outcomes.pop().expect("one job, one outcome");
-    match &outcome.result {
-        Ok(p) => Ok(JobBody {
+fn synth(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, JobError> {
+    let (design, jobs) = (request.design.as_deref(), effective_jobs(request, shared));
+    let (outcome, cache) = request.spec.synth(design, &shared.engine, jobs)?;
+    Ok(match &outcome.result {
+        Ok(p) => JobBody {
             ok: true,
             cache,
             payload: point_json(p),
-        }),
-        Err((m, e)) => Ok(JobBody {
+        },
+        Err((m, e)) => JobBody {
             ok: false,
             cache,
             payload: format!(
@@ -145,22 +120,13 @@ fn synth(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
                 escape(m),
                 escape(e)
             ),
-        }),
-    }
+        },
+    })
 }
 
-fn explore(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
-    let design = require(&request.design, "design")?;
-    let text = require(&request.spec.candidates, "candidates")?;
-    let dfg = parse_unscheduled_dfg(design).map_err(|e| format!("design: {e}"))?;
-    let candidates: Vec<ModuleSet> = text
-        .split(';')
-        .map(|s| s.trim().parse().map_err(|e| format!("candidates: {e}")))
-        .collect::<Result<_, _>>()?;
-    let mut config = ExploreConfig::new(candidates);
-    config.flow = request.spec.flow_options();
-    let workers = effective_jobs(request, shared);
-    let (result, served) = lobist_engine::explore_parallel(&dfg, &config, &shared.engine, workers);
+fn explore(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, JobError> {
+    let (design, jobs) = (request.design.as_deref(), effective_jobs(request, shared));
+    let (_, result, served) = request.spec.explore(design, &shared.engine, jobs)?;
     let report = lobist_engine::render_report(&result);
     let pareto: Vec<String> = result.pareto.iter().map(usize::to_string).collect();
     Ok(JobBody {
@@ -176,13 +142,11 @@ fn explore(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
     })
 }
 
-fn anneal(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
-    let (dfg, schedule, modules) = load(request)?;
+fn anneal(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, JobError> {
+    let spec = &request.spec;
+    let (dfg, schedule, modules) = spec.load(request.design.as_deref())?;
     let workers = effective_jobs(request, shared);
-    let (config, result, stats) = request
-        .spec
-        .anneal(&dfg, &schedule, &modules, workers)
-        .map_err(|e| format!("anneal: {e}"))?;
+    let (config, result, stats) = spec.anneal(&dfg, &schedule, &modules, workers)?;
     shared.engine.metrics_handle().record_anneal(&result, &stats);
     Ok(JobBody {
         ok: true,
@@ -207,25 +171,20 @@ fn anneal(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
     })
 }
 
-fn faultsim(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
-    let (width, sim_opts) = request.spec.fault_sim(effective_jobs(request, shared))?;
-    // The sessions need only the module binding, but no engine answer
-    // vouches for this design, so it is synthesized in full and a
-    // design the flow rejects fails here.
-    let (dfg, _, d, _) = load_and_synthesize(request)?;
-    let binding = &d.module_assignment;
-    let rows: Vec<String> =
-        lobist_engine::fault_sim_modules(&dfg, binding, width, sim_opts, &shared.engine)
-            .into_iter()
-            .map(|(label, report)| {
-                format!(
-                    "{{\"module\":\"{label}\",\"faults\":{},\"coverage\":{:.4},\"aliased\":{}}}",
-                    report.total_faults,
-                    report.coverage(),
-                    report.aliased(),
-                )
-            })
-            .collect();
+fn faultsim(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, JobError> {
+    let (design, jobs) = (request.design.as_deref(), effective_jobs(request, shared));
+    let (width, reports) = request.spec.simulate(design, &shared.engine, jobs)?;
+    let rows: Vec<String> = reports
+        .into_iter()
+        .map(|(label, report)| {
+            format!(
+                "{{\"module\":\"{label}\",\"faults\":{},\"coverage\":{:.4},\"aliased\":{}}}",
+                report.total_faults,
+                report.coverage(),
+                report.aliased(),
+            )
+        })
+        .collect();
     Ok(JobBody {
         ok: true,
         cache: "none",
@@ -238,12 +197,11 @@ fn faultsim(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> 
     })
 }
 
-fn lint(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
-    let (dfg, schedule, d, flow) = load_and_synthesize(request)?;
-    let unit = LintUnit::of_design(&dfg, &schedule, &d, flow.lifetime_options, &flow.area);
-    let registry = PassRegistry::default_registry();
-    let (report, _) =
-        lobist_engine::lint_timed(&unit, &registry, Some(shared.engine.metrics_handle()));
+fn lint(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, JobError> {
+    let spec = &request.spec;
+    let (dfg, schedule, modules) = spec.load(request.design.as_deref())?;
+    let d = spec.synthesize(&dfg, &schedule, &modules)?;
+    let (report, _) = spec.lint(&dfg, &schedule, &d, Some(shared.engine.metrics_handle()));
     Ok(JobBody {
         ok: true,
         cache: "none",
@@ -257,10 +215,11 @@ fn lint(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
     })
 }
 
-fn analyze(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, String> {
-    let (dfg, schedule, d, flow) = load_and_synthesize(request)?;
-    let unit = LintUnit::of_design(&dfg, &schedule, &d, flow.lifetime_options, &flow.area);
-    let (report, _) = lobist_engine::analyze_timed(&unit, Some(shared.engine.metrics_handle()));
+fn analyze(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, JobError> {
+    let spec = &request.spec;
+    let (dfg, schedule, modules) = spec.load(request.design.as_deref())?;
+    let d = spec.synthesize(&dfg, &schedule, &modules)?;
+    let (report, _) = spec.analyze(&dfg, &schedule, &d, Some(shared.engine.metrics_handle()));
     // The payload is a pure function of the report, so a store-served
     // replay is byte-identical to the original run. The report renders
     // pretty-printed for the CLI; the protocol carries one line.
