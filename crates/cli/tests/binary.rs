@@ -135,6 +135,27 @@ fn binary_rejects_an_empty_design_without_panicking() {
 }
 
 #[test]
+fn binary_explore_rejects_a_design_without_operations() {
+    // `explore` reads its design unscheduled, but rejects an empty one
+    // at load like every other command: no job runs, nothing panics.
+    for (name, text) in [
+        ("lobist_bin_explore_empty.dfg", "# a comment and nothing else\n"),
+        ("lobist_bin_explore_wire.dfg", "input a\noutput a\n"),
+    ] {
+        let path = std::env::temp_dir().join(name);
+        std::fs::write(&path, text).expect("write");
+        let out = Command::new(env!("CARGO_BIN_EXE_lobist"))
+            .args(["explore", path.to_str().expect("utf8"), "--candidates", "1+"])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{name}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("design has no operations"), "{name}: {err}");
+        assert!(!err.contains("panicked"), "{name}: {err}");
+    }
+}
+
+#[test]
 fn binary_synthesizes_a_huge_step_and_rejects_the_last_one() {
     let dir = std::env::temp_dir();
     let synth = |name: &str, step: u64| {

@@ -353,6 +353,9 @@ impl JobSpec {
             return Err(JobError::Missing("candidates"));
         };
         let dfg = parse_unscheduled_dfg(design).map_err(|e| JobError::Load(LoadError::Parse(e)))?;
+        if dfg.num_ops() == 0 {
+            return Err(JobError::Load(LoadError::Empty));
+        }
         let candidates = list
             .split(';')
             .map(|s| s.trim().parse().map_err(JobError::Candidates))

@@ -587,6 +587,25 @@ fn empty_designs_and_out_of_range_steps_get_errors_and_the_daemon_serves_on() {
     thread.join().expect("run thread").expect("clean shutdown");
 }
 
+#[test]
+fn explore_rejects_a_design_without_operations() {
+    let (endpoint, thread) = start(ServerConfig::default());
+    for design in ["# a comment and nothing else\n", "input a\noutput a\n"] {
+        let line = format!(
+            r#"{{"cmd":"explore","design":"{}","candidates":"1+"}}"#,
+            lobist_server::json::escape(design)
+        );
+        let events = client::submit(&endpoint, &line).expect("submit");
+        assert_eq!(
+            message(event(&events, "error")),
+            "design has no operations",
+            "{design:?}: {events:?}"
+        );
+    }
+    shutdown(&endpoint);
+    thread.join().expect("run thread").expect("clean shutdown");
+}
+
 #[path = "../../../tests/support/metrics_golden.rs"]
 mod golden;
 
