@@ -243,10 +243,26 @@ fn parse_seed(v: &str) -> Option<u64> {
         .map_or_else(|| v.parse().ok(), |hex| u64::from_str_radix(hex, 16).ok())
 }
 
+/// A count token: an integer above zero.
+fn parse_count<T: std::str::FromStr + PartialOrd + From<u8>>(v: &str) -> Option<T> {
+    v.parse().ok().filter(|n| *n > T::from(0))
+}
+
+/// A flag's value token as `parse` reads it, or the usage error
+/// `bad {what} `v``.
+fn flag_value<T>(v: &str, what: &str, parse: impl Fn(&str) -> Option<T>) -> Result<T, CliError> {
+    parse(v).ok_or_else(|| CliError::Usage(format!("bad {what} `{v}`")))
+}
+
 fn parse_args(args: &[String]) -> Result<Options, CliError> {
     let mut o = Options::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        // The token after the flag, which needs `what`.
+        let mut value = |what: &str| {
+            it.next()
+                .ok_or_else(|| CliError::Usage(format!("{arg} needs {what}")))
+        };
         // A job field's flag is `--` plus its key with `-` for `_`.
         let field = FIELDS
             .iter()
@@ -254,9 +270,7 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
         if let Some(field) = field {
             let token = match field.kind {
                 Kind::Switch => "",
-                _ => it
-                    .next()
-                    .ok_or_else(|| CliError::Usage(format!("{arg} needs a value")))?,
+                _ => value("a value")?,
             };
             let value = match field.kind {
                 Kind::Switch => Some(Value::Bool(true)),
@@ -282,121 +296,36 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--json" => o.json = true,
             "--full" => o.full = true,
             "--metrics" => o.metrics = true,
-            "--deny" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--deny needs a value".into()))?;
-                o.deny.push(v.clone());
-            }
-            "--allow" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--allow needs a value".into()))?;
-                o.allow.push(v.clone());
-            }
+            "--deny" => o.deny.push(value("a value")?.clone()),
+            "--allow" => o.allow.push(value("a value")?.clone()),
             "--lint" => o.lint = true,
             "--progress" => o.progress = true,
             "--faultsim" => o.faultsim = true,
-            "--permute" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--permute needs a seed".into()))?;
-                o.permute = Some(
-                    parse_seed(v)
-                        .ok_or_else(|| CliError::Usage(format!("bad permute seed `{v}`")))?,
-                );
-            }
+            "--permute" => o.permute = Some(flag_value(value("a seed")?, "permute seed", parse_seed)?),
             "--twin-kernels" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--twin-kernels needs a seed".into()))?;
-                o.twin_kernels = Some(
-                    parse_seed(v)
-                        .ok_or_else(|| CliError::Usage(format!("bad twin-kernels seed `{v}`")))?,
-                );
+                let v = value("a seed")?;
+                o.twin_kernels = Some(flag_value(v, "twin-kernels seed", parse_seed)?);
             }
-            "--sizes" => {
-                o.sizes = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::Usage("--sizes needs a value".into()))?
-                        .clone(),
-                )
-            }
-            "--out" => {
-                o.out_dir = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::Usage("--out needs a directory".into()))?
-                        .clone(),
-                )
-            }
-            "--tcp" => {
-                o.tcp = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::Usage("--tcp needs an address".into()))?
-                        .clone(),
-                )
-            }
-            "--unix" => {
-                o.unix_sock = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::Usage("--unix needs a path".into()))?
-                        .clone(),
-                )
-            }
-            "--store" => {
-                o.store = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::Usage("--store needs a path".into()))?
-                        .clone(),
-                )
-            }
+            "--sizes" => o.sizes = Some(value("a value")?.clone()),
+            "--out" => o.out_dir = Some(value("a directory")?.clone()),
+            "--tcp" => o.tcp = Some(value("an address")?.clone()),
+            "--unix" => o.unix_sock = Some(value("a path")?.clone()),
+            "--store" => o.store = Some(value("a path")?.clone()),
             "--store-max-bytes" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--store-max-bytes needs a value".into()))?;
-                let n: u64 = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| CliError::Usage(format!("bad store budget `{v}`")))?;
-                o.store_max_bytes = Some(n);
+                let v = value("a value")?;
+                o.store_max_bytes = Some(flag_value(v, "store budget", parse_count)?);
             }
             "--max-request-jobs" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--max-request-jobs needs a value".into()))?;
-                let n: usize = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| CliError::Usage(format!("bad request-job ceiling `{v}`")))?;
-                o.max_request_jobs = Some(n);
+                let v = value("a value")?;
+                o.max_request_jobs = Some(flag_value(v, "request-job ceiling", parse_count)?);
             }
             "--max-active" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--max-active needs a value".into()))?;
-                let n: usize =
-                    v.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
-                        CliError::Usage(format!("bad active-request count `{v}`"))
-                    })?;
-                o.max_active = Some(n);
+                let v = value("a value")?;
+                o.max_active = Some(flag_value(v, "active-request count", parse_count)?);
             }
-            "--cmd" => {
-                o.cmd = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::Usage("--cmd needs a value".into()))?
-                        .clone(),
-                )
-            }
+            "--cmd" => o.cmd = Some(value("a value")?.clone()),
             "--latency" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--latency needs a value".into()))?;
-                o.latency = Some(
-                    v.parse()
-                        .map_err(|_| CliError::Usage(format!("bad latency `{v}`")))?,
-                );
+                o.latency = Some(flag_value(value("a value")?, "latency", |v| v.parse().ok())?);
             }
             other if other.starts_with("--") => {
                 return Err(CliError::Usage(format!("unknown option `{other}`")))
