@@ -3,9 +3,12 @@
 //! One [`Server`] owns one [`Engine`] (and through it the in-memory
 //! cache and the durable store), and serves any number of clients over
 //! TCP and/or a Unix socket. Every connection gets its own handler
-//! thread; job-running requests pass through an admission gate that
-//! bounds how many run concurrently and how many may wait, so a burst
-//! of clients degrades to queueing instead of thread explosion.
+//! thread, released once the connection ends; job-running requests
+//! pass through an admission gate that bounds how many run concurrently
+//! and how many may wait, so a burst of clients degrades to queueing
+//! instead of thread explosion. A request line is read up to a cap
+//! derived from `max_design_bytes`; a longer one gets an `error` event
+//! and its connection is closed.
 //!
 //! Shutdown is graceful: the `shutdown` command (or
 //! [`ServerHandle::shutdown`]) stops the acceptors, lets in-flight
@@ -51,7 +54,8 @@ pub struct ServerConfig {
     /// Job-running requests allowed to wait for a slot; beyond this,
     /// requests are rejected with a terminal `error` event.
     pub max_queue: usize,
-    /// Largest accepted inline design, in bytes.
+    /// Largest accepted inline design, in bytes. A request line may
+    /// hold six bytes per design byte (its JSON escapes) plus 64 KiB.
     pub max_design_bytes: usize,
     /// Durable store path, or `None` for in-memory caching only.
     pub store: Option<PathBuf>,
@@ -371,7 +375,11 @@ fn spawn_handler(
 ) {
     let shared = Arc::clone(shared);
     let handle = std::thread::spawn(move || handle_connection(conn, &shared));
-    sink.lock().expect("handler list").push(handle);
+    let mut handlers = sink.lock().expect("handler list");
+    // Dropping a finished handler's handle releases its thread (and its
+    // stack) now; only live handlers wait for the shutdown drain.
+    handlers.retain(|h| !h.is_finished());
+    handlers.push(handle);
 }
 
 /// One client connection over either transport.
@@ -431,18 +439,42 @@ fn emit(out: &mut Conn, line: &str) -> std::io::Result<()> {
     out.flush()
 }
 
+/// The longest request line a handler reads: a design of
+/// `max_design_bytes`, each byte JSON-escaped to at most six, plus
+/// 64 KiB for the other fields.
+fn line_cap(config: &ServerConfig) -> usize {
+    config.max_design_bytes.saturating_mul(6).saturating_add(1 << 16)
+}
+
 fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
     let Ok(mut writer) = conn.try_clone() else {
         return;
     };
     let _ = conn.set_read_timeout(Some(READ_POLL));
     let mut reader = BufReader::new(conn);
-    let mut line = String::new();
+    let cap = line_cap(&shared.config);
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        // Reading one byte past the cap tells an overlong line apart.
+        let room = (cap + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
+            Ok(_) if line.len() > cap => {
+                shared.engine.metrics_handle().add(metric!("server.rejected"), 1);
+                let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
+                let _ = emit(
+                    &mut writer,
+                    &format!(
+                        "{{\"event\":\"error\",\"id\":{id},\"message\":\"request line \
+                         too long (limit {cap} bytes)\"}}"
+                    ),
+                );
+                return;
+            }
             Ok(0) => return, // client closed
             Ok(_) => {
-                let request = std::mem::take(&mut line);
+                let Ok(request) = String::from_utf8(std::mem::take(&mut line)) else {
+                    return;
+                };
                 let request = request.trim();
                 if request.is_empty() {
                     continue;
