@@ -367,7 +367,8 @@ impl JobSpec {
     }
 
     /// Checks the width, then fault-simulates the BIST sessions of
-    /// `design`, synthesized in full, on `engine`.
+    /// `design` on `engine`. No engine answer vouches for the design, so
+    /// it is synthesized in full, and one the flow rejects fails here.
     pub fn simulate(
         &self,
         design: Option<&str>,

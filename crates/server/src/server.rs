@@ -376,9 +376,11 @@ fn spawn_handler(
     let shared = Arc::clone(shared);
     let handle = std::thread::spawn(move || handle_connection(conn, &shared));
     let mut handlers = sink.lock().expect("handler list");
-    // Dropping a finished handler's handle releases its thread (and its
-    // stack) now; only live handlers wait for the shutdown drain.
-    handlers.retain(|h| !h.is_finished());
+    // Join the handlers that have finished, which releases their stacks
+    // now; only live ones wait for the shutdown drain.
+    for finished in handlers.extract_if(.., |h| h.is_finished()) {
+        let _ = finished.join();
+    }
     handlers.push(handle);
 }
 
