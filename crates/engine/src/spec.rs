@@ -8,8 +8,9 @@
 //! ([`JobSpec::set`], the checked way in for outside input). It also
 //! runs every job step both surfaces share, once: load the design
 //! ([`JobSpec::load`]), synthesize it ([`JobSpec::synthesize`]), and
-//! the six job commands' compute (`synth`, `explore`, `anneal`,
-//! `faultsim`, `lint`, `analyze`), failing with one [`JobError`]. A
+//! each job command's compute ([`JobSpec::synth`], `explore`,
+//! `anneal`, `simulate` for `faultsim`, `lint`, `analyze`), failing
+//! with one [`JobError`]. A
 //! surface keeps only its syntax (argv tokens and files, JSON types),
 //! its error wording, its rendering, and its deployment policy: how an
 //! unset `jobs` resolves to a worker count.
@@ -551,6 +552,42 @@ mod tests {
         assert_eq!(schedule.max_step(), 2);
         let err = load_design(plain, &"1+".parse().expect("valid")).expect_err("no multiplier");
         assert!(matches!(err, LoadError::Schedule(_)), "{err:?}");
+    }
+
+    #[test]
+    fn the_runner_checks_a_request_in_one_order() {
+        let engine = Engine::new(1);
+        let spec = JobSpec::default();
+        let missing = |r: Result<_, JobError>| match r {
+            Err(JobError::Missing(key)) => key,
+            other => panic!("{:?}", other.err()),
+        };
+        // The design first, then the module set or the candidate list.
+        assert_eq!(missing(spec.load(None).map(|_| ())), "design");
+        assert_eq!(
+            missing(spec.load(Some("# no design")).map(|_| ())),
+            "modules"
+        );
+        let explore = |spec: &JobSpec, design| spec.explore(design, &engine, 1).map(|_| ());
+        assert_eq!(missing(explore(&spec, None)), "design");
+        assert_eq!(missing(explore(&spec, Some("not a design"))), "candidates");
+        // A design without operations is rejected before any candidate
+        // is parsed or run.
+        let sweep = JobSpec {
+            candidates: Some("1+;1x".into()),
+            ..JobSpec::default()
+        };
+        let err = explore(&sweep, Some("input a\noutput a\n")).expect_err("no operations");
+        assert!(matches!(err, JobError::Load(LoadError::Empty)), "{err:?}");
+        // The fault-simulation width is checked before the design.
+        let wide = JobSpec {
+            width: 40,
+            ..JobSpec::default()
+        };
+        let err = wide
+            .simulate(None, &engine, 1)
+            .expect_err("width out of range");
+        assert!(matches!(err, JobError::Width(_)), "{err:?}");
     }
 
     #[test]

@@ -458,7 +458,7 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
     let mut line = Vec::new();
     loop {
         // Reading one byte past the cap tells an overlong line apart.
-        let room = (cap + 1 - line.len()) as u64;
+        let room = (cap - line.len()).saturating_add(1) as u64;
         match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(_) if line.len() > cap => {
                 shared.engine.metrics_handle().add(metric!("server.rejected"), 1);

@@ -23,7 +23,9 @@ fn start(
     ServerHandle,
     std::thread::JoinHandle<std::io::Result<()>>,
 ) {
-    let dir = std::env::temp_dir().join("lobist-server-connections").join(name);
+    let dir = std::env::temp_dir()
+        .join("lobist-server-connections")
+        .join(name);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
     let socket = dir.join("daemon.sock");
@@ -46,7 +48,10 @@ fn vm_size_kib() -> u64 {
         .lines()
         .find(|l| l.starts_with("VmSize:"))
         .expect("a VmSize line");
-    line.split_whitespace().nth(1).and_then(|n| n.parse().ok()).expect("a size")
+    line.split_whitespace()
+        .nth(1)
+        .and_then(|n| n.parse().ok())
+        .expect("a size")
 }
 
 #[cfg(target_os = "linux")]
@@ -91,7 +96,9 @@ fn an_overlong_request_line_gets_an_error_and_its_connection_closes() {
     let _ = stream.write_all(&vec![b'x'; 2 * cap]);
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    reader.read_line(&mut line).expect("an error event before the deadline");
+    reader
+        .read_line(&mut line)
+        .expect("an error event before the deadline");
     assert!(line.starts_with("{\"event\":\"error\""), "{line}");
     assert!(
         line.contains(&format!("request line too long (limit {cap} bytes)")),
@@ -121,12 +128,18 @@ fn a_request_split_inside_a_character_is_read_whole() {
     // An ignored field holding `é`, sent in two writes that split its
     // two bytes, with a pause longer than the handler's read poll.
     let request = "{\"cmd\":\"ping\",\"note\":\"\u{e9}\"}\n".as_bytes();
-    let split = request.iter().position(|&b| b == 0xC3).expect("a lead byte") + 1;
+    let split = request
+        .iter()
+        .position(|&b| b == 0xC3)
+        .expect("a lead byte")
+        + 1;
     stream.write_all(&request[..split]).expect("first half");
     std::thread::sleep(Duration::from_millis(300));
     stream.write_all(&request[split..]).expect("second half");
     let mut line = String::new();
-    BufReader::new(stream).read_line(&mut line).expect("a reply");
+    BufReader::new(stream)
+        .read_line(&mut line)
+        .expect("a reply");
     assert!(line.starts_with("{\"event\":\"pong\""), "{line:?}");
     handle.shutdown();
     thread.join().expect("run thread").expect("clean shutdown");
