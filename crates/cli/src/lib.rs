@@ -301,7 +301,9 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--lint" => o.lint = true,
             "--progress" => o.progress = true,
             "--faultsim" => o.faultsim = true,
-            "--permute" => o.permute = Some(flag_value(value("a seed")?, "permute seed", parse_seed)?),
+            "--permute" => {
+                o.permute = Some(flag_value(value("a seed")?, "permute seed", parse_seed)?)
+            }
             "--twin-kernels" => {
                 let v = value("a seed")?;
                 o.twin_kernels = Some(flag_value(v, "twin-kernels seed", parse_seed)?);
@@ -325,7 +327,8 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
             }
             "--cmd" => o.cmd = Some(value("a value")?.clone()),
             "--latency" => {
-                o.latency = Some(flag_value(value("a value")?, "latency", |v| v.parse().ok())?);
+                let v = value("a value")?;
+                o.latency = Some(flag_value(v, "latency", |v| v.parse().ok())?);
             }
             other if other.starts_with("--") => {
                 return Err(CliError::Usage(format!("unknown option `{other}`")))
@@ -484,8 +487,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     match command {
         "help" | "--help" | "-h" => out.push_str(USAGE),
         "synth" => {
-            let (dfg, schedule, modules) = o.spec.load(Some(&text()?)).map_err(job)?;
-            let d = o.spec.synthesize(&dfg, &schedule, &modules).map_err(CliError::Flow)?;
+            let (dfg, schedule, d) = o.spec.synthesized(Some(&text()?)).map_err(job)?;
             let flow = o.spec.flow.name();
             if o.json {
                 let _ = writeln!(out, "{}", design_json(flow, &d));
@@ -539,8 +541,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     flow,
                     ..o.spec.clone()
                 };
-                let d = spec.synthesize(&dfg, &schedule, &modules).map_err(CliError::Flow)?;
-                rows.push((flow.name(), d));
+                let d = spec.synthesize(&dfg, &schedule, &modules);
+                rows.push((flow.name(), d.map_err(CliError::Flow)?));
             }
             if o.json {
                 let items: Vec<String> = rows.iter().map(|(l, d)| design_json(l, d)).collect();
@@ -573,7 +575,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             }
         }
         "schedule" => {
-            let dfg = lobist_dfg::parse::parse_unscheduled_dfg(&text()?).map_err(CliError::Parse)?;
+            let dfg =
+                lobist_dfg::parse::parse_unscheduled_dfg(&text()?).map_err(CliError::Parse)?;
             let critical = lobist_dfg::scheduling::asap(&dfg).max_step();
             let latency = o.latency.unwrap_or(critical);
             let schedule = lobist_dfg::fds::force_directed_schedule(&dfg, latency)
@@ -963,8 +966,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
         "lint" => {
             let policy = lint_policy(&o)?;
-            let (dfg, schedule, modules) = o.spec.load(Some(&text()?)).map_err(job)?;
-            let d = o.spec.synthesize(&dfg, &schedule, &modules).map_err(CliError::Flow)?;
+            let (dfg, schedule, d) = o.spec.synthesized(Some(&text()?)).map_err(job)?;
             let metrics = o.metrics.then(lobist_engine::Metrics::new);
             let (report, stats) = o.spec.lint(&dfg, &schedule, &d, metrics.as_ref());
             if o.json {
@@ -1008,8 +1010,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             }
         }
         "analyze" => {
-            let (dfg, schedule, modules) = o.spec.load(Some(&text()?)).map_err(job)?;
-            let d = o.spec.synthesize(&dfg, &schedule, &modules).map_err(CliError::Flow)?;
+            let (dfg, schedule, d) = o.spec.synthesized(Some(&text()?)).map_err(job)?;
             let metrics = o.metrics.then(lobist_engine::Metrics::new);
             let (report, _) = o.spec.analyze(&dfg, &schedule, &d, metrics.as_ref());
             if o.json {

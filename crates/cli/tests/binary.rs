@@ -138,14 +138,13 @@ fn binary_rejects_an_empty_design_without_panicking() {
 fn binary_explore_rejects_a_design_without_operations() {
     // `explore` reads its design unscheduled, but rejects an empty one
     // at load like every other command: no job runs, nothing panics.
-    for (name, text) in [
-        ("lobist_bin_explore_empty.dfg", "# a comment and nothing else\n"),
-        ("lobist_bin_explore_wire.dfg", "input a\noutput a\n"),
-    ] {
-        let path = std::env::temp_dir().join(name);
+    let empty = "# a comment and nothing else\n";
+    for (name, text) in [("empty", empty), ("wire", "input a\noutput a\n")] {
+        let path = std::env::temp_dir().join(format!("lobist_bin_explore_{name}.dfg"));
         std::fs::write(&path, text).expect("write");
+        let path = path.to_str().expect("utf8");
         let out = Command::new(env!("CARGO_BIN_EXE_lobist"))
-            .args(["explore", path.to_str().expect("utf8"), "--candidates", "1+"])
+            .args(["explore", path, "--candidates", "1+"])
             .output()
             .expect("binary runs");
         assert_eq!(out.status.code(), Some(1), "{name}: {out:?}");

@@ -321,6 +321,17 @@ impl JobSpec {
         flow::synthesize(dfg, schedule, modules, &self.flow_options())
     }
 
+    /// Loads `design` and synthesizes it in full: [`JobSpec::load`], then
+    /// [`JobSpec::synthesize`].
+    pub fn synthesized(
+        &self,
+        design: Option<&str>,
+    ) -> Result<(Arc<Dfg>, Schedule, Design), JobError> {
+        let (dfg, schedule, modules) = self.load(design)?;
+        let d = self.synthesize(&dfg, &schedule, &modules)?;
+        Ok((dfg, schedule, d))
+    }
+
     /// Loads `design` and answers it as one engine job on `workers`
     /// threads: the outcome and its [`provenance`].
     pub fn synth(
@@ -377,8 +388,7 @@ impl JobSpec {
         workers: usize,
     ) -> Result<(SessionWidth, Vec<(String, SessionReport)>), JobError> {
         let (width, opts) = self.fault_sim(workers).map_err(JobError::Width)?;
-        let (dfg, schedule, modules) = self.load(design)?;
-        let d = self.synthesize(&dfg, &schedule, &modules)?;
+        let (dfg, _, d) = self.synthesized(design)?;
         let reports = fault_sim_modules(&dfg, &d.module_assignment, width, opts, engine);
         Ok((width, reports))
     }

@@ -199,8 +199,7 @@ fn faultsim(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, JobError
 
 fn lint(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, JobError> {
     let spec = &request.spec;
-    let (dfg, schedule, modules) = spec.load(request.design.as_deref())?;
-    let d = spec.synthesize(&dfg, &schedule, &modules)?;
+    let (dfg, schedule, d) = spec.synthesized(request.design.as_deref())?;
     let (report, _) = spec.lint(&dfg, &schedule, &d, Some(shared.engine.metrics_handle()));
     Ok(JobBody {
         ok: true,
@@ -217,8 +216,7 @@ fn lint(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, JobError> {
 
 fn analyze(request: &Request, shared: &Arc<Shared>) -> Result<JobBody, JobError> {
     let spec = &request.spec;
-    let (dfg, schedule, modules) = spec.load(request.design.as_deref())?;
-    let d = spec.synthesize(&dfg, &schedule, &modules)?;
+    let (dfg, schedule, d) = spec.synthesized(request.design.as_deref())?;
     let (report, _) = spec.analyze(&dfg, &schedule, &d, Some(shared.engine.metrics_handle()));
     // The payload is a pure function of the report, so a store-served
     // replay is byte-identical to the original run. The report renders

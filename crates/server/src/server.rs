@@ -445,7 +445,8 @@ fn emit(out: &mut Conn, line: &str) -> std::io::Result<()> {
 /// `max_design_bytes`, each byte JSON-escaped to at most six, plus
 /// 64 KiB for the other fields.
 fn line_cap(config: &ServerConfig) -> usize {
-    config.max_design_bytes.saturating_mul(6).saturating_add(1 << 16)
+    let design = config.max_design_bytes.saturating_mul(6);
+    design.saturating_add(1 << 16)
 }
 
 fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
@@ -461,7 +462,8 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
         let room = (cap - line.len()).saturating_add(1) as u64;
         match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(_) if line.len() > cap => {
-                shared.engine.metrics_handle().add(metric!("server.rejected"), 1);
+                let metrics = shared.engine.metrics_handle();
+                metrics.add(metric!("server.rejected"), 1);
                 let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
                 let _ = emit(
                     &mut writer,
