@@ -27,7 +27,7 @@
 //! differential simulator the smallest cone. The representative list is
 //! ordered by `(net, stuck value)`, so the two polarities of one net sit
 //! adjacent — letting the coverage loop answer both with a single
-//! paired cone walk ([`crate::diffsim::DiffSim::detects_both`]).
+//! paired cone walk ([`crate::diffsim::DiffSim::detect_block_both`]).
 //! Reports are expanded back to the full fault universe by
 //! [`CollapsedFaults::expand_coverage`], so collapsed and uncollapsed
 //! measurements are byte-identical.

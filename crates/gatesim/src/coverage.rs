@@ -197,8 +197,8 @@ where
 /// Measures the full universe directly: [`enumerate_faults`] keeps the
 /// two polarities of each net adjacent, so the coverage loop answers
 /// both with one paired cone walk
-/// ([`crate::diffsim::DiffSim::detects_both`]) — on the paper's module
-/// library that is as fast as simulating collapsed class
+/// ([`crate::diffsim::DiffSim::detect_block_both`]) — on the paper's
+/// module library that is as fast as simulating collapsed class
 /// representatives without paying for the collapse itself. Structural
 /// collapsing ([`crate::collapse`]) still pays off when class counts or
 /// per-class reports matter, e.g. the engine's partitioned driver.

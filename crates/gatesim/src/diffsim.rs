@@ -35,7 +35,7 @@
 //! network.
 
 use crate::lanes::LaneWord;
-use crate::net::{Fault, GateKind, GateNetwork};
+use crate::net::{Fault, GateKind, GateNetwork, NetId};
 
 /// Work counters accumulated by a [`DiffSim`] (and summed across the
 /// partitions of a parallel run).
@@ -143,7 +143,7 @@ impl GateOp {
 /// batch; see [`crate::lanes`]).
 ///
 /// Usage: [`load_batch`](Self::load_batch) with `W::LANES` patterns of
-/// input lanes, then any number of [`detects`](Self::detects) /
+/// input lanes, then any number of [`detect_block`](Self::detect_block) /
 /// [`fault_output_diffs`](Self::fault_output_diffs) calls, then the next
 /// batch.
 #[derive(Debug)]
@@ -302,27 +302,6 @@ impl<'n, W: LaneWord> DiffSim<'n, W> {
         self.counters.batches_loaded += 1;
     }
 
-    /// Golden lane word of output position `pos` for the current batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no batch is loaded.
-    pub fn golden_output(&self, pos: usize) -> W {
-        assert!(self.batch_loaded, "load a batch first");
-        self.golden[self.net.outputs()[pos].index()]
-    }
-
-    /// `true` if `fault` flips at least one (in-budget) output lane of
-    /// the current batch. Stops propagating at the first detecting
-    /// output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no batch is loaded.
-    pub fn detects(&mut self, fault: Fault) -> bool {
-        self.propagate_fault::<true>(fault).0
-    }
-
     /// The first 64-lane *block* of the current batch in which `fault`
     /// flips some output (`None` when undetected in the in-budget
     /// lanes).
@@ -331,208 +310,68 @@ impl<'n, W: LaneWord> DiffSim<'n, W> {
     /// uses for first-detection stamps: lane `l` lives in block
     /// `l / 64`, and blocks align with the 64-pattern batches of the
     /// `u64` reference, so the returned block index is the same at
-    /// every lane width. Unlike [`detect_lanes`](Self::detect_lanes)
-    /// the walk keeps the early exit: it stops as soon as a detection
-    /// lands in block 0 (no earlier block exists — for `u64` that is
-    /// exactly the "any detection" exit), and only the rare fault whose
-    /// first detection sits in a later block pays for a full cone walk
-    /// to make the minimum exact.
+    /// every lane width. The walk stops as soon as a detection lands in
+    /// block 0 (no earlier block exists — for `u64` that is exactly the
+    /// "any detection" exit), and only the rare fault whose first
+    /// detection sits in a later block pays for a full cone walk to
+    /// make the minimum exact.
     ///
     /// # Panics
     ///
     /// Panics if no batch is loaded.
     pub fn detect_block(&mut self, fault: Fault) -> Option<u32> {
-        first_block(self.propagate_fault::<true>(fault).1)
+        assert!(self.batch_loaded, "load a batch first");
+        self.counters.faults_simulated += 1;
+        let start = W::splat(fault.stuck_word());
+        first_block(self.propagate::<true>(fault.net.index(), start, |det| det.word(0) != 0))
     }
 
     /// Per-polarity first detecting 64-lane blocks of one net with a
-    /// single (early-exiting) paired cone walk:
-    /// `(stuck-at-0 block, stuck-at-1 block)` — the paired-walk
-    /// counterpart of [`detect_block`](Self::detect_block).
+    /// single cone walk: `(stuck-at-0 block, stuck-at-1 block)`, equal
+    /// to two [`detect_block`](Self::detect_block) calls.
+    ///
+    /// The walk flips every lane of the site at once, which exercises,
+    /// per lane, exactly the one stuck-at fault excited in that lane
+    /// (stuck-at-0 where the golden value is 1, stuck-at-1 where it is
+    /// 0). Lanes are independent, so each lane of the accumulated output
+    /// difference equals the same lane of that fault's own propagation,
+    /// and splitting the word by the golden value answers both faults
+    /// with one walk over the union of their frontiers. It stops once
+    /// every excited polarity has a detection in block 0.
     ///
     /// # Panics
     ///
     /// Panics if no batch is loaded.
-    pub fn detect_block_both(&mut self, site_net: crate::net::NetId) -> (Option<u32>, Option<u32>) {
-        let (d0, d1) = self.both_walk::<false>(site_net);
-        (first_block(d0), first_block(d1))
-    }
-
-    /// The exact set of (in-budget) lanes in which `fault` flips some
-    /// output of the current batch.
-    ///
-    /// Unlike [`detects`](Self::detects) this propagates the *whole*
-    /// cone and ORs the final per-output differences, so the returned
-    /// word — and in particular its [`LaneWord::first_lane`] — depends
-    /// only on the patterns, not on walk order or lane width. This is
-    /// what makes per-pattern first-detection stamps byte-identical
-    /// across `u64` and `W256` (an early exit at the first detecting
-    /// *gate* would stamp whichever cone branch the walk reached first,
-    /// which differs between a 64-pattern and a 256-pattern batch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no batch is loaded.
-    pub fn detect_lanes(&mut self, fault: Fault) -> W {
-        self.propagate_fault::<false>(fault);
-        let mut acc = W::ZERO;
-        for &pos in &self.touched_outputs {
-            acc = acc | self.out_diff[pos as usize];
-        }
-        acc & self.lane_mask
-    }
-
-    /// Detection of *both* stuck-at polarities of one net with a single
-    /// cone walk. Returns `(stuck-at-0 detected, stuck-at-1 detected)`.
-    ///
-    /// Flipping every lane of the site at once exercises, per lane,
-    /// exactly the one stuck-at fault excited in that lane (stuck-at-0
-    /// where the golden value is 1, stuck-at-1 where it is 0). Lanes are
-    /// independent, so each lane of the accumulated output difference
-    /// equals the same lane of that fault's own propagation; splitting
-    /// the accumulated difference by the golden word answers both faults
-    /// **byte-identically** to two [`detects`](Self::detects) calls — at
-    /// the cost of one walk, because the flip frontier is the union of
-    /// the two per-fault frontiers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no batch is loaded.
-    pub fn detects_both(&mut self, site_net: crate::net::NetId) -> (bool, bool) {
-        let (d0, d1) = self.both_walk::<false>(site_net);
-        (!d0.is_zero(), !d1.is_zero())
-    }
-
-    /// Per-polarity detection *lanes* of one net with a single full
-    /// cone walk: `(stuck-at-0 lanes, stuck-at-1 lanes)`.
-    ///
-    /// The walk-order-independence argument of
-    /// [`detect_lanes`](Self::detect_lanes) applies per polarity, so
-    /// both words are width-invariant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no batch is loaded.
-    pub fn detect_lanes_both(&mut self, site_net: crate::net::NetId) -> (W, W) {
-        self.both_walk::<true>(site_net)
-    }
-
-    /// The paired-polarity walk. `FULL` propagates the entire cone and
-    /// returns exact per-polarity detection lanes; otherwise the walk
-    /// stops as soon as both excited polarities have a detection in
-    /// lane block 0 (cheaper; the returned words are nonzero/zero- and
-    /// first-block-accurate, not lane-exact — for `u64` the block-0
-    /// condition *is* "detected anywhere", i.e. the classic early
-    /// exit).
-    fn both_walk<const FULL: bool>(&mut self, site_net: crate::net::NetId) -> (W, W) {
+    pub fn detect_block_both(&mut self, site_net: NetId) -> (Option<u32>, Option<u32>) {
         assert!(self.batch_loaded, "load a batch first");
-        let Self {
-            out_offsets,
-            ops,
-            golden,
-            val,
-            touched_nets,
-            span,
-            cone,
-            nwords,
-            counters,
-            lane_mask,
-            ..
-        } = self;
-        let ops = &ops[..];
-        let golden = &golden[..];
-        let lane_mask = *lane_mask;
-        let nwords = *nwords;
-        counters.faults_simulated += 2;
+        self.counters.faults_simulated += 2;
         let site = site_net.index();
-        let g0 = golden[site];
-        // Lanes each polarity is excited in; they partition the mask, so
-        // at least one walk is always live.
-        let want0 = g0 & lane_mask;
-        let want1 = !g0 & lane_mask;
-        let (mut det0, mut det1) = (W::ZERO, W::ZERO);
-        if out_offsets[site + 1] > out_offsets[site] {
-            // The site drives an output: every excited lane flips that
-            // output, and no walk can detect in an unexcited lane, so
-            // the excitation words are already the exact answer.
-            det0 = want0;
-            det1 = want1;
-        }
-        let resolved = |d0: W, d1: W| {
-            (d0.word(0) != 0 || want0.is_zero()) && (d1.word(0) != 0 || want1.is_zero())
-        };
-        let settled = if FULL {
-            det0 == want0 && det1 == want1
-        } else {
-            resolved(det0, det1)
-        };
-        if !settled {
-            val[site] = !g0;
-            touched_nets.push(site as u32);
-            let [first, seed_ub] = span[site];
-            let mut ub = seed_ub as usize;
-            let mut cone_evals = 0u64;
-            let mut events = 0u64;
-            if first != u32::MAX {
-                let row = &cone[site * nwords..(site + 1) * nwords];
-                let mut w = first as usize >> 6;
-                let mut bits = row[w] & (!0u64 << (first as usize & 63));
-                'walk: loop {
-                    while bits != 0 {
-                        let gi = (w << 6) | bits.trailing_zeros() as usize;
-                        if gi > ub {
-                            break 'walk;
-                        }
-                        bits &= bits - 1;
-                        cone_evals += 1;
-                        let g = ops[gi];
-                        let v = g.eval(val[g.a as usize], val[g.b as usize]);
-                        let out = g.out as usize;
-                        if v == val[out] {
-                            continue;
-                        }
-                        let diff = v ^ golden[out];
-                        val[out] = v;
-                        touched_nets.push(out as u32);
-                        events += 1;
-                        let o = diff & W::splat(g.out_sel) & lane_mask;
-                        if !o.is_zero() {
-                            det0 = det0 | (o & g0);
-                            det1 = det1 | (o & !g0);
-                            if !FULL && resolved(det0, det1) {
-                                break 'walk;
-                            }
-                        }
-                        ub = ub.max(g.ub_next as usize);
-                    }
-                    w += 1;
-                    if w >= nwords || (w << 6) > ub {
-                        break;
-                    }
-                    bits = row[w];
-                }
-            }
-            counters.cone_evals += cone_evals;
-            counters.events_propagated += events;
-            for &n in touched_nets.iter() {
-                val[n as usize] = golden[n as usize];
-            }
-            touched_nets.clear();
-        }
-        (det0, det1)
+        let g0 = self.golden[site];
+        let excited0 = !(g0 & self.lane_mask).is_zero();
+        let excited1 = !(!g0 & self.lane_mask).is_zero();
+        let g = g0.word(0);
+        let det = self.propagate::<true>(site, !g0, |det| {
+            let d = det.word(0);
+            (d & g != 0 || !excited0) && (d & !g != 0 || !excited1)
+        });
+        (first_block(det & g0), first_block(det & !g0))
     }
 
     /// Propagates `fault` through its whole cone and records the
     /// difference word of every output ([`out_diffs`](Self::out_diffs)).
     /// Returns `true` if any output lane differs. Unlike
-    /// [`detects`](Self::detects) the lane mask is *not* applied — the
-    /// caller (the BIST session emulator) consumes exact per-lane words.
+    /// [`detect_block`](Self::detect_block) the lane mask is *not*
+    /// applied — the caller (the BIST session emulator) consumes exact
+    /// per-lane words.
     ///
     /// # Panics
     ///
     /// Panics if no batch is loaded.
     pub fn fault_output_diffs(&mut self, fault: Fault) -> bool {
-        self.propagate_fault::<false>(fault).0
+        assert!(self.batch_loaded, "load a batch first");
+        self.counters.faults_simulated += 1;
+        self.propagate::<false>(fault.net.index(), W::splat(fault.stuck_word()), |_| false);
+        !self.touched_outputs.is_empty()
     }
 
     /// Flips `lanes` at `site` and propagates the difference through
@@ -549,10 +388,11 @@ impl<'n, W: LaneWord> DiffSim<'n, W> {
     /// # Panics
     ///
     /// Panics if no batch is loaded.
-    pub(crate) fn flip_output_diffs(&mut self, site: crate::net::NetId, lanes: W) -> bool {
+    pub(crate) fn flip_output_diffs(&mut self, site: NetId, lanes: W) -> bool {
         assert!(self.batch_loaded, "load a batch first");
         let start = self.golden[site.index()] ^ lanes;
-        self.propagate::<false>(site.index(), start).0
+        self.propagate::<false>(site.index(), start, |_| false);
+        !self.touched_outputs.is_empty()
     }
 
     /// Adds `n` to the `faults_simulated` counter, for callers that
@@ -588,25 +428,23 @@ impl<'n, W: LaneWord> DiffSim<'n, W> {
         &self.touched_outputs
     }
 
-    /// [`propagate`](Self::propagate) from `fault`'s site with the
-    /// stuck word, counting one simulated fault.
-    fn propagate_fault<const EARLY: bool>(&mut self, fault: Fault) -> (bool, W) {
-        assert!(self.batch_loaded, "load a batch first");
-        self.counters.faults_simulated += 1;
-        self.propagate::<EARLY>(fault.net.index(), W::splat(fault.stuck_word()))
-    }
-
-    /// The core event loop: net `site` takes the word `start` and the
-    /// difference propagates through its cone. `EARLY` accumulates
-    /// masked output differences and returns once a detection lands in
-    /// lane block 0 (coverage mode — see
-    /// [`detect_block`](Self::detect_block) for why block 0, and why for
-    /// `u64` this is the classic first-detection exit); otherwise the
-    /// full cone is propagated and per-output difference words recorded
-    /// (session mode). Returns `(detected, accumulated detection
-    /// word)`; the word is meaningful only in `EARLY` mode and is
-    /// first-block-accurate, not lane-exact.
-    fn propagate<const EARLY: bool>(&mut self, site: usize, start: W) -> (bool, W) {
+    /// The one cone sweep: net `site` takes the word `start` and the
+    /// difference propagates through its cone.
+    ///
+    /// `EARLY` (coverage mode) ORs the masked output differences into
+    /// one detection word and returns it as soon as `stop` accepts it —
+    /// the stop rules of [`detect_block`](Self::detect_block) and
+    /// [`detect_block_both`](Self::detect_block_both) — so the word is
+    /// first-block-accurate, not lane-exact. Otherwise (session mode)
+    /// `stop` is never asked: the whole cone is propagated, per-output
+    /// difference words are recorded ([`out_diffs`](Self::out_diffs)),
+    /// and the returned word is zero.
+    fn propagate<const EARLY: bool>(
+        &mut self,
+        site: usize,
+        start: W,
+        stop: impl Fn(W) -> bool,
+    ) -> W {
         // Split `self` into disjoint borrows: with every buffer behind
         // its own (`&`/`&mut`) binding the compiler knows they cannot
         // alias, so slice pointers and lengths stay in registers across
@@ -638,27 +476,27 @@ impl<'n, W: LaneWord> DiffSim<'n, W> {
             }
         }
         if start == golden[site] {
-            return (false, W::ZERO); // not excited in any lane
+            return W::ZERO; // not excited in any lane
+        }
+        let mut det = W::ZERO;
+        let site_diff = start ^ golden[site];
+        let site_outputs =
+            &out_positions[out_offsets[site] as usize..out_offsets[site + 1] as usize];
+        if EARLY {
+            if !site_outputs.is_empty() {
+                det = site_diff & lane_mask;
+            }
+            if stop(det) {
+                return det;
+            }
+        } else {
+            for &pos in site_outputs {
+                out_diff[pos as usize] = site_diff;
+                touched_outputs.push(pos);
+            }
         }
         val[site] = start;
         touched_nets.push(site as u32);
-        let mut detected = false;
-        let mut det = W::ZERO;
-        let site_diff = start ^ golden[site];
-        for &pos in &out_positions[out_offsets[site] as usize..out_offsets[site + 1] as usize] {
-            if EARLY {
-                det = site_diff & lane_mask;
-                if det.word(0) != 0 {
-                    val[site] = golden[site];
-                    touched_nets.clear();
-                    return (true, det);
-                }
-            } else {
-                out_diff[pos as usize] = site_diff;
-                touched_outputs.push(pos);
-                detected = true;
-            }
-        }
         // Walk the site's cone bitset in index order up to a running
         // upper bound: `ub` is the largest gate index any changed net
         // feeds, so once the scan passes it the difference frontier is
@@ -700,8 +538,7 @@ impl<'n, W: LaneWord> DiffSim<'n, W> {
                     events += 1;
                     if EARLY {
                         det = det | (diff & W::splat(g.out_sel) & lane_mask);
-                        if det.word(0) != 0 {
-                            detected = true;
+                        if stop(det) {
                             break 'walk;
                         }
                     } else if g.out_sel != 0 {
@@ -710,7 +547,6 @@ impl<'n, W: LaneWord> DiffSim<'n, W> {
                             out_diff[pos as usize] = diff;
                             touched_outputs.push(pos);
                         }
-                        detected = true;
                     }
                     ub = ub.max(g.ub_next as usize);
                 }
@@ -727,7 +563,7 @@ impl<'n, W: LaneWord> DiffSim<'n, W> {
             val[n as usize] = golden[n as usize];
         }
         touched_nets.clear();
-        (if EARLY { !det.is_zero() } else { detected }, det)
+        det
     }
 }
 
@@ -735,7 +571,7 @@ impl<'n, W: LaneWord> DiffSim<'n, W> {
 mod tests {
     use super::*;
     use crate::lanes::W256;
-    use crate::net::{NetId, NetworkBuilder};
+    use crate::net::NetworkBuilder;
 
     fn two_bit_adder() -> GateNetwork {
         let mut b = NetworkBuilder::new();
@@ -746,18 +582,40 @@ mod tests {
         b.finish(vec![s0, s1])
     }
 
+    /// The OR of the per-output difference words of the last session
+    /// walk: the exact lanes in which some output differs.
+    fn output_lanes<W: LaneWord>(sim: &DiffSim<'_, W>) -> W {
+        let diffs = sim.out_diffs();
+        sim.touched_output_positions()
+            .iter()
+            .fold(W::ZERO, |acc, &pos| acc | diffs[pos as usize])
+    }
+
+    /// Per-polarity detection lanes of net `n` from one flip of every
+    /// lane: `(stuck-at-0 lanes, stuck-at-1 lanes)`.
+    fn flip_lanes<W: LaneWord>(sim: &mut DiffSim<'_, W>, n: NetId) -> (W, W) {
+        sim.flip_output_diffs(n, W::ONES);
+        let (g, lanes) = (sim.golden_values()[n.index()], output_lanes(sim));
+        (lanes & g, lanes & !g)
+    }
+
     #[test]
     fn agrees_with_reference_on_every_fault() {
         let net = two_bit_adder();
-        let lanes: Vec<u64> = (0..4).map(|i| 0xDEAD_BEEF_CAFE_F00D_u64.rotate_left(i)).collect();
+        let lanes: Vec<u64> = (0..4)
+            .map(|i| 0xDEAD_BEEF_CAFE_F00D_u64.rotate_left(i))
+            .collect();
         let golden = net.eval_lanes(&lanes);
         let mut sim = DiffSim::new(&net);
         sim.load_batch(&lanes);
         for n in 0..net.num_nets() as u32 {
-            let mut single = [false; 2];
+            let mut single = [None; 2];
             let mut single_lanes = [0u64; 2];
             for stuck in [false, true] {
-                let fault = Fault { net: NetId(n), stuck_at_one: stuck };
+                let fault = Fault {
+                    net: NetId(n),
+                    stuck_at_one: stuck,
+                };
                 let reference = net.eval_lanes_with(&lanes, Some(fault));
                 let any = sim.fault_output_diffs(fault);
                 let diffs = sim.out_diffs().to_vec();
@@ -765,22 +623,28 @@ mod tests {
                     assert_eq!(r ^ g, diffs[pos], "{fault} output {pos}");
                 }
                 assert_eq!(any, reference != golden, "{fault}");
-                assert_eq!(sim.detects(fault), reference != golden, "{fault}");
                 // The exact detection lanes are the OR of the reference
                 // per-output diffs.
-                let want: u64 = reference.iter().zip(&golden).map(|(&r, &g)| r ^ g).fold(0, |a, d| a | d);
-                assert_eq!(sim.detect_lanes(fault), want, "{fault}");
-                single[usize::from(stuck)] = reference != golden;
+                let want: u64 = reference
+                    .iter()
+                    .zip(&golden)
+                    .map(|(&r, &g)| r ^ g)
+                    .fold(0, |a, d| a | d);
+                assert_eq!(output_lanes(&sim), want, "{fault}");
+                // One 64-lane batch is block 0.
+                let block = (reference != golden).then_some(0);
+                assert_eq!(sim.detect_block(fault), block, "{fault}");
+                single[usize::from(stuck)] = block;
                 single_lanes[usize::from(stuck)] = want;
             }
             // The paired walk answers both polarities identically.
             assert_eq!(
-                sim.detects_both(NetId(n)),
+                sim.detect_block_both(NetId(n)),
                 (single[0], single[1]),
                 "net {n}"
             );
             assert_eq!(
-                sim.detect_lanes_both(NetId(n)),
+                flip_lanes(&mut sim, NetId(n)),
                 (single_lanes[0], single_lanes[1]),
                 "net {n} lanes"
             );
@@ -793,7 +657,9 @@ mod tests {
         // W256 batch must replicate the u64 detection words per group —
         // the gate algebra is lane-local.
         let net = two_bit_adder();
-        let lanes: Vec<u64> = (0..4).map(|i| 0xDEAD_BEEF_CAFE_F00D_u64.rotate_left(i)).collect();
+        let lanes: Vec<u64> = (0..4)
+            .map(|i| 0xDEAD_BEEF_CAFE_F00D_u64.rotate_left(i))
+            .collect();
         let wide: Vec<W256> = lanes.iter().map(|&w| W256([w; 4])).collect();
         let mut sim = DiffSim::new(&net);
         let mut wsim = DiffSim::<W256>::new(&net);
@@ -801,18 +667,62 @@ mod tests {
         wsim.load_batch(&wide);
         for n in 0..net.num_nets() as u32 {
             for stuck in [false, true] {
-                let fault = Fault { net: NetId(n), stuck_at_one: stuck };
-                let narrow = sim.detect_lanes(fault);
-                assert_eq!(wsim.detect_lanes(fault), W256([narrow; 4]), "{fault}");
-                assert_eq!(wsim.detects(fault), sim.detects(fault), "{fault}");
+                let fault = Fault {
+                    net: NetId(n),
+                    stuck_at_one: stuck,
+                };
+                sim.fault_output_diffs(fault);
+                wsim.fault_output_diffs(fault);
+                assert_eq!(
+                    output_lanes(&wsim),
+                    W256([output_lanes(&sim); 4]),
+                    "{fault}"
+                );
+                assert_eq!(wsim.detect_block(fault), sim.detect_block(fault), "{fault}");
             }
-            let (n0, n1) = sim.detect_lanes_both(NetId(n));
             assert_eq!(
-                wsim.detect_lanes_both(NetId(n)),
+                wsim.detect_block_both(NetId(n)),
+                sim.detect_block_both(NetId(n)),
+                "net {n}"
+            );
+            let (n0, n1) = flip_lanes(&mut sim, NetId(n));
+            assert_eq!(
+                flip_lanes(&mut wsim, NetId(n)),
                 (W256([n0; 4]), W256([n1; 4])),
                 "net {n}"
             );
         }
+    }
+
+    #[test]
+    fn detection_blocks_are_the_first_detecting_64_lane_groups() {
+        // x reaches the output through an AND with y. x is 1 in block 0
+        // only and y in blocks 0 and 2, so stuck-at-0 on x shows in
+        // block 0 and stuck-at-1 only in block 2: the paired walk must
+        // keep going after block 0 resolves one polarity.
+        let mut b = NetworkBuilder::new();
+        let x = b.input();
+        let y = b.input();
+        let o = b.and(x, y);
+        let net = b.finish(vec![o]);
+        let mut sim = DiffSim::<W256>::new(&net);
+        let lanes = [W256([u64::MAX, 0, 0, 0]), W256([u64::MAX, 0, u64::MAX, 0])];
+        sim.load_batch(&lanes);
+        let sa0 = Fault {
+            net: x,
+            stuck_at_one: false,
+        };
+        let sa1 = Fault {
+            net: x,
+            stuck_at_one: true,
+        };
+        assert_eq!(sim.detect_block(sa0), Some(0));
+        assert_eq!(sim.detect_block(sa1), Some(2));
+        assert_eq!(sim.detect_block_both(x), (Some(0), Some(2)));
+        // Clipping the batch to 128 lanes hides block 2.
+        sim.load_batch_masked(&lanes, W256::lane_mask(128));
+        assert_eq!(sim.detect_block(sa1), None);
+        assert_eq!(sim.detect_block_both(x), (Some(0), None));
     }
 
     #[test]
@@ -826,7 +736,13 @@ mod tests {
         sim.load_batch(&[u64::MAX, u64::MAX]);
         let before = sim.counters();
         // x is all-ones, so SA1 on x is not excited: no cone work at all.
-        assert!(!sim.detects(Fault { net: x, stuck_at_one: true }));
+        assert_eq!(
+            sim.detect_block(Fault {
+                net: x,
+                stuck_at_one: true
+            }),
+            None
+        );
         let after = sim.counters();
         assert_eq!(after.cone_evals, before.cone_evals);
         assert_eq!(after.faults_simulated, before.faults_simulated + 1);
@@ -844,7 +760,13 @@ mod tests {
         let net = b.finish(vec![o]);
         let mut sim = DiffSim::new(&net);
         sim.load_batch(&[u64::MAX, 0]);
-        assert!(!sim.detects(Fault { net: x, stuck_at_one: false }));
+        assert_eq!(
+            sim.detect_block(Fault {
+                net: x,
+                stuck_at_one: false
+            }),
+            None
+        );
         // One gate evaluated (the AND); the OR was never scheduled.
         assert_eq!(sim.counters().cone_evals, 1);
         assert_eq!(sim.counters().events_propagated, 0);
@@ -857,13 +779,22 @@ mod tests {
         let o = b.not(x);
         let net = b.finish(vec![o]);
         let mut sim = DiffSim::new(&net);
-        // Fault flips lane 1 only; with a mask of lane 0 it goes unseen.
+        // SA1 flips lane 1 only; with a mask of lane 0 it goes unseen,
+        // while SA0 (lane 0) is seen under both masks.
+        let sa1 = Fault {
+            net: x,
+            stuck_at_one: true,
+        };
         sim.load_batch_masked(&[0b01], 0b01);
-        assert!(!sim.detects(Fault { net: x, stuck_at_one: true }));
-        assert_eq!(sim.detect_lanes(Fault { net: x, stuck_at_one: true }), 0);
+        assert_eq!(sim.detect_block(sa1), None);
+        assert_eq!(sim.detect_block_both(x), (Some(0), None));
         sim.load_batch_masked(&[0b01], 0b11);
-        assert!(sim.detects(Fault { net: x, stuck_at_one: true }));
-        assert_eq!(sim.detect_lanes(Fault { net: x, stuck_at_one: true }), 0b10);
+        assert_eq!(sim.detect_block(sa1), Some(0));
+        assert_eq!(sim.detect_block_both(x), (Some(0), Some(0)));
+        // The session walk ignores the mask: every lane where x is 0
+        // differs.
+        assert!(sim.fault_output_diffs(sa1));
+        assert_eq!(output_lanes(&sim), !0b01);
     }
 
     #[test]
@@ -884,19 +815,55 @@ mod tests {
         let net = b.finish(vec![o1, chain]);
         let mut sim = DiffSim::new(&net);
         sim.load_batch(&[0, 0]);
-        assert!(sim.detects(Fault { net: x, stuck_at_one: true }));
+        assert_eq!(
+            sim.detect_block(Fault {
+                net: x,
+                stuck_at_one: true
+            }),
+            Some(0)
+        );
         // The x fault fans out into gate 0 only; its early exit must not
         // corrupt the y-fault's propagation through the long chain.
-        assert!(sim.detects(Fault { net: y, stuck_at_one: true }));
-        assert!(!sim.detects(Fault { net: y, stuck_at_one: false }));
+        assert_eq!(
+            sim.detect_block(Fault {
+                net: y,
+                stuck_at_one: true
+            }),
+            Some(0)
+        );
+        assert_eq!(
+            sim.detect_block(Fault {
+                net: y,
+                stuck_at_one: false
+            }),
+            None
+        );
     }
 
     #[test]
     fn counters_merge() {
-        let mut a = SimCounters { batches_loaded: 1, faults_simulated: 2, cone_evals: 3, events_propagated: 4 };
-        let b = SimCounters { batches_loaded: 10, faults_simulated: 20, cone_evals: 30, events_propagated: 40 };
+        let mut a = SimCounters {
+            batches_loaded: 1,
+            faults_simulated: 2,
+            cone_evals: 3,
+            events_propagated: 4,
+        };
+        let b = SimCounters {
+            batches_loaded: 10,
+            faults_simulated: 20,
+            cone_evals: 30,
+            events_propagated: 40,
+        };
         a.merge(&b);
-        assert_eq!(a, SimCounters { batches_loaded: 11, faults_simulated: 22, cone_evals: 33, events_propagated: 44 });
+        assert_eq!(
+            a,
+            SimCounters {
+                batches_loaded: 11,
+                faults_simulated: 22,
+                cone_evals: 33,
+                events_propagated: 44
+            }
+        );
     }
 
     #[test]
@@ -904,6 +871,9 @@ mod tests {
     fn detect_requires_a_batch() {
         let net = two_bit_adder();
         let mut sim = DiffSim::<u64>::new(&net);
-        sim.detects(Fault { net: NetId(0), stuck_at_one: false });
+        sim.detect_block(Fault {
+            net: NetId(0),
+            stuck_at_one: false,
+        });
     }
 }

@@ -184,7 +184,7 @@ proptest! {
             let golden = net.eval_lanes(&lanes);
             sim.load_batch(&lanes);
             for n in 0..net.num_nets() as u32 {
-                let mut single = [false; 2];
+                let mut single = [None; 2];
                 for stuck in [false, true] {
                     let fault = Fault { net: lobist_gatesim::net::NetId(n), stuck_at_one: stuck };
                     let reference = net.eval_lanes_with(&lanes, Some(fault));
@@ -193,11 +193,13 @@ proptest! {
                         prop_assert_eq!(r ^ g, sim.out_diffs()[pos], "{} output {}", fault, pos);
                     }
                     prop_assert_eq!(any, reference != golden, "{}", fault);
-                    prop_assert_eq!(sim.detects(fault), reference != golden, "{}", fault);
-                    single[usize::from(stuck)] = reference != golden;
+                    // A 64-lane batch is one block: block 0 or nothing.
+                    let block = (reference != golden).then_some(0);
+                    prop_assert_eq!(sim.detect_block(fault), block, "{}", fault);
+                    single[usize::from(stuck)] = block;
                 }
                 prop_assert_eq!(
-                    sim.detects_both(lobist_gatesim::net::NetId(n)),
+                    sim.detect_block_both(lobist_gatesim::net::NetId(n)),
                     (single[0], single[1]),
                     "paired walk on net {}", n
                 );
