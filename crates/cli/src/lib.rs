@@ -73,12 +73,12 @@ USAGE:
   lobist synth <design.dfg> --modules <SET> [OPTIONS]
   lobist compare <design.dfg> --modules <SET> [OPTIONS]
   lobist schedule <design.dfg> --latency <N>
-  lobist faultsim <design.dfg> --modules <SET> [--jobs <N>] [--lanes <W>]
-                  [--metrics] [OPTIONS]
+  lobist faultsim <design.dfg> --modules <SET> [--jobs <N>] [--metrics]
+                  [OPTIONS]
   lobist explore <design.dfg> --candidates <SET;SET;...> [--jobs <N>] [--metrics]
                  [OPTIONS]
   lobist batch [<design.dfg>... | -] --modules <SET> [--faultsim] [--jobs <N>]
-               [--lanes <W>] [--metrics]
+               [--metrics]
   lobist corpus [--sizes <N,N,...>] [--seed <S>] [--permute <S>]
                 [--twin-kernels <S>] [--out <DIR>]
   lobist anneal <design.dfg> --modules <SET> [--iterations <N>] [--seed <S>]
@@ -151,9 +151,6 @@ OPTIONS:
   --faultsim        after `batch`, fault-simulate the BIST sessions of
                     every synthesized design and append coverage lines
                     (a session shared by several designs runs once)
-  --lanes <W>       fault-simulation lane width: 64 | 256 | auto
-                    (default auto — 256 for sessions of ≥192 patterns,
-                    64 below; byte-identical at every width)
   --sizes <L>       comma-separated size sweep for `corpus`
                     (default 8,16)
   --permute <S>     `corpus`: also emit a seeded isomorphic twin of
@@ -1553,9 +1550,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_requires_designs_and_modules() {
-        let err = run(&argv(&["batch", "--modules", "1+"])).unwrap_err();
-        assert!(err.to_string().contains("at least one design"), "{err}");
+    fn batch_requires_modules() {
+        // Without design files `batch` reads a path list from stdin, so
+        // that case runs on the binary (`tests/binary.rs`).
         let path = write_temp("lobist_cli_batch_nomod.dfg", DESIGN);
         let err = run(&argv(&["batch", &path])).unwrap_err();
         assert!(err.to_string().contains("missing --modules"), "{err}");
@@ -1992,36 +1989,17 @@ mod tests {
     }
 
     #[test]
-    fn faultsim_output_is_identical_across_lane_widths() {
-        let path = write_temp("lobist_cli_faultsim_lanes.dfg", DESIGN);
-        let base = argv(&["faultsim", &path, "--modules", "1+,1*", "--width", "5"]);
-        let runs: Vec<String> = ["64", "256", "auto"]
-            .iter()
-            .map(|lanes| run(&[base.clone(), argv(&["--lanes", lanes])].concat()).unwrap())
-            .collect();
-        for wider in &runs[1..] {
-            assert_eq!(&runs[0], wider, "lane width changed the report");
-        }
-        assert_eq!(runs[0], run(&base).unwrap(), "default is --lanes auto");
-    }
-
-    #[test]
-    fn lanes_flag_is_validated() {
-        let path = write_temp("lobist_cli_lanes_bad.dfg", DESIGN);
-        for bad in ["128", "0", "wide", "512", "1024"] {
-            let err = run(&argv(&[
-                "faultsim",
-                &path,
-                "--modules",
-                "1+,1*",
-                "--lanes",
-                bad,
-            ]))
-            .unwrap_err();
-            assert!(matches!(err, CliError::Usage(_)), "{bad}");
-            let msg = err.to_string();
-            assert!(msg.contains("bad lane width"), "{bad}: {msg}");
-            assert!(msg.contains("64 | 256 | auto"), "{bad}: {msg}");
+    fn the_lane_width_is_not_an_option() {
+        // The simulator picks its lane width from the pattern count.
+        let path = write_temp("lobist_cli_lanes_gone.dfg", DESIGN);
+        for cmd in ["faultsim", "batch"] {
+            let args = [cmd, &path, "--modules", "1+,1*", "--lanes", "64"];
+            let err = run(&argv(&args)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{cmd}: {err}");
+            assert!(
+                err.to_string().contains("unknown option `--lanes`"),
+                "{cmd}: {err}"
+            );
         }
     }
 
@@ -2117,15 +2095,13 @@ mod tests {
             "--modules",
             "1+,1*",
             "--width",
-            "5",
-            "--lanes",
-            "256",
+            "8",
             "--metrics",
         ]))
         .unwrap();
         let json = out.lines().last().expect("metrics line");
         assert!(json.contains("\"lanes\":{\"64\":{\"runs\":0,"), "{json}");
-        // Both modules ran at the requested 256-lane width.
+        // Both modules' 255-pattern sessions ran at 256 lanes.
         assert!(json.contains("\"256\":{\"runs\":2,"), "{json}");
     }
 
@@ -2162,14 +2138,7 @@ mod tests {
         // exactly this way at 16 taps), so the sweep covers two sizes.
         let mut args = argv(&["batch"]);
         args.extend(paths.iter().map(|p| p.to_string()));
-        args.extend(argv(&[
-            "--modules",
-            "1+,1*,1-",
-            "--faultsim",
-            "--lanes",
-            "256",
-            "--progress",
-        ]));
+        args.extend(argv(&["--modules", "1+,1*,1-", "--faultsim", "--progress"]));
         let out = run(&args).unwrap();
         assert!(
             out.contains("\"event\":\"done\",\"designs\":8,\"ok\":8,\"failed\":0"),
@@ -2447,10 +2416,10 @@ mod tests {
         for args in [
             "",
             "--modules 1+,2* --flow traditional --width 64 --repair",
-            "--candidates 1+;2+ --port-inputs --jobs 3 --lanes 256",
-            "--lanes 64 --width 2 --iterations 0 --seed 0",
+            "--candidates 1+;2+ --port-inputs --jobs 3",
+            "--width 2 --iterations 0 --seed 0",
             "--iterations 4294967295 --seed 0xFFFFFFFFFFFFFFFF",
-            "--chains 256 --lanes auto",
+            "--chains 256",
             "--chains 1 --flow testable",
         ] {
             let args: Vec<&str> = args.split_whitespace().collect();
@@ -2465,8 +2434,6 @@ mod tests {
             ("--width", "1", "1"),
             ("--width", "65", "65"),
             ("--jobs", "0", "0"),
-            ("--lanes", "128", "128"),
-            ("--lanes", "512", r#""512""#),
             ("--iterations", "4294967296", "4294967296"),
             ("--seed", "-1", "-1"),
             ("--chains", "0", "0"),

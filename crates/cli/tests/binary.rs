@@ -65,6 +65,22 @@ fn binary_runs_a_parallel_batch() {
 }
 
 #[test]
+fn binary_batch_without_designs_reads_an_empty_stdin() {
+    // `output()` gives the child a null stdin: a path list with no
+    // paths.
+    let out = Command::new(env!("CARGO_BIN_EXE_lobist"))
+        .args(["batch", "--modules", "1+"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("at least one design file (stdin listed none)"),
+        "{err}"
+    );
+}
+
+#[test]
 fn binary_rejects_zero_jobs() {
     let out = Command::new(env!("CARGO_BIN_EXE_lobist"))
         .args(["explore", "x.dfg", "--candidates", "1+", "--jobs", "0"])

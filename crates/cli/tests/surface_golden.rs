@@ -273,7 +273,6 @@ fn cli_errors(out: &mut String, dir: &str) {
         "--flow",
         "--width",
         "--jobs",
-        "--lanes",
         "--iterations",
         "--seed",
         "--chains",
@@ -299,7 +298,6 @@ fn cli_errors(out: &mut String, dir: &str) {
         ("--width", "1"),
         ("--width", "x"),
         ("--jobs", "0"),
-        ("--lanes", "512"),
         ("--iterations", "4294967296"),
         ("--seed", "0xZZ"),
         ("--chains", "0"),

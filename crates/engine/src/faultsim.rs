@@ -57,6 +57,8 @@ use crate::metrics::Metrics;
 use crate::{metric, pool, Engine};
 
 /// Simulation lane width: how many patterns one simulator word packs.
+/// Every job surface runs `Auto`; tests and benches pin a width to
+/// check that results do not depend on it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum LaneSelect {
     /// The widest *profitable* width for the session: 256 lanes for
@@ -71,32 +73,14 @@ pub enum LaneSelect {
 }
 
 impl LaneSelect {
-    /// The accepted `--lanes` values, for error messages.
-    pub const EXPECTED: &'static str = "64 | 256 | auto";
-
-    /// Parses a `--lanes` value: `64`, `256` or `auto`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "auto" => Some(Self::Auto),
-            "64" => Some(Self::W64),
-            "256" => Some(Self::W256),
-            _ => None,
-        }
-    }
-
-    /// The fixed lane count, or `None` for `Auto`.
-    pub fn fixed(self) -> Option<u32> {
-        match self {
-            Self::Auto => None,
-            Self::W64 => Some(64),
-            Self::W256 => Some(256),
-        }
-    }
-
     /// The concrete lane count for a session pattern budget (resolves
     /// `Auto` via [`lobist_gatesim::lanes::auto_width`]).
     pub fn width(self, patterns: u64) -> u32 {
-        self.fixed().unwrap_or_else(|| auto_width(patterns))
+        match self {
+            Self::Auto => auto_width(patterns),
+            Self::W64 => 64,
+            Self::W256 => 256,
+        }
     }
 }
 
@@ -537,13 +521,39 @@ mod tests {
     }
 
     #[test]
-    fn lane_select_parses_and_resolves() {
-        assert_eq!(LaneSelect::parse("auto"), Some(LaneSelect::Auto));
-        assert_eq!(LaneSelect::parse("64"), Some(LaneSelect::W64));
-        assert_eq!(LaneSelect::parse("256"), Some(LaneSelect::W256));
-        assert_eq!(LaneSelect::parse("512"), None);
-        assert_eq!(LaneSelect::parse("128"), None);
-        assert_eq!(LaneSelect::parse(""), None);
+    fn corpus_module_rows_are_the_same_at_64_and_256_lanes() {
+        // The seed-1 corpus at sizes 8 and 16 under `1+,1*,1-`, as
+        // `batch --faultsim` simulates it: each width on a fresh engine,
+        // so no session memo answers one width from the other.
+        use lobist_alloc::module_assign::assign_modules;
+        use lobist_dfg::corpus::{generate, KINDS};
+        use lobist_dfg::scheduling::list_schedule;
+        let modules: lobist_dfg::modules::ModuleSet = "1+,1*,1-".parse().expect("a module set");
+        let width = SessionWidth::new(8).expect("in range");
+        let rows = |lanes| {
+            let engine = Engine::new(1);
+            let opts = FaultSimOptions {
+                lanes,
+                ..FaultSimOptions::default()
+            };
+            let mut rows = Vec::new();
+            for size in [8, 16] {
+                for kind in KINDS {
+                    let dfg = generate(kind, size, 1);
+                    let schedule = list_schedule(&dfg, &modules).expect("schedulable");
+                    let binding = assign_modules(&dfg, &schedule, &modules).expect("bound");
+                    rows.extend(fault_sim_modules(&dfg, &binding, width, opts, &engine));
+                }
+            }
+            rows
+        };
+        let narrow = rows(LaneSelect::W64);
+        assert_eq!(narrow.len(), 18, "one row per bound module");
+        assert_eq!(narrow, rows(LaneSelect::W256));
+    }
+
+    #[test]
+    fn lane_select_resolves() {
         assert_eq!(LaneSelect::Auto.width(100), 64);
         assert_eq!(LaneSelect::Auto.width(256), 256);
         assert_eq!(LaneSelect::Auto.width(4096), 256);

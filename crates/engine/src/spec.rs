@@ -3,7 +3,7 @@
 //!
 //! The CLI (`lobist synth d.dfg --modules 1+,1* --width 16`) and the
 //! daemon (`{"cmd":"synth","design":…,"modules":"1+,1*","width":16}`)
-//! accept the same eleven job fields. [`JobSpec`] is the one place that
+//! accept the same ten job fields. [`JobSpec`] is the one place that
 //! defines them: each field's default and the values it accepts
 //! ([`JobSpec::set`], the checked way in for outside input). It also
 //! runs every job step both surfaces share, once: load the design
@@ -34,7 +34,7 @@ use crate::analyze::{analyze_timed, AnalyzeRunStats};
 use crate::anneal::{anneal_multichain, AnnealStats};
 use crate::engine::{provenance, Engine, Job, JobOutcome};
 use crate::explore::explore_parallel;
-use crate::faultsim::{fault_sim_modules, FaultSimOptions, LaneSelect, SessionWidth};
+use crate::faultsim::{fault_sim_modules, FaultSimOptions, SessionWidth};
 use crate::lint::{lint_timed, LintRunStats};
 use crate::metrics::Metrics;
 
@@ -98,7 +98,7 @@ const fn field(key: &'static str, kind: Kind, what: &'static str, expects: &'sta
 
 /// Every job field, in protocol order.
 #[rustfmt::skip]
-pub const FIELDS: [Field; 11] = [
+pub const FIELDS: [Field; 10] = [
     field("modules", Kind::Text, "bad module set", "a string"),
     field("candidates", Kind::Text, "bad candidate list", "a string"),
     field("flow", Kind::Text, "unknown flow", "testable | traditional"),
@@ -106,7 +106,6 @@ pub const FIELDS: [Field; 11] = [
     field("port_inputs", Kind::Switch, "bad port-inputs switch", "true or false"),
     field("repair", Kind::Switch, "bad repair switch", "true or false"),
     field("jobs", Kind::Int, "bad job count", "at least 1"),
-    field("lanes", Kind::Text, "bad lane width", LaneSelect::EXPECTED),
     field("iterations", Kind::Int, "bad iteration count", "0..=4294967295"),
     field("seed", Kind::Int, "bad seed", "a non-negative integer"),
     field("chains", Kind::Int, "bad chain count", "1..=256"),
@@ -142,9 +141,6 @@ pub struct JobSpec {
     pub repair: bool,
     /// Worker budget.
     pub jobs: Option<usize>,
-    /// Fault-simulation lane width. Results are byte-identical at every
-    /// width, so it never enters a job key.
-    pub lanes: LaneSelect,
     /// Annealing moves (default 400).
     pub iterations: Option<u32>,
     /// Annealing seed (default `0xA11EA1`).
@@ -163,7 +159,6 @@ impl Default for JobSpec {
             port_inputs: false,
             repair: false,
             jobs: None,
-            lanes: LaneSelect::Auto,
             iterations: None,
             seed: None,
             chains: None,
@@ -189,8 +184,6 @@ impl JobSpec {
             ("port_inputs", Bool(b)) => self.port_inputs = b,
             ("repair", Bool(b)) => self.repair = b,
             ("jobs", Int(n @ 1..)) => self.jobs = Some(usize::try_from(n).map_err(|_| field)?),
-            ("lanes", Text(s)) => self.lanes = LaneSelect::parse(s).ok_or(field)?,
-            ("lanes", Int(n)) => self.lanes = LaneSelect::parse(&n.to_string()).ok_or(field)?,
             ("iterations", Int(n)) => self.iterations = Some(u32::try_from(n).map_err(|_| field)?),
             ("seed", Int(n)) => self.seed = Some(n),
             ("chains", Int(n)) if (1..=MAX_CHAINS as u64).contains(&n) => {
@@ -204,10 +197,6 @@ impl JobSpec {
     /// The spec as field values, the inverse of [`JobSpec::set`]: every
     /// field but the unset optional ones.
     pub fn values(&self) -> impl Iterator<Item = (&'static str, Value<'_>)> {
-        let lanes = self
-            .lanes
-            .fixed()
-            .map_or(Value::Text("auto"), |w| Value::Int(w.into()));
         [
             ("modules", self.modules.as_deref().map(Value::Text)),
             ("candidates", self.candidates.as_deref().map(Value::Text)),
@@ -216,7 +205,6 @@ impl JobSpec {
             ("port_inputs", Some(Value::Bool(self.port_inputs))),
             ("repair", Some(Value::Bool(self.repair))),
             ("jobs", self.jobs.map(|n| Value::Int(n as u64))),
-            ("lanes", Some(lanes)),
             ("iterations", self.iterations.map(|n| Value::Int(n.into()))),
             ("seed", self.seed.map(Value::Int)),
             ("chains", self.chains.map(|n| Value::Int(n as u64))),
@@ -244,9 +232,9 @@ impl JobSpec {
     /// The fault-simulation knobs for `workers` threads: the session
     /// width, checked against the LFSR/MISR range `2..=32` (narrower
     /// than a data path may be), and the simulator options. Faults are
-    /// collapsed into structural equivalence classes; reports are
-    /// byte-identical to a serial, uncollapsed, 64-lane run for any
-    /// worker count or lane width.
+    /// collapsed into structural equivalence classes and the lane width
+    /// follows the pattern count; reports are byte-identical to a
+    /// serial, uncollapsed, 64-lane run for any worker count.
     ///
     /// # Errors
     ///
@@ -254,13 +242,11 @@ impl JobSpec {
     /// outside `2..=32`.
     pub fn fault_sim(&self, workers: usize) -> Result<(SessionWidth, FaultSimOptions), String> {
         let width = SessionWidth::new(self.width)?;
-        let lanes = self.lanes;
         Ok((
             width,
             FaultSimOptions {
                 workers,
-                collapse: true,
-                lanes,
+                ..FaultSimOptions::default()
             },
         ))
     }
@@ -499,7 +485,6 @@ mod tests {
             modules: Some("1+,1*".into()),
             flow: FlowKind::Traditional,
             repair: true,
-            lanes: LaneSelect::W256,
             seed: Some(u64::MAX),
             chains: Some(MAX_CHAINS),
             ..JobSpec::default()
@@ -523,7 +508,6 @@ mod tests {
             ("repair", Value::Text("yes")),
             ("port_inputs", Value::Int(1)),
             ("jobs", Value::Int(0)),
-            ("lanes", Value::Int(512)),
             ("iterations", Value::Int(u64::from(u32::MAX) + 2)),
             ("chains", Value::Int(0)),
             ("chains", Value::Int(MAX_CHAINS as u64 + 1)),

@@ -16,7 +16,8 @@
 //!
 //! A request's job fields are exactly [`FIELDS`], checked by
 //! [`JobSpec::set`]; keys outside them are ignored, so a field an older
-//! client still sends (such as the retired anneal `batch`) is harmless.
+//! client still sends (such as the retired anneal `batch` or
+//! fault-simulation `lanes`) is harmless.
 //!
 //! The response is a stream of JSONL events, flushed per line:
 //! `accepted` (queue position), then `result` (the payload — rendered
@@ -157,7 +158,6 @@ pub fn is_terminal_event(line: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lobist_engine::LaneSelect;
 
     #[test]
     fn parses_a_full_synth_request() {
@@ -196,12 +196,6 @@ mod tests {
             (r#"{"cmd":"synth","width":1}"#, "`width`"),
             (r#"{"cmd":"synth","jobs":0}"#, "`jobs`"),
             (r#"{"cmd":"synth","modules":7}"#, "`modules` must be a string"),
-            (r#"{"cmd":"faultsim","lanes":128}"#, "`lanes`"),
-            (r#"{"cmd":"faultsim","lanes":"wide"}"#, "`lanes`"),
-            (r#"{"cmd":"faultsim","lanes":1024}"#, "`lanes`"),
-            (r#"{"cmd":"faultsim","lanes":512}"#, "64 | 256 | auto"),
-            (r#"{"cmd":"faultsim","lanes":"512"}"#, "64 | 256 | auto"),
-            (r#"{"cmd":"faultsim","lanes":true}"#, "`lanes`"),
             (
                 r#"{"cmd":"anneal","iterations":4294967297}"#,
                 "`iterations`",
@@ -229,6 +223,15 @@ mod tests {
                 ..JobSpec::default()
             }
         );
+        // So was `lanes`: the simulator picks its own lane width.
+        for lanes in ["64", r#""auto""#, "512", "true"] {
+            let line = format!(r#"{{"cmd":"faultsim","lanes":{lanes}}}"#);
+            assert_eq!(
+                parse_request(&line).expect("valid").spec,
+                JobSpec::default(),
+                "{line}"
+            );
+        }
     }
 
     #[test]
@@ -238,19 +241,6 @@ mod tests {
             .expect("parses");
         assert_eq!(r.cmd, Command::Analyze);
         assert!(r.cmd.is_job());
-    }
-
-    #[test]
-    fn lanes_accept_numbers_and_auto() {
-        for (line, want) in [
-            (r#"{"cmd":"faultsim"}"#, LaneSelect::Auto),
-            (r#"{"cmd":"faultsim","lanes":null}"#, LaneSelect::Auto),
-            (r#"{"cmd":"faultsim","lanes":"auto"}"#, LaneSelect::Auto),
-            (r#"{"cmd":"faultsim","lanes":64}"#, LaneSelect::W64),
-            (r#"{"cmd":"faultsim","lanes":"256"}"#, LaneSelect::W256),
-        ] {
-            assert_eq!(parse_request(line).expect(line).spec.lanes, want, "{line}");
-        }
     }
 
     #[test]
