@@ -149,8 +149,7 @@ pub fn enumerate_candidates(
         let max_slack = config.latency_slacks.iter().copied().max().unwrap_or(0);
         let mut schedules: Vec<Schedule> = vec![anchor.clone()];
         for latency in critical..=anchor.max_step() + max_slack {
-            if schedule_fits(dfg, modules, latency) {
-                let s = force_directed_schedule(dfg, latency).expect("latency >= critical path");
+            if let Some(s) = fitting_schedule(dfg, modules, latency) {
                 if !schedules.contains(&s) {
                     schedules.push(s);
                 }
@@ -350,18 +349,14 @@ pub fn explore(dfg: &Dfg, config: &ExploreConfig) -> ExploreResult {
     assemble(points, failures)
 }
 
-/// `true` if an FDS schedule at `latency` respects the per-step capacity
+/// The FDS schedule at `latency`, if it respects the per-step capacity
 /// of `modules` (checked by running the scheduler and verifying usage).
-fn schedule_fits(dfg: &Dfg, modules: &ModuleSet, latency: u32) -> bool {
+fn fitting_schedule(dfg: &Dfg, modules: &ModuleSet, latency: u32) -> Option<Schedule> {
     // Every kind must be executable at all.
     for op in dfg.op_ids() {
-        if modules.supporting(dfg.op(op).kind).next().is_none() {
-            return false;
-        }
+        modules.supporting(dfg.op(op).kind).next()?;
     }
-    let Ok(schedule) = force_directed_schedule(dfg, latency) else {
-        return false;
-    };
+    let schedule = force_directed_schedule(dfg, latency).ok()?;
     for step in 1..=schedule.max_step() {
         // Greedy capacity check, dedicated units first (the same rule as
         // module assignment uses).
@@ -383,10 +378,10 @@ fn schedule_fits(dfg: &Dfg, modules: &ModuleSet, latency: u32) -> bool {
             }
         }
         if placed < schedule.ops_in_step(step).len() {
-            return false;
+            return None;
         }
     }
-    true
+    Some(schedule)
 }
 
 #[cfg(test)]
