@@ -53,7 +53,7 @@ use lobist_datapath::{
 };
 use lobist_dfg::lifetime::{LifetimeOptions, Lifetimes};
 use lobist_dfg::modules::ModuleClass;
-use lobist_dfg::{Dfg, OpKind, Operand, Schedule, VarId};
+use lobist_dfg::{Dfg, Operand, Schedule, VarId};
 
 use crate::flow::{FlowError, FlowOptions};
 use crate::interconnect::{assign_interconnect, ModuleProblem, PortLabel};
@@ -239,13 +239,7 @@ impl<'a> FlowCache<'a> {
         let module_area = ma
             .module_ids()
             .map(|m| match ma.class(m) {
-                ModuleClass::Alu => {
-                    let mut kinds: Vec<OpKind> =
-                        ma.ops_of(m).iter().map(|&op| dfg.op(op).kind).collect();
-                    kinds.sort();
-                    kinds.dedup();
-                    flow.area.alu_with_kinds(&kinds).get()
-                }
+                ModuleClass::Alu => flow.area.alu_with_kinds(&ma.kinds_of(dfg, m)).get(),
                 class => flow.area.module(class).get(),
             })
             .sum();

@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use lobist_dfg::modules::{ModuleClass, ModuleSet};
-use lobist_dfg::{Dfg, OpId, VarId};
+use lobist_dfg::{Dfg, OpId, OpKind, VarId};
 
 use crate::netlist::{ModuleId, PortSide, RegisterId};
 
@@ -168,6 +168,15 @@ impl ModuleAssignment {
     /// The class of module `m`.
     pub fn class(&self, m: ModuleId) -> ModuleClass {
         self.classes[m.index()]
+    }
+
+    /// The distinct kinds of the operations module `m` executes, sorted:
+    /// the functions its unit implements.
+    pub fn kinds_of(&self, dfg: &Dfg, m: ModuleId) -> Vec<OpKind> {
+        let mut kinds: Vec<OpKind> = self.ops_of(m).iter().map(|&op| dfg.op(op).kind).collect();
+        kinds.sort();
+        kinds.dedup();
+        kinds
     }
 
     /// All module classes by id (cloned).
@@ -336,6 +345,16 @@ mod tests {
         om1_names.sort();
         assert_eq!(om1_names, vec!["d", "f"]);
         assert_eq!(ma.ops_of(ModuleId(1)).len(), 2); // TM(M2) = 2
+        assert_eq!(ma.kinds_of(&bench.dfg, ModuleId(1)), [OpKind::Mul]);
+    }
+
+    #[test]
+    fn an_alus_kinds_are_sorted_and_deduplicated() {
+        let text = "input a b\ns = a - b @ 1\nt = a + b @ 2\nu = s - t @ 3\noutput u\n";
+        let (dfg, _) = lobist_dfg::parse::parse_dfg(text).unwrap();
+        let alu: ModuleSet = "1ALU".parse().unwrap();
+        let ma = ModuleAssignment::new(&dfg, &alu, vec![0; 3]).unwrap();
+        assert_eq!(ma.kinds_of(&dfg, ModuleId(0)), [OpKind::Add, OpKind::Sub]);
     }
 
     #[test]

@@ -317,18 +317,8 @@ impl DataPath {
             reg_of_var[v.index()] = registers.register_of(v);
         }
         let lhs_sides: Vec<PortSide> = dfg.op_ids().map(|op| interconnect.lhs_side(op)).collect();
-        let module_kinds: Vec<Vec<OpKind>> = (0..nm)
-            .map(|mi| {
-                let mut kinds: Vec<OpKind> = modules
-                    .ops_of(ModuleId(mi as u32))
-                    .iter()
-                    .map(|&op| dfg.op(op).kind)
-                    .collect();
-                kinds.sort();
-                kinds.dedup();
-                kinds
-            })
-            .collect();
+        let module_kinds: Vec<Vec<OpKind>> =
+            modules.module_ids().map(|m| modules.kinds_of(dfg, m)).collect();
 
         Ok(DataPath {
             num_registers: nr,

@@ -50,6 +50,7 @@ use lobist_gatesim::coverage::enumerate_faults;
 use lobist_gatesim::diffsim::{DiffSim, SimCounters};
 use lobist_gatesim::lanes::{auto_width, LaneWord, W256};
 use lobist_gatesim::lfsr::max_useful_patterns;
+use lobist_gatesim::modules::module_unit;
 use lobist_gatesim::net::{Fault, GateNetwork};
 
 use crate::cache::{lock_ok, FifoMap};
@@ -281,47 +282,26 @@ impl SessionWidth {
     }
 }
 
-/// The functional unit a BIST session exercises.
+/// The functional unit a BIST session exercises: a module's class and
+/// its operation kinds ([`ModuleAssignment::kinds_of`]), which name an
+/// ALU's functions.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum SessionUnit {
-    /// A dedicated single-function unit.
-    Op(OpKind),
-    /// An ALU over these kinds (sorted, deduplicated).
-    Alu(Vec<OpKind>),
+pub(crate) struct SessionUnit {
+    class: ModuleClass,
+    kinds: Vec<OpKind>,
 }
 
 impl SessionUnit {
-    /// The unit for module class `class`, whose bound operations have
-    /// kinds `kinds` (only read for an ALU).
-    pub(crate) fn new(class: ModuleClass, kinds: impl IntoIterator<Item = OpKind>) -> Self {
-        match class {
-            ModuleClass::Op(kind) => Self::Op(kind),
-            ModuleClass::Alu => {
-                let mut kinds: Vec<OpKind> = kinds.into_iter().collect();
-                kinds.sort();
-                kinds.dedup();
-                Self::Alu(kinds)
-            }
-        }
-    }
-
     fn network(&self, width: u32) -> GateNetwork {
-        match self {
-            Self::Op(kind) => lobist_gatesim::modules::unit_for(*kind, width),
-            Self::Alu(kinds) => lobist_gatesim::modules::alu(kinds, width),
-        }
+        module_unit(self.class, &self.kinds, width)
     }
 
     /// The session's control inputs: none for a dedicated unit; an ALU
     /// selects its first function.
     fn controls(&self) -> Vec<bool> {
-        match self {
-            Self::Op(_) => Vec::new(),
-            Self::Alu(kinds) => {
-                let mut controls = vec![false; kinds.len()];
-                controls[0] = true;
-                controls
-            }
+        match self.class {
+            ModuleClass::Op(_) => Vec::new(),
+            ModuleClass::Alu => (0..self.kinds.len()).map(|i| i == 0).collect(),
         }
     }
 }
@@ -449,8 +429,11 @@ pub fn fault_sim_modules(
         .module_ids()
         .map(|m| {
             let class = modules.class(m);
-            let kinds = modules.ops_of(m).iter().map(|&op| dfg.op(op).kind);
-            let key = SessionKey::for_module(SessionUnit::new(class, kinds), width, m.index());
+            let unit = SessionUnit {
+                class,
+                kinds: modules.kinds_of(dfg, m),
+            };
+            let key = SessionKey::for_module(unit, width, m.index());
             let report = engine.sessions.session(&key, opts, engine.metrics_handle());
             (format!("M{} ({class})", m.index() + 1), report)
         })
@@ -603,19 +586,27 @@ mod tests {
         )
     }
 
+    fn op_unit(kind: OpKind) -> SessionUnit {
+        SessionUnit {
+            class: ModuleClass::Op(kind),
+            kinds: vec![kind],
+        }
+    }
+
+    fn alu_unit(kinds: &[OpKind]) -> SessionUnit {
+        SessionUnit {
+            class: ModuleClass::Alu,
+            kinds: kinds.to_vec(),
+        }
+    }
+
     #[test]
     fn memoized_sessions_equal_fresh_ones_across_lanes_and_workers() {
         use OpKind::{Add, Sub};
         let width = SessionWidth::new(6).expect("in range");
-        let alu = SessionUnit::new(ModuleClass::Alu, [Sub, Add, Sub]);
-        assert_eq!(
-            alu,
-            SessionUnit::Alu(vec![Add, Sub]),
-            "sorted, deduplicated"
-        );
         let memo = SessionMemo::default();
         let metrics = Metrics::new();
-        for unit in [SessionUnit::new(ModuleClass::Op(Add), []), alu] {
+        for unit in [op_unit(Add), alu_unit(&[Add, Sub])] {
             let key = SessionKey::for_module(unit, width, 1);
             for lanes in [LaneSelect::W64, LaneSelect::W256] {
                 for workers in [1, 2] {
@@ -632,8 +623,8 @@ mod tests {
     fn alus_with_different_kinds_never_share_an_entry() {
         use OpKind::{Add, Mul, Sub};
         let width = SessionWidth::new(4).expect("in range");
-        let a = SessionKey::for_module(SessionUnit::new(ModuleClass::Alu, [Add, Sub]), width, 0);
-        let b = SessionKey::for_module(SessionUnit::new(ModuleClass::Alu, [Add, Mul]), width, 0);
+        let a = SessionKey::for_module(alu_unit(&[Add, Sub]), width, 0);
+        let b = SessionKey::for_module(alu_unit(&[Add, Mul]), width, 0);
         assert_eq!((&a.controls, a.seeds), (&b.controls, b.seeds));
         assert_ne!(a, b);
         let memo = SessionMemo::default();
@@ -648,8 +639,8 @@ mod tests {
     #[test]
     fn a_capacity_one_memo_evicts_and_still_answers_exactly() {
         let width = SessionWidth::new(5).expect("in range");
-        let a = SessionKey::for_module(SessionUnit::Op(OpKind::Add), width, 0);
-        let b = SessionKey::for_module(SessionUnit::Op(OpKind::Sub), width, 0);
+        let a = SessionKey::for_module(op_unit(OpKind::Add), width, 0);
+        let b = SessionKey::for_module(op_unit(OpKind::Sub), width, 0);
         let memo = SessionMemo::with_capacity(1);
         let metrics = Metrics::new();
         let o = opts(LaneSelect::Auto, 2);
@@ -664,7 +655,7 @@ mod tests {
     #[test]
     fn a_panic_while_holding_the_memo_lock_does_not_poison_lookups() {
         let width = SessionWidth::new(4).expect("in range");
-        let key = SessionKey::for_module(SessionUnit::Op(OpKind::Add), width, 2);
+        let key = SessionKey::for_module(op_unit(OpKind::Add), width, 2);
         let memo = std::sync::Arc::new(SessionMemo::default());
         let metrics = Metrics::new();
         let o = opts(LaneSelect::Auto, 1);
@@ -678,7 +669,7 @@ mod tests {
         assert!(panicked.is_err());
         assert!(memo.inner.is_poisoned());
         assert_eq!(memo.session(&key, o, &metrics), before);
-        let other = SessionKey::for_module(SessionUnit::Op(OpKind::Sub), width, 2);
+        let other = SessionKey::for_module(op_unit(OpKind::Sub), width, 2);
         assert_eq!(memo.session(&other, o, &metrics), fresh(&other, o));
         assert_eq!(memo_counts(&metrics), (1, 2));
         assert_eq!(memo.len(), 2);

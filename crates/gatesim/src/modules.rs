@@ -6,6 +6,7 @@
 //! [`lobist_dfg::interp::apply`] — exhaustively at 4 bits, by sampling at
 //! 8 bits.
 
+use lobist_dfg::modules::ModuleClass;
 use lobist_dfg::OpKind;
 
 use crate::net::{GateNetwork, NetId, NetworkBuilder};
@@ -343,6 +344,20 @@ pub fn unit_for(kind: OpKind, width: u32) -> GateNetwork {
         OpKind::Div => restoring_divider(width),
         OpKind::And | OpKind::Or | OpKind::Xor => logic_unit(kind, width),
         OpKind::Lt => comparator_lt(width),
+    }
+}
+
+/// Builds the gate network of a data-path module: the dedicated unit of
+/// an operator class, or the [`alu`] over `kinds`, the module's
+/// operation kinds (sorted and deduplicated; read only for an ALU).
+///
+/// # Panics
+///
+/// Panics if `width == 0`, or if `class` is an ALU and `kinds` is empty.
+pub fn module_unit(class: ModuleClass, kinds: &[OpKind], width: u32) -> GateNetwork {
+    match class {
+        ModuleClass::Op(kind) => unit_for(kind, width),
+        ModuleClass::Alu => alu(kinds, width),
     }
 }
 

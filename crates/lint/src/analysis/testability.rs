@@ -23,7 +23,7 @@ use lobist_datapath::ModuleId;
 use lobist_dfg::modules::ModuleClass;
 use lobist_dfg::OpKind;
 use lobist_gatesim::coverage::enumerate_faults;
-use lobist_gatesim::modules::{alu, unit_for};
+use lobist_gatesim::modules::module_unit;
 use lobist_gatesim::net::{Fault, GateNetwork};
 
 use crate::context::LintUnit;
@@ -138,10 +138,7 @@ impl DesignCone {
 
     /// Regenerates the cone's gate netlist at `width` bits.
     pub fn build_network(&self, width: u32) -> GateNetwork {
-        match self.class {
-            ModuleClass::Op(k) => unit_for(k, width),
-            ModuleClass::Alu => alu(&self.kinds, width),
-        }
+        module_unit(self.class, &self.kinds, width)
     }
 }
 
@@ -154,9 +151,7 @@ pub fn design_cones(unit: &LintUnit<'_>) -> Vec<DesignCone> {
         if ops.is_empty() {
             continue;
         }
-        let mut kinds: Vec<OpKind> = ops.iter().map(|&op| unit.dfg.op(op).kind).collect();
-        kinds.sort();
-        kinds.dedup();
+        let kinds = unit.modules.kinds_of(unit.dfg, m);
         cones.push(DesignCone { module: m, class: unit.modules.class(m), kinds });
     }
     cones

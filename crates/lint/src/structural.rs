@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 use lobist_datapath::{ModuleId, Port, PortSide, SourceRef};
 use lobist_dfg::modules::ModuleClass;
 use lobist_dfg::OpKind;
-use lobist_gatesim::modules::{alu, unit_for};
+use lobist_gatesim::modules::module_unit;
 use lobist_gatesim::net::GateNetwork;
 use lobist_graph::scc::DiGraph;
 
@@ -291,14 +291,9 @@ impl Pass for GatesPass {
             if ops.is_empty() {
                 continue;
             }
-            let mut kinds: Vec<OpKind> = ops.iter().map(|&op| unit.dfg.op(op).kind).collect();
-            kinds.sort();
-            kinds.dedup();
+            let kinds = unit.modules.kinds_of(unit.dfg, m);
             let class = unit.modules.class(m);
-            let net = match class {
-                ModuleClass::Op(k) => unit_for(k, width),
-                ModuleClass::Alu => alu(&kinds, width),
-            };
+            let net = module_unit(class, &kinds, width);
             let want = expected_unit_interface(class, &kinds, width);
             out.extend(lint_network_with(&net, Some(want), Some(m), &mut scratch.drivers));
         }
@@ -309,6 +304,7 @@ impl Pass for GatesPass {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lobist_gatesim::modules::{alu, unit_for};
     use lobist_gatesim::net::{Gate, GateKind, NetId, NetworkBuilder};
 
     fn codes_of(diags: &[Diagnostic]) -> Vec<Code> {
