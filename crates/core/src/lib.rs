@@ -54,7 +54,6 @@ pub mod explore;
 pub mod flow;
 pub mod flowcache;
 pub mod interconnect;
-pub mod metrics;
 pub mod module_assign;
 pub mod testable_regalloc;
 pub mod trace;
