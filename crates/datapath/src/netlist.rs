@@ -317,8 +317,10 @@ impl DataPath {
             reg_of_var[v.index()] = registers.register_of(v);
         }
         let lhs_sides: Vec<PortSide> = dfg.op_ids().map(|op| interconnect.lhs_side(op)).collect();
-        let module_kinds: Vec<Vec<OpKind>> =
-            modules.module_ids().map(|m| modules.kinds_of(dfg, m)).collect();
+        let module_kinds: Vec<Vec<OpKind>> = modules
+            .module_ids()
+            .map(|m| modules.kinds_of(dfg, m))
+            .collect();
 
         Ok(DataPath {
             num_registers: nr,
