@@ -110,7 +110,11 @@ pub fn collapse_faults_with(
             GateKind::Not => &[(false, true), (true, false)],
             GateKind::Xor => &[],
         };
-        let operands: &[NetId] = if g.b == g.a { &[g.a][..] } else { &[g.a, g.b][..] };
+        let operands: &[NetId] = if g.b == g.a {
+            &[g.a][..]
+        } else {
+            &[g.a, g.b][..]
+        };
         for &input in operands {
             if !collapsible(input) {
                 continue;

@@ -281,7 +281,11 @@ mod tests {
             let base = applied;
             let in_budget = (patterns - applied).min(64);
             applied += in_budget;
-            let mask = if in_budget == 64 { u64::MAX } else { (1u64 << in_budget) - 1 };
+            let mask = if in_budget == 64 {
+                u64::MAX
+            } else {
+                (1u64 << in_budget) - 1
+            };
             let golden = net.eval_lanes(&lanes);
             undetected.retain(|&fi| {
                 let faulty = net.eval_lanes_with(&lanes, Some(faults[fi]));
@@ -454,7 +458,13 @@ mod tests {
         let faults = enumerate_faults(&net);
         let narrow = measure_coverage(&net, &faults, 10_000, counter_batches(net.inputs().len()));
         assert_eq!(narrow.detected, narrow.total_faults);
-        let max_stamp = narrow.first_detection.iter().flatten().copied().max().unwrap();
+        let max_stamp = narrow
+            .first_detection
+            .iter()
+            .flatten()
+            .copied()
+            .max()
+            .unwrap();
         assert_eq!(narrow.patterns_applied, max_stamp);
         assert!(max_stamp < 10_000);
         let wide = measure_coverage(
@@ -537,8 +547,7 @@ mod tests {
                 "{name}: expected some structural equivalence"
             );
             let full = random_pattern_coverage_of(&net, &enumerate_faults(&net), 512, 0xBEEF);
-            let reps =
-                random_pattern_coverage_of(&net, collapsed.representatives(), 512, 0xBEEF);
+            let reps = random_pattern_coverage_of(&net, collapsed.representatives(), 512, 0xBEEF);
             let expanded = collapsed.expand_coverage(&reps);
             assert_eq!(expanded, full, "{name}");
             assert_eq!(random_pattern_coverage(&net, 512, 0xBEEF), full, "{name}");

@@ -8,37 +8,37 @@
 
 /// XAPP052 tap positions (1-based, MSB = width) for widths 2..=32.
 const TAPS: [&[u32]; 31] = [
-    &[2, 1],          // 2
-    &[3, 2],          // 3
-    &[4, 3],          // 4
-    &[5, 3],          // 5
-    &[6, 5],          // 6
-    &[7, 6],          // 7
-    &[8, 6, 5, 4],    // 8
-    &[9, 5],          // 9
-    &[10, 7],         // 10
-    &[11, 9],         // 11
-    &[12, 6, 4, 1],   // 12
-    &[13, 4, 3, 1],   // 13
-    &[14, 5, 3, 1],   // 14
-    &[15, 14],        // 15
-    &[16, 15, 13, 4], // 16
-    &[17, 14],        // 17
-    &[18, 11],        // 18
-    &[19, 6, 2, 1],   // 19
-    &[20, 17],        // 20
-    &[21, 19],        // 21
-    &[22, 21],        // 22
-    &[23, 18],        // 23
-    &[24, 23, 22, 17],// 24
-    &[25, 22],        // 25
-    &[26, 6, 2, 1],   // 26
-    &[27, 5, 2, 1],   // 27
-    &[28, 25],        // 28
-    &[29, 27],        // 29
-    &[30, 6, 4, 1],   // 30
-    &[31, 28],        // 31
-    &[32, 22, 2, 1],  // 32
+    &[2, 1],           // 2
+    &[3, 2],           // 3
+    &[4, 3],           // 4
+    &[5, 3],           // 5
+    &[6, 5],           // 6
+    &[7, 6],           // 7
+    &[8, 6, 5, 4],     // 8
+    &[9, 5],           // 9
+    &[10, 7],          // 10
+    &[11, 9],          // 11
+    &[12, 6, 4, 1],    // 12
+    &[13, 4, 3, 1],    // 13
+    &[14, 5, 3, 1],    // 14
+    &[15, 14],         // 15
+    &[16, 15, 13, 4],  // 16
+    &[17, 14],         // 17
+    &[18, 11],         // 18
+    &[19, 6, 2, 1],    // 19
+    &[20, 17],         // 20
+    &[21, 19],         // 21
+    &[22, 21],         // 22
+    &[23, 18],         // 23
+    &[24, 23, 22, 17], // 24
+    &[25, 22],         // 25
+    &[26, 6, 2, 1],    // 26
+    &[27, 5, 2, 1],    // 27
+    &[28, 25],         // 28
+    &[29, 27],         // 29
+    &[30, 6, 4, 1],    // 30
+    &[31, 28],         // 31
+    &[32, 22, 2, 1],   // 32
 ];
 
 /// The XAPP052 primitive-polynomial tap mask for `width` (bit `i` set =

@@ -85,12 +85,7 @@ pub fn array_multiplier(width: u32) -> GateNetwork {
 /// Shared multiplier construction: row 0 is the plain AND of `a` with
 /// `x₀`; each later row adds its partial products with half/full adders
 /// and no dead final carry.
-fn build_multiplier(
-    b: &mut NetworkBuilder,
-    a: &[NetId],
-    x: &[NetId],
-    width: u32,
-) -> Vec<NetId> {
+fn build_multiplier(b: &mut NetworkBuilder, a: &[NetId], x: &[NetId], width: u32) -> Vec<NetId> {
     let w = width as usize;
     let mut acc: Vec<NetId> = a.iter().map(|&ai| b.and(ai, x[0])).collect();
     for j in 1..w {
@@ -140,7 +135,9 @@ pub fn logic_unit(kind: OpKind, width: u32) -> GateNetwork {
     let mut b = NetworkBuilder::new();
     let a = b.input_word(width);
     let x = b.input_word(width);
-    let out: Vec<NetId> = (0..width as usize).map(|i| b.gate(gk, a[i], x[i])).collect();
+    let out: Vec<NetId> = (0..width as usize)
+        .map(|i| b.gate(gk, a[i], x[i]))
+        .collect();
     b.finish(out)
 }
 
@@ -412,7 +409,14 @@ mod tests {
 
     #[test]
     fn eight_bit_units_sampled() {
-        let samples = [(0u64, 0u64), (1, 255), (255, 255), (170, 85), (200, 7), (13, 13)];
+        let samples = [
+            (0u64, 0u64),
+            (1, 255),
+            (255, 255),
+            (170, 85),
+            (200, 7),
+            (13, 13),
+        ];
         for kind in OpKind::ALL {
             let net = unit_for(kind, 8);
             for &(a, b) in &samples {
@@ -447,6 +451,9 @@ mod tests {
         assert!(add16 <= add8 * 2 + 8, "adder is linear ({add8} -> {add16})");
         let mul4 = array_multiplier(4).num_gates();
         let mul8 = array_multiplier(8).num_gates();
-        assert!(mul8 >= mul4 * 3, "multiplier is superlinear ({mul4} -> {mul8})");
+        assert!(
+            mul8 >= mul4 * 3,
+            "multiplier is superlinear ({mul4} -> {mul8})"
+        );
     }
 }

@@ -445,8 +445,14 @@ mod tests {
         let xor = b.xor(x, y);
         let not = b.not(x);
         let net = b.finish(vec![and, or, xor, not]);
-        assert_eq!(net.eval_bool(&[false, false]), vec![false, false, false, true]);
-        assert_eq!(net.eval_bool(&[true, false]), vec![false, true, true, false]);
+        assert_eq!(
+            net.eval_bool(&[false, false]),
+            vec![false, false, false, true]
+        );
+        assert_eq!(
+            net.eval_bool(&[true, false]),
+            vec![false, true, true, false]
+        );
         assert_eq!(net.eval_bool(&[true, true]), vec![true, true, false, false]);
     }
 
