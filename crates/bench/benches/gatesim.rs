@@ -107,6 +107,14 @@ fn bench_bist_session(c: &mut Criterion) {
         group.bench_function(format!("session_{kind}12"), |b| {
             b.iter(|| session_at::<W256>(&net, &reps, 12, patterns, (0xACE1, 0x1BAD)))
         });
+        // The session's fixed cost alone: pattern batches, golden
+        // signature, MISR maps and stems.
+        group.bench_function(format!("prepare_{kind}12"), |b| {
+            b.iter(|| {
+                SessionContext::<W256>::prepare(&net, &[], 12, patterns, (0xACE1, 0x1BAD))
+                    .golden_signature()
+            })
+        });
     }
     let net = unit_for(OpKind::Mul, 8);
     let faults = enumerate_faults(&net);

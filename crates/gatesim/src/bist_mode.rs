@@ -29,7 +29,7 @@ use crate::collapse::CollapsedFaults;
 use crate::diffsim::DiffSim;
 use crate::fanout::Fanout;
 use crate::lanes::LaneWord;
-use crate::lfsr::{Lfsr, Misr};
+use crate::lfsr::{tap_mask, Lfsr, Misr};
 use crate::net::{eval_gate, Fault, GateNetwork, NetId};
 
 /// The outcome of one emulated BIST session over a module.
@@ -67,10 +67,20 @@ impl SessionReport {
 /// Per-fault session outcome: `(ideal, signature)` detection flags.
 pub type DetectFlags = (bool, bool);
 
-fn pack_outputs<W: LaneWord>(lanes: &[W], lane: u32) -> u64 {
-    lanes.iter().enumerate().fold(0u64, |acc, (i, &w)| {
-        acc | (((w.word(lane as usize / 64) >> (lane % 64)) & 1) << i)
-    })
+/// Bits `at..` of the packed bit string `bits`, bit `at + l` in lane
+/// `l`; lanes at or past `used`, and bits past the string's end, are
+/// clear.
+fn lanes_at<W: LaneWord>(bits: &[u64], at: usize, used: usize) -> W {
+    let word = |i: usize| bits.get(i).copied().unwrap_or(0);
+    let mut at = at;
+    W::from_words(|| {
+        let (i, s) = (at / 64, at % 64);
+        at += 64;
+        match s {
+            0 => word(i),
+            _ => word(i) >> s | word(i + 1) << (64 - s),
+        }
+    }) & W::lane_mask(used as u64)
 }
 
 /// Parity of the number of set lanes in `w`.
@@ -87,7 +97,9 @@ struct Batch<W> {
     /// Patterns applied; the lanes past them are zero padding.
     used: usize,
     /// MISR state after absorbing the batch's golden words from state 0:
-    /// the affine constant of the batch's clean transfer map.
+    /// the affine constant of the batch's clean transfer map. It is the
+    /// error term of the golden words read as differences
+    /// ([`BatchMap::constant`]).
     ff_const: u64,
     /// Index of the batch's [`BatchMap`] in [`SessionContext`]'s `maps`.
     map: usize,
@@ -117,38 +129,57 @@ struct BatchMap<W> {
 }
 
 impl<W: LaneWord> BatchMap<W> {
+    /// The maps of a batch of `used >= 1` patterns, from one walk of
+    /// `e_0`'s zero-word powers.
+    ///
+    /// A zero-word step shifts the state up one bit and feeds the tap
+    /// parity in at bit 0, so bit `j` of `L^k(v)` is bit 0 of
+    /// `L^(k-j)(v)` (bit `j - k` of `v` while `k < j`): all the powers of
+    /// `v` are windows of one bit stream `z_v`. Stored in reverse, bit
+    /// `i` being `z_v[top - i]` for `top = used + mw - 1`, lane `l` of
+    /// `fold[pos][j]` is bit `mw + l + j` of `e_pos`'s stream, and bit
+    /// `j` of `basis[pos] = L^used(e_pos)` is its bit `mw - 1 + j`. For
+    /// `pos >= 1`, `e_pos = L(e_(pos-1)) ^ t e_0` with `t` the tap bit
+    /// `pos - 1`, so `e_pos`'s stream is the previous one shifted up a
+    /// bit, XOR `t` times `e_0`'s. Each shift spoils one more bit at the
+    /// bottom, but the bits read start at `mw - 1 >= pos`.
     fn new(misr_width: u32, used: usize) -> Self {
         let mw = misr_width as usize;
-        // `v, L(v), L²(v), …`: zero-word steps of a MISR loaded with `v`.
-        let powers = |v: u64| {
-            let mut m = Misr::with_signature(misr_width, v);
-            std::iter::once(v).chain(std::iter::repeat_with(move || {
-                m.absorb(0);
-                m.signature()
-            }))
-        };
-        let basis = (0..mw)
-            .map(|j| powers(1 << j).nth(used).expect("powers never end"))
-            .collect();
-        let mut words = vec![0u64; mw * mw * W::WORDS];
+        let top = used + mw - 1;
+        let mut first = vec![0u64; (top + mw).div_ceil(64)];
+        let mut misr = Misr::with_signature(misr_width, 1);
+        first[top / 64] |= 1 << (top % 64);
+        for k in 1..=top {
+            misr.absorb(0);
+            first[(top - k) / 64] |= (misr.signature() & 1) << ((top - k) % 64);
+        }
+        let taps = tap_mask(misr_width);
+        let mut stream = first.clone();
+        let mut basis = Vec::with_capacity(mw);
+        let mut fold = Vec::with_capacity(mw * mw);
         for pos in 0..mw {
-            // Lane `used - 1 - k` is absorbed `k` steps before the
-            // batch ends.
-            for (k, image) in powers(1 << pos).take(used).enumerate() {
-                let lane = used - 1 - k;
-                let mut bits = image;
-                while bits != 0 {
-                    let j = bits.trailing_zeros() as usize;
-                    words[(pos * mw + j) * W::WORDS + lane / 64] |= 1 << (lane % 64);
-                    bits &= bits - 1;
+            if pos > 0 {
+                let t = 0u64.wrapping_sub((taps >> (pos - 1)) & 1);
+                let mut carry = 0;
+                for (w, &f) in stream.iter_mut().zip(&first) {
+                    (*w, carry) = ((*w << 1 | carry) ^ (f & t), *w >> 63);
                 }
             }
+            basis.push(lanes_at::<u64>(&stream, mw - 1, mw));
+            fold.extend((0..mw).map(|j| lanes_at::<W>(&stream, mw + j, used)));
         }
-        let mut words = words.into_iter();
-        let fold = (0..mw * mw)
-            .map(|_| W::from_words(|| words.next().expect("one word per lane group")))
-            .collect();
         Self { used, basis, fold }
+    }
+
+    /// The batch's affine constant: its golden output words `out`
+    /// absorbed from state 0. That state is `⊕_l L^(used-1-l)(w_l)`, the
+    /// error term of the golden words read as differences, so it is
+    /// their fold over every lane. `positions` lists every output
+    /// position once.
+    fn constant(&self, out: &[W], positions: &[u32], acc: &mut Vec<W>) -> u64 {
+        acc.resize(self.basis.len(), W::ZERO);
+        self.fold_into(out, positions, acc);
+        error_bits(acc, W::ONES)
     }
 
     /// The clean map: `L^used(state) ^ constant`.
@@ -274,60 +305,46 @@ impl<'n, W: LaneWord> SessionContext<'n, W> {
             controls.len()
         );
         let misr_width = width.clamp(2, 32);
-        // Generate the full pattern sequence once (both operand streams)
-        // and pack it into `W::LANES`-pattern lane batches so each
-        // network evaluation covers that many clocks. Pattern `p` lands
-        // in bit `p % 64` of 64-lane group `p / 64`, so the packed
-        // streams line up across widths.
-        let mut tpg_a = Lfsr::new(misr_width, seeds.0);
-        let mut tpg_b = Lfsr::new(misr_width, seeds.1);
-        let sequence: Vec<(u64, u64)> = (0..patterns)
-            .map(|_| (tpg_a.next_word(), tpg_b.next_word()))
-            .collect();
+        // Pack both operand streams into `W::LANES`-pattern lane batches
+        // so each network evaluation covers that many clocks. Pattern
+        // `p` lands in bit `p % 64` of 64-lane group `p / 64`, so the
+        // packed streams line up across widths. Pattern `p` is a TPG's
+        // state after `p + 1` clocks, so its bit `b` is stream bit
+        // `n + p - b` (`Lfsr::stream`), and a batch's lane word for bit
+        // `b` is a window of that stream.
+        let n = misr_width as usize;
+        let streams = [seeds.0, seeds.1].map(|s| Lfsr::new(misr_width, s).stream(patterns));
         let control_lanes: Vec<W> = controls
             .iter()
             .map(|&c| if c { W::ONES } else { W::ZERO })
             .collect();
-        let pack_bit = |chunk: &[(u64, u64)], bit: u32, second: bool| -> W {
-            let mut group = 0usize;
-            W::from_words(|| {
-                let lo = 64 * group;
-                group += 1;
-                let mut w = 0u64;
-                for (lane, &(a, b)) in chunk.iter().enumerate().skip(lo).take(64) {
-                    let v = if second { b } else { a };
-                    w |= ((v >> bit) & 1) << (lane - lo);
-                }
-                w
-            })
-        };
+        let positions: Vec<u32> = (0..net.outputs().len() as u32).collect();
 
-        // Golden pass: each batch's output words feed both the session
-        // signature and the batch's affine constant (absorbed from 0,
-        // since L^used(0) = 0).
-        let mut golden_misr = Misr::new(misr_width);
+        // Golden pass: each batch's constant is its golden output words'
+        // fold, and the session signature chains the batches' clean
+        // maps from state 0.
+        let mut golden_signature = 0;
         let mut batches = Vec::new();
         let mut maps: Vec<BatchMap<W>> = Vec::new();
         let mut values: Vec<W> = Vec::new();
         let mut out: Vec<W> = Vec::new();
-        for chunk in sequence.chunks(W::LANES as usize) {
+        let mut acc = Vec::new();
+        for start in (0..patterns).step_by(W::LANES as usize) {
+            let used = (patterns - start).min(W::LANES) as usize;
             let mut lanes = control_lanes.clone();
-            for bit in 0..width {
-                lanes.push(pack_bit(chunk, bit, false));
-            }
-            for bit in 0..width {
-                lanes.push(pack_bit(chunk, bit, true));
+            for stream in &streams {
+                // A TPG word has `n` bits; wider operand bits stay 0.
+                lanes.extend((0..width as usize).map(|b| {
+                    if b < n {
+                        lanes_at(stream, n + start as usize - b, used)
+                    } else {
+                        W::ZERO
+                    }
+                }));
             }
             net.eval_all_nets_into(&lanes, &mut values);
             out.clear();
             out.extend(net.outputs().iter().map(|o| values[o.index()]));
-            let used = chunk.len();
-            let mut batch_misr = Misr::new(misr_width);
-            for lane in 0..used {
-                let word = pack_outputs(&out, lane as u32);
-                golden_misr.absorb(word);
-                batch_misr.absorb(word);
-            }
             let map = match maps.iter().position(|m| m.used == used) {
                 Some(i) => i,
                 None => {
@@ -335,10 +352,12 @@ impl<'n, W: LaneWord> SessionContext<'n, W> {
                     maps.len() - 1
                 }
             };
+            let ff_const = maps[map].constant(&out, &positions, &mut acc);
+            golden_signature = maps[map].advance(ff_const, golden_signature);
             batches.push(Batch {
                 lanes,
                 used,
-                ff_const: batch_misr.signature(),
+                ff_const,
                 map,
             });
         }
@@ -365,7 +384,7 @@ impl<'n, W: LaneWord> SessionContext<'n, W> {
             net,
             batches,
             maps,
-            golden_signature: golden_misr.signature(),
+            golden_signature,
             patterns,
             stem,
             stem_gate,
@@ -632,6 +651,165 @@ mod tests {
     use crate::coverage::enumerate_faults;
     use crate::modules::{alu, array_multiplier, ripple_adder, subtractor};
     use crate::net::NetworkBuilder;
+
+    /// The MISR word of pattern `lane`: bit `i` is output `i`'s value.
+    fn pack_outputs<W: LaneWord>(lanes: &[W], lane: u32) -> u64 {
+        lanes.iter().enumerate().fold(0u64, |acc, (i, &w)| {
+            acc | (((w.word(lane as usize / 64) >> (lane % 64)) & 1) << i)
+        })
+    }
+
+    /// The per-pattern preparation that [`SessionContext::prepare`]
+    /// replaced: both TPG words of every pattern, packed into the batch
+    /// lanes bit by bit, and one MISR absorb per golden pattern for the
+    /// batch constant and again for the session signature. Returns each
+    /// batch's `(lanes, used, constant)` and the golden signature.
+    #[allow(clippy::type_complexity)]
+    fn prepare_reference<W: LaneWord>(
+        net: &GateNetwork,
+        controls: &[bool],
+        width: u32,
+        patterns: u64,
+        seeds: (u64, u64),
+    ) -> (Vec<(Vec<W>, usize, u64)>, u64) {
+        let misr_width = width.clamp(2, 32);
+        let mut tpg_a = Lfsr::new(misr_width, seeds.0);
+        let mut tpg_b = Lfsr::new(misr_width, seeds.1);
+        let sequence: Vec<(u64, u64)> = (0..patterns)
+            .map(|_| (tpg_a.next_word(), tpg_b.next_word()))
+            .collect();
+        let pack_bit = |chunk: &[(u64, u64)], bit: u32, second: bool| -> W {
+            let mut group = 0usize;
+            W::from_words(|| {
+                let lo = 64 * group;
+                group += 1;
+                let mut w = 0u64;
+                for (lane, &(a, b)) in chunk.iter().enumerate().skip(lo).take(64) {
+                    let v = if second { b } else { a };
+                    w |= ((v >> bit) & 1) << (lane - lo);
+                }
+                w
+            })
+        };
+        let mut golden = Misr::new(misr_width);
+        let mut batches = Vec::new();
+        for chunk in sequence.chunks(W::LANES as usize) {
+            let mut lanes: Vec<W> = controls
+                .iter()
+                .map(|&c| if c { W::ONES } else { W::ZERO })
+                .collect();
+            for second in [false, true] {
+                lanes.extend((0..width).map(|bit| pack_bit(chunk, bit, second)));
+            }
+            let mut values = Vec::new();
+            net.eval_all_nets_into(&lanes, &mut values);
+            let out: Vec<W> = net.outputs().iter().map(|o| values[o.index()]).collect();
+            let mut batch = Misr::new(misr_width);
+            for lane in 0..chunk.len() {
+                let word = pack_outputs(&out, lane as u32);
+                golden.absorb(word);
+                batch.absorb(word);
+            }
+            batches.push((lanes, chunk.len(), batch.signature()));
+        }
+        (batches, golden.signature())
+    }
+
+    /// The two-walk [`BatchMap::new`] it replaced: `basis[j]` by `used`
+    /// zero-word steps from `e_j`, and each fold mask bit set from the
+    /// set bits of every power. Returns `(basis, fold)`.
+    fn batch_map_reference<W: LaneWord>(misr_width: u32, used: usize) -> (Vec<u64>, Vec<W>) {
+        let mw = misr_width as usize;
+        let powers = |v: u64| {
+            let mut m = Misr::with_signature(misr_width, v);
+            std::iter::once(v).chain(std::iter::repeat_with(move || {
+                m.absorb(0);
+                m.signature()
+            }))
+        };
+        let basis = (0..mw)
+            .map(|j| powers(1 << j).nth(used).expect("powers never end"))
+            .collect();
+        let mut words = vec![0u64; mw * mw * W::WORDS];
+        for pos in 0..mw {
+            // Lane `used - 1 - k` is absorbed `k` steps before the
+            // batch ends.
+            for (k, image) in powers(1 << pos).take(used).enumerate() {
+                let lane = used - 1 - k;
+                let mut bits = image;
+                while bits != 0 {
+                    let j = bits.trailing_zeros() as usize;
+                    words[(pos * mw + j) * W::WORDS + lane / 64] |= 1 << (lane % 64);
+                    bits &= bits - 1;
+                }
+            }
+        }
+        let mut words = words.into_iter();
+        let fold = (0..mw * mw)
+            .map(|_| W::from_words(|| words.next().expect("one word per lane group")))
+            .collect();
+        (basis, fold)
+    }
+
+    /// [`SessionContext::prepare`] against [`prepare_reference`] and
+    /// [`batch_map_reference`] at lane width `W`.
+    fn check_prepare<W: LaneWord>(
+        net: &GateNetwork,
+        controls: &[bool],
+        width: u32,
+        patterns: u64,
+        seeds: (u64, u64),
+    ) {
+        let what = format!("{} lanes, width {width}, {patterns} patterns", W::LANES);
+        let ctx = SessionContext::<W>::prepare(net, controls, width, patterns, seeds);
+        let (batches, golden) = prepare_reference::<W>(net, controls, width, patterns, seeds);
+        assert_eq!(ctx.golden_signature, golden, "golden signature at {what}");
+        assert_eq!(ctx.batches.len(), batches.len(), "batches at {what}");
+        for (i, (batch, (lanes, used, constant))) in ctx.batches.iter().zip(&batches).enumerate() {
+            assert_eq!(&batch.lanes, lanes, "batch {i} lanes at {what}");
+            assert_eq!(batch.used, *used, "batch {i} length at {what}");
+            assert_eq!(batch.ff_const, *constant, "batch {i} constant at {what}");
+            assert_eq!(ctx.maps[batch.map].used, *used, "batch {i} map at {what}");
+        }
+        for map in &ctx.maps {
+            let (basis, fold) = batch_map_reference::<W>(width.clamp(2, 32), map.used);
+            assert_eq!(map.basis, basis, "{}-pattern basis at {what}", map.used);
+            assert_eq!(map.fold, fold, "{}-pattern fold at {what}", map.used);
+        }
+    }
+
+    #[test]
+    fn prepare_matches_the_per_pattern_reference() {
+        use crate::lanes::W256;
+        use crate::lfsr::max_useful_patterns;
+        use lobist_dfg::OpKind;
+        // Budgets at and around both lane widths, past the MISR period
+        // for the narrow widths, and one full TPG period; at width 32 a
+        // period is 2^32 - 1 patterns, more than a test can run.
+        for width in [2u32, 5, 8, 12, 17, 32] {
+            let net = ripple_adder(width);
+            let mut budgets = vec![1u64, 63, 64, 65, 255, 256, 300];
+            if width < 32 {
+                budgets.push(max_useful_patterns(width));
+            }
+            for patterns in budgets {
+                let seeds = (0xACE1 + u64::from(width), 0x1BAD);
+                check_prepare::<u64>(&net, &[], width, patterns, seeds);
+                check_prepare::<W256>(&net, &[], width, patterns, seeds);
+            }
+        }
+        let alu5 = alu(&[OpKind::Add, OpKind::Sub, OpKind::Mul], 5);
+        for controls in [[true, false, false], [false, false, true]] {
+            for patterns in [1, 31, 64, 65, 300] {
+                check_prepare::<u64>(&alu5, &controls, 5, patterns, (3, 7));
+                check_prepare::<W256>(&alu5, &controls, 5, patterns, (3, 7));
+            }
+        }
+        // More outputs than the MISR absorbs.
+        let wide = more_outputs_than_misr();
+        check_prepare::<u64>(&wide, &[], 3, 100, (1, 2));
+        check_prepare::<W256>(&wide, &[], 3, 300, (1, 2));
+    }
 
     /// The pre-diffsim textbook session: golden and faulty responses by
     /// full re-evaluation ([`GateNetwork::eval_lanes_with`]) of the

@@ -117,6 +117,38 @@ impl Lfsr {
         self.state
     }
 
+    /// The register's bit stream over `steps` clocks, packed 64 bits per
+    /// word: bit `b` of the state after `k` clocks (the current state at
+    /// `k = 0`) is stream bit `width - 1 + k - b`. A clock shifts the
+    /// state up one bit and feeds the tap parity in at bit 0, so all the
+    /// states are windows of this one stream. Every bit of every
+    /// returned word is a stream bit, so the stream runs on past
+    /// `width + steps` bits to the end of its last word. The register
+    /// itself does not advance.
+    ///
+    /// The stream obeys `x[i] = ⊕_t x[i - 1 - t]` over the taps `t`, and
+    /// squaring its characteristic polynomial six times over GF(2) gives
+    /// `x[i] = ⊕_t x[i - 64(1 + t)]`: past the first `width` words, each
+    /// word is the XOR of earlier words, with no clock per bit.
+    pub(crate) fn stream(&self, steps: u64) -> Vec<u64> {
+        let n = self.width as usize;
+        let words = (n + steps as usize).div_ceil(64);
+        let mut bits = vec![0u64; words];
+        for j in 0..n {
+            bits[0] |= ((self.state >> j) & 1) << (n - 1 - j);
+        }
+        let mut clocked = self.clone();
+        for i in n..words.min(n) * 64 {
+            bits[i / 64] |= (clocked.next_word() & 1) << (i % 64);
+        }
+        for q in n..words {
+            bits[q] = (0..n)
+                .filter(|t| (self.taps >> t) & 1 == 1)
+                .fold(0, |w, t| w ^ bits[q - 1 - t]);
+        }
+        bits
+    }
+
     /// The sequence period (for testing): number of steps to return to
     /// the initial state.
     ///
@@ -168,8 +200,8 @@ impl Misr {
     }
 
     /// Creates a MISR resuming from a previously captured signature —
-    /// used by the session emulator to fast-forward per-fault MISR
-    /// states batch by batch.
+    /// used by the session emulator to walk the zero-word powers of a
+    /// basis state.
     ///
     /// # Panics
     ///
@@ -202,6 +234,35 @@ mod tests {
         for width in 2..=16u32 {
             let l = Lfsr::new(width, 1);
             assert_eq!(l.period(), (1u64 << width) - 1, "width {width}");
+        }
+    }
+
+    #[test]
+    fn every_state_is_a_window_of_the_stream() {
+        // Past `64 * width` bits the words come from the word
+        // recurrence, so budgets run well past it at every width.
+        for width in 2..=32u32 {
+            for (seed, steps) in [
+                (1u64, 0u64),
+                (0xACE1, 63),
+                (0x1BAD, 64 * u64::from(width) + 300),
+            ] {
+                let mut l = Lfsr::new(width, seed);
+                let stream = l.stream(steps);
+                let n = width as u64;
+                assert_eq!(stream.len() as u64, (n + steps).div_ceil(64));
+                let bit = |i: u64| (stream[(i / 64) as usize] >> (i % 64)) & 1;
+                for k in 0..=steps {
+                    let state = if k == 0 { l.peek() } else { l.next_word() };
+                    let window = (0..n).fold(0, |s, b| s | bit(n - 1 + k - b) << b);
+                    assert_eq!(window, state, "width {width}, seed {seed:#x}, clock {k}");
+                }
+                // The stream runs on to the end of its last word.
+                for i in n + steps..64 * stream.len() as u64 {
+                    let state = l.next_word();
+                    assert_eq!(bit(i), state & 1, "width {width}, stream bit {i}");
+                }
+            }
         }
     }
 
