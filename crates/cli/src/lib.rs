@@ -773,24 +773,34 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 // so only the flow's first stage runs here, and designs
                 // the engine answered through its feasibility-recovery
                 // ladder (which direct synthesis rejects) are simulated
-                // too.
-                for (outcome, (dfg, schedule)) in outcomes.iter().zip(&parsed) {
-                    if outcome.result.is_err() {
-                        continue;
-                    }
-                    let binding = match lobist_alloc::module_assign::assign_modules(
-                        dfg, schedule, &modules,
-                    ) {
-                        Ok(binding) => binding,
-                        Err(e) => {
-                            let _ = writeln!(out, "faultsim {}: failed: {e}", outcome.label);
-                            continue;
+                // too. Every binding comes first, so that one call
+                // simulates the sessions of all designs in one drain.
+                let bound: Vec<_> = outcomes
+                    .iter()
+                    .zip(&parsed)
+                    .filter(|(outcome, _)| outcome.result.is_ok())
+                    .map(|(outcome, (dfg, schedule))| {
+                        let binding =
+                            lobist_alloc::module_assign::assign_modules(dfg, schedule, &modules);
+                        (&outcome.label, &**dfg, binding)
+                    })
+                    .collect();
+                let designs: Vec<_> = bound
+                    .iter()
+                    .filter_map(|(_, dfg, binding)| Some((*dfg, binding.as_ref().ok()?)))
+                    .collect();
+                let mut rows = lobist_engine::fault_sim_designs(&designs, width, sim_opts, &engine)
+                    .into_iter();
+                for (label, _, binding) in &bound {
+                    match binding {
+                        Ok(_) => {
+                            for (module, report) in rows.next().expect("rows per bound design") {
+                                let _ = writeln!(out, "{}", faultsim_row(label, &module, &report));
+                            }
                         }
-                    };
-                    for (module, report) in
-                        lobist_engine::fault_sim_modules(dfg, &binding, width, sim_opts, &engine)
-                    {
-                        let _ = writeln!(out, "{}", faultsim_row(&outcome.label, &module, &report));
+                        Err(e) => {
+                            let _ = writeln!(out, "faultsim {label}: failed: {e}");
+                        }
                     }
                 }
             }

@@ -93,7 +93,7 @@ pub fn provenance(outcomes: &[JobOutcome]) -> &'static str {
 /// One engine owns one worker budget, one result cache, one BIST
 /// session memo and one metrics ledger; batches run through
 /// [`Engine::run`] and fault simulations run through
-/// [`crate::fault_sim_modules`] share them, so a repeated sweep is
+/// [`crate::fault_sim_designs`] share them, so a repeated sweep is
 /// answered from cache and a long campaign accumulates one coherent
 /// profile.
 ///
@@ -107,7 +107,7 @@ pub fn provenance(outcomes: &[JobOutcome]) -> &'static str {
 pub struct Engine {
     workers: usize,
     cache: ResultCache,
-    /// BIST session reports shared by every [`crate::fault_sim_modules`]
+    /// BIST session reports shared by every [`crate::fault_sim_designs`]
     /// call on this engine.
     pub(crate) sessions: SessionMemo,
     store: Option<Arc<dyn ResultStore>>,

@@ -2,18 +2,22 @@
 //!
 //! Fault simulation is embarrassingly parallel across faults — every
 //! fault's detection outcome is independent of the rest of the list —
-//! so the fault list is split into chunks of whole stem groups, one
-//! chunk per pool worker, and each worker runs the session's
-//! stem-shared walks ([`SessionContext::detect_flags`]) over its chunk
-//! with its own scratch buffers. Merging stitches per-chunk results
-//! back by original fault index and sums counters, so the result is
-//! **byte-identical** to a serial run no matter the worker count:
+//! so each session's fault list is split into chunks of whole stem
+//! groups, one chunk per pool worker, and each task runs the session's
+//! stem-shared walks ([`SessionContext::detect_flags`]) over one chunk
+//! with its own scratch buffers. The sessions of one call share one
+//! pool drain: every `(session, chunk)` pair is one task, so a call
+//! spawns its workers once however many sessions it simulates.
+//! Merging stitches per-chunk results back by original fault index and
+//! sums counters per session, so the result is **byte-identical** to a
+//! serial run no matter the worker count:
 //!
 //! * per-fault session detect flags are independent, so placing each
 //!   chunk result back at its fault's original index reproduces the
 //!   serial vector exactly;
-//! * every worker replays the same session (a pure function of the
-//!   seeds), so a fault sees identical patterns in any chunk;
+//! * every task reads its session's one prepared context (a pure
+//!   function of the seeds), so a fault sees identical patterns in any
+//!   chunk;
 //! * a stem group is never split, so each stem is walked once per
 //!   batch at any worker count, and the `faults_simulated`,
 //!   `cone_evals` and `events_propagated` counters are the same too.
@@ -32,11 +36,14 @@
 //! is again exact because equivalent faults have identical faulty
 //! response streams.
 //!
-//! [`fault_sim_modules`] is the one per-module session driver the CLI
-//! and the daemon share. A session's report is a pure function of its
-//! `SessionKey` — the unit, its controls, width, pattern budget and
-//! seeds — and never of the rest of the design, so the driver answers
-//! repeated sessions from the engine's `SessionMemo`.
+//! [`fault_sim_designs`] is the one per-module session loop the CLI
+//! and the daemon share; [`fault_sim_modules`] is its one-design call,
+//! and [`bist_session_parallel`] runs one session outside any design.
+//! A session's report is a pure function of its `SessionKey` — the
+//! unit, its controls, width, pattern budget and seeds — and never of
+//! the rest of the design, so repeated sessions are answered from the
+//! engine's `SessionMemo`, and the rest of a call's sessions are
+//! simulated in its one drain.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -44,7 +51,7 @@ use std::time::{Duration, Instant};
 use lobist_datapath::ModuleAssignment;
 use lobist_dfg::modules::ModuleClass;
 use lobist_dfg::{Dfg, OpKind};
-use lobist_gatesim::bist_mode::{DetectFlags, SessionContext, SessionReport};
+use lobist_gatesim::bist_mode::{SessionContext, SessionReport};
 use lobist_gatesim::collapse::collapse_faults;
 use lobist_gatesim::coverage::enumerate_faults;
 use lobist_gatesim::diffsim::{DiffSim, SimCounters};
@@ -107,24 +114,19 @@ impl Default for FaultSimOptions {
     }
 }
 
-/// Work accounting of one parallel fault-simulation run.
+/// Work accounting of one simulated BIST session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSimStats {
     /// Simulator work counters, summed over all workers.
     /// `batches_loaded` shrinks as `lanes` grows; detection results do
     /// not change.
     pub counters: SimCounters,
-    /// Size of the full fault universe the report covers.
-    pub total_faults: usize,
-    /// Faults actually simulated (representatives when collapsing).
-    pub simulated_faults: usize,
     /// Faults eliminated by structural collapsing.
     pub collapsed_away: usize,
-    /// Worker threads used.
-    pub workers: usize,
     /// Concrete lane width the run simulated at (64 or 256).
     pub lanes: u32,
-    /// Wall time of the whole run (prepare + simulate + merge).
+    /// Wall time of the drain that simulated the session (prepare +
+    /// simulate + merge); the sessions of one drain share it.
     pub wall: Duration,
 }
 
@@ -157,19 +159,122 @@ fn stem_partition<W: LaneWord>(
 }
 
 /// Scatters per-chunk results back to full-list order.
-fn scatter<T: Copy + Default>(parts: &[(Vec<T>, Vec<u32>)], len: usize) -> Vec<T> {
+fn scatter<T: Copy + Default>(parts: &[(Vec<T>, &[u32])], len: usize) -> Vec<T> {
     let mut out = vec![T::default(); len];
     for (values, indices) in parts {
-        for (&v, &i) in values.iter().zip(indices) {
+        for (&v, &i) in values.iter().zip(*indices) {
             out[i as usize] = v;
         }
     }
     out
 }
 
+/// One BIST session of a drain: a module network, the control inputs
+/// it holds, and its `(TPG, MISR)` seeds.
+struct Session<'a> {
+    net: &'a GateNetwork,
+    controls: &'a [bool],
+    seeds: (u64, u64),
+}
+
+/// Simulates `sessions`, each `width` bits wide with a budget of
+/// `patterns`, over each network's whole fault universe in one pool
+/// drain, and returns each session's report and work accounting.
+/// Every session's stats carry the wall time of the whole drain.
+///
+/// # Panics
+///
+/// Panics if `opts.workers` is zero or a network's input count is not
+/// its `controls.len() + 2 * width`.
+fn simulate_sessions(
+    sessions: &[Session<'_>],
+    width: u32,
+    patterns: u64,
+    opts: FaultSimOptions,
+) -> Vec<(SessionReport, FaultSimStats)> {
+    match opts.lanes.width(patterns) {
+        256 => simulate_at::<W256>(sessions, width, patterns, opts),
+        _ => simulate_at::<u64>(sessions, width, patterns, opts),
+    }
+}
+
+fn simulate_at<W: LaneWord>(
+    sessions: &[Session<'_>],
+    width: u32,
+    patterns: u64,
+    opts: FaultSimOptions,
+) -> Vec<(SessionReport, FaultSimStats)> {
+    assert!(opts.workers >= 1, "need at least one worker");
+    let start = Instant::now();
+    let prepared: Vec<_> = sessions
+        .iter()
+        .map(|s| {
+            let ctx = SessionContext::<W>::prepare(s.net, s.controls, width, patterns, s.seeds);
+            let collapsed = opts.collapse.then(|| collapse_faults(s.net));
+            let chunks = match &collapsed {
+                Some(c) => stem_partition(c.representatives(), &ctx, opts.workers),
+                None => stem_partition(&enumerate_faults(s.net), &ctx, opts.workers),
+            };
+            (ctx, collapsed, chunks)
+        })
+        .collect();
+
+    let tasks: Vec<_> = prepared
+        .iter()
+        .flat_map(|(ctx, _, chunks)| {
+            chunks.iter().map(move |(chunk, _)| {
+                move || {
+                    let mut sim = DiffSim::<W>::new(ctx.network());
+                    let flags = ctx.detect_flags(&mut sim, chunk);
+                    (flags, sim.counters())
+                }
+            })
+        })
+        .collect();
+    let (results, _) = pool::run_jobs(opts.workers, tasks);
+
+    let mut results = results.into_iter();
+    let mut out: Vec<_> = prepared
+        .iter()
+        .map(|(ctx, collapsed, chunks)| {
+            let mut counters = SimCounters::default();
+            let parts: Vec<_> = chunks
+                .iter()
+                .map(|(_, indices)| {
+                    let (flags, c) = results
+                        .next()
+                        .expect("one result per task")
+                        .expect("fault-sim worker panicked");
+                    counters.merge(&c);
+                    (flags, &indices[..])
+                })
+                .collect();
+            let simulated = parts.iter().map(|(flags, _)| flags.len()).sum();
+            let flags = scatter(&parts, simulated);
+            let flags = match collapsed {
+                Some(c) => c.expand_detect_flags(&flags),
+                None => flags,
+            };
+            let stats = FaultSimStats {
+                counters,
+                collapsed_away: collapsed.as_ref().map_or(0, |c| c.collapsed_away()),
+                lanes: W::LANES as u32,
+                wall: Duration::ZERO,
+            };
+            (ctx.report_from_flags(&flags), stats)
+        })
+        .collect();
+    let wall = start.elapsed();
+    for (_, stats) in &mut out {
+        stats.wall = wall;
+    }
+    out
+}
+
 /// Emulates a full BIST session (LFSR → module → MISR) over the whole
 /// fault universe of `net`, with the faults partitioned across the
-/// pool. Byte-identical to
+/// pool: the one-session call of the engine's session drain.
+/// Byte-identical to
 /// [`lobist_gatesim::bist_mode::run_session_with_controls`] for every
 /// worker count, collapse setting and lane width.
 ///
@@ -185,66 +290,14 @@ pub fn bist_session_parallel(
     seeds: (u64, u64),
     opts: FaultSimOptions,
 ) -> (SessionReport, FaultSimStats) {
-    match opts.lanes.width(patterns) {
-        256 => session_parallel_at::<W256>(net, controls, width, patterns, seeds, opts),
-        _ => session_parallel_at::<u64>(net, controls, width, patterns, seeds, opts),
-    }
-}
-
-fn session_parallel_at<W: LaneWord>(
-    net: &GateNetwork,
-    controls: &[bool],
-    width: u32,
-    patterns: u64,
-    seeds: (u64, u64),
-    opts: FaultSimOptions,
-) -> (SessionReport, FaultSimStats) {
-    assert!(opts.workers >= 1, "need at least one worker");
-    let start = Instant::now();
-    let universe = enumerate_faults(net);
-    let collapsed = opts.collapse.then(|| collapse_faults(net));
-    let sim_list: &[Fault] = collapsed
-        .as_ref()
-        .map_or(&universe, |c| c.representatives());
-    let ctx = SessionContext::<W>::prepare(net, controls, width, patterns, seeds);
-
-    let ctx_ref = &ctx;
-    let chunks = stem_partition(sim_list, &ctx, opts.workers);
-    let tasks: Vec<_> = chunks
-        .iter()
-        .map(|(chunk, _)| {
-            move || {
-                let mut sim = DiffSim::<W>::new(net);
-                let flags = ctx_ref.detect_flags(&mut sim, chunk);
-                (flags, sim.counters())
-            }
-        })
-        .collect();
-    let (results, _) = pool::run_jobs(opts.workers, tasks);
-
-    let mut counters = SimCounters::default();
-    let mut parts = Vec::with_capacity(chunks.len());
-    for (r, (_, indices)) in results.into_iter().zip(&chunks) {
-        let (f, c) = r.expect("fault-sim worker panicked");
-        counters.merge(&c);
-        parts.push((f, indices.clone()));
-    }
-    let flags: Vec<DetectFlags> = scatter(&parts, sim_list.len());
-    let flags = match &collapsed {
-        Some(c) => c.expand_detect_flags(&flags),
-        None => flags,
+    let session = Session {
+        net,
+        controls,
+        seeds,
     };
-    let report = ctx.report_from_flags(&flags);
-    let stats = FaultSimStats {
-        counters,
-        total_faults: universe.len(),
-        simulated_faults: sim_list.len(),
-        collapsed_away: collapsed.as_ref().map_or(0, |c| c.collapsed_away()),
-        workers: opts.workers,
-        lanes: W::LANES as u32,
-        wall: start.elapsed(),
-    };
-    (report, stats)
+    simulate_sessions(&[session], width, patterns, opts)
+        .pop()
+        .expect("one result per session")
 }
 
 /// The data-path width of a BIST session, validated to the LFSR/MISR
@@ -372,52 +425,127 @@ impl SessionMemo {
         lock_ok(&self.inner).len()
     }
 
-    /// The report of session `key`: memoized, or simulated on the
-    /// parallel fault simulator and then memoized. A hit records only
-    /// the memo hit in `metrics`; a miss also records the simulator's
-    /// work counters.
-    pub(crate) fn session(
+    /// The reports of sessions `keys`, in order: memoized ones from the
+    /// memo, the rest simulated in one pool drain and then memoized.
+    /// Every key counts as a memo hit or miss; a key that an earlier
+    /// key of the same call already missed on is a hit, because its
+    /// session is simulated once. `metrics` also records each simulated
+    /// session's work, and the drain's wall time once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the missed sessions differ in width or pattern budget:
+    /// one drain simulates at one lane width.
+    pub(crate) fn reports(
         &self,
-        key: &SessionKey,
+        keys: &[SessionKey],
         opts: FaultSimOptions,
         metrics: &Metrics,
-    ) -> SessionReport {
-        let hit = lock_ok(&self.inner).get(key).cloned();
+    ) -> Vec<SessionReport> {
+        // Each key is answered by its report or by its index in `missed`.
+        let mut missed: Vec<&SessionKey> = Vec::new();
+        let answers: Vec<Result<SessionReport, usize>> = {
+            let memo = lock_ok(&self.inner);
+            keys.iter()
+                .map(|key| match memo.get(key) {
+                    Some(report) => Ok(report.clone()),
+                    None => Err(missed.iter().position(|k| *k == key).unwrap_or_else(|| {
+                        missed.push(key);
+                        missed.len() - 1
+                    })),
+                })
+                .collect()
+        };
         metrics.add(
-            if hit.is_some() {
-                metric!("fault_sim.session_memo.hits")
-            } else {
-                metric!("fault_sim.session_memo.misses")
-            },
-            1,
+            metric!("fault_sim.session_memo.hits"),
+            (keys.len() - missed.len()) as u64,
         );
-        if let Some(report) = hit {
-            return report;
-        }
-        let net = key.unit.network(key.width);
-        let (report, stats) = bist_session_parallel(
-            &net,
-            &key.controls,
-            key.width,
-            key.patterns,
-            key.seeds,
-            opts,
+        metrics.add(
+            metric!("fault_sim.session_memo.misses"),
+            missed.len() as u64,
         );
-        metrics.record_fault_sim(&stats);
-        lock_ok(&self.inner).insert(key.clone(), report.clone());
-        report
+        let simulated = match missed.first() {
+            Some(first) => {
+                assert!(
+                    missed
+                        .iter()
+                        .all(|k| (k.width, k.patterns) == (first.width, first.patterns)),
+                    "one drain simulates sessions of one width and budget"
+                );
+                let nets: Vec<GateNetwork> =
+                    missed.iter().map(|k| k.unit.network(k.width)).collect();
+                let sessions: Vec<Session<'_>> = missed
+                    .iter()
+                    .zip(&nets)
+                    .map(|(k, net)| Session {
+                        net,
+                        controls: &k.controls,
+                        seeds: k.seeds,
+                    })
+                    .collect();
+                let results = simulate_sessions(&sessions, first.width, first.patterns, opts);
+                metrics.add_time(metric!("fault_sim.wall_micros"), results[0].1.wall);
+                let mut memo = lock_ok(&self.inner);
+                results
+                    .into_iter()
+                    .zip(&missed)
+                    .map(|((report, stats), key)| {
+                        metrics.record_session_work(&stats);
+                        memo.insert((*key).clone(), report.clone());
+                        report
+                    })
+                    .collect()
+            }
+            None => Vec::new(),
+        };
+        answers
+            .into_iter()
+            .map(|a| a.unwrap_or_else(|i| simulated[i].clone()))
+            .collect()
     }
 }
 
-/// Runs the BIST session of every module in a design's module binding,
-/// answering repeated sessions from `engine`'s memo and recording the
-/// work on its metrics. A session reads only each module's class and
-/// operation kinds, so the binding suffices: a synthesized design's
+/// Runs the BIST session of every module in each design's module
+/// binding, answering repeated sessions from `engine`'s memo and
+/// simulating the rest in one pool drain, and records the work on its
+/// metrics. A session reads only each module's class and operation
+/// kinds, so the binding suffices: a synthesized design's
 /// [`lobist_alloc::flow::Design::module_assignment`], or
 /// [`lobist_alloc::module_assign::assign_modules`] on the design's
-/// schedule. Returns `(module label, session report)` rows in module
-/// order; the rows are identical for any worker count, lane width and
-/// memo state.
+/// schedule. Returns one row list per design, each `(module label,
+/// session report)` rows in module order; the rows are identical for
+/// any worker count, lane width, memo state and grouping of designs
+/// into calls.
+pub fn fault_sim_designs(
+    designs: &[(&Dfg, &ModuleAssignment)],
+    width: SessionWidth,
+    opts: FaultSimOptions,
+    engine: &Engine,
+) -> Vec<Vec<(String, SessionReport)>> {
+    let mut labels = Vec::new();
+    let mut keys = Vec::new();
+    for (dfg, modules) in designs {
+        for m in modules.module_ids() {
+            let class = modules.class(m);
+            let unit = SessionUnit {
+                class,
+                kinds: modules.kinds_of(dfg, m),
+            };
+            keys.push(SessionKey::for_module(unit, width, m.index()));
+            labels.push(format!("M{} ({class})", m.index() + 1));
+        }
+    }
+    let reports = engine
+        .sessions
+        .reports(&keys, opts, engine.metrics_handle());
+    let mut rows = labels.into_iter().zip(reports);
+    designs
+        .iter()
+        .map(|(_, modules)| rows.by_ref().take(modules.num_modules()).collect())
+        .collect()
+}
+
+/// [`fault_sim_designs`] of one design.
 pub fn fault_sim_modules(
     dfg: &Dfg,
     modules: &ModuleAssignment,
@@ -425,19 +553,9 @@ pub fn fault_sim_modules(
     opts: FaultSimOptions,
     engine: &Engine,
 ) -> Vec<(String, SessionReport)> {
-    modules
-        .module_ids()
-        .map(|m| {
-            let class = modules.class(m);
-            let unit = SessionUnit {
-                class,
-                kinds: modules.kinds_of(dfg, m),
-            };
-            let key = SessionKey::for_module(unit, width, m.index());
-            let report = engine.sessions.session(&key, opts, engine.metrics_handle());
-            (format!("M{} ({class})", m.index() + 1), report)
-        })
-        .collect()
+    fault_sim_designs(&[(dfg, modules)], width, opts, engine)
+        .pop()
+        .expect("one row list per design")
 }
 
 #[cfg(test)]
@@ -578,6 +696,17 @@ mod tests {
         }
     }
 
+    /// One session's report through [`SessionMemo::reports`].
+    fn report(
+        memo: &SessionMemo,
+        key: &SessionKey,
+        o: FaultSimOptions,
+        metrics: &Metrics,
+    ) -> SessionReport {
+        memo.reports(std::slice::from_ref(key), o, metrics)
+            .remove(0)
+    }
+
     fn memo_counts(metrics: &Metrics) -> (u64, u64) {
         let snap = metrics.snapshot();
         (
@@ -611,7 +740,7 @@ mod tests {
             for lanes in [LaneSelect::W64, LaneSelect::W256] {
                 for workers in [1, 2] {
                     let o = opts(lanes, workers);
-                    assert_eq!(memo.session(&key, o, &metrics), fresh(&key, o), "{key:?}");
+                    assert_eq!(report(&memo, &key, o, &metrics), fresh(&key, o), "{key:?}");
                 }
             }
         }
@@ -630,8 +759,8 @@ mod tests {
         let memo = SessionMemo::default();
         let metrics = Metrics::new();
         let o = opts(LaneSelect::Auto, 1);
-        assert_eq!(memo.session(&a, o, &metrics), fresh(&a, o));
-        assert_eq!(memo.session(&b, o, &metrics), fresh(&b, o));
+        assert_eq!(report(&memo, &a, o, &metrics), fresh(&a, o));
+        assert_eq!(report(&memo, &b, o, &metrics), fresh(&b, o));
         assert_eq!(memo_counts(&metrics), (0, 2));
         assert_eq!(memo.len(), 2);
     }
@@ -644,12 +773,115 @@ mod tests {
         let memo = SessionMemo::with_capacity(1);
         let metrics = Metrics::new();
         let o = opts(LaneSelect::Auto, 2);
-        let first = memo.session(&a, o, &metrics);
-        assert_eq!(memo.session(&b, o, &metrics), fresh(&b, o));
+        let first = report(&memo, &a, o, &metrics);
+        assert_eq!(report(&memo, &b, o, &metrics), fresh(&b, o));
         assert_eq!(memo.len(), 1, "b evicted a");
-        assert_eq!(memo.session(&a, o, &metrics), first);
-        assert_eq!(memo.session(&a, o, &metrics), first);
+        assert_eq!(report(&memo, &a, o, &metrics), first);
+        assert_eq!(report(&memo, &a, o, &metrics), first);
         assert_eq!(memo_counts(&metrics), (1, 3));
+    }
+
+    #[test]
+    fn a_repeat_within_one_call_is_a_hit_simulated_once() {
+        let width = SessionWidth::new(5).expect("in range");
+        let a = SessionKey::for_module(op_unit(OpKind::Add), width, 0);
+        let b = SessionKey::for_module(op_unit(OpKind::Sub), width, 1);
+        let o = opts(LaneSelect::Auto, 2);
+        let want = [fresh(&a, o), fresh(&b, o)];
+        for capacity in [1, SESSION_MEMO_CAPACITY] {
+            let memo = SessionMemo::with_capacity(capacity);
+            let metrics = Metrics::new();
+            let keys = [a.clone(), b.clone(), a.clone(), a.clone(), b.clone()];
+            let reports = memo.reports(&keys, o, &metrics);
+            let expected: Vec<_> = [0, 1, 0, 0, 1].map(|i| want[i].clone()).into();
+            assert_eq!(reports, expected, "capacity {capacity}");
+            assert_eq!(memo_counts(&metrics), (3, 2), "capacity {capacity}");
+            assert_eq!(memo.len(), capacity.min(2), "capacity {capacity}");
+            let snap = metrics.snapshot();
+            assert_eq!(snap.get(metric!("fault_sim.lanes.64.runs")), 2);
+        }
+    }
+
+    #[test]
+    fn one_call_over_many_designs_equals_per_design_calls_and_per_session_work() {
+        // The seed-1 corpus at sizes 8 and 16, as `batch --faultsim`
+        // hands it over in one call. Each design's rows must equal a
+        // one-design call on a fresh engine, and the call's work
+        // counters and memo counts must equal those of simulating each
+        // distinct session alone, in order of first use.
+        use lobist_alloc::module_assign::assign_modules;
+        use lobist_dfg::corpus::{generate, KINDS};
+        use lobist_dfg::modules::ModuleSet;
+        use lobist_dfg::scheduling::list_schedule;
+        let width = SessionWidth::new(8).expect("in range");
+        for set in ["1+,1*,1-", "1+,1*,1ALU"] {
+            let modules: ModuleSet = set.parse().expect("a module set");
+            let designs: Vec<(Dfg, ModuleAssignment)> = [8, 16]
+                .into_iter()
+                .flat_map(|size| KINDS.map(|kind| generate(kind, size, 1)))
+                .filter_map(|dfg| {
+                    let schedule = list_schedule(&dfg, &modules).ok()?;
+                    let binding = assign_modules(&dfg, &schedule, &modules).ok()?;
+                    Some((dfg, binding))
+                })
+                .collect();
+            assert!(designs.len() >= 6, "{set}: {} designs bound", designs.len());
+            let designs: Vec<(&Dfg, &ModuleAssignment)> =
+                designs.iter().map(|(d, b)| (d, b)).collect();
+            for workers in [1, 2, 3] {
+                let o = opts(LaneSelect::Auto, workers);
+                let engine = Engine::new(workers);
+                let rows = fault_sim_designs(&designs, width, o, &engine);
+                assert_eq!(rows.len(), designs.len());
+                for (&(dfg, binding), rows) in designs.iter().zip(&rows) {
+                    let alone = fault_sim_modules(dfg, binding, width, o, &Engine::new(1));
+                    assert_eq!(*rows, alone, "{set} at {workers} workers");
+                }
+                let mut seen = Vec::new();
+                let mut hits = 0;
+                let mut work = [0; 3];
+                for &(dfg, binding) in &designs {
+                    for m in binding.module_ids() {
+                        let unit = SessionUnit {
+                            class: binding.class(m),
+                            kinds: binding.kinds_of(dfg, m),
+                        };
+                        let key = SessionKey::for_module(unit, width, m.index());
+                        if seen.contains(&key) {
+                            hits += 1;
+                            continue;
+                        }
+                        let net = key.unit.network(key.width);
+                        let (_, stats) = bist_session_parallel(
+                            &net,
+                            &key.controls,
+                            key.width,
+                            key.patterns,
+                            key.seeds,
+                            o,
+                        );
+                        let c = stats.counters;
+                        work[0] += c.faults_simulated;
+                        work[1] += c.cone_evals;
+                        work[2] += c.events_propagated;
+                        seen.push(key);
+                    }
+                }
+                assert!(hits > 0, "{set}: the designs share sessions");
+                let snap = engine.metrics();
+                let counted = [
+                    snap.get(metric!("fault_sim.faults_simulated")),
+                    snap.get(metric!("fault_sim.cone_evals")),
+                    snap.get(metric!("fault_sim.events_propagated")),
+                ];
+                assert_eq!(counted, work, "{set} at {workers} workers");
+                assert_eq!(
+                    memo_counts(engine.metrics_handle()),
+                    (hits, seen.len() as u64),
+                    "{set} at {workers} workers"
+                );
+            }
+        }
     }
 
     #[test]
@@ -659,7 +891,7 @@ mod tests {
         let memo = std::sync::Arc::new(SessionMemo::default());
         let metrics = Metrics::new();
         let o = opts(LaneSelect::Auto, 1);
-        let before = memo.session(&key, o, &metrics);
+        let before = report(&memo, &key, o, &metrics);
         let held = std::sync::Arc::clone(&memo);
         let panicked = std::thread::spawn(move || {
             let _guard = held.inner.lock().expect("first locker");
@@ -668,9 +900,9 @@ mod tests {
         .join();
         assert!(panicked.is_err());
         assert!(memo.inner.is_poisoned());
-        assert_eq!(memo.session(&key, o, &metrics), before);
+        assert_eq!(report(&memo, &key, o, &metrics), before);
         let other = SessionKey::for_module(op_unit(OpKind::Sub), width, 2);
-        assert_eq!(memo.session(&other, o, &metrics), fresh(&other, o));
+        assert_eq!(report(&memo, &other, o, &metrics), fresh(&other, o));
         assert_eq!(memo_counts(&metrics), (1, 2));
         assert_eq!(memo.len(), 2);
     }
@@ -694,7 +926,9 @@ mod tests {
         );
         assert!(faults.len() < 64);
         assert_eq!(report, serial);
-        assert_eq!(stats.simulated_faults, faults.len());
+        // One 3-pattern batch: each fault is simulated once.
+        assert_eq!(stats.counters.faults_simulated, faults.len() as u64);
+        assert_eq!(stats.collapsed_away, 0);
     }
 
     #[test]
@@ -804,10 +1038,15 @@ mod tests {
         assert_eq!(coll_report, full_report);
         assert!(coll.counters.faults_simulated < full.counters.faults_simulated);
         assert!(coll.collapsed_away > 0);
+        // One 15-pattern batch: each simulated fault counts once.
+        assert_eq!(full.collapsed_away, 0);
         assert_eq!(
-            coll.simulated_faults + coll.collapsed_away,
-            coll.total_faults
+            full.counters.faults_simulated,
+            full_report.total_faults as u64
         );
-        assert_eq!(full.simulated_faults, full.total_faults);
+        assert_eq!(
+            coll.counters.faults_simulated + coll.collapsed_away as u64,
+            full.counters.faults_simulated
+        );
     }
 }

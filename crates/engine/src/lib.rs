@@ -25,8 +25,9 @@
 //! * [`faultsim`] — the BIST-session fault simulation of
 //!   `lobist_gatesim`, partitioned across the same pool with a
 //!   deterministic merge (and optional structural fault collapsing),
-//!   plus [`fault_sim_modules`], the per-module BIST session driver
-//!   that answers repeated sessions from the engine's session memo;
+//!   plus [`fault_sim_designs`], the per-module BIST session loop
+//!   that answers repeated sessions from the engine's session memo and
+//!   simulates the rest of a call's sessions in one pool drain;
 //! * [`anneal`] — the multi-chain driver for the simulated-annealing
 //!   register search of `lobist_alloc::anneal`: independent serial
 //!   chains over the pool, merged best-of, identical for any worker
@@ -63,8 +64,8 @@ pub use cache::{
 pub use engine::{provenance, Engine, Job, JobOutcome, ProgressSink};
 pub use explore::{explore_parallel, render_report};
 pub use faultsim::{
-    bist_session_parallel, fault_sim_modules, FaultSimOptions, FaultSimStats, LaneSelect,
-    SessionWidth,
+    bist_session_parallel, fault_sim_designs, fault_sim_modules, FaultSimOptions, FaultSimStats,
+    LaneSelect, SessionWidth,
 };
 pub use lint::{lint_timed, LintRunStats};
 pub use lobist_store::{ResultStore, StoreStats};

@@ -355,15 +355,21 @@ impl Metrics {
     }
 
     /// Accumulates the work accounting of one fault-simulation run
-    /// ([`crate::faultsim`]).
+    /// ([`crate::faultsim`]), its wall time included.
     pub fn record_fault_sim(&self, stats: &FaultSimStats) {
+        self.record_session_work(stats);
+        self.add_time(metric!("fault_sim.wall_micros"), stats.wall);
+    }
+
+    /// [`record_fault_sim`](Self::record_fault_sim) without the wall
+    /// time, which the sessions of one drain share.
+    pub(crate) fn record_session_work(&self, stats: &FaultSimStats) {
         let c = &stats.counters;
         self.add(metric!("fault_sim.batches_loaded"), c.batches_loaded);
         self.add(metric!("fault_sim.faults_simulated"), c.faults_simulated);
         self.add(metric!("fault_sim.cone_evals"), c.cone_evals);
         self.add(metric!("fault_sim.events_propagated"), c.events_propagated);
         self.add(metric!("fault_sim.collapsed_away"), stats.collapsed_away as u64);
-        self.add_time(metric!("fault_sim.wall_micros"), stats.wall);
         let (runs, batches) = match stats.lanes {
             256 => (
                 metric!("fault_sim.lanes.256.runs"),
@@ -572,10 +578,7 @@ mod tests {
                 cone_evals: 700,
                 events_propagated: 300,
             },
-            total_faults: 120,
-            simulated_faults: 100,
             collapsed_away: 20,
-            workers: 2,
             lanes: 256,
             wall: Duration::from_micros(1500),
         });
