@@ -46,8 +46,10 @@ pub fn submit_with<F: FnMut(&str)>(
         Endpoint::Tcp(addr) => Box::new(TcpStream::connect(addr.as_str())?),
         Endpoint::Unix(path) => Box::new(UnixStream::connect(path)?),
     };
-    stream.write_all(request_line.trim_end().as_bytes())?;
-    stream.write_all(b"\n")?;
+    // One write: a line sent in two pieces can wait out a delayed ACK.
+    let mut line = request_line.trim_end().to_owned();
+    line.push('\n');
+    stream.write_all(line.as_bytes())?;
     stream.flush()?;
     let mut reader = BufReader::new(stream);
     let mut events = Vec::new();

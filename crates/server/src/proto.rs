@@ -19,12 +19,14 @@
 //! client still sends (such as the retired anneal `batch` or
 //! fault-simulation `lanes`) is harmless.
 //!
-//! The response is a stream of JSONL events, flushed per line:
-//! `accepted` (queue position), then `result` (the payload — rendered
-//! only from the job's result, so a store-served replay is
-//! byte-identical to the original), then the terminal `done` record
-//! (timing and cache provenance, which legitimately vary between
-//! runs). Failures end with a terminal `error` event instead.
+//! The response is a stream of JSONL events: `accepted` (queue
+//! position), then `result` (the payload — rendered only from the
+//! job's result, so a store-served replay is byte-identical to the
+//! original), then the terminal `done` record (timing and cache
+//! provenance, which legitimately vary between runs). Failures end with
+//! a terminal `error` event instead. Each event is written whole, line
+//! and newline together: `accepted` is flushed on admission, before the
+//! job runs, and `result` and `done` go out together in one write.
 
 use lobist_engine::spec::{Value, FIELDS};
 use lobist_engine::JobSpec;

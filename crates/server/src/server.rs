@@ -296,14 +296,23 @@ impl Server {
             let shared = Arc::clone(&self.shared);
             let sink = Arc::clone(&handlers);
             acceptors.push(std::thread::spawn(move || {
-                accept_loop(&listener, &shared, &sink, Conn::Tcp);
+                // Without NODELAY, Nagle holds a reply burst while an
+                // earlier one waits for its (delayed) ACK: 40 ms per
+                // request on a kept-alive connection.
+                let accept = || {
+                    let (stream, _) = listener.accept()?;
+                    let _ = stream.set_nodelay(true);
+                    Ok(Conn::Tcp(stream))
+                };
+                accept_loop(accept, &shared, &sink);
             }));
         }
         if let Some(listener) = self.unix {
             let shared = Arc::clone(&self.shared);
             let sink = Arc::clone(&handlers);
             acceptors.push(std::thread::spawn(move || {
-                accept_unix_loop(&listener, &shared, &sink);
+                let accept = || Ok(Conn::Unix(listener.accept()?.0));
+                accept_loop(accept, &shared, &sink);
             }));
         }
         for a in acceptors {
@@ -323,47 +332,21 @@ impl Server {
     }
 }
 
+/// Accepts connections until shutdown, one handler thread each.
+/// `accept` wraps an accepted stream as a [`Conn`]; an accept error on
+/// a live server is retried.
 fn accept_loop(
-    listener: &TcpListener,
+    accept: impl Fn() -> std::io::Result<Conn>,
     shared: &Arc<Shared>,
     sink: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    wrap: fn(TcpStream) -> Conn,
 ) {
     loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.shutting_down() {
-                    return;
-                }
-                spawn_handler(wrap(stream), shared, sink);
-            }
-            Err(_) => {
-                if shared.shutting_down() {
-                    return;
-                }
-            }
+        let accepted = accept();
+        if shared.shutting_down() {
+            return;
         }
-    }
-}
-
-fn accept_unix_loop(
-    listener: &UnixListener,
-    shared: &Arc<Shared>,
-    sink: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.shutting_down() {
-                    return;
-                }
-                spawn_handler(Conn::Unix(stream), shared, sink);
-            }
-            Err(_) => {
-                if shared.shutting_down() {
-                    return;
-                }
-            }
+        if let Ok(conn) = accepted {
+            spawn_handler(conn, shared, sink);
         }
     }
 }
@@ -433,12 +416,26 @@ impl Write for Conn {
     }
 }
 
-/// Writes one event line and flushes it — the client streams events as
-/// they happen, so every line must hit the wire immediately.
-fn emit(out: &mut Conn, line: &str) -> std::io::Result<()> {
-    out.write_all(line.as_bytes())?;
-    out.write_all(b"\n")?;
+/// Writes one burst of event lines, each with its newline, in one
+/// `write` and flushes it. A reply is at most two bursts: `accepted` on
+/// admission, then the terminal events together, so a client wakes once
+/// per burst rather than once per line.
+fn emit(out: &mut impl Write, lines: &[&str]) -> std::io::Result<()> {
+    let mut burst = Vec::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+    for line in lines {
+        burst.extend_from_slice(line.as_bytes());
+        burst.push(b'\n');
+    }
+    out.write_all(&burst)?;
     out.flush()
+}
+
+/// The terminal `error` event for request `id`.
+fn error_event(id: u64, message: &str) -> String {
+    format!(
+        "{{\"event\":\"error\",\"id\":{id},\"message\":\"{}\"}}",
+        escape(message)
+    )
 }
 
 /// The longest request line a handler reads: a design of
@@ -465,13 +462,8 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
                 let metrics = shared.engine.metrics_handle();
                 metrics.add(metric!("server.rejected"), 1);
                 let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-                let _ = emit(
-                    &mut writer,
-                    &format!(
-                        "{{\"event\":\"error\",\"id\":{id},\"message\":\"request line \
-                         too long (limit {cap} bytes)\"}}"
-                    ),
-                );
+                let message = format!("request line too long (limit {cap} bytes)");
+                let _ = emit(&mut writer, &[&error_event(id, &message)]);
                 return;
             }
             Ok(0) => return, // client closed
@@ -506,43 +498,35 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
 
 /// Serves one request line. Returns `Ok(false)` when the connection
 /// should close (after a shutdown request).
-fn serve_request(line: &str, out: &mut Conn, shared: &Arc<Shared>) -> std::io::Result<bool> {
+fn serve_request(line: &str, out: &mut impl Write, shared: &Arc<Shared>) -> std::io::Result<bool> {
     let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
     let metrics = shared.engine.metrics_handle();
     let request = match parse_request(line) {
         Ok(r) => r,
         Err(message) => {
             metrics.add(metric!("server.rejected"), 1);
-            emit(
-                out,
-                &format!(
-                    "{{\"event\":\"error\",\"id\":{id},\"message\":\"{}\"}}",
-                    escape(&message)
-                ),
-            )?;
+            emit(out, &[&error_event(id, &message)])?;
             return Ok(true);
         }
     };
     metrics.add(metric!("server.requests"), 1);
     match request.cmd {
         Command::Ping => {
-            emit(out, &format!("{{\"event\":\"pong\",\"id\":{id}}}"))?;
+            emit(out, &[&format!("{{\"event\":\"pong\",\"id\":{id}}}")])?;
             metrics.add(metric!("server.completed"), 1);
             Ok(true)
         }
         Command::Metrics => {
             // The metrics snapshot is itself JSON; embed it raw.
             let data = shared.metrics_json();
-            emit(
-                out,
-                &format!("{{\"event\":\"metrics\",\"id\":{id},\"data\":{data}}}"),
-            )?;
+            let line = format!("{{\"event\":\"metrics\",\"id\":{id},\"data\":{data}}}");
+            emit(out, &[&line])?;
             metrics.add(metric!("server.completed"), 1);
             Ok(true)
         }
         Command::Shutdown => {
             shared.request_shutdown();
-            emit(out, &format!("{{\"event\":\"shutdown\",\"id\":{id}}}"))?;
+            emit(out, &[&format!("{{\"event\":\"shutdown\",\"id\":{id}}}")])?;
             metrics.add(metric!("server.completed"), 1);
             Ok(false)
         }
@@ -559,7 +543,7 @@ fn serve_request(line: &str, out: &mut Conn, shared: &Arc<Shared>) -> std::io::R
 fn serve_job(
     request: &Request,
     id: u64,
-    out: &mut Conn,
+    out: &mut impl Write,
     shared: &Arc<Shared>,
     execute: impl FnOnce(&Request, &Arc<Shared>) -> Result<exec::JobBody, String>,
 ) -> std::io::Result<()> {
@@ -567,34 +551,25 @@ fn serve_job(
     if let Some(design) = &request.design {
         if design.len() > shared.config.max_design_bytes {
             metrics.add(metric!("server.rejected"), 1);
-            return emit(
-                out,
-                &format!(
-                    "{{\"event\":\"error\",\"id\":{id},\"message\":\"design too large \
-                     ({} bytes, limit {})\"}}",
-                    design.len(),
-                    shared.config.max_design_bytes
-                ),
+            let message = format!(
+                "design too large ({} bytes, limit {})",
+                design.len(),
+                shared.config.max_design_bytes
             );
+            return emit(out, &[&error_event(id, &message)]);
         }
     }
     let (slot, depth) = match shared.admit() {
         Ok(depth) => (Slot(shared), depth),
         Err(reason) => {
             metrics.add(metric!("server.rejected"), 1);
-            return emit(
-                out,
-                &format!(
-                    "{{\"event\":\"error\",\"id\":{id},\"message\":\"{}\"}}",
-                    escape(&reason)
-                ),
-            );
+            return emit(out, &[&error_event(id, &reason)]);
         }
     };
-    emit(
-        out,
-        &format!("{{\"event\":\"accepted\",\"id\":{id},\"queue_depth\":{depth}}}"),
-    )?;
+    // Written before the job runs: a client learns of its admission
+    // when it happens, not with the result.
+    let accepted = format!("{{\"event\":\"accepted\",\"id\":{id},\"queue_depth\":{depth}}}");
+    emit(out, &[&accepted])?;
     let start = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| execute(request, shared)))
         .unwrap_or_else(|panic| Err(format!("job panicked: {}", panic_message(panic))));
@@ -607,30 +582,19 @@ fn serve_job(
             // The `result` event is rendered purely from the job's
             // result, so a replay served from the store is
             // byte-identical. Timing and provenance live on `done`.
-            emit(
-                out,
-                &format!("{{\"event\":\"result\",\"id\":{id},{}}}", body.payload),
-            )?;
-            emit(
-                out,
-                &format!(
-                    "{{\"event\":\"done\",\"id\":{id},\"ok\":{},\"cache\":\"{}\",\
-                     \"wall_micros\":{}}}",
-                    body.ok,
-                    body.cache,
-                    wall.as_micros()
-                ),
-            )?;
+            let result = format!("{{\"event\":\"result\",\"id\":{id},{}}}", body.payload);
+            let done = format!(
+                "{{\"event\":\"done\",\"id\":{id},\"ok\":{},\"cache\":\"{}\",\
+                 \"wall_micros\":{}}}",
+                body.ok,
+                body.cache,
+                wall.as_micros()
+            );
+            emit(out, &[&result, &done])?;
             metrics.add(metric!("server.completed"), 1);
         }
         Err(message) => {
-            emit(
-                out,
-                &format!(
-                    "{{\"event\":\"error\",\"id\":{id},\"message\":\"{}\"}}",
-                    escape(&message)
-                ),
-            )?;
+            emit(out, &[&error_event(id, &message)])?;
             metrics.add(metric!("server.failed"), 1);
         }
     }
@@ -639,17 +603,310 @@ fn serve_job(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn a_panicking_job_frees_its_slot_and_ends_in_an_error_event() {
+    use super::*;
+    use crate::json::Json;
+    use lobist_engine::spec::FIELDS;
+
+    const SYNTH: &str =
+        r#"{"cmd":"synth","design":"input a b\ny = a + b\noutput y\n","modules":"1+"}"#;
+
+    /// The shared state of a server without listeners.
+    fn listenerless() -> Arc<Shared> {
         let server = Server::bind(ServerConfig {
             tcp: None,
             unix: None,
             ..ServerConfig::default()
         })
         .expect("a server without listeners");
-        let shared = Arc::clone(&server.shared);
+        server.shared
+    }
+
+    /// A writer that keeps the bytes of each `write` call apart.
+    #[derive(Default)]
+    struct Writes(Vec<String>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0
+                .push(String::from_utf8(buf.to_vec()).expect("events are UTF-8"));
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// `true` if `write` is exactly one event line named `event`.
+    fn one_event(write: &str, event: &str) -> bool {
+        write.starts_with(&format!("{{\"event\":\"{event}\","))
+            && write.find('\n') == Some(write.len() - 1)
+    }
+
+    #[test]
+    fn each_reply_burst_is_one_write() {
+        let shared = listenerless();
+        let serve = |line: &str| {
+            let mut out = Writes::default();
+            serve_request(line, &mut out, &shared).expect("a recorder never fails");
+            out.0
+        };
+        // A job: `accepted` on admission, then `result` and `done`
+        // together.
+        let synth = serve(SYNTH);
+        assert_eq!(synth.len(), 2, "{synth:?}");
+        assert!(one_event(&synth[0], "accepted"), "{synth:?}");
+        let (result, done) = synth[1].split_once('\n').expect("two lines");
+        assert!(one_event(&format!("{result}\n"), "result"), "{synth:?}");
+        assert!(one_event(done, "done"), "{synth:?}");
+        // A failing job: `accepted`, then `error`.
+        let request = parse_request(SYNTH).expect("a synth request");
+        let mut out = Writes::default();
+        serve_job(&request, 7, &mut out, &shared, |_, _| {
+            panic!("injected fault")
+        })
+        .expect("a recorder never fails");
+        assert_eq!(out.0.len(), 2, "{:?}", out.0);
+        assert!(one_event(&out.0[0], "accepted"), "{:?}", out.0);
+        assert_eq!(
+            out.0[1],
+            "{\"event\":\"error\",\"id\":7,\"message\":\"job panicked: injected fault\"}\n"
+        );
+        // Everything else is one event in one write; shutdown goes last.
+        for (line, event) in [
+            (r#"{"cmd":"ping"}"#, "pong"),
+            (r#"{"cmd":"metrics"}"#, "metrics"),
+            (r#"{"cmd":"synth","width":1}"#, "error"),
+            ("{\"cmd\":", "error"),
+            (r#"{"cmd":"shutdown"}"#, "shutdown"),
+        ] {
+            let reply = serve(line);
+            assert!(
+                reply.len() == 1 && one_event(&reply[0], event),
+                "{line}: {reply:?}"
+            );
+        }
+    }
+
+    /// Valid request lines of every command as `(key, JSON value)`
+    /// fields, each job small enough to run in milliseconds.
+    fn valid_requests() -> Vec<Vec<(String, String)>> {
+        let add = format!("\"{}\"", escape("input a b\ny = a + b\noutput y\n"));
+        let mac = format!(
+            "\"{}\"",
+            escape("input a b c\nm = a * b @ 1\ny = m + c @ 2\noutput y\n")
+        );
+        let requests: [&[(&str, &str)]; 10] = [
+            &[
+                ("cmd", "\"synth\""),
+                ("design", &add),
+                ("modules", "\"1+\""),
+            ],
+            &[
+                ("cmd", "\"synth\""),
+                ("design", &mac),
+                ("modules", "\"1+,1*\""),
+                ("flow", "\"traditional\""),
+                ("width", "16"),
+                ("port_inputs", "false"),
+                ("repair", "true"),
+                ("jobs", "2"),
+            ],
+            &[
+                ("cmd", "\"explore\""),
+                ("design", &mac),
+                ("candidates", "\"1+,1*;2+,1*\""),
+            ],
+            &[
+                ("cmd", "\"anneal\""),
+                ("design", &mac),
+                ("modules", "\"1+,1*\""),
+                ("iterations", "20"),
+                ("seed", "7"),
+                ("chains", "2"),
+            ],
+            &[
+                ("cmd", "\"faultsim\""),
+                ("design", &add),
+                ("modules", "\"1+\""),
+                ("width", "4"),
+            ],
+            &[
+                ("cmd", "\"lint\""),
+                ("design", &mac),
+                ("modules", "\"1+,1*\""),
+            ],
+            &[
+                ("cmd", "\"analyze\""),
+                ("design", &add),
+                ("modules", "\"1+\""),
+            ],
+            &[("cmd", "\"ping\"")],
+            &[("cmd", "\"metrics\"")],
+            &[("cmd", "\"shutdown\"")],
+        ];
+        requests
+            .iter()
+            .map(|fields| {
+                fields
+                    .iter()
+                    .map(|&(k, v)| (k.to_owned(), v.to_owned()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Escapes that no JSON string may hold, and a trailing backslash
+    /// that swallows the closing quote.
+    const BAD_ESCAPES: [&str; 7] = [
+        "\\q", "\\u12", "\\uD800", "\\uDC00", "\\u00ZZ", "\\x41", "\\",
+    ];
+
+    /// Numbers a field cannot hold, or can hold but only just.
+    const BIG_NUMBERS: [&str; 10] = [
+        "18446744073709551616",
+        "99999999999999999999999999",
+        "4294967296",
+        "4294967295",
+        "1e400",
+        "-1",
+        "1.5",
+        "257",
+        "64",
+        "0",
+    ];
+
+    /// Applies field mutation `kind` (2..6), drawing positions from `a`
+    /// and `b`: a dropped key, a duplicated key, a bad escape in a
+    /// string value, or an oversized number in a job field.
+    fn mutate_fields(fields: &mut Vec<(String, String)>, kind: usize, a: u64, b: u64) {
+        let n = fields.len();
+        match kind {
+            2 if n > 0 => {
+                fields.remove(pick(n, a));
+            }
+            3 if n > 0 => {
+                let (key, _) = fields[pick(n, a)].clone();
+                let (_, value) = fields[pick(n, b)].clone();
+                fields.insert(pick(n + 1, a ^ b), (key, value));
+            }
+            4 => {
+                let strings: Vec<usize> =
+                    (0..n).filter(|&i| fields[i].1.starts_with('"')).collect();
+                if let Some(&i) = strings.get(pick(strings.len(), a)) {
+                    let value = &mut fields[i].1;
+                    let at = 1 + pick(value.len() - 1, b);
+                    value.insert_str(at, BAD_ESCAPES[pick(BAD_ESCAPES.len(), a >> 32)]);
+                }
+            }
+            5 => {
+                let key = FIELDS[pick(FIELDS.len(), a)].key.to_owned();
+                let value = BIG_NUMBERS[pick(BIG_NUMBERS.len(), b)].to_owned();
+                match fields.iter_mut().find(|(k, _)| *k == key) {
+                    Some(field) => field.1 = value,
+                    None => fields.push((key, value)),
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Applies text mutation `kind` (0..2) to a rendered line: a bit
+    /// flip that keeps the byte ASCII, or a truncation.
+    fn mutate_text(text: &mut String, kind: usize, a: u64, b: u64) {
+        match kind {
+            0 if !text.is_empty() => {
+                let mut bytes = std::mem::take(text).into_bytes();
+                let at = pick(bytes.len(), a);
+                bytes[at] ^= 1 << (b % 7);
+                *text = String::from_utf8(bytes).expect("ASCII stays ASCII");
+            }
+            1 => text.truncate(pick(text.len() + 1, a)),
+            _ => {}
+        }
+    }
+
+    /// A position below `n` (or 0 when `n` is 0) drawn from `r`.
+    fn pick(n: usize, r: u64) -> usize {
+        (r % n.max(1) as u64) as usize
+    }
+
+    fn render(fields: &[(String, String)]) -> String {
+        let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+        format!("{{{}}}", body.join(","))
+    }
+
+    /// A request that parses but asks for more work than a test should
+    /// run: a long anneal, or fault simulation past width 12 (whose
+    /// pattern sets grow as `2^width`).
+    fn too_big(request: &Request) -> bool {
+        match request.cmd {
+            Command::Anneal => {
+                request.spec.iterations.unwrap_or(400) > 100 || request.spec.chains.unwrap_or(1) > 2
+            }
+            Command::FaultSim => request.spec.width > 12,
+            _ => false,
+        }
+    }
+
+    fn mutation_server() -> &'static Arc<Shared> {
+        static SHARED: std::sync::OnceLock<Arc<Shared>> = std::sync::OnceLock::new();
+        SHARED.get_or_init(listenerless)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Mutated request lines never panic the daemon: each gets a
+        /// reply of JSON lines ending in exactly one terminal event, and
+        /// no execution slot stays taken.
+        #[test]
+        fn mutated_request_lines_end_in_one_terminal_event(
+            base in 0usize..10,
+            mutations in prop::collection::vec((0usize..6, any::<u64>(), any::<u64>()), 1..4),
+        ) {
+            let mut fields = valid_requests().swap_remove(base);
+            for &(kind, a, b) in &mutations {
+                mutate_fields(&mut fields, kind, a, b);
+            }
+            let mut text = render(&fields);
+            for &(kind, a, b) in &mutations {
+                mutate_text(&mut text, kind, a, b);
+            }
+            // Whatever a line holds, parsing it never panics; a job too
+            // big to run here stops at the parse.
+            if parse_request(&text).is_ok_and(|request| too_big(&request)) {
+                return Ok(());
+            }
+            let shared = mutation_server();
+            let mut out = Writes::default();
+            serve_request(&text, &mut out, shared).expect("a recorder never fails");
+            if shared.shutting_down() {
+                shared.shutdown.store(false, Ordering::SeqCst);
+            }
+            let reply = out.0.concat();
+            prop_assert!(reply.ends_with('\n'), "{text}: {reply:?}");
+            prop_assert!(!reply.contains("job panicked"), "{text}: {reply:?}");
+            let mut terminal = Vec::new();
+            for line in reply.lines() {
+                let event = Json::parse(line).map_err(|e| {
+                    TestCaseError::fail(format!("{text}: {line} does not parse: {e}"))
+                })?;
+                let name = event.get("event").and_then(Json::as_str).unwrap_or_default();
+                terminal.push(matches!(name, "done" | "error" | "pong" | "metrics" | "shutdown"));
+            }
+            prop_assert_eq!(terminal.iter().filter(|&&t| t).count(), 1, "{text}: {reply:?}");
+            prop_assert!(terminal.last() == Some(&true), "{text}: {reply:?}");
+            let gate = shared.gate.state.lock().expect("gate lock");
+            prop_assert!(gate.active == 0 && gate.waiting == 0, "{text}: a slot stays taken");
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_frees_its_slot_and_ends_in_an_error_event() {
+        let shared = listenerless();
         let (ours, theirs) = UnixStream::pair().expect("a socket pair");
         let request = parse_request(
             r#"{"cmd":"synth","design":"input a b\ny = a + b\noutput y\n","modules":"1+"}"#,
