@@ -244,9 +244,11 @@ impl Engine {
         }
     }
 
-    fn emit(&self, line: &str) {
+    /// Sends the line `render` builds to the progress sink. Without a
+    /// sink (the daemon installs none) the line is never built.
+    fn emit(&self, render: impl FnOnce() -> String) {
         if let Some(sink) = &self.progress {
-            sink(line);
+            sink(&render());
         }
     }
 
@@ -266,9 +268,7 @@ impl Engine {
         let workers = workers.max(1);
         let n = jobs.len();
         self.metrics.add(metric!("jobs.submitted"), n as u64);
-        self.emit(&format!(
-            "{{\"event\":\"batch\",\"jobs\":{n},\"workers\":{workers}}}"
-        ));
+        self.emit(|| format!("{{\"event\":\"batch\",\"jobs\":{n},\"workers\":{workers}}}"));
         let labels: Vec<String> = jobs.iter().map(|j| j.label.clone()).collect();
         let tasks: Vec<_> = jobs
             .into_iter()
@@ -286,10 +286,12 @@ impl Engine {
                 Err(panic_msg) => {
                     self.metrics.add(metric!("jobs.completed"), 1);
                     self.metrics.add(metric!("jobs.panicked"), 1);
-                    self.emit(&format!(
-                        "{{\"event\":\"job\",\"index\":{i},\"label\":\"{}\",\"panicked\":true}}",
-                        json_escape(&label)
-                    ));
+                    self.emit(|| {
+                        format!(
+                            "{{\"event\":\"job\",\"index\":{i},\"label\":\"{}\",\"panicked\":true}}",
+                            json_escape(&label)
+                        )
+                    });
                     JobOutcome {
                         result: Err((label.clone(), format!("job panicked: {panic_msg}"))),
                         label,
@@ -301,12 +303,14 @@ impl Engine {
                 }
             })
             .collect();
-        let snap = self.metrics.snapshot();
-        self.emit(&format!(
-            "{{\"event\":\"batch_done\",\"jobs\":{n},\"cache_hits\":{},\"utilization\":{:.4}}}",
-            snap.get(metric!("cache.hits")),
-            snap.ratio(metric!("pool.utilization"))
-        ));
+        self.emit(|| {
+            let snap = self.metrics.snapshot();
+            format!(
+                "{{\"event\":\"batch_done\",\"jobs\":{n},\"cache_hits\":{},\"utilization\":{:.4}}}",
+                snap.get(metric!("cache.hits")),
+                snap.ratio(metric!("pool.utilization"))
+            )
+        });
         outcomes
     }
 
@@ -362,16 +366,18 @@ impl Engine {
                 let (result, iso_hit) = unpack(stored);
                 self.metrics.add(metric!("jobs.completed"), 1);
                 self.metrics.add(metric!("cache.hits"), 1);
-                self.emit(&format!(
-                    concat!(
-                        "{{\"event\":\"job\",\"index\":{index},\"label\":\"{label}\",",
-                        "\"cache_hit\":true,\"iso\":{iso},\"ok\":{ok}}}"
-                    ),
-                    index = index,
-                    label = json_escape(&job.label),
-                    iso = iso_hit,
-                    ok = result.is_ok()
-                ));
+                self.emit(|| {
+                    format!(
+                        concat!(
+                            "{{\"event\":\"job\",\"index\":{index},\"label\":\"{label}\",",
+                            "\"cache_hit\":true,\"iso\":{iso},\"ok\":{ok}}}"
+                        ),
+                        index = index,
+                        label = json_escape(&job.label),
+                        iso = iso_hit,
+                        ok = result.is_ok()
+                    )
+                });
                 return JobOutcome {
                     label: job.label,
                     result,
@@ -391,16 +397,18 @@ impl Engine {
                     self.metrics.add(metric!("jobs.completed"), 1);
                     self.metrics.add(metric!("cache.store_hits"), 1);
                     self.metrics.add(metric!("cache.misses"), 1);
-                    self.emit(&format!(
-                        concat!(
-                            "{{\"event\":\"job\",\"index\":{index},\"label\":\"{label}\",",
-                            "\"cache_hit\":false,\"store_hit\":true,\"iso\":{iso},\"ok\":{ok}}}"
-                        ),
-                        index = index,
-                        label = json_escape(&job.label),
-                        iso = iso_hit,
-                        ok = result.is_ok()
-                    ));
+                    self.emit(|| {
+                        format!(
+                            concat!(
+                                "{{\"event\":\"job\",\"index\":{index},\"label\":\"{label}\",",
+                                "\"cache_hit\":false,\"store_hit\":true,\"iso\":{iso},\"ok\":{ok}}}"
+                            ),
+                            index = index,
+                            label = json_escape(&job.label),
+                            iso = iso_hit,
+                            ok = result.is_ok()
+                        )
+                    });
                     return JobOutcome {
                         label: job.label,
                         result,
@@ -478,12 +486,14 @@ impl Engine {
         for (key, (_, took)) in STAGE_HISTOGRAMS.into_iter().zip(timings.stages()) {
             self.metrics.record(key, took);
         }
-        self.emit(&format!(
-            "{{\"event\":\"job\",\"index\":{index},\"label\":\"{}\",\"cache_hit\":false,\"ok\":{},\"micros\":{}}}",
-            json_escape(&job.label),
-            result.is_ok(),
-            timings.total().as_micros()
-        ));
+        self.emit(|| {
+            format!(
+                "{{\"event\":\"job\",\"index\":{index},\"label\":\"{}\",\"cache_hit\":false,\"ok\":{},\"micros\":{}}}",
+                json_escape(&job.label),
+                result.is_ok(),
+                timings.total().as_micros()
+            )
+        });
         JobOutcome {
             label: job.label,
             result,
