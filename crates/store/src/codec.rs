@@ -455,7 +455,10 @@ mod tests {
             decode(&frag).expect_err("result decoder must refuse fragments"),
             CodecError::BadTag("result", TAG_FRAG)
         );
-        assert!(!is_fragment(&encode(&stored(Err(("m".into(), "e".into()))))));
+        assert!(!is_fragment(&encode(&stored(Err((
+            "m".into(),
+            "e".into()
+        ))))));
         assert!(!is_fragment(&encode(&stored(Ok(sample_point())))));
         assert!(!is_fragment(&frag[..TAG_OFFSET]));
     }
@@ -493,7 +496,11 @@ mod tests {
         let sessions = embeddings + 4 + 2 * 14;
         let steps = sessions + 4 + 2 * 4 + 8 + 8;
         let counts = [styles, embeddings, sessions, steps];
-        assert_eq!(ok[steps..steps + 4], 4u32.to_le_bytes(), "four schedule steps");
+        assert_eq!(
+            ok[steps..steps + 4],
+            4u32.to_le_bytes(),
+            "four schedule steps"
+        );
         let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
         let mut next = |bound: usize| {
             state ^= state << 13;
@@ -502,7 +509,11 @@ mod tests {
             (state % bound as u64) as usize
         };
         for case in 0..12_000 {
-            let mut p = if case % 4 == 3 { err.clone() } else { ok.clone() };
+            let mut p = if case % 4 == 3 {
+                err.clone()
+            } else {
+                ok.clone()
+            };
             match case % 3 {
                 0 => {
                     for _ in 0..=next(3) {

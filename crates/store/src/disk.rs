@@ -8,8 +8,8 @@
 //! record := key (u128 LE) len (u32 LE) crc (u32 LE) payload (len bytes)
 //! ```
 //!
-//! `payload` is the [`codec`](crate::codec) encoding of one
-//! [`JobResult`]; `crc` is CRC-32 (IEEE) over `key ‖ len ‖ payload`.
+//! `payload` is the [`codec`] encoding of one
+//! [`JobResult`](crate::JobResult); `crc` is CRC-32 (IEEE) over `key ‖ len ‖ payload`.
 //! The log is replayed at open to rebuild the in-memory index
 //! (key → offset); a later record for the same key shadows an earlier
 //! one, so overwrites are appends. Replay order doubles as recency
@@ -20,10 +20,11 @@
 //!
 //! # Crash safety
 //!
-//! Appends are flushed per record but a crash can still leave a
-//! partial record at the tail. Replay stops at the first record that
-//! is truncated or fails its CRC and truncates the file back to the
-//! last good byte — everything before it is intact by construction.
+//! Each record is appended in one positioned write, but a crash can
+//! still leave a partial record at the tail. Replay stops at the first
+//! record that is truncated or fails its CRC and truncates the file
+//! back to the last good byte — everything before it is intact by
+//! construction.
 //! Compaction writes the survivor records to a sibling temp file and
 //! atomically renames it over the log, so a crash mid-compaction
 //! leaves either the old complete log or the new complete log.
@@ -46,6 +47,7 @@
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -262,26 +264,25 @@ fn read_fill(reader: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
 }
 
 impl Inner {
-    fn read_payload(&mut self, entry: Entry) -> std::io::Result<Vec<u8>> {
+    fn read_payload(&self, entry: Entry) -> std::io::Result<Vec<u8>> {
         let mut payload = vec![0u8; entry.payload_len as usize];
         self.file
-            .seek(SeekFrom::Start(entry.offset + RECORD_HEADER_LEN))?;
-        self.file.read_exact(&mut payload)?;
+            .read_exact_at(&mut payload, entry.offset + RECORD_HEADER_LEN)?;
         Ok(payload)
     }
 
+    /// Appends one record at `end` in one positioned write: the file is
+    /// not opened for appending, so the offset is the one written.
     fn append(&mut self, key: u128, payload: &[u8]) -> std::io::Result<()> {
-        let mut header = [0u8; RECORD_HEADER_LEN as usize];
-        header[..16].copy_from_slice(&key.to_le_bytes());
-        header[16..20].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        let crc = crc32(&[&header[..20], payload]);
-        header[20..24].copy_from_slice(&crc.to_le_bytes());
+        let mut record = Vec::with_capacity(RECORD_HEADER_LEN as usize + payload.len());
+        record.extend_from_slice(&key.to_le_bytes());
+        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        let crc = crc32(&[&record, payload]);
+        record.extend_from_slice(&crc.to_le_bytes());
+        record.extend_from_slice(payload);
         let offset = self.end;
-        self.file.seek(SeekFrom::Start(offset))?;
-        self.file.write_all(&header)?;
-        self.file.write_all(payload)?;
-        self.file.flush()?;
-        self.end = offset + RECORD_HEADER_LEN + payload.len() as u64;
+        self.file.write_all_at(&record, offset)?;
+        self.end = offset + record.len() as u64;
         self.tick += 1;
         let previous = self.index.insert(
             key,

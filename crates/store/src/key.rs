@@ -198,9 +198,10 @@ mod tests {
                 repair_untestable: true,
                 ..base.clone()
             },
-            base.clone().with_lifetimes(lobist_dfg::lifetime::LifetimeOptions {
-                inputs_in_registers: false,
-            }),
+            base.clone()
+                .with_lifetimes(lobist_dfg::lifetime::LifetimeOptions {
+                    inputs_in_registers: false,
+                }),
             FlowOptions {
                 solver: lobist_bist::SolverConfig {
                     mode: SolverMode::Greedy,
@@ -233,7 +234,10 @@ mod tests {
         assert_eq!((key, 0), canonical_job_key(&tc.encoding, &modules, &flow));
         for k in [1, 3] {
             let moved = shifted(&dfg, &schedule, k);
-            assert_eq!((key, k), canonical_job_key(&moved.encoding, &modules, &flow));
+            assert_eq!(
+                (key, k),
+                canonical_job_key(&moved.encoding, &modules, &flow)
+            );
             // Failures of a shifted twin keep their own key.
             assert_ne!(key, failure_key(&moved.encoding, &modules, &flow));
         }

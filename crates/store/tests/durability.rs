@@ -265,10 +265,16 @@ fn logs_with_canon2_results_and_fragment_records_stay_compatible() {
     let old_ok = real_result();
     let old_err = stored_err("1+,1*", "stale canon2 entry");
     let mut log = lobist_store::disk::MAGIC.to_vec();
-    log.extend(raw_record(canon2_key(&base, &modules, &flow), &codec::encode(&old_ok)));
+    log.extend(raw_record(
+        canon2_key(&base, &modules, &flow),
+        &codec::encode(&old_ok),
+    ));
     const FRAGMENT_KEY_NS: u128 = 0x4652_4147_4652_4147_4652_4147_4652_4147;
     log.extend(raw_record(FRAGMENT_KEY_NS ^ 11, &fragment_payload(0xFEED)));
-    log.extend(raw_record(canon2_key(&moved, &modules, &flow), &codec::encode(&old_err)));
+    log.extend(raw_record(
+        canon2_key(&moved, &modules, &flow),
+        &codec::encode(&old_err),
+    ));
     log.extend(raw_record(FRAGMENT_KEY_NS ^ 12, &fragment_payload(0xF00D)));
     std::fs::write(&path, &log).expect("write the pre-change log");
 
@@ -284,10 +290,14 @@ fn logs_with_canon2_results_and_fragment_records_stay_compatible() {
     assert_eq!(shift, 2);
     assert_eq!(new_key, key::canonical_job_key(&base, &modules, &flow).0);
     assert!(store.get(new_key).is_none());
-    assert!(store.get(key::failure_key(&moved, &modules, &flow)).is_none());
+    assert!(store
+        .get(key::failure_key(&moved, &modules, &flow))
+        .is_none());
     // ...and are never misread: under their own keys they decode to
     // exactly the bytes that were written.
-    let kept = store.get(canon2_key(&base, &modules, &flow)).expect("old record");
+    let kept = store
+        .get(canon2_key(&base, &modules, &flow))
+        .expect("old record");
     assert_eq!(codec::encode(&kept), codec::encode(&old_ok));
     assert!(store.get_fragment(11).is_none());
 
