@@ -148,7 +148,7 @@ fn canonical_key(classes: &[Vec<VarId>]) -> u128 {
 }
 
 /// Memoizing cost oracle: coloring → exact BIST overhead of the
-/// synthesized data path, content-addressed by [`canonical_key`].
+/// synthesized data path, content-addressed by `canonical_key`.
 /// Owned by one annealing chain, so lookups take `&mut self` and need
 /// no locks.
 ///

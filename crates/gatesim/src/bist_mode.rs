@@ -477,7 +477,7 @@ impl<'n, W: LaneWord> SessionContext<'n, W> {
     /// byte-identical to one call over the full list.
     ///
     /// Per batch, each stem of the list is walked once
-    /// ([`DiffSim::flip_output_diffs`]), flipping the lanes in which
+    /// (`DiffSim::flip_output_diffs`), flipping the lanes in which
     /// some fault of its group is excited and reaches it, and the
     /// walk's output differences `D_pos` are folded once into one word
     /// per MISR bit. A fault on net `n` is excited in the lanes where

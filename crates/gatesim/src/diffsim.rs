@@ -16,7 +16,7 @@
 //! ([`crate::lanes::LaneWord`]): the default `u64` packs 64 patterns
 //! per batch and is the executable reference; [`crate::lanes::W256`]
 //! packs 256 patterns per batch, turning
-//! the branchless [`GateOp`] evaluation into straight-line array code
+//! the branchless `GateOp` evaluation into straight-line array code
 //! the compiler auto-vectorizes. Results are byte-identical across
 //! widths (property-tested) — width is purely a throughput knob.
 //!

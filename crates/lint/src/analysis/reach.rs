@@ -4,11 +4,11 @@
 //! *distinct* pattern sources with I-paths into its ports (the PRPG
 //! side) and at least one register fed by its output (the MISR side);
 //! Lemma 2 adds that a register serving both roles for one module must
-//! be a CBILBO. [`lobist_datapath::IPathAnalysis`] already computes the
-//! candidate sets from the assembled netlist; this analysis re-reads
-//! them as a reachability problem and reports *which cones are
-//! untestable in test mode and why* — before any style assignment or
-//! session scheduling is attempted.
+//! be a CBILBO. [`lobist_datapath::ipath::IPathAnalysis`] already
+//! computes the candidate sets from the assembled netlist; this
+//! analysis re-reads them as a reachability problem and reports *which
+//! cones are untestable in test mode and why* — before any style
+//! assignment or session scheduling is attempted.
 
 use lobist_datapath::ipath::IPathAnalysis;
 use lobist_datapath::{ModuleId, Port, PortSide};

@@ -2,7 +2,7 @@
 //! gate netlists (`gates`).
 //!
 //! The `structure` pass audits the connection sets of an assembled
-//! [`DataPath`]: out-of-range references, undriven ports, unreachable and
+//! [`DataPath`](lobist_datapath::DataPath): out-of-range references, undriven ports, unreachable and
 //! dead registers. The `gates` pass regenerates every module's gate-level
 //! netlist at the design width and checks it like an RTL netlist checker
 //! would: single drivers, no floating reads, no combinational loops, and

@@ -25,7 +25,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Length specification for [`vec`]: an exact size or a range.
+    /// Length specification for [`vec()`]: an exact size or a range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
