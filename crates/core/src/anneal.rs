@@ -206,7 +206,9 @@ impl<'a> CostOracle<'a> {
     ///
     /// Returns the failing stage's [`FlowError`].
     pub fn cost_uncached(&mut self, classes: &[Vec<VarId>]) -> Result<u64, FlowError> {
-        self.flow_cache.evaluate_uncached(classes).map(|e| e.overhead)
+        self.flow_cache
+            .evaluate_uncached(classes)
+            .map(|e| e.overhead)
     }
 
     /// Cache hits so far.
@@ -286,12 +288,8 @@ pub fn anneal_registers(
     config: &AnnealConfig,
 ) -> Result<AnnealResult, FlowError> {
     let lifetimes = Lifetimes::compute(dfg, schedule, lt_opts);
-    let initial = baseline_regalloc::allocate_registers(
-        dfg,
-        schedule,
-        lt_opts,
-        BaselineAlgorithm::LeftEdge,
-    )?;
+    let initial =
+        baseline_regalloc::allocate_registers(dfg, schedule, lt_opts, BaselineAlgorithm::LeftEdge)?;
     let mut classes: Coloring = initial.classes().to_vec();
     let mut oracle = CostOracle::new(dfg, schedule, lt_opts, ma, flow);
     let mut cost = oracle.cost(&classes)?;
@@ -388,8 +386,7 @@ mod tests {
         for bench in benchmarks::paper_suite() {
             let flow = FlowOptions::testable().with_lifetimes(bench.lifetime_options);
             let d = synthesize_benchmark(&bench, &FlowOptions::testable()).unwrap();
-            let ma = assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation)
-                .unwrap();
+            let ma = assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
             let result = anneal_registers(
                 &bench.dfg,
                 &bench.schedule,
@@ -418,8 +415,7 @@ mod tests {
     fn annealing_improves_or_ties_the_left_edge_start() {
         let bench = benchmarks::ex1();
         let flow = FlowOptions::testable().with_lifetimes(bench.lifetime_options);
-        let ma =
-            assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
+        let ma = assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
         let start = baseline_regalloc::allocate_registers(
             &bench.dfg,
             &bench.schedule,
@@ -444,8 +440,7 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let bench = benchmarks::ex1();
         let flow = FlowOptions::testable().with_lifetimes(bench.lifetime_options);
-        let ma =
-            assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
+        let ma = assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
         let run = || {
             anneal_registers(
                 &bench.dfg,
@@ -472,15 +467,17 @@ mod tests {
         // self-move/conflict pick; the bounded-retry generator must not.
         let bench = benchmarks::ex1();
         let flow = FlowOptions::testable().with_lifetimes(bench.lifetime_options);
-        let ma =
-            assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
+        let ma = assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
         let result = anneal_registers(
             &bench.dfg,
             &bench.schedule,
             bench.lifetime_options,
             &ma,
             &flow,
-            &AnnealConfig { iterations: 100, ..Default::default() },
+            &AnnealConfig {
+                iterations: 100,
+                ..Default::default()
+            },
         )
         .unwrap();
         assert_eq!(result.evaluated + result.stalled, 100);
@@ -492,10 +489,8 @@ mod tests {
         // from-scratch cost on every coloring a random walk visits.
         let bench = benchmarks::ex1();
         let flow = FlowOptions::testable().with_lifetimes(bench.lifetime_options);
-        let ma =
-            assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
-        let lifetimes =
-            Lifetimes::compute(&bench.dfg, &bench.schedule, bench.lifetime_options);
+        let ma = assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
+        let lifetimes = Lifetimes::compute(&bench.dfg, &bench.schedule, bench.lifetime_options);
         let initial = baseline_regalloc::allocate_registers(
             &bench.dfg,
             &bench.schedule,

@@ -72,13 +72,9 @@ mod tests {
     fn both_algorithms_hit_the_minimum() {
         for bench in benchmarks::paper_suite() {
             for alg in [BaselineAlgorithm::LeftEdge, BaselineAlgorithm::GreedyPves] {
-                let ra = allocate_registers(
-                    &bench.dfg,
-                    &bench.schedule,
-                    bench.lifetime_options,
-                    alg,
-                )
-                .unwrap();
+                let ra =
+                    allocate_registers(&bench.dfg, &bench.schedule, bench.lifetime_options, alg)
+                        .unwrap();
                 assert_eq!(
                     ra.num_registers(),
                     bench.expected_min_registers,
@@ -94,13 +90,9 @@ mod tests {
         for bench in benchmarks::paper_suite() {
             let lt = Lifetimes::compute(&bench.dfg, &bench.schedule, bench.lifetime_options);
             for alg in [BaselineAlgorithm::LeftEdge, BaselineAlgorithm::GreedyPves] {
-                let ra = allocate_registers(
-                    &bench.dfg,
-                    &bench.schedule,
-                    bench.lifetime_options,
-                    alg,
-                )
-                .unwrap();
+                let ra =
+                    allocate_registers(&bench.dfg, &bench.schedule, bench.lifetime_options, alg)
+                        .unwrap();
                 for class in ra.classes() {
                     for (i, &u) in class.iter().enumerate() {
                         for &v in &class[i + 1..] {

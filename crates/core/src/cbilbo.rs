@@ -550,8 +550,7 @@ mod tests {
         let (dfg, ma) = ex1_setup();
         let cl = classes(&dfg, &[&["c", "f", "a"], &["d", "g", "b", "h"], &["e"]]);
         let forced = forced_checked(&dfg, &ma, &cl);
-        let adder: Vec<&ForcedCbilbo> =
-            forced.iter().filter(|f| f.module == ModuleId(0)).collect();
+        let adder: Vec<&ForcedCbilbo> = forced.iter().filter(|f| f.module == ModuleId(0)).collect();
         assert_eq!(adder.len(), 2, "both split registers are reported");
         assert!(adder.iter().all(|f| f.case == Lemma2Case::SplitOutputs));
         let regs: Vec<usize> = adder.iter().map(|f| f.register).collect();
@@ -584,8 +583,7 @@ mod tests {
         // Hypothetical (not lifetime-proper, fine for the predicate):
         let cl = classes(&dfg, &[&["b", "h", "g", "c"], &["a", "d", "f"], &["e"]]);
         let forced = forced_checked(&dfg, &ma, &cl);
-        let mult: Vec<&ForcedCbilbo> =
-            forced.iter().filter(|f| f.module == ModuleId(1)).collect();
+        let mult: Vec<&ForcedCbilbo> = forced.iter().filter(|f| f.module == ModuleId(1)).collect();
         assert_eq!(mult.len(), 1);
         assert_eq!(mult[0].case, Lemma2Case::AllOutputs);
         assert_eq!(mult[0].register, 0);
@@ -642,15 +640,16 @@ mod incremental_equivalence {
             max_ops_per_step: 2,
             ..RandomDfgConfig::default()
         };
-        let naive = |dfg: &Dfg, ma: &ModuleAssignment, classes: &[Vec<VarId>], r: usize, v: VarId| {
-            let before = naive::forced_cbilbos(dfg, ma, classes);
-            assert_eq!(forced_cbilbos(dfg, ma, classes), before);
-            let mut trial = classes.to_vec();
-            trial[r].push(v);
-            let after = naive::forced_cbilbos(dfg, ma, &trial);
-            assert_eq!(forced_cbilbos(dfg, ma, &trial), after);
-            after.len() > before.len()
-        };
+        let naive =
+            |dfg: &Dfg, ma: &ModuleAssignment, classes: &[Vec<VarId>], r: usize, v: VarId| {
+                let before = naive::forced_cbilbos(dfg, ma, classes);
+                assert_eq!(forced_cbilbos(dfg, ma, classes), before);
+                let mut trial = classes.to_vec();
+                trial[r].push(v);
+                let after = naive::forced_cbilbos(dfg, ma, &trial);
+                assert_eq!(forced_cbilbos(dfg, ma, &trial), after);
+                after.len() > before.len()
+            };
         let mut compared = 0usize;
         for seed in 0..20u64 {
             let (dfg, schedule) = random_scheduled_dfg(seed, &cfg);

@@ -273,11 +273,11 @@ pub fn synthesize_timed(
         options.lifetime_options,
         &ma,
         &registers,
-        &ic)?;
+        &ic,
+    )?;
     lap(&mut timings.data_path);
     let (data_path, bist, test_points) = if options.repair_untestable {
-        let repaired =
-            lobist_bist::solve_with_repair(&data_path, &options.area, &options.solver)?;
+        let repaired = lobist_bist::solve_with_repair(&data_path, &options.area, &options.solver)?;
         let mut bist = repaired.solution;
         // Charge the test points' interconnect to the BIST budget.
         bist.overhead += repaired.repair_gates;

@@ -221,7 +221,11 @@ impl<'a> FlowCache<'a> {
         ma: &'a ModuleAssignment,
         flow: &'a FlowOptions,
     ) -> Self {
-        let capacities = [INTERCONNECT_CAPACITY, EMBEDDING_CAPACITY, SELECTION_CAPACITY];
+        let capacities = [
+            INTERCONNECT_CAPACITY,
+            EMBEDDING_CAPACITY,
+            SELECTION_CAPACITY,
+        ];
         Self::with_capacities(dfg, schedule, lt_opts, ma, flow, capacities)
     }
 
@@ -720,8 +724,11 @@ mod tests {
         }
     }
 
-    const DEFAULT_CAPACITIES: [usize; 3] =
-        [INTERCONNECT_CAPACITY, EMBEDDING_CAPACITY, SELECTION_CAPACITY];
+    const DEFAULT_CAPACITIES: [usize; 3] = [
+        INTERCONNECT_CAPACITY,
+        EMBEDDING_CAPACITY,
+        SELECTION_CAPACITY,
+    ];
 
     fn check_walk(bench: &Benchmark, capacities: [usize; 3], steps: usize, seed: u64) {
         let flow = crate::flow::FlowOptions::testable().with_lifetimes(bench.lifetime_options);

@@ -151,7 +151,11 @@ impl ModuleProblem {
                 _ => 0,
             })
             .collect();
-        ModuleProblem { sources, constraints, sd }
+        ModuleProblem {
+            sources,
+            constraints,
+            sd,
+        }
     }
 
     /// Number of distinct sources.
@@ -582,7 +586,8 @@ mod tests {
             bench.lifetime_options,
             &ma,
             &alloc.registers,
-            &ic)
+            &ic,
+        )
         .unwrap()
     }
 
@@ -590,7 +595,12 @@ mod tests {
     fn interconnect_builds_on_all_paper_benchmarks() {
         for bench in benchmarks::paper_suite() {
             let dp = full_pipeline(&bench, true);
-            assert_eq!(dp.num_registers(), bench.expected_min_registers, "{}", bench.name);
+            assert_eq!(
+                dp.num_registers(),
+                bench.expected_min_registers,
+                "{}",
+                bench.name
+            );
         }
     }
 
@@ -598,8 +608,7 @@ mod tests {
     fn noncommutative_operands_never_swap() {
         // Paulin has subtractions; Tseng has sub, div.
         for bench in [benchmarks::paulin(), benchmarks::tseng()] {
-            let ma =
-                assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
+            let ma = assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
             let alloc = allocate_registers(
                 &bench.dfg,
                 &bench.schedule,
@@ -623,8 +632,7 @@ mod tests {
         // The partition should never use more mux legs than the naive
         // lhs→L binding on the paper suite.
         for bench in benchmarks::paper_suite() {
-            let ma =
-                assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
+            let ma = assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
             let alloc = allocate_registers(
                 &bench.dfg,
                 &bench.schedule,
@@ -641,7 +649,8 @@ mod tests {
                 bench.lifetime_options,
                 &ma,
                 &alloc.registers,
-                &ic)
+                &ic,
+            )
             .unwrap();
             let dp_straight = DataPath::build(
                 &bench.dfg,
@@ -649,7 +658,8 @@ mod tests {
                 bench.lifetime_options,
                 &ma,
                 &alloc.registers,
-                &InterconnectAssignment::straight(&bench.dfg))
+                &InterconnectAssignment::straight(&bench.dfg),
+            )
             .unwrap();
             assert!(
                 dp_opt.total_mux_legs() <= dp_straight.total_mux_legs(),
@@ -730,13 +740,17 @@ mod double_clique_tests {
         for seed in 0..25u64 {
             let (dfg, schedule) = random_scheduled_dfg(seed, &cfg);
             let modules: lobist_dfg::modules::ModuleSet = "2+,2-,2*,2&".parse().unwrap();
-            let Ok(ma) = assign_modules(&dfg, &schedule, &modules) else { continue };
+            let Ok(ma) = assign_modules(&dfg, &schedule, &modules) else {
+                continue;
+            };
             let Ok(ra) = crate::baseline_regalloc::allocate_registers(
                 &dfg,
                 &schedule,
                 lobist_dfg::lifetime::LifetimeOptions::registered_inputs(),
                 crate::baseline_regalloc::BaselineAlgorithm::LeftEdge,
-            ) else { continue };
+            ) else {
+                continue;
+            };
             let ctx = SharingContext::new(&dfg, &ma);
             // The production path (exhaustive at these sizes).
             let (_ic, parts) = assign_interconnect(&dfg, &ma, &ra, &ctx, true);

@@ -158,7 +158,12 @@ mod tests {
                     ma.ops_of(m).iter().map(|&o| b.schedule.step(o)).collect();
                 steps.sort_unstable();
                 steps.dedup();
-                assert_eq!(steps.len(), ma.ops_of(m).len(), "{}: {m} double-booked", b.name);
+                assert_eq!(
+                    steps.len(),
+                    ma.ops_of(m).len(),
+                    "{}: {m} double-booked",
+                    b.name
+                );
             }
         }
     }
@@ -171,7 +176,10 @@ mod tests {
         let step1 = b.schedule.ops_in_step(1);
         let mods: Vec<usize> = step1.iter().map(|&o| ma.module_of(o).index()).collect();
         assert!(mods.contains(&0), "dedicated adder used first");
-        assert!(mods.iter().any(|&m| m > 0), "second add overflows to an ALU");
+        assert!(
+            mods.iter().any(|&m| m > 0),
+            "second add overflows to an ALU"
+        );
     }
 
     #[test]
@@ -179,7 +187,10 @@ mod tests {
         let b = benchmarks::ex2();
         let small: ModuleSet = "1/,1*,2+,1&".parse().unwrap(); // one mult too few
         let err = assign_modules(&b.dfg, &b.schedule, &small).unwrap_err();
-        assert!(matches!(err, ModuleAssignError::Overcommitted { step: 1, .. }));
+        assert!(matches!(
+            err,
+            ModuleAssignError::Overcommitted { step: 1, .. }
+        ));
     }
 
     #[test]

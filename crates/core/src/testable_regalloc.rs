@@ -480,7 +480,10 @@ mod tests {
     use crate::module_assign::assign_modules;
     use lobist_dfg::benchmarks;
 
-    fn run(bench: &lobist_dfg::benchmarks::Benchmark, opts: &TestableAllocOptions) -> TestableAllocation {
+    fn run(
+        bench: &lobist_dfg::benchmarks::Benchmark,
+        opts: &TestableAllocOptions,
+    ) -> TestableAllocation {
         let ma = assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
         allocate_registers(
             &bench.dfg,
@@ -589,7 +592,10 @@ mod tests {
                 && class.iter().any(|&v| ctx.is_input_of(v, 1))
                 && ctx.sd_register(m) >= 2
         });
-        assert!(shared_head, "expected a register heading I-paths to both modules");
+        assert!(
+            shared_head,
+            "expected a register heading I-paths to both modules"
+        );
     }
 }
 

@@ -118,9 +118,7 @@ impl fmt::Display for AllocTrace {
                 let parts: Vec<String> = s
                     .candidates
                     .iter()
-                    .map(|c| {
-                        format!("R{}(SD {}→{})", c.register + 1, c.sd_before, c.sd_after)
-                    })
+                    .map(|c| format!("R{}(SD {}→{})", c.register + 1, c.sd_before, c.sd_after))
                     .collect();
                 write!(f, "candidates {}", parts.join(", "))?;
             }
