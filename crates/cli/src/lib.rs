@@ -1365,7 +1365,7 @@ mod tests {
     fn anneal_metrics_report_flow_cache_hits() {
         // The differential-equation benchmark the paper anneals (Paulin),
         // as parser text; 200 moves is plenty for the incremental layer's
-        // stage caches to see repeated shapes.
+        // label cache to see repeated shapes.
         let paulin = "input x u dx y\n\
                       t1 = 3 * x @ 1\n\
                       t2 = u * dx @ 1\n\

@@ -153,9 +153,9 @@ fn canonical_key(classes: &[Vec<VarId>]) -> u128 {
 /// no locks.
 ///
 /// Misses don't re-run the full pipeline: they go through an L2, the
-/// incremental [`FlowCache`], which memoizes the pipeline *stages*
-/// (interconnect shapes, per-module embeddings, warm-started selection)
-/// so a one-variable move only recomputes what it touched.
+/// incremental [`FlowCache`], which reuses interconnect labels by
+/// problem shape, warm-starts the selection from the previous solution
+/// and prices the area without building a data path.
 pub struct CostOracle<'a> {
     flow_cache: FlowCache<'a>,
     cache: HashMap<u128, Result<u64, FlowError>>,
@@ -205,7 +205,7 @@ impl<'a> CostOracle<'a> {
     /// # Errors
     ///
     /// Returns the failing stage's [`FlowError`].
-    pub fn cost_uncached(&mut self, classes: &[Vec<VarId>]) -> Result<u64, FlowError> {
+    pub fn cost_uncached(&self, classes: &[Vec<VarId>]) -> Result<u64, FlowError> {
         self.flow_cache
             .evaluate_uncached(classes)
             .map(|e| e.overhead)

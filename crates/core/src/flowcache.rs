@@ -3,48 +3,48 @@
 //!
 //! The [`CostOracle`](crate::anneal::CostOracle) content-addresses whole
 //! colorings, so revisiting a coloring is free — but every *new*
-//! coloring still pays for the full pipeline: interconnect binding,
-//! data-path assembly, embedding enumeration and the exact BIST solve.
-//! A single annealing move touches one variable, leaving most of that
-//! work byte-identical to the previous evaluation. [`FlowCache`] is the
-//! layer that exploits it, memoizing each pipeline stage by what the
-//! stage actually reads:
+//! coloring still pays for interconnect binding, embedding enumeration
+//! and the exact BIST solve. A single annealing move touches one
+//! variable, so [`FlowCache`] skips the work a move leaves unchanged
+//! where that pays:
 //!
 //! * **Interconnect** — each module's port partition depends only on the
 //!   module's *problem shape*: the interned operand-pair constraint rows
 //!   and the sharing-degree vector ([`ModuleProblem`]), with no register
 //!   identities. Moves that leave a module's operand structure intact
-//!   reuse its solved `Vec<PortLabel>` verbatim.
-//! * **Embeddings** — each module's BIST embeddings depend only on the
-//!   registers/inputs on its port I-paths and its output-destination
-//!   registers. Unchanged modules reuse their `Vec<Embedding>` via
-//!   [`enumerate_from_connectivity`].
+//!   reuse its solved `Vec<PortLabel>` verbatim from a bounded
+//!   [`FifoMap`]. Every label list is a pure function of its key, so
+//!   eviction can never change a result — only the hit counters.
+//! * **Embeddings** — enumerated per module with
+//!   [`enumerate_from_connectivity`] from the port connectivity the
+//!   area term collects anyway, with no data path built.
 //! * **Selection** — the exact branch-and-bound is warm-started with the
-//!   previous solution's cost as the initial incumbent bound (provably
-//!   returning the identical choice), and complete embedding-list
-//!   inputs are memoized outright.
+//!   previous solution's cost as the initial incumbent bound whenever
+//!   every module's previous pick is still a candidate (provably
+//!   returning the identical choice).
 //! * **Area** — functional gate counts come from per-component sums
 //!   (constant register/module terms plus mux terms from the fan-ins
 //!   already at hand) instead of building a [`DataPath`] netlist and
 //!   re-running full statistics.
 //!
+//! Memoizing the embedding lists and whole selections as well cost
+//! more to key and look up than the enumeration and the warm-started
+//! search they skipped, so neither is kept.
+//!
 //! The slow path survives as [`FlowCache::evaluate_uncached`], the
 //! executable reference: property tests drive both paths along random
 //! annealing walks and require equal costs, gate counts, chosen
-//! embeddings and errors. All stage caches are bounded (FIFO eviction);
-//! because every cached value is a pure function of its key, eviction
-//! can never change a result — only the hit counters.
+//! embeddings and errors.
 //!
 //! A [`FlowCache`] has one owner, the annealing chain behind its
 //! [`CostOracle`](crate::anneal::CostOracle), so evaluation takes
-//! `&mut self`: the stage caches, the warm-start incumbent and the
+//! `&mut self`: the label cache, the warm-start incumbent and the
 //! counters are plain fields, and the counters depend only on the
 //! sequence of colorings evaluated.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::time::{Duration, Instant};
+use std::collections::BTreeSet;
+use std::time::Instant;
 
-use lobist_bist::embedding::PatternSource;
 use lobist_bist::{
     choice_cost, enumerate_from_connectivity, select_embeddings, BistError, Embedding,
 };
@@ -55,6 +55,7 @@ use lobist_dfg::lifetime::{LifetimeOptions, Lifetimes};
 use lobist_dfg::modules::ModuleClass;
 use lobist_dfg::{Dfg, Operand, Schedule, VarId};
 
+use crate::fifo::FifoMap;
 use crate::flow::{FlowError, FlowOptions};
 use crate::interconnect::{assign_interconnect, ModuleProblem, PortLabel};
 use crate::variable_sets::SharingContext;
@@ -80,7 +81,7 @@ pub(crate) fn fnv_sep(h: u128) -> u128 {
 /// Buckets of a log2-microsecond timing histogram: bucket `i` counts
 /// samples taking `[2^i, 2^(i+1))` microseconds, the last bucket
 /// absorbing everything slower (~8.4 s and beyond). The flow cache's
-/// delta/full profiles and every histogram of the engine's metrics
+/// evaluation profile and every histogram of the engine's metrics
 /// share this shape.
 pub const NUM_BUCKETS: usize = 24;
 
@@ -90,16 +91,10 @@ pub fn bucket_micros(micros: u128) -> usize {
     floor_log2.min(NUM_BUCKETS - 1)
 }
 
-// Entries kept by each stage cache. Purely a performance / memory
-// trade-off: results never depend on capacity (each cached value is a
-// pure function of its key), which the capacity-1 eviction walks in
-// the tests pin down.
-/// Entries in the interconnect label cache (problem shapes).
+/// Entries kept by the interconnect label cache (problem shapes).
+/// Purely a performance / memory trade-off: results never depend on
+/// it, which the capacity-1 eviction walk in the tests pins down.
 const INTERCONNECT_CAPACITY: usize = 4096;
-/// Entries in the per-module embedding-list cache.
-const EMBEDDING_CAPACITY: usize = 4096;
-/// Entries in the embedding-selection memo.
-const SELECTION_CAPACITY: usize = 1024;
 
 /// Hit/miss/eviction counters of one stage cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -117,19 +112,12 @@ pub struct StageStats {
 pub struct FlowCacheStats {
     /// Interconnect label cache (keyed by module problem shape).
     pub interconnect: StageStats,
-    /// Per-module embedding-list cache (keyed by port connectivity).
-    pub embeddings: StageStats,
-    /// Embedding-selection memo (keyed by the full candidate lists).
-    pub selection: StageStats,
-    /// Selection misses solved with a warm incumbent bound from the
-    /// previous solution.
+    /// Selections solved with a warm incumbent bound from the previous
+    /// solution.
     pub warm_starts: u64,
     /// log2-microsecond histogram of incremental ([`FlowCache::evaluate`])
     /// evaluations.
     pub delta_micros: [u64; NUM_BUCKETS],
-    /// log2-microsecond histogram of reference
-    /// ([`FlowCache::evaluate_uncached`]) evaluations.
-    pub full_micros: [u64; NUM_BUCKETS],
 }
 
 /// One full evaluation of a coloring: what the reference pipeline's
@@ -143,45 +131,6 @@ pub struct FlowEval {
     pub functional: u64,
     /// The chosen embedding per module, in module-id order.
     pub choice: Vec<Embedding>,
-}
-
-/// A bounded FIFO memo with hit/miss/eviction accounting.
-struct StageCache<V> {
-    map: HashMap<u128, V>,
-    order: VecDeque<u128>,
-    capacity: usize,
-    stats: StageStats,
-}
-
-impl<V: Clone> StageCache<V> {
-    fn new(capacity: usize) -> Self {
-        Self {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            capacity: capacity.max(1),
-            stats: StageStats::default(),
-        }
-    }
-
-    /// The value cached under `key`, or `compute()`'s, cached on the
-    /// way out (evicting the oldest entry when full).
-    fn get_or_compute(&mut self, key: u128, compute: impl FnOnce() -> V) -> V {
-        if let Some(v) = self.map.get(&key) {
-            self.stats.hits += 1;
-            return v.clone();
-        }
-        self.stats.misses += 1;
-        let value = compute();
-        if self.map.len() >= self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.map.remove(&old);
-                self.stats.evictions += 1;
-            }
-        }
-        self.map.insert(key, value.clone());
-        self.order.push_back(key);
-        value
-    }
 }
 
 /// The incremental evaluation layer over one design's fixed module
@@ -201,15 +150,15 @@ pub struct FlowCache<'a> {
     module_area: u64,
     /// Gate count of one plain register.
     register_area_each: u64,
-    interconnect: StageCache<Vec<PortLabel>>,
-    embeddings: StageCache<Vec<Embedding>>,
-    selection: StageCache<(Vec<Embedding>, u64)>,
+    /// Solved port labels by module problem shape.
+    labels: FifoMap<u128, Vec<PortLabel>>,
+    label_stats: StageStats,
     /// Last selected choice — the warm-start incumbent for the next
-    /// selection miss.
+    /// selection.
     warm: Option<Vec<Embedding>>,
     warm_starts: u64,
-    /// `[0]` = incremental (delta) evaluations, `[1]` = reference (full).
-    timings: [[u64; NUM_BUCKETS]; 2],
+    /// log2-microsecond histogram of [`FlowCache::evaluate`] calls.
+    timings: [u64; NUM_BUCKETS],
 }
 
 impl<'a> FlowCache<'a> {
@@ -221,24 +170,18 @@ impl<'a> FlowCache<'a> {
         ma: &'a ModuleAssignment,
         flow: &'a FlowOptions,
     ) -> Self {
-        let capacities = [
-            INTERCONNECT_CAPACITY,
-            EMBEDDING_CAPACITY,
-            SELECTION_CAPACITY,
-        ];
-        Self::with_capacities(dfg, schedule, lt_opts, ma, flow, capacities)
+        Self::with_capacity(dfg, schedule, lt_opts, ma, flow, INTERCONNECT_CAPACITY)
     }
 
-    /// Builds the cache with the interconnect, embedding and selection
-    /// stages bounded to `capacities` entries (the tests' eviction
-    /// walks shrink them).
-    pub(crate) fn with_capacities(
+    /// Builds the cache with the interconnect label cache bounded to
+    /// `capacity` entries (the tests' eviction walk shrinks it).
+    pub(crate) fn with_capacity(
         dfg: &'a Dfg,
         schedule: &'a Schedule,
         lt_opts: LifetimeOptions,
         ma: &'a ModuleAssignment,
         flow: &'a FlowOptions,
-        [interconnect, embeddings, selection]: [usize; 3],
+        capacity: usize,
     ) -> Self {
         let module_area = ma
             .module_ids()
@@ -258,18 +201,18 @@ impl<'a> FlowCache<'a> {
             module_error: precheck_modules(dfg, schedule, ma),
             module_area,
             register_area_each: flow.area.register().get(),
-            interconnect: StageCache::new(interconnect),
-            embeddings: StageCache::new(embeddings),
-            selection: StageCache::new(selection),
+            labels: FifoMap::new(capacity),
+            label_stats: StageStats::default(),
             warm: None,
             warm_starts: 0,
-            timings: [[0; NUM_BUCKETS]; 2],
+            timings: [0; NUM_BUCKETS],
         }
     }
 
-    /// Evaluates a coloring on the incremental fast path: stage-cached
-    /// interconnect labels, per-module embedding reuse, warm-started
-    /// selection and component-delta area — no [`DataPath`] is built.
+    /// Evaluates a coloring on the incremental fast path: memoized
+    /// interconnect labels, embeddings enumerated from port
+    /// connectivity, warm-started selection and component-delta area —
+    /// no [`DataPath`] is built.
     ///
     /// # Errors
     ///
@@ -278,8 +221,17 @@ impl<'a> FlowCache<'a> {
     pub fn evaluate(&mut self, classes: &[Vec<VarId>]) -> Result<FlowEval, FlowError> {
         let start = Instant::now();
         let r = self.evaluate_inner(classes);
-        self.record(0, start.elapsed());
+        self.timings[bucket_micros(start.elapsed().as_micros())] += 1;
         r
+    }
+
+    /// Counters so far.
+    pub fn stats(&self) -> FlowCacheStats {
+        FlowCacheStats {
+            interconnect: self.label_stats,
+            warm_starts: self.warm_starts,
+            delta_micros: self.timings,
+        }
     }
 
     /// The from-scratch reference: register assignment → interconnect →
@@ -289,30 +241,7 @@ impl<'a> FlowCache<'a> {
     /// # Errors
     ///
     /// Returns the failing stage's [`FlowError`].
-    pub fn evaluate_uncached(&mut self, classes: &[Vec<VarId>]) -> Result<FlowEval, FlowError> {
-        let start = Instant::now();
-        let r = self.evaluate_reference(classes);
-        self.record(1, start.elapsed());
-        r
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> FlowCacheStats {
-        FlowCacheStats {
-            interconnect: self.interconnect.stats,
-            embeddings: self.embeddings.stats,
-            selection: self.selection.stats,
-            warm_starts: self.warm_starts,
-            delta_micros: self.timings[0],
-            full_micros: self.timings[1],
-        }
-    }
-
-    fn record(&mut self, which: usize, elapsed: Duration) {
-        self.timings[which][bucket_micros(elapsed.as_micros())] += 1;
-    }
-
-    fn evaluate_reference(&self, classes: &[Vec<VarId>]) -> Result<FlowEval, FlowError> {
+    pub fn evaluate_uncached(&self, classes: &[Vec<VarId>]) -> Result<FlowEval, FlowError> {
         let ra = RegisterAssignment::new(self.dfg, classes.to_vec())?;
         let (ic, _) = assign_interconnect(
             self.dfg,
@@ -362,9 +291,19 @@ impl<'a> FlowCache<'a> {
         let mut lhs_side = vec![PortSide::Left; self.dfg.num_ops()];
         for m in self.ma.module_ids() {
             let problem = ModuleProblem::collect(self.dfg, self.ma, &ra, &self.ctx, m);
-            let labels = self.interconnect.get_or_compute(shape_key(&problem), || {
-                problem.solve_labels(self.flow.bist_aware_interconnect)
-            });
+            let key = shape_key(&problem);
+            let labels = match self.labels.get(&key) {
+                Some(labels) => {
+                    self.label_stats.hits += 1;
+                    labels.clone()
+                }
+                None => {
+                    self.label_stats.misses += 1;
+                    let labels = problem.solve_labels(self.flow.bist_aware_interconnect);
+                    self.label_stats.evictions += self.labels.insert(key, labels.clone());
+                    labels
+                }
+            };
             problem.orient(&labels, &mut lhs_side);
         }
 
@@ -426,50 +365,32 @@ impl<'a> FlowCache<'a> {
             functional += model.mux(sources.len() + usize::from(ext)).get();
         }
 
-        // Stage 2: embeddings per module, memoized by *canonical* port
-        // connectivity: register and input ids are densely relabelled in
-        // sorted order before keying, so two modules whose connectivity
-        // differs only in labels — across moves, across modules, even
-        // across designs sharing one cache — hit the same entry. The
-        // cached list is in canonical labels; each consumer remaps it
-        // back through its own label tables. Sound because
-        // [`enumerate_from_connectivity`] is equivariant under monotone
-        // relabeling (it iterates sorted sets and compares ids only for
-        // equality), so remapping the canonical list is byte-identical
-        // to enumerating directly. Modules are checked in id order so
-        // the first failure matches the reference solver's.
+        // Stage 2: embeddings per module, from the connectivity just
+        // collected. Modules are checked in id order so the first
+        // failure matches the reference solver's.
         let mut embs: Vec<Vec<Embedding>> = Vec::with_capacity(nm);
         for (mi, (sides, dests)) in port_sources.iter().zip(&output_dests).enumerate() {
-            let shape = ConnectivityShape::new(sides, dests);
-            let key = connectivity_key(&shape.sides, &shape.dests);
-            let canonical = self.embeddings.get_or_compute(key, || {
-                enumerate_from_connectivity(&shape.sides[0], &shape.sides[1], &shape.dests)
-            });
-            if canonical.is_empty() {
+            let list = enumerate_from_connectivity(&sides[0], &sides[1], dests);
+            if list.is_empty() {
                 return Err(FlowError::Bist(BistError::NoEmbedding {
                     module: ModuleId(mi as u32),
                 }));
             }
-            embs.push(shape.remap(&canonical));
+            embs.push(list);
         }
 
-        // Stage 3: selection — memoized on the full candidate lists,
-        // warm-started with the previous solution's cost otherwise.
-        let (choice, overhead) = self.selection.get_or_compute(selection_key(nr, &embs), || {
-            // The bound must be achievable against the *current* lists:
-            // every module's previous pick must still be a candidate.
-            let warm_upper = self.warm.as_ref().and_then(|prev| {
-                (prev.len() == embs.len()
-                    && prev.iter().zip(&embs).all(|(e, list)| list.contains(e)))
+        // Stage 3: selection, warm-started with the previous solution's
+        // cost. The bound must be achievable against the *current*
+        // lists: every module's previous pick must still be a candidate.
+        let warm_upper = self.warm.as_ref().and_then(|prev| {
+            (prev.len() == embs.len() && prev.iter().zip(&embs).all(|(e, list)| list.contains(e)))
                 .then(|| choice_cost(nr, model, prev))
-            });
-            if warm_upper.is_some() {
-                self.warm_starts += 1;
-            }
-            let choice = select_embeddings(nr, model, &self.flow.solver, &embs, warm_upper);
-            let overhead = choice_cost(nr, model, &choice).get();
-            (choice, overhead)
         });
+        if warm_upper.is_some() {
+            self.warm_starts += 1;
+        }
+        let choice = select_embeddings(nr, model, &self.flow.solver, &embs, warm_upper);
+        let overhead = choice_cost(nr, model, &choice).get();
         self.warm = Some(choice.clone());
 
         Ok(FlowEval {
@@ -521,135 +442,6 @@ fn shape_key(problem: &ModuleProblem) -> u128 {
     h = fnv_sep(h);
     for &sd in problem.sharing_degrees() {
         h = fnv_word(h, sd as u64);
-    }
-    h
-}
-
-fn source_word(s: SourceRef) -> (u64, u64) {
-    match s {
-        SourceRef::Register(r) => (0, u64::from(r.0)),
-        SourceRef::ExternalInput(v) => (1, u64::from(v.0)),
-        SourceRef::Constant(c) => (2, c as u64),
-    }
-}
-
-/// One module's port connectivity in canonical labels: registers and
-/// external-input variables are densely renumbered in sorted order
-/// (constants keep their literal values — they are semantics, not
-/// labels). The tables remember the original id of each canonical rank
-/// so a cached canonical embedding list can be remapped back.
-struct ConnectivityShape {
-    sides: [BTreeSet<SourceRef>; 2],
-    dests: BTreeSet<RegisterId>,
-    /// Canonical register rank → original id.
-    regs: Vec<RegisterId>,
-    /// Canonical input rank → original id.
-    inputs: Vec<VarId>,
-}
-
-impl ConnectivityShape {
-    fn new(sides: &[BTreeSet<SourceRef>; 2], dests: &BTreeSet<RegisterId>) -> Self {
-        let mut regs: BTreeSet<RegisterId> = dests.clone();
-        let mut inputs: BTreeSet<VarId> = BTreeSet::new();
-        for side in sides {
-            for &s in side {
-                match s {
-                    SourceRef::Register(r) => {
-                        regs.insert(r);
-                    }
-                    SourceRef::ExternalInput(v) => {
-                        inputs.insert(v);
-                    }
-                    SourceRef::Constant(_) => {}
-                }
-            }
-        }
-        let regs: Vec<RegisterId> = regs.into_iter().collect();
-        let inputs: Vec<VarId> = inputs.into_iter().collect();
-        let reg_rank = |r: RegisterId| -> RegisterId {
-            RegisterId(regs.binary_search(&r).expect("collected above") as u32)
-        };
-        let input_rank = |v: VarId| -> VarId {
-            VarId(inputs.binary_search(&v).expect("collected above") as u32)
-        };
-        let canon_side = |side: &BTreeSet<SourceRef>| -> BTreeSet<SourceRef> {
-            side.iter()
-                .map(|&s| match s {
-                    SourceRef::Register(r) => SourceRef::Register(reg_rank(r)),
-                    SourceRef::ExternalInput(v) => SourceRef::ExternalInput(input_rank(v)),
-                    c @ SourceRef::Constant(_) => c,
-                })
-                .collect()
-        };
-        Self {
-            sides: [canon_side(&sides[0]), canon_side(&sides[1])],
-            dests: dests.iter().map(|&r| reg_rank(r)).collect(),
-            regs,
-            inputs,
-        }
-    }
-
-    /// Translates a canonical-label embedding list into this module's
-    /// original labels.
-    fn remap(&self, canonical: &[Embedding]) -> Vec<Embedding> {
-        let source = |p: PatternSource| -> PatternSource {
-            match p {
-                PatternSource::Register(r) => PatternSource::Register(self.regs[r.index()]),
-                PatternSource::Input(v) => PatternSource::Input(self.inputs[v.index()]),
-            }
-        };
-        canonical
-            .iter()
-            .map(|e| Embedding {
-                left: source(e.left),
-                right: source(e.right),
-                sa: self.regs[e.sa.index()],
-            })
-            .collect()
-    }
-}
-
-/// Key of one module's embedding inputs: the two port source sets and
-/// the output-destination registers.
-fn connectivity_key(sides: &[BTreeSet<SourceRef>; 2], dests: &BTreeSet<RegisterId>) -> u128 {
-    let mut h = FNV_OFFSET;
-    for side in sides {
-        for &s in side {
-            let (tag, word) = source_word(s);
-            h = fnv_word(h, tag);
-            h = fnv_word(h, word);
-        }
-        h = fnv_sep(h);
-    }
-    for &r in dests {
-        h = fnv_word(h, u64::from(r.0));
-    }
-    h
-}
-
-fn pattern_word(p: PatternSource) -> (u64, u64) {
-    match p {
-        PatternSource::Register(r) => (0, u64::from(r.0)),
-        PatternSource::Input(v) => (1, u64::from(v.0)),
-    }
-}
-
-/// Key of a complete selection problem: register count plus every
-/// module's candidate list, in order.
-fn selection_key(num_registers: usize, embs: &[Vec<Embedding>]) -> u128 {
-    let mut h = fnv_word(FNV_OFFSET, num_registers as u64);
-    for list in embs {
-        for e in list {
-            for (tag, word) in [
-                pattern_word(e.left),
-                pattern_word(e.right),
-                (2, u64::from(e.sa.0)),
-            ] {
-                h = fnv_word(h, tag);
-                h = fnv_word(h, word);
-            }
-        }
-        h = fnv_sep(h);
     }
     h
 }
@@ -724,22 +516,16 @@ mod tests {
         }
     }
 
-    const DEFAULT_CAPACITIES: [usize; 3] = [
-        INTERCONNECT_CAPACITY,
-        EMBEDDING_CAPACITY,
-        SELECTION_CAPACITY,
-    ];
-
-    fn check_walk(bench: &Benchmark, capacities: [usize; 3], steps: usize, seed: u64) {
+    fn check_walk(bench: &Benchmark, capacity: usize, steps: usize, seed: u64) {
         let flow = crate::flow::FlowOptions::testable().with_lifetimes(bench.lifetime_options);
         let ma = assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
-        let mut cache = FlowCache::with_capacities(
+        let mut cache = FlowCache::with_capacity(
             &bench.dfg,
             &bench.schedule,
             bench.lifetime_options,
             &ma,
             &flow,
-            capacities,
+            capacity,
         );
         let mut walk = Walk::new(bench, &ma, seed);
         let mut visited: Vec<Vec<Vec<VarId>>> = vec![walk.classes.clone()];
@@ -756,7 +542,7 @@ mod tests {
         }
         assert!(moved > steps / 4, "walk barely moved ({moved})");
         // Revisit everything (in reverse, maximizing eviction churn under
-        // tiny capacities): still byte-equal to the reference.
+        // a tiny capacity): still byte-equal to the reference.
         for classes in visited.iter().rev() {
             assert_eq!(cache.evaluate(classes), cache.evaluate_uncached(classes));
         }
@@ -764,88 +550,36 @@ mod tests {
         assert!(stats.interconnect.hits + stats.interconnect.misses > 0);
         // A 1-entry cache legitimately thrashes (two modules alternate
         // shapes), so only roomy configurations must show reuse.
-        if capacities[0] > 1 {
+        if capacity > 1 {
             assert!(stats.interconnect.hits > 0, "{stats:?}");
-            assert!(stats.embeddings.hits > 0, "{stats:?}");
         }
     }
 
     #[test]
-    fn canonical_connectivity_shapes_hit_across_labelings() {
-        // Two modules whose connectivity differs only by a monotone
-        // register/input relabeling must share one canonical shape (and
-        // hence one embedding-cache entry), and the remapped canonical
-        // list must be byte-identical to enumerating directly.
-        let sides = |rs: [(u32, bool); 3]| -> BTreeSet<SourceRef> {
-            rs.iter()
-                .map(|&(id, reg)| {
-                    if reg {
-                        SourceRef::Register(RegisterId(id))
-                    } else {
-                        SourceRef::ExternalInput(VarId(id))
-                    }
-                })
-                .collect()
-        };
-        let left = sides([(3, true), (9, true), (4, false)]);
-        let right = sides([(9, true), (17, true), (11, false)]);
-        let dests: BTreeSet<RegisterId> = [RegisterId(3), RegisterId(21)].into();
-        // Shift every register id by +10 and every input id by +5:
-        // monotone, so the canonical shape is unchanged.
-        let shift = |s: &BTreeSet<SourceRef>| -> BTreeSet<SourceRef> {
-            s.iter()
-                .map(|&x| match x {
-                    SourceRef::Register(r) => SourceRef::Register(RegisterId(r.0 + 10)),
-                    SourceRef::ExternalInput(v) => SourceRef::ExternalInput(VarId(v.0 + 5)),
-                    c => c,
-                })
-                .collect()
-        };
-        let shifted_dests: BTreeSet<RegisterId> =
-            dests.iter().map(|r| RegisterId(r.0 + 10)).collect();
-        let a = ConnectivityShape::new(&[left.clone(), right.clone()], &dests);
-        let b = ConnectivityShape::new(&[shift(&left), shift(&right)], &shifted_dests);
-        assert_eq!(a.sides, b.sides);
-        assert_eq!(a.dests, b.dests);
-        assert_eq!(
-            connectivity_key(&a.sides, &a.dests),
-            connectivity_key(&b.sides, &b.dests)
-        );
-        // Remapping the canonical enumeration reproduces the direct one.
-        let canonical = enumerate_from_connectivity(&a.sides[0], &a.sides[1], &a.dests);
-        let direct = enumerate_from_connectivity(&left, &right, &dests);
-        assert_eq!(a.remap(&canonical), direct);
-        let shifted_direct =
-            enumerate_from_connectivity(&shift(&left), &shift(&right), &shifted_dests);
-        assert_eq!(b.remap(&canonical), shifted_direct);
-    }
-
-    #[test]
     fn incremental_matches_reference_on_ex1_walk() {
-        check_walk(&benchmarks::ex1(), DEFAULT_CAPACITIES, 150, 0xF10C);
+        check_walk(&benchmarks::ex1(), INTERCONNECT_CAPACITY, 150, 0xF10C);
     }
 
     #[test]
     fn incremental_matches_reference_on_paulin_walk() {
-        check_walk(&benchmarks::paulin(), DEFAULT_CAPACITIES, 120, 0xCAFE);
+        check_walk(&benchmarks::paulin(), INTERCONNECT_CAPACITY, 120, 0xCAFE);
     }
 
     #[test]
     fn eviction_revisits_stay_correct_under_tiny_capacities() {
-        // Capacity 1 per stage forces an eviction on nearly every new
-        // shape, so revisits keep recomputing — results must not change.
-        let capacities = [1, 1, 1];
+        // A one-entry label cache evicts on nearly every new shape, so
+        // revisits keep recomputing — results must not change.
         let bench = benchmarks::ex1();
-        check_walk(&bench, capacities, 100, 0xE71C);
+        check_walk(&bench, 1, 100, 0xE71C);
         let flow = crate::flow::FlowOptions::testable().with_lifetimes(bench.lifetime_options);
         let ma = assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
-        let mut cache = FlowCache::with_capacities(
+        let mut cache = FlowCache::with_capacity(
             &bench.dfg,
             &bench.schedule,
             bench.lifetime_options,
             &ma,
             &flow,
-            capacities,
+            1,
         );
         let mut walk = Walk::new(&bench, &ma, 0xE71C);
         for _ in 0..60 {
@@ -855,26 +589,24 @@ mod tests {
         }
         let stats = cache.stats();
         assert!(
-            stats.interconnect.evictions > 0 || stats.embeddings.evictions > 0,
-            "tiny capacities must evict: {stats:?}"
+            stats.interconnect.evictions > 0,
+            "a tiny capacity must evict: {stats:?}"
         );
     }
 
     #[test]
     fn warm_start_fires_and_preserves_results() {
-        // Selection capacity 1 keeps forcing fresh solves; once two
-        // colorings alternate, the warm incumbent from one solve bounds
-        // the next.
+        // Every selection after the first is bounded by the previous
+        // solution whenever its picks are still candidates.
         let bench = benchmarks::paulin();
         let flow = crate::flow::FlowOptions::testable().with_lifetimes(bench.lifetime_options);
         let ma = assign_modules(&bench.dfg, &bench.schedule, &bench.module_allocation).unwrap();
-        let mut cache = FlowCache::with_capacities(
+        let mut cache = FlowCache::new(
             &bench.dfg,
             &bench.schedule,
             bench.lifetime_options,
             &ma,
             &flow,
-            [INTERCONNECT_CAPACITY, EMBEDDING_CAPACITY, 1],
         );
         let mut walk = Walk::new(&bench, &ma, 0x3A3A);
         for _ in 0..80 {
@@ -926,25 +658,6 @@ mod tests {
         dup[1].push(v);
         let fast = cache.evaluate(&dup).unwrap_err();
         assert_eq!(fast, cache.evaluate_uncached(&dup).unwrap_err());
-    }
-
-    #[test]
-    fn stage_cache_fifo_eviction_is_bounded() {
-        let mut c: StageCache<u32> = StageCache::new(2);
-        assert_eq!(c.get_or_compute(1, || 10), 10);
-        assert_eq!(c.get_or_compute(2, || 20), 20);
-        assert_eq!(c.get_or_compute(3, || 30), 30); // evicts key 1
-        assert_eq!(c.map.len(), 2);
-        // A cached key is never recomputed.
-        assert_eq!(c.get_or_compute(2, || 99), 20);
-        assert_eq!(c.get_or_compute(3, || 99), 30);
-        assert_eq!(c.stats.evictions, 1);
-        assert_eq!(c.stats.hits, 2);
-        assert_eq!(c.stats.misses, 3);
-        // The evicted key computes afresh, evicting the next oldest.
-        assert_eq!(c.get_or_compute(1, || 11), 11);
-        assert_eq!(c.stats.evictions, 2);
-        assert!(!c.map.contains_key(&2));
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //! * [`flow`] — the end-to-end synthesis flow producing a
 //!   [`flow::Design`] with its data path and minimal-area BIST solution.
 //! * [`flowcache`] — the incremental evaluation layer used by the
-//!   annealer: per-stage memoization (interconnect shapes, module
-//!   embeddings, warm-started selection) beneath the coloring-level
-//!   cost cache.
+//!   annealer beneath the coloring-level cost cache: interconnect
+//!   labels memoized by problem shape, and a warm-started selection.
+//! * [`fifo`] — the bounded insertion-order map behind the label
+//!   memo and the engine's result and session memos.
 //! * [`trace`] — step-by-step decision traces (regenerates the paper's
 //!   Fig. 4 worked example).
 //! * [`work`] — deterministic work counters of the synthesis searches.
@@ -51,6 +52,7 @@ pub mod anneal;
 pub mod baseline_regalloc;
 pub mod cbilbo;
 pub mod explore;
+pub mod fifo;
 pub mod flow;
 pub mod flowcache;
 pub mod interconnect;

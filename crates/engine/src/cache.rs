@@ -10,18 +10,17 @@
 //! is stored under [`failure_key`], the key of the design's own
 //! un-rebased encoding.
 //!
-//! [`ResultCache`] is the in-memory tier: a bounded FIFO map with
-//! hit/miss/eviction accounting, the same pattern as
-//! `lobist_alloc::flowcache`'s stage caches. It implements
+//! [`ResultCache`] is the in-memory tier: a bounded FIFO map
+//! ([`FifoMap`], the annealer's label cache's map too) with
+//! hit/miss/eviction accounting. It implements
 //! [`lobist_store::ResultStore`], the interface it shares with the
 //! durable on-disk [`lobist_store::DiskStore`], so the engine can stack
 //! the two as L1/L2.
 
-use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::hash::Hash;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use lobist_alloc::fifo::FifoMap;
 use lobist_dfg::parse::write_text;
 use lobist_dfg::{Dfg, Schedule};
 use lobist_store::{ResultStore, StoreStats, StoredResult};
@@ -77,53 +76,6 @@ impl fmt::Write for Fnv64 {
     }
 }
 
-/// A map bounded to `capacity` entries (at least 1) that evicts the
-/// oldest-inserted entry first. Insertion order is never reordered on
-/// hits, matching the flowcache stage caches. Callers hold it behind a
-/// lock.
-#[derive(Debug)]
-pub(crate) struct FifoMap<K, V> {
-    map: HashMap<K, V>,
-    order: VecDeque<K>,
-    capacity: usize,
-}
-
-impl<K: Hash + Eq + Clone, V> FifoMap<K, V> {
-    pub(crate) fn new(capacity: usize) -> Self {
-        Self {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    pub(crate) fn get(&self, key: &K) -> Option<&V> {
-        self.map.get(key)
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Stores `value` under `key` and returns how many entries were
-    /// evicted to make room. Overwriting a key evicts nothing.
-    pub(crate) fn insert(&mut self, key: K, value: V) -> u64 {
-        let mut evicted = 0;
-        if !self.map.contains_key(&key) {
-            while self.map.len() >= self.capacity {
-                let Some(oldest) = self.order.pop_front() else {
-                    break;
-                };
-                self.map.remove(&oldest);
-                evicted += 1;
-            }
-            self.order.push_back(key.clone());
-        }
-        self.map.insert(key, value);
-        evicted
-    }
-}
-
 #[derive(Debug)]
 struct CacheInner {
     map: FifoMap<u128, StoredResult>,
@@ -162,7 +114,7 @@ impl ResultCache {
 
     /// The configured bound.
     pub fn capacity(&self) -> usize {
-        lock_ok(&self.inner).map.capacity
+        lock_ok(&self.inner).map.capacity()
     }
 
     /// Returns the cached result for `key`, if any.
@@ -195,7 +147,7 @@ impl ResultCache {
 
     /// `true` if nothing is cached yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        lock_ok(&self.inner).map.is_empty()
     }
 
     /// Point-in-time hit/miss/eviction counters.
@@ -273,32 +225,22 @@ mod tests {
 
     #[test]
     fn capacity_bound_evicts_fifo() {
+        // The eviction order is `FifoMap`'s, tested in `lobist_alloc::fifo`;
+        // this checks the cache's accounting of it.
         let cache = ResultCache::with_capacity(3);
         for i in 0..5u128 {
             cache.insert(i, stored_err("m", &format!("entry {i}")));
         }
         assert_eq!(cache.len(), 3);
-        // 0 and 1 were inserted first, so they were evicted first.
-        assert!(cache.get(0).is_none());
         assert!(cache.get(1).is_none());
-        for i in 2..5u128 {
-            assert!(cache.get(i).is_some(), "entry {i} must survive");
-        }
+        assert!(cache.get(2).is_some());
+        // Overwriting a key evicts nothing, and the last write wins.
+        cache.insert(2, stored_err("m", "updated"));
+        assert!(matches!(cache.get(2).map(|s| s.result), Some(Err((_, e))) if e == "updated"));
         let stats = cache.stats();
+        assert_eq!(stats.insertions, 6);
         assert_eq!(stats.evictions, 2);
         assert_eq!(stats.entries, 3);
-    }
-
-    #[test]
-    fn overwriting_a_key_does_not_evict() {
-        let cache = ResultCache::with_capacity(2);
-        cache.insert(1, stored_err("m", "a"));
-        cache.insert(2, stored_err("m", "b"));
-        cache.insert(1, stored_err("m", "updated"));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 0);
-        assert!(matches!(cache.get(1).map(|s| s.result), Some(Err((_, e))) if e == "updated"));
-        assert!(cache.get(2).is_some());
     }
 
     #[test]

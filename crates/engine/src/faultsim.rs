@@ -48,6 +48,7 @@
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use lobist_alloc::fifo::FifoMap;
 use lobist_datapath::ModuleAssignment;
 use lobist_dfg::modules::ModuleClass;
 use lobist_dfg::{Dfg, OpKind};
@@ -60,7 +61,7 @@ use lobist_gatesim::lfsr::max_useful_patterns;
 use lobist_gatesim::modules::module_unit;
 use lobist_gatesim::net::{Fault, GateNetwork};
 
-use crate::cache::{lock_ok, FifoMap};
+use crate::cache::lock_ok;
 use crate::metrics::Metrics;
 use crate::{metric, pool, Engine};
 

@@ -100,17 +100,8 @@ const TABLE: &[(&str, Kind)] = &[
     ("flow_cache.interconnect.misses", Count),
     ("flow_cache.interconnect.evictions", Count),
     ("flow_cache.interconnect.hit_rate", Ratio("hits", &["hits", "misses"])),
-    ("flow_cache.embeddings.hits", Count),
-    ("flow_cache.embeddings.misses", Count),
-    ("flow_cache.embeddings.evictions", Count),
-    ("flow_cache.embeddings.hit_rate", Ratio("hits", &["hits", "misses"])),
-    ("flow_cache.selection.hits", Count),
-    ("flow_cache.selection.misses", Count),
-    ("flow_cache.selection.evictions", Count),
-    ("flow_cache.selection.hit_rate", Ratio("hits", &["hits", "misses"])),
     ("flow_cache.warm_starts", Count),
     ("flow_cache.delta_micros_log2", Hist),
-    ("flow_cache.full_micros_log2", Hist),
     ("lint.runs", Count),
     ("lint.errors", Count),
     ("lint.warnings", Count),
@@ -399,15 +390,8 @@ impl Metrics {
         self.add(metric!("flow_cache.interconnect.hits"), fc.interconnect.hits);
         self.add(metric!("flow_cache.interconnect.misses"), fc.interconnect.misses);
         self.add(metric!("flow_cache.interconnect.evictions"), fc.interconnect.evictions);
-        self.add(metric!("flow_cache.embeddings.hits"), fc.embeddings.hits);
-        self.add(metric!("flow_cache.embeddings.misses"), fc.embeddings.misses);
-        self.add(metric!("flow_cache.embeddings.evictions"), fc.embeddings.evictions);
-        self.add(metric!("flow_cache.selection.hits"), fc.selection.hits);
-        self.add(metric!("flow_cache.selection.misses"), fc.selection.misses);
-        self.add(metric!("flow_cache.selection.evictions"), fc.selection.evictions);
         self.add(metric!("flow_cache.warm_starts"), fc.warm_starts);
         self.add_buckets(metric!("flow_cache.delta_micros_log2"), &fc.delta_micros);
-        self.add_buckets(metric!("flow_cache.full_micros_log2"), &fc.full_micros);
     }
 
     /// A point-in-time copy of every entry the registry holds. Live

@@ -120,15 +120,15 @@ mod anneal_identity {
     }
 
     /// A run's work counters: oracle hits and misses, then the flow
-    /// cache's stage stats, warm starts and incremental evaluations
-    /// (its timing histograms carry wall-clock buckets, so only their
-    /// sample count is compared).
-    fn work(r: &AnnealResult) -> (u64, u64, [StageStats; 3], u64, u64) {
+    /// cache's label-cache stats, warm starts and incremental
+    /// evaluations (its timing histogram carries wall-clock buckets, so
+    /// only its sample count is compared).
+    fn work(r: &AnnealResult) -> (u64, u64, StageStats, u64, u64) {
         let fc = &r.flow_cache;
         (
             r.oracle_hits,
             r.oracle_misses,
-            [fc.interconnect, fc.embeddings, fc.selection],
+            fc.interconnect,
             fc.warm_starts,
             fc.delta_micros.iter().sum(),
         )

@@ -10,14 +10,14 @@ use lobist::alloc::module_assign::assign_modules;
 use lobist::dfg::benchmarks;
 use lobist::engine::anneal_multichain;
 
-/// A run's work counters (the flow cache's timing histograms are
-/// wall-clock, so only their sample count is compared).
-fn work(r: &AnnealResult) -> (u64, u64, [StageStats; 3], u64, u64) {
+/// A run's work counters (the flow cache's timing histogram is
+/// wall-clock, so only its sample count is compared).
+fn work(r: &AnnealResult) -> (u64, u64, StageStats, u64, u64) {
     let fc = &r.flow_cache;
     (
         r.oracle_hits,
         r.oracle_misses,
-        [fc.interconnect, fc.embeddings, fc.selection],
+        fc.interconnect,
         fc.warm_starts,
         fc.delta_micros.iter().sum(),
     )
