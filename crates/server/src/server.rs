@@ -438,6 +438,14 @@ fn error_event(id: u64, message: &str) -> String {
     )
 }
 
+/// Answers a request line that is not served with one `error` event
+/// under a fresh id, and counts it as rejected.
+fn reject(out: &mut impl Write, shared: &Shared, message: &str) -> std::io::Result<()> {
+    shared.engine.metrics_handle().add(metric!("server.rejected"), 1);
+    let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
+    emit(out, &[&error_event(id, message)])
+}
+
 /// The longest request line a handler reads: a design of
 /// `max_design_bytes`, each byte JSON-escaped to at most six, plus
 /// 64 KiB for the other fields.
@@ -459,17 +467,17 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
         let room = (cap - line.len()).saturating_add(1) as u64;
         match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(_) if line.len() > cap => {
-                let metrics = shared.engine.metrics_handle();
-                metrics.add(metric!("server.rejected"), 1);
-                let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
                 let message = format!("request line too long (limit {cap} bytes)");
-                let _ = emit(&mut writer, &[&error_event(id, &message)]);
+                let _ = reject(&mut writer, shared, &message);
                 return;
             }
             Ok(0) => return, // client closed
             Ok(_) => {
                 let Ok(request) = String::from_utf8(std::mem::take(&mut line)) else {
-                    return;
+                    if reject(&mut writer, shared, "request line is not UTF-8").is_err() {
+                        return;
+                    }
+                    continue;
                 };
                 let request = request.trim();
                 if request.is_empty() {

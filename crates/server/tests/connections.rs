@@ -1,7 +1,9 @@
 //! How a daemon reads its connections: a finished connection's handler
 //! thread is released while the daemon runs, a request line longer than
 //! the design limit allows is cut off with an `error` event instead of
-//! being buffered whole, and a line arriving in pieces is read whole.
+//! being buffered whole, a line that is not UTF-8 gets an `error` event
+//! on a connection that stays open, and a line arriving in pieces is
+//! read whole.
 //! Each test runs its own daemon on a Unix socket; the tests live apart
 //! from `e2e.rs` so that the address-space reading below sees no other
 //! test's threads.
@@ -113,6 +115,32 @@ fn an_overlong_request_line_gets_an_error_and_its_connection_closes() {
     );
 
     // The daemon serves on and counts the rejection.
+    let endpoint = Endpoint::Unix(socket);
+    let metrics = client::submit(&endpoint, r#"{"cmd":"metrics"}"#).expect("metrics");
+    assert!(metrics[0].contains("\"rejected\":1"), "{metrics:?}");
+    handle.shutdown();
+    thread.join().expect("run thread").expect("clean shutdown");
+}
+
+#[test]
+fn a_request_line_that_is_not_utf8_gets_an_error_and_the_connection_stays_open() {
+    let (socket, handle, thread) = start("not-utf8", 1 << 20);
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("a read deadline");
+    stream
+        .write_all(b"{\"cmd\":\"ping\",\"note\":\"\xff\"}\n{\"cmd\":\"ping\"}\n")
+        .expect("two request lines");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("an error event");
+    assert!(line.starts_with("{\"event\":\"error\""), "{line:?}");
+    assert!(line.contains("request line is not UTF-8"), "{line:?}");
+    line.clear();
+    reader.read_line(&mut line).expect("a reply to the next line");
+    assert!(line.starts_with("{\"event\":\"pong\""), "{line:?}");
+
     let endpoint = Endpoint::Unix(socket);
     let metrics = client::submit(&endpoint, r#"{"cmd":"metrics"}"#).expect("metrics");
     assert!(metrics[0].contains("\"rejected\":1"), "{metrics:?}");
