@@ -124,7 +124,7 @@ COMMANDS:
 OPTIONS:
   --modules <SET>   functional units, e.g. \"1+,2*,1-\" or \"1+,3ALU\"
   --flow <F>        testable (default) | traditional
-  --width <N>       data-path bit width (default 8; 2..=32 for
+  --width <N>       data-path bit width (default 8; 2..=20 for
                     `faultsim` and `batch --faultsim`)
   --port-inputs     primary inputs live on ports (not registers)
   --netlist         print the structural netlist
@@ -2033,7 +2033,7 @@ mod tests {
             let err = run(&args).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
             let msg = err.to_string();
-            assert!(msg.contains("out of range (expected 2..=32)"), "{msg}");
+            assert!(msg.contains("out of range (expected 2..=20)"), "{msg}");
         }
         // Synthesis alone still accepts wide data paths.
         let ok = write_temp("lobist_cli_fs_width_ok.dfg", DESIGN);

@@ -301,9 +301,13 @@ pub fn bist_session_parallel(
         .expect("one result per session")
 }
 
-/// The data-path width of a BIST session, validated to the LFSR/MISR
-/// range `2..=32`. Callers build one before synthesis, so an
-/// out-of-range request fails before any work runs.
+/// The data-path width of a BIST session, validated to `2..=20`.
+/// Callers build one before synthesis, so an out-of-range request fails
+/// before any work runs. The LFSR/MISR range is `2..=32`, but a session
+/// holds all `2^width - 1` patterns packed at once, and every two more
+/// bits cost about six times the time and, once the patterns dominate,
+/// four times the memory: width 20 takes seconds and tens of megabytes
+/// on a multiplier, width 32 would ask for tens of gigabytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SessionWidth(u32);
 
@@ -313,13 +317,13 @@ impl SessionWidth {
     /// # Errors
     ///
     /// Returns a message naming the accepted range when `width` is
-    /// outside `2..=32`.
+    /// outside `2..=20`.
     pub fn new(width: u32) -> Result<Self, String> {
-        if (2..=32).contains(&width) {
+        if (2..=20).contains(&width) {
             Ok(Self(width))
         } else {
             Err(format!(
-                "fault-simulation width {width} is out of range (expected 2..=32)"
+                "fault-simulation width {width} is out of range (expected 2..=20)"
             ))
         }
     }
@@ -663,17 +667,17 @@ mod tests {
     }
 
     #[test]
-    fn session_width_accepts_only_the_lfsr_range() {
-        for bad in [0, 1, 33, 40, 64] {
+    fn session_width_accepts_only_the_runnable_range() {
+        for bad in [0, 1, 21, 32, 33, 40, 64] {
             let err = SessionWidth::new(bad).expect_err("out of range");
             assert!(
-                err.contains(&bad.to_string()) && err.contains("2..=32"),
+                err.contains(&bad.to_string()) && err.contains("2..=20"),
                 "{err}"
             );
         }
         let w = SessionWidth::new(5).expect("in range");
         assert_eq!((w.get(), w.patterns()), (5, 31));
-        assert!(SessionWidth::new(2).is_ok() && SessionWidth::new(32).is_ok());
+        assert!(SessionWidth::new(2).is_ok() && SessionWidth::new(20).is_ok());
     }
 
     fn fresh(key: &SessionKey, opts: FaultSimOptions) -> SessionReport {

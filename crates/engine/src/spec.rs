@@ -230,8 +230,8 @@ impl JobSpec {
     }
 
     /// The fault-simulation knobs for `workers` threads: the session
-    /// width, checked against the LFSR/MISR range `2..=32` (narrower
-    /// than a data path may be), and the simulator options. Faults are
+    /// width, checked against the range a session can run, `2..=20`
+    /// (narrower than a data path may be), and the simulator options. Faults are
     /// collapsed into structural equivalence classes and the lane width
     /// follows the pattern count; reports are byte-identical to a
     /// serial, uncollapsed, 64-lane run for any worker count.
@@ -239,7 +239,7 @@ impl JobSpec {
     /// # Errors
     ///
     /// Returns a message naming the accepted range when the width is
-    /// outside `2..=32`.
+    /// outside `2..=20`.
     pub fn fault_sim(&self, workers: usize) -> Result<(SessionWidth, FaultSimOptions), String> {
         let width = SessionWidth::new(self.width)?;
         Ok((
@@ -417,7 +417,7 @@ pub enum JobError {
     Candidates(ParseModuleSetError),
     /// The design does not load.
     Load(LoadError),
-    /// The fault-simulation width is outside `2..=32`.
+    /// The fault-simulation width is outside `2..=20`.
     Width(String),
     /// Synthesis or annealing failed.
     Flow(FlowError),

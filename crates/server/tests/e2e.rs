@@ -503,7 +503,7 @@ fn faultsim_rejects_an_out_of_range_width_before_synthesis() {
     // proves the check ran first.
     let events = client::submit(&endpoint, &req).expect("submit");
     let error = event(&events, "error");
-    assert!(error.contains("out of range (expected 2..=32)"), "{error}");
+    assert!(error.contains("out of range (expected 2..=20)"), "{error}");
     shutdown(&endpoint);
     thread.join().expect("run thread").expect("clean shutdown");
 }
