@@ -27,9 +27,9 @@
 //!   already at hand) instead of building a [`DataPath`] netlist and
 //!   re-running full statistics.
 //!
-//! Memoizing the embedding lists and whole selections as well cost
+//! Memoizing the embedding lists or whole selections too would cost
 //! more to key and look up than the enumeration and the warm-started
-//! search they skipped, so neither is kept.
+//! search it skips (measured in DESIGN.md §4d).
 //!
 //! The slow path survives as [`FlowCache::evaluate_uncached`], the
 //! executable reference: property tests drive both paths along random

@@ -441,7 +441,10 @@ fn error_event(id: u64, message: &str) -> String {
 /// Answers a request line that is not served with one `error` event
 /// under a fresh id, and counts it as rejected.
 fn reject(out: &mut impl Write, shared: &Shared, message: &str) -> std::io::Result<()> {
-    shared.engine.metrics_handle().add(metric!("server.rejected"), 1);
+    shared
+        .engine
+        .metrics_handle()
+        .add(metric!("server.rejected"), 1);
     let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
     emit(out, &[&error_event(id, message)])
 }

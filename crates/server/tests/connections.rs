@@ -138,7 +138,9 @@ fn a_request_line_that_is_not_utf8_gets_an_error_and_the_connection_stays_open()
     assert!(line.starts_with("{\"event\":\"error\""), "{line:?}");
     assert!(line.contains("request line is not UTF-8"), "{line:?}");
     line.clear();
-    reader.read_line(&mut line).expect("a reply to the next line");
+    reader
+        .read_line(&mut line)
+        .expect("a reply to the next line");
     assert!(line.starts_with("{\"event\":\"pong\""), "{line:?}");
 
     let endpoint = Endpoint::Unix(socket);
